@@ -199,13 +199,29 @@ cargo fmt --all -- --check
 stage_end
 fi
 
+# The root manifest's `default-members` covers every crate, so the plain
+# commands below (tier-1's, plus --offline) build and test the whole
+# workspace.
 if stage_begin "cargo build --release --offline"; then
-cargo build --release --offline --workspace
+cargo build --release --offline
 stage_end
 fi
 
 if stage_begin "cargo test -q --offline"; then
-cargo test -q --offline --workspace
+cargo test -q --offline
+stage_end
+fi
+
+if stage_begin "seqbench contract (benchmark/ builds + tests against the workspace)"; then
+# benchmark/ is its own workspace (the acceptance pipeline builds it from a
+# fresh checkout) and calls the public API of seqd, jsonlite, patterndb and
+# sequence-rtg directly, so a signature change there breaks it without
+# breaking anything above. Build and unit-test it here, into the workspace's
+# target directory so the dependencies are compiled once.
+CARGO_TARGET_DIR="$(pwd)/target" \
+  cargo build --release --offline --manifest-path benchmark/Cargo.toml
+CARGO_TARGET_DIR="$(pwd)/target" \
+  cargo test -q --offline --manifest-path benchmark/Cargo.toml
 stage_end
 fi
 
@@ -518,7 +534,7 @@ if stage_begin "dependency audit: workspace crates only"; then
 # Every package cargo can see must live in this repository. A single
 # registry/git dependency breaks the offline guarantee, so fail on any
 # `cargo tree` line that is not a workspace member (path = /root/repo/...).
-packages=$(cargo tree --offline --workspace --prefix none --format '{p}' \
+packages=$(cargo tree --offline --prefix none --format '{p}' \
   | sed 's/ (\*)$//' | sed '/^$/d' | sort -u)
 external=$(grep -v "($(pwd)" <<<"${packages}" || true)
 if [[ -n "${external}" ]]; then

@@ -1,10 +1,10 @@
-//! Borrow-mode JSON parsing: values that reference the input buffer.
+//! The crate's one JSON parser: values that reference the input buffer.
 //!
-//! The owned parser in [`crate::parse`] allocates a `String` for every JSON
-//! string and a `BTreeMap` for every object. On the daemon ingest hot path
-//! that is pure overhead: a stream line is parsed once, two fields are
-//! pulled out, and the rest is discarded. This module provides two
-//! allocation-avoiding entry points:
+//! An owned tree allocates a `String` for every JSON string and a
+//! `BTreeMap` for every object. On the daemon ingest hot path that is pure
+//! overhead: a stream line is parsed once, two fields are pulled out, and
+//! the rest is discarded. This module provides two allocation-avoiding
+//! entry points:
 //!
 //! * [`parse`] — a full borrowed value tree. Strings are `Cow<'a, str>`:
 //!   escape-free strings borrow straight from the input (`Cow::Borrowed`),
@@ -17,16 +17,16 @@
 //!   fields are borrowed slices of the input (pinned by a golden test using
 //!   the testkit allocation counter).
 //!
-//! Both entry points are drop-in equivalent to the owned parser: they
-//! accept exactly the same documents and reject with the same
-//! [`ParseError`] (same offset, same kind). Property tests in the crate
-//! pin that equivalence case-by-case.
+//! [`crate::parse`] is [`parse`] followed by [`Value::into_owned`]. Both
+//! entry points here accept exactly the same documents and reject with the
+//! same [`ParseError`] (same offset, same kind); the crate's property tests
+//! pin that case-by-case.
 
 use crate::parse::{ErrorKind, ParseError};
 use std::borrow::Cow;
 
-/// Maximum nesting depth — must match the owned parser's limit so the two
-/// front ends accept identical documents.
+/// Maximum nesting depth; protects against stack exhaustion on adversarial
+/// input piped into the ingester.
 const MAX_DEPTH: usize = 128;
 
 /// A JSON value borrowing from the parsed input where possible.
@@ -36,7 +36,7 @@ pub enum Value<'a> {
     Null,
     /// JSON `true` / `false`.
     Bool(bool),
-    /// A JSON number (f64, like the owned parser).
+    /// A JSON number (f64).
     Number(f64),
     /// A string: borrowed when escape-free, owned when unescaping copied.
     String(Cow<'a, str>),
@@ -44,7 +44,7 @@ pub enum Value<'a> {
     Array(Vec<Value<'a>>),
     /// An object as an ordered pair list; duplicate keys are kept in
     /// document order and [`Value::get`] resolves them last-wins, matching
-    /// the owned parser's `BTreeMap::insert` semantics.
+    /// the owned tree's `BTreeMap::insert` semantics.
     Object(Vec<(Cow<'a, str>, Value<'a>)>),
 }
 
@@ -66,7 +66,7 @@ impl<'a> Value<'a> {
     }
 
     /// Object field lookup, last occurrence wins (duplicate-key semantics
-    /// of the owned parser).
+    /// of the owned tree).
     pub fn get(&self, key: &str) -> Option<&Value<'a>> {
         match self {
             Value::Object(pairs) => pairs.iter().rev().find(|(k, _)| k == key).map(|(_, v)| v),
@@ -98,7 +98,7 @@ impl<'a> Value<'a> {
 /// Why [`object_fields`] could not extract from the input.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FieldsError {
-    /// The input is not valid JSON (same error the owned parser reports).
+    /// The input is not valid JSON (the error [`parse`] reports).
     Json(ParseError),
     /// The input is valid JSON but the top-level value is not an object.
     NotAnObject,
@@ -106,8 +106,8 @@ pub enum FieldsError {
 
 /// Parse a complete JSON document into a borrowed value tree.
 ///
-/// Accepts and rejects exactly like [`crate::parse`]; escape-free strings
-/// borrow from `input`.
+/// Trailing whitespace is allowed; any other trailing data is an error.
+/// Escape-free strings borrow from `input`.
 pub fn parse(input: &str) -> Result<Value<'_>, ParseError> {
     let mut p = Parser {
         b: input.as_bytes(),
@@ -126,7 +126,7 @@ pub fn parse(input: &str) -> Result<Value<'_>, ParseError> {
 /// without building a value tree.
 ///
 /// The whole document is validated (nesting depth, escapes, UTF-8,
-/// trailing data) with the owned parser's exact error semantics. For each
+/// trailing data) with [`parse`]'s exact error semantics. For each
 /// requested key the *last* occurrence wins; a key that is missing, or
 /// whose final value is not a string, yields `None`. Extra fields are
 /// skipped without allocating. On escape-free input every returned field
@@ -144,9 +144,9 @@ pub fn object_fields<'a, const N: usize>(
         None => return Err(FieldsError::Json(p.err(ErrorKind::UnexpectedEof))),
         Some(b'{') => {}
         Some(_) => {
-            // Not an object at the top level. Classify exactly like the
-            // owned path (`parse` then shape check): a document that fails
-            // to parse is a JSON error; one that parses is NotAnObject.
+            // Not an object at the top level. Classify exactly like `parse`
+            // then a shape check: a document that fails to parse is a JSON
+            // error; one that parses is NotAnObject.
             return match p.skip_value(0).and_then(|()| {
                 p.skip_ws();
                 if p.i != p.b.len() {
@@ -209,9 +209,9 @@ pub fn object_fields<'a, const N: usize>(
     Ok(out)
 }
 
-/// The borrowed-mode parser core. Structurally identical to the owned
-/// `Parser` in `parse.rs` — every offset bump and error site mirrors it so
-/// the two report byte-identical `ParseError`s.
+/// The recursive-descent parser core. `value` and `skip_value` bump the
+/// offset and raise errors at the same sites, so building a tree and
+/// skipping one report byte-identical `ParseError`s.
 struct Parser<'a> {
     b: &'a [u8],
     i: usize,
@@ -440,8 +440,7 @@ impl<'a> Parser<'a> {
     /// The fast path scans a run of plain bytes; if the run reaches the
     /// closing quote the slice is borrowed directly (see [`Parser::run_str`]
     /// for why no UTF-8 re-validation is needed). The first escape (or a
-    /// multi-run string) falls back to the owned accumulation loop of the
-    /// owned parser, with matching error offsets.
+    /// multi-run string) falls back to accumulating an owned copy.
     fn string_cow(&mut self) -> Result<Cow<'a, str>, ParseError> {
         self.expect(b'"')?;
         let start = self.i;
@@ -455,8 +454,8 @@ impl<'a> Parser<'a> {
                 Ok(Cow::Borrowed(chunk))
             }
             Some(b'\\') => {
-                // Copy path: seed with the first run, then continue the
-                // owned parser's run/escape loop.
+                // Copy path: seed with the first run, then alternate
+                // escapes and plain runs.
                 let mut out = String::new();
                 out.push_str(self.run_str(first_run));
                 self.i += 1;
@@ -506,8 +505,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    /// Decode one escape sequence (after the `\`) into `out`. Identical
-    /// validation to the owned parser's `escape`.
+    /// Decode one escape sequence (after the `\`) into `out`.
     fn escape(&mut self, out: &mut impl PushChar) -> Result<(), ParseError> {
         let c = self
             .peek()
@@ -649,42 +647,64 @@ mod tests {
     }
 
     #[test]
-    fn borrowed_tree_matches_owned_tree() {
-        let input = r#"{"a": [1, 2, {"b": [true, null]}], "c": {}, "s": "x\ty"}"#;
-        assert_eq!(
-            parse(input).unwrap().into_owned(),
-            crate::parse(input).unwrap()
-        );
+    fn into_owned_builds_the_owned_tree() {
+        use crate::value::object;
+        let input = r#"{"a": [1, 2, {"b": [true, null]}], "c": {}, "s": "x\ty", "a": [3]}"#;
+        let expected = object::<&str, crate::Value>([
+            ("a", crate::Value::Array(vec![3.into()])), // last duplicate wins
+            ("c", object::<&str, crate::Value>([])),
+            ("s", "x\ty".into()),
+        ]);
+        assert_eq!(parse(input).unwrap().into_owned(), expected);
     }
 
+    /// Pinned `(kind, offset)` per malformed input: `ParseError` carries
+    /// both to callers, so neither may drift.
     #[test]
-    fn errors_match_owned_parser() {
-        for bad in [
-            "not json",
-            "{",
-            "[1,",
-            "\"abc",
-            "{\"a\":",
-            "tru",
-            "-",
-            "01",
-            "1.",
-            "1e",
-            "1 2",
-            r#""\q""#,
-            r#""\u12""#,
-            r#""\ud800x""#,
-            r#""\udc00""#,
-            "\"a\u{01}b\"",
-        ] {
-            assert_eq!(
-                parse(bad).map(Value::into_owned),
-                crate::parse(bad),
-                "mismatch on {bad:?}"
-            );
-        }
+    fn error_kind_and_offset_are_pinned() {
+        use ErrorKind::*;
         let deep = "[".repeat(200) + &"]".repeat(200);
-        assert_eq!(parse(&deep).map(Value::into_owned), crate::parse(&deep));
+        for (bad, kind, offset) in [
+            ("not json", UnexpectedChar('n'), 0),
+            ("", UnexpectedEof, 0),
+            ("   ", UnexpectedEof, 3),
+            // Truncation.
+            ("{", UnexpectedEof, 1),
+            ("[1,", UnexpectedEof, 3),
+            ("\"abc", UnexpectedEof, 4),
+            ("{\"a\":", UnexpectedEof, 5),
+            ("\"\\", UnexpectedEof, 2),
+            ("tru", UnexpectedChar('t'), 0),
+            ("nul", UnexpectedChar('n'), 0),
+            // Numbers.
+            ("-", BadNumber, 1),
+            ("- 1", BadNumber, 1),
+            ("01", TrailingData, 1),
+            ("1.", BadNumber, 2),
+            ("1e", BadNumber, 2),
+            ("1e+", BadNumber, 3),
+            (".5", UnexpectedChar('.'), 0),
+            // Trailing data and structure.
+            ("1 2", TrailingData, 2),
+            ("[1 2]", UnexpectedChar('2'), 3),
+            ("{1:2}", UnexpectedChar('1'), 1),
+            ("{\"a\" 1}", UnexpectedChar('1'), 5),
+            ("{\"a\":1,}", UnexpectedChar('}'), 7),
+            // Escapes, lone surrogates, control characters.
+            (r#""\q""#, BadEscape, 3),
+            (r#""\u12""#, UnexpectedEof, 3),
+            (r#""\u12g4""#, BadUnicodeEscape, 5),
+            (r#""\ud800x""#, BadUnicodeEscape, 7),
+            (r#""\ud800A""#, BadUnicodeEscape, 7),
+            (r#""\udc00""#, BadUnicodeEscape, 7),
+            ("\"a\u{01}b\"", ControlCharInString, 2),
+            // The depth bound.
+            (deep.as_str(), TooDeep, 129),
+        ] {
+            let expected = ParseError { offset, kind };
+            assert_eq!(parse(bad).unwrap_err(), expected, "borrow on {bad:?}");
+            assert_eq!(crate::parse(bad).unwrap_err(), expected, "owned on {bad:?}");
+        }
     }
 
     #[test]

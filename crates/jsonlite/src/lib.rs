@@ -195,35 +195,8 @@ mod proptests {
         });
     }
 
-    /// Borrow-mode parse is extensionally identical to the owned parse on
-    /// every serialised value: same tree, or the same error.
-    #[test]
-    fn borrow_parse_equals_owned_parse() {
-        prop::check(&Config::default(), &arb_value(), |v| {
-            for s in [to_string(v), to_string_pretty(v)] {
-                let owned = parse(&s);
-                let borrowed = borrow::parse(&s).map(borrow::Value::into_owned);
-                prop_assert_eq!(&borrowed, &owned);
-            }
-            Ok(())
-        });
-    }
-
-    /// ... and on arbitrary (mostly invalid) input, where the errors must
-    /// agree byte-for-byte in offset and kind.
-    #[test]
-    fn borrow_parse_equals_owned_parse_on_garbage() {
-        prop::check(&Config::default(), &prop::unicode_string(0..200), |s| {
-            let owned = parse(s);
-            let borrowed = borrow::parse(s).map(borrow::Value::into_owned);
-            prop_assert_eq!(&borrowed, &owned);
-            Ok(())
-        });
-    }
-
     /// A borrow is never wrong: the zero-copy fast path is taken exactly
-    /// when the encoded string has no escapes, and either way the decoded
-    /// text equals the owned parser's.
+    /// when the encoded string has no escapes.
     #[test]
     fn escapes_always_force_the_copy_path() {
         let strategy = (arb_value(), arb_value());

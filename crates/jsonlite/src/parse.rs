@@ -1,7 +1,6 @@
-//! A recursive-descent JSON parser (RFC 8259).
+//! The owned-tree entry point and the parse error types (RFC 8259).
 
 use crate::value::Value;
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// A parse error with byte offset into the input.
@@ -48,282 +47,13 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// Maximum nesting depth; protects against stack exhaustion on adversarial
-/// input piped into the ingester.
-const MAX_DEPTH: usize = 128;
-
 /// Parse a complete JSON document. Trailing whitespace is allowed; any other
 /// trailing data is an error.
+///
+/// The crate has one parser, [`crate::borrow`]; this is its tree converted
+/// to the owned [`Value`].
 pub fn parse(input: &str) -> Result<Value, ParseError> {
-    let mut p = Parser {
-        b: input.as_bytes(),
-        i: 0,
-    };
-    p.skip_ws();
-    let v = p.value(0)?;
-    p.skip_ws();
-    if p.i != p.b.len() {
-        return Err(p.err(ErrorKind::TrailingData));
-    }
-    Ok(v)
-}
-
-struct Parser<'a> {
-    b: &'a [u8],
-    i: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn err(&self, kind: ErrorKind) -> ParseError {
-        ParseError {
-            offset: self.i,
-            kind,
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.b.get(self.i).copied()
-    }
-
-    fn skip_ws(&mut self) {
-        while let Some(c) = self.peek() {
-            if matches!(c, b' ' | b'\t' | b'\n' | b'\r') {
-                self.i += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn expect(&mut self, c: u8) -> Result<(), ParseError> {
-        match self.peek() {
-            Some(x) if x == c => {
-                self.i += 1;
-                Ok(())
-            }
-            Some(x) => Err(self.err(ErrorKind::UnexpectedChar(x as char))),
-            None => Err(self.err(ErrorKind::UnexpectedEof)),
-        }
-    }
-
-    fn value(&mut self, depth: usize) -> Result<Value, ParseError> {
-        if depth > MAX_DEPTH {
-            return Err(self.err(ErrorKind::TooDeep));
-        }
-        match self.peek() {
-            None => Err(self.err(ErrorKind::UnexpectedEof)),
-            Some(b'{') => self.object(depth),
-            Some(b'[') => self.array(depth),
-            Some(b'"') => Ok(Value::String(self.string()?)),
-            Some(b't') => self.keyword(b"true", Value::Bool(true)),
-            Some(b'f') => self.keyword(b"false", Value::Bool(false)),
-            Some(b'n') => self.keyword(b"null", Value::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            Some(c) => Err(self.err(ErrorKind::UnexpectedChar(c as char))),
-        }
-    }
-
-    fn keyword(&mut self, word: &[u8], v: Value) -> Result<Value, ParseError> {
-        if self.b.len() - self.i >= word.len() && &self.b[self.i..self.i + word.len()] == word {
-            self.i += word.len();
-            Ok(v)
-        } else {
-            Err(self.err(ErrorKind::UnexpectedChar(self.peek().unwrap_or(0) as char)))
-        }
-    }
-
-    fn object(&mut self, depth: usize) -> Result<Value, ParseError> {
-        self.expect(b'{')?;
-        let mut map = BTreeMap::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.i += 1;
-            return Ok(Value::Object(map));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let val = self.value(depth + 1)?;
-            map.insert(key, val);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.i += 1;
-                }
-                Some(b'}') => {
-                    self.i += 1;
-                    return Ok(Value::Object(map));
-                }
-                Some(c) => return Err(self.err(ErrorKind::UnexpectedChar(c as char))),
-                None => return Err(self.err(ErrorKind::UnexpectedEof)),
-            }
-        }
-    }
-
-    fn array(&mut self, depth: usize) -> Result<Value, ParseError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.i += 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value(depth + 1)?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.i += 1;
-                }
-                Some(b']') => {
-                    self.i += 1;
-                    return Ok(Value::Array(items));
-                }
-                Some(c) => return Err(self.err(ErrorKind::UnexpectedChar(c as char))),
-                None => return Err(self.err(ErrorKind::UnexpectedEof)),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, ParseError> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let start = self.i;
-            // Fast path: copy a run of plain bytes.
-            while let Some(c) = self.peek() {
-                if c == b'"' || c == b'\\' || c < 0x20 {
-                    break;
-                }
-                self.i += 1;
-            }
-            if self.i > start {
-                let chunk = std::str::from_utf8(&self.b[start..self.i])
-                    .map_err(|_| self.err(ErrorKind::BadUtf8))?;
-                out.push_str(chunk);
-            }
-            match self.peek() {
-                None => return Err(self.err(ErrorKind::UnexpectedEof)),
-                Some(b'"') => {
-                    self.i += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.i += 1;
-                    self.escape(&mut out)?;
-                }
-                Some(_) => return Err(self.err(ErrorKind::ControlCharInString)),
-            }
-        }
-    }
-
-    fn escape(&mut self, out: &mut String) -> Result<(), ParseError> {
-        let c = self
-            .peek()
-            .ok_or_else(|| self.err(ErrorKind::UnexpectedEof))?;
-        self.i += 1;
-        match c {
-            b'"' => out.push('"'),
-            b'\\' => out.push('\\'),
-            b'/' => out.push('/'),
-            b'b' => out.push('\u{0008}'),
-            b'f' => out.push('\u{000C}'),
-            b'n' => out.push('\n'),
-            b'r' => out.push('\r'),
-            b't' => out.push('\t'),
-            b'u' => {
-                let hi = self.hex4()?;
-                let ch = if (0xD800..0xDC00).contains(&hi) {
-                    // High surrogate: require a following \uXXXX low surrogate.
-                    if self.peek() == Some(b'\\') && self.b.get(self.i + 1) == Some(&b'u') {
-                        self.i += 2;
-                        let lo = self.hex4()?;
-                        if !(0xDC00..0xE000).contains(&lo) {
-                            return Err(self.err(ErrorKind::BadUnicodeEscape));
-                        }
-                        let code = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
-                        char::from_u32(code).ok_or_else(|| self.err(ErrorKind::BadUnicodeEscape))?
-                    } else {
-                        return Err(self.err(ErrorKind::BadUnicodeEscape));
-                    }
-                } else if (0xDC00..0xE000).contains(&hi) {
-                    return Err(self.err(ErrorKind::BadUnicodeEscape));
-                } else {
-                    char::from_u32(hi).ok_or_else(|| self.err(ErrorKind::BadUnicodeEscape))?
-                };
-                out.push(ch);
-            }
-            _ => return Err(self.err(ErrorKind::BadEscape)),
-        }
-        Ok(())
-    }
-
-    fn hex4(&mut self) -> Result<u32, ParseError> {
-        if self.b.len() - self.i < 4 {
-            return Err(self.err(ErrorKind::UnexpectedEof));
-        }
-        let mut v = 0u32;
-        for _ in 0..4 {
-            let c = self.b[self.i];
-            let d = match c {
-                b'0'..=b'9' => (c - b'0') as u32,
-                b'a'..=b'f' => (c - b'a' + 10) as u32,
-                b'A'..=b'F' => (c - b'A' + 10) as u32,
-                _ => return Err(self.err(ErrorKind::BadUnicodeEscape)),
-            };
-            v = v * 16 + d;
-            self.i += 1;
-        }
-        Ok(v)
-    }
-
-    fn number(&mut self) -> Result<Value, ParseError> {
-        let start = self.i;
-        if self.peek() == Some(b'-') {
-            self.i += 1;
-        }
-        // Integer part: `0` or non-zero digit followed by digits.
-        match self.peek() {
-            Some(b'0') => self.i += 1,
-            Some(c) if c.is_ascii_digit() => {
-                while self.peek().map_or(false, |c| c.is_ascii_digit()) {
-                    self.i += 1;
-                }
-            }
-            _ => return Err(self.err(ErrorKind::BadNumber)),
-        }
-        // Fraction.
-        if self.peek() == Some(b'.') {
-            self.i += 1;
-            if !self.peek().map_or(false, |c| c.is_ascii_digit()) {
-                return Err(self.err(ErrorKind::BadNumber));
-            }
-            while self.peek().map_or(false, |c| c.is_ascii_digit()) {
-                self.i += 1;
-            }
-        }
-        // Exponent.
-        if matches!(self.peek(), Some(b'e') | Some(b'E')) {
-            self.i += 1;
-            if matches!(self.peek(), Some(b'+') | Some(b'-')) {
-                self.i += 1;
-            }
-            if !self.peek().map_or(false, |c| c.is_ascii_digit()) {
-                return Err(self.err(ErrorKind::BadNumber));
-            }
-            while self.peek().map_or(false, |c| c.is_ascii_digit()) {
-                self.i += 1;
-            }
-        }
-        let text = std::str::from_utf8(&self.b[start..self.i]).expect("ascii");
-        text.parse::<f64>()
-            .map(Value::Number)
-            .map_err(|_| self.err(ErrorKind::BadNumber))
-    }
+    crate::borrow::parse(input).map(crate::borrow::Value::into_owned)
 }
 
 #[cfg(test)]

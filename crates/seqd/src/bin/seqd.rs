@@ -4,13 +4,17 @@
 //! seqd [--addr HOST:PORT] [--store PATH] [--shards N] [--batch-size N]
 //!      [--queue-capacity N] [--io-timeout-ms N] [--max-line-len N]
 //!      [--wal-dir PATH] [--wal-sync-every N] [--no-wal]
-//!      [--wire event-loop|blocking] [--pollers N] [--miners N]
-//!      [--evolve online|batch]
+//!      [--pollers N] [--miners N] [--evolve online|batch]
+//!      [--wire event-loop]
 //! ```
 //!
 //! `--miners N` sizes the background mining pool (default: a quarter of the
-//! cores, at least 1). `--miners 0` mines inline on the shard workers — the
-//! pre-pipeline behaviour, kept as an operational escape hatch.
+//! cores; at least 1).
+//!
+//! `--wire event-loop` is a no-op: the event loop is the only wire path.
+//! The flag is still parsed because the frozen benchmark harness passes it
+//! (`SEQD_FLAGS` in `benchmark/src/daemon.rs`), and goes when a `benchmark`
+//! issue drops it there. Any other value exits 2.
 //!
 //! With `--store` the pattern database is loaded from (and checkpointed back
 //! to) the given path, and the ingest WAL defaults to `<store>/ingest-wal`
@@ -22,7 +26,7 @@
 
 use patterndb::PatternStore;
 use seqd::miner::EvolveMode;
-use seqd::server::{start, SeqdConfig, WireMode};
+use seqd::server::{start, SeqdConfig};
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -62,12 +66,12 @@ fn main() -> ExitCode {
             }
             "--no-wal" => no_wal = true,
             "--wire" => {
-                config.wire = match value("--wire").as_str() {
-                    "event-loop" => WireMode::EventLoop,
-                    "blocking" => WireMode::Blocking,
-                    other => fail(&format!(
-                        "--wire expects event-loop or blocking, got {other:?}"
-                    )),
+                let wire = value("--wire");
+                if wire != "event-loop" {
+                    fail(&format!(
+                        "--wire {wire}: the thread-per-connection wire path was removed; \
+                         event-loop is the only wire path (the flag is a no-op)"
+                    ));
                 }
             }
             "--pollers" => config.pollers = parse(&value("--pollers"), "--pollers"),
@@ -78,14 +82,21 @@ fn main() -> ExitCode {
                     other => fail(&format!("--evolve expects online or batch, got {other:?}")),
                 }
             }
-            "--miners" => config.miners = parse(&value("--miners"), "--miners"),
+            "--miners" => {
+                config.miners = parse(&value("--miners"), "--miners");
+                if config.miners == 0 {
+                    fail("--miners needs at least 1 (inline mining was removed)");
+                }
+            }
             "--help" | "-h" => {
                 println!(
                     "usage: seqd [--addr HOST:PORT] [--store PATH] [--shards N] \
                      [--batch-size N] [--queue-capacity N] [--io-timeout-ms N] \
                      [--max-line-len N] [--wal-dir PATH] [--wal-sync-every N] [--no-wal] \
-                     [--wire event-loop|blocking] [--pollers N] [--miners N] \
-                     [--evolve online|batch]"
+                     [--pollers N] [--miners N] [--evolve online|batch] \
+                     [--wire event-loop]\n\
+                     --wire event-loop is a no-op kept for the benchmark harness: \
+                     the event loop is the only wire path"
                 );
                 return ExitCode::SUCCESS;
             }
@@ -127,15 +138,11 @@ fn main() -> ExitCode {
         Err(e) => fail(&format!("cannot start daemon on {addr}: {e}")),
     };
     eprintln!(
-        "seqd: listening on {} ({} shards, batch {}, {}, {} mining, store {}, wal {})",
+        "seqd: listening on {} ({} shards, batch {}, {} miners, {} mining, store {}, wal {})",
         handle.addr(),
         shards,
         batch_size,
-        if miners == 0 {
-            "inline mining".to_string()
-        } else {
-            format!("{miners} miners")
-        },
+        miners,
         match evolve {
             EvolveMode::Online => "online-evolve",
             EvolveMode::Batch => "batch",

@@ -1,23 +1,21 @@
-//! The nonblocking event-loop wire path.
+//! The wire path: a nonblocking readiness event loop.
 //!
-//! The original ingest path spent a thread per connection inside blocking
-//! `read` calls, with a `BufReader` copy and a `String` allocation per line.
-//! This module replaces the wire side with readiness polling: a small fixed
-//! pool of poller threads, each owning a set of nonblocking sockets watched
-//! through [`crate::poll::poll_fds`]. Bytes land in a per-connection
-//! [`RingBuf`] via vectored reads, NDJSON frames are split in place and
-//! parsed through `jsonlite`'s borrow mode (two `String`s per record — the
-//! fields that outlive the buffer — and nothing else), and all records
-//! collected in one poll iteration are routed in per-shard batches with one
-//! queue lock and one WAL append each, followed by a single group-commit
-//! `fsync` covering every connection that finished this iteration.
+//! A small fixed pool of poller threads, each owning a set of nonblocking
+//! sockets watched through [`crate::poll::poll_fds`], serves every ingest
+//! connection. Bytes land in a per-connection [`RingBuf`] via vectored
+//! reads, NDJSON frames are split in place and parsed through `jsonlite`'s
+//! borrow mode (two `String`s per record — the fields that outlive the
+//! buffer — and nothing else), and all records collected in one poll
+//! iteration are routed in per-shard batches with one queue lock and one
+//! WAL append each, followed by a single group-commit `fsync` covering
+//! every connection that finished this iteration.
 //!
-//! The protocol is *observationally identical* to the blocking path in
+//! The protocol is *observationally identical* to the framing reference
 //! [`crate::protocol::serve_ingest`] — same counting, same receipt, same
 //! oversized/deadline/EOF semantics — which the protocol-torture suite
-//! pins by running both paths over adversarial byte streams. The state
-//! machine lives in [`Session`], deliberately fed through the plain
-//! [`Read`] trait so those tests run hermetically, without sockets.
+//! pins by running both over adversarial byte streams. The state machine
+//! lives in [`Session`], deliberately fed through the plain [`Read`] trait
+//! so those tests run hermetically, without sockets.
 
 use crate::metrics::Ops;
 use crate::poll::{poll_fds, PollFd, POLLIN, POLLOUT};
@@ -74,7 +72,7 @@ enum Verdict {
 }
 
 fn judge(bytes: &[u8]) -> Verdict {
-    // Mirrors the blocking path byte for byte: lossy UTF-8, trim (strips
+    // Mirrors the framing reference byte for byte: lossy UTF-8, trim (strips
     // `\n` / `\r\n` and stray blanks), skip empty, then parse. On valid
     // UTF-8 the lossy conversion borrows, so no copy happens here.
     let text = String::from_utf8_lossy(bytes);
@@ -111,7 +109,7 @@ pub struct PumpStats {
 /// Feed it any [`Read`] via [`Session::pump`]; parsed records accumulate in
 /// the caller's vector (the caller routes them and fills in
 /// `summary.accepted` / `summary.rejected` afterwards). `received` and
-/// `malformed` are counted here, exactly as the blocking path counts them.
+/// `malformed` are counted here, exactly as the reference counts them.
 pub struct Session {
     ring: RingBuf,
     scratch: Vec<u8>,
@@ -129,7 +127,7 @@ impl Session {
     /// A fresh session enforcing `max_line_len` (terminator included).
     ///
     /// The ring is one byte larger than the cap so an EOF-terminated
-    /// fragment of exactly `max_line_len` bytes — which the blocking path
+    /// fragment of exactly `max_line_len` bytes — which the reference
     /// accepts — is still distinguishable from an oversized line.
     pub fn new(max_line_len: usize) -> Session {
         let cap = max_line_len.max(16);
@@ -146,7 +144,7 @@ impl Session {
     }
 
     /// Still waiting for the first complete line? (An evicted sniffing
-    /// connection closes silently, like the blocking path's early return.)
+    /// connection closes silently: it never sent a record to receipt.)
     pub fn is_sniffing(&self) -> bool {
         self.state == State::Sniffing
     }
@@ -186,8 +184,7 @@ impl Session {
     /// Read as much as is available (bounded by the fairness cap), splitting
     /// and parsing complete frames after every fill. `Interrupted` reads are
     /// retried; `WouldBlock` returns [`Pump::Drained`]; any other error
-    /// propagates (the connection is dropped without a receipt, as the
-    /// blocking path does).
+    /// propagates (the connection is dropped without a receipt).
     pub fn pump(
         &mut self,
         stream: &mut impl Read,
@@ -330,7 +327,7 @@ impl Session {
 
 /// Everything a poller thread needs from the daemon.
 pub struct EventLoopDeps {
-    /// Record router (shared with the blocking path).
+    /// Record router.
     pub router: Arc<Router>,
     /// Shared counters.
     pub ops: Arc<Ops>,
@@ -558,8 +555,7 @@ fn run_poller(deps: &EventLoopDeps, intake: &Receiver<TcpStream>, wake: &UnixStr
                         Ok(Pump::Drained) | Ok(Pump::CapReached) => {}
                         Ok(Pump::Eof) => conn.phase = Phase::Finish,
                         Ok(Pump::Http(prefix)) => conn.phase = Phase::Handoff(prefix),
-                        // Peer reset or hard error: no receipt, same as the
-                        // blocking connection thread.
+                        // Peer reset or hard error: no receipt.
                         Err(_) => conn.phase = Phase::Dead,
                     }
                     for record in records.drain(..) {
@@ -583,9 +579,10 @@ fn run_poller(deps: &EventLoopDeps, intake: &Receiver<TcpStream>, wake: &UnixStr
                 }
                 _ => {}
             }
-            // Idle eviction mirrors the blocking deadline: a sniffing peer
-            // is dropped silently, an ingesting peer gets a receipt for
-            // what was processed, a stuck receipt write is abandoned.
+            // Idle eviction: a sniffing peer is dropped silently, an
+            // ingesting peer gets a receipt for what was processed (the
+            // reference's read-deadline rule), a stuck receipt write is
+            // abandoned.
             if !deps.io_timeout.is_zero()
                 && now.duration_since(conn.last_activity) >= deps.io_timeout
             {
@@ -734,7 +731,7 @@ mod tests {
     }
 
     #[test]
-    fn session_counts_like_the_blocking_path() {
+    fn session_counts_like_the_reference() {
         let ops = Ops::new();
         let mut session = Session::new(1 << 20);
         let input = concat!(
@@ -796,7 +793,7 @@ mod tests {
         assert_eq!(session.summary.malformed, 1);
     }
 
-    /// The exactly-at-cap EOF fragment the blocking path accepts: the ring
+    /// The exactly-at-cap EOF fragment the reference accepts: the ring
     /// must not misread it as oversized.
     #[test]
     fn eof_fragment_at_exactly_the_cap_is_accepted() {

@@ -6,8 +6,10 @@
 //! covers the algorithmic half; this crate is the operational half — a
 //! long-running daemon built entirely from `std` and the in-tree crates:
 //!
-//! * **Wire protocol** ([`protocol`], [`loadgen`]): NDJSON ingest over TCP
-//!   with a single JSON receipt line; no per-record acks.
+//! * **Wire protocol** ([`eventloop`], [`loadgen`]): NDJSON ingest over TCP
+//!   with a single JSON receipt line; no per-record acks. One readiness
+//!   event loop serves it; [`protocol`] holds the receipt type and the
+//!   framing reference the tests compare the event loop against.
 //! * **Control plane** ([`http`], [`server`]): a minimal HTTP/1.1 server
 //!   exposing `/healthz`, `/stats`, `/metrics` (Prometheus text),
 //!   `/patterns` and `POST /shutdown`, sharing the ingest port via

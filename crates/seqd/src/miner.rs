@@ -26,9 +26,9 @@
 //!   entry survives until its fate (mined, matched, or counted dropped) is
 //!   decided, preserving the crash-safety contract end to end.
 //!
-//! `--miners 0` selects [`Miner::inline`], which runs every job on the
-//! submitting worker thread — byte-for-byte the old synchronous behaviour,
-//! kept as the observational-equivalence baseline for tests.
+//! [`Miner::inline`] runs every job on the submitting thread. The daemon
+//! never builds one; tests use it as the synchronous executor and as the
+//! reference a pool's outcome is compared against.
 
 use crate::metrics::{stages, Ops};
 use crate::shard::now_unix;
@@ -750,14 +750,14 @@ struct PoolShared {
     capacity_records: usize,
 }
 
-/// The mining executor: either a background pool or the inline fallback
-/// (`--miners 0`) that runs each job on the submitting thread.
+/// The mining executor: the daemon's background pool, or the inline
+/// executor tests substitute, which runs each job on the submitting thread.
 #[derive(Debug)]
 pub struct Miner(Mode);
 
 #[derive(Debug)]
 enum Mode {
-    /// Run jobs synchronously on the caller — the old flush behaviour.
+    /// Run jobs synchronously on the caller.
     Inline(MinerDeps),
     /// Run jobs on background mining threads.
     Pool {

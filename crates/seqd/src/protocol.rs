@@ -1,4 +1,4 @@
-//! The NDJSON ingest wire protocol.
+//! The NDJSON ingest wire protocol, and its framing reference.
 //!
 //! A client connects, streams one `{"service": ..., "message": ...}` JSON
 //! object per line (the paper's composite stream format, `\n` or `\r\n`
@@ -6,24 +6,27 @@
 //! single JSON summary line —
 //! `{"received":N,"accepted":N,"rejected":N,"malformed":N}` — and closes.
 //! There are no per-line acks: the stream stays write-only at full speed, and
-//! the summary is the client's delivery receipt. Rejected lines (shard queue
-//! full past the backpressure timeout) and malformed lines are *counted, not
-//! fatal*: one bad producer must not sever the connection for the rest of
-//! its buffer.
+//! the summary is the client's delivery receipt ([`IngestSummary`]).
+//! Rejected lines (shard queue full past the backpressure timeout) and
+//! malformed lines are *counted, not fatal*: one bad producer must not sever
+//! the connection for the rest of its buffer.
 //!
-//! Two hostile-input defences live here:
+//! The daemon serves this protocol from [`crate::eventloop`]; nothing under
+//! [`crate::server`] calls [`serve_ingest`]. It is the protocol written the
+//! obvious way — one blocking [`BufRead`], one line at a time through
+//! [`read_line_capped`] — and stays as the hermetic *reference* the
+//! protocol-torture suite runs the event loop's `Session` against: same
+//! bytes in, same counters, same records, same receipt. The rules it fixes:
 //!
 //! * **Line cap** — [`read_line_capped`] never buffers more than the cap,
-//!   so a client streaming bytes with no newline cannot OOM the daemon.
+//!   so a client streaming bytes with no newline cannot exhaust memory.
 //!   Oversized lines are discarded to their terminator, counted
 //!   `malformed`, and the connection stays alive.
-//! * **Deadlines** — the server arms `set_read_timeout` on every socket; a
-//!   timed-out read surfaces as `WouldBlock`/`TimedOut`, which ends the
+//! * **Deadlines** — a timed-out read (`WouldBlock`/`TimedOut`) ends the
 //!   stream early: the receipt for everything processed so far is still
-//!   sent, and the idle peer is cut loose instead of pinning a thread.
-//!
-//! When the router carries an ingest WAL, it is fsynced *before* the
-//! receipt is written — a receipt is a durability promise.
+//!   sent.
+//! * **Durability** — when the router carries an ingest WAL, it is fsynced
+//!   *before* the receipt is written: a receipt is a durability promise.
 
 use crate::metrics::Ops;
 use crate::shard::Router;
@@ -177,18 +180,16 @@ fn discard_to_newline<R: BufRead>(reader: &mut R) -> io::Result<()> {
     }
 }
 
-/// Serve one ingest connection: read NDJSON until EOF (or the socket
-/// deadline), route records, sync the WAL, write the summary. Lines longer
-/// than `max_line_len` are counted malformed without severing the
-/// connection; `oversized_carry` pre-counts one such line consumed by the
-/// caller's protocol sniffing. Returns the summary for logging.
+/// The reference implementation of one ingest connection: read NDJSON until
+/// EOF (or the read deadline), route each record as a batch of one, sync
+/// the WAL, write the summary. Lines longer than `max_line_len` are counted
+/// malformed without severing the connection.
 pub fn serve_ingest<R: BufRead, W: Write>(
     reader: &mut R,
     writer: &mut W,
     router: &Router,
     ops: &Ops,
     max_line_len: usize,
-    oversized_carry: bool,
 ) -> std::io::Result<IngestSummary> {
     let mut summary = IngestSummary::default();
     // One histogram sample per `ingested`-counted line — including
@@ -202,9 +203,6 @@ pub fn serve_ingest<R: BufRead, W: Write>(
         Ops::inc(&ops.malformed);
         line_hist.record_ns(0);
     };
-    if oversized_carry {
-        count_malformed(&mut summary);
-    }
     loop {
         let line = match read_line_capped(reader, max_line_len) {
             Ok(LineOutcome::Eof) => break, // client half-closed: stream complete
@@ -233,7 +231,8 @@ pub fn serve_ingest<R: BufRead, W: Write>(
         let started = std::time::Instant::now();
         match LogRecord::from_json_line(trimmed) {
             Ok(record) => {
-                if router.route(record) {
+                let shard = router.shard_of(&record.service);
+                if router.route_batch(shard, vec![record]) == 1 {
                     summary.accepted += 1;
                 } else {
                     summary.rejected += 1; // router already counted ops.rejected
@@ -301,8 +300,7 @@ mod tests {
             "\n",
         );
         let mut out = Vec::new();
-        let summary =
-            serve_ingest(&mut Cursor::new(input), &mut out, &router, &ops, CAP, false).unwrap();
+        let summary = serve_ingest(&mut Cursor::new(input), &mut out, &router, &ops, CAP).unwrap();
         assert_eq!(
             summary,
             IngestSummary {
@@ -328,11 +326,11 @@ mod tests {
         let (router, ops, queues) = router(64);
         let input = "{\"service\":\"win\",\"message\":\"event viewer ok\"}\r\n";
         let mut out = Vec::new();
-        serve_ingest(&mut Cursor::new(input), &mut out, &router, &ops, CAP, false).unwrap();
+        serve_ingest(&mut Cursor::new(input), &mut out, &router, &ops, CAP).unwrap();
         let accepted = queues[0]
-            .pop_timeout(Duration::from_millis(10))
+            .pop_batch(1, Duration::from_millis(10))
             .unwrap()
-            .unwrap();
+            .remove(0);
         assert_eq!(accepted.record.message, "event viewer ok");
         assert!(!accepted.record.message.contains('\r'));
         assert!(!accepted.record.service.contains('\r'));
@@ -348,8 +346,7 @@ mod tests {
             ));
         }
         let mut out = Vec::new();
-        let summary =
-            serve_ingest(&mut Cursor::new(lines), &mut out, &router, &ops, CAP, false).unwrap();
+        let summary = serve_ingest(&mut Cursor::new(lines), &mut out, &router, &ops, CAP).unwrap();
         assert_eq!(summary.accepted, 1);
         assert_eq!(summary.rejected, 3);
         assert_eq!(ops.snapshot().rejected, 3);
@@ -373,8 +370,7 @@ mod tests {
         let after = r#"{"service":"svc","message":"still alive"}"#;
         let input = format!("{huge}{after}\n");
         let mut out = Vec::new();
-        let summary =
-            serve_ingest(&mut Cursor::new(input), &mut out, &router, &ops, cap, false).unwrap();
+        let summary = serve_ingest(&mut Cursor::new(input), &mut out, &router, &ops, cap).unwrap();
         assert_eq!(
             summary,
             IngestSummary {
@@ -385,9 +381,9 @@ mod tests {
             }
         );
         let accepted = queues[0]
-            .pop_timeout(Duration::from_millis(10))
+            .pop_batch(1, Duration::from_millis(10))
             .unwrap()
-            .unwrap();
+            .remove(0);
         assert_eq!(accepted.record.message, "still alive");
         // The accepted record is still in flight (no worker); everything
         // else is accounted for.
@@ -401,27 +397,11 @@ mod tests {
         let (router, ops, queues) = router(64);
         let input = "y".repeat(1 << 16); // no newline at all
         let mut out = Vec::new();
-        let summary =
-            serve_ingest(&mut Cursor::new(input), &mut out, &router, &ops, 128, false).unwrap();
+        let summary = serve_ingest(&mut Cursor::new(input), &mut out, &router, &ops, 128).unwrap();
         assert_eq!(summary.received, 1);
         assert_eq!(summary.malformed, 1);
         assert_eq!(queues[0].depth(), 0);
         assert!(ops.snapshot().reconciles());
-    }
-
-    /// The oversized carry from protocol sniffing is pre-counted.
-    #[test]
-    fn oversized_carry_counts_in_receipt() {
-        let (router, ops, _queues) = router(64);
-        let input = r#"{"service":"svc","message":"after the flood"}
-"#;
-        let mut out = Vec::new();
-        let summary =
-            serve_ingest(&mut Cursor::new(input), &mut out, &router, &ops, CAP, true).unwrap();
-        assert_eq!(summary.received, 2);
-        assert_eq!(summary.malformed, 1);
-        assert_eq!(summary.accepted, 1);
-        assert_eq!(ops.snapshot().in_flight(), 1, "the accepted record");
     }
 
     #[test]

@@ -11,15 +11,6 @@ use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// Why a push did not enqueue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PushError {
-    /// The queue stayed full for the whole backpressure timeout.
-    Full,
-    /// The queue was closed for pushes (daemon shutting down).
-    Closed,
-}
-
 struct State<T> {
     /// Each item carries its enqueue instant, so the pop side can record
     /// queue-wait latency (the `seqd_queue_wait_seconds` histogram).
@@ -27,7 +18,7 @@ struct State<T> {
     closed: bool,
 }
 
-/// A multi-producer bounded queue with a rejecting timed push.
+/// A multi-producer bounded queue with a rejecting timed batch push.
 pub struct BoundedQueue<T> {
     state: Mutex<State<T>>,
     capacity: usize,
@@ -68,31 +59,6 @@ impl<T> BoundedQueue<T> {
     /// Items currently queued.
     pub fn depth(&self) -> usize {
         self.state.lock().expect("queue lock").items.len()
-    }
-
-    /// Enqueue, blocking up to `timeout` for a slot, then rejecting.
-    pub fn push_timeout(&self, item: T, timeout: Duration) -> Result<(), PushError> {
-        let deadline = Instant::now() + timeout;
-        let mut st = self.state.lock().expect("queue lock");
-        loop {
-            if st.closed {
-                return Err(PushError::Closed);
-            }
-            if st.items.len() < self.capacity {
-                st.items.push_back((Instant::now(), item));
-                self.not_empty.notify_one();
-                return Ok(());
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(PushError::Full);
-            }
-            let (guard, _res) = self
-                .not_full
-                .wait_timeout(st, deadline - now)
-                .expect("queue lock");
-            st = guard;
-        }
     }
 
     /// Enqueue a batch under one lock acquisition, blocking up to `timeout`
@@ -209,37 +175,8 @@ impl<T> BoundedQueue<T> {
         }
     }
 
-    /// Dequeue, blocking up to `timeout`. `Ok(None)` on timeout (the caller
-    /// re-checks its shutdown conditions); `Err(())` once the queue is closed
-    /// *and* empty — i.e. fully drained.
-    pub fn pop_timeout(&self, timeout: Duration) -> Result<Option<T>, ()> {
-        let deadline = Instant::now() + timeout;
-        let mut st = self.state.lock().expect("queue lock");
-        loop {
-            if let Some((pushed_at, item)) = st.items.pop_front() {
-                self.not_full.notify_one();
-                if let Some(hist) = &self.wait_hist {
-                    hist.record(pushed_at.elapsed());
-                }
-                return Ok(Some(item));
-            }
-            if st.closed {
-                return Err(());
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Ok(None);
-            }
-            let (guard, _res) = self
-                .not_empty
-                .wait_timeout(st, deadline - now)
-                .expect("queue lock");
-            st = guard;
-        }
-    }
-
-    /// Close the queue: pushes fail immediately with [`PushError::Closed`];
-    /// pops keep draining what is already queued.
+    /// Close the queue: pushes accept nothing from here on; pops keep
+    /// draining what is already queued.
     pub fn close(&self) {
         let mut st = self.state.lock().expect("queue lock");
         st.closed = true;
@@ -268,59 +205,43 @@ mod tests {
     fn fifo_order_preserved() {
         let q = BoundedQueue::new(8);
         for i in 0..5 {
-            q.push_timeout(i, TICK).unwrap();
+            assert_eq!(q.push_batch(vec![i], TICK), 1);
         }
         assert_eq!(q.depth(), 5);
         for i in 0..5 {
-            assert_eq!(q.pop_timeout(TICK).unwrap(), Some(i));
+            assert_eq!(q.pop_batch(1, TICK).unwrap(), vec![i]);
         }
-        assert_eq!(q.pop_timeout(TICK).unwrap(), None);
+        assert_eq!(q.pop_batch(1, TICK).unwrap(), Vec::<i32>::new());
     }
 
     #[test]
     fn full_queue_with_stalled_consumer_rejects_not_blocks() {
         // The acceptance scenario: a 1-slot queue, nobody consuming.
         let q: BoundedQueue<u32> = BoundedQueue::new(1);
-        q.push_timeout(1, TICK).unwrap();
+        assert_eq!(q.push_batch(vec![1], TICK), 1);
         let start = Instant::now();
-        assert_eq!(q.push_timeout(2, TICK), Err(PushError::Full));
+        assert_eq!(q.push_batch(vec![2], TICK), 0);
         assert!(start.elapsed() >= TICK, "must block for the timeout first");
         // Memory stays bounded: the rejected item was never enqueued.
         assert_eq!(q.depth(), 1);
     }
 
     #[test]
-    fn push_unblocks_when_consumer_catches_up() {
-        let q = Arc::new(BoundedQueue::new(1));
-        q.push_timeout(1u32, TICK).unwrap();
-        let q2 = Arc::clone(&q);
-        let t = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(20));
-            q2.pop_timeout(Duration::from_millis(200)).unwrap()
-        });
-        // Long timeout: the concurrent pop frees the slot well before it.
-        q.push_timeout(2, Duration::from_secs(5)).unwrap();
-        assert_eq!(t.join().unwrap(), Some(1));
-        assert_eq!(q.pop_timeout(TICK).unwrap(), Some(2));
-    }
-
-    #[test]
     fn close_fails_pushes_but_drains_pops() {
         let q = BoundedQueue::new(4);
-        q.push_timeout("a", TICK).unwrap();
-        q.push_timeout("b", TICK).unwrap();
+        assert_eq!(q.push_batch(vec!["a", "b"], TICK), 2);
         q.close();
-        assert_eq!(q.push_timeout("c", TICK), Err(PushError::Closed));
-        assert_eq!(q.pop_timeout(TICK).unwrap(), Some("a"));
-        assert_eq!(q.pop_timeout(TICK).unwrap(), Some("b"));
-        assert_eq!(q.pop_timeout(TICK), Err(()));
+        assert_eq!(q.push_batch(vec!["c"], TICK), 0);
+        assert_eq!(q.pop_batch(1, TICK).unwrap(), vec!["a"]);
+        assert_eq!(q.pop_batch(1, TICK).unwrap(), vec!["b"]);
+        assert_eq!(q.pop_batch(1, TICK), Err(()));
     }
 
     #[test]
     fn close_wakes_blocked_consumer() {
         let q: Arc<BoundedQueue<u32>> = Arc::new(BoundedQueue::new(1));
         let q2 = Arc::clone(&q);
-        let t = std::thread::spawn(move || q2.pop_timeout(Duration::from_secs(10)));
+        let t = std::thread::spawn(move || q2.pop_batch(1, Duration::from_secs(10)));
         std::thread::sleep(Duration::from_millis(20));
         q.close();
         assert_eq!(t.join().unwrap(), Err(()));
@@ -330,13 +251,13 @@ mod tests {
     fn attached_histogram_records_queue_wait() {
         let hist = Arc::new(obs::Histogram::new());
         let q = BoundedQueue::new(4).with_wait_histogram(Arc::clone(&hist));
-        q.push_timeout(1u32, TICK).unwrap();
+        q.push_batch(vec![1u32], TICK);
         std::thread::sleep(Duration::from_millis(5));
-        q.push_timeout(2u32, TICK).unwrap();
-        q.pop_timeout(TICK).unwrap();
-        q.pop_timeout(TICK).unwrap();
+        q.push_batch(vec![2u32, 3], TICK);
+        assert_eq!(q.pop_batch(8, TICK).unwrap().len(), 3);
         let snap = hist.snapshot();
-        assert_eq!(snap.count, 2);
+        // One sample per item, each measured from its own push.
+        assert_eq!(snap.count, 3);
         // The first item waited through the sleep; its wait dominates.
         assert!(snap.sum_ns >= 5_000_000, "sum = {}", snap.sum_ns);
     }
@@ -383,15 +304,6 @@ mod tests {
         assert_eq!(t.join().unwrap(), vec![0, 1, 2, 3, 4]);
     }
 
-    #[test]
-    fn batch_wait_histogram_records_per_item() {
-        let hist = Arc::new(obs::Histogram::new());
-        let q = BoundedQueue::new(8).with_wait_histogram(Arc::clone(&hist));
-        assert_eq!(q.push_batch(vec![1u32, 2, 3], TICK), 3);
-        assert_eq!(q.pop_batch(8, TICK).unwrap().len(), 3);
-        assert_eq!(hist.snapshot().count, 3);
-    }
-
     /// The drain-latency satellite: a consumer parked in the untimed pop is
     /// woken by `close()` itself, not by a periodic re-check tick.
     #[test]
@@ -423,6 +335,6 @@ mod tests {
     fn zero_capacity_clamps_to_one() {
         let q = BoundedQueue::new(0);
         assert_eq!(q.capacity(), 1);
-        q.push_timeout(1, TICK).unwrap();
+        assert_eq!(q.push_batch(vec![1, 2], TICK), 1);
     }
 }

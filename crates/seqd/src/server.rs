@@ -15,11 +15,13 @@
 //! means HTTP control plane, anything else is an NDJSON ingest stream — so
 //! one port serves both, like any modern single-binary daemon.
 //!
-//! Every accepted socket is armed with read/write deadlines
-//! ([`SeqdConfig::io_timeout`]): an idle or stalled peer surfaces as a
-//! `WouldBlock`/`TimedOut` read, the handler receipts what it processed and
-//! returns, and the connection thread exits — a slow-loris client cannot pin
-//! a thread or delay shutdown past the deadline.
+//! The acceptor hands every socket to the [`crate::eventloop`] pollers,
+//! which sniff the protocol, serve ingest streams, and pass HTTP requests
+//! back here to a short-lived control-plane thread. Every connection lives
+//! under [`SeqdConfig::io_timeout`]: the pollers evict an idle ingest peer
+//! (with a receipt for what it completed) and control sockets carry
+//! read/write deadlines — a slow-loris client cannot pin a thread or delay
+//! shutdown past the deadline.
 //!
 //! With [`SeqdConfig::wal_dir`] set, accepted records are written to a
 //! per-shard ingest WAL and fsynced before the connection receipt, then
@@ -28,8 +30,8 @@
 //! `DESIGN.md` §8 for the exact guarantees).
 //!
 //! Re-mining runs on a background [`Miner`] pool ([`SeqdConfig::miners`]),
-//! so a worker's only pause per re-mine is the job handoff; `--miners 0`
-//! restores the old inline behaviour (see `DESIGN.md` §11).
+//! so a worker's only pause per re-mine is the job handoff (see `DESIGN.md`
+//! §11).
 //!
 //! `POST /shutdown` (or [`SeqdHandle::initiate_shutdown`]) starts the drain:
 //! the acceptor stops, queues close (late pushes reject), each worker drains
@@ -42,7 +44,6 @@ use crate::eventloop::{self, EventLoop, EventLoopDeps};
 use crate::http::{respond, Request};
 use crate::metrics::{Ops, OpsSnapshot};
 use crate::miner::{DrainSignal, EvolveMode, Miner, MinerDeps, MiningEngine};
-use crate::protocol::{read_line_capped, serve_ingest, LineOutcome};
 use crate::queue::BoundedQueue;
 use crate::shard::{Router, ShardWorker};
 use crate::swap::PatternBoard;
@@ -60,17 +61,6 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Which wire path serves ingest connections.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WireMode {
-    /// Nonblocking readiness event loop: a fixed poller pool, ring-buffer
-    /// reads, batched routing, group-commit receipts. The default.
-    EventLoop,
-    /// The original thread-per-connection blocking path. Kept for A/B
-    /// equivalence testing and as an operational escape hatch.
-    Blocking,
-}
-
 /// Daemon configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SeqdConfig {
@@ -86,9 +76,10 @@ pub struct SeqdConfig {
     /// Longest accepted ingest line, terminator included; longer lines are
     /// counted `malformed` and discarded without being buffered.
     pub max_line_len: usize,
-    /// Socket read/write deadline for every accepted connection.
-    /// `Duration::ZERO` disables deadlines (not recommended outside tests:
-    /// a stalled peer then pins its thread until it closes).
+    /// Idle deadline for every accepted connection: ingest peers silent
+    /// this long are evicted, control sockets time out their reads and
+    /// writes. `Duration::ZERO` disables it (not recommended outside tests:
+    /// a stalled peer then holds its slot until it closes).
     pub io_timeout: Duration,
     /// Directory for the per-shard ingest WAL; `None` disables durability
     /// (a crash loses queued-but-unflushed records, as pre-WAL seqd did).
@@ -101,17 +92,13 @@ pub struct SeqdConfig {
     pub flush_retries: u32,
     /// Backoff before the first commit retry; doubles per attempt.
     pub flush_backoff: Duration,
-    /// Background mining threads. `0` runs every mining job inline on the
-    /// submitting shard worker (the pre-pipeline behaviour); the default is
-    /// a quarter of the cores, at least one.
+    /// Background mining threads (at least one); the default is a quarter
+    /// of the cores.
     pub miners: usize,
-    /// Ingest wire path (see [`WireMode`]).
-    pub wire: WireMode,
     /// How residue becomes patterns: batch re-mining (the equivalence
     /// baseline) or the live per-service evolving trie (see [`EvolveMode`]).
     pub evolve: EvolveMode,
     /// Event-loop poller threads; `0` means auto (one per core, capped).
-    /// Ignored in [`WireMode::Blocking`].
     pub pollers: usize,
     /// Mining configuration. `save_threshold` should stay 0 for the daemon:
     /// store-wide pruning from one shard would silently invalidate sets
@@ -133,7 +120,6 @@ impl Default for SeqdConfig {
             flush_retries: 3,
             flush_backoff: Duration::from_millis(50),
             miners: default_miners(),
-            wire: WireMode::EventLoop,
             evolve: EvolveMode::Batch,
             pollers: 0,
             rtg: RtgConfig {
@@ -167,8 +153,8 @@ struct Shared {
     io_timeout: Duration,
     max_line_len: usize,
     shutdown: Arc<AtomicBool>,
-    /// Wake pipes for the event-loop pollers (unset in blocking mode);
-    /// shutdown kicks them out of `poll` so the drain starts promptly.
+    /// Wake pipes for the event-loop pollers; shutdown kicks them out of
+    /// `poll` so the drain starts promptly.
     /// `OnceLock` because the pollers start after `Shared` is built (their
     /// control-handoff closure captures it).
     poller_wakers: std::sync::OnceLock<Vec<UnixStream>>,
@@ -176,8 +162,8 @@ struct Shared {
     addr: SocketAddr,
 }
 
-/// Decrements the live-connection gauge when a connection thread exits —
-/// or when its spawn failed and the closure is dropped unrun.
+/// Decrements the live-connection gauge when a control-plane thread exits
+/// — or when its spawn failed and the closure is dropped unrun.
 struct ConnGuard(Arc<Shared>);
 
 impl Drop for ConnGuard {
@@ -192,7 +178,7 @@ pub struct SeqdHandle {
     shared: Arc<Shared>,
     acceptor: JoinHandle<()>,
     workers: Vec<JoinHandle<()>>,
-    event_loop: Option<EventLoop>,
+    event_loop: EventLoop,
 }
 
 /// Start the daemon on `addr` (use port 0 for an ephemeral port) over the
@@ -235,8 +221,7 @@ pub fn start(store: PatternStore, config: SeqdConfig, addr: &str) -> io::Result<
     );
     let residues: Vec<_> = (0..shards).map(|_| Arc::new(AtomicUsize::new(0))).collect();
 
-    // The mining executor: a background pool by default, inline with
-    // `--miners 0`. The queue is bounded by residue records — several
+    // The mining pool. Its queue is bounded by residue records — several
     // batches of headroom per shard, so a miner that falls one job behind
     // a bursty shard absorbs the backlog without tripping the workers'
     // blocking backpressure path (which would put mining right back on
@@ -252,11 +237,11 @@ pub fn start(store: PatternStore, config: SeqdConfig, addr: &str) -> io::Result<
         backoff: config.flush_backoff,
         drain: Arc::clone(&drain),
     };
-    let miner = Arc::new(if config.miners == 0 {
-        Miner::inline(deps)
-    } else {
-        Miner::background(deps, config.miners, batch_size * shards * 8)
-    });
+    let miner = Arc::new(Miner::background(
+        deps,
+        config.miners.max(1),
+        batch_size * shards * 8,
+    ));
 
     let listener = TcpListener::bind(addr)?;
     let local_addr = listener.local_addr()?;
@@ -302,70 +287,61 @@ pub fn start(store: PatternStore, config: SeqdConfig, addr: &str) -> io::Result<
         })
         .collect();
 
-    // The event-loop pool (default mode): pollers own the ingest sockets;
-    // HTTP connections are handed back to the blocking control plane with
-    // their already-buffered bytes prepended.
-    let event_loop = match config.wire {
-        WireMode::Blocking => None,
-        WireMode::EventLoop => {
-            let control: Arc<dyn Fn(TcpStream, Vec<u8>) + Send + Sync> = {
-                let shared = Arc::clone(&shared);
-                Arc::new(move |stream: TcpStream, prefix: Vec<u8>| {
-                    let shared = Arc::clone(&shared);
-                    // The guard rides into the thread; a failed spawn drops
-                    // the closure unrun and still decrements the gauge.
-                    let guard = ConnGuard(Arc::clone(&shared));
-                    let _ = std::thread::Builder::new()
-                        .name("seqd-ctl".to_string())
-                        .spawn(move || {
-                            let _guard = guard;
-                            let _ = stream.set_nonblocking(false);
-                            if !shared.io_timeout.is_zero() {
-                                let _ = stream.set_read_timeout(Some(shared.io_timeout));
-                                let _ = stream.set_write_timeout(Some(shared.io_timeout));
-                            }
-                            let Ok(clone) = stream.try_clone() else {
-                                return;
-                            };
-                            let mut reader = io::Cursor::new(prefix).chain(BufReader::new(clone));
-                            let mut writer = BufWriter::new(stream);
-                            let _ = serve_control(&mut reader, &mut writer, &shared);
-                        });
-                })
-            };
-            let pollers = if config.pollers == 0 {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(2)
-                    .clamp(1, 8)
-            } else {
-                config.pollers
-            };
-            let deps = EventLoopDeps {
-                router: Arc::clone(&router),
-                ops: Arc::clone(&ops),
-                connections: Arc::clone(&shared.connections),
-                shutdown: Arc::clone(&shared.shutdown),
-                max_line_len: shared.max_line_len,
-                io_timeout: shared.io_timeout,
-                control,
-            };
-            let (event_loop, dispatcher) = EventLoop::start(deps, pollers)?;
-            shared
-                .poller_wakers
-                .set(event_loop.wakers()?)
-                .map_err(|_| io::Error::other("poller wakers already set"))?;
-            Some((event_loop, dispatcher))
-        }
+    // The event-loop pool: pollers own the ingest sockets; HTTP connections
+    // are handed back to the blocking control plane with their
+    // already-buffered bytes prepended.
+    let control: Arc<dyn Fn(TcpStream, Vec<u8>) + Send + Sync> = {
+        let shared = Arc::clone(&shared);
+        Arc::new(move |stream: TcpStream, prefix: Vec<u8>| {
+            let shared = Arc::clone(&shared);
+            // The guard rides into the thread; a failed spawn drops
+            // the closure unrun and still decrements the gauge.
+            let guard = ConnGuard(Arc::clone(&shared));
+            let _ = std::thread::Builder::new()
+                .name("seqd-ctl".to_string())
+                .spawn(move || {
+                    let _guard = guard;
+                    let _ = stream.set_nonblocking(false);
+                    // `Some(ZERO)` is an error to the socket API, so ZERO
+                    // means "no deadline" here.
+                    if !shared.io_timeout.is_zero() {
+                        let _ = stream.set_read_timeout(Some(shared.io_timeout));
+                        let _ = stream.set_write_timeout(Some(shared.io_timeout));
+                    }
+                    let Ok(clone) = stream.try_clone() else {
+                        return;
+                    };
+                    let mut reader = io::Cursor::new(prefix).chain(BufReader::new(clone));
+                    let mut writer = BufWriter::new(stream);
+                    let _ = serve_control(&mut reader, &mut writer, &shared);
+                });
+        })
     };
-    let (event_loop, dispatcher) = match event_loop {
-        Some((el, d)) => (Some(el), Some(d)),
-        None => (None, None),
+    let pollers = if config.pollers == 0 {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(2)
+            .clamp(1, 8)
+    } else {
+        config.pollers
     };
+    let deps = EventLoopDeps {
+        router: Arc::clone(&router),
+        ops: Arc::clone(&ops),
+        connections: Arc::clone(&shared.connections),
+        shutdown: Arc::clone(&shared.shutdown),
+        max_line_len: shared.max_line_len,
+        io_timeout: shared.io_timeout,
+        control,
+    };
+    let (event_loop, mut dispatcher) = EventLoop::start(deps, pollers)?;
+    shared
+        .poller_wakers
+        .set(event_loop.wakers()?)
+        .map_err(|_| io::Error::other("poller wakers already set"))?;
 
     let acceptor = {
         let shared = Arc::clone(&shared);
-        let mut dispatcher = dispatcher;
         std::thread::Builder::new()
             .name("seqd-acceptor".to_string())
             .spawn(move || {
@@ -374,37 +350,12 @@ pub fn start(store: PatternStore, config: SeqdConfig, addr: &str) -> io::Result<
                         break;
                     }
                     let Ok(stream) = conn else { continue };
-                    if let Some(dispatcher) = dispatcher.as_mut() {
-                        // Event-loop mode: the poller owns the socket from
-                        // here (nonblocking; deadlines become idle eviction).
-                        shared.connections.fetch_add(1, Ordering::SeqCst);
-                        if !dispatcher.dispatch(stream) {
-                            shared.connections.fetch_sub(1, Ordering::SeqCst);
-                        }
-                        continue;
-                    }
-                    // Arm the deadlines before any handler byte is read;
-                    // `Some(ZERO)` is an error to the socket API, so ZERO
-                    // means "no deadline" here.
-                    if !shared.io_timeout.is_zero() {
-                        let _ = stream.set_read_timeout(Some(shared.io_timeout));
-                        let _ = stream.set_write_timeout(Some(shared.io_timeout));
-                    }
+                    // The poller owns the socket from here (nonblocking;
+                    // deadlines become idle eviction).
                     shared.connections.fetch_add(1, Ordering::SeqCst);
-                    let guard = ConnGuard(Arc::clone(&shared));
-                    let shared = Arc::clone(&shared);
-                    let _ = std::thread::Builder::new()
-                        .name("seqd-conn".to_string())
-                        .spawn(move || {
-                            let _guard = guard;
-                            if let Err(e) = serve_connection(stream, &shared) {
-                                // Peer resets are routine; anything else is
-                                // still not worth killing the daemon over.
-                                if e.kind() != io::ErrorKind::ConnectionReset {
-                                    eprintln!("seqd: connection error: {e}");
-                                }
-                            }
-                        });
+                    if !dispatcher.dispatch(stream) {
+                        shared.connections.fetch_sub(1, Ordering::SeqCst);
+                    }
                 }
             })
             .expect("spawn acceptor")
@@ -448,9 +399,7 @@ impl SeqdHandle {
             .map_err(|_| io::Error::other("acceptor panicked"))?;
         // Pollers see the shutdown flag, receipt every open ingest stream,
         // and exit; their queue pushes all reject once the router closes.
-        if let Some(event_loop) = self.event_loop {
-            event_loop.join()?;
-        }
+        self.event_loop.join()?;
         for w in self.workers {
             w.join()
                 .map_err(|_| io::Error::other("shard worker panicked"))?;
@@ -460,8 +409,8 @@ impl SeqdHandle {
         // nothing can be lost between the two joins).
         self.shared.miner.close();
         self.shared.miner.join();
-        // Give in-flight connection threads one deadline's worth of time to
-        // notice the drain (their routes now reject) and receipt out.
+        // Give in-flight control-plane threads one deadline's worth of time
+        // to answer and exit.
         let grace = self.shared.io_timeout.max(Duration::from_secs(1)) + Duration::from_secs(1);
         let waited = Instant::now();
         while self.shared.connections.load(Ordering::SeqCst) > 0 && waited.elapsed() < grace {
@@ -494,62 +443,6 @@ fn initiate_shutdown(shared: &Shared) {
     }
     // Wake the acceptor out of `accept()` with a throwaway connection.
     let _ = TcpStream::connect(shared.addr);
-}
-
-/// Sniff the protocol from the first complete line and dispatch. Both
-/// protocols are line-oriented, so reading one full line is race-free —
-/// unlike `peek`, which can observe a partial `"G"` before the rest of
-/// `"GET "` arrives and misclassify the connection.
-fn serve_connection(stream: TcpStream, shared: &Shared) -> io::Result<()> {
-    let mut tcp_reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream);
-    let first = match read_line_capped(&mut tcp_reader, shared.max_line_len) {
-        Ok(LineOutcome::Eof) => return Ok(()), // connect-and-close probe
-        Ok(LineOutcome::Line(line)) => line,
-        Ok(LineOutcome::Oversized) => {
-            // A flood with no plausible HTTP request line: treat the rest
-            // as ingest, with the oversized line pre-counted malformed.
-            return serve_ingest(
-                &mut tcp_reader,
-                &mut writer,
-                &shared.router,
-                &shared.ops,
-                shared.max_line_len,
-                true,
-            )
-            .map(|_| ());
-        }
-        // The peer connected and went quiet past the deadline: drop it.
-        Err(e)
-            if matches!(
-                e.kind(),
-                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-            ) =>
-        {
-            return Ok(())
-        }
-        Err(e) => return Err(e),
-    };
-    // Method prefix alone decides: a malformed HTTP-ish line must still go
-    // to the control plane (which answers 400 and closes) — the ingest path
-    // would wait for a half-close that an HTTP client never sends.
-    let is_http =
-        first.starts_with("GET ") || first.starts_with("POST ") || first.starts_with("HEAD ");
-    // Re-prepend the sniffed line so each handler sees the full stream.
-    let mut reader = io::Cursor::new(first.into_bytes()).chain(tcp_reader);
-    if is_http {
-        serve_control(&mut reader, &mut writer, shared)
-    } else {
-        serve_ingest(
-            &mut reader,
-            &mut writer,
-            &shared.router,
-            &shared.ops,
-            shared.max_line_len,
-            false,
-        )
-        .map(|_| ())
-    }
 }
 
 fn serve_control<R: io::BufRead, W: io::Write>(

@@ -23,7 +23,7 @@
 
 use crate::metrics::{stages, Ops};
 use crate::miner::{MineJob, Miner};
-use crate::queue::{BoundedQueue, PushError};
+use crate::queue::BoundedQueue;
 use crate::swap::PatternBoard;
 use crate::wal::{Accepted, IngestWal};
 use sequence_core::{MatchScratch, Scanner, TokenizedMessage};
@@ -65,8 +65,8 @@ pub fn shard_for(service: &str, shards: usize) -> usize {
 }
 
 /// The ingest-side router: hashes a record's service to a shard queue and
-/// pushes with the backpressure policy (block up to the timeout, then
-/// reject and count). With a WAL attached, accepted records are logged
+/// pushes batches with the backpressure policy (block up to the timeout,
+/// then reject and count). With a WAL attached, accepted records are logged
 /// before the connection receipt can be written.
 #[derive(Debug)]
 pub struct Router {
@@ -103,30 +103,13 @@ impl Router {
         shard_for(service, self.queues.len())
     }
 
-    /// Route one record. Returns `false` (and bumps `rejected`) when the
-    /// shard queue stayed full past the timeout or the daemon is draining.
-    /// Accepted records are appended to the WAL (when one is attached);
-    /// rejected ones never are.
-    pub fn route(&self, record: LogRecord) -> bool {
-        let shard = self.shard_of(&record.service);
-        let queue = &self.queues[shard];
-        let pushed = match &self.wal {
-            Some(wal) => wal.append_route(shard, record, queue, self.enqueue_timeout),
-            None => queue.push_timeout(Accepted::untracked(record), self.enqueue_timeout),
-        };
-        match pushed {
-            Ok(()) => true,
-            Err(PushError::Full) | Err(PushError::Closed) => {
-                Ops::inc(&self.ops.rejected);
-                false
-            }
-        }
-    }
-
     /// Route a batch of records that all hash to shard `shard` (the caller
     /// groups by [`Router::shard_of`]). One queue lock, one WAL append,
     /// one condvar wake for the whole batch. Returns how many records from
-    /// the *front* were accepted; the rest are counted `rejected`.
+    /// the *front* were accepted; the rest — the shard queue stayed full
+    /// past the timeout, or the daemon is draining — are counted `rejected`.
+    /// Accepted records are appended to the WAL (when one is attached);
+    /// rejected ones never are.
     pub fn route_batch(&self, shard: usize, records: Vec<LogRecord>) -> usize {
         let total = records.len();
         if total == 0 {
@@ -437,6 +420,17 @@ mod tests {
         }
     }
 
+    /// Put one untracked record straight on a worker's queue.
+    fn enqueue(queue: &BoundedQueue<Accepted>, record: LogRecord) {
+        let batch = vec![Accepted::untracked(record)];
+        assert_eq!(queue.push_batch(batch, Duration::from_millis(10)), 1);
+    }
+
+    /// Route one record to the shard its service hashes to.
+    fn route_one(router: &Router, record: LogRecord) -> bool {
+        router.route_batch(router.shard_of(&record.service), vec![record]) == 1
+    }
+
     fn test_setup(
         queue_capacity: usize,
         shards: usize,
@@ -455,9 +449,15 @@ mod tests {
     #[test]
     fn stalled_shard_rejects_and_counts() {
         let (router, queues, ops) = test_setup(1, 1);
-        assert!(router.route(record("svc", "first fills the only slot")));
-        assert!(!router.route(record("svc", "second must be rejected")));
-        assert!(!router.route(record("svc", "third too")));
+        assert!(route_one(
+            &router,
+            record("svc", "first fills the only slot")
+        ));
+        assert!(!route_one(
+            &router,
+            record("svc", "second must be rejected")
+        ));
+        assert!(!route_one(&router, record("svc", "third too")));
         assert_eq!(ops.snapshot().rejected, 2);
         // Bounded: the queue still holds exactly its one slot.
         assert_eq!(queues[0].depth(), 1);
@@ -480,7 +480,7 @@ mod tests {
     fn closed_router_rejects_with_count() {
         let (router, _queues, ops) = test_setup(8, 2);
         router.close();
-        assert!(!router.route(record("svc", "too late")));
+        assert!(!route_one(&router, record("svc", "too late")));
         assert_eq!(ops.snapshot().rejected, 1);
     }
 
@@ -488,7 +488,7 @@ mod tests {
     fn same_service_always_routes_to_same_shard() {
         let (router, queues, _ops) = test_setup(64, 4);
         for i in 0..32 {
-            assert!(router.route(record("sshd", &format!("event {i}"))));
+            assert!(route_one(&router, record("sshd", &format!("event {i}"))));
         }
         let populated: Vec<usize> = queues.iter().map(|q| q.depth()).collect();
         assert_eq!(populated.iter().sum::<usize>(), 32);
@@ -512,12 +512,10 @@ mod tests {
         let miner = Arc::new(Miner::inline(test_deps(&engine, &board, &ops)));
         let worker = test_worker(&queue, miner, &board, &ops);
         for user in ["alice", "bob", "carol"] {
-            queue
-                .push_timeout(
-                    Accepted::untracked(record("sshd", &format!("session opened for user {user}"))),
-                    Duration::from_millis(10),
-                )
-                .unwrap();
+            enqueue(
+                &queue,
+                record("sshd", &format!("session opened for user {user}")),
+            );
         }
         queue.close();
         worker.run();
@@ -572,12 +570,10 @@ mod tests {
         let miner = Arc::new(Miner::inline(test_deps(&engine, &board, &ops)));
         let worker = test_worker(&queue, miner, &board, &ops);
         for user in ["dave", "erin"] {
-            queue
-                .push_timeout(
-                    Accepted::untracked(record("sshd", &format!("session opened for user {user}"))),
-                    Duration::from_millis(10),
-                )
-                .unwrap();
+            enqueue(
+                &queue,
+                record("sshd", &format!("session opened for user {user}")),
+            );
         }
         queue.close();
         worker.run();
@@ -612,12 +608,10 @@ mod tests {
         let miner = Arc::new(Miner::inline(deps));
         let worker = test_worker(&queue, miner, &board, &ops);
         for user in ["alice", "bob", "carol"] {
-            queue
-                .push_timeout(
-                    Accepted::untracked(record("sshd", &format!("session opened for user {user}"))),
-                    Duration::from_millis(10),
-                )
-                .unwrap();
+            enqueue(
+                &queue,
+                record("sshd", &format!("session opened for user {user}")),
+            );
         }
         queue.close();
         worker.run();
@@ -646,12 +640,7 @@ mod tests {
         // The ingest path counts `ingested`; this test bypasses it.
         Ops::add(&ops.ingested, 3);
         for i in 0..3 {
-            queue
-                .push_timeout(
-                    Accepted::untracked(record("svc", &format!("event {i}"))),
-                    Duration::from_millis(10),
-                )
-                .unwrap();
+            enqueue(&queue, record("svc", &format!("event {i}")));
         }
         queue.close();
         worker.run();
@@ -682,12 +671,7 @@ mod tests {
         // Live records are counted `ingested` by the ingest path, which
         // this test bypasses; mirror it for the pushed record.
         Ops::inc(&ops.ingested);
-        queue
-            .push_timeout(
-                Accepted::untracked(record("sshd", "live event")),
-                Duration::from_millis(10),
-            )
-            .unwrap();
+        enqueue(&queue, record("sshd", "live event"));
         queue.close();
         worker.run();
         let s = ops.snapshot();

@@ -27,7 +27,7 @@
 //! the log release replays records that were already mined; re-mining them
 //! bumps pattern match counts but converges to the same pattern *sets*.
 
-use crate::queue::{BoundedQueue, PushError};
+use crate::queue::BoundedQueue;
 use crate::shard::shard_for;
 use sequence_rtg::LogRecord;
 use std::collections::VecDeque;
@@ -70,22 +70,8 @@ struct ShardWal {
 }
 
 impl ShardWal {
-    fn append(&mut self, seq: u64, line: String, sync_every: usize) -> io::Result<()> {
-        let started = std::time::Instant::now();
-        self.file.write_all(line.as_bytes())?;
-        self.file.write_all(b"\n")?;
-        crate::metrics::stages::wal_append().record(started.elapsed());
-        self.pending.push_back((seq, line));
-        self.dirty = true;
-        self.appends_since_sync += 1;
-        if self.appends_since_sync >= sync_every {
-            self.sync()?;
-        }
-        Ok(())
-    }
-
     /// Append a contiguous run of already-sequenced lines with a single
-    /// `write_all` — one syscall per batch instead of two per record.
+    /// `write_all` — one syscall per batch.
     fn append_batch(
         &mut self,
         base_seq: u64,
@@ -235,16 +221,20 @@ impl IngestWal {
         };
         for record in recovered {
             let shard = shard_for(&record.service, shards);
-            let line = record.to_json_line();
-            let mut sw = wal.shards[shard].lock().expect("wal lock");
-            let seq = sw.next_seq;
-            sw.next_seq += 1;
-            sw.append(seq, line, usize::MAX)?;
-            drop(sw);
+            // Sequences restart at 1 in the fresh logs.
+            let seq = replay[shard].len() as u64 + 1;
             replay[shard].push(Accepted { seq, record });
         }
-        for sw in &wal.shards {
-            sw.lock().expect("wal lock").sync()?;
+        for (sw, survivors) in wal.shards.iter().zip(&replay) {
+            if survivors.is_empty() {
+                continue;
+            }
+            let mut sw = sw.lock().expect("wal lock");
+            let lines = survivors.iter().map(|a| a.record.to_json_line()).collect();
+            let base = sw.next_seq; // 1, as assigned above
+            sw.append_batch(base, lines, usize::MAX)?;
+            sw.next_seq += survivors.len() as u64;
+            sw.sync()?;
         }
 
         // 4. Only now, with the fresh logs durable, drop the staged copies.
@@ -264,38 +254,14 @@ impl IngestWal {
         self.shards.len()
     }
 
-    /// Append `record` to shard `shard`'s log and enqueue it, atomically
-    /// with respect to [`IngestWal::release`]. The queue push runs first:
-    /// a rejected record must leave no log entry behind, or replay would
-    /// resurrect a record the client was told was dropped.
-    pub fn append_route(
-        &self,
-        shard: usize,
-        record: LogRecord,
-        queue: &BoundedQueue<Accepted>,
-        timeout: Duration,
-    ) -> Result<(), PushError> {
-        let mut sw = self.shards[shard].lock().expect("wal lock");
-        let line = record.to_json_line();
-        let seq = sw.next_seq;
-        queue.push_timeout(Accepted { seq, record }, timeout)?;
-        sw.next_seq += 1;
-        if let Err(e) = sw.append(seq, line, self.sync_every) {
-            // The record is queued and will be processed; only its
-            // durability copy is gone. Degrade loudly rather than reject a
-            // record the queue already owns.
-            eprintln!("seqd: wal append failed on shard {shard}: {e}");
-        }
-        Ok(())
-    }
-
-    /// Batch form of [`IngestWal::append_route`]: one shard lock, one
-    /// queue batch push, and one log write for the whole batch — the
-    /// event-loop wire path's group-append. Returns how many records from
-    /// the *front* of `records` were accepted; the rest were rejected by
-    /// the queue (backpressure or shutdown). The queue push still runs
-    /// before the log write, so a rejected record leaves no log entry for
-    /// replay to resurrect.
+    /// Append `records` to shard `shard`'s log and enqueue them, atomically
+    /// with respect to [`IngestWal::release`]: one shard lock, one queue
+    /// batch push, and one log write for the whole batch. Returns how many
+    /// records from the *front* of `records` were accepted; the rest were
+    /// rejected by the queue (backpressure or shutdown). The queue push
+    /// runs before the log write: a rejected record must leave no log entry
+    /// behind, or replay would resurrect a record the client was told was
+    /// dropped.
     pub fn append_route_batch(
         &self,
         shard: usize,
@@ -322,8 +288,9 @@ impl IngestWal {
         if accepted > 0 {
             lines.truncate(accepted);
             if let Err(e) = sw.append_batch(base, lines, self.sync_every) {
-                // Same posture as the single-record path: the queue owns
-                // the records now, so degrade loudly instead of rejecting.
+                // The records are queued and will be processed; only their
+                // durability copy is gone. Degrade loudly rather than reject
+                // records the queue already owns.
                 eprintln!("seqd: wal batch append failed on shard {shard}: {e}");
             }
         }
@@ -394,23 +361,30 @@ mod tests {
         LogRecord::new(service, message)
     }
 
+    /// Route one record through the WAL: a batch of one.
+    fn append_one(
+        wal: &IngestWal,
+        shard: usize,
+        record: LogRecord,
+        queue: &BoundedQueue<Accepted>,
+    ) {
+        let accepted = wal.append_route_batch(shard, vec![record], queue, Duration::from_millis(5));
+        assert_eq!(accepted, 1);
+    }
+
     #[test]
-    fn append_route_logs_accepted_records_only() {
+    fn append_route_batch_logs_accepted_records_only() {
         let dir = scratch_dir("accept");
         let (wal, replay) = IngestWal::open(&dir, 1, 1).unwrap();
         assert!(replay.iter().all(|r| r.is_empty()));
         let queue = Arc::new(BoundedQueue::new(1));
-        wal.append_route(0, record("svc", "fits"), &queue, Duration::from_millis(5))
-            .unwrap();
+        append_one(&wal, 0, record("svc", "fits"), &queue);
         // Queue full: rejected, and crucially *not* logged.
-        assert!(wal
-            .append_route(
-                0,
-                record("svc", "rejected"),
-                &queue,
-                Duration::from_millis(5)
-            )
-            .is_err());
+        let rejected = vec![record("svc", "rejected")];
+        assert_eq!(
+            wal.append_route_batch(0, rejected, &queue, Duration::from_millis(5)),
+            0
+        );
         assert_eq!(wal.depths(), vec![1]);
         let (_, replay) = IngestWal::open(&dir, 1, 1).unwrap();
         assert_eq!(replay[0].len(), 1);
@@ -453,32 +427,27 @@ mod tests {
         let (wal, _) = IngestWal::open(&dir, 1, 1).unwrap();
         let queue = Arc::new(BoundedQueue::new(16));
         for i in 0..4 {
-            wal.append_route(
-                0,
-                record("svc", &format!("event {i}")),
-                &queue,
-                Duration::from_millis(5),
-            )
-            .unwrap();
+            append_one(&wal, 0, record("svc", &format!("event {i}")), &queue);
         }
         wal.release(0, 2).unwrap();
         assert_eq!(wal.depths(), vec![2]);
         // A post-release append lands after the rewrite.
-        wal.append_route(
-            0,
-            record("svc", "event 4"),
-            &queue,
-            Duration::from_millis(5),
-        )
-        .unwrap();
+        append_one(&wal, 0, record("svc", "event 4"), &queue);
         wal.sync().unwrap();
         drop(wal);
-        let (_, replay) = IngestWal::open(&dir, 1, 1).unwrap();
-        let messages: Vec<&str> = replay[0]
-            .iter()
-            .map(|a| a.record.message.as_str())
-            .collect();
-        assert_eq!(messages, vec!["event 2", "event 3", "event 4"]);
+        // Recovery re-logs the survivors under fresh sequences, so a second
+        // crash before any release replays them again.
+        for _ in 0..2 {
+            let (_, replay) = IngestWal::open(&dir, 1, 1).unwrap();
+            let survivors: Vec<(u64, &str)> = replay[0]
+                .iter()
+                .map(|a| (a.seq, a.record.message.as_str()))
+                .collect();
+            assert_eq!(
+                survivors,
+                vec![(1, "event 2"), (2, "event 3"), (3, "event 4")]
+            );
+        }
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -504,13 +473,8 @@ mod tests {
         for i in 0..20 {
             let service = services[i % services.len()];
             let shard = shard_for(service, 4);
-            wal.append_route(
-                shard,
-                record(service, &format!("{service} event {i}")),
-                &queues[shard],
-                Duration::from_millis(5),
-            )
-            .unwrap();
+            let rec = record(service, &format!("{service} event {i}"));
+            append_one(&wal, shard, rec, &queues[shard]);
         }
         wal.sync().unwrap();
         drop(wal);
@@ -579,13 +543,8 @@ mod tests {
         let dir = scratch_dir("multiline");
         let (wal, _) = IngestWal::open(&dir, 1, 1).unwrap();
         let queue = Arc::new(BoundedQueue::new(4));
-        wal.append_route(
-            0,
-            record("app", "panic: oh no\n  at frame 1\n  at frame 2"),
-            &queue,
-            Duration::from_millis(5),
-        )
-        .unwrap();
+        let rec = record("app", "panic: oh no\n  at frame 1\n  at frame 2");
+        append_one(&wal, 0, rec, &queue);
         wal.sync().unwrap();
         drop(wal);
         let (_, replay) = IngestWal::open(&dir, 1, 1).unwrap();

@@ -13,7 +13,7 @@ use seqd::loadgen;
 use seqd::server::{start, SeqdConfig};
 use sequence_rtg::{LogRecord, SequenceRtg};
 use std::collections::BTreeSet;
-use std::io::{BufRead, BufReader};
+use std::io::{BufRead, BufReader, Read};
 use std::net::SocketAddr;
 use std::process::{Command, Stdio};
 
@@ -47,35 +47,40 @@ fn spawn_seqd(
     batch_size: &str,
     miners: &str,
 ) -> (std::process::Child, SocketAddr) {
+    spawn_seqd_with(&[
+        "--store",
+        store_dir.to_str().unwrap(),
+        "--shards",
+        "2",
+        "--batch-size",
+        batch_size,
+        "--miners",
+        miners,
+    ])
+}
+
+/// Spawn `seqd --addr 127.0.0.1:0 <args>` and wait for its listen banner.
+fn spawn_seqd_with(args: &[&str]) -> (std::process::Child, SocketAddr) {
     let mut child = Command::new(env!("CARGO_BIN_EXE_seqd"))
-        .args([
-            "--addr",
-            "127.0.0.1:0",
-            "--store",
-            store_dir.to_str().unwrap(),
-            "--shards",
-            "2",
-            "--batch-size",
-            batch_size,
-            "--miners",
-            miners,
-        ])
+        .args(["--addr", "127.0.0.1:0"])
+        .args(args)
         .stderr(Stdio::piped())
         .spawn()
         .expect("spawn seqd");
-    let addr: SocketAddr = {
-        let stderr = BufReader::new(child.stderr.take().expect("child stderr"));
-        let mut found = None;
-        for line in stderr.lines() {
-            let line = line.expect("read child stderr");
-            if let Some(rest) = line.strip_prefix("seqd: listening on ") {
-                let addr = rest.split_whitespace().next().unwrap();
-                found = Some(addr.parse().expect("listen addr"));
-                break;
-            }
+    let mut stderr = BufReader::new(child.stderr.take().expect("child stderr"));
+    let mut found = None;
+    for line in stderr.by_ref().lines() {
+        let line = line.expect("read child stderr");
+        if let Some(rest) = line.strip_prefix("seqd: listening on ") {
+            let addr = rest.split_whitespace().next().unwrap();
+            found = Some(addr.parse().expect("listen addr"));
+            break;
         }
-        found.expect("seqd never announced its address")
-    };
+    }
+    let addr: SocketAddr = found.expect("seqd never announced its address");
+    // Hand the pipe back: the daemon reports its drain on stderr, and a
+    // closed pipe would turn that `eprintln!` into a panic.
+    child.stderr = Some(stderr.into_inner());
     (child, addr)
 }
 
@@ -224,4 +229,50 @@ fn kill_dash_nine_mid_mine_replays_unreleased_records() {
     );
 
     std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+/// The flags `benchmark/src/daemon.rs` (`SEQD_FLAGS`) starts every daemon
+/// workload with. The harness is frozen, so the CLI must keep accepting
+/// exactly this — including `--wire event-loop`, now a no-op.
+const BENCHMARK_FLAGS: [&str; 10] = [
+    "--shards",
+    "1",
+    "--pollers",
+    "1",
+    "--miners",
+    "1",
+    "--evolve",
+    "batch",
+    "--wire",
+    "event-loop",
+];
+
+#[test]
+fn benchmark_invocation_starts_serves_and_drains() {
+    let (mut child, addr) = spawn_seqd_with(&BENCHMARK_FLAGS);
+    assert_eq!(
+        loadgen::control_get(addr, "/healthz").expect("healthz"),
+        "ok\n"
+    );
+    loadgen::control_post(addr, "/shutdown").expect("shutdown");
+    let status = child.wait().expect("reap");
+    assert!(status.success(), "drain must exit 0: {status:?}");
+}
+
+/// The retired modes are refused at the command line, not silently mapped
+/// onto the surviving path.
+#[test]
+fn retired_modes_exit_2() {
+    for (args, naming) in [
+        (["--wire", "blocking"], "removed"),
+        (["--miners", "0"], "at least 1"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_seqd"))
+            .args(args)
+            .output()
+            .expect("run seqd");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(naming), "{args:?}: {stderr}");
+    }
 }

@@ -2,7 +2,8 @@
 //!
 //! Three layers, each hammered with seeded `testkit::fault` injection:
 //!
-//! 1. **Wire** — `serve_ingest` over a [`FaultyStream`] that interleaves
+//! 1. **Wire** — `serve_ingest` (the framing reference `protocol_torture`
+//!    pins the event loop to) over a [`FaultyStream`] that interleaves
 //!    short reads, `Interrupted`, `WouldBlock` (socket deadline),
 //!    connection resets, and write failures into the stream. Whatever the
 //!    connection's fate, the counter invariant must hold: every line the
@@ -99,7 +100,7 @@ fn ingest_counters_reconcile_under_socket_faults() {
         let ops = Arc::new(Ops::new());
         let router = Router::new(queues.clone(), Arc::clone(&ops), Duration::from_millis(1));
 
-        let result = serve_ingest(&mut reader, &mut writer, &router, &ops, CAP, false);
+        let result = serve_ingest(&mut reader, &mut writer, &router, &ops, CAP);
 
         // The invariant that survives ANY socket behaviour: every counted
         // line is queued or accounted. (No workers run, so matched and
@@ -149,10 +150,11 @@ fn wal_replay_is_exact_across_crash_and_reshard() {
             );
             appended.push((record.service.clone(), record.message.clone()));
             let shard = shard_for(&record.service, shards_before as usize);
-            wal.append_route(shard, record, &queue, Duration::from_millis(5))
-                .map_err(|e| format!("append: {e:?}"))?;
+            let accepted =
+                wal.append_route_batch(shard, vec![record], &queue, Duration::from_millis(5));
+            prop_assert_eq!(accepted, 1);
             // Keep the bounded queue from filling; the WAL is the subject.
-            let _ = queue.pop_timeout(Duration::from_millis(5));
+            let _ = queue.pop_batch(1, Duration::from_millis(5));
         }
         wal.sync().map_err(|e| format!("sync: {e}"))?;
         drop(wal); // the crash: nothing released
@@ -202,7 +204,7 @@ fn wal_replay_is_exact_across_crash_and_reshard() {
 }
 
 /// Build a worker + miner pair over a fault-hooked store. `pool_threads`
-/// of 0 means the inline miner (`--miners 0`).
+/// of 0 means the inline miner.
 fn faulty_mining_rig(
     schedule: &Arc<FaultSchedule>,
     retries: u32,
@@ -265,15 +267,9 @@ fn check_mining_invariants(
     for i in 0..n {
         // The ingest path counts `ingested`; this harness bypasses it.
         Ops::inc(&ops.ingested);
-        queue
-            .push_timeout(
-                Accepted::untracked(LogRecord::new(
-                    "svc",
-                    format!("session opened for user u{i}"),
-                )),
-                Duration::from_millis(10),
-            )
-            .map_err(|e| format!("push: {e:?}"))?;
+        let record = LogRecord::new("svc", format!("session opened for user u{i}"));
+        let pushed = queue.push_batch(vec![Accepted::untracked(record)], Duration::from_millis(10));
+        prop_assert_eq!(pushed, 1);
     }
     queue.close();
     worker.run();
@@ -296,8 +292,8 @@ fn check_mining_invariants(
     Ok(())
 }
 
-/// Layer 3a: the inline mining path (`--miners 0`) under store faults.
-/// `dropped` is exact, and zero when no fault fired.
+/// Layer 3a: the inline miner (the synchronous reference executor) under
+/// store faults. `dropped` is exact, and zero when no fault fired.
 #[test]
 fn worker_flush_reconciles_under_store_faults() {
     let config = Config::cases(200).with_regressions(regressions());

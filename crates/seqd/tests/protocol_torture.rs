@@ -1,5 +1,6 @@
 //! Protocol-torture suite: the event-loop wire path must be observationally
-//! identical to the blocking path under ANY byte-stream segmentation.
+//! identical to the framing reference (`protocol::serve_ingest`, the
+//! protocol over one blocking reader) under ANY byte-stream segmentation.
 //!
 //! TCP makes no promises about read boundaries, so the framing layer must
 //! produce identical counters, identical parsed records, and identical
@@ -8,9 +9,9 @@
 //!
 //! 1. **Hermetic framing properties** — 1000+ seeded cases pump a
 //!    [`Session`] through a [`FaultyStream`] (short reads, `Interrupted`,
-//!    `WouldBlock`, resets) and compare against the blocking
-//!    `serve_ingest` over the same bytes: same counters, same records. A
-//!    reset mid-stream must leave a clean *prefix*, never corruption.
+//!    `WouldBlock`, resets) and compare against the reference over the
+//!    same bytes: same counters, same records. A reset mid-stream must
+//!    leave a clean *prefix*, never corruption.
 //! 2. **Exhaustive split points** — a crafted payload holding multi-byte
 //!    UTF-8, JSON escapes, CRLF, blanks, an oversized line and an EOF
 //!    fragment is replayed once per possible split position.
@@ -18,22 +19,22 @@
 //!    one byte per write must still reach the control plane (the
 //!    regression: readiness-driven sniffing cannot assume the first read
 //!    holds a complete request line).
-//! 4. **Live A/B equivalence + hostile peers** — the same traffic against
-//!    `--wire event-loop` and `--wire blocking` daemons produces identical
-//!    receipts and final counters, with stalled / byte-at-a-time / fast
-//!    peers interleaved on the same poller.
+//! 4. **Live daemon vs reference + hostile peers** — a live daemon's
+//!    receipts and drained counters equal the reference's over the same
+//!    client payloads, with stalled / byte-at-a-time / fast peers
+//!    interleaved on the same poller.
 
 use seqd::eventloop::{Pump, Session};
 use seqd::loadgen;
 use seqd::metrics::Ops;
 use seqd::protocol::{serve_ingest, IngestSummary};
 use seqd::queue::BoundedQueue;
-use seqd::server::{start, SeqdConfig, WireMode};
+use seqd::server::{start, SeqdConfig};
 use seqd::shard::Router;
 use seqd::wal::Accepted;
 use sequence_rtg::LogRecord;
 use std::io::{self, BufReader, Cursor, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpStream};
+use std::net::{Shutdown, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 use testkit::fault::{FaultSchedule, FaultyStream};
@@ -49,20 +50,21 @@ fn regressions() -> String {
     .to_string()
 }
 
-/// Run the blocking reference path over `payload` and return its summary
-/// plus every record it routed, in order.
+/// Run the framing reference over `payload` and return its summary plus
+/// every record it routed, in order.
 fn blocking_reference(payload: &[u8], cap: usize) -> (IngestSummary, Vec<LogRecord>) {
     let queues: Vec<_> = vec![Arc::new(BoundedQueue::<Accepted>::new(1 << 14))];
     let ops = Arc::new(Ops::new());
     let router = Router::new(queues.clone(), Arc::clone(&ops), Duration::from_millis(1));
     let mut reader = BufReader::new(Cursor::new(payload.to_vec()));
     let mut out = Vec::new();
-    let summary =
-        serve_ingest(&mut reader, &mut out, &router, &ops, cap, false).expect("clean cursor");
-    let mut records = Vec::new();
-    while let Ok(Some(accepted)) = queues[0].pop_timeout(Duration::from_millis(1)) {
-        records.push(accepted.record);
-    }
+    let summary = serve_ingest(&mut reader, &mut out, &router, &ops, cap).expect("clean cursor");
+    let records = queues[0]
+        .pop_batch(usize::MAX, Duration::ZERO)
+        .expect("queue open")
+        .into_iter()
+        .map(|accepted| accepted.record)
+        .collect();
     (summary, records)
 }
 
@@ -85,7 +87,7 @@ fn pump_to_end(
 
 /// Layer 1: 1000 seeded cases of adversarial segmentation. The session fed
 /// through a fault-injecting stream must agree byte-for-byte with the
-/// blocking path on counters and parsed records — or, after an injected
+/// reference on counters and parsed records — or, after an injected
 /// reset, stop at a clean prefix.
 #[test]
 fn framing_is_identical_under_adversarial_segmentation() {
@@ -246,12 +248,11 @@ fn read_all(stream: &mut TcpStream) -> String {
     raw
 }
 
-fn daemon(wire: WireMode, io_timeout: Duration) -> seqd::SeqdHandle {
+fn daemon(io_timeout: Duration) -> seqd::SeqdHandle {
     start(
         patterndb::PatternStore::in_memory(),
         SeqdConfig {
             shards: 2,
-            wire,
             io_timeout,
             pollers: 2,
             ..SeqdConfig::default()
@@ -262,50 +263,56 @@ fn daemon(wire: WireMode, io_timeout: Duration) -> seqd::SeqdHandle {
 }
 
 /// Layer 3: the sniffing regression. A control request delivered one byte
-/// per write must classify as HTTP on both wire paths — buffer-driven
-/// sniffing cannot assume the first readiness event carries the complete
-/// request line.
+/// per write must classify as HTTP — buffer-driven sniffing cannot assume
+/// the first readiness event carries the complete request line.
 #[test]
 fn post_stats_one_byte_per_write_reaches_the_control_plane() {
-    for wire in [WireMode::EventLoop, WireMode::Blocking] {
-        let handle = daemon(wire, Duration::from_secs(30));
-        let addr = handle.addr();
+    let handle = daemon(Duration::from_secs(30));
+    let addr = handle.addr();
 
-        let drip = |request: &[u8]| {
-            let mut stream = TcpStream::connect(addr).unwrap();
-            stream.set_nodelay(true).unwrap();
-            for &b in request {
-                stream.write_all(&[b]).unwrap();
-                stream.flush().unwrap();
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            read_all(&mut stream)
-        };
-        // The live route: a dripped GET must produce the stats document.
-        let raw = drip(b"GET /stats HTTP/1.1\r\nHost: t\r\n\r\n");
-        assert!(
-            raw.starts_with("HTTP/1.1 200"),
-            "[{wire:?}] unexpected response: {raw:?}"
-        );
-        let body = raw.split_once("\r\n\r\n").map(|(_, b)| b).unwrap_or("");
-        let v = jsonlite::parse(body).unwrap_or_else(|e| panic!("[{wire:?}] body {body:?}: {e}"));
-        assert!(v.get("ingested").is_some(), "[{wire:?}] {body}");
-        // A dripped POST must still classify as HTTP — a well-formed HTTP
-        // error, never an NDJSON receipt or a malformed-line count.
-        let raw = drip(b"POST /stats HTTP/1.1\r\nHost: t\r\n\r\n");
-        assert!(
-            raw.starts_with("HTTP/1.1 "),
-            "[{wire:?}] POST not handed to the control plane: {raw:?}"
-        );
+    let drip = |request: &[u8]| {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream.set_nodelay(true).unwrap();
+        for &b in request {
+            stream.write_all(&[b]).unwrap();
+            stream.flush().unwrap();
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        read_all(&mut stream)
+    };
+    // The live route: a dripped GET must produce the stats document.
+    let raw = drip(b"GET /stats HTTP/1.1\r\nHost: t\r\n\r\n");
+    assert!(
+        raw.starts_with("HTTP/1.1 200"),
+        "unexpected response: {raw:?}"
+    );
+    let body = raw.split_once("\r\n\r\n").map(|(_, b)| b).unwrap_or("");
+    let v = jsonlite::parse(body).unwrap_or_else(|e| panic!("body {body:?}: {e}"));
+    assert!(v.get("ingested").is_some(), "{body}");
+    // A dripped POST must still classify as HTTP — a well-formed HTTP
+    // error, never an NDJSON receipt or a malformed-line count.
+    let raw = drip(b"POST /stats HTTP/1.1\r\nHost: t\r\n\r\n");
+    assert!(
+        raw.starts_with("HTTP/1.1 "),
+        "POST not handed to the control plane: {raw:?}"
+    );
 
-        handle.initiate_shutdown();
-        handle.join().unwrap();
-    }
+    handle.initiate_shutdown();
+    let finals = handle.join().unwrap();
+    assert_eq!(finals.ingested, 0, "control bytes counted as ingest lines");
 }
 
-/// Drive one client workload against a daemon and return its receipts.
-fn run_clients(addr: SocketAddr) -> Vec<IngestSummary> {
-    let mut receipts = Vec::new();
+/// One connection's worth of wire bytes: every line `\n`-terminated, as
+/// `loadgen::replay_lines` sends them.
+fn terminated(lines: &[String]) -> Vec<u8> {
+    lines
+        .iter()
+        .flat_map(|l| format!("{l}\n").into_bytes())
+        .collect()
+}
+
+/// The three client payloads of layer 4a, as the bytes on the wire.
+fn client_payloads() -> [Vec<u8>; 3] {
     // Fast bulk client.
     let bulk: Vec<String> = (0..200)
         .map(|i| {
@@ -315,59 +322,68 @@ fn run_clients(addr: SocketAddr) -> Vec<IngestSummary> {
             )
         })
         .collect();
-    receipts.push(loadgen::replay_lines(addr, bulk.iter().map(|s| s.as_str())).unwrap());
-    // Mixed hostile client: garbage, blanks, CRLF, an oversized line.
+    // Mixed hostile client: garbage, blanks, CRLF-free valid lines.
     let mixed = [
         "{\"service\":\"mix\",\"message\":\"first\"}",
         "not json at all",
         "",
         "   ",
         "{\"service\":\"mix\",\"message\":\"second\"}",
-    ];
-    receipts.push(loadgen::replay_lines(addr, mixed.into_iter()).unwrap());
-    // EOF-fragment client: valid line, then a final record with no
+    ]
+    .map(String::from);
+    // EOF-fragment client: a CRLF line, then a final record with no
     // terminator, closed by the half-close alone.
-    let mut stream = TcpStream::connect(addr).unwrap();
-    stream
-        .write_all(b"{\"service\":\"frag\",\"message\":\"terminated\"}\r\n")
-        .unwrap();
-    stream
-        .write_all(br#"{"service":"frag","message":"eof fragment"}"#)
-        .unwrap();
-    stream.shutdown(Shutdown::Write).unwrap();
-    let receipt = read_all(&mut stream);
-    receipts.push(IngestSummary::from_json_line(&receipt).expect("fragment receipt"));
-    receipts
+    let fragment = [
+        b"{\"service\":\"frag\",\"message\":\"terminated\"}\r\n".as_slice(),
+        br#"{"service":"frag","message":"eof fragment"}"#,
+    ]
+    .concat();
+    [terminated(&bulk), terminated(&mixed), fragment]
 }
 
-/// Layer 4a: identical traffic against both wire modes produces identical
-/// receipts and identical final counters.
+/// Layer 4a: a live daemon receipts each client exactly as the hermetic
+/// reference does over the same bytes, and its drained counters are the
+/// sum of those receipts.
 #[test]
-fn event_loop_and_blocking_paths_are_observationally_equivalent() {
-    let run = |wire: WireMode| {
-        let handle = daemon(wire, Duration::from_secs(30));
-        let receipts = run_clients(handle.addr());
-        let expected: u64 = receipts.iter().map(|r| r.accepted).sum();
-        loadgen::wait_until_processed(handle.addr(), expected, Duration::from_secs(10)).unwrap();
-        handle.initiate_shutdown();
-        let finals = handle.join().unwrap();
-        (receipts, finals)
-    };
-    let (receipts_el, finals_el) = run(WireMode::EventLoop);
-    let (receipts_bl, finals_bl) = run(WireMode::Blocking);
+fn live_daemon_receipts_and_counters_match_the_reference() {
+    let payloads = client_payloads();
+    let cap = SeqdConfig::default().max_line_len;
+    let reference: Vec<IngestSummary> = payloads
+        .iter()
+        .map(|payload| blocking_reference(payload, cap).0)
+        .collect();
+    assert!(reference[0].accepted == 200, "corpus sanity: {reference:?}");
+    assert!(reference[1].malformed == 1, "corpus sanity: {reference:?}");
+    assert!(reference[2].accepted == 2, "corpus sanity: {reference:?}");
 
-    assert_eq!(receipts_el, receipts_bl, "receipts diverged");
-    assert!(finals_el.reconciles(), "{finals_el:?}");
-    assert!(finals_bl.reconciles(), "{finals_bl:?}");
-    for (name, a, b) in [
-        ("ingested", finals_el.ingested, finals_bl.ingested),
-        ("matched", finals_el.matched, finals_bl.matched),
-        ("unmatched", finals_el.unmatched, finals_bl.unmatched),
-        ("rejected", finals_el.rejected, finals_bl.rejected),
-        ("malformed", finals_el.malformed, finals_bl.malformed),
-        ("dropped", finals_el.dropped, finals_bl.dropped),
+    let handle = daemon(Duration::from_secs(30));
+    let addr = handle.addr();
+    let receipts: Vec<IngestSummary> = payloads
+        .iter()
+        .map(|payload| loadgen::replay_blob(addr, payload).unwrap())
+        .collect();
+    assert_eq!(receipts, reference, "receipts diverged from the reference");
+
+    let sum = |field: fn(&IngestSummary) -> u64| reference.iter().map(field).sum::<u64>();
+    loadgen::wait_until_processed(addr, sum(|r| r.accepted), Duration::from_secs(10)).unwrap();
+    handle.initiate_shutdown();
+    let finals = handle.join().unwrap();
+    assert!(finals.reconciles(), "{finals:?}");
+    for (name, live, expected) in [
+        ("ingested", finals.ingested, sum(|r| r.received)),
+        (
+            "matched + unmatched",
+            finals.matched + finals.unmatched,
+            sum(|r| r.accepted),
+        ),
+        ("rejected", finals.rejected, sum(|r| r.rejected)),
+        ("malformed", finals.malformed, sum(|r| r.malformed)),
+        ("dropped", finals.dropped, 0),
     ] {
-        assert_eq!(a, b, "{name} diverged: event-loop {a} vs blocking {b}");
+        assert_eq!(
+            live, expected,
+            "{name}: live {live} vs reference {expected}"
+        );
     }
 }
 
@@ -378,7 +394,7 @@ fn event_loop_and_blocking_paths_are_observationally_equivalent() {
 #[test]
 fn stalled_slow_and_fast_peers_coexist_on_the_event_loop() {
     let io_timeout = Duration::from_millis(400);
-    let handle = daemon(WireMode::EventLoop, io_timeout);
+    let handle = daemon(io_timeout);
     let addr = handle.addr();
 
     let stalled = std::thread::spawn(move || {
