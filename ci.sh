@@ -234,6 +234,14 @@ cargo test -q --release --offline -p seqd --test protocol_torture --test group_c
 stage_end
 fi
 
+if stage_begin "pattern-set memory (release, counted at the allocator)"; then
+# The workspace test run above already ran this binary unoptimised; the
+# bytes a compiled PatternSet holds are asserted again on the layout the
+# daemon ships.
+cargo test -q --release --offline --test pattern_set_memory
+stage_end
+fi
+
 if stage_begin "bench smoke (1 sample, JSON to a scratch file)"; then
 # One warm-up + one sample per benchmark: proves the bench binaries run and
 # emit well-formed JSON without touching the recorded results/ trajectories.

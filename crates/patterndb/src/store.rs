@@ -367,20 +367,26 @@ impl PatternStore {
     }
 
     /// Load every stored pattern into per-service [`PatternSet`]s for the
-    /// parser. Patterns that no longer parse (the documented `%`-collision
-    /// limitation) are skipped and reported.
+    /// parser, in [`PatternStore::patterns`]' order (it breaks specificity
+    /// ties) but with one query: no statistics, no examples. Patterns that
+    /// no longer parse (the documented `%`-collision limitation) are skipped
+    /// and reported.
     pub fn load_pattern_sets(
         &mut self,
     ) -> Result<(HashMap<String, PatternSet>, Vec<StoreError>), StoreError> {
+        let rows = self
+            .db
+            .query("SELECT id, service, pattern FROM patterns ORDER BY service, cnt DESC, id")?;
         let mut sets: HashMap<String, PatternSet> = HashMap::new();
         let mut errors = Vec::new();
-        for sp in self.patterns(None)? {
-            match sp.pattern() {
-                Ok(p) => sets
-                    .entry(sp.service.clone())
-                    .or_default()
-                    .insert(sp.id.clone(), p),
-                Err(e) => errors.push(e),
+        for r in rows {
+            let [id, service, text] = [0, 1, 2].map(|i| r[i].as_text().unwrap_or_default());
+            match Pattern::parse(text) {
+                Ok(p) => sets.entry(service.to_string()).or_default().insert(id, p),
+                Err(err) => errors.push(StoreError::BadPattern {
+                    id: id.to_string(),
+                    err,
+                }),
             }
         }
         Ok((sets, errors))
@@ -593,6 +599,27 @@ mod tests {
         let set = &sets["sshd"];
         let msg = Scanner::new().scan("Accepted password for eve from 203.0.113.9 port 4022 ssh2");
         assert!(set.match_message(&msg).is_some());
+    }
+
+    /// The one-query load inserts in `patterns(None)` order — service, then
+    /// count descending, then id — which is what breaks specificity ties.
+    #[test]
+    fn load_pattern_sets_keeps_the_listing_order() {
+        let mut store = PatternStore::in_memory();
+        for (i, verb) in ["opened", "closed", "failed", "reset"].iter().enumerate() {
+            let d = &discover(&[&format!("link {verb} on port {i}")])[0];
+            let (id, _) = store.upsert_discovered("net", d, 1).unwrap();
+            store.record_matches(&id, (i as u64 * 7) % 4, 2).unwrap();
+        }
+        let mut listed = PatternSet::new();
+        for sp in store.patterns(None).unwrap() {
+            listed.insert(sp.id.clone(), sp.pattern().unwrap());
+        }
+        let (sets, errors) = store.load_pattern_sets().unwrap();
+        assert!(errors.is_empty());
+        let ids = |set: &PatternSet| set.iter().map(|(id, _)| id.to_string()).collect::<Vec<_>>();
+        assert_eq!(ids(&sets["net"]), ids(&listed));
+        assert_eq!(sets["net"].len(), 4);
     }
 
     #[test]

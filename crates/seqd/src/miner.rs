@@ -110,7 +110,11 @@ impl DrainSignal {
 ///   commit transactions and control-plane reads.
 /// * `sets` — one lock *per service* around the in-memory compiled set,
 ///   held during that service's plan and publish steps. The registry map
-///   itself is locked only to look a cell up.
+///   itself is locked only to look a cell up. A cell's [`PatternSet`] is a
+///   copy-on-write handle on the same allocation the [`PatternBoard`]
+///   serves readers from: the engine holds no second copy of the index, and
+///   only the one service a job inserts into is copied, for the length of
+///   that insert.
 ///
 /// Scanner, analyser and config are immutable and shared freely.
 #[derive(Debug)]
@@ -129,8 +133,8 @@ pub struct MiningEngine {
 
 impl MiningEngine {
     /// Build an engine over a pattern store, loading any persisted patterns.
-    /// Returns the engine plus a plain copy of the loaded per-service sets
-    /// for seeding the serving plane (the [`PatternBoard`]).
+    /// Returns the engine plus handles on the loaded per-service sets for
+    /// seeding the serving plane (the [`PatternBoard`]).
     pub fn new(
         mut store: PatternStore,
         config: RtgConfig,
@@ -282,8 +286,8 @@ pub struct MinerDeps {
 /// Run one mining job to completion: plan each service under its set lock,
 /// commit everything in one store transaction (retried with exponential
 /// backoff up to the bounded budget, then abandoned and counted in
-/// `Ops::dropped`), publish the affected services' new sets, and release
-/// the job's records from the ingest WAL.
+/// `Ops::dropped`), publish the sets of the services that gained patterns,
+/// and release the job's records from the ingest WAL.
 pub fn mine_job(deps: &MinerDeps, scratch: &mut MatchScratch, job: MineJob) {
     if job.is_trivial() {
         return;
@@ -417,14 +421,20 @@ pub fn mine_job(deps: &MinerDeps, scratch: &mut MatchScratch, job: MineJob) {
     }
 
     // Publish phase: only a durable transaction mutates the in-memory sets,
-    // so a rolled-back job leaves them exactly mirroring the store. Publish
-    // *before* `record_remine` — pollers that watch `remine_runs` take the
-    // bump to mean the new sets are visible.
+    // so a rolled-back job leaves them exactly mirroring the store. A
+    // service whose plan only matched keeps the set it already published.
+    // The insert copies the index once (the board shares it); the handle
+    // published afterwards is that copy, not another one. Publish *before*
+    // `record_remine` — pollers that watch `remine_runs` take the bump to
+    // mean the new sets are visible.
     if let Some(outcomes) = outcomes {
         let mut publish_span = obs::span!("seqd.mine.publish");
         publish_span.attr_u64("shard", shard_id as u64);
         publish_span.attr_u64("services", plans.len() as u64);
         for ((service, cell, _plan), outcome) in plans.iter().zip(outcomes) {
+            if outcome.inserted.is_empty() {
+                continue;
+            }
             let published = {
                 let mut set = cell.lock().expect("service set lock");
                 for (id, pattern) in outcome.inserted {
@@ -1060,6 +1070,23 @@ mod tests {
             1
         );
         assert_eq!(miner.queue_depth(), 0);
+    }
+
+    /// After a job the engine's cell and the board hold one index, not two,
+    /// and a job whose plan only matches swaps nothing.
+    #[test]
+    fn engine_and_board_share_the_set_and_match_only_jobs_do_not_republish() {
+        let deps = test_deps();
+        let miner = Miner::inline(deps.clone());
+        miner.try_submit(job(0, sshd_batch())).unwrap();
+        let published = deps.board.load("sshd").expect("published set");
+        let cell = deps.engine.service_set("sshd");
+        assert!(cell.lock().unwrap().ptr_eq(&published));
+        assert_eq!(deps.ops.snapshot().swaps, 1);
+        miner.try_submit(job(0, sshd_batch())).unwrap();
+        let s = deps.ops.snapshot();
+        assert_eq!((s.remines, s.swaps), (2, 1), "{s:?}");
+        assert!(Arc::ptr_eq(&published, &deps.board.load("sshd").unwrap()));
     }
 
     #[test]

@@ -510,6 +510,12 @@ fn serve_control<R: io::BufRead, W: io::Write>(
             );
             push_gauge(
                 &mut body,
+                "seqd_pattern_index_bytes",
+                "Approximate heap bytes of the published pattern sets (entries and matcher index)",
+                shared.board.index_bytes() as f64,
+            );
+            push_gauge(
+                &mut body,
                 "seqd_uptime_seconds",
                 "Seconds since daemon start",
                 shared.started.elapsed().as_secs_f64(),
@@ -611,6 +617,10 @@ fn stats_json(shared: &Shared) -> String {
         (
             "published_patterns",
             (shared.board.total_patterns() as i64).into(),
+        ),
+        (
+            "pattern_index_bytes",
+            (shared.board.index_bytes() as i64).into(),
         ),
         (
             "store_patterns",

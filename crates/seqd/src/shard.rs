@@ -27,7 +27,7 @@ use crate::queue::BoundedQueue;
 use crate::swap::PatternBoard;
 use crate::wal::{Accepted, IngestWal};
 use sequence_core::{MatchScratch, Scanner, TokenizedMessage};
-use sequence_rtg::LogRecord;
+use sequence_rtg::{count_match, LogRecord};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -274,10 +274,12 @@ impl ShardWorker {
         // line is only needed again if the record joins the residue (it
         // keeps the LogRecord).
         self.scanner.scan_into(&record.message, tokens);
-        let outcome = self
-            .board
-            .load(&record.service)
-            .and_then(|set| set.match_message_with(tokens, scratch));
+        // Only the winner's id is needed here: no captures are built and
+        // the id is copied once per pattern per handoff, not per line.
+        let set = self.board.load(&record.service);
+        let hit = set
+            .as_ref()
+            .and_then(|set| set.match_id_with(tokens, scratch));
         // Attribute construction is deferred behind the slow-ring's atomic
         // gate, so the per-record cost stays two atomic adds per histogram.
         let ns = started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
@@ -302,10 +304,10 @@ impl ShardWorker {
                 ],
             );
         }
-        match outcome {
-            Some(hit) => {
+        match hit {
+            Some(id) => {
                 Ops::inc(&self.ops.matched);
-                *match_counts.entry(hit.pattern_id).or_insert(0) += 1;
+                count_match(match_counts, id);
             }
             None => {
                 Ops::inc(&self.ops.unmatched);

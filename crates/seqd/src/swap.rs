@@ -7,6 +7,12 @@
 //! A reader that loaded the old `Arc` keeps matching against a consistent
 //! set until its next load — exactly the semantics of syslog-ng reloading a
 //! pattern database file, minus the reload pause.
+//!
+//! A [`PatternSet`] is itself a copy-on-write handle, so publishing one does
+//! not copy it: the board and the publisher (the miner's per-service cell)
+//! share one index until the publisher's next insert, which copies the index
+//! arrays for that one service and leaves the published allocation, and any
+//! reader still holding it, untouched.
 
 use sequence_core::PatternSet;
 use std::collections::HashMap;
@@ -104,11 +110,21 @@ impl PatternBoard {
 
     /// Total published patterns across services.
     pub fn total_patterns(&self) -> usize {
+        self.sum_over_sets(PatternSet::len)
+    }
+
+    /// Approximate heap bytes of the published sets, entries and matcher
+    /// index together (the `seqd_pattern_index_bytes` gauge).
+    pub fn index_bytes(&self) -> usize {
+        self.sum_over_sets(PatternSet::heap_bytes)
+    }
+
+    fn sum_over_sets(&self, measure: fn(&PatternSet) -> usize) -> usize {
         self.services
             .read()
             .expect("board lock")
             .values()
-            .map(|cell| cell.load().len())
+            .map(|cell| measure(&cell.load()))
             .sum()
     }
 }
@@ -134,6 +150,7 @@ mod tests {
         assert!(set.match_message(&msg).is_some());
         assert_eq!(board.services(), vec!["sshd".to_string()]);
         assert_eq!(board.total_patterns(), 1);
+        assert_eq!(board.index_bytes(), set.heap_bytes());
     }
 
     #[test]
@@ -149,6 +166,26 @@ mod tests {
         // …while a fresh load sees the new one.
         let new = board.load("svc").unwrap();
         assert!(new.match_message(&scanner.scan("beta 1")).is_some());
+    }
+
+    /// The copy-on-write rule from the publisher's side: publishing shares
+    /// the publisher's allocation, and its next insert neither disturbs a
+    /// reader of the published set nor shows up before the next publish.
+    #[test]
+    fn publishing_shares_until_the_publisher_inserts() {
+        let board = PatternBoard::new();
+        let mut mine = one_pattern("alpha %x:integer%");
+        board.publish("svc", mine.clone());
+        let reader = board.load("svc").unwrap();
+        assert!(reader.ptr_eq(&mine), "publish copied the set");
+        mine.insert("p2", Pattern::parse("beta %x:integer%").unwrap());
+        assert!(!reader.ptr_eq(&mine));
+        let beta = Scanner::new().scan("beta 1");
+        assert!(reader.match_message(&beta).is_none());
+        assert!(board.load("svc").unwrap().match_message(&beta).is_none());
+        board.publish("svc", mine.clone());
+        assert!(reader.match_message(&beta).is_none(), "old Arc is frozen");
+        assert!(board.load("svc").unwrap().match_message(&beta).is_some());
     }
 
     #[test]

@@ -2,30 +2,33 @@
 //!
 //! [`crate::PatternSet`] compiles every inserted pattern into this trie so
 //! that matching a message walks the trie once — O(token count × branching)
-//! — instead of scanning every same-length candidate pattern. This is the
-//! structure that keeps `match_message` fast at production pattern counts
-//! (the paper's Fig. 6/7 deployment filters the *entire* log stream through
-//! the pattern database).
+//! — instead of scanning every candidate pattern. This is the structure that
+//! keeps `match_message` fast at production pattern counts (the paper's
+//! Fig. 6/7 deployment filters the *entire* log stream through the pattern
+//! database). It is also the largest resident structure of a daemon that has
+//! mined for a while, so it is laid out flat: **a node is an integer**, and
+//! a trie of N nodes is five tables, not a few allocations per node.
 //!
-//! Layout: each node has
+//! * A per-set **literal interner** maps each distinct literal element text
+//!   to a *symbol*; the [`TokenType`] indices are reserved as the first
+//!   [`TOKEN_TYPE_COUNT`] symbols, so every edge is `(node, symbol) → child`.
+//!   A literal element matches on text alone, whatever the token's scan-time
+//!   type (`port 22` mined as two literals matches the integer token `22`);
+//!   `%x:integer%` follows the `Integer` symbol, the free-text `%x%` the
+//!   `Literal` symbol, and the analysis-time refinements
+//!   `%x:email%`/`%x:host%` their symbols *guarded* by the text predicates
+//!   the linear matcher applies ([`is_email`] / [`is_hostname`]).
+//! * A node's **first edge is inline** in the node array; its further edges
+//!   are in one set-wide **edge table** keyed `(node, symbol)`.
+//! * A **terminal side table** keyed `(node, exact?)` names the entries whose
+//!   pattern ends at a node: exact terminals (the pattern consumed the whole
+//!   message) apart from ignore-rest ones (prefix consumed, rest discarded).
 //!
-//! * **literal edges**, keyed by exact token text (a literal pattern element
-//!   matches on text alone, whatever the token's scan-time type — `port 22`
-//!   mined as two literals matches the integer token `22`);
-//! * **typed-variable edges**, one slot per [`TokenType`] — `%x:integer%`
-//!   follows the `Integer` slot, the free-text `%x%` follows the `Literal`
-//!   slot, and the analysis-time refinements `%x:email%`/`%x:host%` follow
-//!   their slots *guarded* by the same text predicates the linear matcher
-//!   applies ([`crate::analyzer::is_email`] / [`crate::analyzer::is_hostname`]);
-//! * **terminal lists**: entry indices of patterns ending here, split into
-//!   exact terminals (pattern consumed the whole message) and ignore-rest
-//!   terminals (pattern prefix consumed, the rest is discarded).
-//!
-//! A message token may legally follow several edges at once (the integer
-//! token `22` follows both a `22` literal edge and an `Integer` variable
-//! edge), so the walk keeps a small frontier of live nodes rather than a
-//! single cursor. The frontier never holds duplicates: the trie is a tree
-//! and each parent's edges lead to distinct children.
+//! A token may legally follow several edges at once (the integer token `22`
+//! follows both a `22` literal edge and an `Integer` variable edge), so the
+//! walk keeps a small frontier of live nodes rather than a single cursor.
+//! The frontier never holds duplicates: the trie is a tree and each parent's
+//! edges lead to distinct children.
 //!
 //! The walk only *finds* candidates; specificity resolution (most literal
 //! elements wins, exact beats ignore-rest, earliest insertion breaks
@@ -38,31 +41,47 @@ use crate::pattern::{Pattern, PatternElement};
 use crate::token::{Token, TokenType, TOKEN_TYPE_COUNT};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::mem::size_of;
+use std::sync::Arc;
 
-/// A multiply-xor string hasher (the FxHash construction) for the literal
-/// edge maps. The trie walk hashes a token's text once per live frontier
-/// node, on every token of every message — with the default SipHash that
-/// single operation dominated the whole walk at small pattern counts.
-/// Hash-flooding resistance is irrelevant here (keys come from the mined
-/// patterns, not the message stream), so the cheap hash is the right trade.
+/// A multiply-xor hasher (the FxHash construction) for the index tables.
+/// The walk probes the edge table once per live frontier node on every
+/// token of every message — with the default SipHash that single operation
+/// dominated the whole walk at small pattern counts. Hash-flooding
+/// resistance is irrelevant here (keys come from the mined patterns, not
+/// the message stream), so the cheap hash is the right trade.
 #[derive(Default)]
 struct FxHasher {
     hash: u64,
 }
 
+impl FxHasher {
+    const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+
+    fn mix(&mut self, word: u64) {
+        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(Self::SEED);
+    }
+}
+
 impl Hasher for FxHasher {
     fn write(&mut self, bytes: &[u8]) {
-        const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
         let mut chunks = bytes.chunks_exact(8);
         for c in &mut chunks {
-            let word = u64::from_le_bytes(c.try_into().expect("8-byte chunk"));
-            self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(SEED);
+            self.mix(u64::from_le_bytes(c.try_into().expect("8-byte chunk")));
         }
         let mut tail = 0u64;
         for &b in chunks.remainder() {
             tail = (tail << 8) | b as u64;
         }
-        self.hash = (self.hash.rotate_left(5) ^ tail).wrapping_mul(SEED);
+        self.mix(tail);
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.mix(n as u64);
+    }
+
+    fn write_u8(&mut self, n: u8) {
+        self.mix(n as u64);
     }
 
     fn finish(&self) -> u64 {
@@ -72,29 +91,34 @@ impl Hasher for FxHasher {
 
 type FxMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
-/// One node of the matcher trie.
-#[derive(Debug, Clone)]
-struct MatchNode {
-    /// Literal edges by exact token text.
-    literal: FxMap<String, u32>,
-    /// Typed-variable edges, indexed by [`TokenType::index`].
-    var: [Option<u32>; TOKEN_TYPE_COUNT],
-    /// Entries (indices into the owning set) whose full pattern ends here.
-    exact: Vec<u32>,
-    /// Entries whose fixed prefix ends here with an ignore-rest marker.
-    ignore: Vec<u32>,
+/// Approximate heap bytes behind a hash table of this capacity: one
+/// `(K, V)` slot plus one control byte per bucket at the table's 7/8
+/// maximum load.
+fn table_bytes<K, V>(map: &FxMap<K, V>) -> usize {
+    map.capacity() * 8 / 7 * (size_of::<(K, V)>() + 1)
 }
 
-impl MatchNode {
-    fn new() -> MatchNode {
-        MatchNode {
-            literal: FxMap::default(),
-            var: [None; TOKEN_TYPE_COUNT],
-            exact: Vec::new(),
-            ignore: Vec::new(),
-        }
-    }
+/// A node's first edge, held inline: most nodes sit on an unshared chain and
+/// never get a second one, so the walk resolves them with one array read and
+/// probes the edge table only below nodes that branch.
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    /// The edge's symbol, [`NONE`] on a leaf.
+    symbol: u32,
+    child: u32,
+    /// Whether the edge table holds further edges of this node.
+    branches: bool,
+    /// Whether any edge of this node is a literal one. Variable positions
+    /// have none, and below them the walk never hashes the token's text.
+    literal_edges: bool,
 }
+
+const LEAF: Node = Node {
+    symbol: NONE,
+    child: NONE,
+    branches: false,
+    literal_edges: false,
+};
 
 /// Reusable frontier buffers for [`MatcherTrie::walk`]. Hot loops should
 /// hold one scratch per thread and pass it to
@@ -109,10 +133,34 @@ pub struct MatchScratch {
 /// The compiled discrimination trie over a set's pattern elements.
 #[derive(Debug, Clone)]
 pub(crate) struct MatcherTrie {
-    nodes: Vec<MatchNode>,
+    /// Literal element text → symbol, numbered from [`FIRST_LITERAL`]. Keys
+    /// are `Arc`s so a copy-on-write clone of the set bumps refcounts
+    /// instead of copying text.
+    literals: FxMap<Arc<str>, u32>,
+    /// Total text bytes interned (memory accounting).
+    literal_bytes: usize,
+    /// Per node, its first-inserted edge.
+    nodes: Vec<Node>,
+    /// `(node, symbol)` → child node, for every edge after a node's first.
+    edges: FxMap<(u32, u32), u32>,
+    /// `(node, is_exact)` → the latest entry whose pattern ends there.
+    terminals: FxMap<(u32, bool), u32>,
+    /// Per entry: the previous entry ending at the same terminal (a
+    /// structural duplicate), or [`NONE`].
+    prev: Vec<u32>,
+    /// Bit `i` is set when some typed-variable edge with symbol `i` exists,
+    /// so the walk skips probes no node can answer.
+    var_symbols: u16,
+    /// Whether any ignore-rest terminal exists (they are probed at every
+    /// depth; most sets have none).
+    has_ignore: bool,
 }
 
 const ROOT: u32 = 0;
+const NONE: u32 = u32::MAX;
+/// Symbols below this are [`TokenType::index`] values.
+const FIRST_LITERAL: u32 = TOKEN_TYPE_COUNT as u32;
+const _: () = assert!(TOKEN_TYPE_COUNT <= u16::BITS as usize);
 
 impl Default for MatcherTrie {
     fn default() -> Self {
@@ -123,7 +171,14 @@ impl Default for MatcherTrie {
 impl MatcherTrie {
     pub(crate) fn new() -> MatcherTrie {
         MatcherTrie {
-            nodes: vec![MatchNode::new()],
+            literals: FxMap::default(),
+            literal_bytes: 0,
+            nodes: vec![LEAF],
+            edges: FxMap::default(),
+            terminals: FxMap::default(),
+            prev: Vec::new(),
+            var_symbols: 0,
+            has_ignore: false,
         }
     }
 
@@ -132,46 +187,71 @@ impl MatcherTrie {
         self.nodes.len()
     }
 
-    /// Compile one pattern into the trie as entry `entry_idx`.
-    pub(crate) fn insert(&mut self, entry_idx: u32, pattern: &Pattern) {
+    /// Approximate heap bytes held by the index (O(1): table capacities
+    /// plus the running interned-text total).
+    pub(crate) fn heap_bytes(&self) -> usize {
+        table_bytes(&self.literals)
+            + self.literals.len() * 2 * size_of::<usize>() // Arc counts
+            + self.literal_bytes
+            + self.nodes.capacity() * size_of::<Node>()
+            + table_bytes(&self.edges)
+            + table_bytes(&self.terminals)
+            + self.prev.capacity() * size_of::<u32>()
+    }
+
+    /// Compile one pattern into the trie as the next entry (entries are
+    /// numbered densely from 0 in insertion order).
+    pub(crate) fn insert(&mut self, pattern: &Pattern) {
+        let entry_idx = self.prev.len() as u32;
         let mut at = ROOT;
         for el in pattern.elements() {
-            at = match el {
-                PatternElement::Literal { text, .. } => {
-                    match self.nodes[at as usize].literal.get(text.as_str()) {
-                        Some(&next) => next,
-                        None => {
-                            let next = self.push_node();
-                            self.nodes[at as usize].literal.insert(text.clone(), next);
-                            next
-                        }
-                    }
-                }
+            let symbol = match el {
+                PatternElement::Literal { text, .. } => self.intern(text),
                 PatternElement::Variable { ty, .. } => {
-                    let slot = ty.index();
-                    match self.nodes[at as usize].var[slot] {
-                        Some(next) => next,
-                        None => {
-                            let next = self.push_node();
-                            self.nodes[at as usize].var[slot] = Some(next);
-                            next
-                        }
-                    }
+                    self.var_symbols |= 1 << ty.index();
+                    ty.index() as u32
                 }
                 PatternElement::IgnoreRest => break,
             };
+            let fresh = self.nodes.len() as u32;
+            let node = &mut self.nodes[at as usize];
+            node.literal_edges |= symbol >= FIRST_LITERAL;
+            at = if node.symbol == symbol {
+                node.child
+            } else if node.symbol == NONE {
+                (node.symbol, node.child) = (symbol, fresh);
+                fresh
+            } else {
+                node.branches = true;
+                *self.edges.entry((at, symbol)).or_insert(fresh)
+            };
+            if at == fresh {
+                self.nodes.push(LEAF);
+            }
         }
-        if pattern.has_ignore_rest() {
-            self.nodes[at as usize].ignore.push(entry_idx);
-        } else {
-            self.nodes[at as usize].exact.push(entry_idx);
-        }
+        let exact = !pattern.has_ignore_rest();
+        self.has_ignore |= !exact;
+        let earlier = self.terminals.insert((at, exact), entry_idx);
+        self.prev.push(earlier.unwrap_or(NONE));
     }
 
-    fn push_node(&mut self) -> u32 {
-        let id = self.nodes.len() as u32;
-        self.nodes.push(MatchNode::new());
-        id
+    fn intern(&mut self, text: &str) -> u32 {
+        if let Some(&symbol) = self.literals.get(text) {
+            return symbol;
+        }
+        let symbol = FIRST_LITERAL + self.literals.len() as u32;
+        self.literals.insert(Arc::from(text), symbol);
+        self.literal_bytes += text.len();
+        symbol
+    }
+
+    /// Report every entry ending at `(node, exact)`, latest first.
+    fn report<F: FnMut(u32, bool)>(&self, node: u32, exact: bool, on_candidate: &mut F) {
+        let mut e = self.terminals.get(&(node, exact)).copied().unwrap_or(NONE);
+        while e != NONE {
+            on_candidate(e, exact);
+            e = self.prev[e as usize];
+        }
     }
 
     /// Walk the trie over `tokens`, reporting every candidate entry:
@@ -184,38 +264,47 @@ impl MatcherTrie {
         scratch: &mut MatchScratch,
         mut on_candidate: F,
     ) {
+        let has_var = |ty: TokenType| self.var_symbols & (1 << ty.index()) != 0;
+        let (email_edges, host_edges) = (has_var(TokenType::Email), has_var(TokenType::Hostname));
         scratch.cur.clear();
         scratch.cur.push(ROOT);
-        for &e in &self.nodes[ROOT as usize].ignore {
-            on_candidate(e, false);
+        if self.has_ignore {
+            self.report(ROOT, false, &mut on_candidate);
         }
         for tok in tokens {
             scratch.next.clear();
+            // The token's symbol, interned on first need: its text is hashed
+            // at most once, everything else is integer compares and probes.
+            let mut literal: Option<Option<u32>> = None;
+            let typed = has_var(tok.ty).then_some(tok.ty.index() as u32);
             for &nid in &scratch.cur {
-                let node = &self.nodes[nid as usize];
-                // The emptiness guard skips the text hash entirely on nodes
-                // with no literal edges (common below variable edges).
-                if !node.literal.is_empty() {
-                    if let Some(&next) = node.literal.get(tok.text.as_str()) {
-                        scratch.next.push(next);
+                let node = self.nodes[nid as usize];
+                let child = |symbol: u32| {
+                    if node.symbol == symbol {
+                        Some(node.child)
+                    } else if node.branches {
+                        self.edges.get(&(nid, symbol)).copied()
+                    } else {
+                        None
                     }
+                };
+                if node.literal_edges {
+                    let symbol = literal
+                        .get_or_insert_with(|| self.literals.get(tok.text.as_str()).copied());
+                    scratch.next.extend(symbol.and_then(child));
                 }
-                if let Some(next) = node.var[tok.ty.index()] {
-                    scratch.next.push(next);
-                }
+                scratch.next.extend(typed.and_then(child));
                 if tok.ty == TokenType::Literal {
                     // Analysis-time refinements accept literal tokens whose
                     // text satisfies the predicate (the scanner itself never
                     // produces Email/Hostname tokens).
-                    if let Some(next) = node.var[TokenType::Email.index()] {
-                        if is_email(&tok.text) {
-                            scratch.next.push(next);
-                        }
+                    if email_edges {
+                        let next = child(TokenType::Email.index() as u32);
+                        scratch.next.extend(next.filter(|_| is_email(&tok.text)));
                     }
-                    if let Some(next) = node.var[TokenType::Hostname.index()] {
-                        if is_hostname(&tok.text) {
-                            scratch.next.push(next);
-                        }
+                    if host_edges {
+                        let next = child(TokenType::Hostname.index() as u32);
+                        scratch.next.extend(next.filter(|_| is_hostname(&tok.text)));
                     }
                 }
             }
@@ -223,16 +312,14 @@ impl MatcherTrie {
             if scratch.cur.is_empty() {
                 return;
             }
-            for &nid in &scratch.cur {
-                for &e in &self.nodes[nid as usize].ignore {
-                    on_candidate(e, false);
+            if self.has_ignore {
+                for &nid in &scratch.cur {
+                    self.report(nid, false, &mut on_candidate);
                 }
             }
         }
         for &nid in &scratch.cur {
-            for &e in &self.nodes[nid as usize].exact {
-                on_candidate(e, true);
-            }
+            self.report(nid, true, &mut on_candidate);
         }
     }
 }
@@ -243,8 +330,8 @@ mod tests {
 
     fn trie_with(patterns: &[&str]) -> MatcherTrie {
         let mut t = MatcherTrie::new();
-        for (i, p) in patterns.iter().enumerate() {
-            t.insert(i as u32, &Pattern::parse(p).unwrap());
+        for p in patterns {
+            t.insert(&Pattern::parse(p).unwrap());
         }
         t
     }

@@ -17,36 +17,79 @@
 //! the winner.
 
 use crate::matcher::{MatchScratch, MatcherTrie};
-use crate::pattern::{Captures, Pattern};
+use crate::pattern::{Captures, Pattern, PatternElement};
 use crate::token::TokenizedMessage;
-use std::collections::HashMap;
+use std::mem::{size_of, size_of_val};
+use std::sync::Arc;
 
 /// A pattern with the caller's identifier (e.g. the SHA1 id from the pattern
 /// database).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Entry {
     id: String,
     pattern: Pattern,
     literals: usize,
-    fixed: usize,
-    ignore_rest: bool,
+}
+
+impl Entry {
+    /// Build the owned outcome for a trie-confirmed candidate: the single
+    /// point where an id is cloned and captures are materialised. The walk
+    /// has already checked every element against its token, so this only
+    /// collects — the same pairs [`Pattern::match_tokens`] would return.
+    fn outcome(&self, msg: &TokenizedMessage) -> ParseOutcome {
+        let elements = self.pattern.elements();
+        let mut values = Vec::with_capacity(elements.len() - self.literals);
+        for (el, tok) in elements.iter().zip(&msg.tokens) {
+            if let PatternElement::Variable { name, .. } = el {
+                values.push((name.clone(), tok.text.to_string()));
+            }
+        }
+        ParseOutcome {
+            pattern_id: self.id.clone(),
+            captures: Captures { values },
+        }
+    }
+
+    /// Approximate heap bytes of one shared entry.
+    fn heap_bytes(&self) -> usize {
+        let elements = self.pattern.elements();
+        let text: usize = elements
+            .iter()
+            .map(|el| match el {
+                PatternElement::Literal { text, .. } => text.capacity(),
+                PatternElement::Variable { name, .. } => name.capacity(),
+                PatternElement::IgnoreRest => 0,
+            })
+            .sum();
+        2 * size_of::<usize>() // Arc counts
+            + size_of::<Entry>()
+            + self.id.capacity()
+            + size_of_val(elements)
+            + text
+    }
 }
 
 /// An indexed set of patterns for one stream of messages.
+///
+/// A set is a copy-on-write handle: [`Clone`] is a reference-count bump, and
+/// [`PatternSet::insert`] copies the index first only while another handle
+/// shares it — and then copies index arrays and entry refcounts, never the
+/// patterns themselves. A holder that publishes a clone after every change
+/// (the `seqd` miner) therefore shares one allocation with its readers.
 #[derive(Debug, Clone, Default)]
 pub struct PatternSet {
+    inner: Arc<Inner>,
+}
+
+#[derive(Debug, Clone, Default)]
+struct Inner {
     /// All patterns, in insertion order (the order is the final tie-break
     /// during specificity resolution).
-    entries: Vec<Entry>,
+    entries: Vec<Arc<Entry>>,
+    /// Running total of [`Entry::heap_bytes`] over `entries`.
+    entry_bytes: usize,
     /// The compiled matcher index over `entries`.
     trie: MatcherTrie,
-    /// Exact entries bucketed by fixed token count, insertion order within
-    /// each bucket — the linear path's length index, so small sets only
-    /// probe same-length candidates.
-    by_len: HashMap<usize, Vec<u32>>,
-    /// Ignore-rest entries in insertion order (their fixed prefix can end
-    /// anywhere at or before the message length, so they bypass `by_len`).
-    ignore_entries: Vec<u32>,
 }
 
 /// A successful parse.
@@ -66,40 +109,48 @@ impl PatternSet {
 
     /// Number of patterns in the set.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.inner.entries.len()
     }
 
     /// `true` when no patterns are present.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.inner.entries.is_empty()
     }
 
     /// Number of nodes in the compiled matcher trie (diagnostics).
     pub fn index_node_count(&self) -> usize {
-        self.trie.node_count()
+        self.inner.trie.node_count()
+    }
+
+    /// Approximate heap bytes held by the set — entries plus index — in
+    /// O(1). Handles sharing one allocation each report all of it.
+    pub fn heap_bytes(&self) -> usize {
+        let inner = &*self.inner;
+        size_of::<Inner>()
+            + inner.entries.capacity() * size_of::<Arc<Entry>>()
+            + inner.entry_bytes
+            + inner.trie.heap_bytes()
+    }
+
+    /// Whether both handles share one allocation (no copy has happened
+    /// since one was cloned from the other).
+    pub fn ptr_eq(&self, other: &PatternSet) -> bool {
+        Arc::ptr_eq(&self.inner, &other.inner)
     }
 
     /// Insert a pattern under an id, compiling it into the matcher index.
     /// Duplicate ids are allowed (the caller — normally the pattern
     /// database — is responsible for dedup).
     pub fn insert(&mut self, id: impl Into<String>, pattern: Pattern) {
-        let idx = self.entries.len() as u32;
-        self.trie.insert(idx, &pattern);
-        if pattern.has_ignore_rest() {
-            self.ignore_entries.push(idx);
-        } else {
-            self.by_len
-                .entry(pattern.fixed_token_count())
-                .or_default()
-                .push(idx);
-        }
-        self.entries.push(Entry {
+        let inner = Arc::make_mut(&mut self.inner);
+        inner.trie.insert(&pattern);
+        let entry = Entry {
             id: id.into(),
             literals: pattern.literal_count(),
-            fixed: pattern.fixed_token_count(),
-            ignore_rest: pattern.has_ignore_rest(),
             pattern,
-        });
+        };
+        inner.entry_bytes += entry.heap_bytes();
+        inner.entries.push(Arc::new(entry));
     }
 
     /// Match a tokenised message against the set. Returns the most specific
@@ -109,45 +160,37 @@ impl PatternSet {
         self.match_message_with(msg, &mut MatchScratch::default())
     }
 
-    /// Below this size, a linear scan with early-exit element matching beats
-    /// the trie walk (the walk costs O(tokens × frontier) even when only a
-    /// handful of patterns exist); above it, the compiled index wins and the
-    /// gap grows with the pattern count. Matching semantics are identical on
-    /// both sides — the equivalence property test exercises sets straddling
-    /// the cutoff.
-    const LINEAR_CUTOFF: usize = 32;
-
     /// [`PatternSet::match_message`] with a caller-owned [`MatchScratch`],
     /// so tight loops over a stream reuse the trie-walk buffers instead of
-    /// allocating per message. Dispatches between the linear scan (small
-    /// sets) and the compiled index (everything else).
+    /// allocating per message.
     pub fn match_message_with(
         &self,
         msg: &TokenizedMessage,
         scratch: &mut MatchScratch,
     ) -> Option<ParseOutcome> {
-        // Sampled 1-in-16: this path runs at >1M msgs/s, so a full span per
-        // call would dominate the work it measures.
-        let _s = obs::sampled_span!("core.match", 4);
-        if self.entries.len() <= Self::LINEAR_CUTOFF {
-            self.match_message_linear(msg)
-        } else {
-            self.match_message_indexed(msg, scratch)
-        }
+        self.best(msg, scratch).map(|entry| entry.outcome(msg))
     }
 
-    /// Match through the compiled trie index unconditionally, bypassing the
-    /// small-set linear dispatch. Public so the equivalence property test
-    /// can compare the index against the linear reference at every set
-    /// size; production callers want [`PatternSet::match_message_with`].
-    pub fn match_message_indexed(
+    /// The id of the pattern [`PatternSet::match_message_with`] would
+    /// return, without materialising captures or cloning the id — for
+    /// callers that only count matches.
+    pub fn match_id_with(
         &self,
         msg: &TokenizedMessage,
         scratch: &mut MatchScratch,
-    ) -> Option<ParseOutcome> {
+    ) -> Option<&str> {
+        self.best(msg, scratch).map(|entry| entry.id.as_str())
+    }
+
+    /// The most specific entry the trie walk finds for `msg`.
+    fn best(&self, msg: &TokenizedMessage, scratch: &mut MatchScratch) -> Option<&Entry> {
+        // Sampled 1-in-16: this path runs at >1M msgs/s, so a full span per
+        // call would dominate the work it measures.
+        let _s = obs::sampled_span!("core.match", 4);
+        let entries = &self.inner.entries;
         let mut best: Option<(usize, bool, u32)> = None;
-        self.trie.walk(&msg.tokens, scratch, |idx, exact| {
-            let literals = self.entries[idx as usize].literals;
+        self.inner.trie.walk(&msg.tokens, scratch, |idx, exact| {
+            let literals = entries[idx as usize].literals;
             let better = match best {
                 None => true,
                 Some((bl, bex, bidx)) => {
@@ -158,7 +201,7 @@ impl PatternSet {
                 best = Some((literals, exact, idx));
             }
         });
-        best.map(|(_, _, idx)| self.outcome_for(idx, msg))
+        best.map(|(_, _, idx)| &*entries[idx as usize])
     }
 
     /// All patterns the message matches, not just the most specific one —
@@ -166,8 +209,10 @@ impl PatternSet {
     /// ("all the example messages match their pattern, and no other in the
     /// whole pattern database"). Ordered most specific first.
     pub fn match_all(&self, msg: &TokenizedMessage) -> Vec<ParseOutcome> {
+        let entries = &self.inner.entries;
         let mut hits: Vec<u32> = Vec::new();
-        self.trie
+        self.inner
+            .trie
             .walk(&msg.tokens, &mut MatchScratch::default(), |idx, _| {
                 hits.push(idx)
             });
@@ -175,68 +220,42 @@ impl PatternSet {
         // entries before ignore-rest ones and insertion order within each —
         // the order the reference linear scan produces.
         hits.sort_by(|&a, &b| {
-            let ea = &self.entries[a as usize];
-            let eb = &self.entries[b as usize];
+            let ea = &entries[a as usize];
+            let eb = &entries[b as usize];
             eb.literals
                 .cmp(&ea.literals)
                 .then_with(|| ea.id.cmp(&eb.id))
-                .then_with(|| ea.ignore_rest.cmp(&eb.ignore_rest))
+                .then_with(|| {
+                    ea.pattern
+                        .has_ignore_rest()
+                        .cmp(&eb.pattern.has_ignore_rest())
+                })
                 .then_with(|| a.cmp(&b))
         });
         hits.into_iter()
-            .map(|idx| self.outcome_for(idx, msg))
+            .map(|idx| entries[idx as usize].outcome(msg))
             .collect()
     }
 
-    /// Build the owned outcome for a trie-confirmed candidate: the single
-    /// point where an id is cloned and captures are materialised.
-    fn outcome_for(&self, idx: u32, msg: &TokenizedMessage) -> ParseOutcome {
-        let entry = &self.entries[idx as usize];
-        let captures = entry
-            .pattern
-            .match_tokens(&msg.tokens)
-            .expect("trie candidates match by construction");
-        ParseOutcome {
-            pattern_id: entry.id.clone(),
-            captures,
-        }
-    }
-
     /// Reference linear matcher, semantically identical to
-    /// [`PatternSet::match_message`]: scan the same-length candidates in
-    /// insertion order, then the ignore-rest candidates in insertion order,
+    /// [`PatternSet::match_message`]: scan every entry in insertion order,
     /// keeping the strictly-better match at each step. Kept for the
     /// `matcher_equivalence` property test and as executable documentation
     /// of the specificity rules; the trie walk must return bit-for-bit the
     /// same outcome.
     pub fn match_message_linear(&self, msg: &TokenizedMessage) -> Option<ParseOutcome> {
-        let n = msg.token_count();
-        let mut best: Option<(usize, bool, u32, Captures)> = None;
-        let mut consider = |idx: u32, exact: bool, entry: &Entry| {
+        let mut best: Option<(usize, bool, &Entry, Captures)> = None;
+        for entry in &self.inner.entries {
             let Some(captures) = entry.pattern.match_tokens(&msg.tokens) else {
-                return;
+                continue;
             };
-            let better = match &best {
-                None => true,
-                Some((bl, bex, _, _)) => (entry.literals, exact) > (*bl, *bex),
-            };
-            if better {
-                best = Some((entry.literals, exact, idx, captures));
-            }
-        };
-        if let Some(bucket) = self.by_len.get(&n) {
-            for &idx in bucket {
-                consider(idx, true, &self.entries[idx as usize]);
+            let rank = (entry.literals, !entry.pattern.has_ignore_rest());
+            if best.as_ref().is_none_or(|(bl, bex, ..)| rank > (*bl, *bex)) {
+                best = Some((rank.0, rank.1, entry, captures));
             }
         }
-        for &idx in &self.ignore_entries {
-            let e = &self.entries[idx as usize];
-            if e.fixed <= n {
-                consider(idx, false, e);
-            }
-        }
-        best.map(|(_, _, idx, captures)| ParseOutcome {
-            pattern_id: self.entries[idx as usize].id.clone(),
+        best.map(|(_, _, entry, captures)| ParseOutcome {
+            pattern_id: entry.id.clone(),
             captures,
         })
     }
@@ -245,12 +264,10 @@ impl PatternSet {
     /// then insertion order — a deterministic order, so exports and golden
     /// snapshots are stable across runs.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Pattern)> {
-        let mut order: Vec<u32> = (0..self.entries.len() as u32).collect();
-        order.sort_by_key(|&i| (self.entries[i as usize].fixed, i));
-        order.into_iter().map(move |i| {
-            let e = &self.entries[i as usize];
-            (e.id.as_str(), &e.pattern)
-        })
+        let entries = &self.inner.entries;
+        let mut order: Vec<&Arc<Entry>> = entries.iter().collect();
+        order.sort_by_key(|e| e.pattern.fixed_token_count()); // stable
+        order.into_iter().map(|e| (e.id.as_str(), &e.pattern))
     }
 }
 

@@ -66,4 +66,4 @@ pub use evolve::{commit_evolution, evolve_plan, EvolveCommit, EvolvePlan, Servic
 pub use ingest::{IngestStats, StreamIngester};
 pub use pipeline::Pipeline;
 pub use record::{LogRecord, RecordError};
-pub use service::{commit_service, plan_service, CommitOutcome, ServicePlan};
+pub use service::{commit_service, count_match, plan_service, CommitOutcome, ServicePlan};

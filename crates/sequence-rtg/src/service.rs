@@ -59,6 +59,16 @@ pub struct CommitOutcome {
     pub updated_patterns: u64,
 }
 
+/// Count one match of pattern `id`, copying the id only on its first hit.
+pub fn count_match(counts: &mut HashMap<String, u64>, id: &str) {
+    match counts.get_mut(id) {
+        Some(n) => *n += 1,
+        None => {
+            counts.insert(id.to_string(), 1);
+        }
+    }
+}
+
 /// Plan one service's slice of a batch: scan, parse against `set`, analyse
 /// the unmatched remainder. Pure compute — the only shared state read is the
 /// pattern set snapshot, and nothing is written anywhere.
@@ -100,9 +110,9 @@ pub fn plan_service(
             if msg.tokens.is_empty() {
                 continue;
             }
-            match set.and_then(|s| s.match_message_with(msg, scratch)) {
-                Some(outcome) => {
-                    *match_counts.entry(outcome.pattern_id).or_insert(0) += 1;
+            match set.and_then(|s| s.match_id_with(msg, scratch)) {
+                Some(id) => {
+                    count_match(&mut match_counts, id);
                     plan.matched_known += 1;
                 }
                 None => unmatched.push(i as u32),

@@ -5,7 +5,9 @@
 //! claim is false with every test still green. The only trustworthy pin is
 //! to count real allocator calls. [`CountingAlloc`] wraps the system
 //! allocator and counts every `alloc`/`realloc`; a test binary installs it
-//! with `#[global_allocator]` and asserts on [`allocations`] deltas.
+//! with `#[global_allocator]` and asserts on [`allocations`] deltas. It also
+//! tracks the bytes currently allocated ([`live_bytes`]), for tests that pin
+//! what a structure costs to hold and that dropping it gives all of it back.
 //!
 //! The counter is process-global, so zero-allocation assertions belong in
 //! a dedicated integration-test binary with a single `#[test]` — the
@@ -21,32 +23,49 @@
 //! ```
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+/// Signed: a block allocated before the counter's first load may be freed
+/// after it.
+static LIVE_BYTES: AtomicI64 = AtomicI64::new(0);
 
-/// A `GlobalAlloc` that forwards to the system allocator and counts every
+/// A `GlobalAlloc` that forwards to the system allocator, counts every
 /// allocation and reallocation (frees are not counted — a zero-alloc claim
-/// is about acquiring memory, not releasing it).
+/// is about acquiring memory, not releasing it) and tracks the requested
+/// bytes currently live.
 pub struct CountingAlloc;
 
+fn acquired(bytes: usize) {
+    ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    LIVE_BYTES.fetch_add(bytes as i64, Ordering::Relaxed);
+}
+
+fn released(bytes: usize) {
+    LIVE_BYTES.fetch_sub(bytes as i64, Ordering::Relaxed);
+}
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the bookkeeping touches only atomics.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        acquired(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        released(layout.size());
         System.dealloc(ptr, layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        acquired(layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        released(layout.size());
+        acquired(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -55,6 +74,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
 /// installed as the global allocator).
 pub fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
+}
+
+/// Requested bytes currently allocated, process-wide (0 unless
+/// [`CountingAlloc`] is installed as the global allocator).
+pub fn live_bytes() -> i64 {
+    LIVE_BYTES.load(Ordering::Relaxed)
 }
 
 /// Run `f` and return its result together with the number of allocations

@@ -2,7 +2,7 @@
 //! [`PatternSet::match_message`] returns bit-for-bit the same outcome —
 //! winning pattern id *and* captures — as the naive linear reference scan
 //! ([`PatternSet::match_message_linear`]), on randomly generated pattern
-//! sets and messages. Coverage deliberately includes ignore-rest patterns,
+//! sets and messages, and a copy-on-write clone never sees a later insert. Coverage deliberately includes ignore-rest patterns,
 //! predicate-guarded email/hostname variables, structural duplicates (exact
 //! specificity ties resolved by insertion order) and messages that match
 //! nothing.
@@ -11,8 +11,8 @@ use sequence_rtg_repro::sequence_core::{
     MatchScratch, Pattern, PatternSet, Scanner, TokenizedMessage,
 };
 use testkit::prop::{self, Config, Strategy};
-use testkit::prop_assert_eq;
 use testkit::rng::Rng;
+use testkit::{prop_assert, prop_assert_eq};
 
 const VOCAB: &[&str] = &[
     "session", "opened", "closed", "for", "from", "port", "worker", "panic", "alpha", "beta",
@@ -32,8 +32,8 @@ impl Strategy for MatcherCase {
     type Value = Case;
 
     fn generate(&self, rng: &mut Rng) -> Case {
-        // Straddles PatternSet's small-set linear cutoff (32), so the
-        // properties pin both dispatch arms.
+        // Straddles 32 patterns, where a small-set linear dispatch used to
+        // take over from the index.
         let n_patterns = rng.gen_range(1..60usize);
         let mut patterns: Vec<(String, String)> = Vec::with_capacity(n_patterns);
         for i in 0..n_patterns {
@@ -157,10 +157,9 @@ fn build_set(case: &Case) -> (PatternSet, Vec<(String, Pattern)>) {
     (set, parsed)
 }
 
-/// The compiled trie index (`match_message_indexed`, forced at every set
-/// size) and the production dispatch (`match_message` /
-/// `match_message_with`) all agree bit-for-bit with the naive linear
-/// reference scan.
+/// The compiled trie index — `match_message`, `match_message_with` with a
+/// reused scratch, and the id-only `match_id_with` — agrees bit-for-bit with
+/// the naive linear reference scan at every set size.
 #[test]
 fn trie_matches_linear_reference() {
     let scanner = Scanner::new();
@@ -170,17 +169,57 @@ fn trie_matches_linear_reference() {
         for m in &case.messages {
             let msg: TokenizedMessage = scanner.scan_parse_only(m);
             let linear = set.match_message_linear(&msg);
-            prop_assert_eq!(
-                &set.match_message_indexed(&msg, &mut scratch),
-                &linear,
-                "trie index on {:?}",
-                m
-            );
             prop_assert_eq!(&set.match_message(&msg), &linear, "message {:?}", m);
             prop_assert_eq!(
                 &set.match_message_with(&msg, &mut scratch),
                 &linear,
-                "dispatch with scratch on {:?}",
+                "reused scratch on {:?}",
+                m
+            );
+            prop_assert_eq!(
+                set.match_id_with(&msg, &mut scratch),
+                linear.as_ref().map(|o| o.pattern_id.as_str()),
+                "id-only match on {:?}",
+                m
+            );
+        }
+        Ok(())
+    });
+}
+
+/// Copy-on-write isolation: a clone taken part-way through a build keeps
+/// returning exactly what a set built from that prefix alone returns, while
+/// the original goes on to match like a set built in one piece.
+#[test]
+fn clone_is_isolated_from_later_inserts() {
+    let scanner = Scanner::new();
+    prop::check(&Config::cases(300), &MatcherCase, |case| {
+        let split = case.patterns.len() / 2;
+        let prefix = Case {
+            patterns: case.patterns[..split].to_vec(),
+            messages: Vec::new(),
+        };
+        let (mut grown, _) = build_set(&prefix);
+        let snapshot = grown.clone();
+        prop_assert!(snapshot.ptr_eq(&grown), "clone copies nothing");
+        for (id, text) in &case.patterns[split..] {
+            grown.insert(id.clone(), Pattern::parse(text).unwrap());
+        }
+        prop_assert!(!snapshot.ptr_eq(&grown), "insert copied first");
+        let (whole, _) = build_set(case);
+        let (half, _) = build_set(&prefix);
+        for m in &case.messages {
+            let msg = scanner.scan_parse_only(m);
+            prop_assert_eq!(
+                &snapshot.match_message(&msg),
+                &half.match_message(&msg),
+                "snapshot on {:?}",
+                m
+            );
+            prop_assert_eq!(
+                &grown.match_message(&msg),
+                &whole.match_message(&msg),
+                "grown handle on {:?}",
                 m
             );
         }
