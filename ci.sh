@@ -242,6 +242,13 @@ cargo test -q --release --offline --test pattern_set_memory
 stage_end
 fi
 
+if stage_begin "ingest-WAL memory (release, counted at the allocator)"; then
+# Same reason: what the WAL holds per acked-but-unreleased record, and that
+# release gives it back, on the optimised layout.
+cargo test -q --release --offline -p seqd --test wal_memory
+stage_end
+fi
+
 if stage_begin "bench smoke (1 sample, JSON to a scratch file)"; then
 # One warm-up + one sample per benchmark: proves the bench binaries run and
 # emit well-formed JSON without touching the recorded results/ trajectories.

@@ -99,24 +99,29 @@ fn write_number(n: f64, out: &mut String) {
     }
 }
 
-/// Write a JSON string literal with all required escaping.
+/// Write a JSON string literal with all required escaping. Every byte
+/// that needs an escape is ASCII, so the runs between them are copied
+/// whole and always split on character boundaries.
 pub fn write_string(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{0008}' => out.push_str("\\b"),
-            '\u{000C}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0x08 => "\\b",
+            0x0C => "\\f",
+            0x00..=0x1F => &format!("\\u{b:04x}"),
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        out.push_str(escape);
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -142,6 +147,40 @@ mod tests {
             r#""a\"b\\c\nd""#
         );
         assert_eq!(to_string(&Value::String("\u{01}".into())), "\"\\u0001\"");
+    }
+
+    /// The escaping rule one character at a time — the reference the
+    /// run-copying `write_string` must agree with byte for byte (the ingest
+    /// WAL's on-disk format is made of its output).
+    fn write_string_by_char(s: &str, out: &mut String) {
+        out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                '\u{0008}' => out.push_str("\\b"),
+                '\u{000C}' => out.push_str("\\f"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+
+    #[test]
+    fn write_string_matches_the_per_character_reference() {
+        use testkit::prop::{self, Config};
+        let chars = "ab 1:/{}\"\\\n\r\t\u{8}\u{c}\u{0}\u{1}\u{1f}\u{7f}\u{e9}\u{20ac}\u{1f980}";
+        prop::check(&Config::cases(512), &prop::string(chars, 0..32), |s| {
+            let (mut fast, mut reference) = (String::new(), String::new());
+            write_string(s, &mut fast);
+            write_string_by_char(s, &mut reference);
+            testkit::prop_assert_eq!(fast, reference);
+            Ok(())
+        });
     }
 
     #[test]

@@ -486,20 +486,30 @@ fn serve_control<R: io::BufRead, W: io::Write>(
                 // Rendered even without a WAL (as zeros) so the exported
                 // name set is configuration-independent — the metrics
                 // contract gate diffs it against a golden file.
-                let depths = shared
+                let pending = shared
                     .wal
                     .as_ref()
-                    .map(|w| w.depths())
-                    .unwrap_or_else(|| vec![0; shared.residues.len()]);
+                    .map(|w| w.pending())
+                    .unwrap_or_else(|| vec![(0, 0); shared.residues.len()]);
                 push_labeled_gauges(
                     &mut body,
                     "seqd_wal_pending",
                     "Unreleased records in each shard's ingest WAL",
                     "shard",
-                    depths
+                    pending
                         .iter()
                         .enumerate()
-                        .map(|(i, &d)| (i.to_string(), d as f64)),
+                        .map(|(i, &(records, _))| (i.to_string(), records as f64)),
+                );
+                push_labeled_gauges(
+                    &mut body,
+                    "seqd_wal_pending_bytes",
+                    "Bytes of unreleased records in each shard's ingest WAL file",
+                    "shard",
+                    pending
+                        .iter()
+                        .enumerate()
+                        .map(|(i, &(_, bytes))| (i.to_string(), bytes as f64)),
                 );
             }
             push_gauge(
@@ -571,7 +581,11 @@ fn stats_json(shared: &Shared) -> String {
         .try_lock()
         .ok()
         .and_then(|mut s| s.pattern_count().ok());
-    let wal_pending: Option<usize> = shared.wal.as_ref().map(|w| w.depths().iter().sum());
+    let wal_pending: Option<(usize, u64)> = shared.wal.as_ref().map(|w| {
+        w.pending()
+            .iter()
+            .fold((0, 0), |(r, b), &(records, bytes)| (r + records, b + bytes))
+    });
     let obj = jsonlite::object::<&str, Value>([
         (
             "uptime_seconds",
@@ -592,7 +606,11 @@ fn stats_json(shared: &Shared) -> String {
         ),
         (
             "wal_pending",
-            wal_pending.map_or(Value::Null, |n| Value::from(n as i64)),
+            wal_pending.map_or(Value::Null, |(n, _)| Value::from(n as i64)),
+        ),
+        (
+            "wal_pending_bytes",
+            wal_pending.map_or(Value::Null, |(_, b)| Value::from(b as i64)),
         ),
         ("pattern_swaps", (s.swaps as i64).into()),
         ("remine_runs", (s.remines as i64).into()),

@@ -11,10 +11,14 @@
 //! 2. accumulates unmatched records as *residue* and per-pattern match
 //!    counts,
 //! 3. when the residue reaches the configured batch size — or one idle
-//!    tick passes with a partial batch in hand, or the drain begins —
-//!    hands a [`MineJob`] to the background [`Miner`] and immediately
-//!    resumes draining — re-mining, publishing, retries and WAL release
-//!    all happen off the ingest hot path (see [`crate::miner`]).
+//!    tick passes with a partial batch in hand, or [`HANDOFF_RECORDS`]
+//!    records have been processed since the last handoff, or the drain
+//!    begins — hands a [`MineJob`] to the background [`Miner`] and
+//!    immediately resumes draining — re-mining, publishing, retries and
+//!    WAL release all happen off the ingest hot path (see
+//!    [`crate::miner`]). The record budget is what keeps a shard that is
+//!    never idle and matches everything from sitting on its match counts,
+//!    and on its WAL, for as long as the stream lasts.
 //!
 //! When the mining queue is full the worker keeps its residue and keeps
 //! draining — counted per record in `mine_overflow`, never dropped — up to
@@ -37,6 +41,12 @@ use std::time::{Duration, Instant, SystemTime};
 /// handing what it has to the miner. Only in force while residue or match
 /// counts are pending — an empty-handed worker parks with no tick at all.
 const IDLE_HANDOFF: Duration = Duration::from_millis(50);
+
+/// How many records a worker processes, at most, before it hands over what
+/// it holds even though it was never idle and its residue is short of a
+/// batch: the bound on what one shard's WAL covers under sustained load
+/// (1 MiB of line lengths; 36 MiB of log at 144-byte lines).
+const HANDOFF_RECORDS: usize = 262_144;
 
 /// Seconds since the Unix epoch — the `now` fed to the pattern store.
 pub fn now_unix() -> u64 {
@@ -175,6 +185,26 @@ pub struct ShardWorker {
     pub scanner: Scanner,
 }
 
+/// What a worker holds between two handoffs to the miner.
+#[derive(Default)]
+struct InHand {
+    /// Unmatched records awaiting re-mining.
+    residue: Vec<LogRecord>,
+    /// Matches per pattern id, recorded in bulk by the miner.
+    match_counts: HashMap<String, u64>,
+    /// Highest WAL sequence this worker has fully taken charge of; a
+    /// handoff releases the log up to here.
+    max_seq: u64,
+    /// Records processed since the last handoff the miner took.
+    records: usize,
+}
+
+impl InHand {
+    fn is_empty(&self) -> bool {
+        self.residue.is_empty() && self.match_counts.is_empty()
+    }
+}
+
 impl ShardWorker {
     /// Run until the queue is closed and drained; hands remaining residue
     /// to the miner in one final blocking submission before returning.
@@ -185,14 +215,10 @@ impl ShardWorker {
         // Reused token buffer: after the first few records the scan itself
         // allocates nothing (tokens are stored inline up to the cap).
         let mut tokens = TokenizedMessage::default();
-        let mut residue: Vec<LogRecord> = Vec::new();
-        let mut match_counts: HashMap<String, u64> = HashMap::new();
+        let mut hand = InHand::default();
         // Per-service histogram handles, cached so the hot loop skips the
         // registry lock that `stages::service_match` takes per call.
         let mut svc_hists: HashMap<String, Arc<obs::Histogram>> = HashMap::new();
-        // Highest WAL sequence this worker has fully taken charge of; a
-        // flush releases the log up to here.
-        let mut max_seq: u64 = 0;
 
         for accepted in std::mem::take(&mut self.replay) {
             Ops::inc(&self.ops.ingested);
@@ -202,11 +228,9 @@ impl ShardWorker {
                 &mut scratch,
                 &mut tokens,
                 &mut svc_hists,
-                &mut residue,
-                &mut match_counts,
-                &mut max_seq,
+                &mut hand,
             );
-            self.maybe_handoff(&mut residue, &mut match_counts, max_seq);
+            self.maybe_handoff(&mut hand);
         }
 
         // Pop in batches: one queue lock per burst instead of per record.
@@ -218,12 +242,12 @@ impl ShardWorker {
         // the next burst.
         let pop_cap = self.batch_size.clamp(1, 512);
         loop {
-            let popped = if residue.is_empty() && match_counts.is_empty() {
+            let popped = if hand.is_empty() {
                 self.queue.pop_batch_blocking(pop_cap)
             } else {
                 match self.queue.pop_batch(pop_cap, IDLE_HANDOFF) {
                     Ok(batch) if batch.is_empty() => {
-                        self.handoff(&mut residue, &mut match_counts, max_seq, false);
+                        self.handoff(&mut hand, false);
                         continue;
                     }
                     other => other,
@@ -237,18 +261,16 @@ impl ShardWorker {
                             &mut scratch,
                             &mut tokens,
                             &mut svc_hists,
-                            &mut residue,
-                            &mut match_counts,
-                            &mut max_seq,
+                            &mut hand,
                         );
-                        self.maybe_handoff(&mut residue, &mut match_counts, max_seq);
+                        self.maybe_handoff(&mut hand);
                     }
                 }
                 Err(()) => {
                     // Closed and drained: hand over whatever is left. The
                     // blocking submit cannot lose it — a closed miner runs
                     // the job right here on this thread.
-                    self.handoff(&mut residue, &mut match_counts, max_seq, true);
+                    self.handoff(&mut hand, true);
                     return;
                 }
             }
@@ -256,19 +278,17 @@ impl ShardWorker {
     }
 
     /// Match one accepted record, growing the residue or the match counts.
-    #[allow(clippy::too_many_arguments)]
     fn process(
         &self,
         accepted: Accepted,
         scratch: &mut MatchScratch,
         tokens: &mut TokenizedMessage,
         svc_hists: &mut HashMap<String, Arc<obs::Histogram>>,
-        residue: &mut Vec<LogRecord>,
-        match_counts: &mut HashMap<String, u64>,
-        max_seq: &mut u64,
+        hand: &mut InHand,
     ) {
         let Accepted { seq, record } = accepted;
-        *max_seq = (*max_seq).max(seq);
+        hand.max_seq = hand.max_seq.max(seq);
+        hand.records += 1;
         let started = Instant::now();
         // Parse-only scan into the worker's reused token buffer: the raw
         // line is only needed again if the record joins the residue (it
@@ -307,72 +327,58 @@ impl ShardWorker {
         match hit {
             Some(id) => {
                 Ops::inc(&self.ops.matched);
-                count_match(match_counts, id);
+                count_match(&mut hand.match_counts, id);
             }
             None => {
                 Ops::inc(&self.ops.unmatched);
-                residue.push(record);
-                self.residue_len.store(residue.len(), Ordering::Relaxed);
+                hand.residue.push(record);
+                self.residue_len
+                    .store(hand.residue.len(), Ordering::Relaxed);
             }
         }
     }
 
-    /// Hand off when the residue has reached the batch size. Below the
-    /// backpressure ceiling a full mining queue just means "keep
-    /// accumulating"; at the ceiling the worker blocks for space.
-    fn maybe_handoff(
-        &self,
-        residue: &mut Vec<LogRecord>,
-        match_counts: &mut HashMap<String, u64>,
-        release_up_to: u64,
-    ) {
-        if residue.len() >= self.batch_size {
-            let block = residue.len() >= self.residue_cap;
-            self.handoff(residue, match_counts, release_up_to, block);
+    /// Called once per processed record: hand off when the residue has
+    /// reached the batch size or the record budget is spent. Below the
+    /// backpressure ceiling (eight times either trigger) a full mining
+    /// queue just means "keep accumulating"; at the ceiling the worker
+    /// blocks for space.
+    fn maybe_handoff(&self, hand: &mut InHand) {
+        if hand.residue.len() >= self.batch_size || hand.records >= HANDOFF_RECORDS {
+            let block =
+                hand.residue.len() >= self.residue_cap || hand.records >= 8 * HANDOFF_RECORDS;
+            self.handoff(hand, block);
         }
     }
 
-    /// Hand the accumulated residue and match counts to the miner as one
-    /// [`MineJob`]. Non-blocking submissions that find the mining queue
-    /// full give everything back untouched (counted in `mine_overflow`);
-    /// blocking ones always succeed — a closed miner runs the job inline.
-    /// The miner records the worker's pause in `seqd_mine_stall_seconds`.
-    fn handoff(
-        &self,
-        residue: &mut Vec<LogRecord>,
-        match_counts: &mut HashMap<String, u64>,
-        release_up_to: u64,
-        block: bool,
-    ) {
-        if residue.is_empty() && match_counts.is_empty() {
+    /// Hand everything in hand to the miner as one [`MineJob`].
+    /// Non-blocking submissions that find the mining queue full take
+    /// everything back untouched (counted in `mine_overflow`); blocking
+    /// ones always succeed — a closed miner runs the job inline. The miner
+    /// records the worker's pause in `seqd_mine_stall_seconds`.
+    fn handoff(&self, hand: &mut InHand, block: bool) {
+        if hand.is_empty() {
             return;
         }
         let job = MineJob {
             shard_id: self.shard_id,
-            batch: std::mem::take(residue),
-            counts: std::mem::take(match_counts),
-            release_up_to,
+            batch: std::mem::take(&mut hand.residue),
+            counts: std::mem::take(&mut hand.match_counts),
+            release_up_to: hand.max_seq,
             enqueued: Instant::now(),
         };
-        let handed = if block {
+        if block {
             self.miner.submit_blocking(job);
-            true
-        } else {
-            match self.miner.try_submit(job) {
-                Ok(()) => true,
-                Err(job) => {
-                    // Queue full: take the records back and keep draining.
-                    // One tick per record accumulated past the batch size.
-                    *residue = job.batch;
-                    *match_counts = job.counts;
-                    Ops::inc(&self.ops.mine_overflow);
-                    false
-                }
-            }
-        };
-        if handed {
-            self.residue_len.store(0, Ordering::Relaxed);
+        } else if let Err(job) = self.miner.try_submit(job) {
+            // Queue full: take the records back and keep draining. One
+            // tick per record accumulated past the trigger.
+            hand.residue = job.batch;
+            hand.match_counts = job.counts;
+            Ops::inc(&self.ops.mine_overflow);
+            return;
         }
+        hand.records = 0;
+        self.residue_len.store(0, Ordering::Relaxed);
     }
 }
 
@@ -586,6 +592,97 @@ mod tests {
         let stored = &store.patterns(Some("sshd")).unwrap()[0];
         assert_eq!(stored.id, pattern_id);
         assert_eq!(stored.count, 3 + 2);
+    }
+
+    /// A shard that is never idle — the producer keeps its queue non-empty
+    /// for more than four record budgets of fully matched traffic — still
+    /// hands its match counts over and has its WAL released: the log never
+    /// covers more than the budget, the queue and what the worker gets
+    /// through while the miner commits one handoff (a second budget, to be
+    /// generous), and the counts are in the store before the stream ends.
+    /// (An idle tick, should the producer ever stall for 50 ms, hands over
+    /// sooner and restarts the count; the bounds hold either way.)
+    #[test]
+    fn busy_shard_hands_off_on_the_record_budget() {
+        const QUEUE: usize = 4_096;
+        const TOTAL: usize = 4 * HANDOFF_RECORDS + 100;
+        let dir = std::env::temp_dir().join(format!("seqd-shard-budget-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (wal, _) = IngestWal::open(&dir, 1, usize::MAX).unwrap();
+        let wal = Arc::new(wal);
+        let engine = Arc::new(MiningEngine::in_memory(RtgConfig::default()));
+        let board = Arc::new(PatternBoard::new());
+        let ops = Arc::new(Ops::new());
+        let mut deps = test_deps(&engine, &board, &ops);
+        deps.wal = Some(Arc::clone(&wal));
+        // A pool, as in the daemon: the release takes the WAL lock, which
+        // the producer holds while it waits for queue space — an inline
+        // miner would stop the very worker that makes the space.
+        let miner = Arc::new(Miner::background(deps, 1, 1_000));
+        // Learn the one pattern every record of the stream matches.
+        let seed: Vec<LogRecord> = ["alice", "bob", "carol"]
+            .iter()
+            .map(|u| record("sshd", &format!("login {u}")))
+            .collect();
+        miner.submit_blocking(MineJob {
+            shard_id: 0,
+            batch: seed,
+            counts: HashMap::new(),
+            release_up_to: 0,
+            enqueued: Instant::now(),
+        });
+        let quiesce = || {
+            while miner.backlog() > 0 {
+                std::thread::yield_now();
+            }
+        };
+        let stored = || {
+            engine
+                .store()
+                .lock()
+                .unwrap()
+                .patterns(Some("sshd"))
+                .unwrap()[0]
+                .count
+        };
+        quiesce();
+        assert_eq!(stored(), 3);
+
+        let queue = Arc::new(BoundedQueue::new(QUEUE));
+        let worker = test_worker(&queue, Arc::clone(&miner), &board, &ops);
+        let worker = std::thread::spawn(move || worker.run());
+        let mut sent = 0;
+        while sent < TOTAL {
+            let batch: Vec<LogRecord> = (sent..TOTAL.min(sent + 512))
+                .map(|i| record("sshd", &format!("login u{i}")))
+                .collect();
+            let n = batch.len();
+            // Blocks while the queue is full: the worker is never starved.
+            let accepted = wal.append_route_batch(0, batch, &queue, Duration::from_secs(60));
+            assert_eq!(accepted, n);
+            sent += n;
+            let pending = wal.depths()[0];
+            assert!(
+                pending <= 2 * HANDOFF_RECORDS + QUEUE,
+                "{pending} records pending in the log after {sent} sent"
+            );
+        }
+        // Everything is sent and the queue was never closed: what the store
+        // holds now got there without a drain, and the worker has less
+        // than one budget left in hand.
+        while (ops.snapshot().matched as usize) < TOTAL {
+            std::thread::yield_now();
+        }
+        quiesce();
+        assert!(stored() > (3 + TOTAL - HANDOFF_RECORDS) as u64);
+        assert!(wal.depths()[0] < HANDOFF_RECORDS);
+        queue.close();
+        worker.join().unwrap();
+        miner.close();
+        miner.join();
+        assert_eq!(stored(), 3 + TOTAL as u64);
+        assert_eq!(wal.depths(), vec![0]);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// A transiently failing store is retried within the bounded budget and

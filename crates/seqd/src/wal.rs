@@ -9,8 +9,9 @@
 //!   connection receipt goes out (the receipt path fsyncs the logs first,
 //!   batched with [`IngestWal::sync`]);
 //! * after a worker flush lands the records in the pattern store, the shard
-//!   log is truncated down to what is still outstanding
-//!   ([`IngestWal::release`], a write-temp-then-rename rewrite);
+//!   log is cut down to what is still outstanding ([`IngestWal::release`]:
+//!   truncate in place when nothing is, else copy the file's tail to a
+//!   temp and rename it over);
 //! * on start, leftover logs are replayed: surviving records are re-routed
 //!   (the shard count may have changed), re-logged, and handed to the
 //!   workers as pre-queue residue, so
@@ -23,6 +24,12 @@
 //! torn *final* line, which replay drops — exactly the semantics of the
 //! receipt (an unreceipted record may be lost; a receipted one may not).
 //!
+//! The file *is* the pending set. In memory a shard holds four bytes per
+//! pending record — the line's length, from which `release` derives the
+//! byte offset its survivors start at — and never the lines themselves,
+//! so what the daemon holds per acked-but-unreleased record does not grow
+//! with the record (`seqd_wal_pending_bytes` reports what the file holds).
+//!
 //! Guarantee grade: **at-least-once**. A crash between the store commit and
 //! the log release replays records that were already mined; re-mining them
 //! bumps pattern match counts but converges to the same pattern *sets*.
@@ -32,7 +39,7 @@ use crate::shard::shard_for;
 use sequence_rtg::LogRecord;
 use std::collections::VecDeque;
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, Write};
+use std::io::{self, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 use std::time::Duration;
@@ -61,42 +68,78 @@ impl Accepted {
 #[derive(Debug)]
 struct ShardWal {
     path: PathBuf,
+    /// Opened read+write, cursor at the end: `release` reads the tail back.
     file: File,
     next_seq: u64,
-    /// Lines (newline-less) still covered by the on-disk log, oldest first.
-    pending: VecDeque<(u64, String)>,
+    /// Byte length (newline included) of every line in the file, oldest
+    /// first; the lines themselves are held nowhere else. They are labelled
+    /// with the `lens.len()` sequences below `next_seq`: exact while appends
+    /// succeed; a failed one (sequences queued, lines not logged) moves the
+    /// older lines' labels up, so they are released late, never early.
+    lens: VecDeque<u32>,
+    /// Sum of `lens`: the file's length and write position.
+    bytes: u64,
+    /// Serialisation buffer, reused across batches.
+    buf: String,
     appends_since_sync: usize,
     dirty: bool,
+    /// Test seam: the next log write stops after this many bytes and fails.
+    #[cfg(test)]
+    tear_next_write: Option<usize>,
 }
 
 impl ShardWal {
-    /// Append a contiguous run of already-sequenced lines with a single
-    /// `write_all` — one syscall per batch.
-    fn append_batch(
-        &mut self,
-        base_seq: u64,
-        lines: Vec<String>,
-        sync_every: usize,
-    ) -> io::Result<()> {
+    /// Serialise `records` into the reused buffer and index their lengths,
+    /// ahead of the queue push that decides how many of them are logged.
+    /// Returns how many lines were pending before them, for `append`.
+    fn stage<'a>(&mut self, records: impl Iterator<Item = &'a LogRecord>) -> usize {
+        let pending = self.lens.len();
+        self.buf.clear();
+        for record in records {
+            let at = self.buf.len();
+            record.write_json_line(&mut self.buf);
+            self.buf.push('\n');
+            let len = u32::try_from(self.buf.len() - at).expect("a WAL line is under 4 GiB");
+            self.lens.push_back(len);
+        }
+        pending
+    }
+
+    /// Write the first `accepted` staged lines — those after the `pending`
+    /// already in the file — with a single `write_all`, one syscall per
+    /// batch, and drop the rest from the index. A failed write may have
+    /// been a partial one: the file is cut back to its last good length and
+    /// none of the batch stays indexed, so lengths and file agree again.
+    fn append(&mut self, pending: usize, accepted: usize, sync_every: usize) -> io::Result<()> {
+        self.lens.truncate(pending + accepted);
+        if accepted == 0 {
+            return Ok(());
+        }
         let started = std::time::Instant::now();
-        let total: usize = lines.iter().map(|l| l.len() + 1).sum();
-        let mut buf = Vec::with_capacity(total);
-        for line in &lines {
-            buf.extend_from_slice(line.as_bytes());
-            buf.push(b'\n');
+        let len: usize = self.lens.range(pending..).map(|&l| l as usize).sum();
+        if let Err(e) = self.write_log(len) {
+            self.lens.truncate(pending);
+            self.file.set_len(self.bytes)?;
+            self.file.seek(SeekFrom::Start(self.bytes))?;
+            return Err(e);
         }
-        self.file.write_all(&buf)?;
         crate::metrics::stages::wal_append().record(started.elapsed());
-        let count = lines.len();
-        for (i, line) in lines.into_iter().enumerate() {
-            self.pending.push_back((base_seq + i as u64, line));
-        }
+        self.bytes += len as u64;
         self.dirty = true;
-        self.appends_since_sync += count;
+        self.appends_since_sync += accepted;
         if self.appends_since_sync >= sync_every {
             self.sync()?;
         }
         Ok(())
+    }
+
+    fn write_log(&mut self, len: usize) -> io::Result<()> {
+        #[cfg(test)]
+        if let Some(torn) = self.tear_next_write.take() {
+            self.file.write_all(&self.buf.as_bytes()[..torn.min(len)])?;
+            return Err(io::Error::other("injected short write"));
+        }
+        self.file.write_all(&self.buf.as_bytes()[..len])
     }
 
     fn sync(&mut self) -> io::Result<()> {
@@ -110,24 +153,53 @@ impl ShardWal {
         Ok(())
     }
 
-    /// Rewrite the log to exactly the pending entries (write temp, fsync,
-    /// rename over). The temp name matches no recovery glob, so a crash
-    /// mid-rewrite is recovered from the untouched original.
-    fn rewrite(&mut self) -> io::Result<()> {
-        let tmp = self.path.with_extension("rewrite");
-        let mut file = File::create(&tmp)?;
-        for (_, line) in &self.pending {
-            file.write_all(line.as_bytes())?;
-            file.write_all(b"\n")?;
+    /// Drop the lines labelled `up_to` and below from the front of the log.
+    /// With no survivors the file is truncated in place — a truncation lost
+    /// to a crash only replays released records, which at-least-once
+    /// allows. Otherwise the file's tail is copied to a temp that is
+    /// fsynced and renamed over it; the temp name matches no recovery glob,
+    /// so a crash mid-rewrite is recovered from the untouched original.
+    fn release(&mut self, up_to: u64) -> io::Result<()> {
+        let before_first = self.next_seq - 1 - self.lens.len() as u64;
+        let released = (up_to.saturating_sub(before_first)).min(self.lens.len() as u64) as usize;
+        if released == 0 {
+            return Ok(());
         }
-        file.sync_data()?;
-        fs::rename(&tmp, &self.path)?;
-        // The renamed handle *is* the live log now; keep appending to it.
-        self.file = file;
+        let offset: u64 = self.lens.range(..released).map(|&l| l as u64).sum();
+        if released == self.lens.len() {
+            self.file.set_len(0)?;
+            self.file.rewind()?;
+        } else {
+            let tmp = self.path.with_extension("rewrite");
+            let mut file = open_log(&tmp)?;
+            self.file.seek(SeekFrom::Start(offset))?;
+            let copied = io::copy(&mut self.file, &mut file);
+            // Appends go to the end of the live log, whichever it is.
+            self.file.seek(SeekFrom::End(0))?;
+            copied?;
+            file.sync_data()?;
+            fs::rename(&tmp, &self.path)?;
+            // The renamed handle *is* the live log now; keep appending to it.
+            self.file = file;
+        }
+        self.lens.drain(..released);
+        // Hold memory for what is pending, not for the largest backlog seen.
+        self.lens.shrink_to(2 * self.lens.len());
+        self.bytes -= offset;
         self.dirty = false;
         self.appends_since_sync = 0;
         Ok(())
     }
+}
+
+/// Create (or empty) a log file, readable so `release` can copy its tail.
+fn open_log(path: &Path) -> io::Result<File> {
+    OpenOptions::new()
+        .create(true)
+        .read(true)
+        .write(true)
+        .truncate(true)
+        .open(path)
 }
 
 /// The per-shard ingest write-ahead log. One instance serves the whole
@@ -201,18 +273,18 @@ impl IngestWal {
         let mut replay: Vec<Vec<Accepted>> = (0..shards).map(|_| Vec::new()).collect();
         for shard in 0..shards {
             let path = dir.join(format!("shard-{shard}.wal"));
-            let file = OpenOptions::new()
-                .create(true)
-                .write(true)
-                .truncate(true)
-                .open(&path)?;
+            let file = open_log(&path)?;
             shard_wals.push(Mutex::new(ShardWal {
                 path,
                 file,
                 next_seq: 1,
-                pending: VecDeque::new(),
+                lens: VecDeque::new(),
+                bytes: 0,
+                buf: String::new(),
                 appends_since_sync: 0,
                 dirty: false,
+                #[cfg(test)]
+                tear_next_write: None,
             }));
         }
         let wal = IngestWal {
@@ -230,10 +302,9 @@ impl IngestWal {
                 continue;
             }
             let mut sw = sw.lock().expect("wal lock");
-            let lines = survivors.iter().map(|a| a.record.to_json_line()).collect();
-            let base = sw.next_seq; // 1, as assigned above
-            sw.append_batch(base, lines, usize::MAX)?;
-            sw.next_seq += survivors.len() as u64;
+            let pending = sw.stage(survivors.iter().map(|a| &a.record));
+            sw.next_seq += survivors.len() as u64; // from 1, as assigned above
+            sw.append(pending, survivors.len(), usize::MAX)?;
             sw.sync()?;
         }
 
@@ -273,7 +344,7 @@ impl IngestWal {
             return 0;
         }
         let mut sw = self.shards[shard].lock().expect("wal lock");
-        let mut lines: Vec<String> = records.iter().map(|r| r.to_json_line()).collect();
+        let pending = sw.stage(records.iter());
         let base = sw.next_seq;
         let batch: Vec<Accepted> = records
             .into_iter()
@@ -285,14 +356,11 @@ impl IngestWal {
             .collect();
         let accepted = queue.push_batch(batch, timeout);
         sw.next_seq += accepted as u64;
-        if accepted > 0 {
-            lines.truncate(accepted);
-            if let Err(e) = sw.append_batch(base, lines, self.sync_every) {
-                // The records are queued and will be processed; only their
-                // durability copy is gone. Degrade loudly rather than reject
-                // records the queue already owns.
-                eprintln!("seqd: wal batch append failed on shard {shard}: {e}");
-            }
+        if let Err(e) = sw.append(pending, accepted, self.sync_every) {
+            // The records are queued and will be processed; only their
+            // durability copy is gone. Degrade loudly rather than reject
+            // records the queue already owns.
+            eprintln!("seqd: wal batch append failed on shard {shard}: {e}");
         }
         accepted
     }
@@ -307,25 +375,28 @@ impl IngestWal {
     }
 
     /// Drop shard `shard`'s log entries with sequence ≤ `up_to` (they are
-    /// now in the pattern store, or accounted as dropped) and rewrite the
-    /// log to the survivors.
+    /// now in the pattern store, or accounted as dropped) and cut the log
+    /// down to the survivors.
     pub fn release(&self, shard: usize, up_to: u64) -> io::Result<()> {
-        let mut sw = self.shards[shard].lock().expect("wal lock");
-        let before = sw.pending.len();
-        while sw.pending.front().is_some_and(|(seq, _)| *seq <= up_to) {
-            sw.pending.pop_front();
-        }
-        if sw.pending.len() == before {
-            return Ok(());
-        }
-        sw.rewrite()
+        self.shards[shard].lock().expect("wal lock").release(up_to)
     }
 
     /// Per-shard count of records still covered by the log.
     pub fn depths(&self) -> Vec<usize> {
+        self.pending()
+            .into_iter()
+            .map(|(records, _)| records)
+            .collect()
+    }
+
+    /// Per-shard `(records, bytes)` still covered by the log.
+    pub fn pending(&self) -> Vec<(usize, u64)> {
         self.shards
             .iter()
-            .map(|sw| sw.lock().expect("wal lock").pending.len())
+            .map(|sw| {
+                let sw = sw.lock().expect("wal lock");
+                (sw.lens.len(), sw.bytes)
+            })
             .collect()
     }
 }
@@ -449,6 +520,148 @@ mod tests {
             );
         }
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A log write that fails part-way must leave neither bytes in the file
+    /// nor lengths in the index: offsets derived from the lengths would
+    /// otherwise cut every later release in the wrong place.
+    #[test]
+    fn failed_append_is_rolled_back_out_of_file_and_index() {
+        let dir = scratch_dir("short-write");
+        let (wal, _) = IngestWal::open(&dir, 1, 1).unwrap();
+        let queue = Arc::new(BoundedQueue::new(16));
+        append_one(&wal, 0, record("svc", "before 0"), &queue);
+        append_one(&wal, 0, record("svc", "before 1"), &queue);
+        let good = fs::read(dir.join("shard-0.wal")).unwrap();
+
+        // The queue takes both records (sequences 3 and 4); the log write
+        // stops seven bytes in.
+        wal.shards[0].lock().unwrap().tear_next_write = Some(7);
+        let lost = vec![record("svc", "lost 0"), record("svc", "lost 1")];
+        assert_eq!(
+            wal.append_route_batch(0, lost, &queue, Duration::ZERO),
+            2,
+            "the queue owns the records; only their durability copy is gone"
+        );
+        assert_eq!(wal.depths(), vec![2]);
+        assert_eq!(wal.pending()[0].1, good.len() as u64);
+        assert_eq!(fs::read(dir.join("shard-0.wal")).unwrap(), good);
+
+        append_one(&wal, 0, record("svc", "after"), &queue); // sequence 5
+                                                             // Releasing the first record's own sequence is late by the two lost
+                                                             // ones — never early.
+        wal.release(0, 1).unwrap();
+        assert_eq!(wal.depths(), vec![3]);
+        wal.release(0, 3).unwrap();
+        assert_eq!(wal.depths(), vec![2]);
+        wal.sync().unwrap();
+        drop(wal);
+        let (_, replay) = IngestWal::open(&dir, 1, 1).unwrap();
+        let messages: Vec<&str> = replay[0]
+            .iter()
+            .map(|a| a.record.message.as_str())
+            .collect();
+        assert_eq!(messages, vec!["before 1", "after"]);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Random interleavings of batch appends (with queue-rejected suffixes
+    /// and short writes), releases at arbitrary sequences, syncs and
+    /// drop-and-reopen, against a `VecDeque` of labelled lines: counts,
+    /// bytes, the file's exact content and every replay must agree.
+    #[test]
+    fn log_file_tracks_a_queue_model_through_random_operations() {
+        use testkit::prop::{self, Config};
+        use testkit::{prop_assert, prop_assert_eq};
+
+        const QUEUE: usize = 5;
+        let ops = prop::vec((prop::range(0u8..10), prop::range(0u64..1 << 20)), 1..48);
+        prop::check(&Config::cases(96), &ops, |ops| {
+            let dir = scratch_dir("model");
+            let log = dir.join("shard-0.wal");
+            let (mut wal, _) = IngestWal::open(&dir, 1, 3).unwrap();
+            let mut queue = BoundedQueue::new(QUEUE);
+            // (release label, record) of every line the log should hold.
+            let mut model: VecDeque<(u64, LogRecord)> = VecDeque::new();
+            let mut next_seq = 1u64;
+            for (step, &(op, arg)) in ops.iter().enumerate() {
+                match op {
+                    // Append 1–6 records to a queue with 1–5 free slots; one
+                    // time in five the log write is torn.
+                    0..=4 => {
+                        let _ = queue.pop_batch((arg >> 4) as usize % QUEUE + 1, Duration::ZERO);
+                        let space = QUEUE - queue.depth();
+                        let records: Vec<LogRecord> = (0..arg % 6 + 1)
+                            .map(|i| {
+                                let tail = "\u{e9}\n\"".repeat((arg >> 8) as usize % 4);
+                                record("svc", &format!("step {step} record {i} {tail}"))
+                            })
+                            .collect();
+                        let torn = op == 4;
+                        if torn {
+                            wal.shards[0].lock().unwrap().tear_next_write =
+                                Some((arg >> 12) as usize % 64);
+                        }
+                        let accepted =
+                            wal.append_route_batch(0, records.clone(), &queue, Duration::ZERO);
+                        prop_assert_eq!(accepted, space.min(records.len()));
+                        if torn && accepted > 0 {
+                            // Nothing logged: older lines are released late.
+                            model
+                                .iter_mut()
+                                .for_each(|(label, _)| *label += accepted as u64);
+                        } else {
+                            wal.shards[0].lock().unwrap().tear_next_write = None;
+                            for (i, r) in records.into_iter().take(accepted).enumerate() {
+                                model.push_back((next_seq + i as u64, r));
+                            }
+                        }
+                        next_seq += accepted as u64;
+                    }
+                    5..=7 => {
+                        // Anywhere from nothing to past the end; or everything.
+                        let up_to = if op == 7 {
+                            u64::MAX
+                        } else {
+                            arg % (next_seq + 2)
+                        };
+                        wal.release(0, up_to).unwrap();
+                        while model.front().is_some_and(|(label, _)| *label <= up_to) {
+                            model.pop_front();
+                        }
+                    }
+                    8 => wal.sync().unwrap(),
+                    _ => {
+                        // Crash and recover, past a stray rewrite temp.
+                        drop(wal);
+                        fs::write(dir.join("shard-0.rewrite"), "half a rewrite").unwrap();
+                        let (reopened, replay) = IngestWal::open(&dir, 1, 3).unwrap();
+                        prop_assert!(!dir.join("shard-0.rewrite").exists());
+                        let expected: Vec<Accepted> = model
+                            .iter()
+                            .zip(1u64..)
+                            .map(|((_, r), seq)| Accepted {
+                                seq,
+                                record: r.clone(),
+                            })
+                            .collect();
+                        prop_assert_eq!(&replay[0], &expected);
+                        wal = reopened;
+                        queue = BoundedQueue::new(QUEUE);
+                        next_seq = model.len() as u64 + 1;
+                        for ((label, _), seq) in model.iter_mut().zip(1u64..) {
+                            *label = seq;
+                        }
+                    }
+                }
+                let expected: String = model.iter().map(|(_, r)| r.to_json_line() + "\n").collect();
+                prop_assert_eq!(wal.depths(), vec![model.len()]);
+                prop_assert_eq!(wal.pending(), vec![(model.len(), expected.len() as u64)]);
+                prop_assert_eq!(fs::read_to_string(&log).unwrap(), expected);
+            }
+            fs::remove_dir_all(&dir).unwrap();
+            Ok(())
+        });
     }
 
     #[test]
