@@ -141,17 +141,6 @@ gate_ratio_table() {
   rm -f "${smoke_json}.base" "${smoke_json}.cur"
 }
 
-# gate_floor VALUE FLOOR FMT FAIL_MSG
-# Absolute floor on one recorded value; FMT is the awk printf format of the
-# one-line verdict (applied to VALUE).
-gate_floor() {
-  local value=$1 floor=$2 fmt=$3 fail_msg=$4
-  awk -v v="${value}" -v floor="${floor}" -v fmt="${fmt}" -v msg="${fail_msg}" 'BEGIN {
-    printf "    " fmt "\n", v
-    if (v < floor) { printf "    %s\n", msg > "/dev/stderr"; exit 1 }
-  }'
-}
-
 # gate_ceiling VALUE CEILING FMT FAIL_MSG [DISPLAY_SCALE]
 # Absolute ceiling on one recorded value; the verdict line shows
 # VALUE * DISPLAY_SCALE (e.g. ns scaled to ms), the comparison is raw.
@@ -262,7 +251,6 @@ TESTKIT_BENCH_SAMPLES=1 TESTKIT_BENCH_JSON="${smoke_json}" \
   cargo bench -q --offline -p bench --bench seqd_throughput >/dev/null
 grep -q '"id":"seqd/ingest_tcp"' "${smoke_json}"
 grep -q '"id":"seqd/ingest_tcp_remine"' "${smoke_json}"
-grep -q '"id":"seqd/ingest_tcp_evolve"' "${smoke_json}"
 grep -q '"id":"seqd/ingest_line_latency"' "${smoke_json}"
 grep -q '"id":"seqd/mine_stall"' "${smoke_json}"
 echo "    bench smoke OK"
@@ -287,23 +275,6 @@ if stage_begin "seqd throughput regression gate (recorded wire-path elem/s vs ba
 gate_ratio_table results/BENCH_seqd.baseline.json results/BENCH_seqd.json \
   0.6 "REGRESSION: >40% drop vs baseline"
 echo "    seqd throughput gate OK"
-stage_end
-fi
-
-if stage_begin "evolve throughput gate (recorded online-evolution wire rate, absolute floor)"; then
-# The online-evolution counterpart of the churn bench measures the same
-# wire window with `--evolve online`. Unlike the ratio gates, this one is
-# an absolute floor: the recorded receipt rate must stay at or above 1.0M
-# lines/s, the bar that holds "online evolution stays off the ingest hot
-# path" as a number rather than a sentence.
-evolve_rate=$(bench_rates results/BENCH_seqd.json \
-  | awk '$1 == "seqd/ingest_tcp_evolve" { print $2 }')
-[[ -n "${evolve_rate}" ]] \
-  || { echo "ingest_tcp_evolve record missing from results/BENCH_seqd.json" >&2; exit 1; }
-gate_floor "${evolve_rate}" 1000000 \
-  "ingest_tcp_evolve %.0f elem/s (floor 1000000)" \
-  "REGRESSION: online-evolution ingest below 1.0M lines/s"
-echo "    evolve throughput gate OK"
 stage_end
 fi
 
@@ -436,56 +407,6 @@ seqd_http "${port}" POST /shutdown
 wait "${seqd_pid}"
 seqd_pid=""
 echo "    metrics contract OK"
-stage_end
-fi
-
-if stage_begin "evolve-vs-batch equivalence smoke (online evolution matches known traffic)"; then
-# Each mode learns the same fixed-seed corpus (wave 1), waits for its mining
-# to land and publish, then replays the corpus (wave 2) and drains. Online
-# evolution need not produce byte-identical patterns to the batch analyser,
-# but it must group the same traffic: its wave-2 matched count is held to
-# >= 95% of the batch path's.
-evolve_matched() {
-  local mode=$1 dir=$2 log=$3 port stats runs backlog
-  ./target/release/seqd --addr 127.0.0.1:0 --shards 2 --batch-size 500 \
-    --evolve "${mode}" --store "${dir}" 2> "${log}" &
-  seqd_pid=$!
-  port=$(wait_seqd_port "${log}")
-  ./target/release/seqd-loadgen --addr "127.0.0.1:${port}" --records 2000 --seed 9 \
-    > /dev/null
-  for _ in $(seq 1 300); do
-    stats=$(seqd_http_body "${port}" /stats)
-    runs=$(sed -n 's/.*"remine_runs":\([0-9]*\).*/\1/p' <<<"${stats}")
-    backlog=$(sed -n 's/.*"mine_backlog":\([0-9]*\).*/\1/p' <<<"${stats}")
-    [[ "${runs:-0}" -ge 1 && "${backlog:-1}" -eq 0 ]] && break
-    sleep 0.1
-  done
-  [[ "${runs:-0}" -ge 1 ]] || { echo "${mode}: wave 1 never mined" >&2; return 1; }
-  # Online mode must actually be evolving, not quietly falling back to
-  # batch re-mining (and vice versa).
-  local evolved
-  evolved=$(sed -n 's/.*"evolve_runs":\([0-9]*\).*/\1/p' <<<"${stats}")
-  if [[ "${mode}" == online ]]; then
-    [[ "${evolved:-0}" -ge 1 ]] || { echo "online mode never ran the evolver" >&2; return 1; }
-  else
-    [[ "${evolved:-0}" -eq 0 ]] || { echo "batch mode ran the evolver" >&2; return 1; }
-  fi
-  ./target/release/seqd-loadgen --addr "127.0.0.1:${port}" --records 2000 --seed 9 \
-    --shutdown > /dev/null
-  wait "${seqd_pid}"
-  seqd_pid=""
-  sed -n 's/.*drained — ingested 4000 matched \([0-9]*\) .*/\1/p' "${log}"
-}
-batch_matched=$(evolve_matched batch "${seqd_store}/ev-batch" "${seqd_log}.ev-batch")
-online_matched=$(evolve_matched online "${seqd_store}/ev-online" "${seqd_log}.ev-online")
-[[ -n "${batch_matched}" && -n "${online_matched}" ]] \
-  || { echo "drained matched counts missing (batch='${batch_matched}' online='${online_matched}')" >&2; exit 1; }
-echo "    wave-2 matched: batch ${batch_matched}, online ${online_matched}"
-[[ "${batch_matched}" -ge 1000 ]] \
-  || { echo "batch reference matched too little of its own corpus" >&2; exit 1; }
-[[ $(( online_matched * 100 )) -ge $(( batch_matched * 95 )) ]] \
-  || { echo "online evolution matched <95% of the batch reference" >&2; exit 1; }
-echo "    evolve equivalence smoke OK"
 stage_end
 fi
 

@@ -260,83 +260,7 @@ fn bench_socket_ingest_remine(c: &mut Criterion) {
     handle.join().expect("drain");
 }
 
-// --- ingest under online evolution ------------------------------------------
-
-/// Evolve runs completed so far, via `/stats`.
-fn evolve_runs(addr: SocketAddr) -> i64 {
-    let stats = loadgen::control_get(addr, "/stats").expect("/stats");
-    let v = jsonlite::parse(&stats).expect("stats json");
-    v.get("evolve_runs").and_then(|x| x.as_i64()).unwrap_or(0)
-}
-
-/// The churn workload again, but with `--evolve online`: the novel residue
-/// feeds the live evolving trie instead of batch re-analysis. The wire
-/// window measured is identical to `ingest_tcp_remine`, so the two records
-/// are directly comparable — `ci.sh` gates this one's rate at ≥ 1.0M
-/// lines/s to hold the claim that online evolution stays off the ingest
-/// hot path.
-fn bench_socket_ingest_evolve(c: &mut Criterion) {
-    let mut miner = SequenceRtg::in_memory(RtgConfig {
-        save_threshold: 0,
-        ..RtgConfig::default()
-    });
-    let seed_corpus: Vec<LogRecord> = corpus(31).into_iter().take(CHURN_WAVE).collect();
-    miner.analyze_by_service(&seed_corpus, 0).expect("pre-mine");
-    let store = std::mem::replace(miner.store_mut(), PatternStore::in_memory());
-
-    let config = SeqdConfig {
-        shards: 1,
-        batch_size: 500,
-        queue_capacity: 2 * CHURN_WAVE,
-        miners: 1,
-        evolve: seqd::miner::EvolveMode::Online,
-        ..SeqdConfig::default()
-    };
-    let handle = start(store, config, "127.0.0.1:0").expect("start daemon");
-    let addr = handle.addr();
-
-    let payloads: Vec<Vec<u8>> = (0..CHURN_VARIANTS)
-        .map(|v| churn_payload(100 + v))
-        .collect();
-    let mut next_variant = 0usize;
-
-    let mut group = c.benchmark_group("seqd");
-    group.throughput(Throughput::Elements(CHURN_WAVE as u64));
-    group.bench_function("ingest_tcp_evolve", |b| {
-        b.iter_custom(|n| {
-            let mut timed = Duration::ZERO;
-            for _ in 0..n {
-                let payload = &payloads[next_variant % CHURN_VARIANTS];
-                next_variant += 1;
-                let before = processed(addr);
-                let started = Instant::now();
-                let receipt = loadgen::replay_blob(addr, payload).expect("replay");
-                timed += started.elapsed();
-                assert_eq!(receipt.accepted, CHURN_WAVE as u64, "receipt: {receipt:?}");
-                while processed(addr) < before + CHURN_WAVE as u64 {
-                    std::thread::sleep(Duration::from_micros(200));
-                }
-                wait_mine_quiescent(addr);
-            }
-            timed
-        })
-    });
-    group.finish();
-
-    // The bench is only honest if the evolver actually ran during it.
-    let runs = evolve_runs(addr);
-    assert!(runs >= 2, "churn waves must force evolve runs, saw {runs}");
-
-    handle.initiate_shutdown();
-    handle.join().expect("drain");
-}
-
-criterion_group!(
-    benches,
-    bench_socket_ingest,
-    bench_socket_ingest_remine,
-    bench_socket_ingest_evolve
-);
+criterion_group!(benches, bench_socket_ingest, bench_socket_ingest_remine);
 
 /// The per-line ingest latency record, from the daemon's own
 /// `seqd_ingest_line_seconds` histogram (the daemon ran in-process, so the

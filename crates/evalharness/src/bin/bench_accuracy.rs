@@ -1,4 +1,4 @@
-//! `bench-accuracy` — score Sequence-RTG (batch + online) and the four
+//! `bench-accuracy` — score Sequence-RTG and the four
 //! baselines on scaled-down fixed-seed LogHub-2.0 corpora, one JSON line
 //! per (family, tool) cell.
 //!

@@ -1,6 +1,5 @@
 //! The LogHub-2.0 accuracy harness: per-family scoring of Sequence-RTG
-//! (batch analyser and the online `PatternEvolver` path) against the four
-//! in-tree baselines, over the statistically faithful
+//! against the four in-tree baselines, over the statistically faithful
 //! [`loghub_synth::loghub2`] corpora.
 //!
 //! Where [`crate::runner`] reproduces the paper's own Tables II/III on the
@@ -17,22 +16,20 @@ use crate::accuracy::{group_accuracy, mapping_accuracy, template_prf, TemplateSc
 use crate::runner::{truth_labels, variant_lines, Variant};
 use loghub_synth::loghub2;
 use loghub_synth::Dataset;
-use sequence_core::{evolve_corpus, EvolveOptions, MatchScratch, Scanner};
 use sequence_rtg::RtgConfig;
 use std::collections::HashSet;
 use std::time::Instant;
 
-/// Tool order of a family's result rows: Sequence-RTG batch, Sequence-RTG
-/// online, then the baselines in [`baselines::all_parsers`] order.
-pub const TOOL_COUNT: usize = 6;
+/// Tool order of a family's result rows: Sequence-RTG, then the baselines
+/// in [`baselines::all_parsers`] order.
+pub const TOOL_COUNT: usize = 5;
 
 /// One scored (family, tool) cell.
 #[derive(Debug, Clone)]
 pub struct FamilyAccuracy {
     /// LogHub-2.0 family name.
     pub family: &'static str,
-    /// Tool under test (`sequence-rtg`, `sequence-rtg-online`, `ael`,
-    /// `iplom`, `spell`, `drain`).
+    /// Tool under test (`sequence-rtg`, `ael`, `iplom`, `spell`, `drain`).
     pub tool: &'static str,
     /// Scored corpus size in lines.
     pub lines: usize,
@@ -77,43 +74,7 @@ fn score(
     }
 }
 
-/// Assign every line by matching it against a final pattern set (the
-/// paper's parse step, shared by the batch and online Sequence-RTG paths).
-fn assign_with_set(
-    scanner: &Scanner,
-    set: &sequence_core::PatternSet,
-    lines: &[String],
-) -> Vec<String> {
-    let mut scratch = MatchScratch::default();
-    lines
-        .iter()
-        .enumerate()
-        .map(|(i, m)| {
-            let msg = scanner.scan_parse_only(m);
-            match set.match_message_with(&msg, &mut scratch) {
-                Some(outcome) => outcome.pattern_id,
-                None => format!("unmatched-{i}"),
-            }
-        })
-        .collect()
-}
-
-/// Sequence-RTG online assignments: stream the corpus through the
-/// score-oriented [`sequence_core::evolve_corpus`] entry point (a fresh
-/// `PatternEvolver`, no store in the loop) and assign every line against
-/// the final published set.
-pub fn rtg_online_assignments(dataset: &Dataset, config: RtgConfig) -> Vec<String> {
-    let lines = variant_lines(dataset, Variant::Preprocessed);
-    let scanner = Scanner::with_options(config.scanner);
-    let opts = EvolveOptions {
-        analyzer: config.analyzer,
-        ..EvolveOptions::default()
-    };
-    let (set, _stats) = evolve_corpus(opts, &scanner, lines.iter().map(|s| s.as_str()));
-    assign_with_set(&scanner, &set, &lines)
-}
-
-/// Score all six tools on one LogHub-2.0 family: a scaled-down fixed-seed
+/// Score all five tools on one LogHub-2.0 family: a scaled-down fixed-seed
 /// corpus of `lines` lines, pre-processed variant for every tool.
 pub fn score_family(family: &str, lines_n: usize, seed: u64) -> Vec<FamilyAccuracy> {
     let dataset = loghub2::dataset(family, lines_n, seed);
@@ -129,16 +90,6 @@ pub fn score_family(family: &str, lines_n: usize, seed: u64) -> Vec<FamilyAccura
         "sequence-rtg",
         &dataset,
         &batch,
-        t0.elapsed().as_secs_f64() * 1e3,
-    ));
-
-    let t0 = Instant::now();
-    let online = rtg_online_assignments(&dataset, config);
-    rows.push(score(
-        family,
-        "sequence-rtg-online",
-        &dataset,
-        &online,
         t0.elapsed().as_secs_f64() * 1e3,
     ));
 
@@ -219,8 +170,8 @@ mod tests {
         // Small corpus: these run under `cargo test` in debug mode.
         let rows = score_family("Apache", 400, 1);
         assert_eq!(rows.len(), TOOL_COUNT);
-        assert_eq!(rows[0].tool, "sequence-rtg");
-        assert_eq!(rows[1].tool, "sequence-rtg-online");
+        let tools: Vec<&str> = rows.iter().map(|r| r.tool).collect();
+        assert_eq!(tools, ["sequence-rtg", "ael", "iplom", "spell", "drain"]);
         for r in &rows {
             assert!(
                 r.grouping_accuracy.is_finite() && (0.0..=1.0).contains(&r.grouping_accuracy),
@@ -238,20 +189,6 @@ mod tests {
             "batch: {}",
             rows[0].grouping_accuracy
         );
-        assert!(
-            rows[1].grouping_accuracy > 0.5,
-            "online: {}",
-            rows[1].grouping_accuracy
-        );
-    }
-
-    #[test]
-    fn online_path_groups_proxifier() {
-        let d = loghub2::dataset("Proxifier", 300, 2);
-        let a = rtg_online_assignments(&d, RtgConfig::default());
-        assert_eq!(a.len(), 300);
-        let ga = group_accuracy(&a, &truth_labels(&d));
-        assert!(ga > 0.3, "online Proxifier grouping accuracy {ga}");
     }
 
     #[test]

@@ -4,17 +4,18 @@
 //! seqd [--addr HOST:PORT] [--store PATH] [--shards N] [--batch-size N]
 //!      [--queue-capacity N] [--io-timeout-ms N] [--max-line-len N]
 //!      [--wal-dir PATH] [--wal-sync-every N] [--no-wal]
-//!      [--pollers N] [--miners N] [--evolve online|batch]
+//!      [--pollers N] [--miners N] [--evolve batch]
 //!      [--wire event-loop]
 //! ```
 //!
 //! `--miners N` sizes the background mining pool (default: a quarter of the
 //! cores; at least 1).
 //!
-//! `--wire event-loop` is a no-op: the event loop is the only wire path.
-//! The flag is still parsed because the frozen benchmark harness passes it
-//! (`SEQD_FLAGS` in `benchmark/src/daemon.rs`), and goes when a `benchmark`
-//! issue drops it there. Any other value exits 2.
+//! `--wire event-loop` and `--evolve batch` are no-ops: the event loop is
+//! the only wire path and batch re-mining the only mining path. The flags
+//! are still parsed because the frozen benchmark harness passes them
+//! (`SEQD_FLAGS` in `benchmark/src/daemon.rs`), and go when a `benchmark`
+//! issue drops them there. Any other value exits 2.
 //!
 //! With `--store` the pattern database is loaded from (and checkpointed back
 //! to) the given path, and the ingest WAL defaults to `<store>/ingest-wal`
@@ -25,7 +26,6 @@
 //! exits after a `POST /shutdown` completes the drain.
 
 use patterndb::PatternStore;
-use seqd::miner::EvolveMode;
 use seqd::server::{start, SeqdConfig};
 use std::process::ExitCode;
 use std::time::Duration;
@@ -76,10 +76,12 @@ fn main() -> ExitCode {
             }
             "--pollers" => config.pollers = parse(&value("--pollers"), "--pollers"),
             "--evolve" => {
-                config.evolve = match value("--evolve").as_str() {
-                    "online" => EvolveMode::Online,
-                    "batch" => EvolveMode::Batch,
-                    other => fail(&format!("--evolve expects online or batch, got {other:?}")),
+                let evolve = value("--evolve");
+                if evolve != "batch" {
+                    fail(&format!(
+                        "--evolve {evolve}: the online evolver was removed; \
+                         batch is the only mining path (the flag is a no-op)"
+                    ));
                 }
             }
             "--miners" => {
@@ -93,10 +95,11 @@ fn main() -> ExitCode {
                     "usage: seqd [--addr HOST:PORT] [--store PATH] [--shards N] \
                      [--batch-size N] [--queue-capacity N] [--io-timeout-ms N] \
                      [--max-line-len N] [--wal-dir PATH] [--wal-sync-every N] [--no-wal] \
-                     [--pollers N] [--miners N] [--evolve online|batch] \
+                     [--pollers N] [--miners N] [--evolve batch] \
                      [--wire event-loop]\n\
-                     --wire event-loop is a no-op kept for the benchmark harness: \
-                     the event loop is the only wire path"
+                     --wire event-loop and --evolve batch are no-ops kept for the \
+                     benchmark harness: the event loop is the only wire path and \
+                     batch re-mining the only mining path"
                 );
                 return ExitCode::SUCCESS;
             }
@@ -127,7 +130,6 @@ fn main() -> ExitCode {
     let shards = config.shards;
     let batch_size = config.batch_size;
     let miners = config.miners;
-    let evolve = config.evolve;
     let wal_desc = config
         .wal_dir
         .as_ref()
@@ -138,15 +140,11 @@ fn main() -> ExitCode {
         Err(e) => fail(&format!("cannot start daemon on {addr}: {e}")),
     };
     eprintln!(
-        "seqd: listening on {} ({} shards, batch {}, {} miners, {} mining, store {}, wal {})",
+        "seqd: listening on {} ({} shards, batch {}, {} miners, store {}, wal {})",
         handle.addr(),
         shards,
         batch_size,
         miners,
-        match evolve {
-            EvolveMode::Online => "online-evolve",
-            EvolveMode::Batch => "batch",
-        },
         store_path.as_deref().unwrap_or("in-memory"),
         wal_desc,
     );

@@ -281,14 +281,6 @@ pub struct Ops {
     pub remine_ns_total: AtomicU64,
     /// Nanoseconds spent in the most recent re-mine.
     pub remine_ns_last: AtomicU64,
-    /// Online-evolution mining runs (`--evolve online` jobs with residue).
-    pub evolve_runs: AtomicU64,
-    /// Patterns published (new or reshaped) by online evolution.
-    pub evolve_added: AtomicU64,
-    /// Patterns retracted from the published sets by online evolution.
-    pub evolve_removed: AtomicU64,
-    /// Evolving-trie leaves evicted to hold the per-service node cap.
-    pub evolve_evicted: AtomicU64,
 }
 
 impl Ops {
@@ -332,10 +324,6 @@ impl Ops {
             remines: self.remines.load(Relaxed),
             remine_ns_total: self.remine_ns_total.load(Relaxed),
             remine_ns_last: self.remine_ns_last.load(Relaxed),
-            evolve_runs: self.evolve_runs.load(Relaxed),
-            evolve_added: self.evolve_added.load(Relaxed),
-            evolve_removed: self.evolve_removed.load(Relaxed),
-            evolve_evicted: self.evolve_evicted.load(Relaxed),
         }
     }
 }
@@ -371,14 +359,6 @@ pub struct OpsSnapshot {
     pub remine_ns_total: u64,
     /// See [`Ops::remine_ns_last`].
     pub remine_ns_last: u64,
-    /// See [`Ops::evolve_runs`].
-    pub evolve_runs: u64,
-    /// See [`Ops::evolve_added`].
-    pub evolve_added: u64,
-    /// See [`Ops::evolve_removed`].
-    pub evolve_removed: u64,
-    /// See [`Ops::evolve_evicted`].
-    pub evolve_evicted: u64,
 }
 
 impl OpsSnapshot {
@@ -474,26 +454,6 @@ impl OpsSnapshot {
                 self.remines,
             ),
             (
-                "seqd_evolve_runs_total",
-                "Online-evolution mining runs",
-                self.evolve_runs,
-            ),
-            (
-                "seqd_evolve_added_total",
-                "Patterns published by online evolution",
-                self.evolve_added,
-            ),
-            (
-                "seqd_evolve_removed_total",
-                "Patterns retracted by online evolution",
-                self.evolve_removed,
-            ),
-            (
-                "seqd_evolve_evicted_total",
-                "Evolving-trie leaves evicted by the per-service node cap",
-                self.evolve_evicted,
-            ),
-            (
                 "seqd_counter_drift_total",
                 "Fate counters running ahead of ingested (over-accounting; alert on nonzero)",
                 self.counter_drift(),
@@ -587,10 +547,6 @@ mod tests {
             "seqd_mine_coalesced_total 0",
             "seqd_mine_overflow_total 0",
             "seqd_remine_runs_total 1",
-            "seqd_evolve_runs_total 0",
-            "seqd_evolve_added_total 0",
-            "seqd_evolve_removed_total 0",
-            "seqd_evolve_evicted_total 0",
             "seqd_counter_drift_total 0",
             "seqd_remine_seconds_total 0.005",
             "seqd_remine_seconds_last 0.005",

@@ -1,9 +1,7 @@
 //! The background mining pipeline: re-mining off the ingest hot path.
 //!
-//! Shard workers used to run the whole flush — bulk match stats, re-mine,
-//! publish, WAL release — inline, pausing ingest for the duration and
-//! serializing every shard on one engine-wide lock. This module moves that
-//! work to a small pool of mining threads fed by a bounded job queue:
+//! A flush — bulk match stats, re-mine, publish, WAL release — runs on a
+//! small pool of mining threads fed by a bounded job queue:
 //!
 //! * A worker hands off `(residue batch, match counts, WAL high-water mark)`
 //!   as a [`MineJob`] and immediately resumes draining its queue, matching
@@ -35,29 +33,15 @@ use crate::shard::now_unix;
 use crate::swap::PatternBoard;
 use crate::wal::IngestWal;
 use patterndb::{PatternStore, StoreError};
-use sequence_core::{Analyzer, EvolveOptions, MatchScratch, PatternSet, Scanner};
+use sequence_core::{Analyzer, MatchScratch, PatternSet, Scanner};
 use sequence_rtg::{
-    commit_evolution, commit_service, evolve_plan, plan_service, CommitOutcome, EvolveCommit,
-    EvolvePlan, LogRecord, RtgConfig, ServiceEvolver, ServicePlan,
+    commit_service, plan_service, CommitOutcome, LogRecord, RtgConfig, ServicePlan,
 };
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// How a mining job turns residue into patterns.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EvolveMode {
-    /// Re-analyse each residue batch from scratch with the batch trie
-    /// (`analyze_by_service` semantics) — the equivalence baseline.
-    #[default]
-    Batch,
-    /// Feed residue lines one at a time into a live per-service evolving
-    /// trie that induces, splits and merges patterns incrementally and
-    /// emits deltas instead of whole re-mines (see `DESIGN.md` §12).
-    Online,
-}
 
 /// A drain signal that interrupts mining-retry backoff sleeps: once the
 /// daemon starts draining, a commit-retry ladder must not hold `POST
@@ -122,13 +106,8 @@ pub struct MiningEngine {
     config: RtgConfig,
     scanner: Scanner,
     analyzer: Analyzer,
-    evolve: EvolveMode,
     store: Mutex<PatternStore>,
     sets: Mutex<HashMap<String, Arc<Mutex<PatternSet>>>>,
-    /// Per-service live evolution state ([`EvolveMode::Online`] only).
-    /// Services are shard-affine, and per-shard jobs are serialized, so at
-    /// most one job ever holds a given evolver's lock.
-    evolvers: Mutex<HashMap<String, Arc<Mutex<ServiceEvolver>>>>,
 }
 
 impl MiningEngine {
@@ -149,24 +128,11 @@ impl MiningEngine {
                 config,
                 scanner: Scanner::with_options(config.scanner),
                 analyzer: Analyzer::with_options(config.analyzer),
-                evolve: EvolveMode::Batch,
                 store: Mutex::new(store),
                 sets: Mutex::new(sets),
-                evolvers: Mutex::new(HashMap::new()),
             },
             seed,
         ))
-    }
-
-    /// Select how mining jobs are executed (default [`EvolveMode::Batch`]).
-    pub fn with_evolve(mut self, mode: EvolveMode) -> MiningEngine {
-        self.evolve = mode;
-        self
-    }
-
-    /// The active evolution mode.
-    pub fn evolve_mode(&self) -> EvolveMode {
-        self.evolve
     }
 
     /// An engine over a fresh in-memory store (tests).
@@ -197,30 +163,6 @@ impl MiningEngine {
             None => {
                 let cell = Arc::new(Mutex::new(PatternSet::new()));
                 sets.insert(service.to_string(), Arc::clone(&cell));
-                cell
-            }
-        }
-    }
-
-    /// The lock cell for one service's live evolver, created (seeded from
-    /// the service's current compiled set, so persisted patterns keep their
-    /// store ids across a restart) on first use.
-    fn service_evolver(&self, service: &str) -> Arc<Mutex<ServiceEvolver>> {
-        let mut evolvers = self.evolvers.lock().expect("evolvers lock");
-        match evolvers.get(service) {
-            Some(cell) => Arc::clone(cell),
-            None => {
-                let opts = EvolveOptions {
-                    analyzer: self.config.analyzer,
-                    ..EvolveOptions::default()
-                };
-                let seed_cell = self.service_set(service);
-                let seeded = {
-                    let set = seed_cell.lock().expect("service set lock");
-                    ServiceEvolver::seeded(opts, &set)
-                };
-                let cell = Arc::new(Mutex::new(seeded));
-                evolvers.insert(service.to_string(), Arc::clone(&cell));
                 cell
             }
         }
@@ -291,9 +233,6 @@ pub struct MinerDeps {
 pub fn mine_job(deps: &MinerDeps, scratch: &mut MatchScratch, job: MineJob) {
     if job.is_trivial() {
         return;
-    }
-    if deps.engine.evolve == EvolveMode::Online {
-        return evolve_job(deps, job);
     }
     let MineJob {
         shard_id,
@@ -471,205 +410,6 @@ fn commit_plans(
     let mut outcomes = Vec::with_capacity(plans.len());
     for (service, _cell, plan) in plans {
         match commit_service(store, service, plan, now) {
-            Ok(outcome) => outcomes.push(outcome),
-            Err(e) => {
-                store.rollback()?;
-                return Err(e);
-            }
-        }
-    }
-    store.commit()?;
-    Ok(outcomes)
-}
-
-/// Run one mining job through the *online* path: feed each service's
-/// residue lines into its live [`ServiceEvolver`] (one line at a time, no
-/// batch re-mine), then push the folded deltas through the same
-/// commit-retry / publish / WAL-release machinery as the batch path.
-///
-/// The trie mutation happens once, in the plan phase; the folded
-/// [`EvolvePlan`] is plain data, so commit retries never re-observe. If the
-/// retry budget runs out the batch is dropped and counted exactly as in
-/// batch mode — the evolver's internal state then runs slightly ahead of
-/// the store until later traffic re-publishes the affected shapes.
-fn evolve_job(deps: &MinerDeps, job: MineJob) {
-    let MineJob {
-        shard_id,
-        batch,
-        counts,
-        release_up_to,
-        enqueued,
-    } = job;
-    stages::mine_queue_wait().record_ns(elapsed_ns(enqueued));
-    let now = now_unix();
-    let started = Instant::now();
-    let counts: Vec<(String, u64)> = {
-        let mut v: Vec<_> = counts.into_iter().collect();
-        v.sort_unstable();
-        v
-    };
-    let mut by_service: BTreeMap<&str, Vec<&LogRecord>> = BTreeMap::new();
-    for r in &batch {
-        by_service.entry(r.service.as_str()).or_default().push(r);
-    }
-
-    let mut flush_span = obs::span!("seqd.flush");
-    flush_span.attr_u64("shard", shard_id as u64);
-    flush_span.attr_u64("batch", batch.len() as u64);
-    flush_span.attr_u64("match_counts", counts.len() as u64);
-    flush_span.attr_u64("services", by_service.len() as u64);
-    flush_span.attr_str("mode", "evolve");
-    if let Some(first) = by_service.keys().next() {
-        flush_span.attr_str("service", first);
-    }
-
-    // Plan phase: one service-evolver lock at a time, store untouched. The
-    // published-render → store-id map is captured with each plan so the
-    // commit can attribute match counts without re-locking the evolver.
-    let engine = &deps.engine;
-    type EvolverPlans<'a> = Vec<(
-        &'a str,
-        Arc<Mutex<ServiceEvolver>>,
-        EvolvePlan,
-        HashMap<String, String>,
-    )>;
-    let plans: EvolverPlans = by_service
-        .iter()
-        .map(|(service, records)| {
-            let cell = engine.service_evolver(service);
-            let (plan, ids) = {
-                let mut state = cell.lock().expect("service evolver lock");
-                let plan = evolve_plan(&engine.scanner, &mut state, records);
-                let ids = state.known_ids();
-                (plan, ids)
-            };
-            (*service, cell, plan, ids)
-        })
-        .collect();
-
-    // Commit phase: identical retry shape to the batch path — stats first,
-    // then every service's deltas in one transaction.
-    let mut counts_done = counts.is_empty();
-    let mut outcomes: Option<Vec<EvolveCommit>> = None;
-    let mut attempt: u32 = 0;
-    loop {
-        {
-            let mut store = engine.store.lock().expect("store lock");
-            if !counts_done {
-                match store.record_matches_bulk(&counts, now) {
-                    Ok(()) => counts_done = true,
-                    Err(e) => eprintln!(
-                        "seqd[miner, shard {shard_id}]: recording match stats failed \
-                         (attempt {attempt}): {e}"
-                    ),
-                }
-            }
-            if counts_done && outcomes.is_none() && !batch.is_empty() {
-                match commit_evolutions(&mut store, &plans, now) {
-                    Ok(committed) => outcomes = Some(committed),
-                    Err(e) => eprintln!(
-                        "seqd[miner, shard {shard_id}]: evolution commit failed \
-                         (attempt {attempt}): {e}"
-                    ),
-                }
-            }
-        }
-        if counts_done && (outcomes.is_some() || batch.is_empty()) {
-            break;
-        }
-        if attempt >= deps.retries {
-            if outcomes.is_none() && !batch.is_empty() {
-                Ops::add(&deps.ops.dropped, batch.len() as u64);
-                eprintln!(
-                    "seqd[miner, shard {shard_id}]: dropping {} residue records after {} attempts",
-                    batch.len(),
-                    attempt + 1
-                );
-            }
-            if !counts_done {
-                eprintln!(
-                    "seqd[miner, shard {shard_id}]: abandoning match statistics for {} patterns",
-                    counts.len()
-                );
-            }
-            break;
-        }
-        deps.drain
-            .sleep(deps.backoff * 2u32.saturating_pow(attempt));
-        attempt += 1;
-    }
-
-    let core_ns = elapsed_ns(started);
-    stages::mine().record_ns(core_ns);
-    if !batch.is_empty() {
-        obs::registry()
-            .histogram(
-                "rtg_analyze_seconds",
-                "Time for one analyze_by_service batch (scan, mine, persist)",
-            )
-            .record_ns(core_ns);
-    }
-
-    // Publish phase: apply the committed deltas to the evolver's published
-    // map, mirror the compiled set into the batch-path registry (so the
-    // control plane and any later mode switch see one truth), and swap.
-    if let Some(outcomes) = outcomes {
-        let mut publish_span = obs::span!("seqd.mine.publish");
-        publish_span.attr_u64("shard", shard_id as u64);
-        publish_span.attr_u64("services", plans.len() as u64);
-        for ((service, cell, plan, _ids), outcome) in plans.iter().zip(outcomes) {
-            Ops::add(&deps.ops.evolve_added, plan.added.len() as u64);
-            Ops::add(&deps.ops.evolve_removed, plan.removed.len() as u64);
-            Ops::add(&deps.ops.evolve_evicted, plan.evicted);
-            if outcome.uncredited > 0 {
-                eprintln!(
-                    "seqd[miner, shard {shard_id}]: {} lines uncredited for {service}",
-                    outcome.uncredited
-                );
-            }
-            let published = {
-                let mut state = cell.lock().expect("service evolver lock");
-                state.apply_commit(&plan.removed, &outcome)
-            };
-            let set_cell = engine.service_set(service);
-            *set_cell.lock().expect("service set lock") = published.clone();
-            deps.board.publish(service, published);
-            Ops::inc(&deps.ops.swaps);
-        }
-        if !batch.is_empty() {
-            Ops::inc(&deps.ops.evolve_runs);
-            deps.ops.record_remine(started.elapsed());
-        }
-    }
-
-    if release_up_to > 0 {
-        if let Some(wal) = &deps.wal {
-            let mut release_span = obs::span!("seqd.mine.wal_release");
-            release_span.attr_u64("shard", shard_id as u64);
-            release_span.attr_u64("up_to", release_up_to);
-            if let Err(e) = wal.release(shard_id, release_up_to) {
-                eprintln!("seqd[miner, shard {shard_id}]: wal release failed: {e}");
-            }
-        }
-    }
-}
-
-/// Commit every evolution plan in one transaction; rolled back wholesale on
-/// error so retries start clean.
-fn commit_evolutions(
-    store: &mut PatternStore,
-    plans: &[(
-        &str,
-        Arc<Mutex<ServiceEvolver>>,
-        EvolvePlan,
-        HashMap<String, String>,
-    )],
-    now: u64,
-) -> Result<Vec<EvolveCommit>, StoreError> {
-    store.begin()?;
-    let mut outcomes = Vec::with_capacity(plans.len());
-    for (service, _cell, plan, ids) in plans {
-        match commit_evolution(store, service, plan, ids, now) {
             Ok(outcome) => outcomes.push(outcome),
             Err(e) => {
                 store.rollback()?;
@@ -1221,51 +961,6 @@ mod tests {
         assert_eq!(s.dropped, 3, "the abandoned batch must be counted");
         assert_eq!(s.remines, 0);
         assert!(deps.board.load("sshd").is_none(), "nothing published");
-    }
-
-    #[test]
-    fn online_evolver_mines_commits_and_publishes() {
-        let engine = MiningEngine::in_memory(RtgConfig::default()).with_evolve(EvolveMode::Online);
-        assert_eq!(engine.evolve_mode(), EvolveMode::Online);
-        let deps = deps_for(engine);
-        let miner = Miner::inline(deps.clone());
-        miner.try_submit(job(0, sshd_batch())).unwrap();
-        let s = deps.ops.snapshot();
-        assert_eq!(s.evolve_runs, 1);
-        assert_eq!(s.remines, 1, "an evolve run still counts as a mine");
-        assert!(s.evolve_added >= 1);
-        assert_eq!(s.dropped, 0);
-        assert!(s.swaps >= 1);
-        let set = deps.board.load("sshd").expect("published set");
-        let msg = Scanner::new().scan("session opened for user mallory");
-        assert!(set.match_message(&msg).is_some());
-        assert!(
-            deps.engine.store().lock().unwrap().pattern_count().unwrap() >= 1,
-            "evolution persists through the store"
-        );
-    }
-
-    /// A reshaped pattern leaves the *published* set across two jobs (the
-    /// delta path, which batch re-mining never exercises: it only inserts).
-    #[test]
-    fn online_evolver_retracts_superseded_patterns_across_jobs() {
-        let engine = MiningEngine::in_memory(RtgConfig::default()).with_evolve(EvolveMode::Online);
-        let deps = deps_for(engine);
-        let miner = Miner::inline(deps.clone());
-        miner
-            .try_submit(job(0, vec![record("svc", "link up on alpha")]))
-            .unwrap();
-        let first = deps.board.load("svc").expect("published set");
-        assert_eq!(first.len(), 1);
-        miner
-            .try_submit(job(0, vec![record("svc", "link up on beta")]))
-            .unwrap();
-        let second = deps.board.load("svc").expect("published set");
-        assert_eq!(second.len(), 1, "singleton superseded, not accumulated");
-        let s = deps.ops.snapshot();
-        assert!(s.evolve_removed >= 1, "{s:?}");
-        let msg = Scanner::new().scan("link up on gamma");
-        assert!(second.match_message(&msg).is_some(), "merged to a variable");
     }
 
     /// The shutdown-stall regression: a draining daemon must not wait out

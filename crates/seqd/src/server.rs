@@ -43,7 +43,7 @@
 use crate::eventloop::{self, EventLoop, EventLoopDeps};
 use crate::http::{respond, Request};
 use crate::metrics::{Ops, OpsSnapshot};
-use crate::miner::{DrainSignal, EvolveMode, Miner, MinerDeps, MiningEngine};
+use crate::miner::{DrainSignal, Miner, MinerDeps, MiningEngine};
 use crate::queue::BoundedQueue;
 use crate::shard::{Router, ShardWorker};
 use crate::swap::PatternBoard;
@@ -95,9 +95,6 @@ pub struct SeqdConfig {
     /// Background mining threads (at least one); the default is a quarter
     /// of the cores.
     pub miners: usize,
-    /// How residue becomes patterns: batch re-mining (the equivalence
-    /// baseline) or the live per-service evolving trie (see [`EvolveMode`]).
-    pub evolve: EvolveMode,
     /// Event-loop poller threads; `0` means auto (one per core, capped).
     pub pollers: usize,
     /// Mining configuration. `save_threshold` should stay 0 for the daemon:
@@ -120,7 +117,6 @@ impl Default for SeqdConfig {
             flush_retries: 3,
             flush_backoff: Duration::from_millis(50),
             miners: default_miners(),
-            evolve: EvolveMode::Batch,
             pollers: 0,
             rtg: RtgConfig {
                 batch_size: 5_000,
@@ -193,7 +189,6 @@ pub fn start(store: PatternStore, config: SeqdConfig, addr: &str) -> io::Result<
     crate::metrics::stages::preregister();
     let (engine, seed_sets) = MiningEngine::new(store, config.rtg)
         .map_err(|e| io::Error::other(format!("pattern store load failed: {e}")))?;
-    let engine = engine.with_evolve(config.evolve);
     let board = Arc::new(PatternBoard::new());
     board.seed(seed_sets);
     let engine = Arc::new(engine);
@@ -614,10 +609,6 @@ fn stats_json(shared: &Shared) -> String {
         ),
         ("pattern_swaps", (s.swaps as i64).into()),
         ("remine_runs", (s.remines as i64).into()),
-        ("evolve_runs", (s.evolve_runs as i64).into()),
-        ("evolve_added", (s.evolve_added as i64).into()),
-        ("evolve_removed", (s.evolve_removed as i64).into()),
-        ("evolve_evicted", (s.evolve_evicted as i64).into()),
         ("counter_drift", (s.counter_drift() as i64).into()),
         (
             "remine_seconds_total",

@@ -233,7 +233,8 @@ fn kill_dash_nine_mid_mine_replays_unreleased_records() {
 
 /// The flags `benchmark/src/daemon.rs` (`SEQD_FLAGS`) starts every daemon
 /// workload with. The harness is frozen, so the CLI must keep accepting
-/// exactly this — including `--wire event-loop`, now a no-op.
+/// exactly this — including `--wire event-loop` and `--evolve batch`, now
+/// no-ops.
 const BENCHMARK_FLAGS: [&str; 10] = [
     "--shards",
     "1",
@@ -265,6 +266,7 @@ fn benchmark_invocation_starts_serves_and_drains() {
 fn retired_modes_exit_2() {
     for (args, naming) in [
         (["--wire", "blocking"], "removed"),
+        (["--evolve", "online"], "removed"),
         (["--miners", "0"], "at least 1"),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_seqd"))

@@ -14,7 +14,6 @@ mod semantics;
 mod trie;
 
 pub use semantics::{is_email, is_hostname, name_variables};
-pub(crate) use trie::{key_for, MAX_OBSERVED};
 pub use trie::{AnalysisTrie, Node, NodeKey};
 
 use crate::pattern::{Pattern, PatternElement};
@@ -183,12 +182,11 @@ impl Analyzer {
 }
 
 /// Turn one trie position into a pattern element — the variable-induction
-/// semantics shared by the batch analyser and the online evolver
-/// ([`crate::evolve`]). A position is summarised by its key, the distinct
+/// semantics. A position is summarised by its key, the distinct
 /// values observed there (bounded sample), its spacing, and the size of the
 /// group the containing pattern covers (quality-control demotion is only
 /// confident on groups of `min_group_for_demotion` or more).
-pub(crate) fn element_for(
+fn element_for(
     opts: &AnalyzerOptions,
     key: &NodeKey,
     observed: &std::collections::BTreeSet<String>,
@@ -253,8 +251,7 @@ pub(crate) fn element_for(
 /// Finish a pattern from its positional elements: append the multi-line
 /// `IgnoreRest` marker (limitation 6), run semantic variable naming (or
 /// assign anonymous-but-unique capture names), and build the [`Pattern`].
-/// Shared by the batch analyser and the online evolver.
-pub(crate) fn finalize_pattern(
+fn finalize_pattern(
     opts: &AnalyzerOptions,
     mut elements: Vec<PatternElement>,
     multiline: bool,

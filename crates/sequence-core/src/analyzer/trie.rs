@@ -66,7 +66,7 @@ pub struct Node {
 
 /// How many distinct observed values a node keeps; beyond this the exact set
 /// no longer matters (the variable is clearly multi-valued).
-pub(crate) const MAX_OBSERVED: usize = 8;
+const MAX_OBSERVED: usize = 8;
 
 impl Node {
     fn new(key: NodeKey, space_before: bool) -> Node {
@@ -281,7 +281,7 @@ pub struct PathOut<'a> {
     pub terminal: &'a [u32],
 }
 
-pub(crate) fn key_for(tok: &Token) -> NodeKey {
+fn key_for(tok: &Token) -> NodeKey {
     if tok.ty.is_typed() {
         NodeKey::Typed(tok.ty)
     } else {

@@ -59,7 +59,6 @@
 #![warn(missing_docs)]
 
 pub mod analyzer;
-pub mod evolve;
 pub mod matcher;
 pub mod parser;
 pub mod pattern;
@@ -68,7 +67,6 @@ pub mod text;
 pub mod token;
 
 pub use analyzer::{Analyzer, AnalyzerOptions, DiscoveredPattern};
-pub use evolve::{evolve_corpus, EvolveCorpusStats, EvolveDelta, EvolveOptions, PatternEvolver};
 pub use matcher::MatchScratch;
 pub use parser::{ParseOutcome, PatternSet};
 pub use pattern::{Captures, Pattern, PatternElement, PatternParseError};

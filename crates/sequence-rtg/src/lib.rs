@@ -52,7 +52,6 @@
 
 pub mod analyze_by_service;
 pub mod config;
-pub mod evolve;
 pub mod ingest;
 pub mod parallel;
 pub mod pipeline;
@@ -62,7 +61,6 @@ pub mod service;
 
 pub use analyze_by_service::{BatchReport, SequenceRtg};
 pub use config::RtgConfig;
-pub use evolve::{commit_evolution, evolve_plan, EvolveCommit, EvolvePlan, ServiceEvolver};
 pub use ingest::{IngestStats, StreamIngester};
 pub use pipeline::Pipeline;
 pub use record::{LogRecord, RecordError};
