@@ -8,8 +8,8 @@
 # Usage: ci.sh [--stage <pattern>]
 #   --stage <pattern>  run only stages whose name contains <pattern>
 #                      (glob patterns allowed); everything else is SKIPped.
-#                      Gate stages assume a prior release build and recorded
-#                      results/ — run the build stage (or `cargo build
+#                      The accuracy gate and the seqd stages run the release
+#                      binaries — run the build stage (or `cargo build
 #                      --release --offline`) first on a cold tree.
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -109,61 +109,9 @@ seqd_http_body() {
   exec 3>&- 3<&-
 }
 
-# --- Consolidated gate helpers ---------------------------------------------
-# Every regression gate below goes through one of these; thresholds stay at
-# each call site so a gate's bar is visible where the gate runs.
-
-# elem/s rates of one bench JSON recording, one "id rate" line per record.
-# Rates are recomputed from elements and median_ns because the oldest
-# baseline recordings predate the per_sec field.
-bench_rates() {
-  sed -n 's/.*"id":"\([^"]*\)".*"median_ns":\([0-9.]*\).*"elements":\([0-9.]*\).*/\1 \2 \3/p' "$1" \
-    | awk '{printf "%s %.1f\n", $1, $3 * 1e9 / $2}'
-}
-
-# gate_ratio_table BASE.json CUR.json MIN_RATIO FAIL_MSG
-# Join two bench recordings on id, print each id's elem/s trajectory, fail
-# when any current/baseline ratio drops below MIN_RATIO.
-gate_ratio_table() {
-  local base=$1 cur=$2 min_ratio=$3 fail_msg=$4
-  bench_rates "${base}" | sort > "${smoke_json}.base"
-  bench_rates "${cur}" | sort > "${smoke_json}.cur"
-  join "${smoke_json}.base" "${smoke_json}.cur" \
-    | awk -v min="${min_ratio}" -v msg="${fail_msg}" '
-    {
-      ratio = $3 / $2
-      printf "    %-45s %12.0f -> %12.0f elem/s (x%.2f)\n", $1, $2, $3, ratio
-      if (ratio < min) { bad = 1 }
-    }
-    END {
-      if (bad) { printf "    %s\n", msg > "/dev/stderr"; exit 1 }
-    }'
-  rm -f "${smoke_json}.base" "${smoke_json}.cur"
-}
-
-# gate_ceiling VALUE CEILING FMT FAIL_MSG [DISPLAY_SCALE]
-# Absolute ceiling on one recorded value; the verdict line shows
-# VALUE * DISPLAY_SCALE (e.g. ns scaled to ms), the comparison is raw.
-gate_ceiling() {
-  local value=$1 ceiling=$2 fmt=$3 fail_msg=$4 scale=${5:-1}
-  awk -v v="${value}" -v ceil="${ceiling}" -v fmt="${fmt}" -v msg="${fail_msg}" \
-      -v scale="${scale}" 'BEGIN {
-    printf "    " fmt "\n", v * scale
-    if (v > ceil) { printf "    %s\n", msg > "/dev/stderr"; exit 1 }
-  }'
-}
-
-# gate_pair_ratio BASE CUR MAX_RATIO FMT FAIL_MSG
-# Ratio gate on one recorded value pair; FMT formats (base, cur, ratio).
-gate_pair_ratio() {
-  local base=$1 cur=$2 max_ratio=$3 fmt=$4 fail_msg=$5
-  awk -v base="${base}" -v cur="${cur}" -v max="${max_ratio}" -v fmt="${fmt}" \
-      -v msg="${fail_msg}" 'BEGIN {
-    ratio = cur / base
-    printf "    " fmt "\n", base, cur, ratio
-    if (ratio > max) { printf "    %s\n", msg > "/dev/stderr"; exit 1 }
-  }'
-}
+# --- Gate helpers ----------------------------------------------------------
+# Both gates below check output produced in this run; thresholds stay at each
+# call site so a gate's bar is visible where the gate runs.
 
 # gate_drop_table BASE_TABLE CUR_TABLE MAX_DROP FAIL_MSG
 # Join two sorted "name score" tables, print each score trajectory, fail
@@ -179,6 +127,26 @@ gate_drop_table() {
     END {
       if (bad) { printf "    %s\n", msg > "/dev/stderr"; exit 1 }
     }'
+}
+
+# check_seqbench_output STDOUT_FILE
+# seqbench prints "workload metric value unit" lines and one JSON result line
+# per workload. Every result must be correct with ok_share 1, and wire_small
+# (one service, eight fixed templates) must be mined exactly. Throughput is
+# printed for the log and not gated (benchmark/README.md, "Host noise").
+check_seqbench_output() {
+  awk '
+    function fail(why) { printf "    %s\n", why > "/dev/stderr"; bad = 1 }
+    /^\{/ { results++; if ($0 !~ /"correct": true/) fail("not correct: " substr($0, 1, 60)); next }
+    $2 == "ok_share" || ($1 == "wire_small" && $2 ~ /^(grouping_accuracy|patterns_per_template)$/) {
+      checked++
+      if ($3 != 1) fail($1 " " $2 " " $3 " (want 1)")
+    }
+    $2 == "window.e2e_lines_per_s" { printf "    %-14s %9.0f lines/s end to end\n", $1, $3 }
+    END {
+      if (results != 4 || checked != 6) fail("expected four workloads in the output")
+      exit bad
+    }' "$1"
 }
 
 # --- Stages ----------------------------------------------------------------
@@ -247,75 +215,24 @@ grep -q '"id":"parser/match_against_learned_set/1000"' "${smoke_json}"
 TESTKIT_BENCH_SAMPLES=1 TESTKIT_BENCH_JSON="${smoke_json}" \
   cargo bench -q --offline -p bench --bench scanner_throughput >/dev/null
 grep -q '"id":"scanner/parse_only"' "${smoke_json}"
-TESTKIT_BENCH_SAMPLES=1 TESTKIT_BENCH_JSON="${smoke_json}" \
-  cargo bench -q --offline -p bench --bench seqd_throughput >/dev/null
-grep -q '"id":"seqd/ingest_tcp"' "${smoke_json}"
-grep -q '"id":"seqd/ingest_tcp_remine"' "${smoke_json}"
-grep -q '"id":"seqd/ingest_line_latency"' "${smoke_json}"
-grep -q '"id":"seqd/mine_stall"' "${smoke_json}"
 echo "    bench smoke OK"
 stage_end
 fi
 
-if stage_begin "bench regression gate (recorded parser trajectory vs baseline)"; then
-# Guard the PR-over-PR perf record: the current results/BENCH_parser.json
-# must not have regressed more than 30% in elem/s against the frozen
-# baseline.
-gate_ratio_table results/BENCH_parser.baseline.json results/BENCH_parser.json \
-  0.7 "REGRESSION: >30% drop vs baseline"
-echo "    regression gate OK"
-stage_end
-fi
-
-if stage_begin "seqd throughput regression gate (recorded wire-path elem/s vs baseline)"; then
-# The daemon's headline number: receipt-rate elem/s through the event-loop
-# wire path (first byte -> durable receipt; see benches/seqd_throughput.rs).
-# A re-recorded results/BENCH_seqd.json that drops more than 40% against
-# the frozen baseline fails the gate.
-gate_ratio_table results/BENCH_seqd.baseline.json results/BENCH_seqd.json \
-  0.6 "REGRESSION: >40% drop vs baseline"
-echo "    seqd throughput gate OK"
-stage_end
-fi
-
-if stage_begin "latency regression gate (recorded seqd p99 vs frozen baseline)"; then
-# The seqd bench records the daemon's own per-line ingest latency (from the
-# seqd_ingest_line_seconds histogram) next to its throughput record. A
-# re-recorded trajectory whose p99 is more than 50% above the frozen
-# baseline fails the gate.
-latency_p99() {
-  sed -n 's/.*"id":"seqd\/ingest_line_latency".*"p99_ns":\([0-9]*\).*/\1/p' "$1"
-}
-base_p99=$(latency_p99 results/BENCH_seqd.baseline.json)
-cur_p99=$(latency_p99 results/BENCH_seqd.json)
-[[ -n "${base_p99}" && -n "${cur_p99}" ]] \
-  || { echo "ingest_line_latency record missing from results/BENCH_seqd*.json" >&2; exit 1; }
-gate_pair_ratio "${base_p99}" "${cur_p99}" 1.5 \
-  "p99 ingest line latency %d ns -> %d ns (x%.2f)" \
-  "REGRESSION: p99 >50% above baseline"
-echo "    latency gate OK"
-stage_end
-fi
-
-if stage_begin "mine-stall gate (recorded worker handoff pause, absolute ceiling)"; then
-# The point of the background mining pipeline: handing residue to the miner
-# must never stall a shard worker for a humanly-noticeable beat. Unlike the
-# ratio gates above this one is absolute — the recorded seqd/mine_stall
-# maximum (from the churn bench, re-mines forced mid-run) must stay under
-# 5 ms, the bar the inline-mining design could exceed a thousandfold.
-stall_max=$(sed -n 's/.*"id":"seqd\/mine_stall".*"max_ns":\([0-9]*\).*/\1/p' \
-  results/BENCH_seqd.json)
-[[ -n "${stall_max}" ]] \
-  || { echo "mine_stall record missing from results/BENCH_seqd.json" >&2; exit 1; }
-gate_ceiling "${stall_max}" 5000000 \
-  "max mine-handoff stall %.3f ms (ceiling 5 ms)" \
-  "REGRESSION: mine stall above 5 ms" 0.000001
-echo "    mine-stall gate OK"
+if stage_begin "seqbench output checks"; then
+# All four workloads, untraced, once. run.sh exits non-zero when a line sent
+# does not come back counted with its WAL released; the checker holds the
+# quality values that repeat exactly on every run.
+CARGO_TARGET_DIR="$(pwd)/target" bash benchmark/run.sh \
+  > "${smoke_json}.seqbench" 2> "${smoke_json}.seqbench.log" \
+  || { cat "${smoke_json}.seqbench.log" >&2; exit 1; }
+check_seqbench_output "${smoke_json}.seqbench"
+echo "    seqbench output checks OK"
 stage_end
 fi
 
 if stage_begin "accuracy regression gate (LogHub-2.0 grouping accuracy vs frozen baseline)"; then
-# The quality floor next to the throughput gates: re-score the scaled-down
+# The quality floor: re-score the scaled-down
 # fixed-seed LogHub-2.0 corpora live (all 14 families, 2000 lines each —
 # deterministic seed->corpus, so same code means same scores), then hold
 # sequence-rtg's per-family grouping accuracy against the frozen

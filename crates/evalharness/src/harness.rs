@@ -131,7 +131,7 @@ pub fn score_families(families: &[&str], lines_n: usize, seed: u64) -> Vec<Famil
 
 /// Render result rows in the repo's flat JSON-lines format (one object per
 /// line, fixed field order, sed-extractable — same conventions as
-/// `results/BENCH_seqd.json`).
+/// `results/BENCH_parser.json`).
 pub fn render_json(rows: &[FamilyAccuracy], lines_n: usize, seed: u64) -> String {
     let mut out = String::new();
     out.push_str(&format!(

@@ -3,9 +3,9 @@
 //! This is the other half of the wire protocol in [`crate::protocol`]: open a
 //! TCP connection, stream NDJSON records, half-close the write side, and read
 //! back the one-line [`IngestSummary`] receipt. It doubles as the reference
-//! client implementation — the integration tests, the `seqd_demo` example,
-//! the throughput bench and the `seqd-loadgen` binary all drive the daemon
-//! through these functions.
+//! client implementation — the integration tests, the `seqd_demo` example
+//! and the `seqd-loadgen` binary all drive the daemon through these
+//! functions.
 
 use crate::protocol::IngestSummary;
 use sequence_rtg::LogRecord;

@@ -13,7 +13,7 @@
 
 use crate::config::RtgConfig;
 use crate::record::LogRecord;
-use crate::service::{commit_service, plan_service, CommitOutcome};
+use crate::service::{commit_service, plan_service, CommitOutcome, ServicePlan};
 use patterndb::{PatternStore, StoreError};
 use sequence_core::{Analyzer, MatchScratch, PatternSet, Scanner};
 use std::collections::HashMap;
@@ -49,7 +49,7 @@ impl BatchReport {
         self.matched_known as f64 / self.received as f64
     }
 
-    /// Merge another report into this one (used by the parallel driver).
+    /// Merge another report into this one.
     pub fn merge(&mut self, other: &BatchReport) {
         self.received += other.received;
         self.matched_known += other.matched_known;
@@ -60,6 +60,18 @@ impl BatchReport {
         self.empty_messages += other.empty_messages;
         self.services += other.services;
     }
+}
+
+/// The first partitioning: a batch's records grouped by service, in sorted
+/// service order.
+pub(crate) fn partition_by_service(batch: &[LogRecord]) -> Vec<(&str, Vec<&LogRecord>)> {
+    let mut by_service: HashMap<&str, Vec<&LogRecord>> = HashMap::new();
+    for r in batch {
+        by_service.entry(r.service.as_str()).or_default().push(r);
+    }
+    let mut services: Vec<_> = by_service.into_iter().collect();
+    services.sort_unstable_by_key(|(service, _)| *service);
+    services
 }
 
 /// The Sequence-RTG engine: scanner + analyser + parser + pattern store,
@@ -144,36 +156,47 @@ impl SequenceRtg {
             received: batch.len() as u64,
             ..Default::default()
         };
-        // First partitioning: group records by service.
-        let mut by_service: HashMap<&str, Vec<&LogRecord>> = HashMap::new();
-        for r in batch {
-            by_service.entry(r.service.as_str()).or_default().push(r);
-        }
-        report.services = by_service.len() as u64;
-        analyze_span.attr_u64("services", by_service.len() as u64);
-        let mut services: Vec<&str> = by_service.keys().copied().collect();
-        services.sort_unstable();
+        let services = partition_by_service(batch);
+        report.services = services.len() as u64;
+        analyze_span.attr_u64("services", services.len() as u64);
+        // Plan (pure compute) then commit (store writes) — the same split
+        // the seqd background miner drives under per-piece locks.
+        let plans: Vec<(&str, ServicePlan)> = services
+            .iter()
+            .map(|(service, records)| {
+                let plan = plan_service(
+                    &self.scanner,
+                    &self.analyzer,
+                    &self.config,
+                    self.sets.get(*service),
+                    &mut self.scratch,
+                    records,
+                );
+                (*service, plan)
+            })
+            .collect();
+        self.commit_plans(&plans, &mut report, now)?;
+        Ok(report)
+    }
+
+    /// Persist one batch's plans (in sorted service order) and fold them
+    /// into `report`; shared by the sequential and the parallel driver.
+    pub(crate) fn commit_plans(
+        &mut self,
+        plans: &[(&str, ServicePlan)],
+        report: &mut BatchReport,
+        now: u64,
+    ) -> Result<(), StoreError> {
         // One transaction per batch: a crash mid-batch must not leave a
         // half-updated pattern database behind.
         self.store.begin()?;
         let mut committed: Vec<(&str, CommitOutcome)> = Vec::new();
-        for service in services {
-            let records = &by_service[service];
-            // Plan (pure compute) then commit (store writes) — the same
-            // split the seqd background miner drives under per-piece locks.
-            let plan = plan_service(
-                &self.scanner,
-                &self.analyzer,
-                &self.config,
-                self.sets.get(service),
-                &mut self.scratch,
-                records,
-            );
+        for (service, plan) in plans {
             report.matched_known += plan.matched_known;
             report.analyzed += plan.analyzed;
             report.multiline += plan.multiline;
             report.empty_messages += plan.empty_messages;
-            match commit_service(&mut self.store, service, &plan, now) {
+            match commit_service(&mut self.store, service, plan, now) {
                 Ok(outcome) => {
                     report.new_patterns += outcome.new_patterns;
                     report.updated_patterns += outcome.updated_patterns;
@@ -207,7 +230,7 @@ impl SequenceRtg {
                 self.sets = sets;
             }
         }
-        Ok(report)
+        Ok(())
     }
 
     /// The seminal `Analyze` behaviour, for the Fig. 5 comparison: no service

@@ -9,30 +9,19 @@
 //! sets); the compute-heavy scan + parse + analyse runs in parallel and the
 //! single pattern store is updated afterwards by the coordinating thread.
 
-use crate::analyze_by_service::{BatchReport, SequenceRtg};
+use crate::analyze_by_service::{partition_by_service, BatchReport, SequenceRtg};
 use crate::record::LogRecord;
-use crate::semiconst;
+use crate::service::{plan_service, ServicePlan};
 use patterndb::StoreError;
-use sequence_core::analyzer::DiscoveredPattern;
-use sequence_core::{MatchScratch, TokenizedMessage};
-use std::collections::HashMap;
-
-/// What one worker produces for one service.
-struct ServiceOutcome {
-    service: String,
-    /// pattern id → number of parse-step matches.
-    match_counts: HashMap<String, u64>,
-    /// Discoveries from the unmatched messages.
-    discovered: Vec<DiscoveredPattern>,
-    report: BatchReport,
-}
+use sequence_core::MatchScratch;
 
 impl SequenceRtg {
     /// Parallel variant of
     /// [`analyze_by_service`](SequenceRtg::analyze_by_service): shards
     /// services across `threads` workers. Results are identical to the
-    /// sequential method (the same per-service partitions are analysed by
-    /// the same code); only wall-clock time differs.
+    /// sequential method (the same per-service partitions are planned by
+    /// the same code and committed in the same order); only wall-clock time
+    /// differs.
     pub fn analyze_by_service_parallel(
         &mut self,
         batch: &[LogRecord],
@@ -47,14 +36,11 @@ impl SequenceRtg {
             received: batch.len() as u64,
             ..Default::default()
         };
-        let mut by_service: HashMap<&str, Vec<&LogRecord>> = HashMap::new();
-        for r in batch {
-            by_service.entry(r.service.as_str()).or_default().push(r);
-        }
-        report.services = by_service.len() as u64;
-        let mut services: Vec<(&str, Vec<&LogRecord>)> = by_service.into_iter().collect();
-        // Largest services first so shards balance.
-        services.sort_by(|a, b| b.1.len().cmp(&a.1.len()).then(a.0.cmp(b.0)));
+        let mut services = partition_by_service(batch);
+        report.services = services.len() as u64;
+        // Largest services first so shards balance (stable: ties stay in
+        // service order).
+        services.sort_by_key(|(_, records)| std::cmp::Reverse(records.len()));
         let mut shards: Vec<Vec<(&str, Vec<&LogRecord>)>> =
             (0..threads).map(|_| Vec::new()).collect();
         let mut shard_load = vec![0usize; threads];
@@ -69,65 +55,32 @@ impl SequenceRtg {
         let scanner = &self.scanner;
         let analyzer = &self.analyzer;
         let sets = &self.sets;
-        let config = self.config;
+        let config = &self.config;
 
-        let outcomes: Vec<ServiceOutcome> = std::thread::scope(|scope| {
+        let mut plans: Vec<(&str, ServicePlan)> = std::thread::scope(|scope| {
             let mut handles = Vec::new();
             for (shard_no, shard) in shards.iter().enumerate() {
                 handles.push(scope.spawn(move || {
                     let mut chunk_span = obs::span!("rtg.parallel_chunk");
                     chunk_span.attr_u64("shard", shard_no as u64);
                     chunk_span.attr_u64("services", shard.len() as u64);
-                    let mut results = Vec::new();
                     // One trie-walk scratch per worker thread, reused across
                     // every message the shard parses.
                     let mut scratch = MatchScratch::default();
-                    for (service, records) in shard {
-                        let mut svc_report = BatchReport::default();
-                        let mut scanned: Vec<TokenizedMessage> = Vec::with_capacity(records.len());
-                        for r in records.iter() {
-                            let t = scanner.scan(&r.message);
-                            if t.truncated_multiline {
-                                svc_report.multiline += 1;
-                            }
-                            if t.tokens.is_empty() {
-                                svc_report.empty_messages += 1;
-                            }
-                            scanned.push(t);
-                        }
-                        // Parse-first against the shared read-only sets.
-                        let set = sets.get(*service);
-                        let mut match_counts: HashMap<String, u64> = HashMap::new();
-                        let mut unmatched: Vec<TokenizedMessage> = Vec::new();
-                        for msg in scanned {
-                            if msg.tokens.is_empty() {
-                                continue;
-                            }
-                            match set.and_then(|s| s.match_message_with(&msg, &mut scratch)) {
-                                Some(outcome) => {
-                                    *match_counts.entry(outcome.pattern_id).or_insert(0) += 1;
-                                    svc_report.matched_known += 1;
-                                }
-                                None => unmatched.push(msg),
-                            }
-                        }
-                        svc_report.analyzed = unmatched.len() as u64;
-                        let mut discovered = analyzer.analyze(&unmatched);
-                        if config.semi_constant_split {
-                            discovered = semiconst::split_semi_constant(
-                                discovered,
-                                &unmatched,
-                                config.semi_constant_max_values,
+                    shard
+                        .iter()
+                        .map(|(service, records)| {
+                            let plan = plan_service(
+                                scanner,
+                                analyzer,
+                                config,
+                                sets.get(*service),
+                                &mut scratch,
+                                records,
                             );
-                        }
-                        results.push(ServiceOutcome {
-                            service: service.to_string(),
-                            match_counts,
-                            discovered,
-                            report: svc_report,
-                        });
-                    }
-                    results
+                            (*service, plan)
+                        })
+                        .collect::<Vec<_>>()
                 }));
             }
             handles
@@ -135,38 +88,8 @@ impl SequenceRtg {
                 .flat_map(|h| h.join().expect("worker panicked"))
                 .collect()
         });
-
-        // Serial merge into the store and the in-memory sets.
-        for outcome in outcomes {
-            report.matched_known += outcome.report.matched_known;
-            report.analyzed += outcome.report.analyzed;
-            report.multiline += outcome.report.multiline;
-            report.empty_messages += outcome.report.empty_messages;
-            for (id, n) in outcome.match_counts {
-                self.store.record_matches(&id, n, now)?;
-            }
-            for d in &outcome.discovered {
-                let (id, inserted) = self.store.upsert_discovered(&outcome.service, d, now)?;
-                if inserted {
-                    report.new_patterns += 1;
-                    self.sets
-                        .entry(outcome.service.clone())
-                        .or_default()
-                        .insert(id, d.pattern.clone());
-                } else {
-                    report.updated_patterns += 1;
-                }
-            }
-        }
-        if self.config.save_threshold > 0 {
-            let pruned = self
-                .store
-                .prune_below_threshold(self.config.save_threshold)?;
-            if pruned > 0 {
-                let (sets, _bad) = self.store.load_pattern_sets()?;
-                self.sets = sets;
-            }
-        }
+        plans.sort_unstable_by_key(|(service, _)| *service);
+        self.commit_plans(&plans, &mut report, now)?;
         Ok(report)
     }
 }
@@ -247,5 +170,29 @@ mod tests {
         let r = rtg.analyze_by_service_parallel(&batch, 1, 16).unwrap();
         assert_eq!(r.services, 1);
         assert_eq!(r.new_patterns, 1);
+    }
+
+    #[test]
+    fn failed_merge_leaves_store_and_sets_untouched() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let batch = vec![
+            LogRecord::new("alpha", "alpha service came up"),
+            LogRecord::new("beta", "beta service came up"),
+        ];
+        let mut rtg = SequenceRtg::in_memory(RtgConfig::default());
+        let upserts = AtomicUsize::new(0);
+        rtg.store_mut()
+            .set_fault_hook(Some(std::sync::Arc::new(move |op: &str| {
+                op == "upsert" && upserts.fetch_add(1, Ordering::Relaxed) == 1
+            })));
+        assert!(rtg.analyze_by_service_parallel(&batch, 1, 2).is_err());
+        assert_eq!(rtg.store_mut().pattern_count().unwrap(), 0);
+        assert_eq!(rtg.total_known_patterns(), 0);
+
+        rtg.store_mut().set_fault_hook(None);
+        let r = rtg.analyze_by_service_parallel(&batch, 1, 2).unwrap();
+        assert_eq!(r.new_patterns, 2);
+        assert_eq!(rtg.store_mut().pattern_count().unwrap(), 2);
+        assert_eq!(rtg.total_known_patterns(), 2);
     }
 }

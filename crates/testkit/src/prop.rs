@@ -832,7 +832,7 @@ mod tests {
 
     #[test]
     fn regression_file_from_seed_repo_parses() {
-        // The anomaly crate's pre-existing proptest file must stay readable.
+        // A line as upstream proptest writes it: 64 hex digits plus a trailing comment.
         let line = "cc ba565b2443f3e21cfa813771602b690a8437009845f87a58e812775bda689bd1 # shrinks to seed = 705";
         let dir = std::env::temp_dir().join("testkit-prop-test2");
         let _ = std::fs::create_dir_all(&dir);

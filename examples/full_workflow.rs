@@ -1,7 +1,7 @@
 //! The complete workflow of the paper's Fig. 6, end to end in one process:
 //!
 //! ```text
-//! stream ──► pattern database match ──► logstore (Elasticsearch stand-in)
+//! stream ──► pattern database match
 //!                   │ unmatched
 //!                   ▼
 //!            Sequence-RTG mining ──► review/promote ──► pattern database
@@ -9,16 +9,14 @@
 //!
 //! Day 1 runs with a nearly empty pattern database; its unmatched messages
 //! are mined; the strong candidates are promoted; day 2 runs with the grown
-//! database. Then the payoff the paper promises — "searching, filtering, and
-//! data analysis much easier" — is demonstrated with queries against the
-//! store.
+//! database and most of its stream matches.
 //!
 //! ```text
 //! cargo run --release --example full_workflow
 //! ```
 
 use sequence_rtg_repro::loghub_synth::{generate_stream, CorpusConfig};
-use sequence_rtg_repro::logstore::{search, LogSink, Query};
+use sequence_rtg_repro::sequence_core::{MatchScratch, PatternSet, Scanner};
 use sequence_rtg_repro::sequence_rtg::{LogRecord, RtgConfig, SequenceRtg};
 use std::collections::HashMap;
 
@@ -27,8 +25,9 @@ fn main() {
         save_threshold: 2,
         ..RtgConfig::default()
     });
-    let mut promoted: HashMap<String, sequence_rtg_repro::sequence_core::PatternSet> =
-        HashMap::new();
+    let mut promoted: HashMap<String, PatternSet> = HashMap::new();
+    let scanner = Scanner::new();
+    let mut scratch = MatchScratch::default();
 
     for day in 1..=2u64 {
         let stream = generate_stream(CorpusConfig {
@@ -36,22 +35,22 @@ fn main() {
             total: 6_000,
             seed: 100 + day,
         });
-        let mut sink = LogSink::new();
         let mut unmatched: Vec<LogRecord> = Vec::new();
-        for (i, item) in stream.iter().enumerate() {
-            let set = promoted.get(&item.service);
-            let before = sink.unmatched();
-            sink.ingest(set, &item.service, day * 100_000 + i as u64, &item.message);
-            if sink.unmatched() > before {
+        for item in &stream {
+            let scanned = scanner.scan_parse_only(&item.message);
+            let hit = promoted
+                .get(&item.service)
+                .and_then(|set| set.match_message_with(&scanned, &mut scratch));
+            if hit.is_none() {
                 unmatched.push(LogRecord::new(item.service.as_str(), item.message.as_str()));
             }
         }
         println!(
-            "day {day}: stored {} messages — matched {} / unmatched {} ({:.0}% unknown)",
+            "day {day}: {} messages — matched {} / unmatched {} ({:.0}% unknown)",
             stream.len(),
-            sink.matched(),
-            sink.unmatched(),
-            100.0 * sink.unmatched_ratio()
+            stream.len() - unmatched.len(),
+            unmatched.len(),
+            100.0 * unmatched.len() as f64 / stream.len() as f64
         );
 
         // The unmatched stream feeds Sequence-RTG ...
@@ -74,28 +73,5 @@ fn main() {
             }
         }
         println!("       review session promoted {promoted_now} patterns\n");
-
-        if day == 2 {
-            // The payoff: query the store like an administrator would.
-            println!("queries against the day-2 store:");
-            for q in [
-                "service:svc-000-HDFS block",
-                "pattern:", // everything that matched any pattern
-            ] {
-                let query = Query::parse(q);
-                let hits = search(sink.index(), &query);
-                println!("  {q:<32} -> {} hits", hits.len());
-            }
-            // Find an enriched document and show its extracted fields.
-            if let Some(doc) = sink.index().docs().iter().find(|d| !d.fields.is_empty()) {
-                println!("\nan enriched stored document:");
-                println!("  service   : {}", doc.service);
-                println!("  pattern_id: {}", doc.pattern_id.as_deref().unwrap_or("-"));
-                println!("  message   : {}", doc.message);
-                for (name, value) in doc.fields.iter().take(5) {
-                    println!("  field     : {name} = {value}");
-                }
-            }
-        }
     }
 }

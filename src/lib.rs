@@ -4,12 +4,10 @@
 //! tests can use a single import root. The real functionality lives in the
 //! `crates/` members; see `DESIGN.md` for the system inventory.
 
-pub use anomaly;
 pub use baselines;
 pub use evalharness;
 pub use jsonlite;
 pub use loghub_synth;
-pub use logstore;
 pub use minisql;
 pub use obs;
 pub use patterndb;
