@@ -206,6 +206,13 @@ cargo test -q --release --offline -p seqd --test wal_memory
 stage_end
 fi
 
+if stage_begin "pattern-store transaction memory (release, counted at the allocator)"; then
+# And again: what an open transaction on a 20 000-pattern store holds, and
+# that rollback and commit give it back.
+cargo test -q --release --offline -p patterndb --test txn_memory
+stage_end
+fi
+
 if stage_begin "bench smoke (1 sample, JSON to a scratch file)"; then
 # One warm-up + one sample per benchmark: proves the bench binaries run and
 # emit well-formed JSON without touching the recorded results/ trajectories.

@@ -5,7 +5,7 @@ use crate::error::Error;
 use crate::parser::parse;
 use crate::table::Table;
 use crate::value::SqlValue;
-use crate::wal::Wal;
+use crate::wal::{self, Wal};
 use std::collections::HashMap;
 use std::path::Path;
 
@@ -46,23 +46,77 @@ impl ExecResult {
 /// An embedded SQL database: a set of tables, optionally persisted through a
 /// snapshot + write-ahead log (see [`crate::wal`]).
 ///
-/// Transactions are supported at statement granularity: `BEGIN` snapshots
-/// the table set, `ROLLBACK` restores it, `COMMIT` discards the snapshot and
-/// flushes the buffered WAL entries. There is a single transaction scope (no
-/// nesting), matching what the pattern store needs for atomic batch commits.
+/// Transactions are supported at statement granularity and cost what they
+/// touch: `BEGIN` allocates nothing, every mutating statement records what
+/// reverses it in an undo log (see [`TableUndo`]), `ROLLBACK` replays that
+/// log backwards, `COMMIT` drops it and appends the buffered statements to
+/// the WAL as one all-or-nothing group. A multi-row `INSERT` that fails
+/// half-way keeps the rows before the failing one, and exactly their undo
+/// entries. There is a single transaction scope (no nesting), matching what
+/// the pattern store needs for atomic batch commits.
 #[derive(Debug)]
 pub struct Database {
     tables: HashMap<String, Table>,
     wal: Option<Wal>,
-    /// Copy-on-begin snapshot + buffered WAL statements while a transaction
-    /// is open.
+    /// Undo log + buffered WAL frames while a transaction is open.
     txn: Option<TxnState>,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct TxnState {
-    backup: HashMap<String, Table>,
-    wal_buffer: Vec<String>,
+    /// Per table the transaction touched, what puts it back.
+    undo: HashMap<String, TableUndo>,
+    /// The statements executed so far, rendered and framed for the WAL.
+    wal_frames: Vec<u8>,
+}
+
+/// What reverses one transaction's effect on one table. Tables are
+/// independent, so each keeps its own log: row-level steps until the first
+/// destructive statement (`DELETE`, `DROP`/`CREATE TABLE`, an `UPDATE` that
+/// assigns a unique column) saves a before-image of the whole table, and
+/// nothing after it — the image already reverses whatever follows, so a
+/// transaction holds at most one per table.
+#[derive(Debug, Default)]
+struct TableUndo {
+    /// Row-level steps, oldest first.
+    rows: Vec<RowUndo>,
+    /// The table as it was before the first destructive statement; the inner
+    /// `None` is a table that did not exist.
+    image: Option<Option<Table>>,
+}
+
+#[derive(Debug)]
+enum RowUndo {
+    /// A row was appended: pop it.
+    Appended,
+    /// Cells of row `row` were overwritten: put `(column, value)` back,
+    /// last assignment first.
+    Cells {
+        row: usize,
+        before: Vec<(usize, SqlValue)>,
+    },
+}
+
+/// The row-level undo log of `table`, or `None` when there is nothing to
+/// record: no transaction is open, or it already holds the table's image.
+fn row_log<'t>(txn: &'t mut Option<TxnState>, table: &str) -> Option<&'t mut Vec<RowUndo>> {
+    let undo = &mut txn.as_mut()?.undo;
+    if !undo.contains_key(table) {
+        undo.insert(table.to_string(), TableUndo::default());
+    }
+    let log = undo.get_mut(table)?;
+    log.image.is_none().then_some(&mut log.rows)
+}
+
+/// Before a destructive statement on table `name`: keep `before()` as its
+/// image, unless no transaction is open or it already holds one.
+fn keep_image(txn: &mut Option<TxnState>, name: &str, before: impl FnOnce() -> Option<Table>) {
+    if let Some(txn) = txn {
+        let log = txn.undo.entry(name.to_string()).or_default();
+        if log.image.is_none() {
+            log.image = Some(before());
+        }
+    }
 }
 
 impl Database {
@@ -153,10 +207,7 @@ impl Database {
                 if self.txn.is_some() {
                     return Err(Error::Parse("transaction already open".into()));
                 }
-                self.txn = Some(TxnState {
-                    backup: self.tables.clone(),
-                    wal_buffer: Vec::new(),
-                });
+                self.txn = Some(TxnState::default());
                 return Ok(ExecResult::None);
             }
             Statement::Commit => {
@@ -165,8 +216,10 @@ impl Database {
                     .take()
                     .ok_or_else(|| Error::Parse("COMMIT without open transaction".into()))?;
                 if let Some(wal) = &mut self.wal {
-                    for rendered in &txn.wal_buffer {
-                        wal.log(rendered, &[])?;
+                    if let Err(e) = wal.log_group(&txn.wal_frames) {
+                        // What is not durable must not stay visible.
+                        self.undo(txn.undo);
+                        return Err(e);
                     }
                 }
                 return Ok(ExecResult::None);
@@ -176,7 +229,7 @@ impl Database {
                     .txn
                     .take()
                     .ok_or_else(|| Error::Parse("ROLLBACK without open transaction".into()))?;
-                self.tables = txn.backup;
+                self.undo(txn.undo);
                 return Ok(ExecResult::None);
             }
             Statement::CreateTable {
@@ -190,13 +243,16 @@ impl Database {
                     }
                     return Err(Error::TableExists(name.clone()));
                 }
+                keep_image(&mut self.txn, name, || None);
                 self.tables
                     .insert(name.clone(), Table::new(name.clone(), columns.clone()));
                 ExecResult::None
             }
             Statement::DropTable { name, if_exists } => {
-                if self.tables.remove(name).is_none() && !*if_exists {
-                    return Err(Error::NoSuchTable(name.clone()));
+                match self.tables.remove(name) {
+                    Some(dropped) => keep_image(&mut self.txn, name, || Some(dropped)),
+                    None if *if_exists => {}
+                    None => return Err(Error::NoSuchTable(name.clone())),
                 }
                 ExecResult::None
             }
@@ -224,8 +280,7 @@ impl Database {
                 // Inside a transaction, buffer the rendered statement; it
                 // only reaches the WAL at COMMIT (rollbacks leave no trace).
                 Some(txn) if self.wal.is_some() => {
-                    txn.wal_buffer
-                        .push(crate::wal::render_statement(sql, params)?);
+                    wal::write_frame(&mut txn.wal_frames, &wal::render_statement(sql, params)?)?;
                 }
                 _ => {
                     if let Some(wal) = &mut self.wal {
@@ -249,6 +304,10 @@ impl Database {
         match stmt {
             Statement::Select(sel) => {
                 match &sel.table {
+                    Some(name) if row_count_item(sel).is_some() => {
+                        lines.push(format!("ROW COUNT {name} (no scan)"));
+                        return Ok(lines);
+                    }
                     Some(name) => lines.push(access(self.table(name)?, sel.filter.as_ref())?),
                     None => lines.push("CONSTANT (no table)".to_string()),
                 }
@@ -298,6 +357,35 @@ impl Database {
             .ok_or_else(|| Error::NoSuchTable(name.to_string()))
     }
 
+    /// Reverse a transaction: per table, the image first (it was taken
+    /// last), then the row-level steps newest to oldest.
+    fn undo(&mut self, undo: HashMap<String, TableUndo>) {
+        for (name, log) in undo {
+            match log.image {
+                Some(Some(table)) => {
+                    self.tables.insert(name.clone(), table);
+                }
+                Some(None) => {
+                    self.tables.remove(&name);
+                }
+                None => {}
+            }
+            let Some(table) = self.tables.get_mut(&name) else {
+                continue;
+            };
+            for step in log.rows.into_iter().rev() {
+                match step {
+                    RowUndo::Appended => table.pop_row(),
+                    RowUndo::Cells { row, before } => {
+                        for (col, v) in before.into_iter().rev() {
+                            table.restore_cell(row, col, v);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     fn run_insert(
         &mut self,
         table: &str,
@@ -336,10 +424,23 @@ impl Database {
             }
             evaluated.push(full);
         }
-        let t = self.table_mut(table)?;
+        let t = self
+            .tables
+            .get_mut(table)
+            .ok_or_else(|| Error::NoSuchTable(table.to_string()))?;
+        let mut log = row_log(&mut self.txn, table);
         let mut n = 0;
         for row in evaluated {
-            t.insert(row, or_replace)?;
+            let replaced = t.insert(row, or_replace)?;
+            if let Some(log) = &mut log {
+                log.push(match replaced {
+                    None => RowUndo::Appended,
+                    Some((row, before)) => RowUndo::Cells {
+                        row,
+                        before: before.into_iter().enumerate().collect(),
+                    },
+                });
+            }
             n += 1;
         }
         Ok(n)
@@ -425,6 +526,12 @@ impl Database {
             for c in cols {
                 t.column_index(c)?;
             }
+        }
+        if let (Some(t), Some(item)) = (table, row_count_item(sel)) {
+            return Ok(ExecResult::Rows {
+                columns: vec![item.alias.clone().unwrap_or_else(|| expr_name(&item.expr))],
+                rows: vec![vec![SqlValue::Integer(t.rows.len() as i64)]],
+            });
         }
         let aggregate =
             sel.items.iter().any(|it| contains_aggregate(&it.expr)) || !sel.group_by.is_empty();
@@ -630,14 +737,41 @@ impl Database {
         let touches_unique = set_indices
             .iter()
             .any(|&ci| t.columns[ci].unique || t.columns[ci].primary_key);
-        let t = self.table_mut(table)?;
-        for (row_idx, vals) in updates {
-            for (ci, v) in set_indices.iter().zip(vals) {
-                t.set(row_idx, *ci, v);
-            }
+        if touches_unique && n > 0 {
+            keep_image(&mut self.txn, table, || self.tables.get(table).cloned());
+        }
+        let t = self
+            .tables
+            .get_mut(table)
+            .ok_or_else(|| Error::NoSuchTable(table.to_string()))?;
+        let mut changed = Vec::with_capacity(n);
+        for (row, vals) in updates {
+            let before: Vec<(usize, SqlValue)> = set_indices
+                .iter()
+                .zip(vals)
+                .map(|(ci, v)| (*ci, t.set(row, *ci, v)))
+                .collect();
+            changed.push((row, before));
         }
         if touches_unique {
-            t.rebuild_indexes()?;
+            if let Err(e) = t.rebuild_indexes() {
+                // The statement fails as a whole: rows back, indexes again.
+                for (row, before) in changed.into_iter().rev() {
+                    for (col, v) in before.into_iter().rev() {
+                        t.rows[row][col] = v;
+                    }
+                }
+                t.rebuild_indexes()
+                    .expect("the rows were consistent before the statement");
+                return Err(e);
+            }
+        }
+        if let Some(log) = row_log(&mut self.txn, table) {
+            log.extend(
+                changed
+                    .into_iter()
+                    .map(|(row, before)| RowUndo::Cells { row, before }),
+            );
         }
         Ok(n)
     }
@@ -665,22 +799,35 @@ impl Database {
             }
         }
         let n = to_delete.len();
-        self.table_mut(table)?.delete_rows(&to_delete);
+        if n > 0 {
+            keep_image(&mut self.txn, table, || self.tables.get(table).cloned());
+            self.table_mut(table)?.delete_rows(&to_delete);
+        }
         Ok(n)
     }
 
     /// Write a compact snapshot and truncate the WAL. No-op for in-memory
     /// databases. Refused while a transaction is open (the snapshot would
-    /// capture uncommitted state).
+    /// capture uncommitted state). Rows are rendered one at a time straight
+    /// into the snapshot file: the database is never held a second time as
+    /// text.
     pub fn checkpoint(&mut self) -> Result<(), Error> {
         if self.txn.is_some() {
             return Err(Error::Parse(
                 "cannot checkpoint inside a transaction".into(),
             ));
         }
-        let stmts = self.dump_statements();
         if let Some(wal) = &mut self.wal {
-            wal.checkpoint(&stmts)?;
+            let tables = &self.tables;
+            wal.checkpoint(|out| {
+                let mut written = Ok(());
+                dump_each(tables, |stmt| {
+                    if written.is_ok() {
+                        written = wal::write_frame(out, stmt);
+                    }
+                });
+                written
+            })?;
         }
         Ok(())
     }
@@ -689,50 +836,7 @@ impl Database {
     /// INSERTs) whose replay reproduces it exactly.
     pub fn dump_statements(&self) -> Vec<String> {
         let mut stmts = Vec::new();
-        let mut names: Vec<&String> = self.tables.keys().collect();
-        names.sort();
-        for name in names {
-            let t = &self.tables[name];
-            let mut out = format!("CREATE TABLE {} (", t.name);
-            for (i, c) in t.columns.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&c.name);
-                out.push(' ');
-                out.push_str(match c.ty {
-                    ColType::Integer => "INTEGER",
-                    ColType::Real => "REAL",
-                    ColType::Text => "TEXT",
-                });
-                if c.primary_key {
-                    out.push_str(" PRIMARY KEY");
-                } else {
-                    if c.not_null {
-                        out.push_str(" NOT NULL");
-                    }
-                    if c.unique {
-                        out.push_str(" UNIQUE");
-                    }
-                }
-                if let Some(d) = &c.default {
-                    out.push_str(&format!(" DEFAULT {}", sql_literal(d)));
-                }
-            }
-            out.push(')');
-            stmts.push(out);
-            for row in &t.rows {
-                let mut out = format!("INSERT INTO {} VALUES (", t.name);
-                for (i, v) in row.iter().enumerate() {
-                    if i > 0 {
-                        out.push_str(", ");
-                    }
-                    out.push_str(&sql_literal(v));
-                }
-                out.push(')');
-                stmts.push(out);
-            }
-        }
+        dump_each(&self.tables, |stmt| stmts.push(stmt.to_string()));
         stmts
     }
 
@@ -740,28 +844,121 @@ impl Database {
     /// [`Database::dump_statements`], `;`-terminated).
     pub fn dump(&self) -> String {
         let mut s = String::new();
-        for stmt in self.dump_statements() {
-            s.push_str(&stmt);
+        dump_each(&self.tables, |stmt| {
+            s.push_str(stmt);
             s.push_str(";\n");
-        }
+        });
         s
+    }
+}
+
+/// Render the database as SQL — per table in name order, its `CREATE TABLE`
+/// then one `INSERT` per row — handing each statement to `sink` from one
+/// reused buffer.
+fn dump_each(tables: &HashMap<String, Table>, mut sink: impl FnMut(&str)) {
+    let mut names: Vec<&String> = tables.keys().collect();
+    names.sort();
+    let mut out = String::new();
+    for name in names {
+        let t = &tables[name];
+        out.clear();
+        out.push_str("CREATE TABLE ");
+        out.push_str(&t.name);
+        out.push_str(" (");
+        for (i, c) in t.columns.iter().enumerate() {
+            if i > 0 {
+                out.push_str(", ");
+            }
+            out.push_str(&c.name);
+            out.push(' ');
+            out.push_str(match c.ty {
+                ColType::Integer => "INTEGER",
+                ColType::Real => "REAL",
+                ColType::Text => "TEXT",
+            });
+            if c.primary_key {
+                out.push_str(" PRIMARY KEY");
+            } else {
+                if c.not_null {
+                    out.push_str(" NOT NULL");
+                }
+                if c.unique {
+                    out.push_str(" UNIQUE");
+                }
+            }
+            if let Some(d) = &c.default {
+                out.push_str(" DEFAULT ");
+                push_literal(&mut out, d);
+            }
+        }
+        out.push(')');
+        sink(&out);
+        for row in &t.rows {
+            out.clear();
+            out.push_str("INSERT INTO ");
+            out.push_str(&t.name);
+            out.push_str(" VALUES (");
+            for (i, v) in row.iter().enumerate() {
+                if i > 0 {
+                    out.push_str(", ");
+                }
+                push_literal(&mut out, v);
+            }
+            out.push(')');
+            sink(&out);
+        }
     }
 }
 
 /// Render a value as a SQL literal.
 pub fn sql_literal(v: &SqlValue) -> String {
+    let mut out = String::new();
+    push_literal(&mut out, v);
+    out
+}
+
+/// Append a value's SQL literal to `out`.
+fn push_literal(out: &mut String, v: &SqlValue) {
+    use std::fmt::Write;
     match v {
-        SqlValue::Null => "NULL".to_string(),
-        SqlValue::Integer(i) => i.to_string(),
+        SqlValue::Null => out.push_str("NULL"),
+        SqlValue::Integer(i) => write!(out, "{i}").expect("writing to a String cannot fail"),
         SqlValue::Real(r) => {
             if r.fract() == 0.0 && r.is_finite() {
-                format!("{r:.1}")
+                write!(out, "{r:.1}")
             } else {
-                format!("{r}")
+                write!(out, "{r}")
             }
+            .expect("writing to a String cannot fail");
         }
-        SqlValue::Text(s) => format!("'{}'", s.replace('\'', "''")),
+        SqlValue::Text(s) => {
+            out.push('\'');
+            for (i, part) in s.split('\'').enumerate() {
+                if i > 0 {
+                    out.push_str("''");
+                }
+                out.push_str(part);
+            }
+            out.push('\'');
+        }
     }
+}
+
+/// The single projected item of a bare `SELECT COUNT(*) FROM t` — answered
+/// from the row store's length, so what it costs does not grow with the
+/// table (`seqd` asks for the pattern count on every `/stats` request).
+fn row_count_item(sel: &SelectStmt) -> Option<&SelectItem> {
+    let [item] = sel.items.as_slice() else {
+        return None;
+    };
+    let count_star = matches!(&item.expr, Expr::Call(name, args)
+        if name == "COUNT" && matches!(args.as_slice(), [] | [Expr::Star]));
+    let bare = sel.filter.is_none()
+        && sel.group_by.is_empty()
+        && sel.having.is_none()
+        && sel.limit.is_none()
+        && sel.offset.is_none();
+    (count_star && bare).then_some(item)
 }
 
 fn expr_name(e: &Expr) -> String {
@@ -1424,6 +1621,27 @@ mod tests {
             db.query("SELECT COUNT(*) FROM p").unwrap()[0][0],
             SqlValue::Integer(4)
         );
+    }
+
+    #[test]
+    fn bare_count_star_is_the_row_count() {
+        let mut db = db_with_data();
+        let plan = db.query("EXPLAIN SELECT COUNT(*) FROM p").unwrap();
+        assert_eq!(
+            plan,
+            vec![vec![SqlValue::Text("ROW COUNT p (no scan)".into())]]
+        );
+        let count =
+            |db: &mut Database| db.query("SELECT COUNT(*) AS n FROM p").unwrap()[0][0].clone();
+        assert_eq!(count(&mut db), SqlValue::Integer(4));
+        db.execute("BEGIN").unwrap();
+        db.execute("INSERT INTO p (id, service) VALUES ('p5', 'x'), ('p6', 'x')")
+            .unwrap();
+        db.execute("DELETE FROM p WHERE id = 'p1'").unwrap();
+        assert_eq!(count(&mut db), SqlValue::Integer(5));
+        db.execute("ROLLBACK").unwrap();
+        assert_eq!(count(&mut db), SqlValue::Integer(4));
+        assert!(db.execute("SELECT COUNT(*) FROM nope").is_err());
     }
 
     #[test]

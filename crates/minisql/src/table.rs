@@ -97,8 +97,14 @@ impl Table {
     }
 
     /// Insert a row; `or_replace` resolves unique conflicts by replacing the
-    /// existing row in place.
-    pub fn insert(&mut self, mut row: Vec<SqlValue>, or_replace: bool) -> Result<(), Error> {
+    /// existing row in place. Returns `None` when the row was appended, or
+    /// the index and former contents of the row it replaced — what a
+    /// transaction needs to reverse the insert.
+    pub fn insert(
+        &mut self,
+        mut row: Vec<SqlValue>,
+        or_replace: bool,
+    ) -> Result<Option<(usize, Vec<SqlValue>)>, Error> {
         if row.len() != self.columns.len() {
             return Err(Error::ArityMismatch {
                 expected: self.columns.len(),
@@ -118,22 +124,22 @@ impl Table {
                     }
                 }
                 self.rows.push(row);
-                Ok(())
+                Ok(None)
             }
             Some(existing) if or_replace => {
                 // Remove old index entries for the replaced row, then insert
                 // the new values in place.
-                let old = self.rows[existing].clone();
                 for (col_idx, index) in &mut self.unique {
-                    index.remove(&index_key(&old[*col_idx]));
+                    index.remove(&index_key(&self.rows[existing][*col_idx]));
                 }
                 // The new row may still conflict with *another* row on a
                 // different unique column.
                 if let Some(other) = self.check_row(&row)? {
                     // Restore old index entries before failing.
                     for (col_idx, index) in &mut self.unique {
-                        if !old[*col_idx].is_null() {
-                            index.insert(index_key(&old[*col_idx]), existing);
+                        let old = &self.rows[existing][*col_idx];
+                        if !old.is_null() {
+                            index.insert(index_key(old), existing);
                         }
                     }
                     let col = self.unique.iter().find(|(c, idx)| {
@@ -151,8 +157,8 @@ impl Table {
                         index.insert(index_key(&row[*col_idx]), existing);
                     }
                 }
-                self.rows[existing] = row;
-                Ok(())
+                let old = std::mem::replace(&mut self.rows[existing], row);
+                Ok(Some((existing, old)))
             }
             Some(existing) => {
                 let col = self
@@ -172,10 +178,31 @@ impl Table {
     }
 
     /// Overwrite column `col` of row `row_idx` (constraint-checked by the
-    /// caller through [`Table::rebuild_indexes`]).
-    pub fn set(&mut self, row_idx: usize, col: usize, v: SqlValue) {
+    /// caller through [`Table::rebuild_indexes`]); returns the old value.
+    pub fn set(&mut self, row_idx: usize, col: usize, v: SqlValue) -> SqlValue {
         let v = self.coerce(col, v);
-        self.rows[row_idx][col] = v;
+        std::mem::replace(&mut self.rows[row_idx][col], v)
+    }
+
+    /// Reverse an append: remove the last row and its unique-index entries.
+    pub fn pop_row(&mut self) {
+        let Some(row) = self.rows.pop() else { return };
+        for (col_idx, index) in &mut self.unique {
+            index.remove(&index_key(&row[*col_idx]));
+        }
+    }
+
+    /// Reverse an overwrite: put `before` back into column `col` of row
+    /// `row_idx`, moving the row's unique-index entry with it.
+    pub fn restore_cell(&mut self, row_idx: usize, col: usize, before: SqlValue) {
+        let now = std::mem::replace(&mut self.rows[row_idx][col], before);
+        let before = &self.rows[row_idx][col];
+        if let Some((_, index)) = self.unique.iter_mut().find(|(c, _)| *c == col) {
+            index.remove(&index_key(&now));
+            if !before.is_null() {
+                index.insert(index_key(before), row_idx);
+            }
+        }
     }
 
     /// Delete the rows at the given (sorted, deduplicated) indices.

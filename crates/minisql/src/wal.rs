@@ -5,20 +5,36 @@
 //! * `snapshot.sql` — the framed statement list of the last checkpoint;
 //! * `wal.sql` — framed mutation statements appended since the checkpoint.
 //!
-//! Statements are framed as `#<byte-length>\n<statement-bytes>\n` so that
-//! string literals containing newlines (log messages stored as pattern
-//! examples frequently do) survive recovery byte-exactly.
+//! The frame grammar:
+//!
+//! ```text
+//! file  := (frame | group)*
+//! frame := '#' <statement-byte-length> '\n' <statement-bytes> '\n'
+//! group := '!' <payload-byte-length> '\n' frame*
+//! ```
+//!
+//! Length-prefixed frames let string literals containing newlines (log
+//! messages stored as pattern examples frequently do) survive recovery
+//! byte-exactly. A statement executed outside a transaction is one frame; a
+//! committed transaction is one group — its header states the total length of
+//! the statement frames that follow, and header and frames are appended with
+//! a single write — so recovery sees a transaction entirely or not at all.
+//! Files written before groups existed hold plain frames only and read
+//! unchanged.
 //!
 //! [`Wal::log`] renders bound parameters into the statement text before
 //! appending, so the WAL is self-contained plain SQL. Recovery replays the
-//! snapshot then the WAL in order. [`Wal::checkpoint`] atomically replaces
-//! the snapshot (write-to-temp + rename) and truncates the WAL.
+//! snapshot then the WAL in order and drops what a crash tore at the end of
+//! a file: a header cut before its newline, a frame shorter than its length,
+//! or a group whose payload is incomplete (every statement of it, including
+//! the whole frames that did arrive). [`Wal::checkpoint`] atomically
+//! replaces the snapshot (write-to-temp + rename) and truncates the WAL.
 
 use crate::error::Error;
 use crate::lexer::{lex, Tok};
 use crate::value::SqlValue;
 use std::fs::{self, File, OpenOptions};
-use std::io::{Read, Write};
+use std::io::{BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 
 /// Handle to a database directory's durability files.
@@ -42,37 +58,54 @@ impl Wal {
         })
     }
 
-    /// All statements to replay, snapshot first.
+    /// All statements to replay, snapshot first. A tail of `wal.sql` torn
+    /// by a crash mid-append is cut off, so that the appends that follow
+    /// land after the last whole frame.
     pub fn recover(&self) -> Result<Vec<String>, Error> {
         let mut stmts = Vec::new();
-        for name in ["snapshot.sql", "wal.sql"] {
-            let path = self.dir.join(name);
-            if path.exists() {
-                stmts.extend(read_frames(&path)?);
-            }
+        let snapshot = self.dir.join("snapshot.sql");
+        if snapshot.exists() {
+            read_frames(&snapshot, &mut stmts)?;
+        }
+        let whole = read_frames(&self.dir.join("wal.sql"), &mut stmts)?;
+        if whole < self.wal.metadata()?.len() {
+            self.wal.set_len(whole)?;
         }
         Ok(stmts)
     }
 
     /// Append one mutation statement, with parameters rendered inline.
     pub fn log(&mut self, sql: &str, params: &[SqlValue]) -> Result<(), Error> {
-        let rendered = render_statement(sql, params)?;
-        write_frame(&mut self.wal, &rendered)?;
-        self.wal.flush()?;
+        let mut frame = Vec::new();
+        write_frame(&mut frame, &render_statement(sql, params)?)?;
+        self.wal.write_all(&frame)?;
         Ok(())
     }
 
-    /// Atomically replace the snapshot with `statements` and truncate the
-    /// WAL.
-    pub fn checkpoint(&mut self, statements: &[String]) -> Result<(), Error> {
-        let tmp = self.dir.join("snapshot.sql.tmp");
-        {
-            let mut f = File::create(&tmp)?;
-            for s in statements {
-                write_frame(&mut f, s)?;
-            }
-            f.sync_all()?;
+    /// Append a committed transaction — `frames` is its statements, each
+    /// rendered and framed by [`write_frame`] — as one group, in one write.
+    pub fn log_group(&mut self, frames: &[u8]) -> Result<(), Error> {
+        if frames.is_empty() {
+            return Ok(());
         }
+        let mut group = format!("!{}\n", frames.len()).into_bytes();
+        group.extend_from_slice(frames);
+        self.wal.write_all(&group)?;
+        Ok(())
+    }
+
+    /// Atomically replace the snapshot with the frames `write_frames` emits
+    /// and truncate the WAL.
+    pub fn checkpoint(
+        &mut self,
+        write_frames: impl FnOnce(&mut BufWriter<File>) -> Result<(), Error>,
+    ) -> Result<(), Error> {
+        let tmp = self.dir.join("snapshot.sql.tmp");
+        let mut out = BufWriter::new(File::create(&tmp)?);
+        write_frames(&mut out)?;
+        let file = out.into_inner().map_err(|e| e.into_error())?;
+        file.sync_all()?;
+        drop(file);
         fs::rename(&tmp, self.dir.join("snapshot.sql"))?;
         // Truncate the WAL.
         self.wal = OpenOptions::new()
@@ -84,43 +117,72 @@ impl Wal {
     }
 }
 
-fn write_frame(f: &mut File, stmt: &str) -> Result<(), Error> {
-    f.write_all(format!("#{}\n", stmt.len()).as_bytes())?;
-    f.write_all(stmt.as_bytes())?;
-    f.write_all(b"\n")?;
+/// Write the frame of one rendered statement.
+pub(crate) fn write_frame(out: &mut impl Write, stmt: &str) -> Result<(), Error> {
+    writeln!(out, "#{}", stmt.len())?;
+    out.write_all(stmt.as_bytes())?;
+    out.write_all(b"\n")?;
     Ok(())
 }
 
-fn read_frames(path: &Path) -> Result<Vec<String>, Error> {
+/// Append the statements framed in the file at `path` to `out`; returns
+/// the length of the file without its torn tail, if it has one.
+fn read_frames(path: &Path, out: &mut Vec<String>) -> Result<u64, Error> {
     let mut data = String::new();
     File::open(path)?.read_to_string(&mut data)?;
-    let bytes = data.as_bytes();
+    let whole = parse_frames(&data, None, out)
+        .map_err(|what| Error::Corrupt(format!("{what} in {path:?}")))?;
+    Ok(whole as u64)
+}
+
+/// Append the statements framed in `data` to `out`. `group` is `None` for a
+/// whole file, where a tail torn by a crash mid-append — a header without
+/// its newline, a frame or group shorter than its length — ends the parse
+/// quietly (standard WAL recovery semantics), or the file offset of the
+/// group whose complete payload `data` is, where the same is corruption.
+/// Returns how many bytes of `data` precede the torn tail.
+fn parse_frames(data: &str, group: Option<usize>, out: &mut Vec<String>) -> Result<usize, String> {
+    let base = group.unwrap_or(0);
+    let torn = |at: usize| match group {
+        None => Ok(at),
+        Some(_) => Err(format!("frame at byte {} overruns its group", base + at)),
+    };
     let mut i = 0usize;
-    let mut out = Vec::new();
-    while i < bytes.len() {
-        if bytes[i] != b'#' {
-            return Err(Error::Corrupt(format!(
-                "bad frame header at byte {i} of {path:?}"
-            )));
+    while i < data.len() {
+        let sigil = data.as_bytes()[i];
+        if sigil != b'#' && (sigil != b'!' || group.is_some()) {
+            return Err(format!("bad frame header at byte {}", base + i));
         }
-        let nl = data[i..]
-            .find('\n')
-            .map(|p| i + p)
-            .ok_or_else(|| Error::Corrupt("truncated frame header".into()))?;
-        let len: usize = data[i + 1..nl]
+        let Some(nl) = data[i..].find('\n') else {
+            return torn(i);
+        };
+        let len: usize = data[i + 1..i + nl]
             .parse()
-            .map_err(|_| Error::Corrupt("bad frame length".into()))?;
-        let start = nl + 1;
-        let end = start + len;
-        if end + 1 > bytes.len() {
-            // A torn final frame (crash mid-append) is dropped, matching
-            // standard WAL recovery semantics.
-            break;
+            .map_err(|_| format!("bad frame length at byte {}", base + i))?;
+        let start = i + nl + 1;
+        let rest = data.len() - start;
+        // A frame is its statement plus a newline; a group is its payload.
+        let end = if sigil == b'#' {
+            len.checked_add(1)
+        } else {
+            Some(len)
         }
-        out.push(data[start..end].to_string());
-        i = end + 1; // skip trailing newline
+        .filter(|n| *n <= rest)
+        .map(|n| start + n);
+        let Some(end) = end else {
+            return torn(i);
+        };
+        let body = data
+            .get(start..start + len)
+            .ok_or_else(|| format!("frame at byte {} splits a character", base + i))?;
+        if sigil == b'#' {
+            out.push(body.to_string());
+        } else {
+            parse_frames(body, Some(base + start), out)?;
+        }
+        i = end;
     }
-    Ok(out)
+    Ok(data.len())
 }
 
 /// Render a parameterised statement into standalone SQL text: `?` tokens are

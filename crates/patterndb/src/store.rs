@@ -339,18 +339,29 @@ impl PatternStore {
                  FROM patterns ORDER BY service, cnt DESC, id",
             )?,
         };
+        // One pass over the examples table, whatever the number of patterns:
+        // it has no index on `pattern_id`, so a query per pattern is a scan
+        // per pattern.
+        let mut examples: HashMap<&str, Vec<String>> = rows
+            .iter()
+            .map(|r| (r[0].as_text().unwrap_or_default(), Vec::new()))
+            .collect();
+        for mut er in self
+            .db
+            .query("SELECT pattern_id, body FROM examples ORDER BY pattern_id, seq")?
+        {
+            let body = er.pop();
+            if let Some(bodies) = examples.get_mut(er[0].as_text().unwrap_or_default()) {
+                bodies.push(match body {
+                    Some(SqlValue::Text(body)) => body,
+                    _ => String::new(),
+                });
+            }
+        }
         let mut out = Vec::with_capacity(rows.len());
-        for r in rows {
+        for r in &rows {
             let id = r[0].as_text().unwrap_or_default().to_string();
-            let examples = self
-                .db
-                .query_with(
-                    "SELECT body FROM examples WHERE pattern_id = ? ORDER BY seq",
-                    &[id.as_str().into()],
-                )?
-                .into_iter()
-                .map(|er| er[0].as_text().unwrap_or_default().to_string())
-                .collect();
+            let examples = examples.remove(id.as_str()).unwrap_or_default();
             out.push(StoredPattern {
                 id,
                 service: r[1].as_text().unwrap_or_default().to_string(),
