@@ -132,8 +132,9 @@ gate_drop_table() {
 # check_seqbench_output STDOUT_FILE
 # seqbench prints "workload metric value unit" lines and one JSON result line
 # per workload. Every result must be correct with ok_share 1, and wire_small
-# (one service, eight fixed templates) must be mined exactly. Throughput is
-# printed for the log and not gated (benchmark/README.md, "Host noise").
+# (one service, eight fixed templates) must be mined exactly. Throughput and
+# peak RSS are printed for the log and not gated (benchmark/README.md, "Host
+# noise"; the acceptance pipeline gates peak_rss_mb against the parent).
 check_seqbench_output() {
   awk '
     function fail(why) { printf "    %s\n", why > "/dev/stderr"; bad = 1 }
@@ -142,7 +143,10 @@ check_seqbench_output() {
       checked++
       if ($3 != 1) fail($1 " " $2 " " $3 " (want 1)")
     }
-    $2 == "window.e2e_lines_per_s" { printf "    %-14s %9.0f lines/s end to end\n", $1, $3 }
+    $2 == "peak_rss_mb" { rss[$1] = $3 }
+    $2 == "window.e2e_lines_per_s" {
+      printf "    %-14s %9.0f lines/s end to end, peak RSS %6.1f MiB\n", $1, $3, rss[$1]
+    }
     END {
       if (results != 4 || checked != 6) fail("expected four workloads in the output")
       exit bad

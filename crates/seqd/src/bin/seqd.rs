@@ -148,6 +148,9 @@ fn main() -> ExitCode {
         store_path.as_deref().unwrap_or("in-memory"),
         wal_desc,
     );
+    if let Some(line) = handle.unloaded_notice() {
+        eprintln!("seqd: {line}");
+    }
 
     match handle.join() {
         Ok(ops) => {

@@ -108,6 +108,8 @@ pub struct MiningEngine {
     analyzer: Analyzer,
     store: Mutex<PatternStore>,
     sets: Mutex<HashMap<String, Arc<Mutex<PatternSet>>>>,
+    /// [`sequence_rtg::unloaded_notice`] for the load in [`MiningEngine::new`].
+    unloaded: Option<String>,
 }
 
 impl MiningEngine {
@@ -118,7 +120,7 @@ impl MiningEngine {
         mut store: PatternStore,
         config: RtgConfig,
     ) -> Result<(MiningEngine, HashMap<String, PatternSet>), StoreError> {
-        let (seed, _bad) = store.load_pattern_sets()?;
+        let (seed, skipped) = store.load_pattern_sets()?;
         let sets = seed
             .iter()
             .map(|(service, set)| (service.clone(), Arc::new(Mutex::new(set.clone()))))
@@ -130,6 +132,7 @@ impl MiningEngine {
                 analyzer: Analyzer::with_options(config.analyzer),
                 store: Mutex::new(store),
                 sets: Mutex::new(sets),
+                unloaded: sequence_rtg::unloaded_notice(&skipped),
             },
             seed,
         ))
@@ -145,6 +148,13 @@ impl MiningEngine {
     /// The active configuration.
     pub fn config(&self) -> RtgConfig {
         self.config
+    }
+
+    /// One line about stored patterns that did not parse at start-up and
+    /// were left out of the sets, `None` when all loaded. Kept for the
+    /// binary to print: clients read its `listening on` line first.
+    pub fn unloaded_notice(&self) -> Option<&str> {
+        self.unloaded.as_deref()
     }
 
     /// The pattern store, for control-plane reads and the shutdown
@@ -946,6 +956,22 @@ mod tests {
         miner.submit_blocking(job(0, sshd_batch()));
         assert_eq!(deps.ops.snapshot().remines, 1);
         assert!(deps.board.load("sshd").is_some());
+    }
+
+    #[test]
+    fn engine_keeps_the_notice_for_stored_patterns_it_could_not_load() {
+        assert_eq!(test_deps().engine.unloaded_notice(), None);
+        let mut store = PatternStore::in_memory();
+        for (id, text) in [("bad1", "load at 95% of %max:integer%"), ("ok1", "up %n%")] {
+            let row = [id.into(), "svc".into(), text.into()];
+            let sql = "INSERT INTO patterns (id, service, pattern) VALUES (?, ?, ?)";
+            store.db().execute_with(sql, &row).unwrap();
+        }
+        let (engine, seed) = MiningEngine::new(store, RtgConfig::default()).unwrap();
+        assert_eq!(seed["svc"].len(), 1, "the good pattern is served");
+        let line = engine.unloaded_notice().expect("one pattern was skipped");
+        assert!(line.starts_with("1 stored patterns do not parse"), "{line}");
+        assert!(line.contains("first: bad1: "), "{line}");
     }
 
     #[test]

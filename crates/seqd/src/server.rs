@@ -370,6 +370,11 @@ impl SeqdHandle {
         self.shared.addr
     }
 
+    /// [`MiningEngine::unloaded_notice`], for the binary's start-up output.
+    pub fn unloaded_notice(&self) -> Option<&str> {
+        self.shared.engine.unloaded_notice()
+    }
+
     /// Live counter snapshot.
     pub fn ops(&self) -> OpsSnapshot {
         self.shared.ops.snapshot()

@@ -9,9 +9,10 @@
 //! mined for a while, so it is laid out flat: **a node is an integer**, and
 //! a trie of N nodes is five tables, not a few allocations per node.
 //!
-//! * A per-set **literal interner** maps each distinct literal element text
-//!   to a *symbol*; the [`TokenType`] indices are reserved as the first
-//!   [`TOKEN_TYPE_COUNT`] symbols, so every edge is `(node, symbol) → child`.
+//! * A per-set **literal [`Interner`]** maps each distinct literal element
+//!   text to a *symbol* and back (the set stores patterns as [`Packed`]
+//!   elements, text named by symbol); the [`TokenType`] indices are the first
+//!   [`TOKEN_TYPE_COUNT`] edge symbols, so every edge is `(node, symbol) → child`.
 //!   A literal element matches on text alone, whatever the token's scan-time
 //!   type (`port 22` mined as two literals matches the integer token `22`);
 //!   `%x:integer%` follows the `Integer` symbol, the free-text `%x%` the
@@ -37,7 +38,7 @@
 //! `matcher_equivalence` property test.
 
 use crate::analyzer::{is_email, is_hostname};
-use crate::pattern::{Pattern, PatternElement};
+use crate::pattern::PatternElement;
 use crate::token::{Token, TokenType, TOKEN_TYPE_COUNT};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -98,6 +99,95 @@ fn table_bytes<K, V>(map: &FxMap<K, V>) -> usize {
     map.capacity() * 8 / 7 * (size_of::<(K, V)>() + 1)
 }
 
+/// Room for `extra` more, growing by an eighth where `push` would double:
+/// the array is resident for a daemon's lifetime, full after every copy.
+pub(crate) fn reserve_tight<T>(v: &mut Vec<T>, extra: usize) {
+    if v.capacity() - v.len() < extra {
+        v.reserve_exact(extra.max(v.len() / 8));
+    }
+}
+
+/// Distinct texts numbered densely from 0, both ways. Each text is one
+/// `Arc` shared by the map and its inverse, so a copy-on-write clone of the
+/// set bumps refcounts instead of copying text.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Interner {
+    symbols: FxMap<Arc<str>, u32>,
+    texts: Vec<Arc<str>>,
+    /// Total text bytes interned (memory accounting).
+    text_bytes: usize,
+}
+
+impl Interner {
+    pub(crate) fn intern(&mut self, text: &str) -> u32 {
+        if let Some(&symbol) = self.symbols.get(text) {
+            return symbol;
+        }
+        let (symbol, text) = (self.texts.len() as u32, Arc::<str>::from(text));
+        self.text_bytes += text.len();
+        self.texts.push(text.clone());
+        self.symbols.insert(text, symbol);
+        symbol
+    }
+
+    pub(crate) fn text(&self, symbol: u32) -> &str {
+        &self.texts[symbol as usize]
+    }
+
+    /// Approximate heap bytes (O(1)).
+    pub(crate) fn heap_bytes(&self) -> usize {
+        table_bytes(&self.symbols)
+            + self.texts.capacity() * size_of::<Arc<str>>()
+            + self.texts.len() * 2 * size_of::<usize>() // Arc counts
+            + self.text_bytes
+    }
+}
+
+/// One pattern element as a set stores it: a [`PatternElement`] with an
+/// interner symbol where its text was — eight bytes, no `String`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Packed {
+    /// The text's symbol in [`MatcherTrie::literals`], and `space_before`.
+    Literal(u32, bool),
+    /// The name's symbol in the set's name interner, type, `space_before`.
+    Variable(u32, TokenType, bool),
+    IgnoreRest,
+}
+
+const _: () = assert!(size_of::<Packed>() == 8);
+
+impl Packed {
+    pub(crate) fn pack(el: &PatternElement, literals: &mut Interner, names: &mut Interner) -> Self {
+        match el {
+            PatternElement::Literal { text, space_before } => {
+                Packed::Literal(literals.intern(text), *space_before)
+            }
+            PatternElement::Variable {
+                name,
+                ty,
+                space_before,
+            } => Packed::Variable(names.intern(name), *ty, *space_before),
+            PatternElement::IgnoreRest => Packed::IgnoreRest,
+        }
+    }
+
+    /// The element [`Packed::pack`] was given, field for field.
+    pub(crate) fn unpack(self, literals: &Interner, names: &Interner) -> PatternElement {
+        match self {
+            Packed::Literal(symbol, space_before) => PatternElement::Literal {
+                text: literals.text(symbol).to_string(),
+                space_before,
+            },
+            Packed::Variable(name, ty, space_before) => PatternElement::Variable {
+                name: names.text(name).to_string(),
+                ty,
+                space_before,
+            },
+            Packed::IgnoreRest => PatternElement::IgnoreRest,
+        }
+    }
+}
+
 /// A node's first edge, held inline: most nodes sit on an unshared chain and
 /// never get a second one, so the walk resolves them with one array read and
 /// probes the edge table only below nodes that branch.
@@ -133,12 +223,9 @@ pub struct MatchScratch {
 /// The compiled discrimination trie over a set's pattern elements.
 #[derive(Debug, Clone)]
 pub(crate) struct MatcherTrie {
-    /// Literal element text → symbol, numbered from [`FIRST_LITERAL`]. Keys
-    /// are `Arc`s so a copy-on-write clone of the set bumps refcounts
-    /// instead of copying text.
-    literals: FxMap<Arc<str>, u32>,
-    /// Total text bytes interned (memory accounting).
-    literal_bytes: usize,
+    /// Literal element texts; text `s` labels edges as symbol
+    /// [`FIRST_LITERAL`]` + s`.
+    pub(crate) literals: Interner,
     /// Per node, its first-inserted edge.
     nodes: Vec<Node>,
     /// `(node, symbol)` → child node, for every edge after a node's first.
@@ -171,8 +258,7 @@ impl Default for MatcherTrie {
 impl MatcherTrie {
     pub(crate) fn new() -> MatcherTrie {
         MatcherTrie {
-            literals: FxMap::default(),
-            literal_bytes: 0,
+            literals: Interner::default(),
             nodes: vec![LEAF],
             edges: FxMap::default(),
             terminals: FxMap::default(),
@@ -190,28 +276,27 @@ impl MatcherTrie {
     /// Approximate heap bytes held by the index (O(1): table capacities
     /// plus the running interned-text total).
     pub(crate) fn heap_bytes(&self) -> usize {
-        table_bytes(&self.literals)
-            + self.literals.len() * 2 * size_of::<usize>() // Arc counts
-            + self.literal_bytes
+        self.literals.heap_bytes()
             + self.nodes.capacity() * size_of::<Node>()
             + table_bytes(&self.edges)
             + table_bytes(&self.terminals)
             + self.prev.capacity() * size_of::<u32>()
     }
 
-    /// Compile one pattern into the trie as the next entry (entries are
-    /// numbered densely from 0 in insertion order).
-    pub(crate) fn insert(&mut self, pattern: &Pattern) {
+    /// Compile one pattern (literals interned in [`Self::literals`]) as the
+    /// next entry (entries are numbered densely from 0 in insertion order).
+    pub(crate) fn insert(&mut self, pattern: &[Packed]) {
         let entry_idx = self.prev.len() as u32;
         let mut at = ROOT;
-        for el in pattern.elements() {
-            let symbol = match el {
-                PatternElement::Literal { text, .. } => self.intern(text),
-                PatternElement::Variable { ty, .. } => {
+        reserve_tight(&mut self.nodes, pattern.len());
+        for el in pattern {
+            let symbol = match *el {
+                Packed::Literal(symbol, _) => FIRST_LITERAL + symbol,
+                Packed::Variable(_, ty, _) => {
                     self.var_symbols |= 1 << ty.index();
                     ty.index() as u32
                 }
-                PatternElement::IgnoreRest => break,
+                Packed::IgnoreRest => break,
             };
             let fresh = self.nodes.len() as u32;
             let node = &mut self.nodes[at as usize];
@@ -229,20 +314,10 @@ impl MatcherTrie {
                 self.nodes.push(LEAF);
             }
         }
-        let exact = !pattern.has_ignore_rest();
+        let exact = !matches!(pattern.last(), Some(Packed::IgnoreRest));
         self.has_ignore |= !exact;
         let earlier = self.terminals.insert((at, exact), entry_idx);
         self.prev.push(earlier.unwrap_or(NONE));
-    }
-
-    fn intern(&mut self, text: &str) -> u32 {
-        if let Some(&symbol) = self.literals.get(text) {
-            return symbol;
-        }
-        let symbol = FIRST_LITERAL + self.literals.len() as u32;
-        self.literals.insert(Arc::from(text), symbol);
-        self.literal_bytes += text.len();
-        symbol
     }
 
     /// Report every entry ending at `(node, exact)`, latest first.
@@ -289,8 +364,10 @@ impl MatcherTrie {
                     }
                 };
                 if node.literal_edges {
-                    let symbol = literal
-                        .get_or_insert_with(|| self.literals.get(tok.text.as_str()).copied());
+                    let symbol = literal.get_or_insert_with(|| {
+                        let known = self.literals.symbols.get(tok.text.as_str());
+                        known.map(|s| FIRST_LITERAL + s)
+                    });
                     scratch.next.extend(symbol.and_then(child));
                 }
                 scratch.next.extend(typed.and_then(child));
@@ -330,8 +407,15 @@ mod tests {
 
     fn trie_with(patterns: &[&str]) -> MatcherTrie {
         let mut t = MatcherTrie::new();
+        let mut names = Interner::default();
         for p in patterns {
-            t.insert(&Pattern::parse(p).unwrap());
+            let pattern = crate::Pattern::parse(p).unwrap();
+            let packed: Vec<Packed> = pattern
+                .elements()
+                .iter()
+                .map(|el| Packed::pack(el, &mut t.literals, &mut names))
+                .collect();
+            t.insert(&packed);
         }
         t
     }

@@ -15,67 +15,35 @@
 //! specificity, and insertion order breaks remaining ties. The winning
 //! entry's id is cloned exactly once, and captures are materialised only for
 //! the winner.
+//!
+//! A set does not keep the [`Pattern`]s it is given. An entry is an integer:
+//! offsets into one array of ids and one of [`Packed`] elements (eight bytes
+//! each, text named by interner symbol), so an insert allocates nothing per
+//! pattern and [`PatternSet::iter`] rebuilds the patterns, field for field.
 
-use crate::matcher::{MatchScratch, MatcherTrie};
-use crate::pattern::{Captures, Pattern, PatternElement};
+use crate::matcher::{reserve_tight, Interner, MatchScratch, MatcherTrie, Packed};
+use crate::pattern::{Captures, Pattern};
 use crate::token::TokenizedMessage;
-use std::mem::{size_of, size_of_val};
+use std::mem::size_of;
 use std::sync::Arc;
 
-/// A pattern with the caller's identifier (e.g. the SHA1 id from the pattern
-/// database).
-#[derive(Debug)]
+/// Where an entry starts in [`Inner::ids`] and [`Inner::elements`]; it ends
+/// where the next one starts. An entry's number is its insertion order.
+#[derive(Debug, Clone, Copy)]
 struct Entry {
-    id: String,
-    pattern: Pattern,
-    literals: usize,
-}
-
-impl Entry {
-    /// Build the owned outcome for a trie-confirmed candidate: the single
-    /// point where an id is cloned and captures are materialised. The walk
-    /// has already checked every element against its token, so this only
-    /// collects — the same pairs [`Pattern::match_tokens`] would return.
-    fn outcome(&self, msg: &TokenizedMessage) -> ParseOutcome {
-        let elements = self.pattern.elements();
-        let mut values = Vec::with_capacity(elements.len() - self.literals);
-        for (el, tok) in elements.iter().zip(&msg.tokens) {
-            if let PatternElement::Variable { name, .. } = el {
-                values.push((name.clone(), tok.text.to_string()));
-            }
-        }
-        ParseOutcome {
-            pattern_id: self.id.clone(),
-            captures: Captures { values },
-        }
-    }
-
-    /// Approximate heap bytes of one shared entry.
-    fn heap_bytes(&self) -> usize {
-        let elements = self.pattern.elements();
-        let text: usize = elements
-            .iter()
-            .map(|el| match el {
-                PatternElement::Literal { text, .. } => text.capacity(),
-                PatternElement::Variable { name, .. } => name.capacity(),
-                PatternElement::IgnoreRest => 0,
-            })
-            .sum();
-        2 * size_of::<usize>() // Arc counts
-            + size_of::<Entry>()
-            + self.id.capacity()
-            + size_of_val(elements)
-            + text
-    }
+    id: u32,
+    elements: u32,
+    /// Number of literal elements: the entry's specificity.
+    literals: u32,
 }
 
 /// An indexed set of patterns for one stream of messages.
 ///
 /// A set is a copy-on-write handle: [`Clone`] is a reference-count bump, and
-/// [`PatternSet::insert`] copies the index first only while another handle
-/// shares it — and then copies index arrays and entry refcounts, never the
-/// patterns themselves. A holder that publishes a clone after every change
-/// (the `seqd` miner) therefore shares one allocation with its readers.
+/// [`PatternSet::insert`] copies the set first only while another handle
+/// shares it — flat arrays and interner refcounts, no text. A holder that
+/// publishes a clone after every change (the `seqd` miner) therefore shares
+/// one allocation with its readers.
 #[derive(Debug, Clone, Default)]
 pub struct PatternSet {
     inner: Arc<Inner>,
@@ -85,11 +53,53 @@ pub struct PatternSet {
 struct Inner {
     /// All patterns, in insertion order (the order is the final tie-break
     /// during specificity resolution).
-    entries: Vec<Arc<Entry>>,
-    /// Running total of [`Entry::heap_bytes`] over `entries`.
-    entry_bytes: usize,
-    /// The compiled matcher index over `entries`.
+    entries: Vec<Entry>,
+    /// The callers' ids (e.g. the pattern database's SHA1 ids), end to end.
+    ids: String,
+    elements: Vec<Packed>,
+    /// Variable names, by the symbols [`Packed::Variable`] holds.
+    names: Interner,
+    /// The compiled matcher index over `entries`; owns the literal interner.
     trie: MatcherTrie,
+}
+
+impl Inner {
+    fn id(&self, idx: usize) -> &str {
+        let next = self.entries.get(idx + 1);
+        let end = next.map_or(self.ids.len(), |e| e.id as usize);
+        &self.ids[self.entries[idx].id as usize..end]
+    }
+
+    fn elements(&self, idx: usize) -> &[Packed] {
+        let next = self.entries.get(idx + 1);
+        let end = next.map_or(self.elements.len(), |e| e.elements as usize);
+        &self.elements[self.entries[idx].elements as usize..end]
+    }
+
+    /// The pattern entry `idx` was inserted as.
+    fn pattern(&self, idx: usize) -> Pattern {
+        let unpack = |el: &Packed| el.unpack(&self.trie.literals, &self.names);
+        Pattern::new(self.elements(idx).iter().map(unpack).collect())
+            .expect("packed from a valid pattern")
+    }
+
+    /// Build the owned outcome for a trie-confirmed candidate: the single
+    /// point where an id is cloned and captures are materialised. The walk
+    /// has already checked every element against its token, so this only
+    /// collects — the same pairs [`Pattern::match_tokens`] would return.
+    fn outcome(&self, idx: usize, msg: &TokenizedMessage) -> ParseOutcome {
+        let elements = self.elements(idx);
+        let mut values = Vec::with_capacity(elements.len() - self.entries[idx].literals as usize);
+        for (el, tok) in elements.iter().zip(&msg.tokens) {
+            if let Packed::Variable(name, ..) = *el {
+                values.push((self.names.text(name).to_string(), tok.text.to_string()));
+            }
+        }
+        ParseOutcome {
+            pattern_id: self.id(idx).to_string(),
+            captures: Captures { values },
+        }
+    }
 }
 
 /// A successful parse.
@@ -127,8 +137,10 @@ impl PatternSet {
     pub fn heap_bytes(&self) -> usize {
         let inner = &*self.inner;
         size_of::<Inner>()
-            + inner.entries.capacity() * size_of::<Arc<Entry>>()
-            + inner.entry_bytes
+            + inner.entries.capacity() * size_of::<Entry>()
+            + inner.ids.capacity()
+            + inner.elements.capacity() * size_of::<Packed>()
+            + inner.names.heap_bytes()
             + inner.trie.heap_bytes()
     }
 
@@ -141,16 +153,22 @@ impl PatternSet {
     /// Insert a pattern under an id, compiling it into the matcher index.
     /// Duplicate ids are allowed (the caller — normally the pattern
     /// database — is responsible for dedup).
-    pub fn insert(&mut self, id: impl Into<String>, pattern: Pattern) {
+    pub fn insert(&mut self, id: impl Into<String>, given: Pattern) {
         let inner = Arc::make_mut(&mut self.inner);
-        inner.trie.insert(&pattern);
-        let entry = Entry {
-            id: id.into(),
-            literals: pattern.literal_count(),
-            pattern,
-        };
-        inner.entry_bytes += entry.heap_bytes();
-        inner.entries.push(Arc::new(entry));
+        let offset = |len: usize| u32::try_from(len).expect("a pattern set stays under 4 GiB");
+        inner.entries.push(Entry {
+            id: offset(inner.ids.len()),
+            elements: offset(inner.elements.len()),
+            literals: given.literal_count() as u32,
+        });
+        inner.ids.push_str(&id.into());
+        let first = inner.elements.len();
+        reserve_tight(&mut inner.elements, given.elements().len());
+        for el in given.elements() {
+            let packed = Packed::pack(el, &mut inner.trie.literals, &mut inner.names);
+            inner.elements.push(packed);
+        }
+        inner.trie.insert(&inner.elements[first..]);
     }
 
     /// Match a tokenised message against the set. Returns the most specific
@@ -168,7 +186,8 @@ impl PatternSet {
         msg: &TokenizedMessage,
         scratch: &mut MatchScratch,
     ) -> Option<ParseOutcome> {
-        self.best(msg, scratch).map(|entry| entry.outcome(msg))
+        let idx = self.best(msg, scratch)?;
+        Some(self.inner.outcome(idx, msg))
     }
 
     /// The id of the pattern [`PatternSet::match_message_with`] would
@@ -179,16 +198,16 @@ impl PatternSet {
         msg: &TokenizedMessage,
         scratch: &mut MatchScratch,
     ) -> Option<&str> {
-        self.best(msg, scratch).map(|entry| entry.id.as_str())
+        self.best(msg, scratch).map(|idx| self.inner.id(idx))
     }
 
     /// The most specific entry the trie walk finds for `msg`.
-    fn best(&self, msg: &TokenizedMessage, scratch: &mut MatchScratch) -> Option<&Entry> {
+    fn best(&self, msg: &TokenizedMessage, scratch: &mut MatchScratch) -> Option<usize> {
         // Sampled 1-in-16: this path runs at >1M msgs/s, so a full span per
         // call would dominate the work it measures.
         let _s = obs::sampled_span!("core.match", 4);
         let entries = &self.inner.entries;
-        let mut best: Option<(usize, bool, u32)> = None;
+        let mut best: Option<(u32, bool, u32)> = None;
         self.inner.trie.walk(&msg.tokens, scratch, |idx, exact| {
             let literals = entries[idx as usize].literals;
             let better = match best {
@@ -201,7 +220,7 @@ impl PatternSet {
                 best = Some((literals, exact, idx));
             }
         });
-        best.map(|(_, _, idx)| &*entries[idx as usize])
+        best.map(|(_, _, idx)| idx as usize)
     }
 
     /// All patterns the message matches, not just the most specific one —
@@ -209,65 +228,61 @@ impl PatternSet {
     /// ("all the example messages match their pattern, and no other in the
     /// whole pattern database"). Ordered most specific first.
     pub fn match_all(&self, msg: &TokenizedMessage) -> Vec<ParseOutcome> {
-        let entries = &self.inner.entries;
-        let mut hits: Vec<u32> = Vec::new();
-        self.inner
+        let inner = &*self.inner;
+        let mut hits: Vec<usize> = Vec::new();
+        inner
             .trie
             .walk(&msg.tokens, &mut MatchScratch::default(), |idx, _| {
-                hits.push(idx)
+                hits.push(idx as usize)
             });
         // Most literals first, then id; equal (literals, id) keep exact
         // entries before ignore-rest ones and insertion order within each —
         // the order the reference linear scan produces.
+        let ignore_rest = |idx| matches!(inner.elements(idx).last(), Some(Packed::IgnoreRest));
         hits.sort_by(|&a, &b| {
-            let ea = &entries[a as usize];
-            let eb = &entries[b as usize];
-            eb.literals
-                .cmp(&ea.literals)
-                .then_with(|| ea.id.cmp(&eb.id))
-                .then_with(|| {
-                    ea.pattern
-                        .has_ignore_rest()
-                        .cmp(&eb.pattern.has_ignore_rest())
-                })
+            (inner.entries[b].literals.cmp(&inner.entries[a].literals))
+                .then_with(|| inner.id(a).cmp(inner.id(b)))
+                .then_with(|| ignore_rest(a).cmp(&ignore_rest(b)))
                 .then_with(|| a.cmp(&b))
         });
         hits.into_iter()
-            .map(|idx| entries[idx as usize].outcome(msg))
+            .map(|idx| inner.outcome(idx, msg))
             .collect()
     }
 
     /// Reference linear matcher, semantically identical to
-    /// [`PatternSet::match_message`]: scan every entry in insertion order,
-    /// keeping the strictly-better match at each step. Kept for the
-    /// `matcher_equivalence` property test and as executable documentation
-    /// of the specificity rules; the trie walk must return bit-for-bit the
-    /// same outcome.
+    /// [`PatternSet::match_message`]: rebuild every entry's pattern and scan
+    /// them in insertion order, keeping the strictly-better match at each
+    /// step. Kept for the `matcher_equivalence` property test and as
+    /// executable documentation of the specificity rules; the trie walk must
+    /// return bit-for-bit the same outcome.
     pub fn match_message_linear(&self, msg: &TokenizedMessage) -> Option<ParseOutcome> {
-        let mut best: Option<(usize, bool, &Entry, Captures)> = None;
-        for entry in &self.inner.entries {
-            let Some(captures) = entry.pattern.match_tokens(&msg.tokens) else {
+        let mut best: Option<(usize, bool, usize, Captures)> = None;
+        for idx in 0..self.len() {
+            let pattern = self.inner.pattern(idx);
+            let Some(captures) = pattern.match_tokens(&msg.tokens) else {
                 continue;
             };
-            let rank = (entry.literals, !entry.pattern.has_ignore_rest());
+            let rank = (pattern.literal_count(), !pattern.has_ignore_rest());
             if best.as_ref().is_none_or(|(bl, bex, ..)| rank > (*bl, *bex)) {
-                best = Some((rank.0, rank.1, entry, captures));
+                best = Some((rank.0, rank.1, idx, captures));
             }
         }
-        best.map(|(_, _, entry, captures)| ParseOutcome {
-            pattern_id: entry.id.clone(),
+        best.map(|(_, _, idx, captures)| ParseOutcome {
+            pattern_id: self.inner.id(idx).to_string(),
             captures,
         })
     }
 
-    /// Iterate over `(id, pattern)` pairs, ordered by fixed token count and
-    /// then insertion order — a deterministic order, so exports and golden
-    /// snapshots are stable across runs.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &Pattern)> {
-        let entries = &self.inner.entries;
-        let mut order: Vec<&Arc<Entry>> = entries.iter().collect();
-        order.sort_by_key(|e| e.pattern.fixed_token_count()); // stable
-        order.into_iter().map(|e| (e.id.as_str(), &e.pattern))
+    /// Iterate over `(id, pattern)` pairs — each pattern rebuilt, equal to
+    /// the one inserted — ordered by fixed token count and then insertion
+    /// order: a deterministic order, so exports and golden snapshots are
+    /// stable across runs.
+    pub fn iter(&self) -> impl Iterator<Item = (&str, Pattern)> {
+        let pair = |idx| (self.inner.id(idx), self.inner.pattern(idx));
+        let mut pairs: Vec<(&str, Pattern)> = (0..self.len()).map(pair).collect();
+        pairs.sort_by_key(|(_, pattern)| pattern.fixed_token_count()); // stable
+        pairs.into_iter()
     }
 }
 

@@ -21,6 +21,7 @@
 use crate::token::{Token, TokenType, TokenizedMessage};
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// One element of a pattern.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -66,9 +67,16 @@ impl PatternElement {
 /// `match_tokens` runs on every production message, so it must not rescan
 /// the element list for them. (They are functions of `elements`, so the
 /// derived equality/hash over all fields stays consistent.)
+///
+/// The elements are shared, so a clone copies nothing. The miner clones
+/// every new pattern out of its plan to hand it to a [`crate::PatternSet`],
+/// which packs it and drops it; as deep copies those were a pattern's worth
+/// of small allocations made between the store's long-lived rows and freed
+/// moments later, and the holes they left slowed the next analysis by a
+/// fifth on `churn_mine` (CHANGES.md, ISSUE 24).
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct Pattern {
-    elements: Vec<PatternElement>,
+    elements: Arc<[PatternElement]>,
     fixed: usize,
     ignore_rest: bool,
 }
@@ -137,7 +145,7 @@ impl Pattern {
         let ignore_rest = matches!(elements.last(), Some(PatternElement::IgnoreRest));
         let fixed = elements.len() - usize::from(ignore_rest);
         Ok(Pattern {
-            elements,
+            elements: elements.into(),
             fixed,
             ignore_rest,
         })
@@ -331,7 +339,7 @@ impl Pattern {
     /// literals verbatim, every variable as `<*>`, single-spaced.
     pub fn event_signature(&self) -> String {
         let mut parts = Vec::new();
-        for el in &self.elements {
+        for el in self.elements.iter() {
             match el {
                 PatternElement::Literal { text, .. } => parts.push(text.clone()),
                 PatternElement::Variable { .. } => parts.push("<*>".to_string()),
@@ -396,7 +404,7 @@ impl Pattern {
     /// Group variables by type, counting each.
     pub fn variable_type_histogram(&self) -> HashMap<TokenType, usize> {
         let mut h = HashMap::new();
-        for el in &self.elements {
+        for el in self.elements.iter() {
             if let PatternElement::Variable { ty, .. } = el {
                 *h.entry(*ty).or_insert(0) += 1;
             }

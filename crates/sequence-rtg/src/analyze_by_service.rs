@@ -13,7 +13,7 @@
 
 use crate::config::RtgConfig;
 use crate::record::LogRecord;
-use crate::service::{commit_service, plan_service, CommitOutcome, ServicePlan};
+use crate::service::{commit_service, plan_service, unloaded_notice, CommitOutcome, ServicePlan};
 use patterndb::{PatternStore, StoreError};
 use sequence_core::{Analyzer, MatchScratch, PatternSet, Scanner};
 use std::collections::HashMap;
@@ -90,11 +90,21 @@ pub struct SequenceRtg {
     scratch: MatchScratch,
 }
 
+/// The store's patterns as parser sets. The engine has no caller to hand
+/// the skipped ones to at its mid-run reload, so it says so on stderr itself.
+fn load_sets(store: &mut PatternStore) -> Result<HashMap<String, PatternSet>, StoreError> {
+    let (sets, skipped) = store.load_pattern_sets()?;
+    if let Some(line) = unloaded_notice(&skipped) {
+        eprintln!("{line}");
+    }
+    Ok(sets)
+}
+
 impl SequenceRtg {
     /// Build an engine over a pattern store, loading any persisted patterns
     /// into the in-memory parser sets.
     pub fn new(mut store: PatternStore, config: RtgConfig) -> Result<SequenceRtg, StoreError> {
-        let (sets, _bad) = store.load_pattern_sets()?;
+        let sets = load_sets(&mut store)?;
         Ok(SequenceRtg {
             config,
             scanner: Scanner::with_options(config.scanner),
@@ -226,8 +236,7 @@ impl SequenceRtg {
                 .prune_below_threshold(self.config.save_threshold)?;
             if pruned > 0 {
                 // Keep the in-memory parser sets consistent with the store.
-                let (sets, _bad) = self.store.load_pattern_sets()?;
-                self.sets = sets;
+                self.sets = load_sets(&mut self.store)?;
             }
         }
         Ok(())
@@ -438,5 +447,37 @@ mod tests {
         // Patterns were reloaded from the store, so everything matches.
         assert_eq!(r.matched_known, 3);
         assert_eq!(rtg2.store_mut().pattern_count().unwrap(), 1);
+    }
+
+    #[test]
+    fn a_stored_pattern_that_no_longer_parses_is_reported_not_silently_dropped() {
+        let mut rtg = SequenceRtg::in_memory(RtgConfig::default());
+        rtg.analyze_by_service(&sshd_batch(), 1).unwrap();
+        let mut store = std::mem::replace(rtg.store_mut(), PatternStore::in_memory());
+        assert_eq!(unloaded_notice(&store.load_pattern_sets().unwrap().1), None);
+        // What a mined `load at 95% of %max:integer%` looks like after a
+        // restart: the paper's unknown-tag limitation.
+        store
+            .db()
+            .execute_with(
+                "INSERT INTO patterns (id, service, pattern) VALUES (?, ?, ?)",
+                &[
+                    "bad1".into(),
+                    "sshd".into(),
+                    "load at 95% of %max:integer%".into(),
+                ],
+            )
+            .unwrap();
+        let skipped = store.load_pattern_sets().unwrap().1;
+        let line = unloaded_notice(&skipped).expect("one pattern was skipped");
+        assert!(
+            line.starts_with("1 stored patterns do not parse and were not loaded; first: bad1: "),
+            "{line}"
+        );
+        // The good pattern still loads and matches.
+        let mut reloaded = SequenceRtg::new(store, RtgConfig::default()).unwrap();
+        assert_eq!(reloaded.known_patterns("sshd"), 1);
+        let r = reloaded.analyze_by_service(&sshd_batch(), 2).unwrap();
+        assert_eq!(r.matched_known, 3);
     }
 }

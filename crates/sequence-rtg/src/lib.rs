@@ -64,4 +64,6 @@ pub use config::RtgConfig;
 pub use ingest::{IngestStats, StreamIngester};
 pub use pipeline::Pipeline;
 pub use record::{LogRecord, RecordError};
-pub use service::{commit_service, count_match, plan_service, CommitOutcome, ServicePlan};
+pub use service::{
+    commit_service, count_match, plan_service, unloaded_notice, CommitOutcome, ServicePlan,
+};

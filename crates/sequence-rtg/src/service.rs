@@ -21,6 +21,22 @@ use sequence_core::{
 };
 use std::collections::HashMap;
 
+/// What to tell the operator about the stored patterns a load skipped (the
+/// second half of [`PatternStore::load_pattern_sets`]): one line, `None` when
+/// everything loaded. A pattern whose static text contains `%` matches in
+/// memory until the next load and then no longer parses; without this line
+/// it just stops matching.
+pub fn unloaded_notice(skipped: &[StoreError]) -> Option<String> {
+    let first = match skipped.first()? {
+        StoreError::BadPattern { id, err } => format!("{id}: {err}"),
+        other => other.to_string(),
+    };
+    let n = skipped.len();
+    Some(format!(
+        "{n} stored patterns do not parse and were not loaded; first: {first}"
+    ))
+}
+
 /// The compute-only result of scanning, parsing and analysing one service's
 /// slice of a batch. No store state is touched to build one; everything a
 /// commit needs is captured by value.

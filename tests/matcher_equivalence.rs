@@ -2,13 +2,18 @@
 //! [`PatternSet::match_message`] returns bit-for-bit the same outcome —
 //! winning pattern id *and* captures — as the naive linear reference scan
 //! ([`PatternSet::match_message_linear`]), on randomly generated pattern
-//! sets and messages, and a copy-on-write clone never sees a later insert. Coverage deliberately includes ignore-rest patterns,
-//! predicate-guarded email/hostname variables, structural duplicates (exact
-//! specificity ties resolved by insertion order) and messages that match
-//! nothing.
+//! sets and messages; the set's packed entries rebuild exactly the patterns
+//! that were inserted; and a copy-on-write clone never sees a later insert.
+//! Coverage deliberately includes ignore-rest patterns, predicate-guarded
+//! email/hostname variables, structural duplicates (exact specificity ties
+//! resolved by insertion order), messages that match nothing, and patterns
+//! only [`Pattern::new`] can build — static text with a `%` or a space in
+//! it, arbitrary `space_before` bits — which a set that stored its patterns
+//! as rendered text would lose.
 
 use sequence_rtg_repro::sequence_core::{
-    MatchScratch, Pattern, PatternSet, Scanner, TokenizedMessage,
+    MatchScratch, ParseOutcome, Pattern, PatternElement, PatternSet, Scanner, TokenType,
+    TokenizedMessage,
 };
 use testkit::prop::{self, Config, Strategy};
 use testkit::rng::Rng;
@@ -19,10 +24,26 @@ const VOCAB: &[&str] = &[
     "gamma", "failed", "retry", "22",
 ];
 
-/// `(pattern_id, pattern_text)` pairs plus raw messages to match.
+/// Static text `render()` → `parse()` does not bring back: `%` opens a tag
+/// (the paper's unknown-tag limitation), a space splits the literal.
+const UNRENDERABLE: &[&str] = &["%", "95%", "%d", "two words"];
+
+const NAMES: &[&str] = &["user", "srcip", "n", "object-id", "string_1"];
+
+const TYPES: &[TokenType] = &[
+    TokenType::Literal,
+    TokenType::Integer,
+    TokenType::Float,
+    TokenType::Ipv4,
+    TokenType::Email,
+    TokenType::Hostname,
+    TokenType::Hex,
+];
+
+/// `(pattern_id, pattern)` pairs plus raw messages to match.
 #[derive(Clone, Debug)]
 struct Case {
-    patterns: Vec<(String, String)>,
+    patterns: Vec<(String, Pattern)>,
     messages: Vec<String>,
 }
 
@@ -35,16 +56,16 @@ impl Strategy for MatcherCase {
         // Straddles 32 patterns, where a small-set linear dispatch used to
         // take over from the index.
         let n_patterns = rng.gen_range(1..60usize);
-        let mut patterns: Vec<(String, String)> = Vec::with_capacity(n_patterns);
+        let mut patterns: Vec<(String, Pattern)> = Vec::with_capacity(n_patterns);
         for i in 0..n_patterns {
             // Structural duplicates force exact specificity ties, which the
             // trie must resolve by insertion order just like the linear scan.
-            let text = if i > 0 && rng.gen_bool(0.2) {
+            let pattern = if i > 0 && rng.gen_bool(0.2) {
                 patterns[rng.gen_range(0..i)].1.clone()
             } else {
                 gen_pattern(rng)
             };
-            patterns.push((format!("p{i:02}"), text));
+            patterns.push((format!("p{i:02}"), pattern));
         }
         let n_messages = rng.gen_range(1..9usize);
         let messages = (0..n_messages)
@@ -80,58 +101,67 @@ impl Strategy for MatcherCase {
     }
 }
 
-fn gen_pattern(rng: &mut Rng) -> String {
+fn gen_pattern(rng: &mut Rng) -> Pattern {
     let n = rng.gen_range(1..6usize);
-    let mut parts: Vec<String> = Vec::with_capacity(n + 1);
+    let mut elements = Vec::with_capacity(n + 1);
     for pos in 0..n {
-        if rng.gen_bool(0.55) {
-            parts.push(rng.choose(VOCAB).unwrap().to_string());
+        let space_before = rng.gen_bool(0.8);
+        elements.push(if rng.gen_bool(0.55) {
+            let words = if rng.gen_bool(0.1) {
+                UNRENDERABLE
+            } else {
+                VOCAB
+            };
+            PatternElement::Literal {
+                text: rng.choose(words).unwrap().to_string(),
+                space_before,
+            }
         } else {
-            let ty = *rng
-                .choose(&["", ":integer", ":float", ":ipv4", ":email", ":host", ":hex"])
-                .unwrap();
-            parts.push(format!("%v{pos}{ty}%"));
-        }
+            // Mostly positional names, so that sets share them; sometimes one
+            // the patterns before it may never have used.
+            let name = if rng.gen_bool(0.3) {
+                rng.choose(NAMES).unwrap().to_string()
+            } else {
+                format!("v{pos}")
+            };
+            PatternElement::Variable {
+                name,
+                ty: *rng.choose(TYPES).unwrap(),
+                space_before,
+            }
+        });
     }
     if rng.gen_bool(0.25) {
-        parts.push("%...%".to_string());
+        elements.push(PatternElement::IgnoreRest);
     }
-    parts.join(" ")
+    Pattern::new(elements).expect("ignore-rest is last")
 }
 
 /// A message built to satisfy `pattern` (modulo scanner quirks — near-misses
 /// are fine, the property holds either way).
-fn instantiate(rng: &mut Rng, pattern: &str) -> String {
+fn instantiate(rng: &mut Rng, pattern: &Pattern) -> String {
     let mut words: Vec<String> = Vec::new();
-    for part in pattern.split(' ') {
-        words.push(match part {
-            "%...%" => gen_soup(rng),
-            v if v.starts_with('%') => {
-                let text = if v.contains(":integer") {
-                    format!("{}", rng.gen_range(0..100_000u32))
-                } else if v.contains(":float") {
-                    "3.25".to_string()
-                } else if v.contains(":ipv4") {
-                    format!(
-                        "10.0.{}.{}",
-                        rng.gen_range(0..256u32),
-                        rng.gen_range(0..256u32)
-                    )
-                } else if v.contains(":email") {
-                    "alice@example.com".to_string()
-                } else if v.contains(":host") {
-                    "node-1.example.org".to_string()
-                } else if v.contains(":hex") {
-                    "0xdeadbeef".to_string()
-                } else {
-                    // Free-text variable: any word that scans as a literal.
-                    rng.choose(&["alice", "root", "eth0", "cron"])
-                        .unwrap()
-                        .to_string()
-                };
-                text
-            }
-            lit => lit.to_string(),
+    for el in pattern.elements() {
+        words.push(match el {
+            PatternElement::IgnoreRest => gen_soup(rng),
+            PatternElement::Literal { text, .. } => text.clone(),
+            PatternElement::Variable { ty, .. } => match ty {
+                TokenType::Integer => format!("{}", rng.gen_range(0..100_000u32)),
+                TokenType::Float => "3.25".to_string(),
+                TokenType::Ipv4 => format!(
+                    "10.0.{}.{}",
+                    rng.gen_range(0..256u32),
+                    rng.gen_range(0..256u32)
+                ),
+                TokenType::Email => "alice@example.com".to_string(),
+                TokenType::Hostname => "node-1.example.org".to_string(),
+                TokenType::Hex => "0xdeadbeef".to_string(),
+                // Free-text variable: any word that scans as a literal.
+                _ => rng
+                    .choose(&["alice", "root", "eth0", "cron"])
+                    .unwrap()
+                    .to_string(),
+            },
         });
     }
     words.retain(|w| !w.is_empty());
@@ -146,15 +176,49 @@ fn gen_soup(rng: &mut Rng) -> String {
         .join(" ")
 }
 
-fn build_set(case: &Case) -> (PatternSet, Vec<(String, Pattern)>) {
+fn build_set(patterns: &[(String, Pattern)]) -> PatternSet {
     let mut set = PatternSet::new();
-    let mut parsed = Vec::new();
-    for (id, text) in &case.patterns {
-        let p = Pattern::parse(text).expect("generated patterns parse");
-        set.insert(id.clone(), p.clone());
-        parsed.push((id.clone(), p));
+    for (id, pattern) in patterns {
+        set.insert(id.clone(), pattern.clone());
     }
-    (set, parsed)
+    set
+}
+
+/// What [`PatternSet::iter`] documents: the inserted pairs, by fixed token
+/// count and then insertion order.
+fn in_iter_order(patterns: &[(String, Pattern)]) -> Vec<(&str, Pattern)> {
+    let mut pairs: Vec<(&str, Pattern)> = patterns
+        .iter()
+        .map(|(id, pattern)| (id.as_str(), pattern.clone()))
+        .collect();
+    pairs.sort_by_key(|(_, pattern)| pattern.fixed_token_count()); // stable
+    pairs
+}
+
+/// What [`PatternSet::match_all`] documents, by scanning `patterns`.
+fn match_all_linear(patterns: &[(String, Pattern)], msg: &TokenizedMessage) -> Vec<ParseOutcome> {
+    let mut hits: Vec<(usize, ParseOutcome)> = Vec::new();
+    for (i, (id, pattern)) in patterns.iter().enumerate() {
+        if let Some(captures) = pattern.match_tokens(&msg.tokens) {
+            let pattern_id = id.clone();
+            hits.push((
+                i,
+                ParseOutcome {
+                    pattern_id,
+                    captures,
+                },
+            ));
+        }
+    }
+    hits.sort_by(|(a, oa), (b, ob)| {
+        let (pa, pb) = (&patterns[*a].1, &patterns[*b].1);
+        pb.literal_count()
+            .cmp(&pa.literal_count())
+            .then_with(|| oa.pattern_id.cmp(&ob.pattern_id))
+            .then_with(|| pa.has_ignore_rest().cmp(&pb.has_ignore_rest()))
+            .then_with(|| a.cmp(b))
+    });
+    hits.into_iter().map(|(_, outcome)| outcome).collect()
 }
 
 /// The compiled trie index — `match_message`, `match_message_with` with a
@@ -164,7 +228,7 @@ fn build_set(case: &Case) -> (PatternSet, Vec<(String, Pattern)>) {
 fn trie_matches_linear_reference() {
     let scanner = Scanner::new();
     prop::check(&Config::cases(1200), &MatcherCase, |case| {
-        let (set, _) = build_set(case);
+        let set = build_set(&case.patterns);
         let mut scratch = MatchScratch::default();
         for m in &case.messages {
             let msg: TokenizedMessage = scanner.scan_parse_only(m);
@@ -187,39 +251,34 @@ fn trie_matches_linear_reference() {
     });
 }
 
-/// Copy-on-write isolation: a clone taken part-way through a build keeps
-/// returning exactly what a set built from that prefix alone returns, while
-/// the original goes on to match like a set built in one piece.
+/// The packed entries are exact: `iter()` gives back every inserted id and
+/// pattern — each element's text, type and `space_before` bit, the
+/// ignore-rest marker — in the documented order.
 #[test]
-fn clone_is_isolated_from_later_inserts() {
+fn iter_rebuilds_the_inserted_patterns() {
+    prop::check(&Config::cases(600), &MatcherCase, |case| {
+        let set = build_set(&case.patterns);
+        let listed: Vec<(&str, Pattern)> = set.iter().collect();
+        prop_assert_eq!(&listed, &in_iter_order(&case.patterns));
+        Ok(())
+    });
+}
+
+/// `match_all` returns exactly what scanning the inserted patterns returns —
+/// ids and captures (whose names come out of the set's name interner) — in
+/// the documented order: most literals first, then id, exact before
+/// ignore-rest, then insertion order.
+#[test]
+fn match_all_matches_linear_reference() {
     let scanner = Scanner::new();
-    prop::check(&Config::cases(300), &MatcherCase, |case| {
-        let split = case.patterns.len() / 2;
-        let prefix = Case {
-            patterns: case.patterns[..split].to_vec(),
-            messages: Vec::new(),
-        };
-        let (mut grown, _) = build_set(&prefix);
-        let snapshot = grown.clone();
-        prop_assert!(snapshot.ptr_eq(&grown), "clone copies nothing");
-        for (id, text) in &case.patterns[split..] {
-            grown.insert(id.clone(), Pattern::parse(text).unwrap());
-        }
-        prop_assert!(!snapshot.ptr_eq(&grown), "insert copied first");
-        let (whole, _) = build_set(case);
-        let (half, _) = build_set(&prefix);
+    prop::check(&Config::cases(600), &MatcherCase, |case| {
+        let set = build_set(&case.patterns);
         for m in &case.messages {
             let msg = scanner.scan_parse_only(m);
             prop_assert_eq!(
-                &snapshot.match_message(&msg),
-                &half.match_message(&msg),
-                "snapshot on {:?}",
-                m
-            );
-            prop_assert_eq!(
-                &grown.match_message(&msg),
-                &whole.match_message(&msg),
-                "grown handle on {:?}",
+                &set.match_all(&msg),
+                &match_all_linear(&case.patterns, &msg),
+                "message {:?}",
                 m
             );
         }
@@ -227,38 +286,49 @@ fn clone_is_isolated_from_later_inserts() {
     });
 }
 
-/// `match_all` returns exactly the linear set of matching patterns, in the
-/// documented order: most literals first, then id, exact before ignore-rest,
-/// then insertion order.
+/// Copy-on-write isolation: a clone taken part-way through a build keeps
+/// returning exactly what a set built from that prefix alone returns — ids,
+/// captures and patterns — while the original goes on to intern new literals
+/// and new variable names and to match like a set built in one piece.
 #[test]
-fn match_all_matches_linear_reference() {
+fn clone_is_isolated_from_later_inserts() {
     let scanner = Scanner::new();
-    prop::check(&Config::cases(600), &MatcherCase, |case| {
-        let (set, parsed) = build_set(case);
+    prop::check(&Config::cases(300), &MatcherCase, |case| {
+        let (prefix, rest) = case.patterns.split_at(case.patterns.len() / 2);
+        let mut grown = build_set(prefix);
+        let snapshot = grown.clone();
+        prop_assert!(snapshot.ptr_eq(&grown), "clone copies nothing");
+        for (id, pattern) in rest {
+            grown.insert(id.clone(), pattern.clone());
+        }
+        prop_assert!(!snapshot.ptr_eq(&grown), "insert copied first");
+        let listed: Vec<(&str, Pattern)> = snapshot.iter().collect();
+        prop_assert_eq!(&listed, &in_iter_order(prefix), "snapshot's patterns");
+        let listed: Vec<(&str, Pattern)> = grown.iter().collect();
+        prop_assert_eq!(&listed, &in_iter_order(&case.patterns), "grown handle's");
+        let (half, whole) = (build_set(prefix), build_set(&case.patterns));
         for m in &case.messages {
             let msg = scanner.scan_parse_only(m);
-            let mut expected: Vec<(usize, &String)> = parsed
-                .iter()
-                .enumerate()
-                .filter(|(_, (_, p))| p.match_tokens(&msg.tokens).is_some())
-                .map(|(i, (id, _))| (i, id))
-                .collect();
-            expected.sort_by(|&(a, aid), &(b, bid)| {
-                let pa = &parsed[a].1;
-                let pb = &parsed[b].1;
-                pb.literal_count()
-                    .cmp(&pa.literal_count())
-                    .then_with(|| aid.cmp(bid))
-                    .then_with(|| pa.has_ignore_rest().cmp(&pb.has_ignore_rest()))
-                    .then_with(|| a.cmp(&b))
-            });
-            let got: Vec<String> = set
-                .match_all(&msg)
-                .into_iter()
-                .map(|o| o.pattern_id)
-                .collect();
-            let want: Vec<String> = expected.into_iter().map(|(_, id)| id.clone()).collect();
-            prop_assert_eq!(&got, &want, "message {:?}", m);
+            for (handle, alone, inserted) in [
+                (&snapshot, &half, prefix),
+                (&grown, &whole, &case.patterns[..]),
+            ] {
+                let n = handle.len();
+                prop_assert_eq!(
+                    &handle.match_message(&msg),
+                    &alone.match_message(&msg),
+                    "handle of {} on {:?}",
+                    n,
+                    m
+                );
+                prop_assert_eq!(
+                    &handle.match_all(&msg),
+                    &match_all_linear(inserted, &msg),
+                    "handle of {} on {:?}",
+                    n,
+                    m
+                );
+            }
         }
         Ok(())
     });
