@@ -218,13 +218,13 @@ stage_end
 fi
 
 if stage_begin "bench smoke (1 sample, JSON to a scratch file)"; then
-# One warm-up + one sample per benchmark: proves the bench binaries run and
-# emit well-formed JSON without touching the recorded results/ trajectories.
+# One warm-up + one sample per benchmark of every bench target, so no target
+# exists that CI does not run. Each binary appends its JSON to the scratch
+# file; the recorded results/ trajectories are not touched.
+: > "${smoke_json}"
 TESTKIT_BENCH_SAMPLES=1 TESTKIT_BENCH_JSON="${smoke_json}" \
-  cargo bench -q --offline -p bench --bench parser_throughput >/dev/null
+  cargo bench -q --offline -p bench >/dev/null
 grep -q '"id":"parser/match_against_learned_set/1000"' "${smoke_json}"
-TESTKIT_BENCH_SAMPLES=1 TESTKIT_BENCH_JSON="${smoke_json}" \
-  cargo bench -q --offline -p bench --bench scanner_throughput >/dev/null
 grep -q '"id":"scanner/parse_only"' "${smoke_json}"
 echo "    bench smoke OK"
 stage_end

@@ -117,12 +117,15 @@ impl Iplom {
         members: &[usize],
         cards: &[usize],
     ) -> Option<Vec<Vec<usize>>> {
-        // Most frequent cardinality among positions with card > 1.
+        // Most frequent cardinality among positions with card > 1; a tie
+        // goes to the lower cardinality, never to the hash order.
         let mut freq: HashMap<usize, usize> = HashMap::new();
         for &c in cards.iter().filter(|&&c| c > 1) {
             *freq.entry(c).or_insert(0) += 1;
         }
-        let (&mode, _) = freq.iter().max_by_key(|(_, &n)| n)?;
+        let (&mode, _) = freq
+            .iter()
+            .max_by_key(|&(&c, &n)| (n, std::cmp::Reverse(c)))?;
         let chosen: Vec<usize> = cards
             .iter()
             .enumerate()
@@ -311,6 +314,23 @@ mod tests {
             "op close socket s2 zz",
         ]));
         assert_eq!(r.event_count(), 2);
+    }
+
+    #[test]
+    fn step3_breaks_cardinality_ties_the_same_way_every_run() {
+        // Cardinalities 2 (positions 0, 1) and 3 (positions 2, 3) tie for
+        // the mode. The lower one wins: positions 0 and 1 are 1-1, giving
+        // two groups, where positions 2 and 3 would give four. Every HashMap
+        // draws fresh hash keys, so repeated calls would see both outcomes
+        // if the iteration order decided the tie.
+        let msgs: Vec<Vec<String>> = ["a x p u", "a x q v", "b y r w", "b y p v"]
+            .iter()
+            .map(|l| l.split(' ').map(str::to_string).collect())
+            .collect();
+        for _ in 0..64 {
+            let split = Iplom::new().step3_split(&msgs, &[0, 1, 2, 3], &[2, 2, 3, 3]);
+            assert_eq!(split, Some(vec![vec![0, 1], vec![2, 3]]));
+        }
     }
 
     #[test]

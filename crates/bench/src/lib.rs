@@ -1,2 +1,2 @@
-//! Bench crate: all content lives in `benches/`; see DESIGN.md section 3
-//! for the experiment-to-bench mapping.
+//! Bench crate: all content lives in `benches/` — `scanner_throughput` and
+//! `parser_throughput`, the two per-message hot paths (DESIGN.md §3).

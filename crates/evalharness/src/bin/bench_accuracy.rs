@@ -11,8 +11,9 @@
 //! binary live and gates the per-family `sequence-rtg` grouping accuracy
 //! against the frozen `results/BENCH_accuracy.baseline.json`.
 
-use evalharness::harness::{render_json, score_family};
-use loghub_synth::loghub2::LOGHUB2_FAMILIES;
+use evalharness::harness::{render_json, score_dataset};
+use evalharness::Variant;
+use loghub_synth::loghub2::{self, LOGHUB2_FAMILIES};
 
 fn main() {
     let mut lines_n = evalharness::DATASET_LINES;
@@ -50,7 +51,8 @@ fn main() {
     let mut rows = Vec::new();
     for family in &families {
         eprintln!("scoring {family} ({lines_n} lines, seed {seed})...");
-        let family_rows = score_family(family, lines_n, seed);
+        let dataset = loghub2::dataset(family, lines_n, seed);
+        let family_rows = score_dataset(&dataset, Variant::Preprocessed);
         for r in &family_rows {
             eprintln!(
                 "  {:<20} GA {:.4}  F1 {:.4}  groups {:>4}  {:>8.1} ms",

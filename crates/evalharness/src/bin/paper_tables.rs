@@ -1,0 +1,97 @@
+//! `paper-tables` — regenerate Tables II and III on the 16 synthetic
+//! LogHub stand-ins, with the paper's published values alongside.
+//!
+//! ```text
+//! paper-tables
+//! ```
+//!
+//! One pass scores every tool on every dataset: [`score_dataset`] on the
+//! pre-processed variant plus Sequence-RTG alone on the raw one. Table II
+//! reads Sequence-RTG's mapping accuracy and the best baseline's group
+//! accuracy from those rows, Table III the four baselines' group accuracy.
+//! The shape claims both tables support are asserted by
+//! `tests/paper_claims.rs`.
+
+use evalharness::harness::{score_dataset, score_rtg, FamilyAccuracy};
+use evalharness::runner::{paper, Variant};
+use evalharness::{DATASET_LINES, DEFAULT_SEED};
+use loghub_synth::{generate, DATASET_NAMES};
+use sequence_core::ScannerOptions;
+use sequence_rtg::RtgConfig;
+
+fn main() {
+    if let Some(arg) = std::env::args().nth(1) {
+        eprintln!("unknown argument {arg}\nusage: paper-tables");
+        std::process::exit(2);
+    }
+    let mut preprocessed = Vec::with_capacity(DATASET_NAMES.len());
+    let mut raw = Vec::with_capacity(DATASET_NAMES.len());
+    for name in DATASET_NAMES {
+        let d = generate(name, DATASET_LINES, DEFAULT_SEED);
+        preprocessed.push(score_dataset(&d, Variant::Preprocessed));
+        raw.push(score_rtg(&d, Variant::Raw, RtgConfig::default()).mapping_accuracy);
+    }
+    print_table2(&preprocessed, &raw);
+    print_table3(&preprocessed);
+}
+
+fn print_table2(preprocessed: &[Vec<FamilyAccuracy>], raw: &[f64]) {
+    println!("Table II — Sequence-RTG parser accuracy (synthetic LogHub stand-ins)");
+    println!("Columns: measured on this corpus | (paper's published values in parentheses)\n");
+    println!("Dataset          Pre-proc          Raw        Best*   paper (pre, raw, best)");
+    let mut sums = [0.0f64; 3];
+    for ((rows, &raw), (name, ppre, praw, pbest)) in preprocessed.iter().zip(raw).zip(paper::TABLE2)
+    {
+        let pre = rows[0].mapping_accuracy;
+        let best = rows[1..]
+            .iter()
+            .map(|r| r.grouping_accuracy)
+            .fold(0.0, f64::max);
+        for (sum, value) in sums.iter_mut().zip([pre, raw, best]) {
+            *sum += value;
+        }
+        let flag = if pre >= best { "*" } else { " " };
+        println!("{name:<12} {pre:>11.3}{flag} {raw:>12.3} {best:>12.3}   ({ppre:.3}, {praw:.3}, {pbest:.3})");
+    }
+    let [pre, raw_avg, best] = sums.map(|s| s / DATASET_NAMES.len() as f64);
+    let (ppre, praw, pbest) = paper::TABLE2_AVG;
+    println!("Average      {pre:>12.3} {raw_avg:>12.3} {best:>12.3}   ({ppre:.3}, {praw:.3}, {pbest:.3})");
+    println!("\n* Best = best of our four baseline implementations (AEL, IPLoM, Spell, Drain)");
+    println!("  on the pre-processed variant; the paper's Best is the best of 13 parsers.");
+    println!("  A '*' after the pre-processed score marks datasets where Sequence-RTG");
+    println!("  equals or beats the best baseline (the paper reports 8 of 16).");
+
+    // The paper's future-work scanner fixes: single-digit time parts (and
+    // the path FSM) recover the HealthApp raw-log failure. Proxifier's
+    // integer/literal type flip is a different limitation they leave flat.
+    println!("\nFuture-work scanner fixes on the failing datasets (raw logs):");
+    println!("Dataset           default  fixed scanner   (single-digit time parts + path FSM)");
+    let fixed = RtgConfig {
+        scanner: ScannerOptions::extended(),
+        ..RtgConfig::default()
+    };
+    for name in ["HealthApp", "Proxifier"] {
+        let index = DATASET_NAMES.iter().position(|n| *n == name);
+        let default = raw[index.expect("a Table II dataset")];
+        let d = generate(name, DATASET_LINES, DEFAULT_SEED);
+        let with_fix = score_rtg(&d, Variant::Raw, fixed).mapping_accuracy;
+        println!("{name:<12} {default:>12.3} {with_fix:>14.3}");
+    }
+}
+
+fn print_table3(preprocessed: &[Vec<FamilyAccuracy>]) {
+    println!("Table III — baseline parser accuracy on pre-processed data");
+    println!("Measured on this synthetic corpus | (published values in parentheses)\n");
+    println!("Dataset           AEL    IPLoM    Spell    Drain   paper (AEL, IPLoM, Spell, Drain)");
+    let mut sums = [0.0f64; 4];
+    for (rows, (name, p1, p2, p3, p4)) in preprocessed.iter().zip(paper::TABLE3) {
+        let [a1, a2, a3, a4] = [1, 2, 3, 4].map(|tool| rows[tool].grouping_accuracy);
+        for (sum, value) in sums.iter_mut().zip([a1, a2, a3, a4]) {
+            *sum += value;
+        }
+        println!("{name:<12} {a1:>8.3} {a2:>8.3} {a3:>8.3} {a4:>8.3}   ({p1:.3}, {p2:.3}, {p3:.3}, {p4:.3})");
+    }
+    let [a1, a2, a3, a4] = sums.map(|s| s / DATASET_NAMES.len() as f64);
+    let (p1, p2, p3, p4) = paper::TABLE3_AVG;
+    println!("Average      {a1:>8.3} {a2:>8.3} {a3:>8.3} {a4:>8.3}   ({p1:.3}, {p2:.3}, {p3:.3}, {p4:.3})");
+}

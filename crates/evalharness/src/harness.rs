@@ -1,45 +1,44 @@
-//! The LogHub-2.0 accuracy harness: per-family scoring of Sequence-RTG
-//! against the four in-tree baselines, over the statistically faithful
-//! [`loghub_synth::loghub2`] corpora.
+//! The one accuracy scorer: Sequence-RTG and the four in-tree baselines,
+//! scored on any labelled [`Dataset`] with every metric at once.
 //!
-//! Where [`crate::runner`] reproduces the paper's own Tables II/III on the
-//! 2k-line LogHub samples, this module is the forward-looking quality
-//! floor: every tool is scored on every one of the 14 LogHub-2.0 families
-//! with grouping accuracy *and* template-level precision/recall/F1, the
-//! rows are emitted as `results/BENCH_accuracy.json`, and `ci.sh` gates
-//! Sequence-RTG's grouping accuracy against the frozen baseline.
+//! [`score_dataset`] feeds every tool the same text variant and returns one
+//! [`FamilyAccuracy`] row per tool, carrying both the paper's Table II metric
+//! (`mapping_accuracy`) and Zhu et al.'s Table III metric
+//! (`grouping_accuracy`), plus template-level precision/recall/F1.
+//! `bench-accuracy` scores the 14 [`loghub_synth::loghub2`] families with it
+//! (`ci.sh` gates the result), `paper-tables` and `tests/paper_claims.rs`
+//! the 16 Table II/III stand-ins of [`loghub_synth::generate`].
 //!
-//! All tools are fed the same pre-processed variant (Zhu et al.'s masking),
-//! so the comparison isolates grouping quality from masking quality.
+//! [`score_rtg`] is the Sequence-RTG row on its own, for the raw variant and
+//! other scanner configurations, where the baselines are not needed.
 
 use crate::accuracy::{group_accuracy, mapping_accuracy, template_prf, TemplateScore};
-use crate::runner::{truth_labels, variant_lines, Variant};
-use loghub_synth::loghub2;
+use crate::runner::{rtg_assignments, truth_labels, variant_lines, Variant};
 use loghub_synth::Dataset;
 use sequence_rtg::RtgConfig;
 use std::collections::HashSet;
 use std::time::Instant;
 
-/// Tool order of a family's result rows: Sequence-RTG, then the baselines
+/// Tool order of a dataset's result rows: Sequence-RTG, then the baselines
 /// in [`baselines::all_parsers`] order.
 pub const TOOL_COUNT: usize = 5;
 
-/// One scored (family, tool) cell.
+/// One scored (dataset, tool) cell.
 #[derive(Debug, Clone)]
 pub struct FamilyAccuracy {
-    /// LogHub-2.0 family name.
+    /// Dataset (LogHub family) name.
     pub family: &'static str,
     /// Tool under test (`sequence-rtg`, `ael`, `iplom`, `spell`, `drain`).
     pub tool: &'static str,
     /// Scored corpus size in lines.
     pub lines: usize,
-    /// Template count of the family's generator catalog.
+    /// Template count of the dataset's generator catalog.
     pub catalog_templates: usize,
     /// Distinct ground-truth events that actually appear in the sample.
     pub observed_events: usize,
     /// Distinct groups the tool produced.
     pub found_groups: usize,
-    /// Strict group accuracy (Zhu et al.).
+    /// Strict group accuracy (Zhu et al.; the paper's Table III metric).
     pub grouping_accuracy: f64,
     /// Greedy one-to-one mapping accuracy (the paper's Table II metric).
     pub mapping_accuracy: f64,
@@ -49,19 +48,20 @@ pub struct FamilyAccuracy {
     pub elapsed_ms: f64,
 }
 
-/// Score one tool's assignment vector against a dataset's ground truth.
+/// Score one tool's assignment vector against a dataset's ground truth;
+/// `started` is when the tool began its run.
 fn score(
-    family: &'static str,
     tool: &'static str,
     dataset: &Dataset,
     assignments: &[String],
-    elapsed_ms: f64,
+    started: Instant,
 ) -> FamilyAccuracy {
+    let elapsed_ms = started.elapsed().as_secs_f64() * 1e3;
     let truth = truth_labels(dataset);
     let found: HashSet<&String> = assignments.iter().collect();
     let observed: HashSet<&&str> = truth.iter().collect();
     FamilyAccuracy {
-        family,
+        family: dataset.name,
         tool,
         lines: dataset.lines.len(),
         catalog_templates: dataset.event_count,
@@ -74,35 +74,28 @@ fn score(
     }
 }
 
-/// Score all five tools on one LogHub-2.0 family: a scaled-down fixed-seed
-/// corpus of `lines` lines, pre-processed variant for every tool.
-pub fn score_family(family: &str, lines_n: usize, seed: u64) -> Vec<FamilyAccuracy> {
-    let dataset = loghub2::dataset(family, lines_n, seed);
-    let family: &'static str = dataset.name;
-    let lines = variant_lines(&dataset, Variant::Preprocessed);
-    let config = RtgConfig::default();
+/// Score Sequence-RTG under `config` on one variant of a dataset.
+pub fn score_rtg(dataset: &Dataset, variant: Variant, config: RtgConfig) -> FamilyAccuracy {
+    let started = Instant::now();
+    let assignments = rtg_assignments(dataset, variant, config);
+    score("sequence-rtg", dataset, &assignments, started)
+}
+
+/// Score all five tools on one variant of a dataset: Sequence-RTG with the
+/// default configuration, then every baseline on the identical lines.
+pub fn score_dataset(dataset: &Dataset, variant: Variant) -> Vec<FamilyAccuracy> {
+    let lines = variant_lines(dataset, variant);
     let mut rows = Vec::with_capacity(TOOL_COUNT);
-
-    let t0 = Instant::now();
-    let batch = crate::runner::rtg_assignments(&dataset, Variant::Preprocessed, config);
-    rows.push(score(
-        family,
-        "sequence-rtg",
-        &dataset,
-        &batch,
-        t0.elapsed().as_secs_f64() * 1e3,
-    ));
-
+    rows.push(score_rtg(dataset, variant, RtgConfig::default()));
     for parser in baselines::all_parsers() {
-        let t0 = Instant::now();
+        let started = Instant::now();
         let result = parser.parse_batch(&lines);
         let assignments: Vec<String> = result.assignments.iter().map(|a| a.to_string()).collect();
         rows.push(score(
-            family,
             baseline_tool_name(parser.name()),
-            &dataset,
+            dataset,
             &assignments,
-            t0.elapsed().as_secs_f64() * 1e3,
+            started,
         ));
     }
     rows
@@ -117,16 +110,6 @@ fn baseline_tool_name(name: &str) -> &'static str {
         "Drain" => "drain",
         other => panic!("unknown baseline parser {other}"),
     }
-}
-
-/// Score every family (or a subset) and return all rows in family-major,
-/// tool-minor order.
-pub fn score_families(families: &[&str], lines_n: usize, seed: u64) -> Vec<FamilyAccuracy> {
-    let mut rows = Vec::with_capacity(families.len() * TOOL_COUNT);
-    for family in families {
-        rows.extend(score_family(family, lines_n, seed));
-    }
-    rows
 }
 
 /// Render result rows in the repo's flat JSON-lines format (one object per
@@ -164,6 +147,14 @@ pub fn render_json(rows: &[FamilyAccuracy], lines_n: usize, seed: u64) -> String
 #[cfg(test)]
 mod tests {
     use super::*;
+    use loghub_synth::loghub2;
+
+    fn score_family(family: &str, lines: usize, seed: u64) -> Vec<FamilyAccuracy> {
+        score_dataset(
+            &loghub2::dataset(family, lines, seed),
+            Variant::Preprocessed,
+        )
+    }
 
     #[test]
     fn apache_all_tools_produce_defined_scores() {

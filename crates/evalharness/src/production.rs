@@ -15,11 +15,9 @@
 //! which the save threshold rightly never promotes).
 
 use loghub_synth::{generate_stream, CorpusConfig};
-use seqd::Ops;
 use sequence_core::{PatternSet, Scanner};
 use sequence_rtg::{LogRecord, RtgConfig, SequenceRtg};
 use std::collections::{HashMap, HashSet};
-use std::time::Instant;
 use testkit::rng::Rng;
 
 /// Simulation parameters.
@@ -93,22 +91,6 @@ pub struct DayStats {
 
 /// Run the 60-day simulation.
 pub fn simulate(config: SimConfig) -> Vec<DayStats> {
-    simulate_with_ops(config, &Ops::new())
-}
-
-/// Run the simulation while populating the same [`Ops`] counters the `seqd`
-/// daemon exposes on `/metrics`: a dashboard built against
-/// `ops.snapshot().render_prometheus(&[])` here works unchanged against a
-/// live deployment. In the simulation nothing is queued or malformed, so
-/// after the run `ingested = matched + unmatched` and the snapshot
-/// reconciles exactly.
-pub fn simulate_with_ops(config: SimConfig, ops: &Ops) -> Vec<DayStats> {
-    // Share the daemon's stage histograms: the sim populates the same
-    // `obs` registry series a live `seqd` exports, so latency dashboards
-    // port across simulation and deployment exactly like the counters do.
-    seqd::metrics::stages::preregister();
-    let line_hist = seqd::metrics::stages::ingest_line();
-    let match_hist = seqd::metrics::stages::match_record();
     let mut rng = Rng::seed_from_u64(config.seed);
     let scanner = Scanner::new();
     let mut scratch = sequence_core::MatchScratch::default();
@@ -137,18 +119,12 @@ pub fn simulate_with_ops(config: SimConfig, ops: &Ops) -> Vec<DayStats> {
         let mut matched = 0usize;
         let mut unmatched_records: Vec<LogRecord> = Vec::new();
         for (i, item) in stream.iter().enumerate() {
-            Ops::inc(&ops.ingested);
-            let line_started = Instant::now();
             // Inject unique noise in place of a slice of the volume.
             let is_noise = rng.gen_bool(config.noise_fraction);
             if is_noise {
                 let msg = noise_message(&mut rng, day, i);
                 // Noise never matches the promoted database.
-                Ops::inc(&ops.unmatched);
                 unmatched_records.push(LogRecord::new("misc", msg));
-                // One histogram sample per ingested message, exactly as the
-                // daemon records — `_count` reconciles with `ingested`.
-                line_hist.record(line_started.elapsed());
                 continue;
             }
             // Parse-only: the raw text is never needed again, so skip the
@@ -158,26 +134,19 @@ pub fn simulate_with_ops(config: SimConfig, ops: &Ops) -> Vec<DayStats> {
                 .get(&item.service)
                 .and_then(|set| set.match_message_with(&scanned, &mut scratch))
                 .is_some();
-            match_hist.record(line_started.elapsed());
             if hit {
                 matched += 1;
-                Ops::inc(&ops.matched);
             } else {
-                Ops::inc(&ops.unmatched);
                 unmatched_records
                     .push(LogRecord::new(item.service.as_str(), item.message.as_str()));
             }
-            line_hist.record(line_started.elapsed());
         }
         // The unmatched stream feeds Sequence-RTG, batch by batch.
         for chunk in unmatched_records.chunks(config.batch_size) {
-            let started = Instant::now();
             rtg.analyze_by_service(chunk, day as u64)
                 .expect("in-memory analysis");
-            ops.record_remine(started.elapsed());
         }
-        // Review + promotion session — the simulation's analogue of the
-        // daemon's pattern-set publication.
+        // Review + promotion session.
         if day % config.review_interval == 0 {
             review_and_promote(
                 &config,
@@ -186,7 +155,6 @@ pub fn simulate_with_ops(config: SimConfig, ops: &Ops) -> Vec<DayStats> {
                 &mut promoted,
                 &mut promoted_ids,
             );
-            Ops::inc(&ops.swaps);
         }
         let received = stream.len();
         let unmatched = received - matched;
@@ -400,66 +368,6 @@ mod tests {
         let a = simulate(small_config());
         let b = simulate(small_config());
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn ops_reconcile_and_share_the_daemon_metric_names() {
-        let ops = Ops::new();
-        let stats = simulate_with_ops(small_config(), &ops);
-        let s = ops.snapshot();
-        // Every simulated message is accounted for: the sim has no queues
-        // and no malformed input, so the daemon invariant holds exactly.
-        assert!(s.reconciles(), "{s:?}");
-        assert_eq!(s.rejected, 0);
-        assert_eq!(s.malformed, 0);
-        let total: u64 = stats.iter().map(|d| d.received as u64).sum();
-        assert_eq!(s.ingested, total);
-        let matched: u64 = stats.iter().map(|d| d.matched as u64).sum();
-        assert_eq!(s.matched, matched);
-        assert!(s.remines > 0);
-        assert!(s.swaps > 0);
-        // Identical metric names as a live daemon's /metrics (same renderer,
-        // same series), so dashboards port across sim and deployment.
-        let text = s.render_prometheus(&[]);
-        for series in [
-            "seqd_ingested_total",
-            "seqd_matched_total",
-            "seqd_unmatched_total",
-            "seqd_rejected_total",
-            "seqd_malformed_total",
-            "seqd_pattern_swaps_total",
-            "seqd_remine_runs_total",
-            "seqd_remine_seconds_total",
-        ] {
-            assert!(text.contains(series), "missing {series} in:\n{text}");
-        }
-        // The latency side ports too: the sim populates the same `obs`
-        // registry histograms the daemon exports, under the same names, and
-        // the combined exposition parses cleanly.
-        let hist_text = obs::registry().render_prometheus();
-        let combined = format!("{text}{hist_text}");
-        let errors = obs::promlint::lint(&combined);
-        assert!(errors.is_empty(), "promlint: {errors:?}");
-        let names = obs::promlint::metric_names(&hist_text);
-        for required in [
-            "seqd_ingest_line_seconds",
-            "seqd_match_seconds",
-            "rtg_analyze_seconds",
-            "rtg_scan_seconds",
-            "rtg_parse_seconds",
-            "patterndb_txn_seconds",
-            "core_scan_seconds",
-            "core_match_seconds",
-        ] {
-            assert!(names.iter().any(|n| n == required), "missing {required}");
-        }
-        // Per-line recording mirrors the daemon exactly: one ingest-line
-        // sample per ingested message. Other tests in this process share the
-        // global registry, so assert "at least" rather than equality.
-        let snap = obs::registry()
-            .snapshot("seqd_ingest_line_seconds")
-            .expect("preregistered");
-        assert!(snap.count >= s.ingested, "{} < {}", snap.count, s.ingested);
     }
 
     #[test]

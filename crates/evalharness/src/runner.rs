@@ -1,8 +1,7 @@
-//! Run Sequence-RTG and the baselines over the synthetic LogHub datasets and
-//! score them (Tables II and III).
+//! What the scorer in [`crate::harness`] feeds on: a dataset's text
+//! variants and ground truth, Sequence-RTG's mine-then-parse event
+//! assignment, and the paper's published Tables II and III.
 
-use crate::accuracy::group_accuracy;
-use baselines::BatchParser;
 use loghub_synth::Dataset;
 use sequence_rtg::{LogRecord, RtgConfig, SequenceRtg};
 
@@ -65,30 +64,6 @@ pub fn rtg_assignments(dataset: &Dataset, variant: Variant, config: RtgConfig) -
         .collect()
 }
 
-/// Sequence-RTG accuracy on one dataset variant, using the paper's
-/// pattern-id-to-label *mapping accuracy* (see
-/// [`crate::accuracy::mapping_accuracy`] for why Table II uses this rather
-/// than the strict group accuracy).
-pub fn rtg_accuracy(dataset: &Dataset, variant: Variant, config: RtgConfig) -> f64 {
-    let assignments = rtg_assignments(dataset, variant, config);
-    crate::accuracy::mapping_accuracy(&assignments, &truth_labels(dataset))
-}
-
-/// Sequence-RTG accuracy under the strict group-accuracy metric (for
-/// metric-sensitivity reporting).
-pub fn rtg_group_accuracy(dataset: &Dataset, variant: Variant, config: RtgConfig) -> f64 {
-    let assignments = rtg_assignments(dataset, variant, config);
-    group_accuracy(&assignments, &truth_labels(dataset))
-}
-
-/// A baseline parser's accuracy on the pre-processed variant (the setting of
-/// Zhu et al. and Table III).
-pub fn baseline_accuracy(parser: &dyn BatchParser, dataset: &Dataset) -> f64 {
-    let lines = variant_lines(dataset, Variant::Preprocessed);
-    let result = parser.parse_batch(&lines);
-    group_accuracy(&result.assignments, &truth_labels(dataset))
-}
-
 /// Published reference values, for side-by-side reporting in the
 /// experiment binaries and EXPERIMENTS.md.
 pub mod paper {
@@ -134,25 +109,33 @@ pub mod paper {
 
     /// Table II average row.
     pub const TABLE2_AVG: (f64, f64, f64) = (0.901, 0.869, 0.865);
+
+    /// Table III average row.
+    pub const TABLE3_AVG: (f64, f64, f64, f64) = (0.754, 0.777, 0.751, 0.865);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use loghub_synth::generate;
+    use crate::harness::{score_dataset, score_rtg};
+    use loghub_synth::{generate, DATASET_NAMES};
+
+    fn rtg_accuracy(d: &Dataset, variant: Variant) -> f64 {
+        score_rtg(d, variant, RtgConfig::default()).mapping_accuracy
+    }
 
     #[test]
     fn rtg_scores_high_on_apache() {
         let d = generate("Apache", 500, 1);
-        let acc = rtg_accuracy(&d, Variant::Preprocessed, RtgConfig::default());
+        let acc = rtg_accuracy(&d, Variant::Preprocessed);
         assert!(acc > 0.9, "Apache should be nearly perfect, got {acc}");
     }
 
     #[test]
     fn rtg_raw_vs_preprocessed_openssh() {
         let d = generate("OpenSSH", 800, 2);
-        let pre = rtg_accuracy(&d, Variant::Preprocessed, RtgConfig::default());
-        let raw = rtg_accuracy(&d, Variant::Raw, RtgConfig::default());
+        let pre = rtg_accuracy(&d, Variant::Preprocessed);
+        let raw = rtg_accuracy(&d, Variant::Raw);
         assert!(pre > 0.7, "pre-processed OpenSSH {pre}");
         assert!(raw > 0.6, "raw OpenSSH {raw}");
     }
@@ -162,22 +145,25 @@ mod tests {
         // The paper's documented type-flip limitation: raw Proxifier falls
         // to ~0.4 while other datasets stay high.
         let d = generate("Proxifier", 800, 3);
-        let raw = rtg_accuracy(&d, Variant::Raw, RtgConfig::default());
+        let raw = rtg_accuracy(&d, Variant::Raw);
         assert!(raw < 0.75, "Proxifier raw should drop, got {raw}");
     }
 
     #[test]
     fn baselines_score_reasonably_on_apache() {
         let d = generate("Apache", 500, 4);
-        for parser in baselines::all_parsers() {
-            let acc = baseline_accuracy(parser.as_ref(), &d);
-            assert!(acc > 0.5, "{} on Apache: {acc}", parser.name());
+        for row in &score_dataset(&d, Variant::Preprocessed)[1..] {
+            let acc = row.grouping_accuracy;
+            assert!(acc > 0.5, "{} on Apache: {acc}", row.tool);
         }
     }
 
     #[test]
     fn paper_tables_have_sixteen_rows() {
-        assert_eq!(paper::TABLE2.len(), 16);
-        assert_eq!(paper::TABLE3.len(), 16);
+        // `paper-tables` zips both tables with the datasets it generates.
+        let table2: Vec<&str> = paper::TABLE2.iter().map(|row| row.0).collect();
+        let table3: Vec<&str> = paper::TABLE3.iter().map(|row| row.0).collect();
+        assert_eq!(table2, DATASET_NAMES);
+        assert_eq!(table3, DATASET_NAMES);
     }
 }

@@ -11,9 +11,9 @@
 //! * [`slow::SlowRing`] — a bounded buffer of the N *slowest* operations
 //!   with their attributes (service, batch size, token count), dumped as
 //!   JSON on `seqd`'s `/debug/slow`;
-//! * [`registry`] — the process-global registry both `seqd` and the
-//!   offline `evalharness` record into, rendered in Prometheus text
-//!   format on `/metrics`;
+//! * [`registry`] — the process-global registry `seqd` and the library
+//!   crates it runs record into, rendered in Prometheus text format on
+//!   `/metrics`;
 //! * [`promlint`] — a linter for the Prometheus text format, run by
 //!   `ci.sh` against a live scrape so the metrics contract (self-describing
 //!   series, monotone buckets ending in `+Inf`, `_sum`/`_count`

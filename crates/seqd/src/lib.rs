@@ -21,10 +21,9 @@
 //!   published `Arc<PatternSet>` snapshots; re-mining builds the next set off
 //!   to the side and swaps the pointer, so readers never block on mining.
 //! * **Observability** ([`metrics`]): one relaxed-atomic counter struct
-//!   ([`Ops`]) shared by the daemon and the evalharness production
-//!   simulation, so both report identical metric names and the core
-//!   invariant `ingested = matched + unmatched + rejected + malformed`
-//!   can be checked in either world.
+//!   ([`Ops`]) behind `/metrics` and `/stats`, on which the core invariant
+//!   `ingested = matched + unmatched + rejected + malformed` is checked
+//!   after a drain.
 //! * **Durability** ([`wal`]): an optional per-shard ingest write-ahead log.
 //!   Accepted records are appended (fsync-batched) before the NDJSON
 //!   receipt is written, released after their residue flush commits, and

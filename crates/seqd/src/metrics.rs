@@ -1,9 +1,5 @@
-//! Shared operation counters and the Prometheus-style text rendering.
-//!
-//! One [`Ops`] struct serves both the live daemon (`GET /metrics`) and the
-//! `evalharness` production simulation, so the two report *identical metric
-//! names* — a dashboard built against the simulator works unchanged against
-//! a real deployment.
+//! The daemon's operation counters and the Prometheus-style text rendering
+//! behind `GET /metrics`.
 //!
 //! All counters are relaxed atomics: they are monotonic event counts with no
 //! ordering relationship to each other, and the hot ingest path must not pay
@@ -180,8 +176,7 @@ pub mod stages {
     /// Create every stage histogram this workspace records — the seqd hot
     /// paths above plus the analyser, store, and core-scan stages owned by
     /// other crates — so a scrape exposes the full contract from the first
-    /// request. Both the daemon and `evalharness`'s production simulator
-    /// call this, keeping their exported series identical.
+    /// request.
     pub fn preregister() {
         ingest_line();
         queue_wait();
@@ -389,7 +384,7 @@ impl OpsSnapshot {
 
     /// Render the Prometheus text exposition format. `queue_depths` become
     /// one `seqd_queue_depth{shard="i"}` gauge per shard; pass `&[]` from
-    /// contexts without queues (e.g. the production simulation).
+    /// contexts without queues.
     pub fn render_prometheus(&self, queue_depths: &[usize]) -> String {
         let mut out = String::with_capacity(1024);
         for (name, help, value) in [

@@ -123,6 +123,37 @@ mod tests {
         let report = p.flush(1).unwrap().unwrap();
         assert_eq!(report.received, 1);
         assert!(p.flush(1).unwrap().is_none());
+
+        // Batching never loses coverage: at any batch size, every record
+        // pushed ends up matched, analysed or empty, counting the final
+        // partial batch that only a flush runs.
+        let records: Vec<LogRecord> = (0..24_500)
+            .map(|i| {
+                let message = match i % 50 {
+                    0 => String::new(),
+                    k if k % 2 == 0 => format!("worker {i} spawned on node{} in {k} ms", i % 7),
+                    k => format!("cache shard {k} evicted {} keys", i % 1000),
+                };
+                LogRecord::new(format!("svc{}", i % 60), message)
+            })
+            .collect();
+        for batch_size in [1_000, 24_000] {
+            let mut p = Pipeline::new(engine(batch_size));
+            let mut total = BatchReport::default();
+            for r in &records {
+                if let Some(report) = p.push(r.clone(), 0).unwrap() {
+                    total.merge(&report);
+                }
+            }
+            total.merge(&p.flush(0).unwrap().expect("a partial batch is left"));
+            assert_eq!(total.received, records.len() as u64);
+            assert!(total.empty_messages > 0 && total.matched_known > 0);
+            assert_eq!(
+                total.matched_known + total.analyzed + total.empty_messages,
+                total.received,
+                "batch={batch_size}"
+            );
+        }
     }
 
     #[test]

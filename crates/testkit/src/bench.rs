@@ -2,9 +2,8 @@
 //!
 //! A warm-up + calibrated-iteration timer behind a facade that mirrors the
 //! slice of criterion's API the `bench` crate uses — [`Criterion`],
-//! [`BenchmarkGroup`], [`BenchmarkId`], [`Throughput`],
-//! [`criterion_group!`](crate::criterion_group) and
-//! [`criterion_main!`](crate::criterion_main) — so every benchmark keeps
+//! [`BenchmarkGroup`], [`BenchmarkId`], [`Throughput`] and
+//! [`criterion_group!`](crate::criterion_group) — so every benchmark keeps
 //! its name and ID (`group/function/param`) and historical `BENCH_*.json`
 //! trajectories stay comparable.
 //!
@@ -18,14 +17,16 @@
 //!
 //! * `TESTKIT_BENCH_SAMPLES=n` — override every group's sample count
 //!   (e.g. `1` for a CI smoke run).
-//! * `TESTKIT_BENCH_JSON=path` — write the machine-readable summary (one
-//!   JSON object per line, stable `id` field) after all groups finish.
+//! * `TESTKIT_BENCH_JSON=path` — append the machine-readable summary (one
+//!   JSON object per line, stable `id` field) after all groups finish, so
+//!   one `cargo bench` over several bench binaries collects all of them.
 //!
 //! Run via `cargo bench -p bench` exactly as before; a positional argument
 //! substring-filters benchmark IDs (`cargo bench -p bench -- scanner`).
 
 use std::fmt::Display;
 use std::hint::black_box;
+use std::io::Write;
 use std::time::{Duration, Instant};
 
 /// Work-per-iteration declaration, for derived throughput reporting.
@@ -50,25 +51,11 @@ impl BenchmarkId {
             id: format!("{}/{}", function.into(), parameter),
         }
     }
-
-    /// Parameter-only ID (criterion compatibility): renders as the
-    /// parameter alone.
-    pub fn from_parameter(parameter: impl Display) -> Self {
-        BenchmarkId {
-            id: parameter.to_string(),
-        }
-    }
 }
 
 impl From<&str> for BenchmarkId {
     fn from(s: &str) -> Self {
         BenchmarkId { id: s.to_string() }
-    }
-}
-
-impl From<String> for BenchmarkId {
-    fn from(s: String) -> Self {
-        BenchmarkId { id: s }
     }
 }
 
@@ -206,28 +193,38 @@ impl Criterion {
         &self.reports
     }
 
-    /// Print the run summary and write `TESTKIT_BENCH_JSON` if requested.
+    /// Print the run summary and append to `TESTKIT_BENCH_JSON` if
+    /// requested.
     pub fn final_summary(&mut self) {
         println!("\n{} benchmark(s) measured", self.reports.len());
         if let Ok(path) = std::env::var("TESTKIT_BENCH_JSON") {
-            match self.write_json(&path) {
-                Ok(()) => println!("wrote {path}"),
+            let appended = std::fs::OpenOptions::new()
+                .create(true)
+                .append(true)
+                .open(&path)
+                .and_then(|mut f| f.write_all(self.json_lines().as_bytes()));
+            match appended {
+                Ok(()) => println!("appended to {path}"),
                 Err(e) => eprintln!("TESTKIT_BENCH_JSON={path}: write failed: {e}"),
             }
         }
     }
 
-    /// Write all collected reports as JSON lines to `path`. Benches call
-    /// this after [`Criterion::final_summary`] to record their default
-    /// trajectory file (e.g. `results/BENCH_parser.json`) when
+    /// Write all collected reports as JSON lines to `path`, replacing it.
+    /// Benches call this after [`Criterion::final_summary`] to record their
+    /// default trajectory file (e.g. `results/BENCH_parser.json`) when
     /// `TESTKIT_BENCH_JSON` did not already redirect the output.
     pub fn write_json(&self, path: &str) -> std::io::Result<()> {
+        std::fs::write(path, self.json_lines())
+    }
+
+    fn json_lines(&self) -> String {
         let mut out = String::new();
         for r in &self.reports {
             out.push_str(&r.to_json());
             out.push('\n');
         }
-        std::fs::write(path, out)
+        out
     }
 
     /// Whether `TESTKIT_BENCH_JSON` redirected this run's JSON output.
@@ -328,23 +325,6 @@ impl Bencher {
         self.record(per_iter_ns);
     }
 
-    /// Time with caller-controlled measurement (criterion's `iter_custom`
-    /// signature): `f(n)` performs `n` iterations and returns only the
-    /// duration the caller chose to time. Use when an iteration includes
-    /// work that must happen but must not be measured — e.g. draining a
-    /// daemon's queues between waves while timing only the wire path.
-    pub fn iter_custom<F: FnMut(u64) -> Duration>(&mut self, mut f: F) {
-        let once = f(1); // warm-up + calibration
-        let inner = Self::inner_iters(once);
-
-        let mut per_iter_ns: Vec<f64> = Vec::with_capacity(self.samples);
-        for _ in 0..self.samples {
-            let timed = f(inner);
-            per_iter_ns.push(timed.as_nanos() as f64 / inner as f64);
-        }
-        self.record(per_iter_ns);
-    }
-
     /// Inner-loop size so one sample spans ≥ ~2 ms.
     fn inner_iters(once: Duration) -> u64 {
         let target = Duration::from_millis(2);
@@ -388,19 +368,7 @@ macro_rules! criterion_group {
     };
 }
 
-/// Criterion-compatible entry point: defines `main()` running each group.
-#[macro_export]
-macro_rules! criterion_main {
-    ($($group:path),+ $(,)?) => {
-        fn main() {
-            let mut c = $crate::bench::Criterion::from_args();
-            $( $group(&mut c); )+
-            c.final_summary();
-        }
-    };
-}
-
-pub use crate::{criterion_group, criterion_main};
+pub use crate::criterion_group;
 
 #[cfg(test)]
 mod tests {

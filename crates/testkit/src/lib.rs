@@ -18,7 +18,7 @@
 //!   [`fault::FailingStore`] hook adapter for storage-layer failures.
 //! * [`bench`] — a warm-up + calibrated-iteration timer with median/p95
 //!   reporting behind a criterion-compatible facade (`Criterion`,
-//!   `BenchmarkId`, `Throughput`, `criterion_group!`, `criterion_main!`),
+//!   `BenchmarkId`, `Throughput`, `criterion_group!`),
 //!   so the bench names/IDs of `crates/bench` stay stable. Replaces
 //!   `criterion`.
 //! * [`alloc`] — a counting `#[global_allocator]` wrapper so golden tests

@@ -1,12 +1,47 @@
 //! One integration test per claim the paper makes about Sequence-RTG: the
-//! six addressed limitations (§III) plus the documented remaining
-//! limitations (§IV) — both sides must reproduce.
+//! six addressed limitations (§III), the documented remaining limitations
+//! (§IV) — both sides must reproduce — and the shape of the evaluation
+//! (Tables II and III, Fig. 5, the in-text batch statistics), stated in
+//! quantities that repeat exactly at the fixed seed. `paper-tables`, `fig5`
+//! and `fig7` print the numbers these tests hold.
 
+use sequence_rtg_repro::evalharness::harness::{score_dataset, score_rtg, FamilyAccuracy};
+use sequence_rtg_repro::evalharness::perf::{fig5_records, trie_node_counts};
+use sequence_rtg_repro::evalharness::{Variant, DATASET_LINES, DEFAULT_SEED};
+use sequence_rtg_repro::loghub_synth::{generate, Dataset, DATASET_NAMES};
+use sequence_rtg_repro::sequence_core::analyzer::DiscoveredPattern;
 use sequence_rtg_repro::sequence_core::{
-    Analyzer, Pattern, PatternParseError, Scanner, ScannerOptions,
+    Analyzer, AnalyzerOptions, Pattern, PatternParseError, Scanner, ScannerOptions,
 };
 use sequence_rtg_repro::sequence_rtg::{LogRecord, RtgConfig, SequenceRtg, StreamIngester};
 use std::io::Cursor;
+use std::sync::OnceLock;
+
+/// One Table II/III stand-in at the experiment size and seed.
+fn dataset(name: &str) -> Dataset {
+    generate(name, DATASET_LINES, DEFAULT_SEED)
+}
+
+/// Every tool scored on all 16 pre-processed datasets, in `DATASET_NAMES`
+/// order — the rows `paper-tables` prints. Computed once per test binary.
+fn preprocessed_rows() -> &'static [Vec<FamilyAccuracy>] {
+    static ROWS: OnceLock<Vec<Vec<FamilyAccuracy>>> = OnceLock::new();
+    ROWS.get_or_init(|| {
+        DATASET_NAMES
+            .iter()
+            .map(|name| score_dataset(&dataset(name), Variant::Preprocessed))
+            .collect()
+    })
+}
+
+/// Sequence-RTG's Table II score (mapping accuracy) on one variant.
+fn rtg_score(d: &Dataset, variant: Variant, scanner: ScannerOptions) -> f64 {
+    let config = RtgConfig {
+        scanner,
+        ..RtgConfig::default()
+    };
+    score_rtg(d, variant, config).mapping_accuracy
+}
 
 /// Limitation 1: "Sequence expects to read from a single file from a single
 /// source system" → Sequence-RTG ingests a composite JSON stream.
@@ -93,6 +128,29 @@ fn limitation4_variable_minimisation() {
         "{}",
         rtg_out[0].pattern.render()
     );
+
+    // The ablation on a whole dataset: raw OpenSSH mined with and without
+    // quality control covers the same messages, and the quality-controlled
+    // patterns capture fewer variables over them (10 385 vs 10 646).
+    let corpus: Vec<_> = dataset("OpenSSH")
+        .lines
+        .iter()
+        .map(|l| scanner.scan(&l.raw))
+        .collect();
+    let rtg = Analyzer::new().analyze(&corpus);
+    let seminal = Analyzer::with_options(AnalyzerOptions::seminal_sequence()).analyze(&corpus);
+    let covered = |ds: &[DiscoveredPattern]| -> u64 { ds.iter().map(|d| d.match_count).sum() };
+    let captured = |ds: &[DiscoveredPattern]| -> u64 {
+        ds.iter()
+            .map(|d| d.pattern.variable_count() as u64 * d.match_count)
+            .sum()
+    };
+    assert_eq!(covered(&rtg), covered(&seminal), "same coverage");
+    let (v_rtg, v_seminal) = (captured(&rtg), captured(&seminal));
+    assert!(
+        v_rtg < v_seminal,
+        "quality control captures fewer variables: {v_rtg} vs {v_seminal}"
+    );
 }
 
 /// Limitation 5: service partitioning keeps per-trie workloads bounded and
@@ -112,6 +170,23 @@ fn limitation5_service_partitioning_isolates_services() {
     assert_eq!(patterns.len(), 2);
     assert_ne!(patterns[0].id, patterns[1].id);
     assert_eq!(patterns[0].pattern_text, patterns[1].pattern_text);
+
+    // The ablation on a composite batch: "better quality patterns compared
+    // with processing them as a single group". The mixed (seminal) analysis
+    // files some service's messages under another service's pattern rows
+    // (47 of 48 services keep a row); partitioning keeps all 48.
+    let records = fig5_records(8_000, 48, DEFAULT_SEED);
+    let mut mixed = SequenceRtg::in_memory(RtgConfig::seminal());
+    mixed.analyze_all(&records, 0).unwrap();
+    let mut partitioned = SequenceRtg::in_memory(RtgConfig::default());
+    partitioned.analyze_by_service(&records, 0).unwrap();
+    let mixed_services = mixed.store_mut().service_summary().unwrap().len();
+    let partitioned_services = partitioned.store_mut().service_summary().unwrap().len();
+    assert!(
+        mixed_services < 48,
+        "mixed analysis loses service attribution: {mixed_services} of 48"
+    );
+    assert_eq!(partitioned_services, 48);
 }
 
 /// Limitation 6: multi-line messages are truncated at the first line break
@@ -199,4 +274,132 @@ fn remaining_limitation_save_threshold_for_singletons() {
     assert_eq!(r.new_patterns, 1);
     // ... but the save threshold prunes it right away.
     assert_eq!(rtg.store_mut().pattern_count().unwrap(), 0);
+}
+
+/// Table II: raw logs score about as well as pre-processed ones, except
+/// HealthApp, whose zero-less time stamps (`20171224-0:7:20:444`) the
+/// default datetime FSM cannot read (0.909 → 0.580; paper 0.968 → 0.689).
+#[test]
+fn table2_healthapp_raw_logs_drop() {
+    let d = dataset("HealthApp");
+    let default = ScannerOptions::default();
+    let pre = rtg_score(&d, Variant::Preprocessed, default);
+    let raw = rtg_score(&d, Variant::Raw, default);
+    assert!(
+        raw < pre - 0.1,
+        "HealthApp raw {raw} vs pre-processed {pre}"
+    );
+}
+
+/// Table II: Proxifier is Sequence-RTG's weakest pre-processed dataset
+/// (0.699; paper 0.643): its byte count flips between `64` and `64*`, one
+/// event becoming two patterns.
+#[test]
+fn table2_proxifier_is_the_weakest_preprocessed_dataset() {
+    let mut scores: Vec<(f64, &str)> = preprocessed_rows()
+        .iter()
+        .map(|rows| (rows[0].mapping_accuracy, rows[0].family))
+        .collect();
+    scores.sort_by(|a, b| a.0.total_cmp(&b.0));
+    assert_eq!(scores[0].1, "Proxifier", "{scores:?}");
+    assert!(scores[0].0 < scores[1].0, "{scores:?}");
+}
+
+/// Table II: "comparable to the state of the art" — Sequence-RTG equals or
+/// beats the best of the four baselines on at least 8 of the 16 datasets,
+/// the paper's count (10 here).
+#[test]
+fn table2_sequence_rtg_matches_the_best_baseline_on_half_the_datasets() {
+    let wins: Vec<&str> = preprocessed_rows()
+        .iter()
+        .filter(|rows| {
+            let best = rows[1..]
+                .iter()
+                .map(|r| r.grouping_accuracy)
+                .fold(0.0f64, f64::max);
+            rows[0].mapping_accuracy >= best
+        })
+        .map(|rows| rows[0].family)
+        .collect();
+    assert!(wins.len() >= 8, "only {} of 16: {wins:?}", wins.len());
+}
+
+/// Table III as a rank, not a score: "the Drain algorithm is ranked best
+/// overall", and Spell has the lowest mean of the four, as in Zhu et al.
+#[test]
+fn table3_drain_ranks_first_and_spell_last() {
+    // Summed over the same 16 datasets, so ranked exactly as the means.
+    let mut sums: Vec<(f64, &str)> = ["ael", "iplom", "spell", "drain"]
+        .into_iter()
+        .map(|tool| {
+            let cells = preprocessed_rows().iter().flatten();
+            let sum = cells
+                .filter(|c| c.tool == tool)
+                .map(|c| c.grouping_accuracy);
+            (sum.sum(), tool)
+        })
+        .collect();
+    sums.sort_by(|a, b| a.0.total_cmp(&b.0));
+    assert_eq!((sums[3].1, sums[0].1), ("drain", "spell"), "{sums:?}");
+}
+
+/// §VI future work: a datetime FSM that accepts single-digit time parts
+/// (with the path FSM, `ScannerOptions::extended()`) recovers raw HealthApp
+/// to near its pre-processed score (0.580 → 0.883) and leaves Proxifier,
+/// whose failure is the type flip, flat (0.699 both).
+#[test]
+fn future_work_scanner_recovers_healthapp_but_not_proxifier() {
+    let (default, extended) = (ScannerOptions::default(), ScannerOptions::extended());
+    let health = dataset("HealthApp");
+    let pre = rtg_score(&health, Variant::Preprocessed, default);
+    let raw = rtg_score(&health, Variant::Raw, default);
+    let fixed = rtg_score(&health, Variant::Raw, extended);
+    assert!(
+        fixed > raw + 0.2 && fixed > pre - 0.05,
+        "HealthApp raw {raw} -> {fixed} (pre-processed {pre})"
+    );
+    let proxifier = dataset("Proxifier");
+    let raw = rtg_score(&proxifier, Variant::Raw, default);
+    let fixed = rtg_score(&proxifier, Variant::Raw, extended);
+    assert!(
+        (fixed - raw).abs() < 0.005,
+        "Proxifier raw {raw} -> {fixed}"
+    );
+}
+
+/// Fig. 5's mechanism: "the load induced by having a very large analyser
+/// trie to store in memory". On the 241-service stream the one mixed trie
+/// of `Analyze` has at least 5× the nodes of the largest per-service trie
+/// of `AnalyzeByService` (13.6×, 12.2× and 10.8× at these sizes).
+#[test]
+fn fig5_mixed_trie_dwarfs_every_per_service_trie() {
+    for size in [2_000, 8_000, 24_000] {
+        let (mixed, max_service) = trie_node_counts(&fig5_records(size, 241, DEFAULT_SEED));
+        assert!(
+            mixed >= 5 * max_service,
+            "{size} records: mixed {mixed} vs largest service {max_service}"
+        );
+    }
+}
+
+/// §IV: "this will lighten the load on Sequence-RTG over time as more
+/// patterns are discovered". With the first batch's patterns stored, the
+/// parse step of the second batch (fresh records, same 241 services)
+/// matches at least 85 % of it (86.3 %) before any analysis.
+#[test]
+fn parse_first_lightens_later_batches() {
+    let mut rtg = SequenceRtg::in_memory(RtgConfig::default());
+    let first = rtg
+        .analyze_by_service(&fig5_records(10_000, 241, DEFAULT_SEED), 0)
+        .unwrap();
+    assert_eq!(first.matched_known, 0, "empty database");
+    let second = rtg
+        .analyze_by_service(&fig5_records(10_000, 241, DEFAULT_SEED + 1), 1)
+        .unwrap();
+    assert!(
+        second.matched_ratio() >= 0.85,
+        "batch 2 matched {} of {}",
+        second.matched_known,
+        second.received
+    );
 }
