@@ -1,4 +1,4 @@
-//! Abstract syntax tree for the supported SQL subset.
+//! Abstract syntax tree of the SQL subset.
 
 use crate::value::SqlValue;
 
@@ -39,29 +39,8 @@ pub enum Expr {
     Param(usize),
     /// A column reference.
     Column(String),
-    /// `*` (only valid inside COUNT(*) or as a bare select item).
-    Star,
-    /// Unary minus / NOT.
-    Unary(UnaryOp, Box<Expr>),
     /// Binary operation.
     Binary(Box<Expr>, BinOp, Box<Expr>),
-    /// `expr IS NULL` / `expr IS NOT NULL`.
-    IsNull(Box<Expr>, bool),
-    /// `expr [NOT] IN (e1, e2, ...)`.
-    InList(Box<Expr>, Vec<Expr>, bool),
-    /// `expr [NOT] LIKE pattern`.
-    Like(Box<Expr>, Box<Expr>, bool),
-    /// Function call (aggregates and scalar functions).
-    Call(String, Vec<Expr>),
-}
-
-/// Unary operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum UnaryOp {
-    /// Arithmetic negation.
-    Neg,
-    /// Boolean NOT.
-    Not,
 }
 
 /// Binary operators.
@@ -79,27 +58,28 @@ pub enum BinOp {
     Gt,
     /// `>=`
     Ge,
-    /// `AND`
-    And,
-    /// `OR`
-    Or,
     /// `+`
     Add,
     /// `-`
     Sub,
-    /// `*`
-    Mul,
-    /// `/`
-    Div,
-    /// `||` string concatenation
-    Concat,
+}
+
+/// What one SELECT item computes.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Projection {
+    /// A row-level expression.
+    Expr(Expr),
+    /// `COUNT(*)`: the rows of the group.
+    CountStar,
+    /// `SUM(expr)`: the sum of the group's non-NULL values, NULL if none.
+    Sum(Expr),
 }
 
 /// One item of a SELECT projection.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SelectItem {
-    /// The projected expression (`Expr::Star` for `*`).
-    pub expr: Expr,
+    /// What the item computes.
+    pub projection: Projection,
     /// Optional `AS alias`.
     pub alias: Option<String>,
 }
@@ -125,23 +105,14 @@ pub enum Statement {
         /// Column definitions.
         columns: Vec<ColumnDef>,
     },
-    /// DROP TABLE.
-    DropTable {
-        /// Table name.
-        name: String,
-        /// Don't error when missing.
-        if_exists: bool,
-    },
-    /// INSERT (optionally OR REPLACE).
+    /// INSERT of one row.
     Insert {
         /// Target table.
         table: String,
         /// Explicit column list (empty = all columns in order).
         columns: Vec<String>,
-        /// Row value expressions.
-        rows: Vec<Vec<Expr>>,
-        /// INSERT OR REPLACE semantics (replace on unique conflict).
-        or_replace: bool,
+        /// The row's value expressions.
+        values: Vec<Expr>,
     },
     /// SELECT.
     Select(SelectStmt),
@@ -161,10 +132,7 @@ pub enum Statement {
         /// WHERE filter.
         filter: Option<Expr>,
     },
-    /// EXPLAIN wrapping another statement: describes the access plan
-    /// instead of executing.
-    Explain(Box<Statement>),
-    /// BEGIN \[TRANSACTION\].
+    /// BEGIN.
     Begin,
     /// COMMIT.
     Commit,
@@ -177,18 +145,12 @@ pub enum Statement {
 pub struct SelectStmt {
     /// Projection.
     pub items: Vec<SelectItem>,
-    /// FROM table (None allows `SELECT 1`-style constant queries).
-    pub table: Option<String>,
+    /// FROM table.
+    pub table: String,
     /// WHERE filter.
     pub filter: Option<Expr>,
     /// GROUP BY columns.
     pub group_by: Vec<Expr>,
-    /// HAVING filter over the groups.
-    pub having: Option<Expr>,
     /// ORDER BY keys.
     pub order_by: Vec<OrderKey>,
-    /// LIMIT row count.
-    pub limit: Option<usize>,
-    /// OFFSET rows to skip.
-    pub offset: Option<usize>,
 }

@@ -75,37 +75,19 @@ pub fn lex(sql: &str) -> Result<Vec<Tok>, Error> {
             out.push(Tok::Str(s));
             continue;
         }
-        if c.is_ascii_digit() || (c == b'.' && b.get(i + 1).map_or(false, |d| d.is_ascii_digit())) {
+        if c.is_ascii_digit() {
             let start = i;
             let mut is_float = false;
             while i < b.len() && (b[i].is_ascii_digit() || b[i] == b'.') {
-                if b[i] == b'.' {
-                    is_float = true;
-                }
+                is_float |= b[i] == b'.';
                 i += 1;
-            }
-            if i < b.len() && (b[i] == b'e' || b[i] == b'E') {
-                is_float = true;
-                i += 1;
-                if i < b.len() && (b[i] == b'+' || b[i] == b'-') {
-                    i += 1;
-                }
-                while i < b.len() && b[i].is_ascii_digit() {
-                    i += 1;
-                }
             }
             let text = &sql[start..i];
-            if is_float {
-                out.push(Tok::Float(
-                    text.parse()
-                        .map_err(|_| Error::Lex(format!("bad number {text}")))?,
-                ));
-            } else {
-                out.push(Tok::Int(
-                    text.parse()
-                        .map_err(|_| Error::Lex(format!("bad number {text}")))?,
-                ));
-            }
+            let bad = || Error::Lex(format!("bad number {text}"));
+            out.push(match is_float {
+                true => Tok::Float(text.parse().map_err(|_| bad())?),
+                false => Tok::Int(text.parse().map_err(|_| bad())?),
+            });
             continue;
         }
         if c.is_ascii_alphabetic() || c == b'_' {
@@ -121,14 +103,12 @@ pub fn lex(sql: &str) -> Result<Vec<Tok>, Error> {
             i += 1;
             continue;
         }
-        // Multi-char operators first.
-        let two = if i + 1 < b.len() { &sql[i..i + 2] } else { "" };
-        let punct = match two {
-            "<=" => Some("<="),
-            ">=" => Some(">="),
-            "!=" => Some("!="),
-            "<>" => Some("<>"),
-            "||" => Some("||"),
+        // Two-byte operators first.
+        let punct = match (c, b.get(i + 1)) {
+            (b'<', Some(b'=')) => Some("<="),
+            (b'>', Some(b'=')) => Some(">="),
+            (b'!', Some(b'=')) => Some("!="),
+            (b'<', Some(b'>')) => Some("<>"),
             _ => None,
         };
         if let Some(p) = punct {
@@ -146,9 +126,6 @@ pub fn lex(sql: &str) -> Result<Vec<Tok>, Error> {
             b'*' => "*",
             b'+' => "+",
             b'-' => "-",
-            b'/' => "/",
-            b';' => ";",
-            b'.' => ".",
             _ => return Err(Error::Lex(format!("unexpected character {:?}", c as char))),
         };
         out.push(Tok::Punct(one));
@@ -195,5 +172,7 @@ mod tests {
     #[test]
     fn unexpected_char_errors() {
         assert!(lex("SELECT @x").is_err());
+        assert!(lex("SELECT a FROM t WHERE a || 'x'").is_err());
+        assert!(lex("SELECT a FROM t WHERE a <é").is_err());
     }
 }

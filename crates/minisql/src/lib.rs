@@ -6,14 +6,20 @@
 //! Sequence-RTG "stores the patterns in a SQL database in a one-to-many
 //! relationship with their related services". This crate is that database
 //! substrate, built from scratch instead of binding to an external engine
-//! (see DESIGN.md §2). The supported subset is what a pattern store needs:
+//! (see DESIGN.md §2). The grammar is exactly what the pattern store writes
+//! and its snapshot and WAL replay, and nothing more:
 //!
-//! * `CREATE TABLE` (INTEGER / REAL / TEXT; PRIMARY KEY, NOT NULL, UNIQUE,
-//!   DEFAULT), `DROP TABLE`
-//! * `INSERT [OR REPLACE]` with `?` parameters and multi-row VALUES
-//! * `SELECT` with WHERE, GROUP BY + aggregates (COUNT/SUM/AVG/MIN/MAX),
-//!   ORDER BY, LIMIT/OFFSET, LIKE / IN / IS NULL, arithmetic and `||`
-//! * `UPDATE` / `DELETE` with WHERE
+//! * `CREATE TABLE [IF NOT EXISTS]` with INTEGER / REAL / TEXT columns and
+//!   PRIMARY KEY, NOT NULL, UNIQUE and DEFAULT constraints
+//! * `INSERT INTO t [(cols)] VALUES (…)`, one row per statement
+//! * `SELECT` of columns, `COUNT(*)` and `SUM(expr)`, with `AS`,
+//!   `FROM` one table, `WHERE`, `GROUP BY` and `ORDER BY … [DESC]`
+//! * `UPDATE t SET col = expr, … [WHERE …]` and `DELETE FROM t [WHERE …]`
+//! * `BEGIN` / `COMMIT` / `ROLLBACK`
+//!
+//! An expression is a `?` parameter, a literal (numbers, `'text'`, NULL),
+//! a column, or `+` / `-` of those; a filter compares two such with `=`,
+//! `!=`/`<>`, `<`, `<=`, `>` or `>=`. Anything else is a parse error.
 //!
 //! ```
 //! use minisql::{Database, SqlValue};
@@ -123,9 +129,10 @@ mod persistence_tests {
         }
         {
             let mut db = Database::open(&dir).unwrap();
-            let rows = db.query("SELECT COUNT(*), MIN(n) FROM t").unwrap();
+            let rows = db.query("SELECT COUNT(*), SUM(n) FROM t").unwrap();
             assert_eq!(rows[0][0], SqlValue::Integer(45));
-            assert_eq!(rows[0][1], SqlValue::Integer(10));
+            // n = 5 + i, and the DELETE dropped i < 5.
+            assert_eq!(rows[0][1], SqlValue::Integer((5..50).map(|i| 5 + i).sum()));
             // The WAL was truncated at checkpoint; only the DELETE follows.
             let wal_size = fs::metadata(dir.join("wal.sql")).unwrap().len();
             assert!(

@@ -74,107 +74,48 @@ impl Table {
         }
     }
 
-    /// Validate constraints for a candidate row. Returns the conflicting row
-    /// index if a unique constraint is violated (for INSERT OR REPLACE).
-    fn check_row(&self, row: &[SqlValue]) -> Result<Option<usize>, Error> {
-        for (i, col) in self.columns.iter().enumerate() {
-            if col.not_null && row[i].is_null() {
-                return Err(Error::NotNullViolation {
-                    table: self.name.clone(),
-                    column: col.name.clone(),
-                });
-            }
-        }
-        for (col_idx, index) in &self.unique {
-            if row[*col_idx].is_null() {
-                continue; // NULLs don't conflict (SQL semantics)
-            }
-            if let Some(&existing) = index.get(&index_key(&row[*col_idx])) {
-                return Ok(Some(existing));
-            }
-        }
-        Ok(None)
-    }
-
-    /// Insert a row; `or_replace` resolves unique conflicts by replacing the
-    /// existing row in place. Returns `None` when the row was appended, or
-    /// the index and former contents of the row it replaced — what a
-    /// transaction needs to reverse the insert.
-    pub fn insert(
-        &mut self,
-        mut row: Vec<SqlValue>,
-        or_replace: bool,
-    ) -> Result<Option<(usize, Vec<SqlValue>)>, Error> {
+    /// Append a row, coerced to the column types, unless it breaks a NOT
+    /// NULL or unique constraint.
+    pub fn insert(&mut self, mut row: Vec<SqlValue>) -> Result<(), Error> {
         if row.len() != self.columns.len() {
             return Err(Error::ArityMismatch {
                 expected: self.columns.len(),
                 got: row.len(),
             });
         }
-        for i in 0..row.len() {
-            let v = std::mem::replace(&mut row[i], SqlValue::Null);
-            row[i] = self.coerce(i, v);
+        for (i, v) in row.iter_mut().enumerate() {
+            *v = self.coerce(i, std::mem::replace(v, SqlValue::Null));
         }
-        match self.check_row(&row)? {
-            None => {
-                let idx = self.rows.len();
-                for (col_idx, index) in &mut self.unique {
-                    if !row[*col_idx].is_null() {
-                        index.insert(index_key(&row[*col_idx]), idx);
-                    }
-                }
-                self.rows.push(row);
-                Ok(None)
-            }
-            Some(existing) if or_replace => {
-                // Remove old index entries for the replaced row, then insert
-                // the new values in place.
-                for (col_idx, index) in &mut self.unique {
-                    index.remove(&index_key(&self.rows[existing][*col_idx]));
-                }
-                // The new row may still conflict with *another* row on a
-                // different unique column.
-                if let Some(other) = self.check_row(&row)? {
-                    // Restore old index entries before failing.
-                    for (col_idx, index) in &mut self.unique {
-                        let old = &self.rows[existing][*col_idx];
-                        if !old.is_null() {
-                            index.insert(index_key(old), existing);
-                        }
-                    }
-                    let col = self.unique.iter().find(|(c, idx)| {
-                        !row[*c].is_null() && idx.get(&index_key(&row[*c])) == Some(&other)
-                    });
-                    return Err(Error::UniqueViolation {
-                        table: self.name.clone(),
-                        column: col
-                            .map(|(c, _)| self.columns[*c].name.clone())
-                            .unwrap_or_default(),
-                    });
-                }
-                for (col_idx, index) in &mut self.unique {
-                    if !row[*col_idx].is_null() {
-                        index.insert(index_key(&row[*col_idx]), existing);
-                    }
-                }
-                let old = std::mem::replace(&mut self.rows[existing], row);
-                Ok(Some((existing, old)))
-            }
-            Some(existing) => {
-                let col = self
-                    .unique
-                    .iter()
-                    .find(|(c, idx)| {
-                        !row[*c].is_null() && idx.get(&index_key(&row[*c])) == Some(&existing)
-                    })
-                    .map(|(c, _)| self.columns[*c].name.clone())
-                    .unwrap_or_default();
-                Err(Error::UniqueViolation {
-                    table: self.name.clone(),
-                    column: col,
-                })
+        let null = self
+            .columns
+            .iter()
+            .zip(&row)
+            .find(|(c, v)| c.not_null && v.is_null());
+        if let Some((col, _)) = null {
+            return Err(Error::NotNullViolation {
+                table: self.name.clone(),
+                column: col.name.clone(),
+            });
+        }
+        // NULLs never conflict (SQL semantics).
+        let conflict = self
+            .unique
+            .iter()
+            .find(|(c, index)| !row[*c].is_null() && index.contains_key(&index_key(&row[*c])));
+        if let Some((c, _)) = conflict {
+            return Err(Error::UniqueViolation {
+                table: self.name.clone(),
+                column: self.columns[*c].name.clone(),
+            });
+        }
+        let idx = self.rows.len();
+        for (col_idx, index) in &mut self.unique {
+            if !row[*col_idx].is_null() {
+                index.insert(index_key(&row[*col_idx]), idx);
             }
         }
+        self.rows.push(row);
+        Ok(())
     }
 
     /// Overwrite column `col` of row `row_idx` (constraint-checked by the
@@ -285,27 +226,16 @@ mod tests {
     #[test]
     fn insert_and_unique_violation() {
         let mut t = Table::new("t".into(), cols());
-        t.insert(vec!["a".into(), 1i64.into()], false).unwrap();
-        let err = t.insert(vec!["a".into(), 2i64.into()], false).unwrap_err();
+        t.insert(vec!["a".into(), 1i64.into()]).unwrap();
+        let err = t.insert(vec!["a".into(), 2i64.into()]).unwrap_err();
         assert!(matches!(err, Error::UniqueViolation { .. }));
         assert_eq!(t.rows.len(), 1);
     }
 
     #[test]
-    fn insert_or_replace() {
-        let mut t = Table::new("t".into(), cols());
-        t.insert(vec!["a".into(), 1i64.into()], false).unwrap();
-        t.insert(vec!["a".into(), 99i64.into()], true).unwrap();
-        assert_eq!(t.rows.len(), 1);
-        assert_eq!(t.rows[0][1], SqlValue::Integer(99));
-    }
-
-    #[test]
     fn not_null_enforced() {
         let mut t = Table::new("t".into(), cols());
-        let err = t
-            .insert(vec![SqlValue::Null, 1i64.into()], false)
-            .unwrap_err();
+        let err = t.insert(vec![SqlValue::Null, 1i64.into()]).unwrap_err();
         assert!(matches!(err, Error::NotNullViolation { .. }));
     }
 
@@ -313,29 +243,27 @@ mod tests {
     fn delete_keeps_index_consistent() {
         let mut t = Table::new("t".into(), cols());
         for (i, id) in ["a", "b", "c"].iter().enumerate() {
-            t.insert(vec![(*id).into(), (i as i64).into()], false)
-                .unwrap();
+            t.insert(vec![(*id).into(), (i as i64).into()]).unwrap();
         }
         t.delete_rows(&[1]);
         assert_eq!(t.rows.len(), 2);
         // `b` can be reinserted; `a` still conflicts.
-        t.insert(vec!["b".into(), 9i64.into()], false).unwrap();
-        assert!(t.insert(vec!["a".into(), 9i64.into()], false).is_err());
+        t.insert(vec!["b".into(), 9i64.into()]).unwrap();
+        assert!(t.insert(vec!["a".into(), 9i64.into()]).is_err());
     }
 
     #[test]
     fn coercion() {
         let mut t = Table::new("t".into(), cols());
-        t.insert(vec!["a".into(), SqlValue::Real(3.0)], false)
-            .unwrap();
+        t.insert(vec!["a".into(), SqlValue::Real(3.0)]).unwrap();
         assert_eq!(t.rows[0][1], SqlValue::Integer(3));
     }
 
     #[test]
     fn lookup_unique() {
         let mut t = Table::new("t".into(), cols());
-        t.insert(vec!["a".into(), 1i64.into()], false).unwrap();
-        t.insert(vec!["b".into(), 2i64.into()], false).unwrap();
+        t.insert(vec!["a".into(), 1i64.into()]).unwrap();
+        t.insert(vec!["b".into(), 2i64.into()]).unwrap();
         assert_eq!(t.lookup_unique(0, &"b".into()), Some(1));
         assert_eq!(t.lookup_unique(0, &"zz".into()), None);
         assert_eq!(t.lookup_unique(1, &1i64.into()), None); // not unique

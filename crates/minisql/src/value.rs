@@ -67,11 +67,6 @@ impl SqlValue {
         }
     }
 
-    /// Equality under SQL semantics (`NULL = x` is unknown → false here).
-    pub fn sql_eq(&self, other: &SqlValue) -> bool {
-        self.compare(other) == Some(Ordering::Equal)
-    }
-
     /// A total ordering for ORDER BY and index keys: NULL sorts first.
     pub fn total_cmp(&self, other: &SqlValue) -> Ordering {
         match (self.is_null(), other.is_null()) {

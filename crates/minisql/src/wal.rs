@@ -27,21 +27,29 @@
 //! snapshot then the WAL in order and drops what a crash tore at the end of
 //! a file: a header cut before its newline, a frame shorter than its length,
 //! or a group whose payload is incomplete (every statement of it, including
-//! the whole frames that did arrive). [`Wal::checkpoint`] atomically
-//! replaces the snapshot (write-to-temp + rename) and truncates the WAL.
+//! the whole frames that did arrive). An append that fails is cut back out
+//! of the file at once, so the next one never lands behind a torn frame.
+//! [`Wal::checkpoint`] atomically replaces the snapshot (write-to-temp +
+//! rename) and truncates the WAL.
 
 use crate::error::Error;
 use crate::lexer::{lex, Tok};
 use crate::value::SqlValue;
 use std::fs::{self, File, OpenOptions};
-use std::io::{BufWriter, Read, Write};
+use std::io::{self, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 
 /// Handle to a database directory's durability files.
 #[derive(Debug)]
 pub struct Wal {
     dir: PathBuf,
+    /// `wal.sql`, opened for appending.
     wal: File,
+    /// Length of `wal.sql` up to its last whole append.
+    len: u64,
+    /// Test seam: the next append stops after this many bytes and fails.
+    #[cfg(test)]
+    pub(crate) tear_next_write: Option<usize>,
 }
 
 impl Wal {
@@ -54,22 +62,26 @@ impl Wal {
             .open(dir.join("wal.sql"))?;
         Ok(Wal {
             dir: dir.to_path_buf(),
+            len: wal.metadata()?.len(),
             wal,
+            #[cfg(test)]
+            tear_next_write: None,
         })
     }
 
     /// All statements to replay, snapshot first. A tail of `wal.sql` torn
     /// by a crash mid-append is cut off, so that the appends that follow
     /// land after the last whole frame.
-    pub fn recover(&self) -> Result<Vec<String>, Error> {
+    pub fn recover(&mut self) -> Result<Vec<String>, Error> {
         let mut stmts = Vec::new();
         let snapshot = self.dir.join("snapshot.sql");
         if snapshot.exists() {
             read_frames(&snapshot, &mut stmts)?;
         }
         let whole = read_frames(&self.dir.join("wal.sql"), &mut stmts)?;
-        if whole < self.wal.metadata()?.len() {
+        if whole < self.len {
             self.wal.set_len(whole)?;
+            self.len = whole;
         }
         Ok(stmts)
     }
@@ -78,8 +90,7 @@ impl Wal {
     pub fn log(&mut self, sql: &str, params: &[SqlValue]) -> Result<(), Error> {
         let mut frame = Vec::new();
         write_frame(&mut frame, &render_statement(sql, params)?)?;
-        self.wal.write_all(&frame)?;
-        Ok(())
+        self.append(&frame)
     }
 
     /// Append a committed transaction — `frames` is its statements, each
@@ -90,8 +101,28 @@ impl Wal {
         }
         let mut group = format!("!{}\n", frames.len()).into_bytes();
         group.extend_from_slice(frames);
-        self.wal.write_all(&group)?;
+        self.append(&group)
+    }
+
+    /// Append `bytes` with one write. A failed write may have landed in
+    /// part: the file is cut back to its length before it, so what the next
+    /// append writes follows the last whole frame.
+    fn append(&mut self, bytes: &[u8]) -> Result<(), Error> {
+        if let Err(e) = self.write(bytes) {
+            self.wal.set_len(self.len)?;
+            return Err(e.into());
+        }
+        self.len += bytes.len() as u64;
         Ok(())
+    }
+
+    fn write(&mut self, bytes: &[u8]) -> io::Result<()> {
+        #[cfg(test)]
+        if let Some(torn) = self.tear_next_write.take() {
+            self.wal.write_all(&bytes[..torn.min(bytes.len())])?;
+            return Err(io::Error::other("injected short write"));
+        }
+        self.wal.write_all(bytes)
     }
 
     /// Atomically replace the snapshot with the frames `write_frames` emits
@@ -107,12 +138,8 @@ impl Wal {
         file.sync_all()?;
         drop(file);
         fs::rename(&tmp, self.dir.join("snapshot.sql"))?;
-        // Truncate the WAL.
-        self.wal = OpenOptions::new()
-            .create(true)
-            .write(true)
-            .truncate(true)
-            .open(self.dir.join("wal.sql"))?;
+        self.wal.set_len(0)?;
+        self.len = 0;
         Ok(())
     }
 }
@@ -200,7 +227,8 @@ pub fn render_statement(sql: &str, params: &[SqlValue]) -> Result<String, Error>
             Tok::Ident(s) => out.push_str(&s),
             Tok::Str(s) => out.push_str(&format!("'{}'", s.replace('\'', "''"))),
             Tok::Int(v) => out.push_str(&v.to_string()),
-            Tok::Float(v) => out.push_str(&format!("{v}")),
+            // As the snapshot writes it: `0.0` stays a real, not `0`.
+            Tok::Float(v) => out.push_str(&crate::engine::sql_literal(&SqlValue::Real(v))),
             Tok::Param => {
                 let v = params.get(param_idx).ok_or(Error::ParamCount {
                     expected: param_idx + 1,
@@ -244,7 +272,7 @@ mod tests {
                 .unwrap();
             wal.log("DELETE FROM t", &[]).unwrap();
         }
-        let wal = Wal::open(&dir).unwrap();
+        let mut wal = Wal::open(&dir).unwrap();
         let stmts = wal.recover().unwrap();
         assert_eq!(stmts.len(), 2);
         assert!(stmts[0].contains("line1\nline2"));
@@ -266,7 +294,7 @@ mod tests {
             .unwrap();
         f.write_all(b"#100\nDELETE FROM").unwrap();
         drop(f);
-        let wal = Wal::open(&dir).unwrap();
+        let mut wal = Wal::open(&dir).unwrap();
         assert_eq!(wal.recover().unwrap().len(), 1);
         fs::remove_dir_all(&dir).unwrap();
     }

@@ -467,8 +467,11 @@ impl PatternStore {
         Ok(rows[0][0].as_integer().unwrap_or(0) as u64)
     }
 
-    /// Direct access to the underlying database (for ad-hoc administrator
-    /// queries, mirroring how operators inspect the production store).
+    /// Direct access to the underlying database, for ad-hoc administrator
+    /// queries. They get minisql's grammar, which is the store's own: a
+    /// `SELECT` of columns, `COUNT(*)` and `SUM(…)` from one table with a
+    /// one-comparison `WHERE`, `GROUP BY` and `ORDER BY … [DESC]` (no
+    /// `*`, `LIKE`, `AND` or `LIMIT`; see the [`minisql`] crate docs).
     pub fn db(&mut self) -> &mut Database {
         &mut self.db
     }

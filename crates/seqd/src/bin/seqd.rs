@@ -47,7 +47,7 @@ fn main() -> ExitCode {
             "--addr" => addr = value("--addr"),
             "--store" => store_path = Some(value("--store")),
             "--shards" => config.shards = parse(&value("--shards"), "--shards"),
-            "--batch-size" => config.batch_size = parse(&value("--batch-size"), "--batch-size"),
+            "--batch-size" => config.rtg.batch_size = parse(&value("--batch-size"), "--batch-size"),
             "--queue-capacity" => {
                 config.queue_capacity = parse(&value("--queue-capacity"), "--queue-capacity")
             }
@@ -128,7 +128,7 @@ fn main() -> ExitCode {
     };
 
     let shards = config.shards;
-    let batch_size = config.batch_size;
+    let batch_size = config.rtg.batch_size;
     let miners = config.miners;
     let wal_desc = config
         .wal_dir

@@ -34,9 +34,7 @@ use crate::swap::PatternBoard;
 use crate::wal::IngestWal;
 use patterndb::{PatternStore, StoreError};
 use sequence_core::{Analyzer, MatchScratch, PatternSet, Scanner};
-use sequence_rtg::{
-    commit_service, plan_service, CommitOutcome, LogRecord, RtgConfig, ServicePlan,
-};
+use sequence_rtg::{commit_plans, plan_service, CommitOutcome, LogRecord, RtgConfig, ServicePlan};
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -318,7 +316,8 @@ pub fn mine_job(deps: &MinerDeps, scratch: &mut MatchScratch, job: MineJob) {
                 }
             }
             if counts_done && outcomes.is_none() && !batch.is_empty() {
-                match commit_plans(&mut store, &plans, now) {
+                let batch_plans = plans.iter().map(|(service, _, plan)| (*service, plan));
+                match commit_plans(&mut store, batch_plans, now) {
                     Ok(committed) => outcomes = Some(committed),
                     Err(e) => eprintln!(
                         "seqd[miner, shard {shard_id}]: re-mining commit failed \
@@ -407,28 +406,6 @@ pub fn mine_job(deps: &MinerDeps, scratch: &mut MatchScratch, job: MineJob) {
             }
         }
     }
-}
-
-/// Commit every plan in one transaction; rolled back wholesale on error so
-/// retries start clean.
-fn commit_plans(
-    store: &mut PatternStore,
-    plans: &[(&str, Arc<Mutex<PatternSet>>, ServicePlan)],
-    now: u64,
-) -> Result<Vec<CommitOutcome>, StoreError> {
-    store.begin()?;
-    let mut outcomes = Vec::with_capacity(plans.len());
-    for (service, _cell, plan) in plans {
-        match commit_service(store, service, plan, now) {
-            Ok(outcome) => outcomes.push(outcome),
-            Err(e) => {
-                store.rollback()?;
-                return Err(e);
-            }
-        }
-    }
-    store.commit()?;
-    Ok(outcomes)
 }
 
 fn elapsed_ns(since: Instant) -> u64 {

@@ -66,9 +66,6 @@ use std::time::{Duration, Instant};
 pub struct SeqdConfig {
     /// Worker threads; each owns a disjoint slice of the service space.
     pub shards: usize,
-    /// Unmatched-residue size that triggers a re-mine (the paper's batch
-    /// size, applied to the *unmatched* stream as in the Fig. 6 deployment).
-    pub batch_size: usize,
     /// Bounded queue slots per shard.
     pub queue_capacity: usize,
     /// How long ingest blocks on a full shard queue before rejecting.
@@ -97,9 +94,12 @@ pub struct SeqdConfig {
     pub miners: usize,
     /// Event-loop poller threads; `0` means auto (one per core, capped).
     pub pollers: usize,
-    /// Mining configuration. `save_threshold` should stay 0 for the daemon:
-    /// store-wide pruning from one shard would silently invalidate sets
-    /// owned by the others (prune offline, between runs, instead).
+    /// Mining configuration. Its `batch_size` is the unmatched-residue size
+    /// that triggers a re-mine (the paper's batch size, applied to the
+    /// *unmatched* stream as in the Fig. 6 deployment). `save_threshold`
+    /// should stay 0 for the daemon: store-wide pruning from one shard
+    /// would silently invalidate sets owned by the others (prune offline,
+    /// between runs, instead).
     pub rtg: RtgConfig,
 }
 
@@ -107,7 +107,6 @@ impl Default for SeqdConfig {
     fn default() -> Self {
         SeqdConfig {
             shards: 4,
-            batch_size: 5_000,
             queue_capacity: 10_000,
             enqueue_timeout: Duration::from_millis(250),
             max_line_len: 1 << 20,
@@ -221,7 +220,7 @@ pub fn start(store: PatternStore, config: SeqdConfig, addr: &str) -> io::Result<
     // a bursty shard absorbs the backlog without tripping the workers'
     // blocking backpressure path (which would put mining right back on
     // the ingest hot path it was moved off of).
-    let batch_size = config.batch_size.max(1);
+    let batch_size = config.rtg.batch_size.max(1);
     let drain = Arc::new(DrainSignal::new());
     let deps = MinerDeps {
         engine: Arc::clone(&engine),

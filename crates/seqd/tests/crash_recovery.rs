@@ -11,7 +11,7 @@
 
 use seqd::loadgen;
 use seqd::server::{start, SeqdConfig};
-use sequence_rtg::{LogRecord, SequenceRtg};
+use sequence_rtg::{LogRecord, RtgConfig, SequenceRtg};
 use std::collections::BTreeSet;
 use std::io::{BufRead, BufReader, Read};
 use std::net::SocketAddr;
@@ -121,7 +121,10 @@ fn kill_dash_nine_loses_no_receipted_record() {
     // replayed into the workers and mined at the drain flush.
     let config = SeqdConfig {
         shards: 2,
-        batch_size: 100_000,
+        rtg: RtgConfig {
+            batch_size: 100_000,
+            ..SeqdConfig::default().rtg
+        },
         wal_dir: Some(wal_dir.clone()),
         ..SeqdConfig::default()
     };

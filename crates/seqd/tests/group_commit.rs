@@ -11,7 +11,7 @@
 
 use seqd::loadgen;
 use seqd::server::{start, SeqdConfig};
-use sequence_rtg::LogRecord;
+use sequence_rtg::{LogRecord, RtgConfig};
 use std::io::{BufRead, BufReader};
 use std::net::SocketAddr;
 use std::process::{Command, Stdio};
@@ -86,7 +86,10 @@ fn receipt_after_group_commit_survives_kill_dash_nine() {
     // the same shard layout, and reconcile at the drain.
     let config = SeqdConfig {
         shards: 3,
-        batch_size: 100_000,
+        rtg: RtgConfig {
+            batch_size: 100_000,
+            ..SeqdConfig::default().rtg
+        },
         wal_dir: Some(wal_dir),
         ..SeqdConfig::default()
     };

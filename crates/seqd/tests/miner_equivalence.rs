@@ -76,7 +76,10 @@ fn run_mode(miners: usize, tag: &str) -> (BTreeSet<(String, String, u64)>, OpsSn
         shards: SHARDS,
         // Above the wave size: within a wave only the idle handoff fires,
         // so batch boundaries cannot depend on mining latency.
-        batch_size: 2 * WAVE,
+        rtg: RtgConfig {
+            batch_size: 2 * WAVE,
+            ..SeqdConfig::default().rtg
+        },
         queue_capacity: 4 * WAVE,
         miners,
         ..SeqdConfig::default()

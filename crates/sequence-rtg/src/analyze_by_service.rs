@@ -13,7 +13,7 @@
 
 use crate::config::RtgConfig;
 use crate::record::LogRecord;
-use crate::service::{commit_service, plan_service, unloaded_notice, CommitOutcome, ServicePlan};
+use crate::service::{commit_plans, plan_service, unloaded_notice, ServicePlan};
 use patterndb::{PatternStore, StoreError};
 use sequence_core::{Analyzer, MatchScratch, PatternSet, Scanner};
 use std::collections::HashMap;
@@ -185,13 +185,13 @@ impl SequenceRtg {
                 (*service, plan)
             })
             .collect();
-        self.commit_plans(&plans, &mut report, now)?;
+        self.commit_batch(&plans, &mut report, now)?;
         Ok(report)
     }
 
     /// Persist one batch's plans (in sorted service order) and fold them
     /// into `report`; shared by the sequential and the parallel driver.
-    pub(crate) fn commit_plans(
+    pub(crate) fn commit_batch(
         &mut self,
         plans: &[(&str, ServicePlan)],
         report: &mut BatchReport,
@@ -199,29 +199,16 @@ impl SequenceRtg {
     ) -> Result<(), StoreError> {
         // One transaction per batch: a crash mid-batch must not leave a
         // half-updated pattern database behind.
-        self.store.begin()?;
-        let mut committed: Vec<(&str, CommitOutcome)> = Vec::new();
-        for (service, plan) in plans {
+        let outcomes = commit_plans(&mut self.store, plans.iter().map(|(s, p)| (*s, p)), now)?;
+        // Only a durable transaction mutates the in-memory parser sets: a
+        // rolled-back batch leaves them exactly mirroring the store.
+        for ((service, plan), outcome) in plans.iter().zip(outcomes) {
             report.matched_known += plan.matched_known;
             report.analyzed += plan.analyzed;
             report.multiline += plan.multiline;
             report.empty_messages += plan.empty_messages;
-            match commit_service(&mut self.store, service, plan, now) {
-                Ok(outcome) => {
-                    report.new_patterns += outcome.new_patterns;
-                    report.updated_patterns += outcome.updated_patterns;
-                    committed.push((service, outcome));
-                }
-                Err(e) => {
-                    self.store.rollback()?;
-                    return Err(e);
-                }
-            }
-        }
-        self.store.commit()?;
-        // Only a durable transaction mutates the in-memory parser sets: a
-        // rolled-back batch leaves them exactly mirroring the store.
-        for (service, outcome) in committed {
+            report.new_patterns += outcome.new_patterns;
+            report.updated_patterns += outcome.updated_patterns;
             if outcome.inserted.is_empty() {
                 continue;
             }

@@ -65,5 +65,6 @@ pub use ingest::{IngestStats, StreamIngester};
 pub use pipeline::Pipeline;
 pub use record::{LogRecord, RecordError};
 pub use service::{
-    commit_service, count_match, plan_service, unloaded_notice, CommitOutcome, ServicePlan,
+    commit_plans, commit_service, count_match, plan_service, unloaded_notice, CommitOutcome,
+    ServicePlan,
 };

@@ -89,7 +89,7 @@ impl SequenceRtg {
                 .collect()
         });
         plans.sort_unstable_by_key(|(service, _)| *service);
-        self.commit_plans(&plans, &mut report, now)?;
+        self.commit_batch(&plans, &mut report, now)?;
         Ok(report)
     }
 }

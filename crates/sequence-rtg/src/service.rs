@@ -180,6 +180,31 @@ pub fn commit_service(
     Ok(outcome)
 }
 
+/// Persist a batch's plans, in the order given, in one transaction: one
+/// outcome per plan, or an error after which the transaction is rolled back
+/// wholesale, so a retry of the same plans starts clean. The plans are
+/// borrowed through an iterator, so the caller's own layout needs no copy.
+pub fn commit_plans<'p>(
+    store: &mut PatternStore,
+    plans: impl IntoIterator<Item = (&'p str, &'p ServicePlan)>,
+    now: u64,
+) -> Result<Vec<CommitOutcome>, StoreError> {
+    let plans = plans.into_iter();
+    let mut outcomes = Vec::with_capacity(plans.size_hint().0);
+    store.begin()?;
+    for (service, plan) in plans {
+        match commit_service(store, service, plan, now) {
+            Ok(outcome) => outcomes.push(outcome),
+            Err(e) => {
+                store.rollback()?;
+                return Err(e);
+            }
+        }
+    }
+    store.commit()?;
+    Ok(outcomes)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

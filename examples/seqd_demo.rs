@@ -15,13 +15,16 @@ use sequence_rtg_repro::loghub_synth::{generate_stream, CorpusConfig};
 use sequence_rtg_repro::patterndb::PatternStore;
 use sequence_rtg_repro::seqd::loadgen;
 use sequence_rtg_repro::seqd::server::{start, SeqdConfig};
-use sequence_rtg_repro::sequence_rtg::LogRecord;
+use sequence_rtg_repro::sequence_rtg::{LogRecord, RtgConfig};
 use std::time::Duration;
 
 fn main() {
     let config = SeqdConfig {
         shards: 2,
-        batch_size: 4_000,
+        rtg: RtgConfig {
+            batch_size: 4_000,
+            ..SeqdConfig::default().rtg
+        },
         ..SeqdConfig::default()
     };
     let shards = config.shards;

@@ -10,7 +10,7 @@
 use sequence_rtg_repro::patterndb::PatternStore;
 use sequence_rtg_repro::seqd::loadgen;
 use sequence_rtg_repro::seqd::server::{start, SeqdConfig};
-use sequence_rtg_repro::sequence_rtg::LogRecord;
+use sequence_rtg_repro::sequence_rtg::{LogRecord, RtgConfig};
 use sequence_rtg_repro::{jsonlite, loghub_synth, obs};
 use std::time::Duration;
 
@@ -41,7 +41,10 @@ fn series(metrics: &str, name: &str) -> u64 {
 fn metrics_stats_and_slow_ring_reflect_a_known_workload() {
     let config = SeqdConfig {
         shards: 2,
-        batch_size: BATCH,
+        rtg: RtgConfig {
+            batch_size: BATCH,
+            ..SeqdConfig::default().rtg
+        },
         queue_capacity: 2 * BATCH,
         ..SeqdConfig::default()
     };

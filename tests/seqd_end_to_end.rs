@@ -20,7 +20,7 @@ use sequence_rtg_repro::patterndb::PatternStore;
 use sequence_rtg_repro::seqd::loadgen;
 use sequence_rtg_repro::seqd::server::{start, SeqdConfig};
 use sequence_rtg_repro::sequence_core::{MatchScratch, Scanner};
-use sequence_rtg_repro::sequence_rtg::{LogRecord, SequenceRtg};
+use sequence_rtg_repro::sequence_rtg::{LogRecord, RtgConfig, SequenceRtg};
 use sequence_rtg_repro::{jsonlite, loghub_synth};
 use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
@@ -86,7 +86,10 @@ fn daemon_matches_batch_pipeline_and_survives_restart() {
     // processing order identical to the offline reference.
     let config = SeqdConfig {
         shards: 1,
-        batch_size: BATCH,
+        rtg: RtgConfig {
+            batch_size: BATCH,
+            ..SeqdConfig::default().rtg
+        },
         queue_capacity: 2 * BATCH,
         ..SeqdConfig::default()
     };
@@ -204,7 +207,10 @@ fn served_patterns_match_reference_after_first_mine() {
     let corpus_a = corpus(77, BATCH);
     let config = SeqdConfig {
         shards: 1,
-        batch_size: BATCH,
+        rtg: RtgConfig {
+            batch_size: BATCH,
+            ..SeqdConfig::default().rtg
+        },
         queue_capacity: 2 * BATCH,
         ..SeqdConfig::default()
     };

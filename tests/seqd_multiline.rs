@@ -19,7 +19,7 @@ use sequence_rtg_repro::jsonlite;
 use sequence_rtg_repro::patterndb::PatternStore;
 use sequence_rtg_repro::seqd::loadgen;
 use sequence_rtg_repro::seqd::server::{start, SeqdConfig};
-use sequence_rtg_repro::sequence_rtg::{LogRecord, SequenceRtg};
+use sequence_rtg_repro::sequence_rtg::{LogRecord, RtgConfig, SequenceRtg};
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -97,7 +97,10 @@ fn multiline_records_mine_identically_through_the_daemon() {
 
     let config = SeqdConfig {
         shards: 1, // determinism: one worker, one flush order
-        batch_size: batch,
+        rtg: RtgConfig {
+            batch_size: batch,
+            ..SeqdConfig::default().rtg
+        },
         ..SeqdConfig::default()
     };
     let store = PatternStore::open(&dir).expect("open store");
