@@ -181,6 +181,13 @@ if stage_begin "seqbench contract (benchmark/ builds + tests against the workspa
 # target directory so the dependencies are compiled once.
 CARGO_TARGET_DIR="$(pwd)/target" \
   cargo build --release --offline --manifest-path benchmark/Cargo.toml
+# The build rewrites benchmark/Cargo.lock when a workspace crate's
+# [dependencies] changed; the lock is frozen with the rest of benchmark/.
+if git rev-parse --is-inside-work-tree >/dev/null 2>&1; then
+  git diff --exit-code -- benchmark/Cargo.lock \
+    || { echo "benchmark/Cargo.lock changed: a workspace crate's [dependencies] changed," \
+              "which only a benchmark issue may do" >&2; exit 1; }
+fi
 CARGO_TARGET_DIR="$(pwd)/target" \
   cargo test -q --offline --manifest-path benchmark/Cargo.toml
 stage_end

@@ -7,8 +7,15 @@
 //! curl these endpoints or scrape them with Prometheus, both of which are
 //! happy with close-delimited 1.1 responses.
 
+use crate::protocol::{read_line_capped, LineOutcome};
 use std::collections::HashMap;
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Take, Write};
+
+/// Longest request-head line read, terminator included.
+const MAX_HEAD_LINE: usize = 8 << 10;
+
+/// Most bytes read for a whole request head (request line and headers).
+const MAX_HEAD: u64 = 64 << 10;
 
 /// A parsed control-plane request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -22,10 +29,13 @@ pub struct Request {
 }
 
 impl Request {
-    /// Read and parse one request head. `None` on malformed input.
+    /// Read and parse one request head. `None` on malformed input, and on
+    /// a head line over `MAX_HEAD_LINE` or a head over `MAX_HEAD` bytes: a
+    /// client streaming an endless head costs one capped line of memory
+    /// and `MAX_HEAD` bytes of reading, then gets its `400`.
     pub fn read_from<R: BufRead>(reader: &mut R) -> Option<Request> {
-        let mut line = String::new();
-        reader.read_line(&mut line).ok()?;
+        let mut head = reader.take(MAX_HEAD);
+        let line = head_line(&mut head)?;
         let mut parts = line.split_whitespace();
         let method = parts.next()?.to_string();
         let target = parts.next()?;
@@ -35,13 +45,7 @@ impl Request {
         }
         // Drain headers until the blank line; the control plane needs none
         // of them (no endpoint accepts a body).
-        loop {
-            let mut header = String::new();
-            let n = reader.read_line(&mut header).ok()?;
-            if n == 0 || header.trim().is_empty() {
-                break;
-            }
-        }
+        while !head_line(&mut head)?.trim().is_empty() {}
         let (path, query_str) = match target.split_once('?') {
             Some((p, q)) => (p, q),
             None => (target, ""),
@@ -56,6 +60,16 @@ impl Request {
             path: path.to_string(),
             query,
         })
+    }
+}
+
+/// One line of a request head; the empty string at end of stream. `None`
+/// when the line is over a cap or the read fails.
+fn head_line<R: BufRead>(head: &mut Take<R>) -> Option<String> {
+    match read_line_capped(head, MAX_HEAD_LINE).ok()? {
+        LineOutcome::Line(line) if line.ends_with('\n') || head.limit() > 0 => Some(line),
+        LineOutcome::Eof => Some(String::new()),
+        _ => None,
     }
 }
 
@@ -140,6 +154,26 @@ mod tests {
     fn rejects_non_http_garbage() {
         assert!(Request::read_from(&mut Cursor::new("{\"service\":\"x\"}\n")).is_none());
         assert!(Request::read_from(&mut Cursor::new("")).is_none());
+    }
+
+    #[test]
+    fn over_long_heads_are_refused() {
+        let pad = "a".repeat(4 << 20);
+        let raw = format!("GET /healthz HTTP/1.1\r\nX-Pad: {pad}\r\n\r\n");
+        assert!(Request::read_from(&mut Cursor::new(raw)).is_none());
+        // Many short headers, none over the line cap, past the head cap.
+        let many = "X-Pad: aaaaaaaaaaaaaaaa\r\n".repeat(8 << 10);
+        let raw = format!("GET /healthz HTTP/1.1\r\n{many}\r\n");
+        assert!(Request::read_from(&mut Cursor::new(raw)).is_none());
+        let long_target = format!("GET /{} HTTP/1.1\r\n\r\n", "p".repeat(MAX_HEAD_LINE));
+        assert!(Request::read_from(&mut Cursor::new(long_target)).is_none());
+        // A head just inside both caps still parses.
+        let fits = "X-Pad: aaaaaaaaaaaaaaaa\r\n".repeat(2 << 10);
+        let raw = format!("GET /healthz HTTP/1.1\r\n{fits}\r\n");
+        assert_eq!(
+            Request::read_from(&mut Cursor::new(raw)).unwrap().path,
+            "/healthz"
+        );
     }
 
     #[test]

@@ -213,10 +213,6 @@ pub mod stages {
             "Time to parse one service's slice against known patterns",
         );
         r.histogram(
-            "rtg_parallel_chunk_seconds",
-            "Time for one worker's service chunk in the parallel analyser",
-        );
-        r.histogram(
             "patterndb_txn_seconds",
             "Pattern store transaction time, begin to commit",
         );

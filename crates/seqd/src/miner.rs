@@ -7,11 +7,12 @@
 //!   as a [`MineJob`] and immediately resumes draining its queue, matching
 //!   new records against the *currently published* sets until the miner
 //!   publishes fresh ones through the [`PatternBoard`].
-//! * The engine-wide lock is split into per-piece locks inside
-//!   [`MiningEngine`]: planning (scan, parse, analyse — the expensive part)
-//!   holds only the one service's pattern-set lock, and committing holds the
-//!   store lock only for the transaction. Jobs for different services never
-//!   serialize on the compute.
+//! * A shard runs at most one job at a time, and a service hashes to exactly
+//!   one shard, so no two jobs ever touch one service's pattern set at once.
+//!   That rule is the only guard on a set: a job plans against the set it
+//!   loads from the board, with no lock held, and publishes the grown set
+//!   back. Jobs for different shards plan in parallel; only their commits
+//!   share the store lock in [`MiningEngine`].
 //! * A second submission for a shard whose job is still queued *coalesces*
 //!   into the pending job (counted in `mine_coalesced`) instead of queueing
 //!   a stale re-mine behind it, so the queue holds at most one job per
@@ -24,9 +25,11 @@
 //!   entry survives until its fate (mined, matched, or counted dropped) is
 //!   decided, preserving the crash-safety contract end to end.
 //!
-//! [`Miner::inline`] runs every job on the submitting thread. The daemon
-//! never builds one; tests use it as the synchronous executor and as the
-//! reference a pool's outcome is compared against.
+//! Once the pool is closed, a submission mines on the submitting thread,
+//! after its shard's queued or in-flight job is done. [`Miner::inline`] is a
+//! pool with no threads, closed from the start: the daemon never builds one;
+//! tests use it as the synchronous executor and as the reference a pool's
+//! outcome is compared against.
 
 use crate::metrics::{stages, Ops};
 use crate::shard::now_unix;
@@ -85,51 +88,35 @@ impl DrainSignal {
     }
 }
 
-/// The mining state shared between workers and miners, with the old
-/// engine-wide lock split into the pieces that actually contend:
-///
-/// * `store` — one lock around the pattern store, held only for the brief
-///   commit transactions and control-plane reads.
-/// * `sets` — one lock *per service* around the in-memory compiled set,
-///   held during that service's plan and publish steps. The registry map
-///   itself is locked only to look a cell up. A cell's [`PatternSet`] is a
-///   copy-on-write handle on the same allocation the [`PatternBoard`]
-///   serves readers from: the engine holds no second copy of the index, and
-///   only the one service a job inserts into is copied, for the length of
-///   that insert.
-///
-/// Scanner, analyser and config are immutable and shared freely.
+/// The mining state shared between workers and miners: the pattern store,
+/// behind one lock held only for the brief commit transactions and
+/// control-plane reads, plus the immutable scanner, analyser and config.
+/// The published sets live on the [`PatternBoard`], not here.
 #[derive(Debug)]
 pub struct MiningEngine {
     config: RtgConfig,
     scanner: Scanner,
     analyzer: Analyzer,
     store: Mutex<PatternStore>,
-    sets: Mutex<HashMap<String, Arc<Mutex<PatternSet>>>>,
     /// [`sequence_rtg::unloaded_notice`] for the load in [`MiningEngine::new`].
     unloaded: Option<String>,
 }
 
 impl MiningEngine {
     /// Build an engine over a pattern store, loading any persisted patterns.
-    /// Returns the engine plus handles on the loaded per-service sets for
-    /// seeding the serving plane (the [`PatternBoard`]).
+    /// Returns the engine plus the loaded per-service sets, which seed the
+    /// serving plane (the [`PatternBoard`]).
     pub fn new(
         mut store: PatternStore,
         config: RtgConfig,
     ) -> Result<(MiningEngine, HashMap<String, PatternSet>), StoreError> {
         let (seed, skipped) = store.load_pattern_sets()?;
-        let sets = seed
-            .iter()
-            .map(|(service, set)| (service.clone(), Arc::new(Mutex::new(set.clone()))))
-            .collect();
         Ok((
             MiningEngine {
                 config,
                 scanner: Scanner::with_options(config.scanner),
                 analyzer: Analyzer::with_options(config.analyzer),
                 store: Mutex::new(store),
-                sets: Mutex::new(sets),
                 unloaded: sequence_rtg::unloaded_notice(&skipped),
             },
             seed,
@@ -159,21 +146,6 @@ impl MiningEngine {
     /// checkpoint. Mining holds this lock only across commit transactions.
     pub fn store(&self) -> &Mutex<PatternStore> {
         &self.store
-    }
-
-    /// The lock cell for one service's in-memory compiled set, created on
-    /// first use. Cells are never removed, so the `Arc` stays valid across
-    /// the whole daemon lifetime.
-    fn service_set(&self, service: &str) -> Arc<Mutex<PatternSet>> {
-        let mut sets = self.sets.lock().expect("sets lock");
-        match sets.get(service) {
-            Some(cell) => Arc::clone(cell),
-            None => {
-                let cell = Arc::new(Mutex::new(PatternSet::new()));
-                sets.insert(service.to_string(), Arc::clone(&cell));
-                cell
-            }
-        }
     }
 }
 
@@ -216,9 +188,9 @@ impl MineJob {
 /// Everything a mining run needs besides the job itself.
 #[derive(Debug, Clone)]
 pub struct MinerDeps {
-    /// The split-lock mining state.
+    /// The store and the mining configuration.
     pub engine: Arc<MiningEngine>,
-    /// Where freshly compiled sets are published.
+    /// The published sets: what jobs plan against and publish to.
     pub board: Arc<PatternBoard>,
     /// Shared counters.
     pub ops: Arc<Ops>,
@@ -233,11 +205,14 @@ pub struct MinerDeps {
     pub drain: Arc<DrainSignal>,
 }
 
-/// Run one mining job to completion: plan each service under its set lock,
-/// commit everything in one store transaction (retried with exponential
-/// backoff up to the bounded budget, then abandoned and counted in
-/// `Ops::dropped`), publish the sets of the services that gained patterns,
-/// and release the job's records from the ingest WAL.
+/// Run one mining job to completion: plan each service against its
+/// published set, commit everything in one store transaction (retried with
+/// exponential backoff up to the bounded budget, then abandoned and counted
+/// in `Ops::dropped`), publish the sets of the services that gained
+/// patterns, and release the job's records from the ingest WAL.
+///
+/// The caller guarantees that no other job of the same shard runs at the
+/// same time; nothing here locks a service's set.
 pub fn mine_job(deps: &MinerDeps, scratch: &mut MatchScratch, job: MineJob) {
     if job.is_trivial() {
         return;
@@ -273,31 +248,28 @@ pub fn mine_job(deps: &MinerDeps, scratch: &mut MatchScratch, job: MineJob) {
         flush_span.attr_str("service", first);
     }
 
-    // Plan phase: pure compute, one service-set lock at a time, store
-    // untouched. Plans are reusable data, so a failed commit retries
-    // without paying for the analysis again.
+    // Plan phase: pure compute against the published sets, store untouched.
+    // Plans are reusable data, so a failed commit retries without paying
+    // for the analysis again.
     let engine = &deps.engine;
-    let plans: Vec<(&str, Arc<Mutex<PatternSet>>, ServicePlan)> = by_service
+    let plans: Vec<(&str, Option<Arc<PatternSet>>, ServicePlan)> = by_service
         .iter()
         .map(|(service, records)| {
-            let cell = engine.service_set(service);
-            let plan = {
-                let set = cell.lock().expect("service set lock");
-                plan_service(
-                    &engine.scanner,
-                    &engine.analyzer,
-                    &engine.config,
-                    Some(&set),
-                    scratch,
-                    records,
-                )
-            };
-            (*service, cell, plan)
+            let set = deps.board.load(service);
+            let plan = plan_service(
+                &engine.scanner,
+                &engine.analyzer,
+                &engine.config,
+                set.as_deref(),
+                scratch,
+                records,
+            );
+            (*service, set, plan)
         })
         .collect();
 
-    // Commit phase: store writes only, in the same order the single-lock
-    // engine used (stats first, then the mined upserts in one transaction).
+    // Commit phase: store writes only, stats first, then the mined upserts
+    // in one transaction.
     let mut counts_done = counts.is_empty();
     let mut outcomes: Option<Vec<CommitOutcome>> = None;
     let mut attempt: u32 = 0;
@@ -368,29 +340,26 @@ pub fn mine_job(deps: &MinerDeps, scratch: &mut MatchScratch, job: MineJob) {
             .record_ns(core_ns);
     }
 
-    // Publish phase: only a durable transaction mutates the in-memory sets,
-    // so a rolled-back job leaves them exactly mirroring the store. A
+    // Publish phase: only a durable transaction grows a published set, so a
+    // rolled-back job leaves the board exactly mirroring the store. A
     // service whose plan only matched keeps the set it already published.
-    // The insert copies the index once (the board shares it); the handle
-    // published afterwards is that copy, not another one. Publish *before*
-    // `record_remine` — pollers that watch `remine_runs` take the bump to
-    // mean the new sets are visible.
+    // The set planned against is still the published one (this shard is
+    // its only writer); the clone shares it, and the first insert copies
+    // the index once. Publish *before* `record_remine` — pollers that watch
+    // `remine_runs` take the bump to mean the new sets are visible.
     if let Some(outcomes) = outcomes {
         let mut publish_span = obs::span!("seqd.mine.publish");
         publish_span.attr_u64("shard", shard_id as u64);
         publish_span.attr_u64("services", plans.len() as u64);
-        for ((service, cell, _plan), outcome) in plans.iter().zip(outcomes) {
+        for ((service, planned, _plan), outcome) in plans.iter().zip(outcomes) {
             if outcome.inserted.is_empty() {
                 continue;
             }
-            let published = {
-                let mut set = cell.lock().expect("service set lock");
-                for (id, pattern) in outcome.inserted {
-                    set.insert(id, pattern);
-                }
-                set.clone()
-            };
-            deps.board.publish(service, published);
+            let mut set = planned.as_deref().cloned().unwrap_or_default();
+            for (id, pattern) in outcome.inserted {
+                set.insert(id, pattern);
+            }
+            deps.board.publish(service, set);
             Ops::inc(&deps.ops.swaps);
         }
         deps.ops.record_remine(started.elapsed());
@@ -482,37 +451,53 @@ struct PoolShared {
     /// Signalled on enqueue, on a shard finishing (its next pending job
     /// becomes eligible), and on close.
     job_ready: Condvar,
-    /// Signalled when records leave the queue, and on close.
+    /// Signalled when records leave the queue, on close, and — once closed
+    /// — on a shard finishing, for a submitter waiting to mine inline.
     space: Condvar,
     capacity_records: usize,
 }
 
-/// The mining executor: the daemon's background pool, or the inline
-/// executor tests substitute, which runs each job on the submitting thread.
-#[derive(Debug)]
-pub struct Miner(Mode);
+impl PoolShared {
+    /// Mark `shard`'s in-flight job done and wake whoever waits on it.
+    fn finish(&self, shard: usize) {
+        let mut state = self.state.lock().expect("miner state lock");
+        state.mining.remove(&shard);
+        if state.pending.contains_key(&shard) {
+            // The shard queued another job while this one mined; it just
+            // became eligible, so wake a (possibly waiting) thread for it.
+            self.job_ready.notify_one();
+        }
+        if state.closed {
+            self.space.notify_all();
+        }
+    }
+}
 
+/// The mining executor: a pool of background mining threads over a
+/// bounded job queue.
 #[derive(Debug)]
-enum Mode {
-    /// Run jobs synchronously on the caller.
-    Inline(MinerDeps),
-    /// Run jobs on background mining threads.
-    Pool {
-        shared: Arc<PoolShared>,
-        handles: Mutex<Vec<JoinHandle<()>>>,
-    },
+pub struct Miner {
+    shared: Arc<PoolShared>,
+    handles: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl Miner {
-    /// An inline miner: every submission mines on the calling thread.
+    /// An inline miner: a pool with no threads, closed from the start, so
+    /// every submission mines on the calling thread.
     pub fn inline(deps: MinerDeps) -> Miner {
-        Miner(Mode::Inline(deps))
+        let miner = Miner::spawn(deps, 0, 1);
+        miner.close();
+        miner
     }
 
     /// A background pool of `threads` mining threads over a queue bounded
     /// at `capacity_records` residue records.
     pub fn background(deps: MinerDeps, threads: usize, capacity_records: usize) -> Miner {
         assert!(threads > 0, "a background pool needs at least one miner");
+        Miner::spawn(deps, threads, capacity_records)
+    }
+
+    fn spawn(deps: MinerDeps, threads: usize, capacity_records: usize) -> Miner {
         let shared = Arc::new(PoolShared {
             deps,
             state: Mutex::new(PoolState::default()),
@@ -529,175 +514,124 @@ impl Miner {
                     .expect("spawn miner thread")
             })
             .collect();
-        Miner(Mode::Pool {
+        Miner {
             shared,
             handles: Mutex::new(handles),
-        })
+        }
     }
 
     /// Submit without blocking. `Err` returns the job untouched (queue at
     /// capacity) — the caller keeps its residue and tries again later.
-    /// Inline miners and closed pools run the job on this thread instead,
-    /// so a submission is never lost.
+    /// A closed pool runs the job on this thread instead, so a submission
+    /// is never lost.
+    pub fn try_submit(&self, job: MineJob) -> Result<(), MineJob> {
+        self.submit(job, false)
+    }
+
+    /// Submit, waiting for queue space if necessary. Never fails: a closed
+    /// pool mines the job on this thread.
+    pub fn submit_blocking(&self, job: MineJob) {
+        let queued = self.submit(job, true);
+        debug_assert!(queued.is_ok(), "a waiting submit always lands");
+    }
+
+    /// Queue `job` (waiting for space when `wait`), or mine it here once
+    /// the pool is closed.
     ///
     /// The submitter-observed pause lands in `seqd_mine_stall_seconds`:
-    /// queue admission (lock plus enqueue) for a pool, the whole mine for
-    /// the inline paths. The wake of a pool thread is deliberately outside
+    /// queue admission (lock plus enqueue, plus any wait for space — the
+    /// backpressure ceiling in action) for an open pool, the whole mine
+    /// for a closed one. The wake of a pool thread is deliberately outside
     /// the measured window — it is asynchronous signalling, not admission,
     /// and on a single-core host the futex wake is a scheduler preemption
     /// point that would charge an arbitrary thread's timeslice to the
     /// handoff.
-    pub fn try_submit(&self, job: MineJob) -> Result<(), MineJob> {
+    fn submit(&self, mut job: MineJob, wait: bool) -> Result<(), MineJob> {
         if job.is_trivial() {
             return Ok(());
         }
-        match &self.0 {
-            Mode::Inline(deps) => {
-                let stall = Instant::now();
-                Ops::inc(&deps.ops.mine_jobs);
-                mine_job(deps, &mut MatchScratch::default(), job);
-                stages::mine_stall().record_ns(elapsed_ns(stall));
-                Ok(())
-            }
-            Mode::Pool { shared, .. } => {
-                let stall = Instant::now();
-                let job = {
-                    let mut state = shared.state.lock().expect("miner state lock");
-                    if !state.closed {
-                        let shard = job.shard_id;
-                        match state.enqueue(job, shared.capacity_records) {
-                            Ok(kind) => {
-                                match kind {
-                                    Enqueued::Fresh => Ops::inc(&shared.deps.ops.mine_jobs),
-                                    Enqueued::Coalesced => {
-                                        Ops::inc(&shared.deps.ops.mine_coalesced)
-                                    }
-                                }
-                                stages::mine_stall().record_ns(elapsed_ns(stall));
-                                // Wake a miner only when the job is
-                                // actually eligible: a shard that is
-                                // mining serialises behind its in-flight
-                                // job, whose completion does its own wake.
-                                if !state.mining.contains(&shard) {
-                                    shared.job_ready.notify_one();
-                                }
-                                return Ok(());
-                            }
-                            Err(job) => {
-                                stages::mine_stall().record_ns(elapsed_ns(stall));
-                                return Err(job);
-                            }
-                        }
-                    }
-                    job
-                };
-                // Closed pool: the mining threads are exiting, so the
-                // submitting (draining) worker mines inline.
-                Ops::inc(&shared.deps.ops.mine_jobs);
-                mine_job(&shared.deps, &mut MatchScratch::default(), job);
-                stages::mine_stall().record_ns(elapsed_ns(stall));
-                Ok(())
-            }
-        }
-    }
-
-    /// Submit, waiting for queue space if necessary. Never fails: a closed
-    /// pool mines the job inline on this thread. The submitter's pause —
-    /// including any wait for space, the backpressure ceiling in action —
-    /// is recorded in `seqd_mine_stall_seconds`.
-    pub fn submit_blocking(&self, job: MineJob) {
-        if job.is_trivial() {
-            return;
-        }
+        let shared = &*self.shared;
         let stall = Instant::now();
-        match &self.0 {
-            Mode::Inline(deps) => {
-                Ops::inc(&deps.ops.mine_jobs);
-                mine_job(deps, &mut MatchScratch::default(), job);
-                stages::mine_stall().record_ns(elapsed_ns(stall));
-            }
-            Mode::Pool { shared, .. } => {
-                let mut job = job;
-                {
-                    let mut state = shared.state.lock().expect("miner state lock");
-                    loop {
-                        if state.closed {
-                            break;
-                        }
-                        let shard = job.shard_id;
-                        match state.enqueue(job, shared.capacity_records) {
-                            Ok(kind) => {
-                                match kind {
-                                    Enqueued::Fresh => Ops::inc(&shared.deps.ops.mine_jobs),
-                                    Enqueued::Coalesced => {
-                                        Ops::inc(&shared.deps.ops.mine_coalesced)
-                                    }
-                                }
-                                stages::mine_stall().record_ns(elapsed_ns(stall));
-                                if !state.mining.contains(&shard) {
-                                    shared.job_ready.notify_one();
-                                }
-                                return;
-                            }
-                            Err(back) => job = back,
-                        }
-                        state = shared.space.wait(state).expect("miner state lock");
+        let shard = job.shard_id;
+        let mut state = shared.state.lock().expect("miner state lock");
+        while !state.closed {
+            match state.enqueue(job, shared.capacity_records) {
+                Ok(kind) => {
+                    let ops = &shared.deps.ops;
+                    Ops::inc(match kind {
+                        Enqueued::Fresh => &ops.mine_jobs,
+                        Enqueued::Coalesced => &ops.mine_coalesced,
+                    });
+                    stages::mine_stall().record_ns(elapsed_ns(stall));
+                    // Wake a miner only when the job is actually eligible:
+                    // a shard that is mining serialises behind its
+                    // in-flight job, whose completion does its own wake.
+                    if !state.mining.contains(&shard) {
+                        shared.job_ready.notify_one();
                     }
+                    return Ok(());
                 }
-                Ops::inc(&shared.deps.ops.mine_jobs);
-                mine_job(&shared.deps, &mut MatchScratch::default(), job);
-                stages::mine_stall().record_ns(elapsed_ns(stall));
+                Err(back) if !wait => {
+                    stages::mine_stall().record_ns(elapsed_ns(stall));
+                    return Err(back);
+                }
+                Err(back) => job = back,
             }
+            state = shared.space.wait(state).expect("miner state lock");
         }
+        // Closed: the mining threads are draining or gone, so the submitter
+        // mines — after the shard's queued and in-flight jobs, keeping one
+        // job per shard at a time and the shard's submission order.
+        while state.mining.contains(&shard) || state.pending.contains_key(&shard) {
+            state = shared.space.wait(state).expect("miner state lock");
+        }
+        state.mining.insert(shard);
+        drop(state);
+        Ops::inc(&shared.deps.ops.mine_jobs);
+        mine_job(&shared.deps, &mut MatchScratch::default(), job);
+        stages::mine_stall().record_ns(elapsed_ns(stall));
+        shared.finish(shard);
+        Ok(())
     }
 
-    /// Pending jobs in the queue (0 for inline miners) — the
-    /// `seqd_mine_queue_depth` gauge.
+    /// Pending jobs in the queue — the `seqd_mine_queue_depth` gauge.
     pub fn queue_depth(&self) -> usize {
-        match &self.0 {
-            Mode::Inline(_) => 0,
-            Mode::Pool { shared, .. } => {
-                shared.state.lock().expect("miner state lock").pending.len()
-            }
-        }
+        self.shared
+            .state
+            .lock()
+            .expect("miner state lock")
+            .pending
+            .len()
     }
 
-    /// Queued *plus* in-flight jobs (0 for inline miners): the whole
-    /// mining backlog. `0` means the pool is quiescent — every handed-off
-    /// batch has been mined, committed and WAL-released.
+    /// Queued *plus* in-flight jobs: the whole mining backlog. `0` means
+    /// the pool is quiescent — every handed-off batch has been mined,
+    /// committed and WAL-released.
     pub fn backlog(&self) -> usize {
-        match &self.0 {
-            Mode::Inline(_) => 0,
-            Mode::Pool { shared, .. } => {
-                let state = shared.state.lock().expect("miner state lock");
-                state.pending.len() + state.mining.len()
-            }
-        }
+        let state = self.shared.state.lock().expect("miner state lock");
+        state.pending.len() + state.mining.len()
     }
 
     /// Stop accepting queued submissions. Pending jobs still run; later
-    /// submissions mine inline on the submitting thread.
+    /// submissions mine on the submitting thread.
     pub fn close(&self) {
-        if let Mode::Pool { shared, .. } = &self.0 {
-            let mut state = shared.state.lock().expect("miner state lock");
-            state.closed = true;
-            shared.job_ready.notify_all();
-            shared.space.notify_all();
-        }
+        let mut state = self.shared.state.lock().expect("miner state lock");
+        state.closed = true;
+        self.shared.job_ready.notify_all();
+        self.shared.space.notify_all();
     }
 
     /// Wait for the mining threads to drain every pending job and exit.
     /// Call [`Miner::close`] first (after the shard workers have joined).
     pub fn join(&self) {
-        if let Mode::Pool { handles, .. } = &self.0 {
-            let handles: Vec<_> = handles
-                .lock()
-                .expect("miner handles lock")
-                .drain(..)
-                .collect();
-            for h in handles {
-                let _ = h.join();
-            }
+        let handles: Vec<_> = self
+            .handles
+            .lock()
+            .expect("miner handles lock")
+            .drain(..)
+            .collect();
+        for h in handles {
+            let _ = h.join();
         }
     }
 }
@@ -727,13 +661,7 @@ fn miner_thread(shared: Arc<PoolShared>) {
         };
         let shard = job.shard_id;
         mine_job(&shared.deps, &mut scratch, job);
-        let mut state = shared.state.lock().expect("miner state lock");
-        state.mining.remove(&shard);
-        if state.pending.contains_key(&shard) {
-            // The shard queued another job while this one mined; it just
-            // became eligible, so wake a (possibly waiting) thread for it.
-            shared.job_ready.notify_one();
-        }
+        shared.finish(shard);
     }
 }
 
@@ -741,6 +669,7 @@ fn miner_thread(shared: Arc<PoolShared>) {
 mod tests {
     use super::*;
     use sequence_core::Scanner;
+    use std::collections::BTreeSet;
 
     fn record(service: &str, message: &str) -> LogRecord {
         LogRecord::new(service, message)
@@ -799,21 +728,108 @@ mod tests {
         assert_eq!(miner.queue_depth(), 0);
     }
 
-    /// After a job the engine's cell and the board hold one index, not two,
-    /// and a job whose plan only matches swaps nothing.
+    /// Mining and the board share one set: a job plans against the board's
+    /// set — a set seeded there is what its records match — and a job whose
+    /// plan only matches swaps nothing.
     #[test]
     fn engine_and_board_share_the_set_and_match_only_jobs_do_not_republish() {
         let deps = test_deps();
+        let mut seeded = PatternSet::new();
+        let known = sequence_core::Pattern::parse("session opened for user %user%").unwrap();
+        seeded.insert("known", known);
+        deps.board.publish("sshd", seeded);
+        let published = deps.board.load("sshd").unwrap();
         let miner = Miner::inline(deps.clone());
         miner.try_submit(job(0, sshd_batch())).unwrap();
-        let published = deps.board.load("sshd").expect("published set");
-        let cell = deps.engine.service_set("sshd");
-        assert!(cell.lock().unwrap().ptr_eq(&published));
-        assert_eq!(deps.ops.snapshot().swaps, 1);
-        miner.try_submit(job(0, sshd_batch())).unwrap();
         let s = deps.ops.snapshot();
-        assert_eq!((s.remines, s.swaps), (2, 1), "{s:?}");
+        assert_eq!((s.remines, s.swaps), (1, 0), "{s:?}");
         assert!(Arc::ptr_eq(&published, &deps.board.load("sshd").unwrap()));
+        let store = deps.engine.store();
+        assert_eq!(store.lock().unwrap().pattern_count().unwrap(), 0);
+    }
+
+    /// One job per shard is the only guard on a service's set. Four miner
+    /// threads serve three shards of four services each, and every round
+    /// brings templates no earlier round has seen. A gate holds the first
+    /// commit until the pool is closed: round 0 of every shard is in
+    /// flight, rounds 1–3 queue and coalesce behind it, and `close` wakes
+    /// the spare thread with only in-flight shards pending. A last round
+    /// goes in after `close`, mined on the submitting thread behind each
+    /// shard's jobs. Two jobs of one shard at once would both plan against
+    /// the same published set, and the later publish would drop the
+    /// earlier one's patterns.
+    #[test]
+    fn one_job_per_shard_keeps_every_published_set_equal_to_the_store() {
+        const SHARDS: usize = 3;
+        const SERVICES: usize = 4;
+        const ROUNDS: usize = 4;
+        let gate = Arc::new((Mutex::new(false), Condvar::new()));
+        let mut store = PatternStore::in_memory();
+        let held = Arc::clone(&gate);
+        store.set_fault_hook(Some(Arc::new(move |op: &str| {
+            if op == "begin" {
+                let (open, opened) = &*held;
+                let open = open.lock().unwrap();
+                drop(opened.wait_while(open, |open| !*open).unwrap());
+            }
+            false
+        })));
+        let (engine, _seed) = MiningEngine::new(store, RtgConfig::default()).unwrap();
+        let deps = deps_for(engine);
+        let miner = Miner::background(deps.clone(), 4, 1_000_000);
+        // Round `r` gives every service a template of `r + 4` tokens, so no
+        // earlier pattern matches it and no two rounds merge.
+        let round = |r: usize, shard: usize| {
+            let batch = (0..SERVICES)
+                .flat_map(|k| {
+                    (0..3).map(move |n| {
+                        let steps = " step".repeat(r);
+                        let message = format!("job{steps} finished in {} ms", 10 * n + k);
+                        record(&format!("svc-{shard}-{k}"), &message)
+                    })
+                })
+                .collect();
+            job(shard, batch)
+        };
+        for shard in 0..SHARDS {
+            miner.submit_blocking(round(0, shard));
+        }
+        while miner.queue_depth() > 0 {
+            std::thread::yield_now();
+        }
+        for r in 1..ROUNDS {
+            for shard in 0..SHARDS {
+                miner.submit_blocking(round(r, shard));
+            }
+        }
+        miner.close();
+        *gate.0.lock().unwrap() = true;
+        gate.1.notify_all();
+        for shard in 0..SHARDS {
+            miner.submit_blocking(round(ROUNDS, shard));
+        }
+        miner.join();
+
+        let s = deps.ops.snapshot();
+        assert_eq!(s.dropped, 0, "{s:?}");
+        assert!(s.mine_coalesced > 0, "{s:?}");
+        let mut store = deps.engine.store().lock().unwrap();
+        for shard in 0..SHARDS {
+            for k in 0..SERVICES {
+                let service = format!("svc-{shard}-{k}");
+                let stored: BTreeSet<String> = store
+                    .patterns(Some(&service))
+                    .unwrap()
+                    .into_iter()
+                    .map(|p| p.id)
+                    .collect();
+                assert_eq!(stored.len(), ROUNDS + 1, "{service}");
+                let set = deps.board.load(&service).expect("published set");
+                let published: BTreeSet<String> =
+                    set.iter().map(|(id, _)| id.to_string()).collect();
+                assert_eq!(published, stored, "{service}");
+            }
+        }
     }
 
     #[test]

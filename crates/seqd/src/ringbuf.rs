@@ -207,30 +207,6 @@ impl RingBuf {
         self.clear();
         out
     }
-
-    /// Run `f` over whatever is buffered (no terminator required) and
-    /// consume it — the EOF fragment, which the wire protocol counts as a
-    /// final line.
-    pub fn with_remainder<R>(
-        &mut self,
-        scratch: &mut Vec<u8>,
-        f: impl FnOnce(&[u8]) -> R,
-    ) -> Option<R> {
-        if self.len == 0 {
-            return None;
-        }
-        let cap = self.buf.len();
-        let result = if self.head + self.len <= cap {
-            f(&self.buf[self.head..self.head + self.len])
-        } else {
-            scratch.clear();
-            scratch.extend_from_slice(&self.buf[self.head..]);
-            scratch.extend_from_slice(&self.buf[..(self.head + self.len) % cap]);
-            f(scratch)
-        };
-        self.clear();
-        Some(result)
-    }
 }
 
 #[cfg(test)]
@@ -256,9 +232,7 @@ mod tests {
         while ring.fill(&mut src).unwrap() > 0 {}
         assert_eq!(lines(&mut ring), vec!["alpha", "beta"]);
         assert_eq!(ring.len(), 3); // "gam" partial stays buffered
-        let mut scratch = Vec::new();
-        let rest = ring.with_remainder(&mut scratch, |b| b.to_vec()).unwrap();
-        assert_eq!(rest, b"gam");
+        assert_eq!(ring.drain_to_vec(), b"gam");
         assert!(ring.is_empty());
     }
 

@@ -7,7 +7,7 @@
 //!              │    └─▶ control plane (/healthz /stats        │  residue ──▶ miner  │
 //!              │         /metrics /patterns /shutdown)        ▼   pool ─▶ publish ─┐ │
 //!              │                                   PatternBoard ◀────────────────┘ │
-//!              │                                   MiningEngine (split locks)      │
+//!              │                                   MiningEngine (store lock)       │
 //!              └───────────────────────────────────────────────────────────────────┘
 //! ```
 //!
@@ -68,8 +68,6 @@ pub struct SeqdConfig {
     pub shards: usize,
     /// Bounded queue slots per shard.
     pub queue_capacity: usize,
-    /// How long ingest blocks on a full shard queue before rejecting.
-    pub enqueue_timeout: Duration,
     /// Longest accepted ingest line, terminator included; longer lines are
     /// counted `malformed` and discarded without being buffered.
     pub max_line_len: usize,
@@ -84,11 +82,6 @@ pub struct SeqdConfig {
     /// Fsync the WAL after this many appends (the receipt path always
     /// syncs, so this only bounds work lost to an *OS* crash mid-stream).
     pub wal_sync_every: usize,
-    /// Extra mining-commit attempts after the first store failure before a
-    /// residue batch is abandoned (counted in `dropped`).
-    pub flush_retries: u32,
-    /// Backoff before the first commit retry; doubles per attempt.
-    pub flush_backoff: Duration,
     /// Background mining threads (at least one); the default is a quarter
     /// of the cores.
     pub miners: usize,
@@ -108,13 +101,10 @@ impl Default for SeqdConfig {
         SeqdConfig {
             shards: 4,
             queue_capacity: 10_000,
-            enqueue_timeout: Duration::from_millis(250),
             max_line_len: 1 << 20,
             io_timeout: Duration::from_secs(30),
             wal_dir: None,
             wal_sync_every: 256,
-            flush_retries: 3,
-            flush_backoff: Duration::from_millis(50),
             miners: default_miners(),
             pollers: 0,
             rtg: RtgConfig {
@@ -125,6 +115,16 @@ impl Default for SeqdConfig {
         }
     }
 }
+
+/// How long ingest blocks on a full shard queue before rejecting.
+const ENQUEUE_TIMEOUT: Duration = Duration::from_millis(250);
+
+/// Extra mining-commit attempts after the first store failure before a
+/// residue batch is abandoned (counted in `dropped`).
+const COMMIT_RETRIES: u32 = 3;
+
+/// Backoff before the first commit retry; doubles per attempt.
+const COMMIT_BACKOFF: Duration = Duration::from_millis(50);
 
 /// The default miner-pool size: mining is bursty and each job is already
 /// internally cheap next to ingest, so a quarter of the cores is plenty.
@@ -211,7 +211,7 @@ pub fn start(store: PatternStore, config: SeqdConfig, addr: &str) -> io::Result<
         })
         .collect();
     let router = Arc::new(
-        Router::new(queues.clone(), Arc::clone(&ops), config.enqueue_timeout).with_wal(wal.clone()),
+        Router::new(queues.clone(), Arc::clone(&ops), ENQUEUE_TIMEOUT).with_wal(wal.clone()),
     );
     let residues: Vec<_> = (0..shards).map(|_| Arc::new(AtomicUsize::new(0))).collect();
 
@@ -227,8 +227,8 @@ pub fn start(store: PatternStore, config: SeqdConfig, addr: &str) -> io::Result<
         board: Arc::clone(&board),
         ops: Arc::clone(&ops),
         wal: wal.clone(),
-        retries: config.flush_retries,
-        backoff: config.flush_backoff,
+        retries: COMMIT_RETRIES,
+        backoff: COMMIT_BACKOFF,
         drain: Arc::clone(&drain),
     };
     let miner = Arc::new(Miner::background(

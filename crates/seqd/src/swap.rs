@@ -1,55 +1,32 @@
 //! Hot-swappable compiled pattern sets.
 //!
-//! Re-mining runs for seconds; matching must never wait on it. Each service's
-//! compiled [`PatternSet`] therefore lives behind a [`SwapCell`]: readers
-//! clone an `Arc` under a read lock held for nanoseconds, writers build the
-//! new set *outside* any lock and swap the pointer in one write-locked store.
-//! A reader that loaded the old `Arc` keeps matching against a consistent
-//! set until its next load — exactly the semantics of syslog-ng reloading a
-//! pattern database file, minus the reload pause.
+//! Re-mining runs for seconds; matching must never wait on it. The
+//! [`PatternBoard`] maps each service to an `Arc` of its compiled
+//! [`PatternSet`]: readers clone the `Arc` under a read lock held for
+//! nanoseconds, the miner builds the new set *outside* any lock and swaps
+//! the pointer in under the write lock. A reader that loaded the old `Arc`
+//! keeps matching against a consistent set until its next load — exactly
+//! the semantics of syslog-ng reloading a pattern database file, minus the
+//! reload pause.
 //!
-//! A [`PatternSet`] is itself a copy-on-write handle, so publishing one does
-//! not copy it: the board and the publisher (the miner's per-service cell)
-//! share one index until the publisher's next insert, which copies the index
-//! arrays for that one service and leaves the published allocation, and any
+//! The board is the only registry of published sets: the miner plans a job
+//! against the set it loads from here and publishes the grown set back.
+//! Nothing else serializes two jobs on one service — a service hashes to
+//! one shard, and a shard runs at most one mining job at a time (see
+//! [`crate::miner`]). A [`PatternSet`] is a copy-on-write handle, so the
+//! miner's clone of a published set shares its allocation until the first
+//! insert copies the index once, leaving the published allocation, and any
 //! reader still holding it, untouched.
 
 use sequence_core::PatternSet;
 use std::collections::HashMap;
 use std::sync::{Arc, RwLock};
 
-/// One atomically-swappable slot (an `ArcSwap` over std primitives).
-#[derive(Debug)]
-pub struct SwapCell<T> {
-    slot: RwLock<Arc<T>>,
-}
-
-impl<T> SwapCell<T> {
-    /// A cell holding `value`.
-    pub fn new(value: T) -> SwapCell<T> {
-        SwapCell {
-            slot: RwLock::new(Arc::new(value)),
-        }
-    }
-
-    /// Clone the current `Arc` (wait-free in practice: the read lock is held
-    /// only for the refcount bump).
-    pub fn load(&self) -> Arc<T> {
-        Arc::clone(&self.slot.read().expect("swap lock"))
-    }
-
-    /// Publish a new value; readers switch on their next [`SwapCell::load`].
-    pub fn store(&self, value: Arc<T>) {
-        *self.slot.write().expect("swap lock") = value;
-    }
-}
-
 /// The per-service registry of published pattern sets, shared between the
-/// shard workers (writers, disjoint services) and the control plane
-/// (reader).
+/// shard workers and the control plane (readers) and the miner (writer).
 #[derive(Debug, Default)]
 pub struct PatternBoard {
-    services: RwLock<HashMap<String, Arc<SwapCell<PatternSet>>>>,
+    services: RwLock<HashMap<String, Arc<PatternSet>>>,
 }
 
 impl PatternBoard {
@@ -63,7 +40,7 @@ impl PatternBoard {
     pub fn seed(&self, sets: HashMap<String, PatternSet>) {
         let mut map = self.services.write().expect("board lock");
         for (service, set) in sets {
-            map.insert(service, Arc::new(SwapCell::new(set)));
+            map.insert(service, Arc::new(set));
         }
     }
 
@@ -73,25 +50,26 @@ impl PatternBoard {
             .read()
             .expect("board lock")
             .get(service)
-            .map(|cell| cell.load())
+            .cloned()
     }
 
-    /// Publish a new compiled set for `service`, creating the slot on first
+    /// Publish a new compiled set for `service`, creating its entry on first
     /// publication. Returns the number of patterns published.
     pub fn publish(&self, service: &str, set: PatternSet) -> usize {
         let n = set.len();
-        let set = Arc::new(set);
+        let mut set = Arc::new(set);
         {
-            let map = self.services.read().expect("board lock");
-            if let Some(cell) = map.get(service) {
-                cell.store(set);
-                return n;
+            let mut map = self.services.write().expect("board lock");
+            match map.get_mut(service) {
+                Some(slot) => std::mem::swap(slot, &mut set),
+                None => {
+                    map.insert(service.to_string(), set);
+                    return n;
+                }
             }
         }
-        let mut map = self.services.write().expect("board lock");
-        map.entry(service.to_string())
-            .or_insert_with(|| Arc::new(SwapCell::new(PatternSet::new())))
-            .store(set);
+        // `set` now holds the replaced set; it is dropped here, outside the
+        // lock.
         n
     }
 
@@ -124,7 +102,7 @@ impl PatternBoard {
             .read()
             .expect("board lock")
             .values()
-            .map(|cell| measure(&cell.load()))
+            .map(|set| measure(set))
             .sum()
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! A background pool only changes *when* mining runs, never *what* it
 //! computes: the worker hands off the same residue batches at the same
-//! boundaries, the miner holds the per-service locks for the same
-//! plan/commit sequence, and per-shard jobs stay serialized. So a workload
+//! boundaries, the miner runs the same plan/commit sequence against the
+//! published sets, and per-shard jobs stay serialized. So a workload
 //! that waits for mining to settle between waves must leave byte-identical
 //! pattern state behind whatever the pool size — the same
 //! `(service, pattern text, count)` triples in the store and the same

@@ -20,6 +20,11 @@ use crate::pattern::{Pattern, PatternElement};
 use crate::token::{TokenType, TokenizedMessage};
 use std::collections::HashMap;
 
+/// Minimum group size before a constant *typed* token may be demoted to a
+/// literal. Small groups (the paper: "if only one or two examples of the
+/// message is present") keep their typed variables conservative.
+const MIN_GROUP_FOR_DEMOTION: usize = 3;
+
 /// Analyser configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AnalyzerOptions {
@@ -27,21 +32,12 @@ pub struct AnalyzerOptions {
     /// limitation-4 fix). `false` reproduces plain Sequence behaviour where
     /// every typed token becomes a variable.
     pub quality_control: bool,
-    /// Minimum group size before a constant *typed* token may be demoted to a
-    /// literal. Small groups (the paper: "if only one or two examples of the
-    /// message is present") keep their typed variables conservative.
-    pub min_group_for_demotion: usize,
-    /// Detect key/value pairs, email addresses and host names, and assign
-    /// semantic variable names.
-    pub detect_semantics: bool,
 }
 
 impl Default for AnalyzerOptions {
     fn default() -> Self {
         AnalyzerOptions {
             quality_control: true,
-            min_group_for_demotion: 3,
-            detect_semantics: true,
         }
     }
 }
@@ -52,7 +48,6 @@ impl AnalyzerOptions {
     pub fn seminal_sequence() -> Self {
         AnalyzerOptions {
             quality_control: false,
-            ..Default::default()
         }
     }
 }
@@ -161,7 +156,7 @@ impl Analyzer {
         let multiline = terminal
             .iter()
             .any(|&i| messages[i as usize].truncated_multiline);
-        let pattern = finalize_pattern(&self.opts, elements, multiline);
+        let pattern = finalize_pattern(elements, multiline);
         let mut examples: Vec<String> = Vec::new();
         for &i in terminal {
             let raw = messages[i as usize].source();
@@ -185,7 +180,7 @@ impl Analyzer {
 /// semantics. A position is summarised by its key, the distinct
 /// values observed there (bounded sample), its spacing, and the size of the
 /// group the containing pattern covers (quality-control demotion is only
-/// confident on groups of `min_group_for_demotion` or more).
+/// confident on groups of `MIN_GROUP_FOR_DEMOTION` or more).
 fn element_for(
     opts: &AnalyzerOptions,
     key: &NodeKey,
@@ -197,13 +192,13 @@ fn element_for(
         NodeKey::Lit(text) => {
             // Analysis-time special types: a constant email or host
             // name is still worth capturing as a typed variable.
-            if opts.detect_semantics && is_email(text) {
+            if is_email(text) {
                 PatternElement::Variable {
                     name: String::new(),
                     ty: TokenType::Email,
                     space_before,
                 }
-            } else if opts.detect_semantics && is_hostname(text) {
+            } else if is_hostname(text) {
                 PatternElement::Variable {
                     name: String::new(),
                     ty: TokenType::Hostname,
@@ -218,7 +213,7 @@ fn element_for(
         }
         NodeKey::Typed(ty) => {
             let constant = observed.len() == 1;
-            if opts.quality_control && constant && group_size >= opts.min_group_for_demotion {
+            if opts.quality_control && constant && group_size >= MIN_GROUP_FOR_DEMOTION {
                 // Limitation-4 fix: a typed token that never varies is
                 // static text, not a variable.
                 PatternElement::Literal {
@@ -233,44 +228,22 @@ fn element_for(
                 }
             }
         }
-        NodeKey::Var(_) => {
-            let ty = if opts.detect_semantics {
-                refine_string_type(observed)
-            } else {
-                TokenType::Literal
-            };
-            PatternElement::Variable {
-                name: String::new(),
-                ty,
-                space_before,
-            }
-        }
+        NodeKey::Var(_) => PatternElement::Variable {
+            name: String::new(),
+            ty: refine_string_type(observed),
+            space_before,
+        },
     }
 }
 
 /// Finish a pattern from its positional elements: append the multi-line
-/// `IgnoreRest` marker (limitation 6), run semantic variable naming (or
-/// assign anonymous-but-unique capture names), and build the [`Pattern`].
-fn finalize_pattern(
-    opts: &AnalyzerOptions,
-    mut elements: Vec<PatternElement>,
-    multiline: bool,
-) -> Pattern {
+/// `IgnoreRest` marker (limitation 6), run semantic variable naming, and
+/// build the [`Pattern`].
+fn finalize_pattern(mut elements: Vec<PatternElement>, multiline: bool) -> Pattern {
     if multiline {
         elements.push(PatternElement::IgnoreRest);
     }
-    if opts.detect_semantics {
-        name_variables(&mut elements);
-    } else {
-        // Anonymous but unique names are still required for captures.
-        let mut counter = 0usize;
-        for el in &mut elements {
-            if let PatternElement::Variable { name, .. } = el {
-                *name = format!("v{counter}");
-                counter += 1;
-            }
-        }
-    }
+    name_variables(&mut elements);
     Pattern::new(elements).expect("ignore-rest only appended at the end")
 }
 

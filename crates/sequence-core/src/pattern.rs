@@ -19,7 +19,6 @@
 //! reproduces that behaviour by returning [`PatternParseError::UnknownTag`].
 
 use crate::token::{Token, TokenType, TokenizedMessage};
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -334,20 +333,6 @@ impl Pattern {
         }
         out
     }
-
-    /// A normalised form used for event-identity comparison in evaluation:
-    /// literals verbatim, every variable as `<*>`, single-spaced.
-    pub fn event_signature(&self) -> String {
-        let mut parts = Vec::new();
-        for el in self.elements.iter() {
-            match el {
-                PatternElement::Literal { text, .. } => parts.push(text.clone()),
-                PatternElement::Variable { .. } => parts.push("<*>".to_string()),
-                PatternElement::IgnoreRest => parts.push("<...>".to_string()),
-            }
-        }
-        parts.join(" ")
-    }
 }
 
 impl fmt::Display for Pattern {
@@ -399,17 +384,6 @@ impl Pattern {
             variables: self.variable_count(),
             ignore_rest: self.has_ignore_rest(),
         }
-    }
-
-    /// Group variables by type, counting each.
-    pub fn variable_type_histogram(&self) -> HashMap<TokenType, usize> {
-        let mut h = HashMap::new();
-        for el in self.elements.iter() {
-            if let PatternElement::Variable { ty, .. } = el {
-                *h.entry(*ty).or_insert(0) += 1;
-            }
-        }
-        h
     }
 }
 
@@ -542,11 +516,6 @@ mod tests {
     }
 
     #[test]
-    fn event_signature_masks_variables() {
-        assert_eq!(sample().event_signature(), "<*> from <*> port <*>");
-    }
-
-    #[test]
     fn spacing_preserved_in_render() {
         // pid=%pid:integer% has no spaces around `=`.
         let p = Pattern::new(vec![
@@ -561,14 +530,10 @@ mod tests {
     }
 
     #[test]
-    fn shape_and_histogram() {
+    fn shape_counts_elements() {
         let s = sample().shape();
         assert_eq!(s.literals, 2);
         assert_eq!(s.variables, 3);
         assert!(!s.ignore_rest);
-        let h = sample().variable_type_histogram();
-        assert_eq!(h[&TokenType::Ipv4], 1);
-        assert_eq!(h[&TokenType::Integer], 1);
-        assert_eq!(h[&TokenType::Literal], 1);
     }
 }

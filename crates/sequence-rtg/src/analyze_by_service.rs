@@ -64,7 +64,7 @@ impl BatchReport {
 
 /// The first partitioning: a batch's records grouped by service, in sorted
 /// service order.
-pub(crate) fn partition_by_service(batch: &[LogRecord]) -> Vec<(&str, Vec<&LogRecord>)> {
+fn partition_by_service(batch: &[LogRecord]) -> Vec<(&str, Vec<&LogRecord>)> {
     let mut by_service: HashMap<&str, Vec<&LogRecord>> = HashMap::new();
     for r in batch {
         by_service.entry(r.service.as_str()).or_default().push(r);
@@ -78,12 +78,12 @@ pub(crate) fn partition_by_service(batch: &[LogRecord]) -> Vec<(&str, Vec<&LogRe
 /// kept consistent across batches.
 #[derive(Debug)]
 pub struct SequenceRtg {
-    pub(crate) config: RtgConfig,
-    pub(crate) scanner: Scanner,
-    pub(crate) analyzer: Analyzer,
-    pub(crate) store: PatternStore,
+    config: RtgConfig,
+    scanner: Scanner,
+    analyzer: Analyzer,
+    store: PatternStore,
     /// In-memory per-service pattern sets, mirroring the store.
-    pub(crate) sets: HashMap<String, PatternSet>,
+    sets: HashMap<String, PatternSet>,
     /// Reusable trie-walk buffers for the parse step (one engine, one
     /// thread): parsing a whole batch performs no per-message frontier
     /// allocations.
@@ -141,8 +141,7 @@ impl SequenceRtg {
     }
 
     /// The in-memory compiled pattern set for one service, if any pattern
-    /// has been discovered or loaded for it. The daemon (`seqd`) clones this
-    /// after a re-mine to publish a hot-swapped set to its matchers.
+    /// has been discovered or loaded for it.
     pub fn pattern_set(&self, service: &str) -> Option<&PatternSet> {
         self.sets.get(service)
     }
@@ -170,7 +169,7 @@ impl SequenceRtg {
         report.services = services.len() as u64;
         analyze_span.attr_u64("services", services.len() as u64);
         // Plan (pure compute) then commit (store writes) — the same split
-        // the seqd background miner drives under per-piece locks.
+        // the seqd background miner drives.
         let plans: Vec<(&str, ServicePlan)> = services
             .iter()
             .map(|(service, records)| {
@@ -190,8 +189,8 @@ impl SequenceRtg {
     }
 
     /// Persist one batch's plans (in sorted service order) and fold them
-    /// into `report`; shared by the sequential and the parallel driver.
-    pub(crate) fn commit_batch(
+    /// into `report`.
+    fn commit_batch(
         &mut self,
         plans: &[(&str, ServicePlan)],
         report: &mut BatchReport,
@@ -353,6 +352,32 @@ mod tests {
         assert_eq!(rtg.known_patterns("sshd-backup"), 1);
         // And parsing one service's message does not consult the other's set.
         assert_eq!(rtg.known_patterns("nginx"), 0);
+    }
+
+    /// A batch over two services whose second upsert fails commits nothing:
+    /// the store rolls back and the in-memory sets are not touched.
+    #[test]
+    fn failed_commit_leaves_store_and_sets_untouched() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let batch = vec![
+            LogRecord::new("alpha", "alpha service came up"),
+            LogRecord::new("beta", "beta service came up"),
+        ];
+        let mut rtg = SequenceRtg::in_memory(RtgConfig::default());
+        let upserts = AtomicUsize::new(0);
+        rtg.store_mut()
+            .set_fault_hook(Some(std::sync::Arc::new(move |op: &str| {
+                op == "upsert" && upserts.fetch_add(1, Ordering::Relaxed) == 1
+            })));
+        assert!(rtg.analyze_by_service(&batch, 1).is_err());
+        assert_eq!(rtg.store_mut().pattern_count().unwrap(), 0);
+        assert_eq!(rtg.total_known_patterns(), 0);
+
+        rtg.store_mut().set_fault_hook(None);
+        let r = rtg.analyze_by_service(&batch, 1).unwrap();
+        assert_eq!(r.new_patterns, 2);
+        assert_eq!(rtg.store_mut().pattern_count().unwrap(), 2);
+        assert_eq!(rtg.total_known_patterns(), 2);
     }
 
     #[test]

@@ -16,7 +16,6 @@ use std::time::{SystemTime, UNIX_EPOCH};
 struct Options {
     db: Option<String>,
     batch_size: usize,
-    threads: usize,
     save_threshold: u64,
     seminal: bool,
     extended: bool,
@@ -33,7 +32,6 @@ impl Default for Options {
         Options {
             db: None,
             batch_size: 100_000,
-            threads: 1,
             save_threshold: 0,
             seminal: false,
             extended: false,
@@ -63,11 +61,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 opts.batch_size = value(&mut i, "--batch-size")?
                     .parse()
                     .map_err(|_| "--batch-size expects a positive integer".to_string())?
-            }
-            "--threads" => {
-                opts.threads = value(&mut i, "--threads")?
-                    .parse()
-                    .map_err(|_| "--threads expects a positive integer".to_string())?
             }
             "--save-threshold" => {
                 opts.save_threshold = value(&mut i, "--save-threshold")?
@@ -118,7 +111,7 @@ fn main() -> ExitCode {
             if !msg.is_empty() {
                 eprintln!("error: {msg}\n");
             }
-            eprintln!("usage: sequence-rtg [--db DIR] [--batch-size N] [--threads N] [--save-threshold N] [--seminal] [--extended] [--export syslog-ng|yaml|grok] [--min-count N] [--max-complexity F] [--review] [--resolve-conflicts] [--quiet]");
+            eprintln!("usage: sequence-rtg [--db DIR] [--batch-size N] [--save-threshold N] [--seminal] [--extended] [--export syslog-ng|yaml|grok] [--min-count N] [--max-complexity F] [--review] [--resolve-conflicts] [--quiet]");
             return if msg.is_empty() {
                 ExitCode::SUCCESS
             } else {
@@ -154,7 +147,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let mut pipeline = Pipeline::new(rtg).with_threads(opts.threads);
+    let mut pipeline = Pipeline::new(rtg);
 
     // The data stream ingester: stdin, line-delimited JSON records.
     let stdin = std::io::stdin();

@@ -15,13 +15,11 @@ pub struct RtgConfig {
     pub save_threshold: u64,
     /// Scanner options (datetime leniency, path FSM).
     pub scanner: ScannerOptions,
-    /// Analyser options (quality control, semantics).
+    /// Analyser options (quality control).
     pub analyzer: AnalyzerOptions,
     /// Split semi-constant variables into per-value patterns (the paper's
     /// future-work extension; off by default).
     pub semi_constant_split: bool,
-    /// Maximum distinct values for a variable to count as semi-constant.
-    pub semi_constant_max_values: usize,
 }
 
 impl Default for RtgConfig {
@@ -32,7 +30,6 @@ impl Default for RtgConfig {
             scanner: ScannerOptions::default(),
             analyzer: AnalyzerOptions::default(),
             semi_constant_split: false,
-            semi_constant_max_values: 3,
         }
     }
 }

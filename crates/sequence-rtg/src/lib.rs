@@ -24,9 +24,12 @@
 //!    markers, counted per batch in [`BatchReport`].
 //!
 //! Extensions implemented from the paper's future-work list: a path FSM and
-//! single-digit time parts (scanner options), semi-constant variable
-//! splitting ([`semiconst`]), and in-process service-sharded parallel
-//! analysis ([`parallel`], std scoped threads).
+//! single-digit time parts (scanner options) and semi-constant variable
+//! splitting ([`semiconst`]).
+//!
+//! The paper scales out by "sending groups of services to any number (of)
+//! instances". This crate analyses one batch on one thread; the `seqd`
+//! daemon is where services are spread over shards and mined in parallel.
 //!
 //! ```
 //! use sequence_rtg::{LogRecord, RtgConfig, SequenceRtg};
@@ -53,7 +56,6 @@
 pub mod analyze_by_service;
 pub mod config;
 pub mod ingest;
-pub mod parallel;
 pub mod pipeline;
 pub mod record;
 pub mod semiconst;

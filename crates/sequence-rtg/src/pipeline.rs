@@ -18,8 +18,6 @@ pub struct Pipeline {
     rtg: SequenceRtg,
     pending: Vec<LogRecord>,
     batches_run: u64,
-    /// Worker threads for each analysis run (1 = sequential).
-    threads: usize,
 }
 
 impl Pipeline {
@@ -29,24 +27,12 @@ impl Pipeline {
             rtg,
             pending: Vec::new(),
             batches_run: 0,
-            threads: 1,
         }
-    }
-
-    /// Use `threads` workers per analysis run.
-    pub fn with_threads(mut self, threads: usize) -> Pipeline {
-        self.threads = threads.max(1);
-        self
     }
 
     /// The wrapped engine.
     pub fn engine_mut(&mut self) -> &mut SequenceRtg {
         &mut self.rtg
-    }
-
-    /// Number of records waiting for a full batch.
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
     }
 
     /// Number of completed analysis runs.
@@ -75,12 +61,7 @@ impl Pipeline {
     fn run_batch(&mut self, now: u64) -> Result<BatchReport, StoreError> {
         let batch = std::mem::take(&mut self.pending);
         self.batches_run += 1;
-        if self.threads > 1 {
-            self.rtg
-                .analyze_by_service_parallel(&batch, now, self.threads)
-        } else {
-            self.rtg.analyze_by_service(&batch, now)
-        }
+        self.rtg.analyze_by_service(&batch, now)
     }
 }
 
@@ -112,8 +93,8 @@ mod tests {
             .unwrap()
             .unwrap();
         assert_eq!(report.received, 3);
-        assert_eq!(p.pending_len(), 0);
         assert_eq!(p.batches_run(), 1);
+        assert!(p.flush(1).unwrap().is_none(), "the full batch left nothing");
     }
 
     #[test]
@@ -171,15 +152,5 @@ mod tests {
             .unwrap();
         assert_eq!(report.matched_known, 2);
         assert_eq!(report.new_patterns, 0);
-    }
-
-    #[test]
-    fn parallel_pipeline() {
-        let mut p = Pipeline::new(engine(4)).with_threads(2);
-        for svc in ["a", "b", "c", "d"] {
-            p.push(LogRecord::new(svc, "ping pong"), 1).unwrap();
-        }
-        assert_eq!(p.batches_run(), 1);
-        assert_eq!(p.engine_mut().total_known_patterns(), 4);
     }
 }

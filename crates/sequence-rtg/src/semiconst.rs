@@ -12,8 +12,12 @@ use sequence_core::analyzer::DiscoveredPattern;
 use sequence_core::{Pattern, PatternElement, TokenizedMessage};
 use std::collections::BTreeMap;
 
+/// Most distinct values a variable may take and still count as
+/// semi-constant.
+const MAX_VALUES: usize = 3;
+
 /// Post-process analyser output: any variable that takes at most
-/// `max_values` distinct values across the pattern's member messages is
+/// `MAX_VALUES` (3) distinct values across the pattern's member messages is
 /// *semi-constant*; the pattern is split into one variant per combination of
 /// semi-constant values, with those positions demoted to literals.
 ///
@@ -25,15 +29,14 @@ use std::collections::BTreeMap;
 pub fn split_semi_constant(
     discovered: Vec<DiscoveredPattern>,
     messages: &[TokenizedMessage],
-    max_values: usize,
 ) -> Vec<DiscoveredPattern> {
     let mut out = Vec::with_capacity(discovered.len());
     for d in discovered {
-        match try_split(&d, messages, max_values) {
+        match try_split(&d, messages) {
             Some(variants) => {
                 // Variants may themselves contain further semi-constant
                 // positions; recurse (bounded: each split fixes a position).
-                out.extend(split_semi_constant(variants, messages, max_values));
+                out.extend(split_semi_constant(variants, messages));
             }
             None => out.push(d),
         }
@@ -48,9 +51,8 @@ pub fn split_semi_constant(
 fn try_split(
     d: &DiscoveredPattern,
     messages: &[TokenizedMessage],
-    max_values: usize,
 ) -> Option<Vec<DiscoveredPattern>> {
-    if d.member_indices.len() < 4 || max_values < 2 {
+    if d.member_indices.len() < 4 {
         return None;
     }
     let elements = d.pattern.elements();
@@ -65,11 +67,11 @@ fn try_split(
         for &mi in &d.member_indices {
             let tok = &messages[mi as usize].tokens[pos];
             *values.entry(tok.text.as_str()).or_insert(0) += 1;
-            if values.len() > max_values {
+            if values.len() > MAX_VALUES {
                 break;
             }
         }
-        if (2..=max_values).contains(&values.len()) {
+        if (2..=MAX_VALUES).contains(&values.len()) {
             candidates.push((values.len(), pos));
         }
     }
@@ -145,7 +147,7 @@ mod tests {
             1,
             "analyser merges up/down into one variable: {d:?}"
         );
-        let split = split_semi_constant(d, &msgs, 3);
+        let split = split_semi_constant(d, &msgs);
         assert_eq!(split.len(), 2);
         let mut renders: Vec<String> = split.iter().map(|v| v.pattern.render()).collect();
         renders.sort();
@@ -165,7 +167,7 @@ mod tests {
             "job j5 finished",
         ]);
         let n_before = d.len();
-        let split = split_semi_constant(d, &msgs, 3);
+        let split = split_semi_constant(d, &msgs);
         assert_eq!(split.len(), n_before);
         assert!(split[0].pattern.render().contains('%'));
     }
@@ -180,14 +182,14 @@ mod tests {
             "state now idle",
             "state now unknown",
         ]);
-        let split = split_semi_constant(d.clone(), &msgs, 3);
+        let split = split_semi_constant(d.clone(), &msgs);
         assert_eq!(split.len(), d.len());
     }
 
     #[test]
     fn small_groups_not_split() {
         let (d, msgs) = discover(&["mode a set", "mode b set"]);
-        let split = split_semi_constant(d.clone(), &msgs, 3);
+        let split = split_semi_constant(d.clone(), &msgs);
         assert_eq!(split.len(), d.len());
     }
 }

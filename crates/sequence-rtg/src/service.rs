@@ -2,13 +2,12 @@
 //! split into a compute-only *plan* phase and a store-writing *commit* phase.
 //!
 //! [`SequenceRtg::analyze_by_service`] composes the two under its single
-//! engine-wide borrow, exactly as before. The `seqd` background miner calls
-//! them directly instead, with each phase under the narrowest lock it needs:
-//! planning holds only the one service's pattern-set lock (so concurrent
-//! mining jobs for *different* services never serialize on the expensive
-//! part), and committing holds the store lock only for the brief transaction
-//! that persists the results. A failed commit can be retried without
-//! re-planning — the plan is pure data, computed once.
+//! engine-wide borrow. The `seqd` background miner calls them directly
+//! instead: planning reads only the service's published set and holds no
+//! lock (so mining jobs for *different* shards never serialize on the
+//! expensive part), and committing holds the store lock only for the brief
+//! transaction that persists the results. A failed commit can be retried
+//! without re-planning — the plan is pure data, computed once.
 //!
 //! [`SequenceRtg::analyze_by_service`]: crate::SequenceRtg::analyze_by_service
 
@@ -147,8 +146,7 @@ pub fn plan_service(
         .collect();
     let mut discovered = analyzer.analyze(&subset);
     if config.semi_constant_split {
-        discovered =
-            semiconst::split_semi_constant(discovered, &subset, config.semi_constant_max_values);
+        discovered = semiconst::split_semi_constant(discovered, &subset);
     }
     plan.discovered = discovered;
     plan

@@ -29,7 +29,7 @@ fn main() {
         save_threshold: 0,
         ..RtgConfig::default()
     };
-    let mut pipeline = Pipeline::new(SequenceRtg::in_memory(config)).with_threads(2);
+    let mut pipeline = Pipeline::new(SequenceRtg::in_memory(config));
 
     let mut ingester = StreamIngester::new(Cursor::new(json), config.batch_size);
     let mut batch_no = 0;
