@@ -401,6 +401,26 @@ echo "    crash-recovery smoke OK"
 stage_end
 fi
 
+if stage_begin "old store migrates (fixture store -> YAML export, twice)"; then
+# crates/patterndb/tests/fixtures/store keeps each example as a row of its
+# own; the first open folds them into their pattern's row. The YAML export
+# lists every example, and must be byte for byte what the build before the
+# fold exported from the same files (tests/golden/fixture_store.yaml). The
+# second open must change nothing: same export, same checkpointed snapshot.
+cp -r crates/patterndb/tests/fixtures/store "${seqd_store}/fixture"
+for open in first second; do
+  ./target/release/sequence-rtg --db "${seqd_store}/fixture" --export yaml --quiet \
+    < /dev/null > "${seqd_log}.fixture.yaml"
+  diff -u tests/golden/fixture_store.yaml "${seqd_log}.fixture.yaml" \
+    || { echo "the ${open} open's export diverged from tests/golden/fixture_store.yaml" >&2; exit 1; }
+  cp "${seqd_store}/fixture/snapshot.sql" "${seqd_log}.fixture.${open}"
+done
+cmp "${seqd_log}.fixture.first" "${seqd_log}.fixture.second" \
+  || { echo "the second open of the migrated store changed it" >&2; exit 1; }
+echo "    old store migrates OK"
+stage_end
+fi
+
 if stage_begin "dependency audit: workspace crates only"; then
 # Every package cargo can see must live in this repository. A single
 # registry/git dependency breaks the offline guarantee, so fail on any

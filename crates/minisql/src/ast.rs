@@ -105,6 +105,13 @@ pub enum Statement {
         /// Column definitions.
         columns: Vec<ColumnDef>,
     },
+    /// `ALTER TABLE t ADD [COLUMN] <column-def>`.
+    AddColumn {
+        /// Target table.
+        table: String,
+        /// The new last column; existing rows take its default.
+        column: ColumnDef,
+    },
     /// INSERT of one row.
     Insert {
         /// Target table.

@@ -64,10 +64,10 @@ struct TxnState {
 
 /// What reverses one transaction's effect on one table. Tables are
 /// independent, so each keeps its own log: row-level steps until the first
-/// destructive statement (`DELETE`, `CREATE TABLE`, an `UPDATE` that assigns
-/// a unique column) saves a before-image of the whole table, and nothing
-/// after it — the image already reverses whatever follows, so a transaction
-/// holds at most one per table.
+/// destructive statement (`DELETE`, `CREATE TABLE`, `ALTER TABLE`, an
+/// `UPDATE` that assigns a unique column) saves a before-image of the whole
+/// table, and nothing after it — the image already reverses whatever
+/// follows, so a transaction holds at most one per table.
 #[derive(Debug, Default)]
 struct TableUndo {
     /// Row-level steps, oldest first.
@@ -219,6 +219,14 @@ impl Database {
                 self.tables.insert(name.clone(), Table::new(name, columns));
                 ExecResult::None
             }
+            Statement::AddColumn { table, column } => {
+                if self.table(&table)?.column_index(&column.name).is_ok() {
+                    return Err(Error::Parse(format!("duplicate column {}", column.name)));
+                }
+                keep_image(&mut self.txn, &table, || self.tables.get(&table).cloned());
+                self.table_mut(&table)?.add_column(column);
+                ExecResult::None
+            }
             Statement::Insert {
                 table,
                 columns,
@@ -250,13 +258,13 @@ impl Database {
         Ok(result)
     }
 
-    fn table(&self, name: &str) -> Result<&Table, Error> {
+    pub(crate) fn table(&self, name: &str) -> Result<&Table, Error> {
         self.tables
             .get(name)
             .ok_or_else(|| Error::NoSuchTable(name.to_string()))
     }
 
-    fn table_mut(&mut self, name: &str) -> Result<&mut Table, Error> {
+    pub(crate) fn table_mut(&mut self, name: &str) -> Result<&mut Table, Error> {
         self.tables
             .get_mut(name)
             .ok_or_else(|| Error::NoSuchTable(name.to_string()))
@@ -1181,6 +1189,93 @@ mod tests {
             .unwrap();
         assert_eq!(rows[0], vec![text("p1"), SqlValue::Integer(20)]);
         assert_eq!(rows[3][0], text("p4"));
+    }
+
+    /// `ALTER TABLE … ADD` gives every row the default, is reversed by
+    /// `ROLLBACK`, and survives WAL replay and the dump.
+    #[test]
+    fn add_column_fills_rows_and_rolls_back() {
+        let dir = std::env::temp_dir().join(format!("minisql-alter-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut db = Database::open(&dir).unwrap();
+        db.execute("CREATE TABLE p (id TEXT PRIMARY KEY, cnt INTEGER)")
+            .unwrap();
+        db.execute("INSERT INTO p VALUES ('a', 1)").unwrap();
+        let before = db.dump();
+        db.execute("BEGIN").unwrap();
+        db.execute("ALTER TABLE p ADD COLUMN body TEXT DEFAULT 'it''s'")
+            .unwrap();
+        db.execute("UPDATE p SET body = 'x' WHERE id = 'a'")
+            .unwrap();
+        db.execute("ROLLBACK").unwrap();
+        assert_eq!(db.dump(), before);
+
+        db.execute("BEGIN").unwrap();
+        db.execute("ALTER TABLE p ADD body TEXT DEFAULT 'it''s'")
+            .unwrap();
+        db.execute("INSERT INTO p (id, cnt) VALUES ('b', 2)")
+            .unwrap();
+        db.execute("COMMIT").unwrap();
+        assert!(matches!(
+            db.execute("ALTER TABLE p ADD body TEXT"),
+            Err(Error::Parse(_))
+        ));
+        assert!(matches!(
+            db.execute("ALTER TABLE q ADD body TEXT"),
+            Err(Error::NoSuchTable(_))
+        ));
+        let rows = db.query("SELECT id, body FROM p ORDER BY id").unwrap();
+        assert_eq!(
+            rows,
+            vec![vec![text("a"), text("it's")], vec![text("b"), text("it's")]]
+        );
+        let live = db.dump();
+        assert!(live.contains("body TEXT DEFAULT 'it''s'"), "{live}");
+        drop(db);
+        let mut db = Database::open(&dir).unwrap();
+        assert_eq!(db.dump(), live, "replayed from the WAL");
+        db.checkpoint().unwrap();
+        drop(db);
+        assert_eq!(
+            Database::open(&dir).unwrap().dump(),
+            live,
+            "from the snapshot"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A COMMIT whose fsync fails is not durable, so it is undone like a
+    /// failed write, and its bytes are cut back out of the file.
+    #[test]
+    fn a_failed_wal_sync_undoes_the_commit() {
+        let dir = std::env::temp_dir().join(format!("minisql-sync-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut db = Database::open(&dir).unwrap();
+        db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, body TEXT)")
+            .unwrap();
+        db.execute("INSERT INTO t VALUES (1, 'kept')").unwrap();
+        let before = db.dump();
+        let wal_len = std::fs::metadata(dir.join("wal.sql")).unwrap().len();
+        db.execute("BEGIN").unwrap();
+        db.execute("INSERT INTO t VALUES (2, 'unsynced')").unwrap();
+        db.wal.as_mut().unwrap().fail_next_sync = true;
+        assert!(matches!(db.execute("COMMIT"), Err(Error::Io(_))));
+        assert_eq!(db.dump(), before, "a commit that is not durable is undone");
+        assert_eq!(
+            std::fs::metadata(dir.join("wal.sql")).unwrap().len(),
+            wal_len
+        );
+        db.execute("INSERT INTO t VALUES (3, 'synced')").unwrap();
+        drop(db);
+        let mut db = Database::open(&dir).unwrap();
+        assert_eq!(
+            db.query("SELECT id, body FROM t ORDER BY id").unwrap(),
+            vec![
+                vec![SqlValue::Integer(1), text("kept")],
+                vec![SqlValue::Integer(3), text("synced")],
+            ]
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// A COMMIT whose WAL append fails after part of the group reached the

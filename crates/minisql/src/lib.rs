@@ -11,6 +11,8 @@
 //!
 //! * `CREATE TABLE [IF NOT EXISTS]` with INTEGER / REAL / TEXT columns and
 //!   PRIMARY KEY, NOT NULL, UNIQUE and DEFAULT constraints
+//! * `ALTER TABLE t ADD [COLUMN] <column>`, a column that is not a key;
+//!   existing rows take its default (the pattern store's one migration)
 //! * `INSERT INTO t [(cols)] VALUES (…)`, one row per statement
 //! * `SELECT` of columns, `COUNT(*)` and `SUM(expr)`, with `AS`,
 //!   `FROM` one table, `WHERE`, `GROUP BY` and `ORDER BY … [DESC]`

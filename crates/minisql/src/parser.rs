@@ -128,6 +128,7 @@ impl P {
         self.i += 1;
         Ok(match kw.as_deref() {
             Some("CREATE") => self.create()?,
+            Some("ALTER") => self.alter()?,
             Some("INSERT") => self.insert()?,
             Some("SELECT") => Statement::Select(self.select()?),
             Some("UPDATE") => self.update()?,
@@ -156,6 +157,26 @@ impl P {
             if_not_exists,
             columns: self.parenthesized(Self::column_def)?,
         })
+    }
+
+    /// `ALTER TABLE t ADD [COLUMN] <column-def>`. As in SQLite, the column
+    /// cannot be a key, and a NOT NULL one needs a non-NULL default: the
+    /// rows already there take the default.
+    fn alter(&mut self) -> Result<Statement, Error> {
+        self.expect_kw("TABLE")?;
+        let table = self.ident()?;
+        self.expect_kw("ADD")?;
+        self.eat_kw("COLUMN");
+        let column = self.column_def()?;
+        if column.primary_key || column.unique {
+            return Err(Error::Parse("cannot add a key column".into()));
+        }
+        if column.not_null && column.default.as_ref().is_none_or(SqlValue::is_null) {
+            return Err(Error::Parse(
+                "cannot add a NOT NULL column with default NULL".into(),
+            ));
+        }
+        Ok(Statement::AddColumn { table, column })
     }
 
     fn column_def(&mut self) -> Result<ColumnDef, Error> {
@@ -379,6 +400,31 @@ mod tests {
                 assert!(columns[4].unique && !columns[4].primary_key);
             }
             other => panic!("wrong statement {other:?}"),
+        }
+    }
+
+    #[test]
+    fn alter_table_add_column() {
+        for sql in [
+            "ALTER TABLE t ADD COLUMN body TEXT DEFAULT ''",
+            "alter table t add body TEXT DEFAULT ''",
+        ] {
+            let Statement::AddColumn { table, column } = parse(sql).unwrap() else {
+                panic!("{sql}")
+            };
+            assert_eq!((table.as_str(), column.name.as_str()), ("t", "body"));
+            assert_eq!(column.default, Some(SqlValue::Text(String::new())));
+        }
+        assert!(parse("ALTER TABLE t ADD n INTEGER NOT NULL DEFAULT 0").is_ok());
+        for sql in [
+            "ALTER TABLE t ADD n INTEGER NOT NULL",
+            "ALTER TABLE t ADD n INTEGER UNIQUE",
+            "ALTER TABLE t ADD n INTEGER PRIMARY KEY",
+            "ALTER TABLE t DROP COLUMN n",
+            "ALTER TABLE t RENAME TO u",
+            "ALTER TABLE t ADD COLUMN",
+        ] {
+            assert!(rejected(sql), "{sql}");
         }
     }
 

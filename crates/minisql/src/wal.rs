@@ -27,8 +27,10 @@
 //! snapshot then the WAL in order and drops what a crash tore at the end of
 //! a file: a header cut before its newline, a frame shorter than its length,
 //! or a group whose payload is incomplete (every statement of it, including
-//! the whole frames that did arrive). An append that fails is cut back out
-//! of the file at once, so the next one never lands behind a torn frame.
+//! the whole frames that did arrive). Every append is synced to disk
+//! (`sync_data`) before it returns, so a `COMMIT` that succeeded survives a
+//! power loss. An append whose write or sync fails is cut back out of the
+//! file at once, so the next one never lands behind a torn frame.
 //! [`Wal::checkpoint`] atomically replaces the snapshot (write-to-temp +
 //! rename) and truncates the WAL.
 
@@ -50,6 +52,9 @@ pub struct Wal {
     /// Test seam: the next append stops after this many bytes and fails.
     #[cfg(test)]
     pub(crate) tear_next_write: Option<usize>,
+    /// Test seam: the next append's sync fails.
+    #[cfg(test)]
+    pub(crate) fail_next_sync: bool,
 }
 
 impl Wal {
@@ -66,6 +71,8 @@ impl Wal {
             wal,
             #[cfg(test)]
             tear_next_write: None,
+            #[cfg(test)]
+            fail_next_sync: false,
         })
     }
 
@@ -104,11 +111,12 @@ impl Wal {
         self.append(&group)
     }
 
-    /// Append `bytes` with one write. A failed write may have landed in
-    /// part: the file is cut back to its length before it, so what the next
-    /// append writes follows the last whole frame.
+    /// Append `bytes` with one write and sync them to disk. A failed write
+    /// may have landed in part, and a failed sync leaves unknown what is
+    /// durable: either way the file is cut back to its length before the
+    /// append, so what the next append writes follows the last whole frame.
     fn append(&mut self, bytes: &[u8]) -> Result<(), Error> {
-        if let Err(e) = self.write(bytes) {
+        if let Err(e) = self.write(bytes).and_then(|()| self.sync()) {
             self.wal.set_len(self.len)?;
             return Err(e.into());
         }
@@ -123,6 +131,14 @@ impl Wal {
             return Err(io::Error::other("injected short write"));
         }
         self.wal.write_all(bytes)
+    }
+
+    fn sync(&mut self) -> io::Result<()> {
+        #[cfg(test)]
+        if std::mem::take(&mut self.fail_next_sync) {
+            return Err(io::Error::other("injected sync failure"));
+        }
+        self.wal.sync_data()
     }
 
     /// Atomically replace the snapshot with the frames `write_frames` emits

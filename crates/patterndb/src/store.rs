@@ -110,31 +110,93 @@ impl std::fmt::Debug for PatternStore {
     }
 }
 
-const SCHEMA: &[&str] = &[
-    "CREATE TABLE IF NOT EXISTS patterns (
-        id TEXT PRIMARY KEY,
-        service TEXT NOT NULL,
-        pattern TEXT NOT NULL,
-        cnt INTEGER DEFAULT 0,
-        first_seen INTEGER DEFAULT 0,
-        last_matched INTEGER DEFAULT 0,
-        complexity REAL DEFAULT 0.0,
-        promoted INTEGER DEFAULT 0
-    )",
-    "CREATE TABLE IF NOT EXISTS examples (
-        pattern_id TEXT NOT NULL,
-        seq INTEGER NOT NULL,
-        body TEXT NOT NULL
-    )",
-];
+/// One row per pattern. `examples` holds its up to three example bodies in
+/// one cell (see [`encode_examples`]).
+const SCHEMA: &str = "CREATE TABLE IF NOT EXISTS patterns (
+    id TEXT PRIMARY KEY,
+    service TEXT NOT NULL,
+    pattern TEXT NOT NULL,
+    cnt INTEGER DEFAULT 0,
+    first_seen INTEGER DEFAULT 0,
+    last_matched INTEGER DEFAULT 0,
+    complexity REAL DEFAULT 0.0,
+    promoted INTEGER DEFAULT 0,
+    examples TEXT DEFAULT ''
+)";
+
+/// The `examples` cell: each body in order, prefixed by its byte length
+/// (`<len>:<body>…`), so a body may hold any character, `:` and newlines
+/// included.
+fn encode_examples<S: AsRef<str>>(bodies: &[S]) -> String {
+    let mut cell = String::new();
+    for body in bodies {
+        let body = body.as_ref();
+        cell.push_str(&body.len().to_string());
+        cell.push(':');
+        cell.push_str(body);
+    }
+    cell
+}
+
+/// The bodies of an `examples` cell, in order.
+fn decode_examples(mut cell: &str) -> Vec<String> {
+    let mut bodies = Vec::new();
+    while let Some((len, rest)) = cell.split_once(':') {
+        let Some(body) = len.parse().ok().and_then(|len: usize| rest.get(..len)) else {
+            break;
+        };
+        bodies.push(body.to_string());
+        cell = &rest[body.len()..];
+    }
+    bodies
+}
+
+/// Stores written before examples became a cell of their pattern's row
+/// kept each example as a row of an `examples (pattern_id, seq, body)`
+/// table. A store whose `patterns` lacks the cell gets it in one
+/// transaction with [`fold_example_rows`]; a store that has it is left
+/// untouched.
+fn migrate(db: &mut Database) -> Result<(), minisql::Error> {
+    match db.query("SELECT examples FROM patterns WHERE id = ''") {
+        Err(minisql::Error::NoSuchColumn(_)) => {}
+        other => return other.map(drop),
+    }
+    db.execute("BEGIN")?;
+    match fold_example_rows(db) {
+        Ok(()) => db.execute("COMMIT").map(drop),
+        Err(e) => {
+            db.execute("ROLLBACK")?;
+            Err(e)
+        }
+    }
+}
+
+/// Add the cell, fold each pattern's example rows into it in `seq` order,
+/// and delete the rows. The `examples` table itself stays, empty.
+fn fold_example_rows(db: &mut Database) -> Result<(), minisql::Error> {
+    db.execute("ALTER TABLE patterns ADD COLUMN examples TEXT DEFAULT ''")?;
+    let rows = match db.query("SELECT pattern_id, body FROM examples ORDER BY pattern_id, seq") {
+        Err(minisql::Error::NoSuchTable(_)) => return Ok(()),
+        rows => rows?,
+    };
+    for group in rows.chunk_by(|a, b| a[0] == b[0]) {
+        let bodies: Vec<&str> = group
+            .iter()
+            .map(|r| r[1].as_text().unwrap_or_default())
+            .collect();
+        db.execute_with(
+            "UPDATE patterns SET examples = ? WHERE id = ?",
+            &[encode_examples(&bodies).into(), group[0][0].clone()],
+        )?;
+    }
+    db.execute("DELETE FROM examples").map(drop)
+}
 
 impl PatternStore {
     /// A volatile in-memory store.
     pub fn in_memory() -> PatternStore {
         let mut db = Database::in_memory();
-        for stmt in SCHEMA {
-            db.execute(stmt).expect("schema DDL is valid");
-        }
+        db.execute(SCHEMA).expect("schema DDL is valid");
         PatternStore {
             db,
             fault_hook: None,
@@ -143,11 +205,12 @@ impl PatternStore {
     }
 
     /// Open (or create) a persistent store rooted at the directory `path`.
+    /// A store written before examples became one cell is migrated once,
+    /// here (see [`migrate`]).
     pub fn open(path: impl AsRef<Path>) -> Result<PatternStore, StoreError> {
         let mut db = Database::open(path)?;
-        for stmt in SCHEMA {
-            db.execute(stmt)?;
-        }
+        db.execute(SCHEMA)?;
+        migrate(&mut db)?;
         Ok(PatternStore {
             db,
             fault_hook: None,
@@ -240,26 +303,21 @@ impl PatternStore {
             &[id.as_str().into()],
         )?;
         if existing.is_empty() {
+            let examples = &discovered.examples[..discovered.examples.len().min(3)];
             self.db.execute_with(
-                "INSERT INTO patterns (id, service, pattern, cnt, first_seen, last_matched, complexity)
-                 VALUES (?, ?, ?, ?, ?, ?, ?)",
+                "INSERT INTO patterns (id, service, pattern, cnt, first_seen, last_matched, complexity, examples)
+                 VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
                 &[
                     id.as_str().into(),
                     service.into(),
-                    text.as_str().into(),
+                    text.into(),
                     (discovered.match_count as i64).into(),
                     (now as i64).into(),
                     (now as i64).into(),
                     discovered.pattern.complexity_score().into(),
+                    encode_examples(examples).into(),
                 ],
             )?;
-            // Freshly inserted: no examples can exist yet, insert directly.
-            for (seq, ex) in discovered.examples.iter().take(3).enumerate() {
-                self.db.execute_with(
-                    "INSERT INTO examples (pattern_id, seq, body) VALUES (?, ?, ?)",
-                    &[id.as_str().into(), (seq as i64).into(), ex.as_str().into()],
-                )?;
-            }
             Ok((id, true))
         } else {
             self.db.execute_with(
@@ -272,22 +330,6 @@ impl PatternStore {
             )?;
             Ok((id, false))
         }
-    }
-
-    /// Add an example for a pattern, keeping at most three unique bodies.
-    pub fn add_example(&mut self, id: &str, body: &str) -> Result<(), StoreError> {
-        let existing = self.db.query_with(
-            "SELECT body FROM examples WHERE pattern_id = ? ORDER BY seq",
-            &[id.into()],
-        )?;
-        if existing.len() >= 3 || existing.iter().any(|r| r[0].as_text() == Some(body)) {
-            return Ok(());
-        }
-        self.db.execute_with(
-            "INSERT INTO examples (pattern_id, seq, body) VALUES (?, ?, ?)",
-            &[id.into(), (existing.len() as i64).into(), body.into()],
-        )?;
-        Ok(())
     }
 
     /// Bump the match statistics of a pattern after the parser matched `n`
@@ -330,51 +372,33 @@ impl PatternStore {
     pub fn patterns(&mut self, service: Option<&str>) -> Result<Vec<StoredPattern>, StoreError> {
         let rows = match service {
             Some(s) => self.db.query_with(
-                "SELECT id, service, pattern, cnt, first_seen, last_matched, complexity, promoted
+                "SELECT id, service, pattern, cnt, first_seen, last_matched, complexity, promoted, examples
                  FROM patterns WHERE service = ? ORDER BY cnt DESC, id",
                 &[s.into()],
             )?,
             None => self.db.query(
-                "SELECT id, service, pattern, cnt, first_seen, last_matched, complexity, promoted
+                "SELECT id, service, pattern, cnt, first_seen, last_matched, complexity, promoted, examples
                  FROM patterns ORDER BY service, cnt DESC, id",
             )?,
         };
-        // One pass over the examples table, whatever the number of patterns:
-        // it has no index on `pattern_id`, so a query per pattern is a scan
-        // per pattern.
-        let mut examples: HashMap<&str, Vec<String>> = rows
-            .iter()
-            .map(|r| (r[0].as_text().unwrap_or_default(), Vec::new()))
-            .collect();
-        for mut er in self
-            .db
-            .query("SELECT pattern_id, body FROM examples ORDER BY pattern_id, seq")?
-        {
-            let body = er.pop();
-            if let Some(bodies) = examples.get_mut(er[0].as_text().unwrap_or_default()) {
-                bodies.push(match body {
-                    Some(SqlValue::Text(body)) => body,
-                    _ => String::new(),
-                });
-            }
-        }
-        let mut out = Vec::with_capacity(rows.len());
-        for r in &rows {
-            let id = r[0].as_text().unwrap_or_default().to_string();
-            let examples = examples.remove(id.as_str()).unwrap_or_default();
-            out.push(StoredPattern {
-                id,
-                service: r[1].as_text().unwrap_or_default().to_string(),
-                pattern_text: r[2].as_text().unwrap_or_default().to_string(),
+        let text = |v: &mut SqlValue| match std::mem::replace(v, SqlValue::Null) {
+            SqlValue::Text(s) => s,
+            _ => String::new(),
+        };
+        Ok(rows
+            .into_iter()
+            .map(|mut r| StoredPattern {
+                id: text(&mut r[0]),
+                service: text(&mut r[1]),
+                pattern_text: text(&mut r[2]),
                 count: r[3].as_integer().unwrap_or(0) as u64,
                 first_seen: r[4].as_integer().unwrap_or(0) as u64,
                 last_matched: r[5].as_integer().unwrap_or(0) as u64,
                 complexity: r[6].as_real().unwrap_or(0.0),
-                examples,
                 promoted: r[7].as_integer().unwrap_or(0) != 0,
-            });
-        }
-        Ok(out)
+                examples: decode_examples(r[8].as_text().unwrap_or_default()),
+            })
+            .collect())
     }
 
     /// Load every stored pattern into per-service [`PatternSet`]s for the
@@ -413,10 +437,8 @@ impl PatternStore {
     }
 
     /// Discard a pattern outright (the losing side of a multi-match
-    /// conflict, or an administrator rejection), removing its examples too.
+    /// conflict, or an administrator rejection), examples and all.
     pub fn discard(&mut self, id: &str) -> Result<(), StoreError> {
-        self.db
-            .execute_with("DELETE FROM examples WHERE pattern_id = ?", &[id.into()])?;
         self.db
             .execute_with("DELETE FROM patterns WHERE id = ?", &[id.into()])?;
         Ok(())
@@ -426,14 +448,6 @@ impl PatternStore {
     /// pattern whose count of matches is less than the threshold is
     /// considered useless and thus not saved." Returns how many were removed.
     pub fn prune_below_threshold(&mut self, threshold: u64) -> Result<usize, StoreError> {
-        let weak = self.db.query_with(
-            "SELECT id FROM patterns WHERE cnt < ?",
-            &[(threshold as i64).into()],
-        )?;
-        for r in &weak {
-            self.db
-                .execute_with("DELETE FROM examples WHERE pattern_id = ?", &[r[0].clone()])?;
-        }
         let n = self
             .db
             .execute_with(
@@ -648,9 +662,66 @@ mod tests {
         let removed = store.prune_below_threshold(2).unwrap();
         assert_eq!(removed, 1);
         assert_eq!(store.pattern_count().unwrap(), 1);
-        // The weak pattern's examples are gone too.
+        assert_eq!(store.patterns(None).unwrap()[0].examples.len(), 3);
+    }
+
+    #[test]
+    fn the_examples_cell_round_trips_any_bodies() {
+        use testkit::prop::{self, Config};
+        let body = prop::one_of(vec![
+            Box::new(prop::unicode_string(0..16)),
+            Box::new(prop::string("':\n9é ", 0..6)),
+        ]);
+        prop::check(&Config::default(), &prop::vec(body, 0..4), |bodies| {
+            testkit::prop_assert_eq!(&decode_examples(&encode_examples(bodies)), bodies);
+            Ok(())
+        });
+        assert_eq!(encode_examples(&["", "a:b", "é"]), "0:3:a:b2:é");
+    }
+
+    /// An old store keeps each example as a row of its own: opening it
+    /// folds them into the cell once, and a second open changes nothing.
+    #[test]
+    fn open_folds_example_rows_into_the_cell_once() {
+        let dir = std::env::temp_dir().join(format!("patterndb-fold-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        {
+            let mut db = Database::open(&dir).unwrap();
+            for sql in [
+                "CREATE TABLE patterns (id TEXT PRIMARY KEY, service TEXT NOT NULL, pattern TEXT NOT NULL, cnt INTEGER DEFAULT 0, first_seen INTEGER DEFAULT 0, last_matched INTEGER DEFAULT 0, complexity REAL DEFAULT 0.0, promoted INTEGER DEFAULT 0)",
+                "CREATE TABLE examples (pattern_id TEXT NOT NULL, seq INTEGER NOT NULL, body TEXT NOT NULL)",
+                "INSERT INTO patterns (id, service, pattern, cnt) VALUES ('b', 'svc', 'two %integer%', 2)",
+                "INSERT INTO patterns (id, service, pattern, cnt) VALUES ('a', 'svc', 'one', 5)",
+                "INSERT INTO examples VALUES ('b', 1, 'two 2: it''s\nso')",
+                "INSERT INTO examples VALUES ('gone', 0, 'an orphan')",
+                "INSERT INTO examples VALUES ('b', 0, 'two 1')",
+            ] {
+                db.execute(sql).unwrap();
+            }
+        }
+        let mut store = PatternStore::open(&dir).unwrap();
+        let examples: Vec<_> = store
+            .patterns(None)
+            .unwrap()
+            .into_iter()
+            .map(|p| (p.id, p.examples))
+            .collect();
+        assert_eq!(
+            examples,
+            [
+                ("a".to_string(), vec![]),
+                (
+                    "b".to_string(),
+                    vec!["two 1".into(), "two 2: it's\nso".into()]
+                )
+            ]
+        );
         let rows = store.db().query("SELECT COUNT(*) FROM examples").unwrap();
-        assert_eq!(rows[0][0].as_integer().unwrap(), 3);
+        assert_eq!(rows[0][0], SqlValue::Integer(0));
+        let migrated = store.db().dump();
+        drop(store);
+        assert_eq!(PatternStore::open(&dir).unwrap().db().dump(), migrated);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -60,6 +60,9 @@ fn a_transaction_holds_what_it_touches_and_gives_it_back() {
         .map(|i| store.upsert_discovered("svc", &discovered(i), 1).unwrap().0)
         .collect();
     let store_bytes = alloc::live_bytes() - empty;
+    let per_pattern = store_bytes / PATTERNS as i64;
+    eprintln!("store: {per_pattern} B per pattern (bound 650; 1 081 with example rows)");
+    assert!(per_pattern <= 650, "{per_pattern} B per pattern");
     let original = store.patterns(None).unwrap();
     assert_eq!(original.len(), PATTERNS);
     assert!(original.iter().all(|p| p.examples.len() == 3));
