@@ -3,8 +3,8 @@
 use crate::ast::*;
 use crate::error::Error;
 use crate::parser::parse;
-use crate::table::Table;
-use crate::value::SqlValue;
+use crate::table::{key, storable, Key, Table};
+use crate::value::{CellRef, SqlValue};
 use crate::wal::{self, Wal};
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -132,10 +132,8 @@ impl Database {
     pub fn open(path: impl AsRef<Path>) -> Result<Database, Error> {
         let mut db = Database::in_memory();
         let mut wal = Wal::open(path.as_ref())?;
-        for stmt in wal.recover()? {
-            // Replay without re-logging.
-            db.execute_internal(&stmt, &[], false)?;
-        }
+        // Replay without re-logging.
+        wal.recover(|stmt| db.execute_internal(stmt, &[], false).map(drop))?;
         db.wal = Some(wal);
         Ok(db)
     }
@@ -173,7 +171,18 @@ impl Database {
         params: &[SqlValue],
         log: bool,
     ) -> Result<ExecResult, Error> {
-        let result = match parse(sql)? {
+        let stmt = parse(sql)?;
+        // A mutation is rendered for the WAL before it runs, so one the WAL
+        // could not replay (a non-finite REAL parameter) changes nothing.
+        let mutates = !matches!(
+            stmt,
+            Statement::Select(_) | Statement::Begin | Statement::Commit | Statement::Rollback
+        );
+        let rendered = match mutates && log && self.wal.is_some() {
+            true => Some(wal::render_statement(sql, params)?),
+            false => None,
+        };
+        let result = match stmt {
             Statement::Select(sel) => return self.run_select(&sel, params),
             Statement::Begin => {
                 if self.txn.is_some() {
@@ -241,18 +250,12 @@ impl Database {
                 ExecResult::Affected(self.run_delete(&table, filter.as_ref(), params)?)
             }
         };
-        if log {
+        if let (Some(stmt), Some(wal)) = (rendered, &mut self.wal) {
             match &mut self.txn {
                 // Inside a transaction, buffer the rendered statement; it
                 // only reaches the WAL at COMMIT (rollbacks leave no trace).
-                Some(txn) if self.wal.is_some() => {
-                    wal::write_frame(&mut txn.wal_frames, &wal::render_statement(sql, params)?)?;
-                }
-                _ => {
-                    if let Some(wal) = &mut self.wal {
-                        wal.log(sql, params)?;
-                    }
-                }
+                Some(txn) => wal::write_frame(&mut txn.wal_frames, &stmt)?,
+                None => wal.log(&stmt)?,
             }
         }
         Ok(result)
@@ -321,15 +324,11 @@ impl Database {
                 got: values.len(),
             });
         }
-        let mut row: Vec<SqlValue> = t
-            .columns
+        let cells = values
             .iter()
-            .map(|c| c.default.clone().unwrap_or(SqlValue::Null))
-            .collect();
-        for (&ci, expr) in targets.iter().zip(values) {
-            row[ci] = eval(expr, None, params)?;
-        }
-        self.table_mut(table)?.insert(row)?;
+            .map(|e| eval(e, None, params))
+            .collect::<Result<Vec<_>, _>>()?;
+        self.table_mut(table)?.insert(&targets, &cells)?;
         if let Some(log) = row_log(&mut self.txn, table) {
             log.push(RowUndo::Appended);
         }
@@ -363,7 +362,7 @@ impl Database {
         // Only applicable when the column has a unique index.
         match t.lookup_unique_available(col) {
             false => Ok(None),
-            true => Ok(Some(t.lookup_unique(col, &value).into_iter().collect())),
+            true => Ok(Some(t.lookup_unique(col, value).into_iter().collect())),
         }
     }
 
@@ -379,13 +378,13 @@ impl Database {
             return Ok(hits);
         }
         let mut hits = Vec::new();
-        for (i, row) in t.rows.iter().enumerate() {
+        for row in 0..t.len() {
             let keep = match filter {
-                Some(f) => truthy(&eval(f, Some((t, row)), params)?),
+                Some(f) => truthy(eval(f, Some((t, row)), params)?),
                 None => true,
             };
             if keep {
-                hits.push(i);
+                hits.push(row);
             }
         }
         Ok(hits)
@@ -417,70 +416,70 @@ impl Database {
         // length, so what it costs does not grow with the table (`seqd`
         // asks for the pattern count on every `/stats` request).
         if counts_rows_only(sel) {
-            let rows = vec![vec![SqlValue::Integer(t.rows.len() as i64)]];
+            let rows = vec![vec![SqlValue::Integer(t.len() as i64)]];
             return Ok(ExecResult::Rows { columns, rows });
         }
 
         let hits = Self::matching_rows(t, sel.filter.as_ref(), params)?;
-        let rows: Vec<&[SqlValue]> = hits.iter().map(|&i| t.rows[i].as_slice()).collect();
-        // Each output row comes from a group of rows: one group per GROUP BY
-        // key in an aggregate query (a single group without GROUP BY, even
-        // over no rows), one row per group otherwise.
+        // Each output row comes from a group of row numbers: one group per
+        // GROUP BY key in an aggregate query (a single group without GROUP
+        // BY, even over no rows), one row per group otherwise.
         let aggregate = !sel.group_by.is_empty()
             || sel
                 .items
                 .iter()
                 .any(|it| !matches!(it.projection, Projection::Expr(_)));
-        let mut groups: Vec<Vec<&[SqlValue]>> = Vec::new();
-        if aggregate {
-            let mut group_of: HashMap<String, usize> = HashMap::new();
-            for &row in &rows {
-                let mut key = String::new();
+        let mut members: Vec<Vec<usize>> = Vec::new();
+        if !sel.group_by.is_empty() {
+            // Rows group as the unique index keys them: by cell equality,
+            // read in place.
+            let width = sel.group_by.len();
+            let mut keys: Vec<Option<Key>> = Vec::with_capacity(hits.len() * width);
+            for &row in &hits {
                 for g in &sel.group_by {
-                    key.push_str(&format!("{:?}|", eval(g, Some((t, row)), params)?));
+                    keys.push(key(eval(g, Some((t, row)), params)?));
                 }
-                let at = *group_of.entry(key).or_insert_with(|| {
-                    groups.push(Vec::new());
-                    groups.len() - 1
-                });
-                groups[at].push(row);
             }
-            if sel.group_by.is_empty() && groups.is_empty() {
-                groups.push(Vec::new());
+            let mut group_of: HashMap<&[Option<Key>], usize> = HashMap::new();
+            for (&row, k) in hits.iter().zip(keys.chunks(width)) {
+                let at = *group_of.entry(k).or_insert_with(|| {
+                    members.push(Vec::new());
+                    members.len() - 1
+                });
+                members[at].push(row);
             }
         }
-        let groups: Vec<&[&[SqlValue]]> = match aggregate {
-            true => groups.iter().map(Vec::as_slice).collect(),
-            false => rows.chunks(1).collect(),
+        let groups: Vec<&[usize]> = match (aggregate, sel.group_by.is_empty()) {
+            (false, _) => hits.chunks(1).collect(),
+            (true, true) => vec![&hits],
+            (true, false) => members.iter().map(Vec::as_slice).collect(),
         };
 
-        // (sort keys, projection) per output row.
-        let mut out: Vec<(Vec<SqlValue>, Vec<SqlValue>)> = Vec::with_capacity(groups.len());
-        for group in groups {
-            let projected = sel
-                .items
-                .iter()
-                .map(|it| project(&it.projection, t, group, params))
-                .collect::<Result<Vec<_>, _>>()?;
-            let mut keys = Vec::with_capacity(sel.order_by.len());
-            for k in &sel.order_by {
-                // An alias or projected column name refers to the
-                // projection; anything else is evaluated on the group.
-                let projected_at = match &k.expr {
-                    Expr::Column(name) => columns.iter().position(|c| c.eq_ignore_ascii_case(name)),
-                    _ => None,
-                };
-                keys.push(match projected_at {
-                    Some(pos) => projected[pos].clone(),
-                    None => on_first_row(&k.expr, t, group, params)?,
-                });
+        // Sort group numbers by borrowed keys, then project in that order.
+        let mut order: Vec<usize> = (0..groups.len()).collect();
+        let n = sel.order_by.len();
+        if n > 0 {
+            let mut keys: Vec<CellRef> = Vec::with_capacity(groups.len() * n);
+            for group in &groups {
+                for k in &sel.order_by {
+                    // An alias or projected column name refers to the
+                    // projection; anything else is evaluated on the group.
+                    let projected_at = match &k.expr {
+                        Expr::Column(name) => {
+                            columns.iter().position(|c| c.eq_ignore_ascii_case(name))
+                        }
+                        _ => None,
+                    };
+                    keys.push(match projected_at {
+                        Some(pos) => project(&sel.items[pos].projection, t, group, params)?,
+                        None => on_first_row(&k.expr, t, group, params)?,
+                    });
+                }
             }
-            out.push((keys, projected));
-        }
-        if !sel.order_by.is_empty() {
-            out.sort_by(|a, b| {
-                for ((ka, kb), k) in a.0.iter().zip(&b.0).zip(&sel.order_by) {
-                    let ord = ka.total_cmp(kb);
+            order.sort_by(|&a, &b| {
+                let (ka, kb) = (&keys[a * n..(a + 1) * n], &keys[b * n..(b + 1) * n]);
+                for ((ka, kb), k) in ka.iter().zip(kb).zip(&sel.order_by) {
+                    let ord = ka.total_cmp(*kb);
                     if ord != Ordering::Equal {
                         return if k.desc { ord.reverse() } else { ord };
                     }
@@ -488,7 +487,15 @@ impl Database {
                 Ordering::Equal
             });
         }
-        let rows = out.into_iter().map(|(_, r)| r).collect();
+        let rows = order
+            .into_iter()
+            .map(|g| {
+                sel.items
+                    .iter()
+                    .map(|it| Ok(project(&it.projection, t, groups[g], params)?.to_value()))
+                    .collect()
+            })
+            .collect::<Result<_, Error>>()?;
         Ok(ExecResult::Rows { columns, rows })
     }
 
@@ -504,17 +511,18 @@ impl Database {
             .iter()
             .map(|(c, _)| t.column_index(c))
             .collect::<Result<_, _>>()?;
-        // Evaluate every assignment before the first one is applied.
-        let mut updates: Vec<(usize, Vec<SqlValue>)> = Vec::new();
-        for row_idx in Self::matching_rows(t, filter, params)? {
-            let row = &t.rows[row_idx];
-            let vals = sets
-                .iter()
-                .map(|(_, e)| eval(e, Some((t, row)), params))
-                .collect::<Result<_, _>>()?;
-            updates.push((row_idx, vals));
+        // Evaluate every assignment before the first one is applied, and
+        // refuse the statement if one of them cannot be stored.
+        let hits = Self::matching_rows(t, filter, params)?;
+        let mut vals: Vec<SqlValue> = Vec::with_capacity(hits.len() * sets.len());
+        for &row in &hits {
+            for (_, e) in sets {
+                let v = eval(e, Some((t, row)), params)?;
+                storable(v)?;
+                vals.push(v.to_value());
+            }
         }
-        let n = updates.len();
+        let n = hits.len();
         // Rebuilding the unique indexes is only needed when a constrained
         // column was assigned.
         let touches_unique = set_indices
@@ -525,11 +533,11 @@ impl Database {
         }
         let t = self.table_mut(table)?;
         let mut changed = Vec::with_capacity(n);
-        for (row, vals) in updates {
+        for (&row, vals) in hits.iter().zip(vals.chunks(sets.len())) {
             let before: Vec<(usize, SqlValue)> = set_indices
                 .iter()
                 .zip(vals)
-                .map(|(ci, v)| (*ci, t.set(row, *ci, v)))
+                .map(|(&ci, v)| (ci, t.set(row, ci, v.cell())))
                 .collect();
             changed.push((row, before));
         }
@@ -538,7 +546,7 @@ impl Database {
                 // The statement fails as a whole: rows back, indexes again.
                 for (row, before) in changed.into_iter().rev() {
                     for (col, v) in before.into_iter().rev() {
-                        t.rows[row][col] = v;
+                        t.set(row, col, v.cell());
                     }
                 }
                 t.rebuild_indexes()
@@ -652,17 +660,17 @@ fn dump_each(tables: &HashMap<String, Table>, mut sink: impl FnMut(&str)) {
             }
             if let Some(d) = &c.default {
                 out.push_str(" DEFAULT ");
-                push_literal(&mut out, d);
+                push_literal(&mut out, d.cell());
             }
         }
         out.push(')');
         sink(&out);
-        for row in &t.rows {
+        for row in 0..t.len() {
             out.clear();
             out.push_str("INSERT INTO ");
             out.push_str(&t.name);
             out.push_str(" VALUES (");
-            for (i, v) in row.iter().enumerate() {
+            for (i, v) in t.row(row).enumerate() {
                 if i > 0 {
                     out.push_str(", ");
                 }
@@ -677,17 +685,17 @@ fn dump_each(tables: &HashMap<String, Table>, mut sink: impl FnMut(&str)) {
 /// Render a value as a SQL literal.
 pub fn sql_literal(v: &SqlValue) -> String {
     let mut out = String::new();
-    push_literal(&mut out, v);
+    push_literal(&mut out, v.cell());
     out
 }
 
 /// Append a value's SQL literal to `out`.
-fn push_literal(out: &mut String, v: &SqlValue) {
+fn push_literal(out: &mut String, v: CellRef<'_>) {
     use std::fmt::Write;
     match v {
-        SqlValue::Null => out.push_str("NULL"),
-        SqlValue::Integer(i) => write!(out, "{i}").expect("writing to a String cannot fail"),
-        SqlValue::Real(r) => {
+        CellRef::Null => out.push_str("NULL"),
+        CellRef::Integer(i) => write!(out, "{i}").expect("writing to a String cannot fail"),
+        CellRef::Real(r) => {
             if r.fract() == 0.0 && r.is_finite() {
                 write!(out, "{r:.1}")
             } else {
@@ -695,7 +703,7 @@ fn push_literal(out: &mut String, v: &SqlValue) {
             }
             .expect("writing to a String cannot fail");
         }
-        SqlValue::Text(s) => {
+        CellRef::Text(s) => {
             out.push('\'');
             for (i, part) in s.split('\'').enumerate() {
                 if i > 0 {
@@ -730,56 +738,56 @@ fn check_columns(e: &Expr, t: &Table) -> Result<(), Error> {
 }
 
 /// SQL truthiness: NULL and 0 are false.
-fn truthy(v: &SqlValue) -> bool {
+fn truthy(v: CellRef<'_>) -> bool {
     match v {
-        SqlValue::Null => false,
-        SqlValue::Integer(i) => *i != 0,
-        SqlValue::Real(r) => *r != 0.0,
-        SqlValue::Text(s) => !s.is_empty(),
+        CellRef::Null => false,
+        CellRef::Integer(i) => i != 0,
+        CellRef::Real(r) => r != 0.0,
+        CellRef::Text(s) => !s.is_empty(),
     }
 }
 
-/// Evaluate a row-level expression; `row` is `None` for INSERT values,
-/// which name no column.
-fn eval(
-    e: &Expr,
-    row: Option<(&Table, &[SqlValue])>,
-    params: &[SqlValue],
-) -> Result<SqlValue, Error> {
+/// Evaluate a row-level expression on row `row` of a table, reading its
+/// cells in place; `row` is `None` for INSERT values, which name no column.
+fn eval<'a>(
+    e: &'a Expr,
+    row: Option<(&'a Table, usize)>,
+    params: &'a [SqlValue],
+) -> Result<CellRef<'a>, Error> {
     match e {
-        Expr::Literal(v) => Ok(v.clone()),
-        Expr::Param(i) => params.get(*i).cloned().ok_or(Error::ParamCount {
+        Expr::Literal(v) => Ok(v.cell()),
+        Expr::Param(i) => params.get(*i).map(SqlValue::cell).ok_or(Error::ParamCount {
             expected: *i + 1,
             got: params.len(),
         }),
         Expr::Column(name) => match row {
-            Some((t, r)) => Ok(r[t.column_index(name)?].clone()),
+            Some((t, row)) => Ok(t.cell(row, t.column_index(name)?)),
             None => Err(Error::NoSuchColumn(name.clone())),
         },
-        Expr::Binary(l, op, r) => eval_binop(&eval(l, row, params)?, *op, &eval(r, row, params)?),
+        Expr::Binary(l, op, r) => eval_binop(eval(l, row, params)?, *op, eval(r, row, params)?),
     }
 }
 
 /// `l op r`: NULL when either side is NULL; a comparison yields 1 or 0;
 /// integers add and subtract as integers, any real makes the result real.
-fn eval_binop(l: &SqlValue, op: BinOp, r: &SqlValue) -> Result<SqlValue, Error> {
+fn eval_binop<'a>(l: CellRef<'a>, op: BinOp, r: CellRef<'a>) -> Result<CellRef<'a>, Error> {
     if let BinOp::Add | BinOp::Sub = op {
         let add = op == BinOp::Add;
         return match (l, r) {
-            (SqlValue::Null, _) | (_, SqlValue::Null) => Ok(SqlValue::Null),
-            (SqlValue::Integer(a), SqlValue::Integer(b)) => Ok(SqlValue::Integer(if add {
-                a.wrapping_add(*b)
+            (CellRef::Null, _) | (_, CellRef::Null) => Ok(CellRef::Null),
+            (CellRef::Integer(a), CellRef::Integer(b)) => Ok(CellRef::Integer(if add {
+                a.wrapping_add(b)
             } else {
-                a.wrapping_sub(*b)
+                a.wrapping_sub(b)
             })),
             _ => match (l.as_real(), r.as_real()) {
-                (Some(a), Some(b)) => Ok(SqlValue::Real(if add { a + b } else { a - b })),
+                (Some(a), Some(b)) => Ok(CellRef::Real(if add { a + b } else { a - b })),
                 _ => Err(Error::Type("arithmetic on text".into())),
             },
         };
     }
     let Some(ord) = l.compare(r) else {
-        return Ok(SqlValue::Null);
+        return Ok(CellRef::Null);
     };
     let holds = match op {
         BinOp::Eq => ord == Ordering::Equal,
@@ -790,41 +798,41 @@ fn eval_binop(l: &SqlValue, op: BinOp, r: &SqlValue) -> Result<SqlValue, Error> 
         BinOp::Ge => ord != Ordering::Less,
         BinOp::Add | BinOp::Sub => unreachable!("handled above"),
     };
-    Ok(SqlValue::Integer(holds as i64))
+    Ok(CellRef::Integer(holds as i64))
 }
 
 /// Evaluate `e` on the first row of `group`; NULL for an empty group.
-fn on_first_row(
-    e: &Expr,
-    t: &Table,
-    group: &[&[SqlValue]],
-    params: &[SqlValue],
-) -> Result<SqlValue, Error> {
+fn on_first_row<'a>(
+    e: &'a Expr,
+    t: &'a Table,
+    group: &[usize],
+    params: &'a [SqlValue],
+) -> Result<CellRef<'a>, Error> {
     match group.first() {
-        Some(row) => eval(e, Some((t, row)), params),
-        None => Ok(SqlValue::Null),
+        Some(&row) => eval(e, Some((t, row)), params),
+        None => Ok(CellRef::Null),
     }
 }
 
 /// One SELECT item's value over a group of rows: `COUNT(*)` and `SUM` fold
 /// the group, an expression reads its first row.
-fn project(
-    p: &Projection,
-    t: &Table,
-    group: &[&[SqlValue]],
-    params: &[SqlValue],
-) -> Result<SqlValue, Error> {
+fn project<'a>(
+    p: &'a Projection,
+    t: &'a Table,
+    group: &[usize],
+    params: &'a [SqlValue],
+) -> Result<CellRef<'a>, Error> {
     match p {
         Projection::Expr(e) => on_first_row(e, t, group, params),
-        Projection::CountStar => Ok(SqlValue::Integer(group.len() as i64)),
+        Projection::CountStar => Ok(CellRef::Integer(group.len() as i64)),
         Projection::Sum(e) => {
-            let mut sum = SqlValue::Null;
-            for row in group {
+            let mut sum = CellRef::Null;
+            for &row in group {
                 let v = eval(e, Some((t, row)), params)?;
                 if sum.is_null() {
                     sum = v;
                 } else if !v.is_null() {
-                    sum = eval_binop(&sum, BinOp::Add, &v)?;
+                    sum = eval_binop(sum, BinOp::Add, v)?;
                 }
             }
             Ok(sum)
@@ -910,6 +918,44 @@ mod tests {
             vec!["sshd".into(), SqlValue::Integer(2), SqlValue::Integer(13)]
         );
         assert_eq!(rows.len(), 3);
+    }
+
+    /// Rows group by cell equality, as the unique index keys them: `3` and
+    /// `3.0` are one group, as `=` says.
+    #[test]
+    fn group_by_groups_equal_cells() {
+        let mut db = Database::in_memory();
+        db.execute("CREATE TABLE g (k TEXT)").unwrap();
+        for v in [SqlValue::Integer(3), SqlValue::Real(3.0), "3".into()] {
+            db.execute_with("INSERT INTO g VALUES (?)", &[v]).unwrap();
+        }
+        let rows = db
+            .query("SELECT k, COUNT(*) FROM g GROUP BY k ORDER BY k")
+            .unwrap();
+        assert_eq!(
+            rows,
+            vec![
+                vec![SqlValue::Integer(3), SqlValue::Integer(2)],
+                vec![text("3"), SqlValue::Integer(1)],
+            ]
+        );
+    }
+
+    /// Without a WAL too, a NaN or infinite REAL never reaches a cell.
+    #[test]
+    fn a_non_finite_real_is_not_stored() {
+        let mut db = db_with_data();
+        let before = db.dump();
+        for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let got = db.execute_with(
+                "INSERT INTO p (id, service, score) VALUES ('x', 'y', ?)",
+                &[v.into()],
+            );
+            assert!(matches!(got, Err(Error::Type(_))), "{v}: {got:?}");
+            let got = db.execute_with("UPDATE p SET score = score + ?", &[v.into()]);
+            assert!(matches!(got, Err(Error::Type(_))), "{v}: {got:?}");
+        }
+        assert_eq!(db.dump(), before);
     }
 
     #[test]

@@ -10,8 +10,9 @@ pub enum Tok {
     Ident(String),
     /// `'single quoted'` string literal; `''` escapes a quote.
     Str(String),
-    /// Integer literal.
-    Int(i64),
+    /// Integer literal. A leading `-` is a token of its own, so the
+    /// magnitude is unsigned: `-9223372036854775808` (`i64::MIN`) lexes.
+    Int(u64),
     /// Float literal.
     Float(f64),
     /// `?` positional parameter.

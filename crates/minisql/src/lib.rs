@@ -23,6 +23,14 @@
 //! a column, or `+` / `-` of those; a filter compares two such with `=`,
 //! `!=`/`<>`, `<`, `<=`, `>` or `>=`. Anything else is a parse error.
 //!
+//! A row is stored as one packed record — a tag byte per column, then each
+//! cell's payload (8 bytes for a number, a `u32` length and the bytes for a
+//! text) — in one allocation. Filters, sort and group keys, `SUM` and the
+//! dump read cells in place; only a `SELECT`'s output is copied out as
+//! [`SqlValue`]s. A number updated over a number is rewritten in place.
+//! Rows keep their insertion order. A NaN or infinite REAL is refused with
+//! [`Error::Type`]: it has no literal the WAL could replay.
+//!
 //! ```
 //! use minisql::{Database, SqlValue};
 //!
@@ -44,7 +52,7 @@ pub mod engine;
 pub mod error;
 pub mod lexer;
 pub mod parser;
-pub mod table;
+mod table;
 pub mod value;
 pub mod wal;
 
@@ -180,7 +188,8 @@ mod persistence_tests {
             let before = db.dump();
             let group_start = fs::metadata(dir.join("wal.sql")).unwrap().len() as usize;
             db.execute("BEGIN").unwrap();
-            db.execute_with("INSERT INTO t VALUES (2, ?)", &["two\nlines".into()])
+            // A cut may split `é`: a torn tail is cut before it is read as text.
+            db.execute_with("INSERT INTO t VALUES (2, ?)", &["two\nlinés".into()])
                 .unwrap();
             db.execute("UPDATE t SET body = 'changed' WHERE id = 1")
                 .unwrap();
@@ -221,6 +230,61 @@ mod persistence_tests {
             db.query("SELECT id FROM t ORDER BY id").unwrap(),
             vec![vec![SqlValue::Integer(1)], vec![SqlValue::Integer(2)]]
         );
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A NaN or infinite REAL has no literal that reads back, so none
+    /// reaches a cell or the WAL — by parameter, literal or `+` — and the
+    /// database still opens with every row written before.
+    #[test]
+    fn a_non_finite_real_is_refused_and_the_database_still_opens() {
+        let dir = tmpdir("non-finite");
+        let mut db = Database::open(&dir).unwrap();
+        db.execute("CREATE TABLE t (id TEXT PRIMARY KEY, r REAL)")
+            .unwrap();
+        db.execute_with("INSERT INTO t VALUES (?, ?)", &["a".into(), 1.5.into()])
+            .unwrap();
+        db.execute_with(
+            "INSERT INTO t VALUES (?, ?)",
+            &["max".into(), f64::MAX.into()],
+        )
+        .unwrap();
+        let before = db.dump();
+        let huge = format!("{}.0", "9".repeat(400));
+        let refused: [(String, Vec<SqlValue>); 6] = [
+            (
+                "INSERT INTO t VALUES (?, ?)".into(),
+                vec!["b".into(), f64::NAN.into()],
+            ),
+            (
+                "INSERT INTO t VALUES (?, ?)".into(),
+                vec!["c".into(), f64::INFINITY.into()],
+            ),
+            (format!("INSERT INTO t VALUES ('d', {huge})"), vec![]),
+            ("UPDATE t SET r = r + ?".into(), vec![f64::MAX.into()]),
+            (
+                "UPDATE t SET r = ? - r".into(),
+                vec![f64::NEG_INFINITY.into()],
+            ),
+            (
+                "DELETE FROM t WHERE r < ?".into(),
+                vec![f64::INFINITY.into()],
+            ),
+        ];
+        for (sql, params) in &refused {
+            let got = db.execute_with(sql, params);
+            assert!(matches!(got, Err(Error::Type(_))), "{sql}: {got:?}");
+            assert_eq!(db.dump(), before, "{sql} changed the table");
+        }
+        db.execute("BEGIN").unwrap();
+        db.execute_with(
+            "INSERT INTO t VALUES (?, ?)",
+            &["e".into(), f64::NAN.into()],
+        )
+        .unwrap_err();
+        db.execute("COMMIT").unwrap();
+        drop(db);
+        assert_eq!(Database::open(&dir).unwrap().dump(), before);
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -218,7 +218,16 @@ impl P {
     fn literal(&mut self) -> Result<SqlValue, Error> {
         let negative = self.eat_punct("-");
         match (self.next(), negative) {
-            (Some(Tok::Int(v)), _) => Ok(SqlValue::Integer(if negative { -v } else { v })),
+            (Some(Tok::Int(v)), _) => match negative {
+                true => 0i64.checked_sub_unsigned(v),
+                false => i64::try_from(v).ok(),
+            }
+            .map(SqlValue::Integer)
+            .ok_or_else(|| Error::Parse(format!("integer {v} is out of range"))),
+            // `NaN` or `inf` would read back from the WAL as a column name.
+            (Some(Tok::Float(v)), _) if !v.is_finite() => {
+                Err(Error::Type(format!("REAL {v} is not finite")))
+            }
             (Some(Tok::Float(v)), _) => Ok(SqlValue::Real(if negative { -v } else { v })),
             (Some(Tok::Str(s)), false) => Ok(SqlValue::Text(s)),
             (Some(Tok::Ident(s)), false) if s.eq_ignore_ascii_case("NULL") => Ok(SqlValue::Null),

@@ -16,7 +16,78 @@ pub enum SqlValue {
     Text(String),
 }
 
+/// A borrowed view of one value: what a stored cell reads as, its text in
+/// place. Expressions evaluate to it, so a filter, a sort key or a group key
+/// never copies a row's text; only a `SELECT`'s output becomes
+/// [`SqlValue`]s.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum CellRef<'a> {
+    Null,
+    Integer(i64),
+    Real(f64),
+    Text(&'a str),
+}
+
+impl CellRef<'_> {
+    pub(crate) fn is_null(self) -> bool {
+        matches!(self, CellRef::Null)
+    }
+
+    pub(crate) fn as_real(self) -> Option<f64> {
+        match self {
+            CellRef::Integer(i) => Some(i as f64),
+            CellRef::Real(r) => Some(r),
+            _ => None,
+        }
+    }
+
+    /// See [`SqlValue::compare`].
+    pub(crate) fn compare(self, other: CellRef<'_>) -> Option<Ordering> {
+        use CellRef::*;
+        match (self, other) {
+            (Null, _) | (_, Null) => None,
+            (Integer(a), Integer(b)) => Some(a.cmp(&b)),
+            (Integer(a), Real(b)) => (a as f64).partial_cmp(&b),
+            (Real(a), Integer(b)) => a.partial_cmp(&(b as f64)),
+            (Real(a), Real(b)) => a.partial_cmp(&b),
+            (Text(a), Text(b)) => Some(a.cmp(b)),
+            (Integer(_) | Real(_), Text(_)) => Some(Ordering::Less),
+            (Text(_), Integer(_) | Real(_)) => Some(Ordering::Greater),
+        }
+    }
+
+    /// See [`SqlValue::total_cmp`].
+    pub(crate) fn total_cmp(self, other: CellRef<'_>) -> Ordering {
+        match (self.is_null(), other.is_null()) {
+            (true, true) => Ordering::Equal,
+            (true, false) => Ordering::Less,
+            (false, true) => Ordering::Greater,
+            (false, false) => self.compare(other).unwrap_or(Ordering::Equal),
+        }
+    }
+
+    /// An owned copy.
+    pub(crate) fn to_value(self) -> SqlValue {
+        match self {
+            CellRef::Null => SqlValue::Null,
+            CellRef::Integer(i) => SqlValue::Integer(i),
+            CellRef::Real(r) => SqlValue::Real(r),
+            CellRef::Text(s) => SqlValue::Text(s.to_string()),
+        }
+    }
+}
+
 impl SqlValue {
+    /// The value as a [`CellRef`], borrowing its text.
+    pub(crate) fn cell(&self) -> CellRef<'_> {
+        match self {
+            SqlValue::Null => CellRef::Null,
+            SqlValue::Integer(i) => CellRef::Integer(*i),
+            SqlValue::Real(r) => CellRef::Real(*r),
+            SqlValue::Text(s) => CellRef::Text(s),
+        }
+    }
+
     /// Text content, if the value is text.
     pub fn as_text(&self) -> Option<&str> {
         match self {
@@ -54,27 +125,12 @@ impl SqlValue {
     /// order by type (numbers < text), matching SQLite's affinity-free
     /// fallback.
     pub fn compare(&self, other: &SqlValue) -> Option<Ordering> {
-        use SqlValue::*;
-        match (self, other) {
-            (Null, _) | (_, Null) => None,
-            (Integer(a), Integer(b)) => Some(a.cmp(b)),
-            (Integer(a), Real(b)) => (*a as f64).partial_cmp(b),
-            (Real(a), Integer(b)) => a.partial_cmp(&(*b as f64)),
-            (Real(a), Real(b)) => a.partial_cmp(b),
-            (Text(a), Text(b)) => Some(a.cmp(b)),
-            (Integer(_) | Real(_), Text(_)) => Some(Ordering::Less),
-            (Text(_), Integer(_) | Real(_)) => Some(Ordering::Greater),
-        }
+        self.cell().compare(other.cell())
     }
 
     /// A total ordering for ORDER BY and index keys: NULL sorts first.
     pub fn total_cmp(&self, other: &SqlValue) -> Ordering {
-        match (self.is_null(), other.is_null()) {
-            (true, true) => Ordering::Equal,
-            (true, false) => Ordering::Less,
-            (false, true) => Ordering::Greater,
-            (false, false) => self.compare(other).unwrap_or(Ordering::Equal),
-        }
+        self.cell().total_cmp(other.cell())
     }
 }
 

@@ -22,10 +22,11 @@
 //! Files written before groups existed hold plain frames only and read
 //! unchanged.
 //!
-//! [`Wal::log`] renders bound parameters into the statement text before
-//! appending, so the WAL is self-contained plain SQL. Recovery replays the
-//! snapshot then the WAL in order and drops what a crash tore at the end of
-//! a file: a header cut before its newline, a frame shorter than its length,
+//! A statement is rendered by [`render_statement`], its bound parameters
+//! inlined, before it is appended, so the WAL is self-contained plain SQL.
+//! Recovery reads the snapshot then the WAL through a buffer, replays each
+//! statement as soon as its frame is read, and drops what a crash tore at
+//! the end of a file: a header cut before its newline, a frame shorter than its length,
 //! or a group whose payload is incomplete (every statement of it, including
 //! the whole frames that did arrive). Every append is synced to disk
 //! (`sync_data`) before it returns, so a `COMMIT` that succeeded survives a
@@ -38,7 +39,7 @@ use crate::error::Error;
 use crate::lexer::{lex, Tok};
 use crate::value::SqlValue;
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, BufWriter, Read, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 
 /// Handle to a database directory's durability files.
@@ -76,27 +77,31 @@ impl Wal {
         })
     }
 
-    /// All statements to replay, snapshot first. A tail of `wal.sql` torn
-    /// by a crash mid-append is cut off, so that the appends that follow
-    /// land after the last whole frame.
-    pub fn recover(&mut self) -> Result<Vec<String>, Error> {
-        let mut stmts = Vec::new();
+    /// Replay every statement, snapshot first, handing each to `replay`
+    /// as soon as its frame is read; a group's statements run once its
+    /// whole payload is read, so a torn group runs none of them. A tail of
+    /// `wal.sql` torn by a crash mid-append is cut off, so that the appends
+    /// that follow land after the last whole frame.
+    pub fn recover(
+        &mut self,
+        mut replay: impl FnMut(&str) -> Result<(), Error>,
+    ) -> Result<(), Error> {
         let snapshot = self.dir.join("snapshot.sql");
         if snapshot.exists() {
-            read_frames(&snapshot, &mut stmts)?;
+            replay_frames(&snapshot, &mut replay)?;
         }
-        let whole = read_frames(&self.dir.join("wal.sql"), &mut stmts)?;
+        let whole = replay_frames(&self.dir.join("wal.sql"), &mut replay)?;
         if whole < self.len {
             self.wal.set_len(whole)?;
             self.len = whole;
         }
-        Ok(stmts)
+        Ok(())
     }
 
-    /// Append one mutation statement, with parameters rendered inline.
-    pub fn log(&mut self, sql: &str, params: &[SqlValue]) -> Result<(), Error> {
+    /// Append one mutation statement, rendered by [`render_statement`].
+    pub fn log(&mut self, stmt: &str) -> Result<(), Error> {
         let mut frame = Vec::new();
-        write_frame(&mut frame, &render_statement(sql, params)?)?;
+        write_frame(&mut frame, stmt)?;
         self.append(&frame)
     }
 
@@ -168,64 +173,106 @@ pub(crate) fn write_frame(out: &mut impl Write, stmt: &str) -> Result<(), Error>
     Ok(())
 }
 
-/// Append the statements framed in the file at `path` to `out`; returns
-/// the length of the file without its torn tail, if it has one.
-fn read_frames(path: &Path, out: &mut Vec<String>) -> Result<u64, Error> {
-    let mut data = String::new();
-    File::open(path)?.read_to_string(&mut data)?;
-    let whole = parse_frames(&data, None, out)
-        .map_err(|what| Error::Corrupt(format!("{what} in {path:?}")))?;
-    Ok(whole as u64)
+/// What [`next_frame`] read.
+enum Frame {
+    /// The end of the input, after a whole frame or none.
+    End,
+    /// A header or a body cut short by the end of the input.
+    Torn,
+    /// A whole frame: its sigil, and the length of its header line. The
+    /// body — a statement plus its newline, or a group's payload — is in
+    /// the caller's buffer.
+    Whole { sigil: u8, header: usize },
+    /// What makes the input corrupt rather than torn.
+    Bad(String),
 }
 
-/// Append the statements framed in `data` to `out`. `group` is `None` for a
-/// whole file, where a tail torn by a crash mid-append — a header without
-/// its newline, a frame or group shorter than its length — ends the parse
-/// quietly (standard WAL recovery semantics), or the file offset of the
-/// group whose complete payload `data` is, where the same is corruption.
-/// Returns how many bytes of `data` precede the torn tail.
-fn parse_frames(data: &str, group: Option<usize>, out: &mut Vec<String>) -> Result<usize, String> {
-    let base = group.unwrap_or(0);
-    let torn = |at: usize| match group {
-        None => Ok(at),
-        Some(_) => Err(format!("frame at byte {} overruns its group", base + at)),
+/// Read the frame at offset `at` of `r` into `body`; `in_group` when `r` is
+/// a group's payload, which holds no group.
+fn next_frame(
+    r: &mut impl BufRead,
+    at: u64,
+    in_group: bool,
+    body: &mut Vec<u8>,
+) -> io::Result<Frame> {
+    body.clear();
+    r.read_until(b'\n', body)?;
+    let Some(&sigil) = body.first() else {
+        return Ok(Frame::End);
     };
-    let mut i = 0usize;
-    while i < data.len() {
-        let sigil = data.as_bytes()[i];
-        if sigil != b'#' && (sigil != b'!' || group.is_some()) {
-            return Err(format!("bad frame header at byte {}", base + i));
-        }
-        let Some(nl) = data[i..].find('\n') else {
-            return torn(i);
-        };
-        let len: usize = data[i + 1..i + nl]
-            .parse()
-            .map_err(|_| format!("bad frame length at byte {}", base + i))?;
-        let start = i + nl + 1;
-        let rest = data.len() - start;
-        // A frame is its statement plus a newline; a group is its payload.
-        let end = if sigil == b'#' {
-            len.checked_add(1)
-        } else {
-            Some(len)
-        }
-        .filter(|n| *n <= rest)
-        .map(|n| start + n);
-        let Some(end) = end else {
-            return torn(i);
-        };
-        let body = data
-            .get(start..start + len)
-            .ok_or_else(|| format!("frame at byte {} splits a character", base + i))?;
-        if sigil == b'#' {
-            out.push(body.to_string());
-        } else {
-            parse_frames(body, Some(base + start), out)?;
-        }
-        i = end;
+    if sigil != b'#' && (sigil != b'!' || in_group) {
+        return Ok(Frame::Bad(format!("bad frame header at byte {at}")));
     }
-    Ok(data.len())
+    if body.last() != Some(&b'\n') {
+        return Ok(Frame::Torn);
+    }
+    let header = body.len();
+    let len = std::str::from_utf8(&body[1..header - 1]).map(str::parse::<usize>);
+    let Ok(Ok(len)) = len else {
+        return Ok(Frame::Bad(format!("bad frame length at byte {at}")));
+    };
+    // A frame is its statement plus a newline; a group is its payload.
+    let Some(len) = len.checked_add(usize::from(sigil == b'#')) else {
+        return Ok(Frame::Torn);
+    };
+    body.clear();
+    r.take(len as u64).read_to_end(body)?;
+    Ok(match body.len() == len {
+        true => Frame::Whole { sigil, header },
+        false => Frame::Torn,
+    })
+}
+
+/// The statement of a `#` frame at offset `at` whose body is `body`.
+fn statement(body: &[u8], at: u64) -> Result<&str, String> {
+    std::str::from_utf8(&body[..body.len() - 1])
+        .map_err(|_| format!("frame at byte {at} splits a character"))
+}
+
+/// Replay the statements framed in the file at `path`, reading it through a
+/// buffer; returns the length of the file without its torn tail, if it has
+/// one. A tail torn by a crash mid-append — a header without its newline,
+/// a frame or group shorter than its length — ends the replay quietly
+/// (standard WAL recovery semantics); inside a group whose payload is
+/// whole, the same is corruption.
+fn replay_frames(
+    path: &Path,
+    replay: &mut impl FnMut(&str) -> Result<(), Error>,
+) -> Result<u64, Error> {
+    let corrupt = |what: String| Error::Corrupt(format!("{what} in {path:?}"));
+    let mut file = BufReader::with_capacity(1 << 16, File::open(path)?);
+    let (mut body, mut frame, mut group) = (Vec::new(), Vec::new(), Vec::new());
+    let mut at = 0u64;
+    loop {
+        let (sigil, header) = match next_frame(&mut file, at, false, &mut body)? {
+            Frame::End | Frame::Torn => return Ok(at),
+            Frame::Bad(what) => return Err(corrupt(what)),
+            Frame::Whole { sigil, header } => (sigil, header as u64),
+        };
+        if sigil == b'#' {
+            replay(statement(&body, at).map_err(corrupt)?)?;
+        } else {
+            group.clear();
+            let (mut payload, mut inner) = (&body[..], at + header);
+            loop {
+                match next_frame(&mut payload, inner, true, &mut frame)? {
+                    Frame::End => break,
+                    Frame::Torn => {
+                        return Err(corrupt(format!("frame at byte {inner} overruns its group")))
+                    }
+                    Frame::Bad(what) => return Err(corrupt(what)),
+                    Frame::Whole { header: line, .. } => {
+                        group.push(statement(&frame, inner).map_err(corrupt)?.to_string());
+                        inner += (line + frame.len()) as u64;
+                    }
+                }
+            }
+            for stmt in &group {
+                replay(stmt)?;
+            }
+        }
+        at += header + body.len() as u64;
+    }
 }
 
 /// Render a parameterised statement into standalone SQL text: `?` tokens are
@@ -251,6 +298,8 @@ pub fn render_statement(sql: &str, params: &[SqlValue]) -> Result<String, Error>
                     got: params.len(),
                 })?;
                 param_idx += 1;
+                // `NaN` or `inf` would read back as a column name.
+                crate::table::storable(v.cell())?;
                 out.push_str(&crate::engine::sql_literal(v));
             }
             Tok::Punct(p) => out.push_str(p),
@@ -262,6 +311,16 @@ pub fn render_statement(sql: &str, params: &[SqlValue]) -> Result<String, Error>
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every statement recovery replays, in order.
+    fn recovered(wal: &mut Wal) -> Result<Vec<String>, Error> {
+        let mut stmts = Vec::new();
+        wal.recover(|stmt| {
+            stmts.push(stmt.to_string());
+            Ok(())
+        })?;
+        Ok(stmts)
+    }
 
     #[test]
     fn render_inlines_params() {
@@ -284,12 +343,12 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
         {
             let mut wal = Wal::open(&dir).unwrap();
-            wal.log("INSERT INTO t VALUES (?)", &["line1\nline2".into()])
-                .unwrap();
-            wal.log("DELETE FROM t", &[]).unwrap();
+            let stmt = render_statement("INSERT INTO t VALUES (?)", &["line1\nline2".into()]);
+            wal.log(&stmt.unwrap()).unwrap();
+            wal.log("DELETE FROM t").unwrap();
         }
         let mut wal = Wal::open(&dir).unwrap();
-        let stmts = wal.recover().unwrap();
+        let stmts = recovered(&mut wal).unwrap();
         assert_eq!(stmts.len(), 2);
         assert!(stmts[0].contains("line1\nline2"));
         fs::remove_dir_all(&dir).unwrap();
@@ -301,7 +360,7 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
         {
             let mut wal = Wal::open(&dir).unwrap();
-            wal.log("DELETE FROM a", &[]).unwrap();
+            wal.log("DELETE FROM a").unwrap();
         }
         // Simulate a crash mid-append.
         let mut f = OpenOptions::new()
@@ -311,7 +370,40 @@ mod tests {
         f.write_all(b"#100\nDELETE FROM").unwrap();
         drop(f);
         let mut wal = Wal::open(&dir).unwrap();
-        assert_eq!(wal.recover().unwrap().len(), 1);
+        assert_eq!(recovered(&mut wal).unwrap().len(), 1);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// What a crash cannot write is corruption, reported with its offset;
+    /// what a crash does write, a short tail, is cut quietly.
+    #[test]
+    fn corrupt_frames_are_refused_and_torn_tails_are_not() {
+        let dir = std::env::temp_dir().join(format!("minisql-corrupt-{}", std::process::id()));
+        let ok = "#3\nabc\n";
+        let cases: [(&[u8], Result<usize, &str>); 9] = [
+            (b"#3\nabc\n#3\nde", Ok(1)),
+            (b"#3\nabc\n#1", Ok(1)),
+            (b"#3\nabc\n!16\n#3\nabc\n#3\n", Ok(1)),
+            (b"#3\nabc\n!7\n#3\nabc\n#3\nabc\n", Ok(3)),
+            (b"#3\nabc\n?3\nabc\n", Err("bad frame header at byte 7")),
+            (b"#3\nabc\n#x\nabc\n", Err("bad frame length at byte 7")),
+            (b"!12\n#3\nabc\n#9\nab", Err("frame at byte 11 overruns its group")),
+            (b"!7\n!3\n#1\na\n", Err("bad frame header at byte 3")),
+            ("#1\né\n".as_bytes(), Err("frame at byte 0 splits a character")),
+        ];
+        for (file, expect) in cases {
+            let _ = fs::remove_dir_all(&dir);
+            fs::create_dir_all(&dir).unwrap();
+            fs::write(dir.join("snapshot.sql"), ok).unwrap();
+            fs::write(dir.join("wal.sql"), file).unwrap();
+            let got = recovered(&mut Wal::open(&dir).unwrap());
+            let shown = String::from_utf8_lossy(file);
+            match (expect, got) {
+                (Ok(n), Ok(stmts)) => assert_eq!(stmts.len(), 1 + n, "{shown:?}"),
+                (Err(what), Err(Error::Corrupt(msg))) => assert!(msg.contains(what), "{msg}"),
+                (_, got) => panic!("{shown:?}: {got:?}"),
+            }
+        }
         fs::remove_dir_all(&dir).unwrap();
     }
 }
