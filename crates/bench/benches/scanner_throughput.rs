@@ -7,7 +7,7 @@
 //! multi-line messages).
 
 use loghub_synth::{generate, DATASET_NAMES};
-use sequence_core::{Scanner, ScannerOptions, TokenizedMessage};
+use sequence_core::{Scanner, TokenizedMessage};
 use std::hint::black_box;
 use testkit::bench::{criterion_group, Criterion, Throughput};
 
@@ -33,17 +33,6 @@ fn bench_scanner(c: &mut Criterion) {
             let mut tokens = 0usize;
             for m in &messages {
                 tokens += default.scan(black_box(m)).tokens.len();
-            }
-            tokens
-        })
-    });
-
-    let extended = Scanner::with_options(ScannerOptions::extended());
-    group.bench_function("extended_options", |b| {
-        b.iter(|| {
-            let mut tokens = 0usize;
-            for m in &messages {
-                tokens += extended.scan(black_box(m)).tokens.len();
             }
             tokens
         })

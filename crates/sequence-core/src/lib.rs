@@ -11,7 +11,7 @@
 //!    needs no prior knowledge of the message structure and no regular
 //!    expressions. Scan-time token types: time, IPv4, IPv6, MAC address,
 //!    integer, float, URL, literal (plus hex strings, and — as an implemented
-//!    future-work extension — filesystem paths).
+//!    future-work extension, on by default — filesystem paths).
 //! 2. **Analysis** ([`analyzer`]): a trie over token sequences; tokens at the
 //!    same level that share the same parent and child nodes are merged into
 //!    variable placeholders, yielding patterns. Key/value pairs, email

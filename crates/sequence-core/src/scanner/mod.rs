@@ -25,34 +25,38 @@ pub use general::{classify_word, is_break_char, match_url};
 use crate::token::{Token, TokenType, TokenizedMessage};
 
 /// Configuration for the scanner.
+///
+/// The default is the production scanner: both of the paper's future-work
+/// machines (§VI) are on. [`ScannerOptions::paper`] is the scanner as
+/// published (§IV), kept to reproduce the paper's documented limitations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScannerOptions {
     /// Recognise filesystem paths as a dedicated token type (the paper's
-    /// future-work "fourth finite state machine"). Off by default: the
-    /// published Sequence-RTG leaves paths as literals, which the paper lists
-    /// as a limitation.
-    pub detect_paths: bool,
+    /// future-work "fourth finite state machine"). The published scanner
+    /// leaves paths as literals, which the paper lists as a limitation.
+    detect_paths: bool,
     /// Accept single-digit hour/minute/second fields in timestamps (the
-    /// paper's future-work fix for the HealthApp failure). Off by default,
-    /// which reproduces the documented limitation.
-    pub allow_single_digit_time: bool,
+    /// paper's future-work fix for the HealthApp failure). The published
+    /// scanner needs two digits.
+    allow_single_digit_time: bool,
 }
 
 impl Default for ScannerOptions {
     fn default() -> Self {
         ScannerOptions {
-            detect_paths: false,
-            allow_single_digit_time: false,
+            detect_paths: true,
+            allow_single_digit_time: true,
         }
     }
 }
 
 impl ScannerOptions {
-    /// Options with every future-work extension enabled.
-    pub fn extended() -> Self {
+    /// The scanner as published: paths scan as literals and timestamps need
+    /// two-digit time parts — the limitations §IV documents.
+    pub fn paper() -> Self {
         ScannerOptions {
-            detect_paths: true,
-            allow_single_digit_time: true,
+            detect_paths: false,
+            allow_single_digit_time: false,
         }
     }
 }
@@ -64,7 +68,7 @@ pub struct Scanner {
 }
 
 impl Scanner {
-    /// A scanner with default (paper-faithful) options.
+    /// A scanner with the default (production) options.
     pub fn new() -> Scanner {
         Scanner::default()
     }
@@ -358,19 +362,19 @@ mod tests {
     }
 
     #[test]
-    fn paths_literal_by_default_typed_when_enabled() {
+    fn paths_typed_by_default_literal_in_the_paper_scanner() {
         assert_eq!(
             types("open /var/log/messages"),
-            vec![TokenType::Literal, TokenType::Literal]
+            vec![TokenType::Literal, TokenType::Path]
         );
-        let s = Scanner::with_options(ScannerOptions {
-            detect_paths: true,
-            ..Default::default()
-        });
-        assert_eq!(
-            s.scan("open /var/log/messages").tokens[1].ty,
-            TokenType::Path
-        );
+        let paper = Scanner::with_options(ScannerOptions::paper());
+        let tys: Vec<_> = paper
+            .scan("open /var/log/messages")
+            .tokens
+            .iter()
+            .map(|t| t.ty)
+            .collect();
+        assert_eq!(tys, vec![TokenType::Literal, TokenType::Literal]);
     }
 
     #[test]

@@ -12,11 +12,11 @@
 //!
 //! The paper documents a limitation of the original machine: it "cannot
 //! correctly detect time stamps where the leading zero on a time part is not
-//! present" (e.g. the HealthApp format `20171224-0:7:20:444`). That behaviour
-//! is reproduced faithfully by default; the paper's future-work fix is
-//! available by setting
-//! [`allow_single_digit_parts`](super::ScannerOptions::allow_single_digit_time)
-//! which relaxes hour/minute/second fields to accept one digit.
+//! present" (e.g. the HealthApp format `20171224-0:7:20:444`). The default
+//! scanner applies the paper's future-work fix, which relaxes
+//! hour/minute/second fields to accept one digit;
+//! [`ScannerOptions::paper`](super::ScannerOptions::paper) reproduces the
+//! published limitation.
 
 /// One field of a date-time format.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -24,8 +24,8 @@ use std::fmt;
 /// produces). `Email` and `Hostname` are "special types [...] detected during
 /// the analysis phase". `Path` is this reproduction's implementation of the
 /// paper's future-work item "a fourth finite state machine to deal with the
-/// many variations of what can be considered as a path"; it is only produced
-/// when [`crate::scanner::ScannerOptions::detect_paths`] is enabled.
+/// many variations of what can be considered as a path"; the default scanner
+/// produces it, [`crate::scanner::ScannerOptions::paper`] does not.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum TokenType {
     /// Plain text: a word, punctuation, bracket, quote, ...

@@ -1,7 +1,7 @@
 //! Hardening tests: realistic-but-awkward log lines the scanner must
 //! tokenise sensibly (no panics, sane types, faithful reconstruction).
 
-use sequence_core::{Scanner, ScannerOptions, TokenType};
+use sequence_core::{Scanner, TokenType};
 
 fn scan_types(msg: &str) -> Vec<(String, TokenType)> {
     Scanner::new()
@@ -177,11 +177,7 @@ fn windows_paths_are_single_tokens() {
 
 #[test]
 fn path_fsm_types_unix_paths() {
-    let s = Scanner::with_options(ScannerOptions {
-        detect_paths: true,
-        ..Default::default()
-    });
-    let t = s.scan("read /var/log/messages and ./relative.sh and ~/conf");
+    let t = Scanner::new().scan("read /var/log/messages and ./relative.sh and ~/conf");
     let paths: Vec<&str> = t
         .tokens
         .iter()

@@ -93,6 +93,9 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         }
         i += 1;
     }
+    if opts.seminal && opts.extended {
+        return Err("--seminal and --extended cannot be combined".to_string());
+    }
     Ok(opts)
 }
 
@@ -111,7 +114,11 @@ fn main() -> ExitCode {
             if !msg.is_empty() {
                 eprintln!("error: {msg}\n");
             }
-            eprintln!("usage: sequence-rtg [--db DIR] [--batch-size N] [--save-threshold N] [--seminal] [--extended] [--export syslog-ng|yaml|grok] [--min-count N] [--max-complexity F] [--review] [--resolve-conflicts] [--quiet]");
+            eprintln!("usage: sequence-rtg [--db DIR] [--batch-size N] [--save-threshold N] [--seminal | --extended] [--export syslog-ng|yaml|grok] [--min-count N] [--max-complexity F] [--review] [--resolve-conflicts] [--quiet]");
+            eprintln!(
+                "  --seminal   mine as seminal Sequence: the published scanner, no quality control"
+            );
+            eprintln!("  --extended  add semi-constant splitting to the default configuration");
             return if msg.is_empty() {
                 ExitCode::SUCCESS
             } else {

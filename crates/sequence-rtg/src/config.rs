@@ -13,7 +13,8 @@ pub struct RtgConfig {
     /// Save threshold: patterns matched fewer times than this are pruned as
     /// "useless" (§IV Limitations).
     pub save_threshold: u64,
-    /// Scanner options (datetime leniency, path FSM).
+    /// Scanner options. The default turns on the path FSM and single-digit
+    /// time parts; [`ScannerOptions::paper`] is the published scanner.
     pub scanner: ScannerOptions,
     /// Analyser options (quality control).
     pub analyzer: AnalyzerOptions,
@@ -35,20 +36,21 @@ impl Default for RtgConfig {
 }
 
 impl RtgConfig {
-    /// Configuration reproducing the seminal Sequence behaviour (no quality
-    /// control), used as the baseline in the Fig. 5 experiment.
+    /// Configuration reproducing the seminal Sequence behaviour (the
+    /// published scanner, no quality control), used as the baseline in the
+    /// Fig. 5 experiment.
     pub fn seminal() -> Self {
         RtgConfig {
+            scanner: ScannerOptions::paper(),
             analyzer: AnalyzerOptions::seminal_sequence(),
             ..Default::default()
         }
     }
 
-    /// Everything on: future-work scanner extensions and semi-constant
-    /// splitting.
+    /// The default plus semi-constant splitting, the one future-work
+    /// extension that stays opt-in.
     pub fn extended() -> Self {
         RtgConfig {
-            scanner: ScannerOptions::extended(),
             semi_constant_split: true,
             ..Default::default()
         }
@@ -63,9 +65,10 @@ mod tests {
     fn defaults_match_paper_production_settings() {
         let c = RtgConfig::default();
         assert_eq!(c.batch_size, 100_000);
-        assert!(
-            !c.scanner.allow_single_digit_time,
-            "paper limitation preserved by default"
+        assert_ne!(
+            c.scanner,
+            ScannerOptions::paper(),
+            "production scans with the path FSM and single-digit time parts"
         );
         assert!(
             c.analyzer.quality_control,
@@ -75,9 +78,16 @@ mod tests {
 
     #[test]
     fn presets() {
-        assert!(!RtgConfig::seminal().analyzer.quality_control);
+        let s = RtgConfig::seminal();
+        assert!(!s.analyzer.quality_control);
+        assert_eq!(s.scanner, ScannerOptions::paper());
         let e = RtgConfig::extended();
-        assert!(e.scanner.detect_paths && e.scanner.allow_single_digit_time);
-        assert!(e.semi_constant_split);
+        assert_eq!(
+            e,
+            RtgConfig {
+                semi_constant_split: true,
+                ..RtgConfig::default()
+            }
+        );
     }
 }

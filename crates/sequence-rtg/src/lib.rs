@@ -24,8 +24,9 @@
 //!    markers, counted per batch in [`BatchReport`].
 //!
 //! Extensions implemented from the paper's future-work list: a path FSM and
-//! single-digit time parts (scanner options) and semi-constant variable
-//! splitting ([`semiconst`]).
+//! single-digit time parts (on in the default scanner;
+//! `ScannerOptions::paper()` is the published one) and semi-constant
+//! variable splitting ([`semiconst`], opt-in).
 //!
 //! The paper scales out by "sending groups of services to any number (of)
 //! instances". This crate analyses one batch on one thread; the `seqd`

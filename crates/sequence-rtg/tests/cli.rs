@@ -114,6 +114,23 @@ fn seminal_mode_runs() {
 }
 
 #[test]
+fn seminal_and_extended_together_are_a_usage_error() {
+    for alone in ["--seminal", "--extended"] {
+        let (_, stderr, ok) = run_cli(&[alone, "--batch-size", "10"], &sample_stream());
+        assert!(ok, "{alone}: {stderr}");
+    }
+    let out = Command::new(env!("CARGO_BIN_EXE_sequence-rtg"))
+        .args(["--seminal", "--extended"])
+        .stdin(Stdio::null())
+        .output()
+        .expect("run sequence-rtg");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("cannot be combined"), "{stderr}");
+    assert!(stderr.contains("usage:"), "{stderr}");
+}
+
+#[test]
 fn review_mode_prints_queue() {
     let (stdout, stderr, ok) = run_cli(
         &["--batch-size", "10", "--quiet", "--review"],

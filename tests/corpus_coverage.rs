@@ -5,7 +5,7 @@
 
 use sequence_rtg_repro::loghub_synth::{generate, DATASET_NAMES};
 use sequence_rtg_repro::patterndb::export::{export_patterns, ExportFormat, ExportSelection};
-use sequence_rtg_repro::sequence_core::{Scanner, TokenType};
+use sequence_rtg_repro::sequence_core::{Scanner, ScannerOptions, TokenType};
 use sequence_rtg_repro::sequence_rtg::{LogRecord, RtgConfig, SequenceRtg};
 
 #[test]
@@ -61,10 +61,10 @@ fn headers_with_timestamps_scan_to_time_tokens() {
 }
 
 #[test]
-fn healthapp_headers_mostly_lack_time_tokens_by_default() {
+fn healthapp_headers_mostly_lack_time_tokens_in_the_paper_scanner() {
     // The designed failure: most HealthApp stamps have a single-digit part
-    // somewhere and the default FSM rejects them.
-    let scanner = Scanner::new();
+    // somewhere and the published FSM rejects them.
+    let scanner = Scanner::with_options(ScannerOptions::paper());
     let d = generate("HealthApp", 300, 3);
     let with_time = d
         .lines
@@ -80,7 +80,7 @@ fn healthapp_headers_mostly_lack_time_tokens_by_default() {
     let rate = with_time as f64 / d.lines.len() as f64;
     assert!(
         rate < 0.6,
-        "most HealthApp stamps must fail the default FSM: {rate:.2}"
+        "most HealthApp stamps must fail the published FSM: {rate:.2}"
     );
     assert!(
         rate > 0.05,
@@ -190,10 +190,9 @@ fn grok_and_yaml_exports_cover_all_patterns() {
 
 #[test]
 fn extended_scanner_improves_healthapp_consistency() {
-    use sequence_rtg_repro::sequence_core::ScannerOptions;
     let d = generate("HealthApp", 400, 9);
+    let paper = Scanner::with_options(ScannerOptions::paper());
     let default_scanner = Scanner::new();
-    let extended = Scanner::with_options(ScannerOptions::extended());
     let distinct_counts = |scanner: &Scanner| -> std::collections::HashSet<usize> {
         d.lines
             .iter()
@@ -202,10 +201,10 @@ fn extended_scanner_improves_healthapp_consistency() {
     };
     // With the future-work fix every header folds into one Time token, so
     // the number of distinct token-count shapes shrinks.
+    let paper_shapes = distinct_counts(&paper).len();
     let default_shapes = distinct_counts(&default_scanner).len();
-    let extended_shapes = distinct_counts(&extended).len();
     assert!(
-        extended_shapes < default_shapes,
-        "extended scanner unifies shapes: {extended_shapes} vs {default_shapes}"
+        default_shapes < paper_shapes,
+        "default scanner unifies shapes: {default_shapes} vs {paper_shapes}"
     );
 }

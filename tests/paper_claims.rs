@@ -228,14 +228,12 @@ fn limitation6_multiline_messages() {
 }
 
 /// §IV remaining limitation: time stamps without leading zeros break the
-/// default datetime FSM; the future-work option fixes them.
+/// published datetime FSM; the future-work fix, on in the default scanner,
+/// folds them.
 #[test]
 fn remaining_limitation_single_digit_time_parts() {
-    let default = Scanner::new();
-    let fixed = Scanner::with_options(ScannerOptions {
-        allow_single_digit_time: true,
-        ..Default::default()
-    });
+    let default = Scanner::with_options(ScannerOptions::paper());
+    let fixed = Scanner::new();
     let msg = "20171224-0:7:20:444 calculateCaloriesWithCache totalCalories=391";
     let d = default.scan(msg);
     let f = fixed.scan(msg);
@@ -278,13 +276,13 @@ fn remaining_limitation_save_threshold_for_singletons() {
 
 /// Table II: raw logs score about as well as pre-processed ones, except
 /// HealthApp, whose zero-less time stamps (`20171224-0:7:20:444`) the
-/// default datetime FSM cannot read (0.909 → 0.580; paper 0.968 → 0.689).
+/// published datetime FSM cannot read (0.909 → 0.580; paper 0.968 → 0.689).
 #[test]
 fn table2_healthapp_raw_logs_drop() {
     let d = dataset("HealthApp");
-    let default = ScannerOptions::default();
-    let pre = rtg_score(&d, Variant::Preprocessed, default);
-    let raw = rtg_score(&d, Variant::Raw, default);
+    let paper = ScannerOptions::paper();
+    let pre = rtg_score(&d, Variant::Preprocessed, paper);
+    let raw = rtg_score(&d, Variant::Raw, paper);
     assert!(
         raw < pre - 0.1,
         "HealthApp raw {raw} vs pre-processed {pre}"
@@ -344,23 +342,24 @@ fn table3_drain_ranks_first_and_spell_last() {
 }
 
 /// §VI future work: a datetime FSM that accepts single-digit time parts
-/// (with the path FSM, `ScannerOptions::extended()`) recovers raw HealthApp
-/// to near its pre-processed score (0.580 → 0.883) and leaves Proxifier,
-/// whose failure is the type flip, flat (0.699 both).
+/// (with the path FSM, the default `ScannerOptions`) recovers raw HealthApp
+/// from the published scanner's score to near its pre-processed one
+/// (0.580 → 0.883) and leaves Proxifier, whose failure is the type flip,
+/// flat (0.699 both).
 #[test]
 fn future_work_scanner_recovers_healthapp_but_not_proxifier() {
-    let (default, extended) = (ScannerOptions::default(), ScannerOptions::extended());
+    let (paper, default) = (ScannerOptions::paper(), ScannerOptions::default());
     let health = dataset("HealthApp");
-    let pre = rtg_score(&health, Variant::Preprocessed, default);
-    let raw = rtg_score(&health, Variant::Raw, default);
-    let fixed = rtg_score(&health, Variant::Raw, extended);
+    let pre = rtg_score(&health, Variant::Preprocessed, paper);
+    let raw = rtg_score(&health, Variant::Raw, paper);
+    let fixed = rtg_score(&health, Variant::Raw, default);
     assert!(
         fixed > raw + 0.2 && fixed > pre - 0.05,
         "HealthApp raw {raw} -> {fixed} (pre-processed {pre})"
     );
     let proxifier = dataset("Proxifier");
-    let raw = rtg_score(&proxifier, Variant::Raw, default);
-    let fixed = rtg_score(&proxifier, Variant::Raw, extended);
+    let raw = rtg_score(&proxifier, Variant::Raw, paper);
+    let fixed = rtg_score(&proxifier, Variant::Raw, default);
     assert!(
         (fixed - raw).abs() < 0.005,
         "Proxifier raw {raw} -> {fixed}"

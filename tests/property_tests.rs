@@ -88,8 +88,8 @@ fn scanner_total_and_deterministic() {
         let a = Scanner::new().scan(msg);
         let b = Scanner::new().scan(msg);
         prop_assert_eq!(&a, &b);
-        let ext = Scanner::with_options(ScannerOptions::extended()).scan(msg);
-        prop_assert_eq!(ext.raw_text().expect("scan() keeps raw"), msg.as_str());
+        let paper = Scanner::with_options(ScannerOptions::paper()).scan(msg);
+        prop_assert_eq!(paper.raw_text().expect("scan() keeps raw"), msg.as_str());
         Ok(())
     });
 }
