@@ -401,15 +401,18 @@ echo "    crash-recovery smoke OK"
 stage_end
 fi
 
-if stage_begin "old store migrates (fixture store -> YAML export and snapshot, twice)"; then
+if stage_begin "old store migrates (fixture store -> every export and snapshot, twice)"; then
 # crates/patterndb/tests/fixtures/store keeps each example as a row of its
 # own; the first open folds them into their pattern's row. The YAML export
 # lists every example, and must be byte for byte what the build before the
 # fold exported from the same files (tests/golden/fixture_store.yaml). The
 # checkpointed snapshot must be byte for byte what the build before packed
 # rows wrote (tests/golden/fixture_store.snapshot.sql): how minisql holds a
-# row in memory does not change one byte on disk. The second open must
-# change nothing: same export, same snapshot.
+# row in memory does not change one byte on disk. The Grok and syslog-ng
+# exports must be byte for byte what the build before streamed exports
+# wrote (tests/golden/fixture_store.grok, fixture_store.syslog-ng.xml): the
+# syslog-ng document opens a ruleset per service as the rows go by. The
+# second open must change nothing: same exports, same snapshot.
 cp -r crates/patterndb/tests/fixtures/store "${seqd_store}/fixture"
 for open in first second; do
   ./target/release/sequence-rtg --db "${seqd_store}/fixture" --export yaml --quiet \
@@ -419,6 +422,12 @@ for open in first second; do
   cp "${seqd_store}/fixture/snapshot.sql" "${seqd_log}.fixture.${open}"
   cmp tests/golden/fixture_store.snapshot.sql "${seqd_log}.fixture.${open}" \
     || { echo "the ${open} open's snapshot diverged from tests/golden/fixture_store.snapshot.sql" >&2; exit 1; }
+  for golden in fixture_store.grok:grok fixture_store.syslog-ng.xml:syslog-ng; do
+    ./target/release/sequence-rtg --db "${seqd_store}/fixture" --export "${golden#*:}" --quiet \
+      < /dev/null > "${seqd_log}.fixture.export"
+    cmp "tests/golden/${golden%%:*}" "${seqd_log}.fixture.export" \
+      || { echo "the ${open} open's ${golden#*:} export diverged from tests/golden/${golden%%:*}" >&2; exit 1; }
+  done
 done
 cmp "${seqd_log}.fixture.first" "${seqd_log}.fixture.second" \
   || { echo "the second open of the migrated store changed it" >&2; exit 1; }

@@ -165,6 +165,25 @@ impl Database {
         })
     }
 
+    /// Run a SELECT and hand its output rows to `row` one at a time, in
+    /// order, from one reused buffer: the result is never held whole, so a
+    /// reader that keeps nothing of a row costs what the sort order costs
+    /// (a few words a row), not a copy of the table. The callback may take
+    /// the values out of the buffer.
+    pub fn query_each(
+        &self,
+        sql: &str,
+        params: &[SqlValue],
+        mut row: impl FnMut(&mut [SqlValue]),
+    ) -> Result<(), Error> {
+        match parse(sql)? {
+            Statement::Select(sel) => self
+                .select_each(&sel, params, |values| row(values))
+                .map(drop),
+            _ => Err(Error::Parse("query_each runs a SELECT".into())),
+        }
+    }
+
     fn execute_internal(
         &mut self,
         sql: &str,
@@ -391,6 +410,19 @@ impl Database {
     }
 
     fn run_select(&self, sel: &SelectStmt, params: &[SqlValue]) -> Result<ExecResult, Error> {
+        let mut rows = Vec::new();
+        let columns = self.select_each(sel, params, |row| rows.push(std::mem::take(row)))?;
+        Ok(ExecResult::Rows { columns, rows })
+    }
+
+    /// Run a SELECT, handing each output row to `emit` in order, and return
+    /// the column headers. The row buffer is reused unless `emit` takes it.
+    fn select_each(
+        &self,
+        sel: &SelectStmt,
+        params: &[SqlValue],
+        mut emit: impl FnMut(&mut Vec<SqlValue>),
+    ) -> Result<Vec<String>, Error> {
         let t = self.table(&sel.table)?;
         // Validate column references up front, so a bad projection fails even
         // on an empty table (ORDER BY is exempt: it may name aliases).
@@ -416,8 +448,8 @@ impl Database {
         // length, so what it costs does not grow with the table (`seqd`
         // asks for the pattern count on every `/stats` request).
         if counts_rows_only(sel) {
-            let rows = vec![vec![SqlValue::Integer(t.len() as i64)]];
-            return Ok(ExecResult::Rows { columns, rows });
+            emit(&mut vec![SqlValue::Integer(t.len() as i64)]);
+            return Ok(columns);
         }
 
         let hits = Self::matching_rows(t, sel.filter.as_ref(), params)?;
@@ -487,16 +519,17 @@ impl Database {
                 Ordering::Equal
             });
         }
-        let rows = order
-            .into_iter()
-            .map(|g| {
-                sel.items
-                    .iter()
-                    .map(|it| Ok(project(&it.projection, t, groups[g], params)?.to_value()))
-                    .collect()
-            })
-            .collect::<Result<_, Error>>()?;
-        Ok(ExecResult::Rows { columns, rows })
+        let mut row = Vec::new();
+        for g in order {
+            // One exact allocation when `emit` took the last buffer.
+            row.clear();
+            row.reserve_exact(sel.items.len());
+            for it in &sel.items {
+                row.push(project(&it.projection, t, groups[g], params)?.to_value());
+            }
+            emit(&mut row);
+        }
+        Ok(columns)
     }
 
     fn run_update(
@@ -888,6 +921,37 @@ mod tests {
             "SELECT id FROM p ORDER BY cnt DESC LIMIT 2"
         ));
         assert!(refused(&mut db, "SELECT id FROM p LIMIT 2 OFFSET 1"));
+    }
+
+    /// The row callback sees exactly `query`'s rows, in its order, and
+    /// refuses what is not a SELECT.
+    #[test]
+    fn query_each_streams_the_query_rows() {
+        let mut db = db_with_data();
+        for sql in [
+            "SELECT id, service, cnt, score FROM p ORDER BY service, cnt DESC, id",
+            "SELECT service, COUNT(*), SUM(cnt) FROM p GROUP BY service ORDER BY service",
+            "SELECT COUNT(*) FROM p",
+            "SELECT id FROM p WHERE id = 'p3'",
+            "SELECT id FROM p WHERE cnt > 100",
+        ] {
+            let mut streamed = Vec::new();
+            db.query_each(sql, &[], |row| streamed.push(row.to_vec()))
+                .unwrap();
+            assert_eq!(streamed, db.query(sql).unwrap(), "{sql}");
+        }
+        let mut taken = Vec::new();
+        db.query_each("SELECT id FROM p WHERE cnt < ?", &[5i64.into()], |row| {
+            taken.push(std::mem::replace(&mut row[0], SqlValue::Null))
+        })
+        .unwrap();
+        assert_eq!(taken, vec![text("p2"), text("p4")]);
+        let before = db.dump();
+        assert!(matches!(
+            db.query_each("DELETE FROM p", &[], |_| {}),
+            Err(Error::Parse(_))
+        ));
+        assert_eq!(db.dump(), before);
     }
 
     #[test]

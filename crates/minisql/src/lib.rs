@@ -27,7 +27,9 @@
 //! cell's payload (8 bytes for a number, a `u32` length and the bytes for a
 //! text) — in one allocation. Filters, sort and group keys, `SUM` and the
 //! dump read cells in place; only a `SELECT`'s output is copied out as
-//! [`SqlValue`]s. A number updated over a number is rewritten in place.
+//! [`SqlValue`]s, and [`Database::query_each`] hands it over a row at a
+//! time instead of whole. A number updated over a number is rewritten in
+//! place.
 //! Rows keep their insertion order. A NaN or infinite REAL is refused with
 //! [`Error::Type`]: it has no literal the WAL could replay.
 //!

@@ -15,23 +15,16 @@
 
 use super::ExportEntry;
 use sequence_core::{PatternElement, TokenType};
+use std::io::{self, Write};
 
-/// Render all selected patterns as Logstash filter blocks.
-pub fn render(entries: &[ExportEntry]) -> String {
-    let mut out = String::new();
-    for e in entries {
-        out.push_str("filter {\n  grok {\n");
-        out.push_str(&format!(
-            "    match => {{\"message\" => \"{}\"}}\n",
-            dq_escape(&pattern_to_grok(&e.pattern))
-        ));
-        out.push_str(&format!(
-            "    add_tag => [\"{}\", \"pattern_id\"]\n",
-            dq_escape(&e.stored.id)
-        ));
-        out.push_str("  }\n}\n");
-    }
-    out
+/// Write one pattern as a Logstash filter block.
+pub fn write_filter(out: &mut impl Write, e: &ExportEntry) -> io::Result<()> {
+    write!(
+        out,
+        "filter {{\n  grok {{\n    match => {{\"message\" => \"{}\"}}\n    add_tag => [\"{}\", \"pattern_id\"]\n  }}\n}}\n",
+        dq_escape(&pattern_to_grok(&e.pattern)),
+        dq_escape(&e.stored.id)
+    )
 }
 
 /// Grok pattern name for each token type.
@@ -122,7 +115,7 @@ mod tests {
             },
             pattern: p,
         };
-        let doc = render(&[e]);
+        let doc = super::super::render(super::super::ExportFormat::Grok, &[e]);
         assert!(doc.contains(
             "match => {\"message\" => \"%{DATA:action} from %{IP:srcip} port %{INT:srcport}\"}"
         ));

@@ -9,6 +9,10 @@
 //! * [`yaml`] — a YAML form "that can be used alongside a DevOps tool such as
 //!   Puppet to build the pattern database XML";
 //! * [`grok`] — Logstash Grok filter blocks (Fig. 4).
+//!
+//! [`export_patterns`] streams: it reads the store one row at a time and
+//! writes each selected pattern as it goes, so neither the rows nor the
+//! document are ever held whole.
 
 pub mod grok;
 pub mod syslogng;
@@ -16,6 +20,7 @@ pub mod yaml;
 
 use crate::store::{PatternStore, StoreError, StoredPattern};
 use sequence_core::Pattern;
+use std::io::{self, Write};
 
 /// Which export format to produce ("selecting the pattern export format is a
 /// command-line flag").
@@ -76,41 +81,126 @@ pub struct ExportEntry {
     pub pattern: Pattern,
 }
 
-/// Select patterns from the store per the given filters, skipping rows that
-/// no longer parse (reported in the second return value).
-pub fn select(
+/// Hand each stored pattern that passes `selection` to `f`, parsed, one row
+/// at a time in [`PatternStore::patterns`]' order (by service, then count
+/// descending, then id). Rows that no longer parse are skipped and
+/// returned.
+pub fn each_selected(
     store: &mut PatternStore,
     selection: ExportSelection,
-) -> Result<(Vec<ExportEntry>, Vec<StoreError>), StoreError> {
-    let mut entries = Vec::new();
-    let mut errors = Vec::new();
-    for stored in store.patterns(None)? {
+    mut f: impl FnMut(ExportEntry),
+) -> Result<Vec<StoreError>, StoreError> {
+    let mut skipped = Vec::new();
+    store.each_pattern(None, |stored| {
         if stored.count < selection.min_count
             || stored.complexity > selection.max_complexity
             || (selection.promoted_only && !stored.promoted)
         {
-            continue;
+            return;
         }
         match stored.pattern() {
-            Ok(pattern) => entries.push(ExportEntry { stored, pattern }),
-            Err(e) => errors.push(e),
+            Ok(pattern) => f(ExportEntry { stored, pattern }),
+            Err(e) => skipped.push(e),
         }
-    }
-    Ok((entries, errors))
+    })?;
+    Ok(skipped)
 }
 
-/// Run a full export in the requested format.
+/// Write the selected patterns to `out` in the requested format, one row
+/// at a time: neither the rows nor the document are held whole. Returns
+/// the rows skipped because they no longer parse.
 pub fn export_patterns(
     store: &mut PatternStore,
     format: ExportFormat,
     selection: ExportSelection,
-) -> Result<String, StoreError> {
-    let (entries, _errors) = select(store, selection)?;
-    Ok(match format {
-        ExportFormat::SyslogNg => syslogng::render(&entries),
-        ExportFormat::Yaml => yaml::render(&entries),
-        ExportFormat::Grok => grok::render(&entries),
-    })
+    out: &mut impl Write,
+) -> Result<Vec<StoreError>, StoreError> {
+    let mut doc = ExportWriter::new(format, out)?;
+    let mut written = Ok(());
+    let skipped = each_selected(store, selection, |e| {
+        if written.is_ok() {
+            written = doc.entry(&e);
+        }
+    })?;
+    written?;
+    doc.finish()?;
+    Ok(skipped)
+}
+
+/// A document being written: its header on creation, one entry per
+/// pattern in listing order, its footer on [`ExportWriter::finish`].
+#[derive(Debug)]
+struct ExportWriter<W> {
+    out: W,
+    format: ExportFormat,
+    /// The syslog-ng ruleset left open: the service of the last entry.
+    ruleset: Option<String>,
+    entries: u64,
+}
+
+impl<W: Write> ExportWriter<W> {
+    /// Start a document, writing its header.
+    fn new(format: ExportFormat, mut out: W) -> io::Result<ExportWriter<W>> {
+        match format {
+            ExportFormat::SyslogNg => syslogng::write_header(&mut out)?,
+            ExportFormat::Yaml => yaml::write_header(&mut out)?,
+            ExportFormat::Grok => {}
+        }
+        Ok(ExportWriter {
+            out,
+            format,
+            ruleset: None,
+            entries: 0,
+        })
+    }
+
+    /// Write one pattern. Entries of one service must come together: the
+    /// syslog-ng document opens a ruleset each time the service changes.
+    fn entry(&mut self, e: &ExportEntry) -> io::Result<()> {
+        let out = &mut self.out;
+        match self.format {
+            ExportFormat::SyslogNg => {
+                let service = &e.stored.service;
+                if self.ruleset.as_ref() != Some(service) {
+                    if self.ruleset.is_some() {
+                        syslogng::close_ruleset(out)?;
+                    }
+                    syslogng::open_ruleset(out, service)?;
+                    self.ruleset = Some(service.clone());
+                }
+                syslogng::write_rule(out, e)?;
+            }
+            ExportFormat::Yaml => yaml::write_entry(out, e, self.entries == 0)?,
+            ExportFormat::Grok => grok::write_filter(out, e)?,
+        }
+        self.entries += 1;
+        Ok(())
+    }
+
+    /// Write the footer and hand the writer back.
+    fn finish(mut self) -> io::Result<W> {
+        match self.format {
+            ExportFormat::SyslogNg => {
+                if self.ruleset.is_some() {
+                    syslogng::close_ruleset(&mut self.out)?;
+                }
+                syslogng::write_footer(&mut self.out)?;
+            }
+            ExportFormat::Yaml => yaml::write_footer(&mut self.out, self.entries == 0)?,
+            ExportFormat::Grok => {}
+        }
+        Ok(self.out)
+    }
+}
+
+/// `entries` as one document (the format modules' tests).
+#[cfg(test)]
+fn render(format: ExportFormat, entries: &[ExportEntry]) -> String {
+    let mut doc = ExportWriter::new(format, Vec::new()).unwrap();
+    for e in entries {
+        doc.entry(e).unwrap();
+    }
+    String::from_utf8(doc.finish().unwrap()).unwrap()
 }
 
 #[cfg(test)]
@@ -135,10 +225,16 @@ mod tests {
         store
     }
 
+    fn select(store: &mut PatternStore, selection: ExportSelection) -> (Vec<ExportEntry>, usize) {
+        let mut entries = Vec::new();
+        let skipped = each_selected(store, selection, |e| entries.push(e)).unwrap();
+        (entries, skipped.len())
+    }
+
     #[test]
     fn selection_filters_by_count() {
         let mut store = store_with_patterns();
-        let (all, _) = select(&mut store, ExportSelection::default()).unwrap();
+        let (all, _) = select(&mut store, ExportSelection::default());
         assert_eq!(all.len(), 1);
         let (none, _) = select(
             &mut store,
@@ -146,8 +242,7 @@ mod tests {
                 min_count: 100,
                 ..Default::default()
             },
-        )
-        .unwrap();
+        );
         assert!(none.is_empty());
     }
 
@@ -160,8 +255,7 @@ mod tests {
                 max_complexity: 0.01,
                 ..Default::default()
             },
-        )
-        .unwrap();
+        );
         assert!(none.is_empty());
     }
 
@@ -172,12 +266,50 @@ mod tests {
             promoted_only: true,
             ..Default::default()
         };
-        let (none, _) = select(&mut store, sel).unwrap();
+        let (none, _) = select(&mut store, sel);
         assert!(none.is_empty(), "nothing promoted yet");
         let id = store.patterns(None).unwrap()[0].id.clone();
         store.promote(&id).unwrap();
-        let (one, _) = select(&mut store, sel).unwrap();
+        let (one, _) = select(&mut store, sel);
         assert_eq!(one.len(), 1);
+    }
+
+    /// A row that no longer parses is left out of the document and
+    /// returned, and the syslog-ng document opens one ruleset per service
+    /// as the rows go by.
+    #[test]
+    fn unparseable_rows_are_skipped_and_returned() {
+        let mut store = store_with_patterns();
+        for (id, service, pattern) in [
+            ("bad1", "sshd", "load at 95% of %max:integer%"),
+            ("cron1", "cron", "job %n:integer% done"),
+        ] {
+            store
+                .db()
+                .execute_with(
+                    "INSERT INTO patterns (id, service, pattern, cnt) VALUES (?, ?, ?, 1)",
+                    &[id.into(), service.into(), pattern.into()],
+                )
+                .unwrap();
+        }
+        let mut doc = Vec::new();
+        let skipped = export_patterns(
+            &mut store,
+            ExportFormat::SyslogNg,
+            ExportSelection::default(),
+            &mut doc,
+        )
+        .unwrap();
+        assert!(matches!(&skipped[..], [StoreError::BadPattern { id, .. }] if id == "bad1"));
+        let doc = String::from_utf8(doc).unwrap();
+        let rulesets: Vec<&str> = doc
+            .lines()
+            .filter_map(|l| l.trim().strip_prefix("<ruleset name='"))
+            .collect();
+        assert_eq!(rulesets.len(), 2, "{doc}");
+        assert!(rulesets[0].starts_with("cron'") && rulesets[1].starts_with("sshd'"));
+        assert_eq!(doc.matches("<rule ").count(), 2);
+        assert!(!doc.contains("bad1"));
     }
 
     #[test]
@@ -199,8 +331,10 @@ mod tests {
             ExportFormat::Yaml,
             ExportFormat::Grok,
         ] {
-            let out = export_patterns(&mut store, fmt, ExportSelection::default()).unwrap();
-            assert!(!out.is_empty());
+            let mut out = Vec::new();
+            let skipped =
+                export_patterns(&mut store, fmt, ExportSelection::default(), &mut out).unwrap();
+            assert!(!out.is_empty() && skipped.is_empty());
         }
     }
 }

@@ -9,56 +9,67 @@
 
 use super::ExportEntry;
 use sequence_core::{PatternElement, TokenType};
-use std::collections::BTreeMap;
+use std::io::{self, Write};
 
-/// Render the full pattern database XML.
-pub fn render(entries: &[ExportEntry]) -> String {
-    let mut by_service: BTreeMap<&str, Vec<&ExportEntry>> = BTreeMap::new();
-    for e in entries {
-        by_service.entry(&e.stored.service).or_default().push(e);
-    }
-    let mut out = String::new();
-    out.push_str("<?xml version='1.0' encoding='UTF-8'?>\n");
-    out.push_str("<patterndb version='4' pub_date='1970-01-01'>\n");
-    for (service, group) in &by_service {
-        out.push_str(&format!(
-            "  <ruleset name='{0}' id='ruleset-{0}'>\n    <pattern>{0}</pattern>\n    <rules>\n",
-            xml_escape(service)
-        ));
-        for e in group {
-            out.push_str(&format!(
-                "      <rule provider='sequence-rtg' id='{}' class='system'>\n",
-                xml_escape(&e.stored.id)
-            ));
-            out.push_str("        <patterns>\n");
-            out.push_str(&format!(
-                "          <pattern>{}</pattern>\n",
-                xml_escape(&pattern_to_syslogng(&e.pattern))
-            ));
-            out.push_str("        </patterns>\n");
-            if !e.stored.examples.is_empty() {
-                out.push_str("        <examples>\n");
-                for ex in &e.stored.examples {
-                    out.push_str("          <example>\n");
-                    out.push_str(&format!(
-                        "            <test_message program='{}'>{}</test_message>\n",
-                        xml_escape(service),
-                        xml_escape(ex)
-                    ));
-                    out.push_str("          </example>\n");
-                }
-                out.push_str("        </examples>\n");
-            }
-            out.push_str(&format!(
-                "        <!-- count={} last_matched={} complexity={:.3} -->\n",
-                e.stored.count, e.stored.last_matched, e.stored.complexity
-            ));
-            out.push_str("      </rule>\n");
+/// The XML declaration and the opening `<patterndb>` tag.
+pub fn write_header(out: &mut impl Write) -> io::Result<()> {
+    out.write_all(
+        b"<?xml version='1.0' encoding='UTF-8'?>\n<patterndb version='4' pub_date='1970-01-01'>\n",
+    )
+}
+
+/// Open the ruleset of `service`.
+pub fn open_ruleset(out: &mut impl Write, service: &str) -> io::Result<()> {
+    write!(
+        out,
+        "  <ruleset name='{0}' id='ruleset-{0}'>\n    <pattern>{0}</pattern>\n    <rules>\n",
+        xml_escape(service)
+    )
+}
+
+/// One pattern as a `<rule>` of its service's open ruleset, with its
+/// examples as test messages.
+pub fn write_rule(out: &mut impl Write, e: &ExportEntry) -> io::Result<()> {
+    let p = &e.stored;
+    writeln!(
+        out,
+        "      <rule provider='sequence-rtg' id='{}' class='system'>",
+        xml_escape(&p.id)
+    )?;
+    out.write_all(b"        <patterns>\n")?;
+    writeln!(
+        out,
+        "          <pattern>{}</pattern>",
+        xml_escape(&pattern_to_syslogng(&e.pattern))
+    )?;
+    out.write_all(b"        </patterns>\n")?;
+    if !p.examples.is_empty() {
+        out.write_all(b"        <examples>\n")?;
+        let program = xml_escape(&p.service);
+        for ex in &p.examples {
+            writeln!(
+                out,
+                "          <example>\n            <test_message program='{program}'>{}</test_message>\n          </example>",
+                xml_escape(ex)
+            )?;
         }
-        out.push_str("    </rules>\n  </ruleset>\n");
+        out.write_all(b"        </examples>\n")?;
     }
-    out.push_str("</patterndb>\n");
-    out
+    writeln!(
+        out,
+        "        <!-- count={} last_matched={} complexity={:.3} -->\n      </rule>",
+        p.count, p.last_matched, p.complexity
+    )
+}
+
+/// Close the open ruleset.
+pub fn close_ruleset(out: &mut impl Write) -> io::Result<()> {
+    out.write_all(b"    </rules>\n  </ruleset>\n")
+}
+
+/// The closing `</patterndb>` tag.
+pub fn write_footer(out: &mut impl Write) -> io::Result<()> {
+    out.write_all(b"</patterndb>\n")
 }
 
 /// Translate a pattern into syslog-ng patterndb syntax.
@@ -182,6 +193,10 @@ mod tests {
             },
             pattern: p,
         }
+    }
+
+    fn render(entries: &[ExportEntry]) -> String {
+        super::super::render(super::super::ExportFormat::SyslogNg, entries)
     }
 
     #[test]

@@ -5,34 +5,43 @@
 //! to use if files are maintained by hand."
 
 use super::ExportEntry;
+use std::io::{self, Write};
 
-/// Render the selected patterns as a YAML document.
-pub fn render(entries: &[ExportEntry]) -> String {
-    let mut out = String::from("# Sequence-RTG pattern export\npatterns:\n");
-    if entries.is_empty() {
-        return String::from("# Sequence-RTG pattern export\npatterns: []\n");
+/// The document's opening lines, up to the `patterns:` key.
+pub fn write_header(out: &mut impl Write) -> io::Result<()> {
+    out.write_all(b"# Sequence-RTG pattern export\npatterns:")
+}
+
+/// One pattern as an item of the `patterns` list; the first item also ends
+/// the key's line.
+pub fn write_entry(out: &mut impl Write, e: &ExportEntry, first: bool) -> io::Result<()> {
+    if first {
+        out.write_all(b"\n")?;
     }
-    for e in entries {
-        out.push_str(&format!("- id: {}\n", e.stored.id));
-        out.push_str(&format!("  service: {}\n", yaml_string(&e.stored.service)));
-        out.push_str(&format!(
-            "  pattern: {}\n",
-            yaml_string(&e.stored.pattern_text)
-        ));
-        out.push_str(&format!("  count: {}\n", e.stored.count));
-        out.push_str(&format!("  first_seen: {}\n", e.stored.first_seen));
-        out.push_str(&format!("  last_matched: {}\n", e.stored.last_matched));
-        out.push_str(&format!("  complexity: {:.4}\n", e.stored.complexity));
-        if e.stored.examples.is_empty() {
-            out.push_str("  examples: []\n");
-        } else {
-            out.push_str("  examples:\n");
-            for ex in &e.stored.examples {
-                out.push_str(&format!("  - {}\n", yaml_string(ex)));
-            }
-        }
+    let p = &e.stored;
+    writeln!(out, "- id: {}", p.id)?;
+    writeln!(out, "  service: {}", yaml_string(&p.service))?;
+    writeln!(out, "  pattern: {}", yaml_string(&p.pattern_text))?;
+    writeln!(out, "  count: {}", p.count)?;
+    writeln!(out, "  first_seen: {}", p.first_seen)?;
+    writeln!(out, "  last_matched: {}", p.last_matched)?;
+    writeln!(out, "  complexity: {:.4}", p.complexity)?;
+    if p.examples.is_empty() {
+        return out.write_all(b"  examples: []\n");
     }
-    out
+    out.write_all(b"  examples:\n")?;
+    for ex in &p.examples {
+        writeln!(out, "  - {}", yaml_string(ex))?;
+    }
+    Ok(())
+}
+
+/// End the document: an export with no pattern is an empty list.
+pub fn write_footer(out: &mut impl Write, empty: bool) -> io::Result<()> {
+    match empty {
+        true => out.write_all(b" []\n"),
+        false => Ok(()),
+    }
 }
 
 /// Quote a string for YAML using double quotes with JSON-compatible escapes
@@ -84,6 +93,10 @@ mod tests {
         }
     }
 
+    fn render(entries: &[ExportEntry]) -> String {
+        super::super::render(super::super::ExportFormat::Yaml, entries)
+    }
+
     #[test]
     fn document_shape() {
         let doc = render(&[entry()]);
@@ -96,7 +109,8 @@ mod tests {
 
     #[test]
     fn empty_export() {
-        assert!(render(&[]).contains("patterns: []"));
+        assert_eq!(render(&[]), "# Sequence-RTG pattern export\npatterns: []\n");
+        assert!(render(&[entry()]).starts_with("# Sequence-RTG pattern export\npatterns:\n- id: "));
     }
 
     #[test]

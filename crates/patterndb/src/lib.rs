@@ -11,7 +11,7 @@
 //!   complexity score.
 //! * [`sha1`] — reproducible pattern ids: `SHA1(pattern ‖ service)`.
 //! * [`export`] — `ExportPatterns` to syslog-ng patterndb XML (Fig. 3), YAML,
-//!   and Logstash Grok (Fig. 4).
+//!   and Logstash Grok (Fig. 4), streamed to a writer one row at a time.
 //!
 //! ```
 //! use patterndb::{PatternStore, export::{export_patterns, ExportFormat, ExportSelection}};
@@ -28,8 +28,9 @@
 //! for d in Analyzer::new().analyze(&batch) {
 //!     store.upsert_discovered("sshd", &d, 1_630_000_000).unwrap();
 //! }
-//! let grok = export_patterns(&mut store, ExportFormat::Grok, ExportSelection::default()).unwrap();
-//! assert!(grok.contains("%{IP:srcip}"));
+//! let mut grok = Vec::new();
+//! export_patterns(&mut store, ExportFormat::Grok, ExportSelection::default(), &mut grok).unwrap();
+//! assert!(String::from_utf8(grok).unwrap().contains("%{IP:srcip}"));
 //! ```
 
 #![warn(missing_docs)]

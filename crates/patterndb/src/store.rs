@@ -32,6 +32,8 @@ pub enum StoreError {
     /// A failure injected by the test fault hook (see
     /// [`PatternStore::set_fault_hook`]); never produced in production.
     Injected(&'static str),
+    /// Writing an export failed.
+    Io(std::io::Error),
 }
 
 impl std::fmt::Display for StoreError {
@@ -42,11 +44,18 @@ impl std::fmt::Display for StoreError {
                 write!(f, "stored pattern {id} no longer parses: {err}")
             }
             StoreError::Injected(op) => write!(f, "injected fault in store operation {op}"),
+            StoreError::Io(e) => write!(f, "writing the export failed: {e}"),
         }
     }
 }
 
 impl std::error::Error for StoreError {}
+
+impl From<std::io::Error> for StoreError {
+    fn from(e: std::io::Error) -> Self {
+        StoreError::Io(e)
+    }
+}
 
 impl From<minisql::Error> for StoreError {
     fn from(e: minisql::Error) -> Self {
@@ -367,27 +376,28 @@ impl PatternStore {
         self.commit()
     }
 
-    /// All stored patterns (optionally restricted to one service), weakest
-    /// first by count — convenient for review.
+    /// All stored patterns (optionally restricted to one service), by
+    /// service, then count descending, then id — convenient for review.
     pub fn patterns(&mut self, service: Option<&str>) -> Result<Vec<StoredPattern>, StoreError> {
-        let rows = match service {
-            Some(s) => self.db.query_with(
-                "SELECT id, service, pattern, cnt, first_seen, last_matched, complexity, promoted, examples
-                 FROM patterns WHERE service = ? ORDER BY cnt DESC, id",
-                &[s.into()],
-            )?,
-            None => self.db.query(
-                "SELECT id, service, pattern, cnt, first_seen, last_matched, complexity, promoted, examples
-                 FROM patterns ORDER BY service, cnt DESC, id",
-            )?,
-        };
+        let mut all = Vec::new();
+        self.each_pattern(service, |p| all.push(p))?;
+        Ok(all)
+    }
+
+    /// Hand each stored pattern to `f` in [`PatternStore::patterns`]' order,
+    /// one row at a time: a reader that keeps nothing, like an export, never
+    /// holds the store a second time.
+    pub fn each_pattern(
+        &mut self,
+        service: Option<&str>,
+        mut f: impl FnMut(StoredPattern),
+    ) -> Result<(), StoreError> {
         let text = |v: &mut SqlValue| match std::mem::replace(v, SqlValue::Null) {
             SqlValue::Text(s) => s,
             _ => String::new(),
         };
-        Ok(rows
-            .into_iter()
-            .map(|mut r| StoredPattern {
+        let row = |r: &mut [SqlValue]| {
+            f(StoredPattern {
                 id: text(&mut r[0]),
                 service: text(&mut r[1]),
                 pattern_text: text(&mut r[2]),
@@ -398,33 +408,63 @@ impl PatternStore {
                 promoted: r[7].as_integer().unwrap_or(0) != 0,
                 examples: decode_examples(r[8].as_text().unwrap_or_default()),
             })
-            .collect())
+        };
+        match service {
+            Some(s) => self.db.query_each(
+                "SELECT id, service, pattern, cnt, first_seen, last_matched, complexity, promoted, examples
+                 FROM patterns WHERE service = ? ORDER BY cnt DESC, id",
+                &[s.into()],
+                row,
+            )?,
+            None => self.db.query_each(
+                "SELECT id, service, pattern, cnt, first_seen, last_matched, complexity, promoted, examples
+                 FROM patterns ORDER BY service, cnt DESC, id",
+                &[],
+                row,
+            )?,
+        }
+        Ok(())
+    }
+
+    /// Parse each stored pattern and hand it to `f` as `(service, id,
+    /// pattern)`, one row at a time in [`PatternStore::patterns`]' order (it
+    /// breaks specificity ties), reading no statistics and no examples.
+    /// Patterns that no longer parse (the documented `%`-collision
+    /// limitation) are skipped and returned.
+    pub fn each_parsed_pattern(
+        &mut self,
+        mut f: impl FnMut(&str, &str, Pattern),
+    ) -> Result<Vec<StoreError>, StoreError> {
+        let mut skipped = Vec::new();
+        self.db.query_each(
+            "SELECT id, service, pattern FROM patterns ORDER BY service, cnt DESC, id",
+            &[],
+            |r| {
+                let [id, service, text] = [0, 1, 2].map(|i| r[i].as_text().unwrap_or_default());
+                match Pattern::parse(text) {
+                    Ok(p) => f(service, id, p),
+                    Err(err) => skipped.push(StoreError::BadPattern {
+                        id: id.to_string(),
+                        err,
+                    }),
+                }
+            },
+        )?;
+        Ok(skipped)
     }
 
     /// Load every stored pattern into per-service [`PatternSet`]s for the
-    /// parser, in [`PatternStore::patterns`]' order (it breaks specificity
-    /// ties) but with one query: no statistics, no examples. Patterns that
-    /// no longer parse (the documented `%`-collision limitation) are skipped
-    /// and reported.
+    /// parser (see [`PatternStore::each_parsed_pattern`]); the second value
+    /// lists the patterns that no longer parse and were skipped.
     pub fn load_pattern_sets(
         &mut self,
     ) -> Result<(HashMap<String, PatternSet>, Vec<StoreError>), StoreError> {
-        let rows = self
-            .db
-            .query("SELECT id, service, pattern FROM patterns ORDER BY service, cnt DESC, id")?;
         let mut sets: HashMap<String, PatternSet> = HashMap::new();
-        let mut errors = Vec::new();
-        for r in rows {
-            let [id, service, text] = [0, 1, 2].map(|i| r[i].as_text().unwrap_or_default());
-            match Pattern::parse(text) {
-                Ok(p) => sets.entry(service.to_string()).or_default().insert(id, p),
-                Err(err) => errors.push(StoreError::BadPattern {
-                    id: id.to_string(),
-                    err,
-                }),
-            }
-        }
-        Ok((sets, errors))
+        let skipped = self.each_parsed_pattern(|service, id, p| match sets.get_mut(service) {
+            Some(set) => set.insert(id, p),
+            None => sets.entry(service.to_string()).or_default().insert(id, p),
+        })?;
+        Ok((sets, skipped))
     }
 
     /// Flag a pattern as promoted to production.

@@ -2,14 +2,15 @@
 //!
 //! Mirrors the production deployment in the paper (§IV, Fig. 6): syslog-ng
 //! pipes JSON records — `{"service": "...", "message": "..."}`, one per
-//! line — to standard input; Sequence-RTG batches them, analyses each full
-//! batch, and keeps the pattern database up to date. `--export` prints the
-//! stored patterns in a chosen format for review and promotion.
+//! line — to standard input; Sequence-RTG matches each record as it arrives,
+//! analyses the unmatched residue of each full batch, and keeps the pattern
+//! database up to date. `--export` streams the stored patterns in a chosen
+//! format for review and promotion.
 
 use patterndb::export::{export_patterns, ExportFormat, ExportSelection};
-use patterndb::PatternStore;
-use sequence_rtg::{Pipeline, RtgConfig, SequenceRtg, StreamIngester};
-use std::io::{BufReader, Write};
+use patterndb::{PatternStore, StoreError};
+use sequence_rtg::{unloaded_notice, Pipeline, RtgConfig, SequenceRtg, StreamIngester};
+use std::io::{BufReader, BufWriter, Write};
 use std::process::ExitCode;
 use std::time::{SystemTime, UNIX_EPOCH};
 
@@ -60,7 +61,9 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             "--batch-size" => {
                 opts.batch_size = value(&mut i, "--batch-size")?
                     .parse()
-                    .map_err(|_| "--batch-size expects a positive integer".to_string())?
+                    .ok()
+                    .filter(|&n| n > 0)
+                    .ok_or_else(|| "--batch-size expects a positive integer".to_string())?
             }
             "--save-threshold" => {
                 opts.save_threshold = value(&mut i, "--save-threshold")?
@@ -106,6 +109,56 @@ fn now_unix() -> u64 {
         .unwrap_or(0)
 }
 
+/// Records read from stdin at a time. The batch is the pipeline's: a record
+/// is matched when it is read, so this only bounds the read buffer.
+const READ_CHUNK: usize = 1024;
+
+/// The pattern store until the first record arrives, then the pipeline
+/// over it: a run with no input (an export) never compiles a pattern set.
+#[allow(clippy::large_enum_variant)] // one value, for the whole run
+enum Engine {
+    Idle(PatternStore, RtgConfig),
+    Mining(Pipeline),
+}
+
+impl Engine {
+    /// The pipeline, built on the first call (loading the pattern sets).
+    fn pipeline(&mut self) -> Result<&mut Pipeline, StoreError> {
+        if let Engine::Idle(store, config) = self {
+            let store = std::mem::replace(store, PatternStore::in_memory());
+            *self = Engine::Mining(Pipeline::new(SequenceRtg::new(store, *config)?));
+        }
+        match self {
+            Engine::Mining(pipeline) => Ok(pipeline),
+            Engine::Idle(..) => unreachable!("the pipeline was just built"),
+        }
+    }
+
+    fn store_mut(&mut self) -> &mut PatternStore {
+        match self {
+            Engine::Idle(store, _) => store,
+            Engine::Mining(pipeline) => pipeline.engine_mut().store_mut(),
+        }
+    }
+
+    /// Patterns the parser holds, or would hold once loaded; an idle engine
+    /// parses each stored pattern and keeps none, saying on stderr which do
+    /// not parse, as loading them would.
+    fn known_patterns(&mut self) -> Result<usize, StoreError> {
+        match self {
+            Engine::Mining(pipeline) => Ok(pipeline.engine_mut().total_known_patterns()),
+            Engine::Idle(store, _) => {
+                let mut known = 0;
+                let skipped = store.each_parsed_pattern(|_, _, _| known += 1)?;
+                if let Some(line) = unloaded_notice(&skipped) {
+                    eprintln!("{line}");
+                }
+                Ok(known)
+            }
+        }
+    }
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let opts = match parse_args(&args) {
@@ -147,24 +200,24 @@ fn main() -> ExitCode {
         },
         None => PatternStore::in_memory(),
     };
-    let rtg = match SequenceRtg::new(store, config) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: cannot load patterns: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let mut pipeline = Pipeline::new(rtg);
+    let mut engine = Engine::Idle(store, config);
 
     // The data stream ingester: stdin, line-delimited JSON records.
     let stdin = std::io::stdin();
-    let mut ingester = StreamIngester::new(BufReader::new(stdin.lock()), opts.batch_size);
+    let mut ingester = StreamIngester::new(BufReader::new(stdin.lock()), READ_CHUNK);
     loop {
         match ingester.next_batch() {
             Ok(None) => break,
-            Ok(Some(batch)) => {
+            Ok(Some(records)) => {
                 let now = now_unix();
-                for record in batch {
+                let pipeline = match engine.pipeline() {
+                    Ok(p) => p,
+                    Err(e) => {
+                        eprintln!("error: cannot load patterns: {e}");
+                        return ExitCode::FAILURE;
+                    }
+                };
+                for record in records {
                     match pipeline.push(record, now) {
                         Ok(Some(report)) if !opts.quiet => {
                             eprintln!(
@@ -191,33 +244,38 @@ fn main() -> ExitCode {
             }
         }
     }
-    match pipeline.flush(now_unix()) {
-        Ok(Some(report)) if !opts.quiet => {
-            eprintln!(
-                "[final batch {}] received={} matched={} analyzed={} new_patterns={}",
-                pipeline.batches_run(),
-                report.received,
-                report.matched_known,
-                report.analyzed,
-                report.new_patterns,
-            );
-        }
-        Ok(_) => {}
-        Err(e) => {
-            eprintln!("error: final batch analysis failed: {e}");
-            return ExitCode::FAILURE;
+    if let Engine::Mining(pipeline) = &mut engine {
+        match pipeline.flush(now_unix()) {
+            Ok(Some(report)) if !opts.quiet => {
+                eprintln!(
+                    "[final batch {}] received={} matched={} analyzed={} new_patterns={}",
+                    pipeline.batches_run(),
+                    report.received,
+                    report.matched_known,
+                    report.analyzed,
+                    report.new_patterns,
+                );
+            }
+            Ok(_) => {}
+            Err(e) => {
+                eprintln!("error: final batch analysis failed: {e}");
+                return ExitCode::FAILURE;
+            }
         }
     }
 
+    let known = match engine.known_patterns() {
+        Ok(n) => n,
+        Err(e) => {
+            eprintln!("error: cannot load patterns: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     let stats = ingester.stats();
     if !opts.quiet {
         eprintln!(
             "stream done: lines={} records={} malformed={} empty={} | known patterns={}",
-            stats.lines,
-            stats.records,
-            stats.malformed,
-            stats.empty,
-            pipeline.engine_mut().total_known_patterns(),
+            stats.lines, stats.records, stats.malformed, stats.empty, known,
         );
         for (line, err) in ingester.errors() {
             eprintln!("  line {line}: {err}");
@@ -225,7 +283,7 @@ fn main() -> ExitCode {
     }
 
     if opts.review {
-        let store = pipeline.engine_mut().store_mut();
+        let store = engine.store_mut();
         // Multi-match conflicts first ("the most correct pattern would be
         // promoted and the other discarded").
         let candidates = match store.patterns(None) {
@@ -297,13 +355,11 @@ review queue ({} candidates):",
             max_complexity: opts.max_complexity,
             ..Default::default()
         };
-        match export_patterns(pipeline.engine_mut().store_mut(), format, selection) {
-            Ok(doc) => {
-                let mut stdout = std::io::stdout();
-                if stdout.write_all(doc.as_bytes()).is_err() {
-                    return ExitCode::FAILURE;
-                }
-            }
+        let mut out = BufWriter::new(std::io::stdout().lock());
+        let exported = export_patterns(engine.store_mut(), format, selection, &mut out);
+        match exported.and_then(|_skipped| Ok(out.flush()?)) {
+            Ok(()) => {}
+            Err(StoreError::Io(_)) => return ExitCode::FAILURE,
             Err(e) => {
                 eprintln!("error: export failed: {e}");
                 return ExitCode::FAILURE;
@@ -311,7 +367,7 @@ review queue ({} candidates):",
         }
     }
     if opts.db.is_some() {
-        if let Err(e) = pipeline.engine_mut().store_mut().checkpoint() {
+        if let Err(e) = engine.store_mut().checkpoint() {
             eprintln!("error: checkpoint failed: {e}");
             return ExitCode::FAILURE;
         }

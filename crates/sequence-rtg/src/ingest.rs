@@ -64,18 +64,21 @@ impl<R: BufRead> StreamIngester<R> {
 
     /// Read until a full batch is available or the stream ends. Returns
     /// `None` when the stream is exhausted and no records remain; a final
-    /// partial batch is returned as `Some`.
+    /// partial batch is returned as `Some`. A line that is not valid UTF-8
+    /// is decoded lossily (each bad sequence becomes U+FFFD), as `seqd`
+    /// decodes its wire: one bad byte costs a character, not the stream.
     pub fn next_batch(&mut self) -> std::io::Result<Option<Vec<LogRecord>>> {
         let mut batch = Vec::with_capacity(self.batch_size);
-        let mut line = String::new();
+        let mut line = Vec::new();
         while batch.len() < self.batch_size {
             line.clear();
-            let n = self.reader.read_line(&mut line)?;
+            let n = self.reader.read_until(b'\n', &mut line)?;
             if n == 0 {
                 break; // EOF
             }
             self.stats.lines += 1;
-            let trimmed = line.trim();
+            let decoded = String::from_utf8_lossy(&line);
+            let trimmed = decoded.trim();
             if trimmed.is_empty() {
                 self.stats.empty += 1;
                 continue;
@@ -199,6 +202,18 @@ mod tests {
             assert!(!record.service.contains('\r'));
         }
         assert_eq!(batch[0].message, "event ok");
+        assert_eq!(ing.stats().malformed, 0);
+    }
+
+    #[test]
+    fn invalid_utf8_is_decoded_lossily_not_fatal() {
+        let mut raw = b"{\"service\":\"x\",\"message\":\"ok\"}\n".to_vec();
+        raw.extend_from_slice(b"{\"service\":\"x\",\"message\":\"bad \xff byte\"}\n");
+        raw.extend_from_slice(b"{\"service\":\"x\",\"message\":\"ok again\"}\n");
+        let mut ing = StreamIngester::new(Cursor::new(raw), 10);
+        let batch = ing.next_batch().unwrap().unwrap();
+        assert_eq!(batch.len(), 3);
+        assert_eq!(batch[1].message, "bad \u{fffd} byte");
         assert_eq!(ing.stats().malformed, 0);
     }
 

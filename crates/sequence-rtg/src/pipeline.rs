@@ -1,22 +1,29 @@
 //! The continuous production pipeline.
 //!
 //! In production (paper §IV, Fig. 6), syslog-ng pipes unmatched messages to
-//! Sequence-RTG's standard input; Sequence-RTG buffers them and runs one
-//! analysis per full batch. [`Pipeline`] is that loop as a reusable
-//! component: feed records in, get a [`BatchReport`] back whenever a batch
-//! completes. The parse-first step inside each batch runs on the engine's
-//! compiled matcher index (`sequence_core::matcher`), so pipeline throughput
-//! stays flat as the pattern database grows.
+//! Sequence-RTG's standard input and Sequence-RTG runs one analysis per full
+//! batch. [`Pipeline`] is that loop as a reusable component: feed records
+//! in, get a [`BatchReport`] back whenever a batch completes.
+//!
+//! A record is matched when it arrives, not when its batch runs: "if a
+//! match is found [...] no further processing occurs for this message", so
+//! a matched record becomes one count against its pattern and is dropped.
+//! Only the unmatched residue waits, raw, for the batch to fill. The
+//! pipeline's memory is the pattern sets plus that residue, whatever the
+//! batch size. The match runs on the engine's compiled matcher index
+//! (`sequence_core::matcher`), so throughput stays flat as the pattern
+//! database grows.
 
-use crate::analyze_by_service::{BatchReport, SequenceRtg};
+use crate::analyze_by_service::{BatchReport, OpenBatch, SequenceRtg};
 use crate::record::LogRecord;
 use patterndb::StoreError;
+use std::borrow::Cow;
 
 /// A batching wrapper around [`SequenceRtg`].
 #[derive(Debug)]
 pub struct Pipeline {
     rtg: SequenceRtg,
-    pending: Vec<LogRecord>,
+    open: OpenBatch<'static>,
     batches_run: u64,
 }
 
@@ -25,7 +32,7 @@ impl Pipeline {
     pub fn new(rtg: SequenceRtg) -> Pipeline {
         Pipeline {
             rtg,
-            pending: Vec::new(),
+            open: OpenBatch::default(),
             batches_run: 0,
         }
     }
@@ -40,11 +47,11 @@ impl Pipeline {
         self.batches_run
     }
 
-    /// Add one record; runs an analysis when the batch fills and returns its
-    /// report.
+    /// Add one record, matching it on arrival; runs an analysis when the
+    /// batch fills and returns its report.
     pub fn push(&mut self, record: LogRecord, now: u64) -> Result<Option<BatchReport>, StoreError> {
-        self.pending.push(record);
-        if self.pending.len() >= self.rtg.config().batch_size {
+        self.rtg.arrive(&mut self.open, Cow::Owned(record));
+        if self.open.received() >= self.rtg.config().batch_size as u64 {
             return Ok(Some(self.run_batch(now)?));
         }
         Ok(None)
@@ -52,16 +59,16 @@ impl Pipeline {
 
     /// Analyse whatever is pending, even a partial batch. `None` when empty.
     pub fn flush(&mut self, now: u64) -> Result<Option<BatchReport>, StoreError> {
-        if self.pending.is_empty() {
+        if self.open.received() == 0 {
             return Ok(None);
         }
         Ok(Some(self.run_batch(now)?))
     }
 
     fn run_batch(&mut self, now: u64) -> Result<BatchReport, StoreError> {
-        let batch = std::mem::take(&mut self.pending);
+        let batch = std::mem::take(&mut self.open);
         self.batches_run += 1;
-        self.rtg.analyze_by_service(&batch, now)
+        self.rtg.run_batch(batch, now)
     }
 }
 

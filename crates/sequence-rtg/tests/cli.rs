@@ -5,6 +5,10 @@ use std::io::Write;
 use std::process::{Command, Stdio};
 
 fn run_cli(args: &[&str], stdin: &str) -> (String, String, bool) {
+    run_cli_bytes(args, stdin.as_bytes())
+}
+
+fn run_cli_bytes(args: &[&str], stdin: &[u8]) -> (String, String, bool) {
     let mut child = Command::new(env!("CARGO_BIN_EXE_sequence-rtg"))
         .args(args)
         .stdin(Stdio::piped())
@@ -12,12 +16,7 @@ fn run_cli(args: &[&str], stdin: &str) -> (String, String, bool) {
         .stderr(Stdio::piped())
         .spawn()
         .expect("spawn sequence-rtg");
-    child
-        .stdin
-        .as_mut()
-        .unwrap()
-        .write_all(stdin.as_bytes())
-        .unwrap();
+    child.stdin.as_mut().unwrap().write_all(stdin).unwrap();
     let out = child.wait_with_output().unwrap();
     (
         String::from_utf8_lossy(&out.stdout).to_string(),
@@ -98,6 +97,50 @@ fn persistent_db_across_invocations() {
     assert!(stderr2.contains("matched=10"), "{stderr2}");
     assert!(stderr2.contains("new_patterns=0"), "{stderr2}");
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// One byte that is not UTF-8 costs a character, not the batch: the line is
+/// decoded lossily, as `seqd` decodes its wire, and all seven records are
+/// mined and stored.
+#[test]
+fn a_non_utf8_byte_is_decoded_lossily_and_the_batch_is_mined() {
+    let dir = std::env::temp_dir().join(format!("rtg-cli-utf8-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let db = dir.to_str().unwrap();
+    let line = |i: u32| format!("{{\"service\":\"x\",\"message\":\"job {i} done\"}}\n");
+    let mut stream: Vec<u8> = (0..3).flat_map(|i| line(i).into_bytes()).collect();
+    stream.extend_from_slice(b"{\"service\":\"x\",\"message\":\"bad \xff byte\"}\n");
+    stream.extend((3..6).flat_map(|i| line(i).into_bytes()));
+    let (_, stderr, ok) = run_cli_bytes(&["--db", db], &stream);
+    assert!(ok, "{stderr}");
+    assert!(stderr.contains("received=7"), "{stderr}");
+    assert!(stderr.contains("records=7 malformed=0"), "{stderr}");
+    let (yaml, stderr, ok) = run_cli(&["--db", db, "--quiet", "--export", "yaml"], "");
+    assert!(ok, "{stderr}");
+    let stored: u64 = yaml
+        .lines()
+        .filter_map(|l| l.strip_prefix("  count: "))
+        .map(|n| n.parse::<u64>().unwrap())
+        .sum();
+    assert_eq!(stored, 7, "{yaml}");
+    assert!(yaml.contains("bad \u{fffd} byte"), "{yaml}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn batch_size_zero_is_a_usage_error() {
+    let out = Command::new(env!("CARGO_BIN_EXE_sequence-rtg"))
+        .args(["--batch-size", "0"])
+        .stdin(Stdio::null())
+        .output()
+        .expect("run sequence-rtg");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.contains("--batch-size expects a positive integer"),
+        "{stderr}"
+    );
+    assert!(stderr.contains("usage:"), "{stderr}");
 }
 
 #[test]

@@ -7,7 +7,9 @@
 //! allocator and counts every `alloc`/`realloc`; a test binary installs it
 //! with `#[global_allocator]` and asserts on [`allocations`] deltas. It also
 //! tracks the bytes currently allocated ([`live_bytes`]), for tests that pin
-//! what a structure costs to hold and that dropping it gives all of it back.
+//! what a structure costs to hold and that dropping it gives all of it back,
+//! and the most they reached ([`peak_live_bytes`], restarted by
+//! [`reset_peak`]), for tests that pin what a pass costs while it runs.
 //!
 //! The counter is process-global, so zero-allocation assertions belong in
 //! a dedicated integration-test binary with a single `#[test]` — the
@@ -29,6 +31,8 @@ static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 /// Signed: a block allocated before the counter's first load may be freed
 /// after it.
 static LIVE_BYTES: AtomicI64 = AtomicI64::new(0);
+/// The highest `LIVE_BYTES` since the last [`reset_peak`].
+static PEAK_LIVE_BYTES: AtomicI64 = AtomicI64::new(0);
 
 /// A `GlobalAlloc` that forwards to the system allocator, counts every
 /// allocation and reallocation (frees are not counted — a zero-alloc claim
@@ -38,7 +42,8 @@ pub struct CountingAlloc;
 
 fn acquired(bytes: usize) {
     ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-    LIVE_BYTES.fetch_add(bytes as i64, Ordering::Relaxed);
+    let live = LIVE_BYTES.fetch_add(bytes as i64, Ordering::Relaxed) + bytes as i64;
+    PEAK_LIVE_BYTES.fetch_max(live, Ordering::Relaxed);
 }
 
 fn released(bytes: usize) {
@@ -80,6 +85,17 @@ pub fn allocations() -> u64 {
 /// [`CountingAlloc`] is installed as the global allocator).
 pub fn live_bytes() -> i64 {
     LIVE_BYTES.load(Ordering::Relaxed)
+}
+
+/// The most bytes live at once since the last [`reset_peak`] (or process
+/// start), process-wide.
+pub fn peak_live_bytes() -> i64 {
+    PEAK_LIVE_BYTES.load(Ordering::Relaxed)
+}
+
+/// Restart [`peak_live_bytes`] from what is live now.
+pub fn reset_peak() {
+    PEAK_LIVE_BYTES.store(live_bytes(), Ordering::Relaxed);
 }
 
 /// Run `f` and return its result together with the number of allocations

@@ -9,6 +9,7 @@
 
 use sequence_rtg_repro::loghub_synth::generate;
 use sequence_rtg_repro::patterndb::export::{export_patterns, ExportFormat, ExportSelection};
+use sequence_rtg_repro::patterndb::PatternStore;
 use sequence_rtg_repro::sequence_rtg::{LogRecord, RtgConfig, SequenceRtg};
 
 fn main() {
@@ -37,24 +38,31 @@ fn main() {
     };
     let all = ExportSelection::default();
 
-    let xml = export_patterns(store, ExportFormat::SyslogNg, strong).unwrap();
+    let xml = export(store, ExportFormat::SyslogNg, strong);
     println!("=== syslog-ng patterndb XML (strong patterns only) ===");
     println!("{}", first_lines(&xml, 30));
 
-    let yaml = export_patterns(store, ExportFormat::Yaml, strong).unwrap();
+    let yaml = export(store, ExportFormat::Yaml, strong);
     println!("\n=== YAML (for e.g. Puppet) ===");
     println!("{}", first_lines(&yaml, 20));
 
-    let grok = export_patterns(store, ExportFormat::Grok, strong).unwrap();
+    let grok = export(store, ExportFormat::Grok, strong);
     println!("\n=== Logstash Grok filters ===");
     println!("{}", first_lines(&grok, 18));
 
-    let n_all = export_patterns(store, ExportFormat::Yaml, all)
-        .unwrap()
+    let n_all = export(store, ExportFormat::Yaml, all)
         .matches("- id:")
         .count();
     let n_strong = yaml.matches("- id:").count();
     println!("\nselection effect: {n_all} patterns total, {n_strong} pass the strong filter");
+}
+
+/// One export document. `export_patterns` streams to any writer; a
+/// `Vec<u8>` keeps it for printing excerpts.
+fn export(store: &mut PatternStore, format: ExportFormat, selection: ExportSelection) -> String {
+    let mut doc = Vec::new();
+    export_patterns(store, format, selection, &mut doc).unwrap();
+    String::from_utf8(doc).unwrap()
 }
 
 fn first_lines(s: &str, n: usize) -> String {

@@ -53,6 +53,16 @@ fn main() {
     for d in &discovered {
         store.upsert_discovered("sshd", d, 1_630_000_000).unwrap();
     }
-    let grok = export_patterns(&mut store, ExportFormat::Grok, ExportSelection::default()).unwrap();
-    println!("\nLogstash Grok export:\n{grok}");
+    let mut grok = Vec::new();
+    export_patterns(
+        &mut store,
+        ExportFormat::Grok,
+        ExportSelection::default(),
+        &mut grok,
+    )
+    .unwrap();
+    println!(
+        "\nLogstash Grok export:\n{}",
+        String::from_utf8_lossy(&grok)
+    );
 }

@@ -5,8 +5,16 @@
 
 use sequence_rtg_repro::loghub_synth::{generate, DATASET_NAMES};
 use sequence_rtg_repro::patterndb::export::{export_patterns, ExportFormat, ExportSelection};
+use sequence_rtg_repro::patterndb::PatternStore;
 use sequence_rtg_repro::sequence_core::{Scanner, ScannerOptions, TokenType};
 use sequence_rtg_repro::sequence_rtg::{LogRecord, RtgConfig, SequenceRtg};
+
+/// One export document, written into a `Vec<u8>`.
+fn export(store: &mut PatternStore, format: ExportFormat, selection: ExportSelection) -> String {
+    let mut doc = Vec::new();
+    export_patterns(store, format, selection, &mut doc).unwrap();
+    String::from_utf8(doc).unwrap()
+}
 
 #[test]
 fn scanner_handles_every_dataset_line() {
@@ -98,12 +106,11 @@ fn syslogng_export_is_well_formed_xml_for_real_mined_patterns() {
         .collect();
     let mut rtg = SequenceRtg::in_memory(RtgConfig::default());
     rtg.analyze_by_service(&records, 1).unwrap();
-    let xml = export_patterns(
+    let xml = export(
         rtg.store_mut(),
         ExportFormat::SyslogNg,
         ExportSelection::default(),
-    )
-    .unwrap();
+    );
     check_balanced_xml(&xml);
     // Raw examples contain timestamps with digits and colons; none of that
     // may leak outside escaped text.
@@ -172,18 +179,16 @@ fn grok_and_yaml_exports_cover_all_patterns() {
         .collect();
     let mut rtg = SequenceRtg::in_memory(RtgConfig::default());
     let report = rtg.analyze_by_service(&records, 1).unwrap();
-    let grok = export_patterns(
+    let grok = export(
         rtg.store_mut(),
         ExportFormat::Grok,
         ExportSelection::default(),
-    )
-    .unwrap();
-    let yaml = export_patterns(
+    );
+    let yaml = export(
         rtg.store_mut(),
         ExportFormat::Yaml,
         ExportSelection::default(),
-    )
-    .unwrap();
+    );
     assert_eq!(grok.matches("filter {").count() as u64, report.new_patterns);
     assert_eq!(yaml.matches("- id: ").count() as u64, report.new_patterns);
 }

@@ -3,8 +3,16 @@
 
 use sequence_rtg_repro::loghub_synth::{generate_stream, to_json_lines, CorpusConfig};
 use sequence_rtg_repro::patterndb::export::{export_patterns, ExportFormat, ExportSelection};
+use sequence_rtg_repro::patterndb::PatternStore;
 use sequence_rtg_repro::sequence_rtg::{Pipeline, RtgConfig, SequenceRtg, StreamIngester};
 use std::io::Cursor;
+
+/// One export document, written into a `Vec<u8>`.
+fn export(store: &mut PatternStore, format: ExportFormat, selection: ExportSelection) -> String {
+    let mut doc = Vec::new();
+    export_patterns(store, format, selection, &mut doc).unwrap();
+    String::from_utf8(doc).unwrap()
+}
 
 fn run_stream(total: usize, batch_size: usize) -> Pipeline {
     let stream = generate_stream(CorpusConfig {
@@ -44,19 +52,18 @@ fn stream_to_store_to_export() {
         ExportFormat::Yaml,
         ExportFormat::Grok,
     ] {
-        let doc = export_patterns(engine.store_mut(), fmt, ExportSelection::default()).unwrap();
+        let doc = export(engine.store_mut(), fmt, ExportSelection::default());
         assert!(
             doc.len() > 500,
             "export should be substantial: {} bytes",
             doc.len()
         );
     }
-    let xml = export_patterns(
+    let xml = export(
         engine.store_mut(),
         ExportFormat::SyslogNg,
         ExportSelection::default(),
-    )
-    .unwrap();
+    );
     assert!(xml.contains("<patterndb version='4'"));
     assert!(xml.contains("test_message"));
 }
