@@ -387,9 +387,15 @@ mod tests {
             (b"#3\nabc\n!7\n#3\nabc\n#3\nabc\n", Ok(3)),
             (b"#3\nabc\n?3\nabc\n", Err("bad frame header at byte 7")),
             (b"#3\nabc\n#x\nabc\n", Err("bad frame length at byte 7")),
-            (b"!12\n#3\nabc\n#9\nab", Err("frame at byte 11 overruns its group")),
+            (
+                b"!12\n#3\nabc\n#9\nab",
+                Err("frame at byte 11 overruns its group"),
+            ),
             (b"!7\n!3\n#1\na\n", Err("bad frame header at byte 3")),
-            ("#1\né\n".as_bytes(), Err("frame at byte 0 splits a character")),
+            (
+                "#1\né\n".as_bytes(),
+                Err("frame at byte 0 splits a character"),
+            ),
         ];
         for (file, expect) in cases {
             let _ = fs::remove_dir_all(&dir);

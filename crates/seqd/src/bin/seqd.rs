@@ -46,10 +46,12 @@ fn main() -> ExitCode {
         match arg.as_str() {
             "--addr" => addr = value("--addr"),
             "--store" => store_path = Some(value("--store")),
-            "--shards" => config.shards = parse(&value("--shards"), "--shards"),
-            "--batch-size" => config.rtg.batch_size = parse(&value("--batch-size"), "--batch-size"),
+            "--shards" => config.shards = positive(&value("--shards"), "--shards"),
+            "--batch-size" => {
+                config.rtg.batch_size = positive(&value("--batch-size"), "--batch-size")
+            }
             "--queue-capacity" => {
-                config.queue_capacity = parse(&value("--queue-capacity"), "--queue-capacity")
+                config.queue_capacity = positive(&value("--queue-capacity"), "--queue-capacity")
             }
             "--io-timeout-ms" => {
                 config.io_timeout = Duration::from_millis(parse(
@@ -84,12 +86,7 @@ fn main() -> ExitCode {
                     ));
                 }
             }
-            "--miners" => {
-                config.miners = parse(&value("--miners"), "--miners");
-                if config.miners == 0 {
-                    fail("--miners needs at least 1 (inline mining was removed)");
-                }
-            }
+            "--miners" => config.miners = positive(&value("--miners"), "--miners"),
             "--help" | "-h" => {
                 println!(
                     "usage: seqd [--addr HOST:PORT] [--store PATH] [--shards N] \
@@ -177,6 +174,14 @@ fn main() -> ExitCode {
 fn parse(s: &str, flag: &str) -> usize {
     s.parse()
         .unwrap_or_else(|_| fail(&format!("{flag} expects a number, got {s:?}")))
+}
+
+/// A count that must be at least 1.
+fn positive(s: &str, flag: &str) -> usize {
+    match parse(s, flag) {
+        0 => fail(&format!("{flag} needs at least 1")),
+        n => n,
+    }
 }
 
 fn fail(msg: &str) -> ! {

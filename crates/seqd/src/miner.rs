@@ -1,18 +1,21 @@
 //! The background mining pipeline: re-mining off the ingest hot path.
 //!
-//! A flush — bulk match stats, re-mine, publish, WAL release — runs on a
-//! small pool of mining threads fed by a bounded job queue:
+//! A flush — the mining step the CLI runs too (plan, one commit of match
+//! counts and mined patterns, publish; see [`sequence_rtg::batch`]), then
+//! the WAL release — runs on a small pool of mining threads fed by a
+//! bounded job queue:
 //!
-//! * A worker hands off `(residue batch, match counts, WAL high-water mark)`
-//!   as a [`MineJob`] and immediately resumes draining its queue, matching
-//!   new records against the *currently published* sets until the miner
-//!   publishes fresh ones through the [`PatternBoard`].
+//! * A worker hands off its arrival batch (residue and match counts) and
+//!   its WAL high-water mark as a [`MineJob`] and immediately resumes
+//!   draining its queue, matching new records against the *currently
+//!   published* sets until the miner publishes fresh ones through the
+//!   [`PatternBoard`].
 //! * A shard runs at most one job at a time, and a service hashes to exactly
 //!   one shard, so no two jobs ever touch one service's pattern set at once.
 //!   That rule is the only guard on a set: a job plans against the set it
 //!   loads from the board, with no lock held, and publishes the grown set
 //!   back. Jobs for different shards plan in parallel; only their commits
-//!   share the store lock in [`MiningEngine`].
+//!   share the store lock in [`MinerDeps::store`].
 //! * A second submission for a shard whose job is still queued *coalesces*
 //!   into the pending job (counted in `mine_coalesced`) instead of queueing
 //!   a stale re-mine behind it, so the queue holds at most one job per
@@ -35,10 +38,10 @@ use crate::metrics::{stages, Ops};
 use crate::shard::now_unix;
 use crate::swap::PatternBoard;
 use crate::wal::IngestWal;
-use patterndb::{PatternStore, StoreError};
-use sequence_core::{Analyzer, MatchScratch, PatternSet, Scanner};
-use sequence_rtg::{commit_plans, plan_service, CommitOutcome, LogRecord, RtgConfig, ServicePlan};
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use patterndb::PatternStore;
+use sequence_core::MatchScratch;
+use sequence_rtg::{commit_plans, publish, Mining, OpenBatch};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -88,78 +91,16 @@ impl DrainSignal {
     }
 }
 
-/// The mining state shared between workers and miners: the pattern store,
-/// behind one lock held only for the brief commit transactions and
-/// control-plane reads, plus the immutable scanner, analyser and config.
-/// The published sets live on the [`PatternBoard`], not here.
-#[derive(Debug)]
-pub struct MiningEngine {
-    config: RtgConfig,
-    scanner: Scanner,
-    analyzer: Analyzer,
-    store: Mutex<PatternStore>,
-    /// [`sequence_rtg::unloaded_notice`] for the load in [`MiningEngine::new`].
-    unloaded: Option<String>,
-}
-
-impl MiningEngine {
-    /// Build an engine over a pattern store, loading any persisted patterns.
-    /// Returns the engine plus the loaded per-service sets, which seed the
-    /// serving plane (the [`PatternBoard`]).
-    pub fn new(
-        mut store: PatternStore,
-        config: RtgConfig,
-    ) -> Result<(MiningEngine, HashMap<String, PatternSet>), StoreError> {
-        let (seed, skipped) = store.load_pattern_sets()?;
-        Ok((
-            MiningEngine {
-                config,
-                scanner: Scanner::with_options(config.scanner),
-                analyzer: Analyzer::with_options(config.analyzer),
-                store: Mutex::new(store),
-                unloaded: sequence_rtg::unloaded_notice(&skipped),
-            },
-            seed,
-        ))
-    }
-
-    /// An engine over a fresh in-memory store (tests).
-    pub fn in_memory(config: RtgConfig) -> MiningEngine {
-        MiningEngine::new(PatternStore::in_memory(), config)
-            .expect("empty store loads")
-            .0
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> RtgConfig {
-        self.config
-    }
-
-    /// One line about stored patterns that did not parse at start-up and
-    /// were left out of the sets, `None` when all loaded. Kept for the
-    /// binary to print: clients read its `listening on` line first.
-    pub fn unloaded_notice(&self) -> Option<&str> {
-        self.unloaded.as_deref()
-    }
-
-    /// The pattern store, for control-plane reads and the shutdown
-    /// checkpoint. Mining holds this lock only across commit transactions.
-    pub fn store(&self) -> &Mutex<PatternStore> {
-        &self.store
-    }
-}
-
-/// One unit of handed-off mining work: a shard's residue snapshot plus the
-/// ingest-time match counts accumulated alongside it.
+/// One unit of handed-off mining work: a shard's arrival batch (residue
+/// and match counts) and the WAL mark it covers.
 #[derive(Debug)]
 pub struct MineJob {
     /// The submitting shard (per-shard jobs are serialized, so one
     /// service's records are never mined out of order).
     pub shard_id: usize,
-    /// Unmatched records to re-mine.
-    pub batch: Vec<LogRecord>,
-    /// Ingest-time matches to record in bulk, keyed by pattern id.
-    pub counts: HashMap<String, u64>,
+    /// The shard's arrival batch: unmatched records to re-mine and
+    /// ingest-time match counts.
+    pub batch: OpenBatch<'static>,
     /// Highest WAL sequence the shard has taken charge of; released after
     /// the job's fate is committed. Zero means nothing to release.
     pub release_up_to: u64,
@@ -172,24 +113,24 @@ impl MineJob {
     /// Fold a later submission for the same shard into this pending job.
     pub fn merge(&mut self, other: MineJob) {
         debug_assert_eq!(self.shard_id, other.shard_id);
-        self.batch.extend(other.batch);
-        for (id, n) in other.counts {
-            *self.counts.entry(id).or_insert(0) += n;
-        }
+        self.batch.merge(other.batch);
         self.release_up_to = self.release_up_to.max(other.release_up_to);
         self.enqueued = self.enqueued.min(other.enqueued);
     }
 
     fn is_trivial(&self) -> bool {
-        self.batch.is_empty() && self.counts.is_empty() && self.release_up_to == 0
+        self.batch.is_empty() && self.release_up_to == 0
     }
 }
 
 /// Everything a mining run needs besides the job itself.
 #[derive(Debug, Clone)]
 pub struct MinerDeps {
-    /// The store and the mining configuration.
-    pub engine: Arc<MiningEngine>,
+    /// The mining configuration, scanner and analyser.
+    pub mining: Arc<Mining>,
+    /// The pattern store, behind one lock held only for the commit
+    /// transactions and control-plane reads.
+    pub store: Arc<Mutex<PatternStore>>,
     /// The published sets: what jobs plan against and publish to.
     pub board: Arc<PatternBoard>,
     /// Shared counters.
@@ -205,11 +146,12 @@ pub struct MinerDeps {
     pub drain: Arc<DrainSignal>,
 }
 
-/// Run one mining job to completion: plan each service against its
-/// published set, commit everything in one store transaction (retried with
-/// exponential backoff up to the bounded budget, then abandoned and counted
-/// in `Ops::dropped`), publish the sets of the services that gained
-/// patterns, and release the job's records from the ingest WAL.
+/// Run one mining job to completion through the shared mining step: plan
+/// each service against its published set, commit the match counts and the
+/// mined patterns in one store transaction (retried with exponential
+/// backoff up to the bounded budget, then abandoned and counted in
+/// `Ops::dropped`), publish the sets of the services that gained patterns,
+/// and release the job's records from the ingest WAL.
 ///
 /// The caller guarantees that no other job of the same shard runs at the
 /// same time; nothing here locks a service's set.
@@ -219,117 +161,62 @@ pub fn mine_job(deps: &MinerDeps, scratch: &mut MatchScratch, job: MineJob) {
     }
     let MineJob {
         shard_id,
-        batch,
-        counts,
+        mut batch,
         release_up_to,
         enqueued,
     } = job;
     stages::mine_queue_wait().record_ns(elapsed_ns(enqueued));
     let now = now_unix();
     let started = Instant::now();
-    let counts: Vec<(String, u64)> = {
-        let mut v: Vec<_> = counts.into_iter().collect();
-        v.sort_unstable(); // deterministic store write order
-        v
-    };
-    let mut by_service: BTreeMap<&str, Vec<&LogRecord>> = BTreeMap::new();
-    for r in &batch {
-        by_service.entry(r.service.as_str()).or_default().push(r);
-    }
+    let residue = batch.residue_len();
 
     // The whole job still records as one `seqd.flush` — the name operators
     // (and the slow-ring tests) already watch for a re-mine.
     let mut flush_span = obs::span!("seqd.flush");
     flush_span.attr_u64("shard", shard_id as u64);
-    flush_span.attr_u64("batch", batch.len() as u64);
-    flush_span.attr_u64("match_counts", counts.len() as u64);
-    flush_span.attr_u64("services", by_service.len() as u64);
-    if let Some(first) = by_service.keys().next() {
-        flush_span.attr_str("service", first);
-    }
+    flush_span.attr_u64("batch", residue as u64);
+    flush_span.attr_u64("match_counts", batch.match_counts().count() as u64);
 
-    // Plan phase: pure compute against the published sets, store untouched.
     // Plans are reusable data, so a failed commit retries without paying
     // for the analysis again.
-    let engine = &deps.engine;
-    let plans: Vec<(&str, Option<Arc<PatternSet>>, ServicePlan)> = by_service
-        .iter()
-        .map(|(service, records)| {
-            let set = deps.board.load(service);
-            let plan = plan_service(
-                &engine.scanner,
-                &engine.analyzer,
-                &engine.config,
-                set.as_deref(),
-                scratch,
-                records,
-            );
-            (*service, set, plan)
-        })
-        .collect();
-
-    // Commit phase: store writes only, stats first, then the mined upserts
-    // in one transaction.
-    let mut counts_done = counts.is_empty();
-    let mut outcomes: Option<Vec<CommitOutcome>> = None;
+    let plans = deps.mining.plan(&deps.board, &mut batch, scratch);
+    flush_span.attr_u64("services", plans.len() as u64);
+    if let Some((first, _)) = plans.first() {
+        flush_span.attr_str("service", first);
+    }
     let mut attempt: u32 = 0;
-    loop {
-        {
-            // The lock is scoped to one attempt: backoff sleeps must not
-            // starve other jobs' commits.
-            let mut store = engine.store.lock().expect("store lock");
-            if !counts_done {
-                match store.record_matches_bulk(&counts, now) {
-                    Ok(()) => counts_done = true,
-                    Err(e) => eprintln!(
-                        "seqd[miner, shard {shard_id}]: recording match stats failed \
-                         (attempt {attempt}): {e}"
-                    ),
-                }
-            }
-            if counts_done && outcomes.is_none() && !batch.is_empty() {
-                let batch_plans = plans.iter().map(|(service, _, plan)| (*service, plan));
-                match commit_plans(&mut store, batch_plans, now) {
-                    Ok(committed) => outcomes = Some(committed),
-                    Err(e) => eprintln!(
-                        "seqd[miner, shard {shard_id}]: re-mining commit failed \
-                         (attempt {attempt}): {e}"
-                    ),
-                }
-            }
-        }
-        if counts_done && (outcomes.is_some() || batch.is_empty()) {
-            break;
+    let outcomes = loop {
+        let job_plans = plans.iter().map(|(service, plan)| (service.as_str(), plan));
+        // The lock is held for one attempt only: backoff sleeps must not
+        // starve other jobs' commits.
+        let committed = commit_plans(&mut deps.store.lock().expect("store lock"), job_plans, now);
+        match committed {
+            Ok(outcomes) => break Some(outcomes),
+            Err(e) => eprintln!(
+                "seqd[miner, shard {shard_id}]: mining commit failed (attempt {attempt}): {e}"
+            ),
         }
         if attempt >= deps.retries {
-            if outcomes.is_none() && !batch.is_empty() {
-                // Abandon the batch: the transaction rolled back, so nothing
-                // partial is in the store or the sets. Count the loss.
-                Ops::add(&deps.ops.dropped, batch.len() as u64);
-                eprintln!(
-                    "seqd[miner, shard {shard_id}]: dropping {} residue records after {} attempts",
-                    batch.len(),
-                    attempt + 1
-                );
-            }
-            if !counts_done {
-                eprintln!(
-                    "seqd[miner, shard {shard_id}]: abandoning match statistics for {} patterns",
-                    counts.len()
-                );
-            }
-            break;
+            // Abandon the job: the transaction rolled back, so nothing
+            // partial is in the store or the sets. Count the loss.
+            Ops::add(&deps.ops.dropped, residue as u64);
+            eprintln!(
+                "seqd[miner, shard {shard_id}]: dropping {residue} residue records and their \
+                 shard's match statistics after {} attempts",
+                attempt + 1
+            );
+            break None;
         }
         // A drain begun mid-ladder cuts the backoff short: the remaining
         // attempts run back to back so shutdown is never held for it.
         deps.drain
             .sleep(deps.backoff * 2u32.saturating_pow(attempt));
         attempt += 1;
-    }
+    };
 
     let core_ns = elapsed_ns(started);
     stages::mine().record_ns(core_ns);
-    if !batch.is_empty() {
+    if residue > 0 {
         // The miner *is* the analyse stage now; keep the rtg-level latency
         // series (and `/stats`'s analyze line) populated.
         obs::registry()
@@ -340,28 +227,14 @@ pub fn mine_job(deps: &MinerDeps, scratch: &mut MatchScratch, job: MineJob) {
             .record_ns(core_ns);
     }
 
-    // Publish phase: only a durable transaction grows a published set, so a
-    // rolled-back job leaves the board exactly mirroring the store. A
-    // service whose plan only matched keeps the set it already published.
-    // The set planned against is still the published one (this shard is
-    // its only writer); the clone shares it, and the first insert copies
-    // the index once. Publish *before* `record_remine` — pollers that watch
-    // `remine_runs` take the bump to mean the new sets are visible.
-    if let Some(outcomes) = outcomes {
+    // A job without residue only counted: it is not a re-mine. Publish
+    // *before* `record_remine` — pollers that watch `remine_runs` take the
+    // bump to mean the new sets are visible.
+    if let Some(outcomes) = outcomes.filter(|_| residue > 0) {
         let mut publish_span = obs::span!("seqd.mine.publish");
         publish_span.attr_u64("shard", shard_id as u64);
         publish_span.attr_u64("services", plans.len() as u64);
-        for ((service, planned, _plan), outcome) in plans.iter().zip(outcomes) {
-            if outcome.inserted.is_empty() {
-                continue;
-            }
-            let mut set = planned.as_deref().cloned().unwrap_or_default();
-            for (id, pattern) in outcome.inserted {
-                set.insert(id, pattern);
-            }
-            deps.board.publish(service, set);
-            Ops::inc(&deps.ops.swaps);
-        }
+        Ops::add(&deps.ops.swaps, publish(&deps.board, &plans, outcomes));
         deps.ops.record_remine(started.elapsed());
     }
 
@@ -412,7 +285,7 @@ impl PoolState {
     /// make progress). Gives the job back on `Err` so the caller can keep
     /// accumulating — backpressure, never loss.
     fn enqueue(&mut self, job: MineJob, capacity: usize) -> Result<Enqueued, MineJob> {
-        let len = job.batch.len();
+        let len = job.batch.residue_len();
         if self.queued_records > 0 && self.queued_records + len > capacity {
             return Err(job);
         }
@@ -439,7 +312,7 @@ impl PoolState {
         let shard = self.order.remove(pos).expect("indexed position");
         let job = self.pending.remove(&shard).expect("ordered shard pending");
         self.mining.insert(shard);
-        self.queued_records -= job.batch.len();
+        self.queued_records -= job.batch.residue_len();
         Some(job)
     }
 }
@@ -668,7 +541,9 @@ fn miner_thread(shared: Arc<PoolShared>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sequence_core::Scanner;
+    use sequence_core::{PatternSet, Scanner};
+    use sequence_rtg::{Arrival, LogRecord, RtgConfig};
+    use std::borrow::Cow;
     use std::collections::BTreeSet;
 
     fn record(service: &str, message: &str) -> LogRecord {
@@ -683,12 +558,13 @@ mod tests {
     }
 
     fn test_deps() -> MinerDeps {
-        deps_for(MiningEngine::in_memory(RtgConfig::default()))
+        deps_for(PatternStore::in_memory())
     }
 
-    fn deps_for(engine: MiningEngine) -> MinerDeps {
+    fn deps_for(store: PatternStore) -> MinerDeps {
         MinerDeps {
-            engine: Arc::new(engine),
+            mining: Arc::new(Mining::new(RtgConfig::default())),
+            store: Arc::new(Mutex::new(store)),
             board: Arc::new(PatternBoard::new()),
             ops: Arc::new(Ops::new()),
             wal: None,
@@ -698,13 +574,28 @@ mod tests {
         }
     }
 
-    fn job(shard_id: usize, batch: Vec<LogRecord>) -> MineJob {
+    fn job(shard_id: usize, residue: Vec<LogRecord>) -> MineJob {
+        let mut batch = OpenBatch::default();
+        for r in residue {
+            batch.take(Cow::Owned(r), Arrival::Residue);
+        }
         MineJob {
             shard_id,
             batch,
-            counts: HashMap::new(),
             release_up_to: 0,
             enqueued: Instant::now(),
+        }
+    }
+
+    /// Count `n` arrival matches of pattern `id` of `sshd` into `job`.
+    fn count(job: &mut MineJob, id: &str, n: u64) {
+        for _ in 0..n {
+            let matched = Arrival::Matched {
+                id,
+                multiline: false,
+            };
+            job.batch
+                .take(Cow::Owned(record("sshd", "matched")), matched);
         }
     }
 
@@ -721,10 +612,7 @@ mod tests {
         let set = deps.board.load("sshd").expect("published set");
         let msg = Scanner::new().scan("session opened for user mallory");
         assert!(set.match_message(&msg).is_some());
-        assert_eq!(
-            deps.engine.store().lock().unwrap().pattern_count().unwrap(),
-            1
-        );
+        assert_eq!(deps.store.lock().unwrap().pattern_count().unwrap(), 1);
         assert_eq!(miner.queue_depth(), 0);
     }
 
@@ -744,7 +632,7 @@ mod tests {
         let s = deps.ops.snapshot();
         assert_eq!((s.remines, s.swaps), (1, 0), "{s:?}");
         assert!(Arc::ptr_eq(&published, &deps.board.load("sshd").unwrap()));
-        let store = deps.engine.store();
+        let store = &deps.store;
         assert_eq!(store.lock().unwrap().pattern_count().unwrap(), 0);
     }
 
@@ -774,8 +662,7 @@ mod tests {
             }
             false
         })));
-        let (engine, _seed) = MiningEngine::new(store, RtgConfig::default()).unwrap();
-        let deps = deps_for(engine);
+        let deps = deps_for(store);
         let miner = Miner::background(deps.clone(), 4, 1_000_000);
         // Round `r` gives every service a template of `r + 4` tokens, so no
         // earlier pattern matches it and no two rounds merge.
@@ -813,7 +700,7 @@ mod tests {
         let s = deps.ops.snapshot();
         assert_eq!(s.dropped, 0, "{s:?}");
         assert!(s.mine_coalesced > 0, "{s:?}");
-        let mut store = deps.engine.store().lock().unwrap();
+        let mut store = deps.store.lock().unwrap();
         for shard in 0..SHARDS {
             for k in 0..SERVICES {
                 let service = format!("svc-{shard}-{k}");
@@ -833,23 +720,17 @@ mod tests {
     }
 
     #[test]
-    fn match_counts_commit_through_the_bulk_path() {
+    fn match_counts_commit_with_the_job() {
         let deps = test_deps();
         let miner = Miner::inline(deps.clone());
         miner.try_submit(job(0, sshd_batch())).unwrap();
-        let id = deps
-            .engine
-            .store()
-            .lock()
-            .unwrap()
-            .patterns(Some("sshd"))
-            .unwrap()[0]
+        let id = deps.store.lock().unwrap().patterns(Some("sshd")).unwrap()[0]
             .id
             .clone();
         let mut counts_only = job(0, Vec::new());
-        counts_only.counts.insert(id.clone(), 5);
+        count(&mut counts_only, &id, 5);
         miner.try_submit(counts_only).unwrap();
-        let store = deps.engine.store();
+        let store = &deps.store;
         let p = &store.lock().unwrap().patterns(Some("sshd")).unwrap()[0];
         assert_eq!(p.count, 3 + 5);
         // A counts-only job is not a re-mine.
@@ -862,28 +743,29 @@ mod tests {
         let early = Instant::now();
         let mut first = job(3, sshd_batch());
         first.enqueued = early;
-        first.counts.insert("p1".into(), 2);
+        count(&mut first, "p1", 2);
         first.release_up_to = 10;
         assert!(matches!(state.enqueue(first, 8), Ok(Enqueued::Fresh)));
 
         let mut second = job(3, vec![record("sshd", "another line here")]);
-        second.counts.insert("p1".into(), 1);
-        second.counts.insert("p2".into(), 4);
+        count(&mut second, "p1", 1);
+        count(&mut second, "p2", 4);
         second.release_up_to = 17;
         assert!(matches!(state.enqueue(second, 8), Ok(Enqueued::Coalesced)));
         assert_eq!(state.pending.len(), 1);
         assert_eq!(state.queued_records, 4);
         let merged = &state.pending[&3];
-        assert_eq!(merged.batch.len(), 4);
-        assert_eq!(merged.counts["p1"], 3);
-        assert_eq!(merged.counts["p2"], 4);
+        assert_eq!(merged.batch.residue_len(), 4);
+        let counts: HashMap<&str, u64> = merged.batch.match_counts().collect();
+        assert_eq!(counts["p1"], 3);
+        assert_eq!(counts["p2"], 4);
         assert_eq!(merged.release_up_to, 17);
         assert_eq!(merged.enqueued, early, "coalescing keeps the oldest stamp");
 
         // A different shard over capacity bounces back intact…
         let rejected = state.enqueue(job(5, sshd_batch()), 6).unwrap_err();
         assert_eq!(rejected.shard_id, 5);
-        assert_eq!(rejected.batch.len(), 3);
+        assert_eq!(rejected.batch.residue_len(), 3);
         // …and so does a further merge that would blow the record bound.
         assert!(state.enqueue(job(3, sshd_batch()), 6).is_err());
         // An empty queue accepts even an oversized batch (progress).
@@ -934,10 +816,7 @@ mod tests {
                 "svc-{shard} set published"
             );
         }
-        assert_eq!(
-            deps.engine.store().lock().unwrap().pattern_count().unwrap(),
-            4
-        );
+        assert_eq!(deps.store.lock().unwrap().pattern_count().unwrap(), 4);
     }
 
     #[test]
@@ -952,27 +831,10 @@ mod tests {
     }
 
     #[test]
-    fn engine_keeps_the_notice_for_stored_patterns_it_could_not_load() {
-        assert_eq!(test_deps().engine.unloaded_notice(), None);
-        let mut store = PatternStore::in_memory();
-        for (id, text) in [("bad1", "load at 95% of %max:integer%"), ("ok1", "up %n%")] {
-            let row = [id.into(), "svc".into(), text.into()];
-            let sql = "INSERT INTO patterns (id, service, pattern) VALUES (?, ?, ?)";
-            store.db().execute_with(sql, &row).unwrap();
-        }
-        let (engine, seed) = MiningEngine::new(store, RtgConfig::default()).unwrap();
-        assert_eq!(seed["svc"].len(), 1, "the good pattern is served");
-        let line = engine.unloaded_notice().expect("one pattern was skipped");
-        assert!(line.starts_with("1 stored patterns do not parse"), "{line}");
-        assert!(line.contains("first: bad1: "), "{line}");
-    }
-
-    #[test]
     fn exhausted_retries_drop_and_count() {
         let mut store = PatternStore::in_memory();
         store.set_fault_hook(Some(Arc::new(|op: &str| op == "begin")));
-        let (engine, _seed) = MiningEngine::new(store, RtgConfig::default()).unwrap();
-        let mut deps = deps_for(engine);
+        let mut deps = deps_for(store);
         deps.retries = 2;
         let miner = Miner::inline(deps.clone());
         miner.try_submit(job(0, sshd_batch())).unwrap();
@@ -988,8 +850,7 @@ mod tests {
     fn drain_signal_cuts_retry_backoff_short() {
         let mut store = PatternStore::in_memory();
         store.set_fault_hook(Some(Arc::new(|op: &str| op == "begin")));
-        let (engine, _seed) = MiningEngine::new(store, RtgConfig::default()).unwrap();
-        let mut deps = deps_for(engine);
+        let mut deps = deps_for(store);
         deps.retries = 3;
         // Untripped, the ladder would sleep 5 + 10 + 20 seconds.
         deps.backoff = Duration::from_secs(5);
@@ -1042,17 +903,13 @@ mod tests {
             gate.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1))
                 .is_ok()
         })));
-        let (engine, _seed) = MiningEngine::new(store, RtgConfig::default()).unwrap();
-        let mut deps = deps_for(engine);
+        let mut deps = deps_for(store);
         deps.retries = 4;
         let miner = Miner::inline(deps.clone());
         miner.try_submit(job(0, sshd_batch())).unwrap();
         let s = deps.ops.snapshot();
         assert_eq!(s.dropped, 0, "retries must absorb transient failures");
         assert_eq!(s.remines, 1);
-        assert_eq!(
-            deps.engine.store().lock().unwrap().pattern_count().unwrap(),
-            1
-        );
+        assert_eq!(deps.store.lock().unwrap().pattern_count().unwrap(), 1);
     }
 }

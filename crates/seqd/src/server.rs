@@ -3,11 +3,11 @@
 //! ```text
 //!              ┌────────────────────────────── seqd ───────────────────────────────┐
 //!   NDJSON ──▶ │ acceptor ─▶ router ─▶ [bounded queue]×N ─▶ shard workers          │
-//!   HTTP   ──▶ │    │          │ WAL                         │  match via Arc set  │
-//!              │    └─▶ control plane (/healthz /stats        │  residue ──▶ miner  │
-//!              │         /metrics /patterns /shutdown)        ▼   pool ─▶ publish ─┐ │
-//!              │                                   PatternBoard ◀────────────────┘ │
-//!              │                                   MiningEngine (store lock)       │
+//!   HTTP   ──▶ │    │          │ WAL                         │  match on arrival   │
+//!              │    └─▶ control plane (/healthz /stats        │  into OpenBatch    │
+//!              │         /metrics /patterns /shutdown)        ▼  miners: plan ─┐   │
+//!              │                                   PatternStore ◀── commit ◀───┤   │
+//!              │                                   PatternBoard ◀── publish ◀──┘   │
 //!              └───────────────────────────────────────────────────────────────────┘
 //! ```
 //!
@@ -43,21 +43,20 @@
 use crate::eventloop::{self, EventLoop, EventLoopDeps};
 use crate::http::{respond, Request};
 use crate::metrics::{Ops, OpsSnapshot};
-use crate::miner::{DrainSignal, Miner, MinerDeps, MiningEngine};
+use crate::miner::{DrainSignal, Miner, MinerDeps};
 use crate::queue::BoundedQueue;
 use crate::shard::{Router, ShardWorker};
 use crate::swap::PatternBoard;
 use crate::wal::IngestWal;
 use jsonlite::Value;
 use patterndb::PatternStore;
-use sequence_core::Scanner;
-use sequence_rtg::RtgConfig;
+use sequence_rtg::{Mining, RtgConfig};
 use std::io::{self, BufReader, BufWriter, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -90,9 +89,9 @@ pub struct SeqdConfig {
     /// Mining configuration. Its `batch_size` is the unmatched-residue size
     /// that triggers a re-mine (the paper's batch size, applied to the
     /// *unmatched* stream as in the Fig. 6 deployment). `save_threshold`
-    /// should stay 0 for the daemon: store-wide pruning from one shard
-    /// would silently invalidate sets owned by the others (prune offline,
-    /// between runs, instead).
+    /// must be 0, or [`start`] refuses the configuration: store-wide
+    /// pruning from one shard would silently invalidate sets owned by the
+    /// others (prune offline, between runs, instead).
     pub rtg: RtgConfig,
 }
 
@@ -137,7 +136,9 @@ pub fn default_miners() -> usize {
 struct Shared {
     ops: Arc<Ops>,
     board: Arc<PatternBoard>,
-    engine: Arc<MiningEngine>,
+    store: Arc<Mutex<PatternStore>>,
+    /// [`sequence_rtg::unloaded_notice`] for the store's load at start.
+    unloaded: Option<String>,
     miner: Arc<Miner>,
     router: Arc<Router>,
     residues: Vec<Arc<AtomicUsize>>,
@@ -180,17 +181,25 @@ pub struct SeqdHandle {
 /// given pattern store. Patterns already in the store are published to the
 /// matching plane immediately. With a WAL directory configured, records
 /// left in the log by a previous crash are replayed into the workers
-/// before live traffic.
-pub fn start(store: PatternStore, config: SeqdConfig, addr: &str) -> io::Result<SeqdHandle> {
+/// before live traffic. A nonzero `config.rtg.save_threshold` is refused
+/// with `InvalidInput`.
+pub fn start(mut store: PatternStore, config: SeqdConfig, addr: &str) -> io::Result<SeqdHandle> {
+    if config.rtg.save_threshold != 0 {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            "SeqdConfig::rtg.save_threshold must be 0: the daemon never prunes",
+        ));
+    }
     // Create the full stage-histogram contract up front: the first scrape
     // (and the golden metric-name diff in ci.sh) must not depend on which
     // hot paths have seen traffic.
     crate::metrics::stages::preregister();
-    let (engine, seed_sets) = MiningEngine::new(store, config.rtg)
-        .map_err(|e| io::Error::other(format!("pattern store load failed: {e}")))?;
     let board = Arc::new(PatternBoard::new());
-    board.seed(seed_sets);
-    let engine = Arc::new(engine);
+    let unloaded = board
+        .reload(&mut store)
+        .map_err(|e| io::Error::other(format!("pattern store load failed: {e}")))?;
+    let store = Arc::new(Mutex::new(store));
+    let mining = Arc::new(Mining::new(config.rtg));
     let ops = Arc::new(Ops::new());
 
     let shards = config.shards.max(1);
@@ -220,10 +229,10 @@ pub fn start(store: PatternStore, config: SeqdConfig, addr: &str) -> io::Result<
     // a bursty shard absorbs the backlog without tripping the workers'
     // blocking backpressure path (which would put mining right back on
     // the ingest hot path it was moved off of).
-    let batch_size = config.rtg.batch_size.max(1);
     let drain = Arc::new(DrainSignal::new());
     let deps = MinerDeps {
-        engine: Arc::clone(&engine),
+        mining: Arc::clone(&mining),
+        store: Arc::clone(&store),
         board: Arc::clone(&board),
         ops: Arc::clone(&ops),
         wal: wal.clone(),
@@ -234,7 +243,7 @@ pub fn start(store: PatternStore, config: SeqdConfig, addr: &str) -> io::Result<
     let miner = Arc::new(Miner::background(
         deps,
         config.miners.max(1),
-        batch_size * shards * 8,
+        config.rtg.batch_size.max(1) * shards * 8,
     ));
 
     let listener = TcpListener::bind(addr)?;
@@ -243,7 +252,8 @@ pub fn start(store: PatternStore, config: SeqdConfig, addr: &str) -> io::Result<
     let shared = Arc::new(Shared {
         ops: Arc::clone(&ops),
         board: Arc::clone(&board),
-        engine: Arc::clone(&engine),
+        store,
+        unloaded,
         miner: Arc::clone(&miner),
         router: Arc::clone(&router),
         residues: residues.clone(),
@@ -266,13 +276,9 @@ pub fn start(store: PatternStore, config: SeqdConfig, addr: &str) -> io::Result<
                 miner: Arc::clone(&miner),
                 board: Arc::clone(&board),
                 ops: Arc::clone(&ops),
-                batch_size,
-                // Past eight unsent batches the worker blocks for mining-
-                // queue space rather than accumulate unboundedly.
-                residue_cap: batch_size.saturating_mul(8),
                 residue_len: Arc::clone(&residues[shard_id]),
                 replay: std::mem::take(&mut replays[shard_id]),
-                scanner: Scanner::with_options(config.rtg.scanner),
+                mining: Arc::clone(&mining),
             };
             std::thread::Builder::new()
                 .name(format!("seqd-shard-{shard_id}"))
@@ -369,9 +375,11 @@ impl SeqdHandle {
         self.shared.addr
     }
 
-    /// [`MiningEngine::unloaded_notice`], for the binary's start-up output.
+    /// One line about stored patterns that did not parse at start-up and
+    /// were left out of the sets, `None` when all loaded. Kept for the
+    /// binary to print: clients read its `listening on` line first.
     pub fn unloaded_notice(&self) -> Option<&str> {
-        self.shared.engine.unloaded_notice()
+        self.shared.unloaded.as_deref()
     }
 
     /// Live counter snapshot.
@@ -417,8 +425,7 @@ impl SeqdHandle {
         }
         let mut store = self
             .shared
-            .engine
-            .store()
+            .store
             .lock()
             .map_err(|_| io::Error::other("store lock poisoned"))?;
         store
@@ -575,8 +582,7 @@ fn stats_json(shared: &Shared) -> String {
     // The store's own pattern count needs the store lock; a commit may
     // hold it briefly, so report `null` rather than stall the endpoint.
     let store_patterns = shared
-        .engine
-        .store()
+        .store
         .try_lock()
         .ok()
         .and_then(|mut s| s.pattern_count().ok());
@@ -857,6 +863,19 @@ mod tests {
         let ops = handle.join().unwrap();
         assert_eq!(ops.matched, 1);
         assert_eq!(ops.unmatched, 0);
+    }
+
+    /// The daemon never prunes, so a save threshold is refused at start,
+    /// not silently ignored.
+    #[test]
+    fn a_nonzero_save_threshold_is_refused() {
+        let mut config = SeqdConfig::default();
+        config.rtg.save_threshold = 2;
+        let err = start(PatternStore::in_memory(), config, "127.0.0.1:0")
+            .err()
+            .expect("refused");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(err.to_string().contains("rtg.save_threshold"), "{err}");
     }
 
     #[test]

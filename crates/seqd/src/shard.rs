@@ -6,10 +6,13 @@
 //! between different services" scale-out relies on). Each worker:
 //!
 //! 1. scans the message and matches it against the service's published
-//!    [`PatternSet`] (an `Arc` loaded from the [`PatternBoard`] — never
-//!    blocked by re-mining),
-//! 2. accumulates unmatched records as *residue* and per-pattern match
-//!    counts,
+//!    [`sequence_core::PatternSet`] (an `Arc` loaded from the
+//!    [`PatternBoard`] — never blocked by re-mining); a service with no set
+//!    yet skips the scan,
+//! 2. takes the record into its arrival batch, the CLI's
+//!    [`OpenBatch`]: a match becomes a per-pattern count, an unmatched
+//!    record joins the *residue*, and an empty message of a service with a
+//!    set is counted and dropped (all but matches count `unmatched`),
 //! 3. when the residue reaches the configured batch size — or one idle
 //!    tick passes with a partial batch in hand, or [`HANDOFF_RECORDS`]
 //!    records have been processed since the last handoff, or the drain
@@ -30,12 +33,13 @@ use crate::miner::{MineJob, Miner};
 use crate::queue::BoundedQueue;
 use crate::swap::PatternBoard;
 use crate::wal::{Accepted, IngestWal};
-use sequence_core::{MatchScratch, Scanner, TokenizedMessage};
-use sequence_rtg::{count_match, LogRecord};
+use sequence_core::{MatchScratch, TokenizedMessage};
+use sequence_rtg::{Arrival, LogRecord, Mining, OpenBatch};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant, SystemTime};
+use std::time::{Duration, Instant};
 
 /// How long a worker holding a partial batch waits for more input before
 /// handing what it has to the miner. Only in force while residue or match
@@ -48,13 +52,7 @@ const IDLE_HANDOFF: Duration = Duration::from_millis(50);
 /// (1 MiB of line lengths; 36 MiB of log at 144-byte lines).
 const HANDOFF_RECORDS: usize = 262_144;
 
-/// Seconds since the Unix epoch — the `now` fed to the pattern store.
-pub fn now_unix() -> u64 {
-    SystemTime::now()
-        .duration_since(SystemTime::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0)
-}
+pub use sequence_rtg::now_unix;
 
 /// The shard a service hashes to among `shards` shards. Shared by the
 /// router and WAL recovery, so replayed records land on the shard the
@@ -172,37 +170,23 @@ pub struct ShardWorker {
     pub board: Arc<PatternBoard>,
     /// Shared counters.
     pub ops: Arc<Ops>,
-    /// Residue size that triggers a mining handoff.
-    pub batch_size: usize,
-    /// Residue size at which a full mining queue makes the worker *block*
-    /// for space instead of accumulating further (backpressure ceiling).
-    pub residue_cap: usize,
     /// Gauge of this shard's current residue length.
     pub residue_len: Arc<AtomicUsize>,
     /// Records recovered from the WAL, processed before the live queue.
     pub replay: Vec<Accepted>,
-    /// The message tokenizer (built from the engine's scanner options).
-    pub scanner: Scanner,
+    /// The mining configuration, scanner and analyser. Its `batch_size` is
+    /// the residue size that triggers a mining handoff.
+    pub mining: Arc<Mining>,
 }
 
 /// What a worker holds between two handoffs to the miner.
 #[derive(Default)]
 struct InHand {
-    /// Unmatched records awaiting re-mining.
-    residue: Vec<LogRecord>,
-    /// Matches per pattern id, recorded in bulk by the miner.
-    match_counts: HashMap<String, u64>,
+    /// The records processed since the last handoff the miner took.
+    batch: OpenBatch<'static>,
     /// Highest WAL sequence this worker has fully taken charge of; a
     /// handoff releases the log up to here.
     max_seq: u64,
-    /// Records processed since the last handoff the miner took.
-    records: usize,
-}
-
-impl InHand {
-    fn is_empty(&self) -> bool {
-        self.residue.is_empty() && self.match_counts.is_empty()
-    }
 }
 
 impl ShardWorker {
@@ -240,9 +224,9 @@ impl ShardWorker {
         // tick hands the residue (and pending match counts, releasing
         // their WAL range) to the miner instead of sitting on them until
         // the next burst.
-        let pop_cap = self.batch_size.clamp(1, 512);
+        let pop_cap = self.mining.config().batch_size.clamp(1, 512);
         loop {
-            let popped = if hand.is_empty() {
+            let popped = if hand.batch.is_empty() {
                 self.queue.pop_batch_blocking(pop_cap)
             } else {
                 match self.queue.pop_batch(pop_cap, IDLE_HANDOFF) {
@@ -277,7 +261,7 @@ impl ShardWorker {
         }
     }
 
-    /// Match one accepted record, growing the residue or the match counts.
+    /// Match one accepted record into the arrival batch.
     fn process(
         &self,
         accepted: Accepted,
@@ -288,18 +272,13 @@ impl ShardWorker {
     ) {
         let Accepted { seq, record } = accepted;
         hand.max_seq = hand.max_seq.max(seq);
-        hand.records += 1;
         let started = Instant::now();
-        // Parse-only scan into the worker's reused token buffer: the raw
-        // line is only needed again if the record joins the residue (it
-        // keeps the LogRecord).
-        self.scanner.scan_into(&record.message, tokens);
-        // Only the winner's id is needed here: no captures are built and
-        // the id is copied once per pattern per handoff, not per line.
+        // Parse-only scan into the worker's reused token buffer; only the
+        // winner's id is needed, copied once per pattern per handoff.
         let set = self.board.load(&record.service);
-        let hit = set
-            .as_ref()
-            .and_then(|set| set.match_id_with(tokens, scratch));
+        let arrival = self
+            .mining
+            .arrival(set.as_deref(), &record.message, tokens, scratch);
         // Attribute construction is deferred behind the slow-ring's atomic
         // gate, so the per-record cost stays two atomic adds per histogram.
         let ns = started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
@@ -320,22 +299,21 @@ impl ShardWorker {
                 vec![
                     ("shard", obs::AttrValue::U64(self.shard_id as u64)),
                     ("service", obs::AttrValue::Str(record.service.clone())),
-                    ("tokens", obs::AttrValue::U64(tokens.tokens.len() as u64)),
+                    // A service with no set yet was not scanned.
+                    (
+                        "tokens",
+                        obs::AttrValue::U64(set.as_ref().map_or(0, |_| tokens.tokens.len()) as u64),
+                    ),
                 ],
             );
         }
-        match hit {
-            Some(id) => {
-                Ops::inc(&self.ops.matched);
-                count_match(&mut hand.match_counts, id);
-            }
-            None => {
-                Ops::inc(&self.ops.unmatched);
-                hand.residue.push(record);
-                self.residue_len
-                    .store(hand.residue.len(), Ordering::Relaxed);
-            }
+        match arrival {
+            Arrival::Matched { .. } => Ops::inc(&self.ops.matched),
+            Arrival::Empty { .. } | Arrival::Residue => Ops::inc(&self.ops.unmatched),
         }
+        hand.batch.take(Cow::Owned(record), arrival);
+        self.residue_len
+            .store(hand.batch.residue_len(), Ordering::Relaxed);
     }
 
     /// Called once per processed record: hand off when the residue has
@@ -344,9 +322,10 @@ impl ShardWorker {
     /// queue just means "keep accumulating"; at the ceiling the worker
     /// blocks for space.
     fn maybe_handoff(&self, hand: &mut InHand) {
-        if hand.residue.len() >= self.batch_size || hand.records >= HANDOFF_RECORDS {
-            let block =
-                hand.residue.len() >= self.residue_cap || hand.records >= 8 * HANDOFF_RECORDS;
+        let batch_size = self.mining.config().batch_size;
+        let (residue, records) = (hand.batch.residue_len(), hand.batch.received() as usize);
+        if residue >= batch_size || records >= HANDOFF_RECORDS {
+            let block = residue >= batch_size.saturating_mul(8) || records >= 8 * HANDOFF_RECORDS;
             self.handoff(hand, block);
         }
     }
@@ -357,13 +336,12 @@ impl ShardWorker {
     /// ones always succeed — a closed miner runs the job inline. The miner
     /// records the worker's pause in `seqd_mine_stall_seconds`.
     fn handoff(&self, hand: &mut InHand, block: bool) {
-        if hand.is_empty() {
+        if hand.batch.is_empty() {
             return;
         }
         let job = MineJob {
             shard_id: self.shard_id,
-            batch: std::mem::take(&mut hand.residue),
-            counts: std::mem::take(&mut hand.match_counts),
+            batch: std::mem::take(&mut hand.batch),
             release_up_to: hand.max_seq,
             enqueued: Instant::now(),
         };
@@ -372,12 +350,10 @@ impl ShardWorker {
         } else if let Err(job) = self.miner.try_submit(job) {
             // Queue full: take the records back and keep draining. One
             // tick per record accumulated past the trigger.
-            hand.residue = job.batch;
-            hand.match_counts = job.counts;
+            hand.batch = job.batch;
             Ops::inc(&self.ops.mine_overflow);
             return;
         }
-        hand.records = 0;
         self.residue_len.store(0, Ordering::Relaxed);
     }
 }
@@ -385,20 +361,24 @@ impl ShardWorker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::miner::{MinerDeps, MiningEngine};
+    use crate::miner::MinerDeps;
+    use patterndb::PatternStore;
+    use sequence_core::Scanner;
     use sequence_rtg::RtgConfig;
+    use std::sync::Mutex;
 
     fn record(service: &str, message: &str) -> LogRecord {
         LogRecord::new(service, message)
     }
 
     fn test_deps(
-        engine: &Arc<MiningEngine>,
+        store: &Arc<Mutex<PatternStore>>,
         board: &Arc<PatternBoard>,
         ops: &Arc<Ops>,
     ) -> MinerDeps {
         MinerDeps {
-            engine: Arc::clone(engine),
+            mining: Arc::new(Mining::new(RtgConfig::default())),
+            store: Arc::clone(store),
             board: Arc::clone(board),
             ops: Arc::clone(ops),
             wal: None,
@@ -420,11 +400,27 @@ mod tests {
             miner,
             board: Arc::clone(board),
             ops: Arc::clone(ops),
-            batch_size: 1_000, // only the drain handoff fires
-            residue_cap: 8_000,
             residue_len: Arc::new(AtomicUsize::new(0)),
             replay: Vec::new(),
-            scanner: Scanner::with_options(RtgConfig::default().scanner),
+            // Batches of 1 000: only the drain handoff fires.
+            mining: Arc::new(Mining::new(RtgConfig {
+                batch_size: 1_000,
+                ..RtgConfig::default()
+            })),
+        }
+    }
+
+    /// A shard-0 job of `records`, all residue.
+    fn residue_job(records: Vec<LogRecord>) -> MineJob {
+        let mut batch = OpenBatch::default();
+        for r in records {
+            batch.take(Cow::Owned(r), Arrival::Residue);
+        }
+        MineJob {
+            shard_id: 0,
+            batch,
+            release_up_to: 0,
+            enqueued: Instant::now(),
         }
     }
 
@@ -516,8 +512,8 @@ mod tests {
         let queue = Arc::new(BoundedQueue::new(64));
         let ops = Arc::new(Ops::new());
         let board = Arc::new(PatternBoard::new());
-        let engine = Arc::new(MiningEngine::in_memory(RtgConfig::default()));
-        let miner = Arc::new(Miner::inline(test_deps(&engine, &board, &ops)));
+        let store = Arc::new(Mutex::new(PatternStore::in_memory()));
+        let miner = Arc::new(Miner::inline(test_deps(&store, &board, &ops)));
         let worker = test_worker(&queue, miner, &board, &ops);
         for user in ["alice", "bob", "carol"] {
             enqueue(
@@ -537,45 +533,32 @@ mod tests {
         let msg = Scanner::new().scan("session opened for user mallory");
         assert!(set.match_message(&msg).is_some());
         // Store got the discovery too.
-        let mut store = engine.store().lock().unwrap();
+        let mut store = store.lock().unwrap();
         assert_eq!(store.pattern_count().unwrap(), 1);
     }
 
-    /// Matched records bump the store's statistics via the bulk path.
+    /// Matched records bump the store's statistics in the job's commit.
     #[test]
     fn worker_records_match_stats_in_bulk() {
-        let engine = Arc::new(MiningEngine::in_memory(RtgConfig::default()));
+        let store = Arc::new(Mutex::new(PatternStore::in_memory()));
         let board = Arc::new(PatternBoard::new());
         // Pre-mine one pattern and publish it, as a prior job would (its
         // own throwaway counters: the assertions below watch the live run).
         let pattern_id = {
             let seed_ops = Arc::new(Ops::new());
-            let seeder = Miner::inline(test_deps(&engine, &board, &seed_ops));
+            let seeder = Miner::inline(test_deps(&store, &board, &seed_ops));
             let batch: Vec<LogRecord> = ["alice", "bob", "carol"]
                 .iter()
                 .map(|u| record("sshd", &format!("session opened for user {u}")))
                 .collect();
-            seeder
-                .try_submit(MineJob {
-                    shard_id: 0,
-                    batch,
-                    counts: HashMap::new(),
-                    release_up_to: 0,
-                    enqueued: Instant::now(),
-                })
-                .unwrap();
-            engine
-                .store()
-                .lock()
-                .unwrap()
-                .patterns(Some("sshd"))
-                .unwrap()[0]
+            seeder.try_submit(residue_job(batch)).unwrap();
+            store.lock().unwrap().patterns(Some("sshd")).unwrap()[0]
                 .id
                 .clone()
         };
         let queue = Arc::new(BoundedQueue::new(64));
         let ops = Arc::new(Ops::new());
-        let miner = Arc::new(Miner::inline(test_deps(&engine, &board, &ops)));
+        let miner = Arc::new(Miner::inline(test_deps(&store, &board, &ops)));
         let worker = test_worker(&queue, miner, &board, &ops);
         for user in ["dave", "erin"] {
             enqueue(
@@ -588,7 +571,7 @@ mod tests {
         let s = ops.snapshot();
         assert_eq!(s.matched, 2);
         assert_eq!(s.unmatched, 0);
-        let mut store = engine.store().lock().unwrap();
+        let mut store = store.lock().unwrap();
         let stored = &store.patterns(Some("sshd")).unwrap()[0];
         assert_eq!(stored.id, pattern_id);
         assert_eq!(stored.count, 3 + 2);
@@ -610,10 +593,10 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let (wal, _) = IngestWal::open(&dir, 1, usize::MAX).unwrap();
         let wal = Arc::new(wal);
-        let engine = Arc::new(MiningEngine::in_memory(RtgConfig::default()));
+        let store = Arc::new(Mutex::new(PatternStore::in_memory()));
         let board = Arc::new(PatternBoard::new());
         let ops = Arc::new(Ops::new());
-        let mut deps = test_deps(&engine, &board, &ops);
+        let mut deps = test_deps(&store, &board, &ops);
         deps.wal = Some(Arc::clone(&wal));
         // A pool, as in the daemon: the release takes the WAL lock, which
         // the producer holds while it waits for queue space — an inline
@@ -624,27 +607,13 @@ mod tests {
             .iter()
             .map(|u| record("sshd", &format!("login {u}")))
             .collect();
-        miner.submit_blocking(MineJob {
-            shard_id: 0,
-            batch: seed,
-            counts: HashMap::new(),
-            release_up_to: 0,
-            enqueued: Instant::now(),
-        });
+        miner.submit_blocking(residue_job(seed));
         let quiesce = || {
             while miner.backlog() > 0 {
                 std::thread::yield_now();
             }
         };
-        let stored = || {
-            engine
-                .store()
-                .lock()
-                .unwrap()
-                .patterns(Some("sshd"))
-                .unwrap()[0]
-                .count
-        };
+        let stored = || store.lock().unwrap().patterns(Some("sshd")).unwrap()[0].count;
         quiesce();
         assert_eq!(stored(), 3);
 
@@ -697,12 +666,11 @@ mod tests {
             gate.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1))
                 .is_ok()
         })));
-        let (engine, _seed) = MiningEngine::new(store, RtgConfig::default()).unwrap();
-        let engine = Arc::new(engine);
+        let store = Arc::new(Mutex::new(store));
         let queue = Arc::new(BoundedQueue::new(64));
         let ops = Arc::new(Ops::new());
         let board = Arc::new(PatternBoard::new());
-        let mut deps = test_deps(&engine, &board, &ops);
+        let mut deps = test_deps(&store, &board, &ops);
         deps.retries = 4;
         let miner = Arc::new(Miner::inline(deps));
         let worker = test_worker(&queue, miner, &board, &ops);
@@ -717,7 +685,7 @@ mod tests {
         let s = ops.snapshot();
         assert_eq!(s.dropped, 0, "retries must absorb transient failures");
         assert_eq!(s.remines, 1);
-        let mut store = engine.store().lock().unwrap();
+        let mut store = store.lock().unwrap();
         assert_eq!(store.pattern_count().unwrap(), 1);
     }
 
@@ -727,12 +695,11 @@ mod tests {
     fn exhausted_flush_retries_count_dropped_records() {
         let mut store = patterndb::PatternStore::in_memory();
         store.set_fault_hook(Some(Arc::new(|op: &str| op == "begin")));
-        let (engine, _seed) = MiningEngine::new(store, RtgConfig::default()).unwrap();
-        let engine = Arc::new(engine);
+        let store = Arc::new(Mutex::new(store));
         let queue = Arc::new(BoundedQueue::new(64));
         let ops = Arc::new(Ops::new());
         let board = Arc::new(PatternBoard::new());
-        let mut deps = test_deps(&engine, &board, &ops);
+        let mut deps = test_deps(&store, &board, &ops);
         deps.retries = 2;
         let miner = Arc::new(Miner::inline(deps));
         let worker = test_worker(&queue, miner, &board, &ops);
@@ -758,8 +725,8 @@ mod tests {
         let queue = Arc::new(BoundedQueue::new(64));
         let ops = Arc::new(Ops::new());
         let board = Arc::new(PatternBoard::new());
-        let engine = Arc::new(MiningEngine::in_memory(RtgConfig::default()));
-        let miner = Arc::new(Miner::inline(test_deps(&engine, &board, &ops)));
+        let store = Arc::new(Mutex::new(PatternStore::in_memory()));
+        let miner = Arc::new(Miner::inline(test_deps(&store, &board, &ops)));
         let mut worker = test_worker(&queue, miner, &board, &ops);
         worker.replay = (0..3)
             .map(|i| Accepted {

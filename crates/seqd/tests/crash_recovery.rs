@@ -264,13 +264,17 @@ fn benchmark_invocation_starts_serves_and_drains() {
 }
 
 /// The retired modes are refused at the command line, not silently mapped
-/// onto the surviving path.
+/// onto the surviving path, and so is a zero for a count that must be
+/// positive, not silently clamped to 1.
 #[test]
-fn retired_modes_exit_2() {
+fn retired_modes_and_zero_counts_exit_2() {
     for (args, naming) in [
         (["--wire", "blocking"], "removed"),
         (["--evolve", "online"], "removed"),
         (["--miners", "0"], "at least 1"),
+        (["--batch-size", "0"], "at least 1"),
+        (["--shards", "0"], "at least 1"),
+        (["--queue-capacity", "0"], "at least 1"),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_seqd"))
             .args(args)

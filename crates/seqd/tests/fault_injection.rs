@@ -23,17 +23,16 @@
 //! `proptest-regressions/fault_injection.txt`.
 
 use seqd::metrics::Ops;
-use seqd::miner::{Miner, MinerDeps, MiningEngine};
+use seqd::miner::{Miner, MinerDeps};
 use seqd::protocol::serve_ingest;
 use seqd::queue::BoundedQueue;
 use seqd::shard::{shard_for, Router, ShardWorker};
 use seqd::swap::PatternBoard;
 use seqd::wal::{Accepted, IngestWal};
-use sequence_core::Scanner;
-use sequence_rtg::{LogRecord, RtgConfig};
+use sequence_rtg::{LogRecord, Mining, RtgConfig};
 use std::io::{BufReader, Cursor};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 use testkit::fault::{FailingStore, FaultSchedule, FaultyStream};
 use testkit::prop::{self, Config};
@@ -221,12 +220,15 @@ fn faulty_mining_rig(
     let failing = FailingStore::new(Arc::clone(schedule));
     let mut store = patterndb::PatternStore::in_memory();
     store.set_fault_hook(Some(failing.hook()));
-    let (engine, _seed_sets) =
-        MiningEngine::new(store, RtgConfig::default()).map_err(|e| format!("engine: {e}"))?;
+    let mining = Arc::new(Mining::new(RtgConfig {
+        batch_size: 4, // several handoffs per case
+        ..RtgConfig::default()
+    }));
     let board = Arc::new(PatternBoard::new());
     let ops = Arc::new(Ops::new());
     let deps = MinerDeps {
-        engine: Arc::new(engine),
+        mining: Arc::clone(&mining),
+        store: Arc::new(Mutex::new(store)),
         board: Arc::clone(&board),
         ops: Arc::clone(&ops),
         wal: None,
@@ -246,11 +248,9 @@ fn faulty_mining_rig(
         miner: Arc::clone(&miner),
         board,
         ops: Arc::clone(&ops),
-        batch_size: 4, // several handoffs per case
-        residue_cap: 32,
         residue_len: Arc::new(AtomicUsize::new(0)),
         replay: Vec::new(),
-        scanner: Scanner::with_options(RtgConfig::default().scanner),
+        mining,
     };
     Ok((queue, miner, worker, ops))
 }

@@ -12,14 +12,15 @@
 
 use seqd::loadgen;
 use seqd::metrics::Ops;
-use seqd::miner::{DrainSignal, MineJob, Miner, MinerDeps, MiningEngine};
+use seqd::miner::{DrainSignal, MineJob, Miner, MinerDeps};
 use seqd::server::{start, SeqdConfig};
 use seqd::shard::shard_for;
 use seqd::swap::PatternBoard;
 use seqd::OpsSnapshot;
-use sequence_rtg::{LogRecord, RtgConfig, SequenceRtg};
+use sequence_rtg::{Arrival, LogRecord, Mining, OpenBatch, RtgConfig, SequenceRtg};
+use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use testkit::prop::{self, Config};
 use testkit::prop_assert;
@@ -165,8 +166,7 @@ fn coalescing_preserves_per_service_record_order() {
             // services, plus match counts and a WAL high-water mark.
             let mut job = MineJob {
                 shard_id: 7,
-                batch: Vec::new(),
-                counts: HashMap::new(),
+                batch: OpenBatch::default(),
                 release_up_to: s + 1,
                 enqueued: Instant::now(),
             };
@@ -174,12 +174,17 @@ fn coalescing_preserves_per_service_record_order() {
             for _ in 0..per_batch {
                 let service = format!("svc-{}", rng.bounded(3));
                 let seq = next_seq.entry(service.clone()).or_insert(0);
-                job.batch
-                    .push(LogRecord::new(service, format!("seq {}", *seq)));
+                let record = LogRecord::new(service, format!("seq {}", *seq));
+                job.batch.take(Cow::Owned(record), Arrival::Residue);
                 *seq += 1;
             }
             let id = format!("p{}", rng.bounded(2));
-            *job.counts.entry(id.clone()).or_insert(0) += 1;
+            let matched = Arrival::Matched {
+                id: &id,
+                multiline: false,
+            };
+            let record = LogRecord::new("svc-0", "matched");
+            job.batch.take(Cow::Owned(record), matched);
             *expected_counts.entry(id).or_insert(0) += 1;
 
             match pending.take() {
@@ -208,7 +213,7 @@ fn coalescing_preserves_per_service_record_order() {
         let mut seen: HashMap<&str, u64> = HashMap::new();
         let mut total = 0u64;
         for job in &mined {
-            for r in &job.batch {
+            for r in job.batch.residue() {
                 let expect = seen.entry(r.service.as_str()).or_insert(0);
                 let seq: u64 = r
                     .message
@@ -234,8 +239,8 @@ fn coalescing_preserves_per_service_record_order() {
         let mut merged_counts: HashMap<String, u64> = HashMap::new();
         let mut merged_release = 0u64;
         for job in &mined {
-            for (id, n) in &job.counts {
-                *merged_counts.entry(id.clone()).or_insert(0) += n;
+            for (id, n) in job.batch.match_counts() {
+                *merged_counts.entry(id.to_string()).or_insert(0) += n;
             }
             merged_release = merged_release.max(job.release_up_to);
         }
@@ -262,17 +267,19 @@ fn forced_coalescing_matches_inline_mining() {
             .collect()
     }
     fn job(i: u64) -> MineJob {
+        let mut batch = OpenBatch::default();
+        for r in wave(i) {
+            batch.take(Cow::Owned(r), Arrival::Residue);
+        }
         MineJob {
             shard_id: 0,
-            batch: wave(i),
-            counts: HashMap::new(),
+            batch,
             release_up_to: 0,
             enqueued: Instant::now(),
         }
     }
     fn triples(deps: &MinerDeps) -> BTreeSet<(String, String, u64)> {
-        deps.engine
-            .store()
+        deps.store
             .lock()
             .unwrap()
             .patterns(None)
@@ -293,9 +300,9 @@ fn forced_coalescing_matches_inline_mining() {
                 false
             })));
         }
-        let (engine, _seed) = MiningEngine::new(store, RtgConfig::default()).unwrap();
         MinerDeps {
-            engine: Arc::new(engine),
+            mining: Arc::new(Mining::new(RtgConfig::default())),
+            store: Arc::new(Mutex::new(store)),
             board: Arc::new(PatternBoard::new()),
             ops: Arc::new(Ops::new()),
             wal: None,

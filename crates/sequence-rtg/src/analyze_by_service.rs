@@ -11,13 +11,15 @@
 //! on count of tokens in the set." (The second partitioning is performed
 //! inside [`sequence_core::Analyzer::analyze`].)
 
+use crate::batch::{publish, Mining, OpenBatch};
 use crate::config::RtgConfig;
 use crate::record::LogRecord;
-use crate::service::{commit_plans, count_match, plan_service, unloaded_notice, ServicePlan};
+use crate::service::commit_plans;
+use crate::swap::PatternBoard;
 use patterndb::{PatternStore, StoreError};
-use sequence_core::{Analyzer, MatchScratch, PatternSet, Scanner, TokenizedMessage};
+use sequence_core::{MatchScratch, Pattern, TokenizedMessage};
 use std::borrow::Cow;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Summary of one batch run, for operator visibility and the experiments.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -63,96 +65,14 @@ impl BatchReport {
     }
 }
 
-/// What arrival matching made of one record.
-enum Arrival<'s> {
-    /// Matched pattern `id` of its service's set.
-    Matched { id: &'s str, multiline: bool },
-    /// No tokens at all.
-    Empty { multiline: bool },
-    /// Unmatched, or its service has no set yet: kept for the analyser.
-    Residue,
-}
-
-/// One service's share of an [`OpenBatch`]: what arrival matching absorbed,
-/// as counts, and the raw records it could not.
-#[derive(Debug, Default)]
-struct ServiceArrivals<'a> {
-    match_counts: HashMap<String, u64>,
-    matched_known: u64,
-    multiline: u64,
-    empty_messages: u64,
-    residue: Vec<Cow<'a, LogRecord>>,
-}
-
-impl<'a> ServiceArrivals<'a> {
-    fn take(&mut self, arrival: Arrival<'_>, record: Cow<'a, LogRecord>) {
-        match arrival {
-            Arrival::Matched { id, multiline } => {
-                count_match(&mut self.match_counts, id);
-                self.matched_known += 1;
-                self.multiline += multiline as u64;
-            }
-            Arrival::Empty { multiline } => {
-                self.empty_messages += 1;
-                self.multiline += multiline as u64;
-            }
-            Arrival::Residue => self.residue.push(record),
-        }
-    }
-
-    /// Plan the residue, then fold in what arrival matching counted, so the
-    /// plan is the one the whole slice of the batch would have given.
-    fn plan(&mut self, rtg: &mut SequenceRtg, service: &str) -> ServicePlan {
-        let residue: Vec<&LogRecord> = self.residue.iter().map(|r| &**r).collect();
-        let mut plan = plan_service(
-            &rtg.scanner,
-            &rtg.analyzer,
-            &rtg.config,
-            rtg.sets.get(service),
-            &mut rtg.scratch,
-            &residue,
-        );
-        plan.received += self.matched_known + self.empty_messages;
-        plan.matched_known += self.matched_known;
-        plan.multiline += self.multiline;
-        plan.empty_messages += self.empty_messages;
-        // The residue is what the same set did not match on arrival, so
-        // every match count is an arrival count.
-        debug_assert!(plan.match_counts.is_empty());
-        plan.match_counts = std::mem::take(&mut self.match_counts).into_iter().collect();
-        plan.match_counts.sort_unstable();
-        plan
-    }
-}
-
-/// The batch being filled, record by record (the first partitioning, done
-/// on arrival). A record of a service that has a pattern set is scanned and
-/// matched as it arrives; a match becomes one count and the record is
-/// dropped. Only the residue is kept, raw, so a batch costs what its
-/// unmatched records cost, not what it received.
-#[derive(Debug, Default)]
-pub(crate) struct OpenBatch<'a> {
-    received: u64,
-    services: HashMap<String, ServiceArrivals<'a>>,
-}
-
-impl OpenBatch<'_> {
-    /// Records received since the batch opened.
-    pub(crate) fn received(&self) -> u64 {
-        self.received
-    }
-}
-
 /// The Sequence-RTG engine: scanner + analyser + parser + pattern store,
 /// kept consistent across batches.
 #[derive(Debug)]
 pub struct SequenceRtg {
-    config: RtgConfig,
-    scanner: Scanner,
-    analyzer: Analyzer,
+    mining: Mining,
     store: PatternStore,
-    /// In-memory per-service pattern sets, mirroring the store.
-    sets: HashMap<String, PatternSet>,
+    /// The per-service pattern sets, mirroring the store.
+    board: PatternBoard,
     /// Reusable trie-walk buffers for the parse step (one engine, one
     /// thread): parsing a whole batch performs no per-message frontier
     /// allocations.
@@ -161,27 +81,25 @@ pub struct SequenceRtg {
     tokens: TokenizedMessage,
 }
 
-/// The store's patterns as parser sets. The engine has no caller to hand
-/// the skipped ones to at its mid-run reload, so it says so on stderr itself.
-fn load_sets(store: &mut PatternStore) -> Result<HashMap<String, PatternSet>, StoreError> {
-    let (sets, skipped) = store.load_pattern_sets()?;
-    if let Some(line) = unloaded_notice(&skipped) {
+/// Publish every pattern of `store` on `board`, naming the ones that do not
+/// parse on stderr: a mid-run reload has no caller to tell.
+fn reload(board: &PatternBoard, store: &mut PatternStore) -> Result<(), StoreError> {
+    if let Some(line) = board.reload(store)? {
         eprintln!("{line}");
     }
-    Ok(sets)
+    Ok(())
 }
 
 impl SequenceRtg {
     /// Build an engine over a pattern store, loading any persisted patterns
     /// into the in-memory parser sets.
     pub fn new(mut store: PatternStore, config: RtgConfig) -> Result<SequenceRtg, StoreError> {
-        let sets = load_sets(&mut store)?;
+        let board = PatternBoard::new();
+        reload(&board, &mut store)?;
         Ok(SequenceRtg {
-            config,
-            scanner: Scanner::with_options(config.scanner),
-            analyzer: Analyzer::with_options(config.analyzer),
+            mining: Mining::new(config),
             store,
-            sets,
+            board,
             scratch: MatchScratch::default(),
             tokens: TokenizedMessage::default(),
         })
@@ -194,7 +112,7 @@ impl SequenceRtg {
 
     /// The active configuration.
     pub fn config(&self) -> RtgConfig {
-        self.config
+        self.mining.config()
     }
 
     /// The underlying store (e.g. for exporting patterns).
@@ -202,26 +120,9 @@ impl SequenceRtg {
         &mut self.store
     }
 
-    /// Number of patterns currently loaded for a service.
-    pub fn known_patterns(&self, service: &str) -> usize {
-        self.sets.get(service).map_or(0, |s| s.len())
-    }
-
-    /// Total patterns across services.
-    pub fn total_known_patterns(&self) -> usize {
-        self.sets.values().map(|s| s.len()).sum()
-    }
-
-    /// The in-memory compiled pattern set for one service, if any pattern
-    /// has been discovered or loaded for it.
-    pub fn pattern_set(&self, service: &str) -> Option<&PatternSet> {
-        self.sets.get(service)
-    }
-
-    /// All in-memory compiled pattern sets, keyed by service (e.g. to seed a
-    /// serving plane from a freshly loaded store).
-    pub fn pattern_sets(&self) -> &HashMap<String, PatternSet> {
-        &self.sets
+    /// The compiled pattern sets, one per service with a pattern.
+    pub fn board(&self) -> &PatternBoard {
+        &self.board
     }
 
     /// The new Sequence-RTG entry point: partition by service, parse known
@@ -240,106 +141,54 @@ impl SequenceRtg {
         self.run_batch(open, now)
     }
 
-    /// Take one record into `batch`: a service without a set keeps it
-    /// unscanned; otherwise it is scanned and matched now, and only an
-    /// unmatched record is kept.
+    /// Take one record into `batch`, matched against its service's set.
     pub(crate) fn arrive<'a>(&mut self, batch: &mut OpenBatch<'a>, record: Cow<'a, LogRecord>) {
-        batch.received += 1;
-        let arrival = match self.sets.get(record.service.as_str()) {
-            None => Arrival::Residue,
-            Some(set) => {
-                self.scanner.scan_into(&record.message, &mut self.tokens);
-                let multiline = self.tokens.truncated_multiline;
-                if self.tokens.tokens.is_empty() {
-                    Arrival::Empty { multiline }
-                } else {
-                    match set.match_id_with(&self.tokens, &mut self.scratch) {
-                        Some(id) => Arrival::Matched { id, multiline },
-                        None => Arrival::Residue,
-                    }
-                }
-            }
-        };
-        // The service key is copied the first time the batch sees it only.
-        match batch.services.get_mut(record.service.as_str()) {
-            Some(arrivals) => arrivals.take(arrival, record),
-            None => {
-                let service = record.service.clone();
-                let mut arrivals = ServiceArrivals::default();
-                arrivals.take(arrival, record);
-                batch.services.insert(service, arrivals);
-            }
-        }
+        let set = self.board.load(&record.service);
+        let arrival = self.mining.arrival(
+            set.as_deref(),
+            &record.message,
+            &mut self.tokens,
+            &mut self.scratch,
+        );
+        batch.take(record, arrival);
     }
 
-    /// Close `batch`: plan each service's residue (in sorted service order)
-    /// with its arrival counts folded in, then commit the plans.
+    /// Close `batch`: plan, commit in one transaction (a crash mid-batch
+    /// must not leave a half-updated pattern database behind), publish,
+    /// then prune by the save threshold.
     pub(crate) fn run_batch(
         &mut self,
-        batch: OpenBatch<'_>,
+        mut batch: OpenBatch<'_>,
         now: u64,
     ) -> Result<BatchReport, StoreError> {
         let mut analyze_span = obs::span!("rtg.analyze");
-        analyze_span.attr_u64("batch", batch.received);
-        analyze_span.attr_u64("services", batch.services.len() as u64);
+        analyze_span.attr_u64("batch", batch.received());
+        let plans = self.mining.plan(&self.board, &mut batch, &mut self.scratch);
+        analyze_span.attr_u64("services", plans.len() as u64);
+        let outcomes = commit_plans(
+            &mut self.store,
+            plans.iter().map(|(s, p)| (s.as_str(), p)),
+            now,
+        )?;
         let mut report = BatchReport {
-            received: batch.received,
-            services: batch.services.len() as u64,
+            received: batch.received(),
+            services: plans.len() as u64,
             ..Default::default()
         };
-        let mut services: Vec<_> = batch.services.into_iter().collect();
-        services.sort_unstable_by(|(a, _), (b, _)| a.cmp(b));
-        // Plan (pure compute) then commit (store writes) — the same split
-        // the seqd background miner drives. The residue is freed after the
-        // commit, not between plans: freeing it there scatters the next
-        // plan's allocations through the heap and slowed a cold day's
-        // mining by a tenth.
-        let plans: Vec<(&str, ServicePlan)> = services
-            .iter_mut()
-            .map(|(service, arrivals)| (service.as_str(), arrivals.plan(self, service)))
-            .collect();
-        self.commit_batch(&plans, &mut report, now)?;
-        Ok(report)
-    }
-
-    /// Persist one batch's plans (in sorted service order) and fold them
-    /// into `report`.
-    fn commit_batch(
-        &mut self,
-        plans: &[(&str, ServicePlan)],
-        report: &mut BatchReport,
-        now: u64,
-    ) -> Result<(), StoreError> {
-        // One transaction per batch: a crash mid-batch must not leave a
-        // half-updated pattern database behind.
-        let outcomes = commit_plans(&mut self.store, plans.iter().map(|(s, p)| (*s, p)), now)?;
-        // Only a durable transaction mutates the in-memory parser sets: a
-        // rolled-back batch leaves them exactly mirroring the store.
-        for ((service, plan), outcome) in plans.iter().zip(outcomes) {
+        for ((_, plan), outcome) in plans.iter().zip(&outcomes) {
             report.matched_known += plan.matched_known;
             report.analyzed += plan.analyzed;
             report.multiline += plan.multiline;
             report.empty_messages += plan.empty_messages;
             report.new_patterns += outcome.new_patterns;
             report.updated_patterns += outcome.updated_patterns;
-            if outcome.inserted.is_empty() {
-                continue;
-            }
-            let set = self.sets.entry(service.to_string()).or_default();
-            for (id, pattern) in outcome.inserted {
-                set.insert(id, pattern);
-            }
         }
-        if self.config.save_threshold > 0 {
-            let pruned = self
-                .store
-                .prune_below_threshold(self.config.save_threshold)?;
-            if pruned > 0 {
-                // Keep the in-memory parser sets consistent with the store.
-                self.sets = load_sets(&mut self.store)?;
-            }
+        publish(&self.board, &plans, outcomes);
+        let threshold = self.mining.config().save_threshold;
+        if threshold > 0 && self.store.prune_below_threshold(threshold)? > 0 {
+            reload(&self.board, &mut self.store)?;
         }
-        Ok(())
+        Ok(report)
     }
 
     /// The seminal `Analyze` behaviour, for the Fig. 5 comparison: no service
@@ -360,7 +209,7 @@ impl SequenceRtg {
         };
         let mut scanned = Vec::with_capacity(batch.len());
         for r in batch {
-            let t = self.scanner.scan(&r.message);
+            let t = self.mining.scanner.scan(&r.message);
             if t.truncated_multiline {
                 report.multiline += 1;
             }
@@ -369,24 +218,26 @@ impl SequenceRtg {
             }
             scanned.push(t);
         }
-        let discovered = self.analyzer.analyze(&scanned);
+        let discovered = self.mining.analyzer.analyze(&scanned);
         report.analyzed = report.received - report.empty_messages;
+        let mut inserted: BTreeMap<&str, Vec<(String, Pattern)>> = BTreeMap::new();
         for d in &discovered {
             let service = d
                 .member_indices
                 .first()
                 .map(|&i| batch[i as usize].service.as_str())
                 .unwrap_or("unknown");
-            let (id, inserted) = self.store.upsert_discovered(service, d, now)?;
-            if inserted {
+            let (id, new) = self.store.upsert_discovered(service, d, now)?;
+            if new {
                 report.new_patterns += 1;
-                self.sets
-                    .entry(service.to_string())
-                    .or_default()
-                    .insert(id, d.pattern.clone());
+                let patterns = inserted.entry(service).or_default();
+                patterns.push((id, d.pattern.clone()));
             } else {
                 report.updated_patterns += 1;
             }
+        }
+        for (service, patterns) in inserted {
+            self.board.grow(service, patterns);
         }
         Ok(report)
     }
@@ -395,6 +246,11 @@ impl SequenceRtg {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::service::unloaded_notice;
+
+    fn known(rtg: &SequenceRtg, service: &str) -> usize {
+        rtg.board().load(service).map_or(0, |s| s.len())
+    }
 
     fn sshd_batch() -> Vec<LogRecord> {
         [
@@ -462,10 +318,10 @@ mod tests {
         batch.push(LogRecord::new("sshd-backup", &batch[0].message));
         let r = rtg.analyze_by_service(&batch, 1).unwrap();
         assert_eq!(r.services, 2);
-        assert_eq!(rtg.known_patterns("sshd"), 1);
-        assert_eq!(rtg.known_patterns("sshd-backup"), 1);
+        assert_eq!(known(&rtg, "sshd"), 1);
+        assert_eq!(known(&rtg, "sshd-backup"), 1);
         // And parsing one service's message does not consult the other's set.
-        assert_eq!(rtg.known_patterns("nginx"), 0);
+        assert_eq!(known(&rtg, "nginx"), 0);
     }
 
     /// A batch over two services whose second upsert fails commits nothing:
@@ -485,13 +341,13 @@ mod tests {
             })));
         assert!(rtg.analyze_by_service(&batch, 1).is_err());
         assert_eq!(rtg.store_mut().pattern_count().unwrap(), 0);
-        assert_eq!(rtg.total_known_patterns(), 0);
+        assert_eq!(rtg.board().total_patterns(), 0);
 
         rtg.store_mut().set_fault_hook(None);
         let r = rtg.analyze_by_service(&batch, 1).unwrap();
         assert_eq!(r.new_patterns, 2);
         assert_eq!(rtg.store_mut().pattern_count().unwrap(), 2);
-        assert_eq!(rtg.total_known_patterns(), 2);
+        assert_eq!(rtg.board().total_patterns(), 2);
     }
 
     #[test]
@@ -602,7 +458,7 @@ mod tests {
         );
         // The good pattern still loads and matches.
         let mut reloaded = SequenceRtg::new(store, RtgConfig::default()).unwrap();
-        assert_eq!(reloaded.known_patterns("sshd"), 1);
+        assert_eq!(known(&reloaded, "sshd"), 1);
         let r = reloaded.analyze_by_service(&sshd_batch(), 2).unwrap();
         assert_eq!(r.matched_known, 3);
     }

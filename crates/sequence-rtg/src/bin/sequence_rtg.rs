@@ -9,10 +9,9 @@
 
 use patterndb::export::{export_patterns, ExportFormat, ExportSelection};
 use patterndb::{PatternStore, StoreError};
-use sequence_rtg::{unloaded_notice, Pipeline, RtgConfig, SequenceRtg, StreamIngester};
+use sequence_rtg::{now_unix, unloaded_notice, Pipeline, RtgConfig, SequenceRtg, StreamIngester};
 use std::io::{BufReader, BufWriter, Write};
 use std::process::ExitCode;
-use std::time::{SystemTime, UNIX_EPOCH};
 
 struct Options {
     db: Option<String>,
@@ -102,13 +101,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     Ok(opts)
 }
 
-fn now_unix() -> u64 {
-    SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0)
-}
-
 /// Records read from stdin at a time. The batch is the pipeline's: a record
 /// is matched when it is read, so this only bounds the read buffer.
 const READ_CHUNK: usize = 1024;
@@ -146,7 +138,7 @@ impl Engine {
     /// not parse, as loading them would.
     fn known_patterns(&mut self) -> Result<usize, StoreError> {
         match self {
-            Engine::Mining(pipeline) => Ok(pipeline.engine_mut().total_known_patterns()),
+            Engine::Mining(pipeline) => Ok(pipeline.engine_mut().board().total_patterns()),
             Engine::Idle(store, _) => {
                 let mut known = 0;
                 let skipped = store.each_parsed_pattern(|_, _, _| known += 1)?;

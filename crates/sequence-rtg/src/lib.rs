@@ -55,19 +55,22 @@
 #![warn(missing_docs)]
 
 pub mod analyze_by_service;
+pub mod batch;
 pub mod config;
 pub mod ingest;
 pub mod pipeline;
 pub mod record;
 pub mod semiconst;
 pub mod service;
+pub mod swap;
 
 pub use analyze_by_service::{BatchReport, SequenceRtg};
+pub use batch::{now_unix, publish, Arrival, Mining, OpenBatch};
 pub use config::RtgConfig;
 pub use ingest::{IngestStats, StreamIngester};
 pub use pipeline::Pipeline;
 pub use record::{LogRecord, RecordError};
 pub use service::{
-    commit_plans, commit_service, count_match, plan_service, unloaded_notice, CommitOutcome,
-    ServicePlan,
+    commit_plans, commit_service, plan_service, unloaded_notice, CommitOutcome, ServicePlan,
 };
+pub use swap::PatternBoard;

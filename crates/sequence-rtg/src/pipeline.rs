@@ -14,7 +14,8 @@
 //! (`sequence_core::matcher`), so throughput stays flat as the pattern
 //! database grows.
 
-use crate::analyze_by_service::{BatchReport, OpenBatch, SequenceRtg};
+use crate::analyze_by_service::{BatchReport, SequenceRtg};
+use crate::batch::OpenBatch;
 use crate::record::LogRecord;
 use patterndb::StoreError;
 use std::borrow::Cow;

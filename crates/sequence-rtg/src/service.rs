@@ -1,15 +1,12 @@
 //! Per-service-scoped mining entry points: the `AnalyzeByService` workflow
 //! split into a compute-only *plan* phase and a store-writing *commit* phase.
 //!
-//! [`SequenceRtg::analyze_by_service`] composes the two under its single
-//! engine-wide borrow. The `seqd` background miner calls them directly
-//! instead: planning reads only the service's published set and holds no
-//! lock (so mining jobs for *different* shards never serialize on the
+//! The mining step both drivers run ([`crate::batch`]) composes them:
+//! planning reads only the service's published set and holds no lock (so
+//! `seqd`'s mining jobs for *different* shards never serialize on the
 //! expensive part), and committing holds the store lock only for the brief
 //! transaction that persists the results. A failed commit can be retried
 //! without re-planning — the plan is pure data, computed once.
-//!
-//! [`SequenceRtg::analyze_by_service`]: crate::SequenceRtg::analyze_by_service
 
 use crate::config::RtgConfig;
 use crate::record::LogRecord;
@@ -75,7 +72,7 @@ pub struct CommitOutcome {
 }
 
 /// Count one match of pattern `id`, copying the id only on its first hit.
-pub fn count_match(counts: &mut HashMap<String, u64>, id: &str) {
+pub(crate) fn count_match(counts: &mut HashMap<String, u64>, id: &str) {
     match counts.get_mut(id) {
         Some(n) => *n += 1,
         None => {

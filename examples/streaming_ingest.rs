@@ -54,7 +54,7 @@ fn main() {
     let engine = pipeline.engine_mut();
     println!(
         "\ntotal patterns now known: {}",
-        engine.total_known_patterns()
+        engine.board().total_patterns()
     );
     println!("top services by pattern count:");
     for (service, patterns, matches) in engine

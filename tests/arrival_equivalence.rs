@@ -8,15 +8,27 @@
 //! interleaving of services, batch size, save threshold and semi-constant
 //! setting, both must leave the same store — byte for byte, as its SQL
 //! dump — and report the same sums.
+//!
+//! `seqd` mines through the same step. Its miner, handed the pipeline's
+//! batches at the same cut points, commits the pipeline's rows; and a job
+//! that coalesced two handoffs mines exactly like one batch filled with
+//! both in turn.
 
 use sequence_rtg_repro::loghub_synth::loghub2::{self, LOGHUB2_FAMILIES};
-use sequence_rtg_repro::patterndb::PatternStore;
-use sequence_rtg_repro::sequence_core::{Analyzer, MatchScratch, PatternSet, Scanner};
-use sequence_rtg_repro::sequence_rtg::{
-    commit_plans, plan_service, BatchReport, LogRecord, Pipeline, RtgConfig, SequenceRtg,
-    ServicePlan,
+use sequence_rtg_repro::patterndb::{PatternStore, StoredPattern};
+use sequence_rtg_repro::seqd::metrics::Ops;
+use sequence_rtg_repro::seqd::miner::{DrainSignal, MineJob, Miner, MinerDeps};
+use sequence_rtg_repro::sequence_core::{
+    Analyzer, MatchScratch, PatternSet, Scanner, TokenizedMessage,
 };
+use sequence_rtg_repro::sequence_rtg::{
+    commit_plans, plan_service, publish, BatchReport, LogRecord, Mining, OpenBatch, PatternBoard,
+    Pipeline, RtgConfig, SequenceRtg, ServicePlan,
+};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 use testkit::prop::{self, Config};
 use testkit::rng::Rng;
 use testkit::{prop_assert, prop_assert_eq};
@@ -186,6 +198,133 @@ fn arrival_matching_leaves_the_store_and_reports_of_the_whole_batch() {
                 want_dump.lines().count()
             );
         }
+        Ok(())
+    });
+}
+
+/// Fill one batch with `records`, matched on arrival against `board`.
+fn fill<'a>(
+    mining: &Mining,
+    board: &PatternBoard,
+    records: impl IntoIterator<Item = Cow<'a, LogRecord>>,
+) -> OpenBatch<'a> {
+    let (mut tokens, mut scratch) = (TokenizedMessage::default(), MatchScratch::default());
+    let mut batch = OpenBatch::default();
+    for record in records {
+        let set = board.load(&record.service);
+        let arrival = mining.arrival(set.as_deref(), &record.message, &mut tokens, &mut scratch);
+        batch.take(record, arrival);
+    }
+    batch
+}
+
+/// The store's rows with the two timestamps masked: `seqd` stamps wall-clock
+/// time.
+fn rows(store: &mut PatternStore) -> Vec<StoredPattern> {
+    let mut rows = store.patterns(None).unwrap();
+    for row in &mut rows {
+        (row.first_seen, row.last_matched) = (0, 0);
+    }
+    rows
+}
+
+#[test]
+fn seqd_commits_the_rows_the_pipeline_commits() {
+    // seqd never prunes, so its leg runs without a save threshold.
+    let leg = |rng: &mut Rng| Case {
+        save_threshold: 0,
+        ..case(rng)
+    };
+    prop::check(&Config::cases(12), &prop::from_fn(leg), |case| {
+        let records = case.records();
+        let config = case.config();
+        let mut pipeline = Pipeline::new(SequenceRtg::in_memory(config));
+        for r in &records {
+            pipeline.push(r.clone(), NOW).unwrap();
+        }
+        pipeline.flush(NOW).unwrap();
+        let want = rows(pipeline.engine_mut().store_mut());
+
+        let deps = MinerDeps {
+            mining: Arc::new(Mining::new(config)),
+            store: Arc::new(Mutex::new(PatternStore::in_memory())),
+            board: Arc::new(PatternBoard::new()),
+            ops: Arc::new(Ops::new()),
+            wal: None,
+            retries: 0,
+            backoff: Duration::ZERO,
+            drain: Arc::new(DrainSignal::new()),
+        };
+        let miner = Miner::inline(deps.clone());
+        for chunk in records.chunks(config.batch_size) {
+            let owned = chunk.iter().cloned().map(Cow::Owned);
+            let batch = fill(&deps.mining, &deps.board, owned);
+            let enqueued = Instant::now();
+            let job = MineJob {
+                shard_id: 0,
+                batch,
+                release_up_to: 0,
+                enqueued,
+            };
+            miner.try_submit(job).unwrap();
+        }
+        let got = rows(&mut deps.store.lock().unwrap());
+        prop_assert_eq!(deps.ops.snapshot().dropped, 0);
+        let diverged = got.iter().zip(&want).position(|(a, b)| a != b);
+        prop_assert!(
+            got == want,
+            "seqd's rows diverge at row {diverged:?} of {} ({} rows)",
+            want.len(),
+            got.len()
+        );
+        Ok(())
+    });
+}
+
+/// Learn the first half of `records` as one batch, then mine the second
+/// half as one batch, or, with `split`, as two batches filled in turn and
+/// merged. Returns the store's dump.
+fn mine_second_half<'r>(
+    records: &'r [LogRecord],
+    config: RtgConfig,
+    split: Option<usize>,
+) -> String {
+    let (mining, board) = (Mining::new(config), PatternBoard::new());
+    let (mut store, mut scratch) = (PatternStore::in_memory(), MatchScratch::default());
+    let mut mine = |mut batch: OpenBatch<'_>| {
+        let plans = mining.plan(&board, &mut batch, &mut scratch);
+        let outcomes = commit_plans(&mut store, plans.iter().map(|(s, p)| (s.as_str(), p)), NOW);
+        publish(&board, &plans, outcomes.unwrap());
+    };
+    let (learn, second) = records.split_at(records.len() / 2);
+    let borrowed = |rs: &'r [LogRecord]| fill(&mining, &board, rs.iter().map(Cow::Borrowed));
+    mine(borrowed(learn));
+    let batch = match split {
+        None => borrowed(second),
+        Some(at) => {
+            let mut earlier = borrowed(&second[..at]);
+            earlier.merge(borrowed(&second[at..]));
+            earlier
+        }
+    };
+    mine(batch);
+    store.db().dump()
+}
+
+/// Coalescing is concatenation: two handoffs merged into one job mine
+/// exactly like one batch filled with both.
+#[test]
+fn a_merged_batch_mines_like_one_batch() {
+    let strategy = prop::from_fn(|rng: &mut Rng| (case(rng), rng.gen_range(0.0..1.0f64)));
+    prop::check(&Config::cases(24), &strategy, |(case, at)| {
+        let records = case.records();
+        let config = case.config();
+        let second = records.len() - records.len() / 2;
+        let at = (second as f64 * at) as usize;
+        let whole = mine_second_half(&records, config, None);
+        let merged = mine_second_half(&records, config, Some(at));
+        prop_assert!(whole.contains("INSERT"), "the case mines something");
+        prop_assert!(merged == whole, "split at {at} of {second}");
         Ok(())
     });
 }

@@ -41,9 +41,9 @@ fn stream_to_store_to_export() {
     let mut pipeline = run_stream(3_000, 500);
     let engine = pipeline.engine_mut();
     assert!(
-        engine.total_known_patterns() > 20,
+        engine.board().total_patterns() > 20,
         "{}",
-        engine.total_known_patterns()
+        engine.board().total_patterns()
     );
 
     // Every export format renders the mined store.

@@ -53,6 +53,17 @@ fn wait_for_remines(addr: std::net::SocketAddr, n: i64, timeout: Duration) {
     }
 }
 
+/// An engine's pattern sets as (service, rendered pattern) pairs.
+fn board_patterns(rtg: &SequenceRtg) -> BTreeSet<(String, String)> {
+    let board = rtg.board();
+    let set = |service: &str| board.load(service).expect("a listed service has a set");
+    let pairs = |service: String| {
+        let rendered: Vec<_> = set(&service).iter().map(|(_, p)| p.render()).collect();
+        rendered.into_iter().map(move |p| (service.clone(), p))
+    };
+    board.services().into_iter().flat_map(pairs).collect()
+}
+
 /// The published patterns as (service, rendered pattern) pairs, via HTTP.
 fn served_patterns(addr: std::net::SocketAddr) -> BTreeSet<(String, String)> {
     let listing = loadgen::control_get(addr, "/patterns").expect("/patterns");
@@ -146,7 +157,8 @@ fn daemon_matches_batch_pipeline_and_survives_restart() {
         .filter(|r| {
             let scanned = scanner.scan_parse_only(&r.message);
             reference
-                .pattern_set(&r.service)
+                .board()
+                .load(&r.service)
                 .and_then(|set| set.match_message_with(&scanned, &mut scratch))
                 .is_none()
         })
@@ -164,11 +176,7 @@ fn daemon_matches_batch_pipeline_and_survives_restart() {
     }
 
     // (a) The served patterns equal the reference pipeline's pattern sets.
-    let expected: BTreeSet<(String, String)> = reference
-        .pattern_sets()
-        .iter()
-        .flat_map(|(service, set)| set.iter().map(move |(_, p)| (service.clone(), p.render())))
-        .collect();
+    let expected = board_patterns(&reference);
     let reference_count = expected.len() as u64;
 
     // (c) POST /shutdown drains, flushes the residue, checkpoints.
@@ -184,11 +192,7 @@ fn daemon_matches_batch_pipeline_and_survives_restart() {
     // full comparison needs the post-drain store. Reopen it.
     let store = PatternStore::open(&dir).expect("reopen store");
     let mut reloaded = SequenceRtg::new(store, config.rtg).expect("reload");
-    let served: BTreeSet<(String, String)> = reloaded
-        .pattern_sets()
-        .iter()
-        .flat_map(|(service, set)| set.iter().map(move |(_, p)| (service.clone(), p.render())))
-        .collect();
+    let served = board_patterns(&reloaded);
     assert_eq!(served, expected, "daemon store must equal batch pipeline");
     assert_eq!(
         reloaded.store_mut().pattern_count().expect("count"),
@@ -221,11 +225,7 @@ fn served_patterns_match_reference_after_first_mine() {
 
     let mut reference = SequenceRtg::in_memory(config.rtg);
     reference.analyze_by_service(&corpus_a, 1).expect("analyze");
-    let expected: BTreeSet<(String, String)> = reference
-        .pattern_sets()
-        .iter()
-        .flat_map(|(service, set)| set.iter().map(move |(_, p)| (service.clone(), p.render())))
-        .collect();
+    let expected = board_patterns(&reference);
     assert!(!expected.is_empty());
     assert_eq!(served_patterns(addr), expected);
 
