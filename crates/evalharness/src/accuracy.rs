@@ -8,7 +8,7 @@
 //! accuracy* definition: over-splitting an event or merging two events
 //! marks every affected message wrong.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// Compute group accuracy.
 ///
@@ -113,6 +113,31 @@ where
         correct += n;
     }
     correct as f64 / denom as f64
+}
+
+/// The two halves of the grouping gap, in lines: `(split, merged)`. A
+/// *split* line belongs to a ground-truth template that was predicted as
+/// more than one group; a *merged* line belongs to a predicted group that
+/// covers more than one template. A line can be both. Only the paired
+/// prefix is counted.
+pub fn split_merged_lines<P, T>(predicted: &[P], truth: &[T]) -> (usize, usize)
+where
+    P: std::hash::Hash + Eq,
+    T: std::hash::Hash + Eq,
+{
+    let mut groups_of: HashMap<&T, HashSet<&P>> = HashMap::new();
+    let mut templates_of: HashMap<&P, HashSet<&T>> = HashMap::new();
+    for (p, t) in predicted.iter().zip(truth) {
+        groups_of.entry(t).or_default().insert(p);
+        templates_of.entry(p).or_default().insert(t);
+    }
+    let mut split = 0;
+    let mut merged = 0;
+    for (p, t) in predicted.iter().zip(truth) {
+        split += usize::from(groups_of[t].len() > 1);
+        merged += usize::from(templates_of[p].len() > 1);
+    }
+    (split, merged)
 }
 
 /// Template-level precision/recall/F1 over groups (the FGA-style metric of
@@ -245,6 +270,18 @@ mod tests {
         let pred = vec![0, 0, 0, 0];
         let truth = vec!["a", "a", "b", "b"];
         assert_eq!(group_accuracy(&pred, &truth), 0.0);
+    }
+
+    #[test]
+    fn split_and_merged_lines_count_each_side() {
+        // `a` is split over clusters 0 and 1; cluster 2 merges `b` and `c`;
+        // `d` is right.
+        let pred = vec![0, 1, 1, 2, 2, 2, 3];
+        let truth = vec!["a", "a", "a", "b", "b", "c", "d"];
+        assert_eq!(split_merged_lines(&pred, &truth), (3, 3));
+        // A line in a split template and a merged cluster counts on both.
+        assert_eq!(split_merged_lines(&[0, 0, 1], &["a", "b", "a"]), (2, 2));
+        assert_eq!(split_merged_lines::<u32, &str>(&[], &[]), (0, 0));
     }
 
     #[test]

@@ -14,6 +14,7 @@
 use evalharness::harness::{render_json, score_dataset};
 use evalharness::Variant;
 use loghub_synth::loghub2::{self, LOGHUB2_FAMILIES};
+use sequence_rtg::RtgConfig;
 
 fn main() {
     let mut lines_n = evalharness::DATASET_LINES;
@@ -52,11 +53,17 @@ fn main() {
     for family in &families {
         eprintln!("scoring {family} ({lines_n} lines, seed {seed})...");
         let dataset = loghub2::dataset(family, lines_n, seed);
-        let family_rows = score_dataset(&dataset, Variant::Preprocessed);
+        let family_rows = score_dataset(&dataset, Variant::Preprocessed, RtgConfig::default());
         for r in &family_rows {
             eprintln!(
-                "  {:<20} GA {:.4}  F1 {:.4}  groups {:>4}  {:>8.1} ms",
-                r.tool, r.grouping_accuracy, r.template.f1, r.found_groups, r.elapsed_ms
+                "  {:<20} GA {:.4}  F1 {:.4}  groups {:>4}  split {:>4}  merged {:>4}  {:>8.1} ms",
+                r.tool,
+                r.grouping_accuracy,
+                r.template.f1,
+                r.found_groups,
+                r.split_lines,
+                r.merged_lines,
+                r.elapsed_ms
             );
         }
         rows.extend(family_rows);

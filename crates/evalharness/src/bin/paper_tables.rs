@@ -7,9 +7,10 @@
 //!
 //! One pass scores every tool on every dataset: [`score_dataset`] on the
 //! pre-processed variant plus Sequence-RTG alone, with the published
-//! scanner ([`ScannerOptions::paper`]), on the raw one. Table II reads
-//! Sequence-RTG's mapping accuracy and the best baseline's group accuracy
-//! from those rows, Table III the four baselines' group accuracy.
+//! scanner ([`ScannerOptions::paper`]), on the raw one. Sequence-RTG runs
+//! the published analyser ([`AnalyzerOptions::paper`]) throughout. Table
+//! II reads Sequence-RTG's mapping accuracy and the best baseline's group
+//! accuracy from those rows, Table III the four baselines' group accuracy.
 //! The shape claims both tables support are asserted by
 //! `tests/paper_claims.rs`.
 
@@ -17,7 +18,7 @@ use evalharness::harness::{score_dataset, score_rtg, FamilyAccuracy};
 use evalharness::runner::{paper, Variant};
 use evalharness::{DATASET_LINES, DEFAULT_SEED};
 use loghub_synth::{generate, DATASET_NAMES};
-use sequence_core::ScannerOptions;
+use sequence_core::{AnalyzerOptions, ScannerOptions};
 use sequence_rtg::RtgConfig;
 
 fn main() {
@@ -27,17 +28,25 @@ fn main() {
     }
     let paper_scanner = RtgConfig {
         scanner: ScannerOptions::paper(),
-        ..RtgConfig::default()
+        ..paper_analyser()
     };
     let mut preprocessed = Vec::with_capacity(DATASET_NAMES.len());
     let mut raw = Vec::with_capacity(DATASET_NAMES.len());
     for name in DATASET_NAMES {
         let d = generate(name, DATASET_LINES, DEFAULT_SEED);
-        preprocessed.push(score_dataset(&d, Variant::Preprocessed));
+        preprocessed.push(score_dataset(&d, Variant::Preprocessed, paper_analyser()));
         raw.push(score_rtg(&d, Variant::Raw, paper_scanner).mapping_accuracy);
     }
     print_table2(&preprocessed, &raw);
     print_table3(&preprocessed);
+}
+
+/// The default scanner with the published analyser.
+fn paper_analyser() -> RtgConfig {
+    RtgConfig {
+        analyzer: AnalyzerOptions::paper(),
+        ..RtgConfig::default()
+    }
 }
 
 fn print_table2(preprocessed: &[Vec<FamilyAccuracy>], raw: &[f64]) {
@@ -76,7 +85,7 @@ fn print_table2(preprocessed: &[Vec<FamilyAccuracy>], raw: &[f64]) {
         let index = DATASET_NAMES.iter().position(|n| *n == name);
         let paper = raw[index.expect("a Table II dataset")];
         let d = generate(name, DATASET_LINES, DEFAULT_SEED);
-        let fixed = score_rtg(&d, Variant::Raw, RtgConfig::default()).mapping_accuracy;
+        let fixed = score_rtg(&d, Variant::Raw, paper_analyser()).mapping_accuracy;
         println!("{name:<12} {paper:>13.3} {fixed:>16.3}");
     }
 }

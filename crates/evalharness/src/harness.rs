@@ -12,7 +12,9 @@
 //! [`score_rtg`] is the Sequence-RTG row on its own, for the raw variant and
 //! other scanner configurations, where the baselines are not needed.
 
-use crate::accuracy::{group_accuracy, mapping_accuracy, template_prf, TemplateScore};
+use crate::accuracy::{
+    group_accuracy, mapping_accuracy, split_merged_lines, template_prf, TemplateScore,
+};
 use crate::runner::{rtg_assignments, truth_labels, variant_lines, Variant};
 use loghub_synth::Dataset;
 use sequence_rtg::RtgConfig;
@@ -46,6 +48,10 @@ pub struct FamilyAccuracy {
     pub template: TemplateScore,
     /// Wall-clock scoring time for this cell, milliseconds.
     pub elapsed_ms: f64,
+    /// Lines of a template the tool split over more than one group.
+    pub split_lines: usize,
+    /// Lines of a group the tool merged over more than one template.
+    pub merged_lines: usize,
 }
 
 /// Score one tool's assignment vector against a dataset's ground truth;
@@ -60,6 +66,7 @@ fn score(
     let truth = truth_labels(dataset);
     let found: HashSet<&String> = assignments.iter().collect();
     let observed: HashSet<&&str> = truth.iter().collect();
+    let (split_lines, merged_lines) = split_merged_lines(assignments, &truth);
     FamilyAccuracy {
         family: dataset.name,
         tool,
@@ -71,6 +78,8 @@ fn score(
         mapping_accuracy: mapping_accuracy(assignments, &truth),
         template: template_prf(assignments, &truth),
         elapsed_ms,
+        split_lines,
+        merged_lines,
     }
 }
 
@@ -81,12 +90,16 @@ pub fn score_rtg(dataset: &Dataset, variant: Variant, config: RtgConfig) -> Fami
     score("sequence-rtg", dataset, &assignments, started)
 }
 
-/// Score all five tools on one variant of a dataset: Sequence-RTG with the
-/// default configuration, then every baseline on the identical lines.
-pub fn score_dataset(dataset: &Dataset, variant: Variant) -> Vec<FamilyAccuracy> {
+/// Score all five tools on one variant of a dataset: Sequence-RTG under
+/// `config`, then every baseline on the identical lines.
+pub fn score_dataset(
+    dataset: &Dataset,
+    variant: Variant,
+    config: RtgConfig,
+) -> Vec<FamilyAccuracy> {
     let lines = variant_lines(dataset, variant);
     let mut rows = Vec::with_capacity(TOOL_COUNT);
-    rows.push(score_rtg(dataset, variant, RtgConfig::default()));
+    rows.push(score_rtg(dataset, variant, config));
     for parser in baselines::all_parsers() {
         let started = Instant::now();
         let result = parser.parse_batch(&lines);
@@ -126,7 +139,8 @@ pub fn render_json(rows: &[FamilyAccuracy], lines_n: usize, seed: u64) -> String
              \"lines\":{lines},\"catalog_templates\":{cat},\"observed_events\":{obs},\
              \"found_groups\":{found},\"grouping_accuracy\":{ga:.4},\
              \"mapping_accuracy\":{ma:.4},\"precision\":{p:.4},\"recall\":{rc:.4},\
-             \"f1\":{f1:.4},\"elapsed_ms\":{ms:.1}}}\n",
+             \"f1\":{f1:.4},\"elapsed_ms\":{ms:.1},\"split_lines\":{split},\
+             \"merged_lines\":{merged}}}\n",
             family = r.family,
             tool = r.tool,
             lines = r.lines,
@@ -139,6 +153,8 @@ pub fn render_json(rows: &[FamilyAccuracy], lines_n: usize, seed: u64) -> String
             rc = r.template.recall,
             f1 = r.template.f1,
             ms = r.elapsed_ms,
+            split = r.split_lines,
+            merged = r.merged_lines,
         ));
     }
     out
@@ -153,6 +169,7 @@ mod tests {
         score_dataset(
             &loghub2::dataset(family, lines, seed),
             Variant::Preprocessed,
+            RtgConfig::default(),
         )
     }
 
@@ -191,6 +208,8 @@ mod tests {
             assert!(line.starts_with("{\"id\":\"accuracy/Proxifier/"), "{line}");
             assert!(line.contains("\"grouping_accuracy\":"), "{line}");
             assert!(line.contains("\"f1\":"), "{line}");
+            assert!(line.contains(",\"split_lines\":"), "{line}");
+            assert!(line.contains(",\"merged_lines\":"), "{line}");
             assert!(line.ends_with('}'), "{line}");
         }
     }

@@ -152,7 +152,7 @@ mod tests {
     #[test]
     fn baselines_score_reasonably_on_apache() {
         let d = generate("Apache", 500, 4);
-        for row in &score_dataset(&d, Variant::Preprocessed)[1..] {
+        for row in &score_dataset(&d, Variant::Preprocessed, RtgConfig::default())[1..] {
             let acc = row.grouping_accuracy;
             assert!(acc > 0.5, "{} on Apache: {acc}", row.tool);
         }

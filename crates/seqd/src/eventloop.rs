@@ -123,20 +123,24 @@ pub struct Session {
     pub summary: IngestSummary,
 }
 
+/// The shortest `max_line_len` a [`Session`] accepts (the ring's floor).
+pub const MIN_LINE_LEN: usize = 16;
+
 impl Session {
-    /// A fresh session enforcing `max_line_len` (terminator included).
+    /// A fresh session enforcing `max_line_len` (terminator included), at
+    /// least [`MIN_LINE_LEN`].
     ///
     /// The ring is one byte larger than the cap so an EOF-terminated
     /// fragment of exactly `max_line_len` bytes — which the reference
     /// accepts — is still distinguishable from an oversized line.
     pub fn new(max_line_len: usize) -> Session {
-        let cap = max_line_len.max(16);
+        debug_assert!(max_line_len >= MIN_LINE_LEN, "{max_line_len}");
         Session {
-            ring: RingBuf::new(cap + 1),
+            ring: RingBuf::new(max_line_len + 1),
             scratch: Vec::new(),
             state: State::Sniffing,
             discarding: false,
-            max_line_len: cap,
+            max_line_len,
             line_hist: Arc::clone(crate::metrics::stages::ingest_line()),
             stats: PumpStats::default(),
             summary: IngestSummary::default(),

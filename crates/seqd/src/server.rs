@@ -181,13 +181,32 @@ pub struct SeqdHandle {
 /// given pattern store. Patterns already in the store are published to the
 /// matching plane immediately. With a WAL directory configured, records
 /// left in the log by a previous crash are replayed into the workers
-/// before live traffic. A nonzero `config.rtg.save_threshold` is refused
-/// with `InvalidInput`.
+/// before live traffic. A configuration the daemon cannot run as given is
+/// refused with `InvalidInput`, never clamped: a zero count, a
+/// `max_line_len` below [`eventloop::MIN_LINE_LEN`], or a nonzero
+/// `config.rtg.save_threshold`.
 pub fn start(mut store: PatternStore, config: SeqdConfig, addr: &str) -> io::Result<SeqdHandle> {
+    let invalid = |msg: String| Err(io::Error::new(io::ErrorKind::InvalidInput, msg));
     if config.rtg.save_threshold != 0 {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            "SeqdConfig::rtg.save_threshold must be 0: the daemon never prunes",
+        return invalid(
+            "SeqdConfig::rtg.save_threshold must be 0: the daemon never prunes".to_string(),
+        );
+    }
+    for (name, n) in [
+        ("shards", config.shards),
+        ("queue_capacity", config.queue_capacity),
+        ("miners", config.miners),
+        ("rtg.batch_size", config.rtg.batch_size),
+        ("wal_sync_every", config.wal_sync_every),
+    ] {
+        if n == 0 {
+            return invalid(format!("SeqdConfig::{name} must be at least 1"));
+        }
+    }
+    if config.max_line_len < eventloop::MIN_LINE_LEN {
+        return invalid(format!(
+            "SeqdConfig::max_line_len must be at least {}",
+            eventloop::MIN_LINE_LEN
         ));
     }
     // Create the full stage-histogram contract up front: the first scrape
@@ -202,7 +221,7 @@ pub fn start(mut store: PatternStore, config: SeqdConfig, addr: &str) -> io::Res
     let mining = Arc::new(Mining::new(config.rtg));
     let ops = Arc::new(Ops::new());
 
-    let shards = config.shards.max(1);
+    let shards = config.shards;
     let (wal, mut replays) = match &config.wal_dir {
         Some(dir) => {
             let (wal, replays) = IngestWal::open(dir, shards, config.wal_sync_every)?;
@@ -242,8 +261,8 @@ pub fn start(mut store: PatternStore, config: SeqdConfig, addr: &str) -> io::Res
     };
     let miner = Arc::new(Miner::background(
         deps,
-        config.miners.max(1),
-        config.rtg.batch_size.max(1) * shards * 8,
+        config.miners,
+        config.rtg.batch_size * shards * 8,
     ));
 
     let listener = TcpListener::bind(addr)?;
@@ -261,7 +280,7 @@ pub fn start(mut store: PatternStore, config: SeqdConfig, addr: &str) -> io::Res
         drain,
         connections: Arc::new(AtomicUsize::new(0)),
         io_timeout: config.io_timeout,
-        max_line_len: config.max_line_len.max(16),
+        max_line_len: config.max_line_len,
         shutdown: Arc::new(AtomicBool::new(false)),
         poller_wakers: std::sync::OnceLock::new(),
         started: Instant::now(),
@@ -863,6 +882,61 @@ mod tests {
         let ops = handle.join().unwrap();
         assert_eq!(ops.matched, 1);
         assert_eq!(ops.unmatched, 0);
+    }
+
+    /// A zero count or a line cap below the ring's floor is refused at
+    /// start, not clamped.
+    #[test]
+    fn zero_counts_and_a_tiny_line_cap_are_refused() {
+        let base = SeqdConfig::default;
+        let rtg = RtgConfig {
+            batch_size: 0,
+            ..base().rtg
+        };
+        for (name, config) in [
+            (
+                "shards",
+                SeqdConfig {
+                    shards: 0,
+                    ..base()
+                },
+            ),
+            (
+                "queue_capacity",
+                SeqdConfig {
+                    queue_capacity: 0,
+                    ..base()
+                },
+            ),
+            (
+                "miners",
+                SeqdConfig {
+                    miners: 0,
+                    ..base()
+                },
+            ),
+            ("rtg.batch_size", SeqdConfig { rtg, ..base() }),
+            (
+                "wal_sync_every",
+                SeqdConfig {
+                    wal_sync_every: 0,
+                    ..base()
+                },
+            ),
+            (
+                "max_line_len",
+                SeqdConfig {
+                    max_line_len: 8,
+                    ..base()
+                },
+            ),
+        ] {
+            let err = start(PatternStore::in_memory(), config, "127.0.0.1:0")
+                .err()
+                .expect("refused");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{name}");
+            assert!(err.to_string().contains(name), "{name}: {err}");
+        }
     }
 
     /// The daemon never prunes, so a save threshold is refused at start,

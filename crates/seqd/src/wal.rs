@@ -289,7 +289,7 @@ impl IngestWal {
         }
         let wal = IngestWal {
             shards: shard_wals,
-            sync_every: sync_every.max(1),
+            sync_every,
         };
         for record in recovered {
             let shard = shard_for(&record.service, shards);

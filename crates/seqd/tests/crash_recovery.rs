@@ -275,6 +275,11 @@ fn retired_modes_and_zero_counts_exit_2() {
         (["--batch-size", "0"], "at least 1"),
         (["--shards", "0"], "at least 1"),
         (["--queue-capacity", "0"], "at least 1"),
+        (
+            ["--wal-sync-every", "0"],
+            "wal_sync_every must be at least 1",
+        ),
+        (["--max-line-len", "8"], "max_line_len must be at least 16"),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_seqd"))
             .args(args)

@@ -32,22 +32,37 @@ pub struct AnalyzerOptions {
     /// limitation-4 fix). `false` reproduces plain Sequence behaviour where
     /// every typed token becomes a variable.
     pub quality_control: bool,
+    /// Keep up to eight distinct leading words apart instead of merging
+    /// them into a variable (the analysis trie's one departure from the
+    /// published analyser).
+    keep_leading_words: bool,
 }
 
 impl Default for AnalyzerOptions {
     fn default() -> Self {
         AnalyzerOptions {
             quality_control: true,
+            keep_leading_words: true,
         }
     }
 }
 
 impl AnalyzerOptions {
+    /// The Sequence-RTG analyser as published: quality control on, and
+    /// leading words merged like any other siblings.
+    pub fn paper() -> Self {
+        AnalyzerOptions {
+            keep_leading_words: false,
+            ..AnalyzerOptions::default()
+        }
+    }
+
     /// Options reproducing the seminal Sequence analyser (no Sequence-RTG
     /// quality control).
     pub fn seminal_sequence() -> Self {
         AnalyzerOptions {
             quality_control: false,
+            keep_leading_words: false,
         }
     }
 }
@@ -111,7 +126,7 @@ impl Analyzer {
         for &i in indices {
             trie.insert(i, &messages[i as usize].tokens);
         }
-        trie.merge();
+        trie.merge(&self.opts);
         let mut out = Vec::new();
         for path in trie.paths() {
             out.push(self.extract(messages, &path.nodes, path.terminal));
@@ -285,6 +300,9 @@ fn refine_string_type(observed: &std::collections::BTreeSet<String>) -> TokenTyp
 mod tests {
     use super::*;
     use crate::scanner::Scanner;
+    use testkit::prop::{self, Config};
+    use testkit::rng::Rng;
+    use testkit::{prop_assert, prop_assert_eq};
 
     fn analyze(msgs: &[&str]) -> Vec<DiscoveredPattern> {
         let scanner = Scanner::new();
@@ -456,5 +474,191 @@ mod tests {
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].examples.len(), 3);
         assert_eq!(out[0].match_count, 10);
+    }
+
+    #[test]
+    fn distinct_leading_words_stay_apart() {
+        let scanner = Scanner::new();
+        let scanned: Vec<_> = [
+            "Accepted password for root from 10.2.3.4 port 22 ssh2",
+            "Accepted password for root from 10.9.9.9 port 2200 ssh2",
+            "Failed password for root from 172.16.0.5 port 22022 ssh2",
+            "Failed password for root from 10.0.0.7 port 4022 ssh2",
+        ]
+        .iter()
+        .map(|m| scanner.scan(m))
+        .collect();
+        let out = Analyzer::new().analyze(&scanned);
+        let mut renders: Vec<String> = out.iter().map(|d| d.pattern.render()).collect();
+        renders.sort();
+        assert_eq!(
+            renders,
+            [
+                "Accepted password for root from %srcip:ipv4% port %port:integer% ssh2",
+                "Failed password for root from %srcip:ipv4% port %port:integer% ssh2",
+            ]
+        );
+        let paper = Analyzer::with_options(AnalyzerOptions::paper()).analyze(&scanned);
+        assert_eq!(paper.len(), 1, "the published merge");
+    }
+
+    /// Digit-bearing constants the generator never produces stay literal
+    /// when single-valued, each leading word keeping its own pattern.
+    #[test]
+    fn single_valued_digit_constants_stay_literal_under_each_leading_word() {
+        let msgs: Vec<String> = ["GET", "PUT"]
+            .iter()
+            .flat_map(|verb| {
+                (0..4).map(move |i| {
+                    format!("{verb} blob sha256 from 192.168.7.7 via HTTP/1.1 took {i}{i}7 ms")
+                })
+            })
+            .collect();
+        let refs: Vec<&str> = msgs.iter().map(|s| s.as_str()).collect();
+        let out = analyze(&refs);
+        assert_eq!(out.len(), 2, "{out:?}");
+        for d in &out {
+            let r = d.pattern.render();
+            assert!(r.starts_with("GET ") || r.starts_with("PUT "), "{r}");
+            for constant in [" sha256 ", " 192.168.7.7 ", " HTTP/1.1 "] {
+                assert!(r.contains(constant), "{constant:?} stays literal: {r}");
+            }
+            assert!(r.contains("took %"), "the duration varies: {r}");
+        }
+    }
+
+    /// A leading user or host name takes many values: past eight it is a
+    /// variable, digit-bearing or not.
+    #[test]
+    fn high_fan_out_leading_names_still_merge() {
+        let users: Vec<String> = (0..12)
+            .map(|i| {
+                format!(
+                    "user{} logged in from tty{}",
+                    "abcdefghijkl".as_bytes()[i] as char,
+                    i % 3
+                )
+            })
+            .collect();
+        let hosts: Vec<String> = (0..12)
+            .map(|i| format!("node{i}x kernel: link is up"))
+            .collect();
+        for msgs in [users, hosts] {
+            let refs: Vec<&str> = msgs.iter().map(|s| s.as_str()).collect();
+            let out = analyze(&refs);
+            assert_eq!(out.len(), 1, "{out:?}");
+            assert!(
+                out[0].pattern.elements()[0].is_variable(),
+                "{}",
+                out[0].pattern.render()
+            );
+        }
+    }
+
+    /// One tail position: a fixed word or a typed token whose value varies
+    /// per message.
+    #[derive(Debug, Clone, Copy)]
+    enum Tail {
+        Word(&'static str),
+        Integer,
+        Ipv4,
+    }
+
+    #[derive(Debug, Clone)]
+    struct LeadingWords {
+        words: Vec<String>,
+        tails: usize,
+        messages: Vec<String>,
+    }
+
+    /// k distinct leading words, each followed by every one of up to three
+    /// tails of distinct lengths (0 to 6 tokens), one to three messages per
+    /// pair.
+    fn leading_words(rng: &mut Rng) -> LeadingWords {
+        const TAIL_WORDS: [&str; 8] = [
+            "for", "from", "port", "ssh2", "session", "closed", "by", "user",
+        ];
+        let k = rng.gen_range(1..13usize);
+        let mut words: Vec<String> = Vec::with_capacity(k);
+        while words.len() < k {
+            let len = rng.gen_range(2..9usize);
+            let w: String = (0..len)
+                .map(|_| (b'a' + rng.gen_range(0..26u8)) as char)
+                .collect();
+            if !words.contains(&w) {
+                words.push(w);
+            }
+        }
+        let mut lengths: Vec<usize> = (0..7).collect();
+        rng.shuffle(&mut lengths);
+        lengths.truncate(rng.gen_range(1..4usize));
+        let tails: Vec<Vec<Tail>> = lengths
+            .iter()
+            .map(|&n| {
+                (0..n)
+                    .map(|_| match rng.gen_range(0..4u32) {
+                        0 => Tail::Integer,
+                        1 => Tail::Ipv4,
+                        _ => Tail::Word(rng.choose(&TAIL_WORDS).unwrap()),
+                    })
+                    .collect()
+            })
+            .collect();
+        let mut messages = Vec::new();
+        for word in &words {
+            for tail in &tails {
+                for _ in 0..rng.gen_range(1..4usize) {
+                    let mut msg = word.clone();
+                    for tok in tail {
+                        msg.push(' ');
+                        match tok {
+                            Tail::Word(w) => msg.push_str(w),
+                            Tail::Integer => {
+                                msg.push_str(&rng.gen_range(0..100_000u32).to_string())
+                            }
+                            Tail::Ipv4 => msg.push_str(&format!(
+                                "10.{}.{}.{}",
+                                rng.gen_range(0..256u32),
+                                rng.gen_range(0..256u32),
+                                rng.gen_range(1..255u32)
+                            )),
+                        }
+                    }
+                    messages.push(msg);
+                }
+            }
+        }
+        LeadingWords {
+            words,
+            tails: tails.len(),
+            messages,
+        }
+    }
+
+    /// The leading-word rule: k distinct leading words with identical tails
+    /// give k patterns per tail when k ≤ 8, and one pattern with a leading
+    /// variable when k ≥ 9.
+    #[test]
+    fn leading_words_split_up_to_eight_then_merge() {
+        prop::check(&Config::cases(200), &prop::from_fn(leading_words), |case| {
+            let refs: Vec<&str> = case.messages.iter().map(|s| s.as_str()).collect();
+            let out = analyze(&refs);
+            let k = case.words.len();
+            let per_tail = if k <= 8 { k } else { 1 };
+            prop_assert_eq!(out.len(), case.tails * per_tail);
+            for d in &out {
+                match &d.pattern.elements()[0] {
+                    PatternElement::Literal { text, .. } => {
+                        prop_assert!(
+                            k <= 8 && case.words.contains(text),
+                            "{}",
+                            d.pattern.render()
+                        )
+                    }
+                    other => prop_assert!(k > 8 && other.is_variable(), "{}", d.pattern.render()),
+                }
+            }
+            Ok(())
+        });
     }
 }

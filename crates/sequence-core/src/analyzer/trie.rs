@@ -19,7 +19,16 @@
 //! children never merge with literal children: this is what produces two
 //! patterns for Proxifier's sometimes-numeric field, reproducing the paper's
 //! documented limitation.
+//!
+//! One departure from the published analyser, on by default and off under
+//! [`AnalyzerOptions::paper`]: at the first token position a group of at
+//! most `MAX_OBSERVED` literal siblings stays unmerged. A message's leading
+//! word is usually its event (`Accepted password for root` and `Failed
+//! password for root` are two events), while a leading user or host name
+//! takes many values and still becomes a variable. It is Drain's "leading
+//! tokens are tree keys", bounded as Drain bounds a node's children.
 
+use super::AnalyzerOptions;
 use crate::token::{Token, TokenType};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeSet, HashMap};
@@ -65,7 +74,9 @@ pub struct Node {
 }
 
 /// How many distinct observed values a node keeps; beyond this the exact set
-/// no longer matters (the variable is clearly multi-valued).
+/// no longer matters (the variable is clearly multi-valued). The same bound
+/// decides when distinct leading words are many enough to merge; it works
+/// from 7 to 18 (DESIGN.md §2).
 const MAX_OBSERVED: usize = 8;
 
 impl Node {
@@ -133,19 +144,26 @@ impl AnalysisTrie {
     }
 
     /// Run the sibling-merge pass over the whole trie (breadth-first, each
-    /// level to a fixpoint).
-    pub fn merge(&mut self) {
+    /// level to a fixpoint). Under the default options the root's children
+    /// (the leading words) merge only in groups of more than `MAX_OBSERVED`.
+    pub fn merge(&mut self, opts: &AnalyzerOptions) {
         let mut queue = vec![ROOT];
         while let Some(at) = queue.pop() {
-            self.merge_children_of(at);
+            let min_group = if at == ROOT && opts.keep_leading_words {
+                MAX_OBSERVED + 1
+            } else {
+                2
+            };
+            self.merge_children_of(at, min_group);
             queue.extend(self.nodes[at].children.values().copied());
         }
     }
 
-    /// Merge the literal children of `at` that share a child key set; repeat
-    /// until no merge applies (a merged `Var` node can in turn share a child
-    /// key set with a remaining literal sibling).
-    fn merge_children_of(&mut self, at: usize) {
+    /// Merge the literal children of `at` that share a child key set, in
+    /// groups of at least `min_group`; repeat until no merge applies (a
+    /// merged `Var` node can in turn share a child key set with a remaining
+    /// literal sibling).
+    fn merge_children_of(&mut self, at: usize, min_group: usize) {
         loop {
             // Group mergeable children (literals and existing Var nodes) by
             // the signature of their child key set.
@@ -161,7 +179,7 @@ impl AnalysisTrie {
             }
             let mut merged_any = false;
             for (_, mut ids) in groups {
-                if ids.len() < 2 {
+                if ids.len() < min_group {
                     continue;
                 }
                 // Deterministic merge target regardless of hash order.
@@ -324,7 +342,7 @@ mod tests {
     #[test]
     fn identical_messages_one_path() {
         let mut trie = build(&["session closed", "session closed"]);
-        trie.merge();
+        trie.merge(&AnalyzerOptions::default());
         let pats = pattern_strings(&trie);
         assert_eq!(pats, vec!["session closed"]);
         assert_eq!(trie.paths()[0].terminal.len(), 2);
@@ -333,28 +351,28 @@ mod tests {
     #[test]
     fn typed_tokens_share_a_node() {
         let mut trie = build(&["port 22 open", "port 8080 open"]);
-        trie.merge();
+        trie.merge(&AnalyzerOptions::default());
         assert_eq!(pattern_strings(&trie), vec!["port <integer> open"]);
     }
 
     #[test]
     fn literal_siblings_with_same_children_merge() {
         let mut trie = build(&["Accepted password for root", "Failed password for root"]);
-        trie.merge();
+        trie.merge(&AnalyzerOptions::paper());
         assert_eq!(pattern_strings(&trie), vec!["<*> password for root"]);
     }
 
     #[test]
     fn trailing_literal_variance_merges_at_leaf() {
         let mut trie = build(&["job alpha done", "job beta done", "job gamma done"]);
-        trie.merge();
+        trie.merge(&AnalyzerOptions::default());
         assert_eq!(pattern_strings(&trie), vec!["job <*> done"]);
     }
 
     #[test]
     fn divergent_structure_stays_separate() {
         let mut trie = build(&["start job now", "stop service gracefully"]);
-        trie.merge();
+        trie.merge(&AnalyzerOptions::default());
         let mut pats = pattern_strings(&trie);
         pats.sort();
         assert_eq!(pats, vec!["start job now", "stop service gracefully"]);
@@ -365,7 +383,7 @@ mod tests {
         // The Proxifier flip: `64` (integer) vs `64*` (literal) at the same
         // position must yield two patterns.
         let mut trie = build(&["sent 64 bytes", "sent 64* bytes", "sent 128 bytes"]);
-        trie.merge();
+        trie.merge(&AnalyzerOptions::default());
         let mut pats = pattern_strings(&trie);
         pats.sort();
         assert_eq!(pats, vec!["sent 64* bytes", "sent <integer> bytes"]);
@@ -378,7 +396,7 @@ mod tests {
             "user bob logged in",
             "user carol logged in",
         ]);
-        trie.merge();
+        trie.merge(&AnalyzerOptions::default());
         assert_eq!(pattern_strings(&trie), vec!["user <*> logged in"]);
         // observed values kept for quality control
         let paths = trie.paths();
@@ -389,7 +407,7 @@ mod tests {
     #[test]
     fn different_lengths_never_interfere() {
         let mut trie = build(&["a b c", "a b"]);
-        trie.merge();
+        trie.merge(&AnalyzerOptions::default());
         let mut pats = pattern_strings(&trie);
         pats.sort();
         assert_eq!(pats, vec!["a b", "a b c"]);

@@ -18,7 +18,6 @@ struct Options {
     batch_size: usize,
     save_threshold: u64,
     seminal: bool,
-    extended: bool,
     export: Option<ExportFormat>,
     min_count: u64,
     max_complexity: f64,
@@ -34,7 +33,6 @@ impl Default for Options {
             batch_size: 100_000,
             save_threshold: 0,
             seminal: false,
-            extended: false,
             export: None,
             min_count: 1,
             max_complexity: 1.0,
@@ -70,7 +68,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                     .map_err(|_| "--save-threshold expects an integer".to_string())?
             }
             "--seminal" => opts.seminal = true,
-            "--extended" => opts.extended = true,
             "--export" => {
                 let v = value(&mut i, "--export")?;
                 opts.export = Some(ExportFormat::from_flag(&v).ok_or_else(|| {
@@ -94,9 +91,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             other => return Err(format!("unknown flag {other:?}")),
         }
         i += 1;
-    }
-    if opts.seminal && opts.extended {
-        return Err("--seminal and --extended cannot be combined".to_string());
     }
     Ok(opts)
 }
@@ -159,11 +153,10 @@ fn main() -> ExitCode {
             if !msg.is_empty() {
                 eprintln!("error: {msg}\n");
             }
-            eprintln!("usage: sequence-rtg [--db DIR] [--batch-size N] [--save-threshold N] [--seminal | --extended] [--export syslog-ng|yaml|grok] [--min-count N] [--max-complexity F] [--review] [--resolve-conflicts] [--quiet]");
+            eprintln!("usage: sequence-rtg [--db DIR] [--batch-size N] [--save-threshold N] [--seminal] [--export syslog-ng|yaml|grok] [--min-count N] [--max-complexity F] [--review] [--resolve-conflicts] [--quiet]");
             eprintln!(
                 "  --seminal   mine as seminal Sequence: the published scanner, no quality control"
             );
-            eprintln!("  --extended  add semi-constant splitting to the default configuration");
             return if msg.is_empty() {
                 ExitCode::SUCCESS
             } else {
@@ -174,8 +167,6 @@ fn main() -> ExitCode {
 
     let mut config = if opts.seminal {
         RtgConfig::seminal()
-    } else if opts.extended {
-        RtgConfig::extended()
     } else {
         RtgConfig::default()
     };

@@ -16,11 +16,9 @@ pub struct RtgConfig {
     /// Scanner options. The default turns on the path FSM and single-digit
     /// time parts; [`ScannerOptions::paper`] is the published scanner.
     pub scanner: ScannerOptions,
-    /// Analyser options (quality control).
+    /// Analyser options. The default keeps a few distinct leading words
+    /// apart; [`AnalyzerOptions::paper`] is the published analyser.
     pub analyzer: AnalyzerOptions,
-    /// Split semi-constant variables into per-value patterns (the paper's
-    /// future-work extension; off by default).
-    pub semi_constant_split: bool,
 }
 
 impl Default for RtgConfig {
@@ -30,28 +28,18 @@ impl Default for RtgConfig {
             save_threshold: 0,
             scanner: ScannerOptions::default(),
             analyzer: AnalyzerOptions::default(),
-            semi_constant_split: false,
         }
     }
 }
 
 impl RtgConfig {
     /// Configuration reproducing the seminal Sequence behaviour (the
-    /// published scanner, no quality control), used as the baseline in the
-    /// Fig. 5 experiment.
+    /// published scanner, no quality control, leading words merged), used
+    /// as the baseline in the Fig. 5 experiment.
     pub fn seminal() -> Self {
         RtgConfig {
             scanner: ScannerOptions::paper(),
             analyzer: AnalyzerOptions::seminal_sequence(),
-            ..Default::default()
-        }
-    }
-
-    /// The default plus semi-constant splitting, the one future-work
-    /// extension that stays opt-in.
-    pub fn extended() -> Self {
-        RtgConfig {
-            semi_constant_split: true,
             ..Default::default()
         }
     }
@@ -80,14 +68,11 @@ mod tests {
     fn presets() {
         let s = RtgConfig::seminal();
         assert!(!s.analyzer.quality_control);
+        assert_eq!(s.analyzer, AnalyzerOptions::seminal_sequence());
         assert_eq!(s.scanner, ScannerOptions::paper());
-        let e = RtgConfig::extended();
-        assert_eq!(
-            e,
-            RtgConfig {
-                semi_constant_split: true,
-                ..RtgConfig::default()
-            }
-        );
+        let paper = AnalyzerOptions::paper();
+        assert!(paper.quality_control, "the published RTG analyser");
+        assert_ne!(paper, AnalyzerOptions::default(), "leading-word rule off");
+        assert_ne!(paper, AnalyzerOptions::seminal_sequence());
     }
 }

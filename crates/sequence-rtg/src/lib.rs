@@ -24,9 +24,12 @@
 //!    markers, counted per batch in [`BatchReport`].
 //!
 //! Extensions implemented from the paper's future-work list: a path FSM and
-//! single-digit time parts (on in the default scanner;
-//! `ScannerOptions::paper()` is the published one) and semi-constant
-//! variable splitting ([`semiconst`], opt-in).
+//! single-digit time parts, on in the default scanner
+//! (`ScannerOptions::paper()` is the published one). Beyond the paper, the
+//! default analyser keeps up to eight distinct leading words apart
+//! (`AnalyzerOptions::paper()` merges them as published). The §VI
+//! semi-constant splitting is not built: the leading-word rule fixes the
+//! over-merge it targeted without lowering any other family.
 //!
 //! The paper scales out by "sending groups of services to any number (of)
 //! instances". This crate analyses one batch on one thread; the `seqd`
@@ -60,7 +63,6 @@ pub mod config;
 pub mod ingest;
 pub mod pipeline;
 pub mod record;
-pub mod semiconst;
 pub mod service;
 pub mod swap;
 

@@ -10,7 +10,6 @@
 
 use crate::config::RtgConfig;
 use crate::record::LogRecord;
-use crate::semiconst;
 use patterndb::{PatternStore, StoreError};
 use sequence_core::{
     Analyzer, DiscoveredPattern, MatchScratch, Pattern, PatternSet, Scanner, TokenizedMessage,
@@ -41,8 +40,7 @@ pub struct ServicePlan {
     /// Matches against the known set, as `(pattern id, count)` sorted by id
     /// for a deterministic store write order.
     pub match_counts: Vec<(String, u64)>,
-    /// Patterns mined from the unmatched messages (semi-constant split
-    /// already applied when configured).
+    /// Patterns mined from the unmatched messages.
     pub discovered: Vec<DiscoveredPattern>,
     /// Records planned.
     pub received: u64,
@@ -83,11 +81,12 @@ pub(crate) fn count_match(counts: &mut HashMap<String, u64>, id: &str) {
 
 /// Plan one service's slice of a batch: scan, parse against `set`, analyse
 /// the unmatched remainder. Pure compute — the only shared state read is the
-/// pattern set snapshot, and nothing is written anywhere.
+/// pattern set snapshot, and nothing is written anywhere. `_config` is
+/// unused: `scanner` and `analyzer` already carry its options.
 pub fn plan_service(
     scanner: &Scanner,
     analyzer: &Analyzer,
-    config: &RtgConfig,
+    _config: &RtgConfig,
     set: Option<&PatternSet>,
     scratch: &mut MatchScratch,
     records: &[&LogRecord],
@@ -141,11 +140,7 @@ pub fn plan_service(
         .iter()
         .map(|&i| scanned[i as usize].clone())
         .collect();
-    let mut discovered = analyzer.analyze(&subset);
-    if config.semi_constant_split {
-        discovered = semiconst::split_semi_constant(discovered, &subset);
-    }
-    plan.discovered = discovered;
+    plan.discovered = analyzer.analyze(&subset);
     plan
 }
 

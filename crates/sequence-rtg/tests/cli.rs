@@ -156,20 +156,18 @@ fn seminal_mode_runs() {
     assert!(ok, "{stderr}");
 }
 
+/// Semi-constant splitting and its `--extended` flag are gone: the flag is
+/// unknown, not silently ignored.
 #[test]
-fn seminal_and_extended_together_are_a_usage_error() {
-    for alone in ["--seminal", "--extended"] {
-        let (_, stderr, ok) = run_cli(&[alone, "--batch-size", "10"], &sample_stream());
-        assert!(ok, "{alone}: {stderr}");
-    }
+fn extended_is_an_unknown_flag() {
     let out = Command::new(env!("CARGO_BIN_EXE_sequence-rtg"))
-        .args(["--seminal", "--extended"])
+        .arg("--extended")
         .stdin(Stdio::null())
         .output()
         .expect("run sequence-rtg");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(2), "{stderr}");
-    assert!(stderr.contains("cannot be combined"), "{stderr}");
+    assert!(stderr.contains("unknown flag \"--extended\""), "{stderr}");
     assert!(stderr.contains("usage:"), "{stderr}");
 }
 

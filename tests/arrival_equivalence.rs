@@ -5,8 +5,8 @@
 //! residue and folds the arrival counts in. The reference below is the
 //! whole-batch algorithm it replaced: hold the batch, partition it by
 //! service, plan every service's records, commit the plans. For any
-//! interleaving of services, batch size, save threshold and semi-constant
-//! setting, both must leave the same store — byte for byte, as its SQL
+//! interleaving of services, batch size, save threshold and analyser
+//! preset, both must leave the same store — byte for byte, as its SQL
 //! dump — and report the same sums.
 //!
 //! `seqd` mines through the same step. Its miner, handed the pipeline's
@@ -19,7 +19,7 @@ use sequence_rtg_repro::patterndb::{PatternStore, StoredPattern};
 use sequence_rtg_repro::seqd::metrics::Ops;
 use sequence_rtg_repro::seqd::miner::{DrainSignal, MineJob, Miner, MinerDeps};
 use sequence_rtg_repro::sequence_core::{
-    Analyzer, MatchScratch, PatternSet, Scanner, TokenizedMessage,
+    Analyzer, AnalyzerOptions, MatchScratch, PatternSet, Scanner, TokenizedMessage,
 };
 use sequence_rtg_repro::sequence_rtg::{
     commit_plans, plan_service, publish, BatchReport, LogRecord, Mining, OpenBatch, PatternBoard,
@@ -43,7 +43,7 @@ struct Case {
     seed: u64,
     batch_size: usize,
     save_threshold: u64,
-    semi_constant_split: bool,
+    analyzer: AnalyzerOptions,
 }
 
 impl Case {
@@ -51,7 +51,7 @@ impl Case {
         RtgConfig {
             batch_size: self.batch_size,
             save_threshold: self.save_threshold,
-            semi_constant_split: self.semi_constant_split,
+            analyzer: self.analyzer,
             ..RtgConfig::default()
         }
     }
@@ -98,7 +98,11 @@ fn case(rng: &mut Rng) -> Case {
             _ => 5_000,
         },
         save_threshold: if rng.gen_bool(0.5) { 0 } else { 2 },
-        semi_constant_split: rng.gen_bool(0.5),
+        analyzer: match rng.gen_range(0..3u32) {
+            0 => AnalyzerOptions::default(),
+            1 => AnalyzerOptions::paper(),
+            _ => AnalyzerOptions::seminal_sequence(),
+        },
     }
 }
 
