@@ -254,9 +254,11 @@ if stage_begin "accuracy regression gate (LogHub-2.0 grouping accuracy vs frozen
 # fixed-seed LogHub-2.0 corpora live (all 14 families, 2000 lines each —
 # deterministic seed->corpus, so same code means same scores), then hold
 # sequence-rtg's per-family grouping accuracy against the frozen
-# results/BENCH_accuracy.baseline.json two ways:
-#   1. no family may drop more than 2 points (0.020), and
-#   2. on families where the recorded run beats the Drain baseline,
+# results/BENCH_accuracy.baseline.json three ways:
+#   1. no family may drop more than 2 points (0.020),
+#   2. no family's split lines or merged lines may rise above the
+#      baseline's (the two halves of the grouping gap), and
+#   3. on families where the recorded run beats the Drain baseline,
 #      the live run must still beat Drain.
 ./target/release/bench-accuracy --out results/BENCH_accuracy.json \
   2> "${smoke_json}.acc.log" \
@@ -272,6 +274,26 @@ accuracy_scores sequence-rtg results/BENCH_accuracy.json > "${smoke_json}.acc.cu
   || { echo "sequence-rtg records missing from results/BENCH_accuracy*.json" >&2; exit 1; }
 gate_drop_table "${smoke_json}.acc.base" "${smoke_json}.acc.cur" 0.020 \
   "REGRESSION: grouping accuracy dropped >2 points vs baseline"
+# "family split merged" table of sequence-rtg's rows, sorted for join.
+accuracy_gap() {
+  sed -n 's|.*"id":"accuracy/\([^"]*\)/sequence-rtg".*"split_lines":\([0-9]*\),"merged_lines":\([0-9]*\).*|\1 \2 \3|p' "$1" \
+    | sort
+}
+accuracy_gap results/BENCH_accuracy.baseline.json > "${smoke_json}.acc.gapbase"
+accuracy_gap results/BENCH_accuracy.json > "${smoke_json}.acc.gapcur"
+[[ -s "${smoke_json}.acc.gapbase" && -s "${smoke_json}.acc.gapcur" ]] \
+  || { echo "split/merged lines missing from results/BENCH_accuracy*.json" >&2; exit 1; }
+join "${smoke_json}.acc.gapbase" "${smoke_json}.acc.gapcur" | awk '
+  {
+    printf "    %-14s split %4d -> %4d, merged %4d -> %4d\n", $1, $2, $4, $3, $5
+    if ($4 > $2 || $5 > $3) { bad = 1 }
+  }
+  END {
+    if (bad) {
+      printf "    %s\n", "REGRESSION: split or merged lines rose above the baseline" > "/dev/stderr"
+      exit 1
+    }
+  }'
 accuracy_scores drain results/BENCH_accuracy.baseline.json > "${smoke_json}.acc.drbase"
 accuracy_scores drain results/BENCH_accuracy.json > "${smoke_json}.acc.drcur"
 join "${smoke_json}.acc.base" "${smoke_json}.acc.drbase" \

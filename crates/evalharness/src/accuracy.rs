@@ -140,6 +140,24 @@ where
     (split, merged)
 }
 
+/// How many predicted groups each ground-truth template's lines fall into,
+/// one `(template, groups)` entry per template of the paired prefix, the
+/// most-split first (ties by template). Its mean over templates is the
+/// accuracy rows' `patterns_per_template`.
+pub fn patterns_per_template<'t, P, T>(predicted: &[P], truth: &'t [T]) -> Vec<(&'t T, usize)>
+where
+    P: std::hash::Hash + Eq,
+    T: std::hash::Hash + Eq + Ord,
+{
+    let mut groups_of: HashMap<&T, HashSet<&P>> = HashMap::new();
+    for (p, t) in predicted.iter().zip(truth) {
+        groups_of.entry(t).or_default().insert(p);
+    }
+    let mut out: Vec<(&T, usize)> = groups_of.into_iter().map(|(t, g)| (t, g.len())).collect();
+    out.sort_unstable_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(b.0)));
+    out
+}
+
 /// Template-level precision/recall/F1 over groups (the FGA-style metric of
 /// the LogHub-2.0 benchmark).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -282,6 +300,17 @@ mod tests {
         // A line in a split template and a merged cluster counts on both.
         assert_eq!(split_merged_lines(&[0, 0, 1], &["a", "b", "a"]), (2, 2));
         assert_eq!(split_merged_lines::<u32, &str>(&[], &[]), (0, 0));
+    }
+
+    #[test]
+    fn patterns_per_template_counts_groups_most_split_first() {
+        let pred = vec![0, 1, 1, 2, 2, 2, 3, 4];
+        let truth = vec!["a", "a", "a", "b", "b", "c", "d", "d"];
+        assert_eq!(
+            patterns_per_template(&pred, &truth),
+            [(&"a", 2), (&"d", 2), (&"b", 1), (&"c", 1)]
+        );
+        assert!(patterns_per_template::<u32, &str>(&[], &[]).is_empty());
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //! other scanner configurations, where the baselines are not needed.
 
 use crate::accuracy::{
-    group_accuracy, mapping_accuracy, split_merged_lines, template_prf, TemplateScore,
+    group_accuracy, mapping_accuracy, patterns_per_template, split_merged_lines, template_prf,
+    TemplateScore,
 };
 use crate::runner::{rtg_assignments, truth_labels, variant_lines, Variant};
 use loghub_synth::Dataset;
@@ -52,6 +53,13 @@ pub struct FamilyAccuracy {
     pub split_lines: usize,
     /// Lines of a group the tool merged over more than one template.
     pub merged_lines: usize,
+    /// Mean, over the observed templates, of the groups each template's
+    /// lines fall into (1.0 when no template is split).
+    pub patterns_per_template: f64,
+    /// The most groups any one template's lines fall into.
+    pub max_patterns_per_template: usize,
+    /// Up to five split templates and their group counts, most first.
+    pub worst_templates: Vec<(String, usize)>,
 }
 
 /// Score one tool's assignment vector against a dataset's ground truth;
@@ -67,6 +75,8 @@ fn score(
     let found: HashSet<&String> = assignments.iter().collect();
     let observed: HashSet<&&str> = truth.iter().collect();
     let (split_lines, merged_lines) = split_merged_lines(assignments, &truth);
+    let per_template = patterns_per_template(assignments, &truth);
+    let groups: usize = per_template.iter().map(|&(_, n)| n).sum();
     FamilyAccuracy {
         family: dataset.name,
         tool,
@@ -80,6 +90,18 @@ fn score(
         elapsed_ms,
         split_lines,
         merged_lines,
+        patterns_per_template: if per_template.is_empty() {
+            1.0
+        } else {
+            groups as f64 / per_template.len() as f64
+        },
+        max_patterns_per_template: per_template.first().map_or(0, |&(_, n)| n),
+        worst_templates: per_template
+            .iter()
+            .take_while(|&&(_, n)| n > 1)
+            .take(5)
+            .map(|&(t, n)| (t.to_string(), n))
+            .collect(),
     }
 }
 
@@ -140,7 +162,8 @@ pub fn render_json(rows: &[FamilyAccuracy], lines_n: usize, seed: u64) -> String
              \"found_groups\":{found},\"grouping_accuracy\":{ga:.4},\
              \"mapping_accuracy\":{ma:.4},\"precision\":{p:.4},\"recall\":{rc:.4},\
              \"f1\":{f1:.4},\"elapsed_ms\":{ms:.1},\"split_lines\":{split},\
-             \"merged_lines\":{merged}}}\n",
+             \"merged_lines\":{merged},\"patterns_per_template\":{ppt:.4},\
+             \"max_patterns_per_template\":{max_ppt}}}\n",
             family = r.family,
             tool = r.tool,
             lines = r.lines,
@@ -155,6 +178,8 @@ pub fn render_json(rows: &[FamilyAccuracy], lines_n: usize, seed: u64) -> String
             ms = r.elapsed_ms,
             split = r.split_lines,
             merged = r.merged_lines,
+            ppt = r.patterns_per_template,
+            max_ppt = r.max_patterns_per_template,
         ));
     }
     out
@@ -210,6 +235,8 @@ mod tests {
             assert!(line.contains("\"f1\":"), "{line}");
             assert!(line.contains(",\"split_lines\":"), "{line}");
             assert!(line.contains(",\"merged_lines\":"), "{line}");
+            assert!(line.contains(",\"patterns_per_template\":"), "{line}");
+            assert!(line.contains(",\"max_patterns_per_template\":"), "{line}");
             assert!(line.ends_with('}'), "{line}");
         }
     }

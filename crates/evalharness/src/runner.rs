@@ -11,6 +11,9 @@ pub enum Variant {
     /// LogHub-style pre-processed content (common fields masked as `<*>`),
     /// as used by Zhu et al. and the first column of Table II.
     Preprocessed,
+    /// The content part of each line (no header), unmasked: what a
+    /// production stream carries once its syslog header is parsed off.
+    Content,
     /// "The full and unaltered log messages [...] coming directly from
     /// their production source" — header plus content (Table II, column 2).
     Raw,
@@ -23,6 +26,7 @@ pub fn variant_lines(dataset: &Dataset, variant: Variant) -> Vec<String> {
         .iter()
         .map(|l| match variant {
             Variant::Preprocessed => l.preprocessed.clone(),
+            Variant::Content => l.content.clone(),
             Variant::Raw => l.raw.clone(),
         })
         .collect()

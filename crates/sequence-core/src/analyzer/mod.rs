@@ -9,6 +9,11 @@
 //! many variables into patterns") is applied at extraction time: typed
 //! variables whose observed values never vary are demoted back to literals
 //! when the group is large enough to be confident.
+//!
+//! The default options depart from the published analyser in two ways (see
+//! the [`trie`] module): a few distinct leading words stay apart, and every
+//! digit-bearing word at a position shares one trie node, which extraction
+//! turns back into the literal when it saw one value only.
 
 mod semantics;
 mod trie;
@@ -32,27 +37,29 @@ pub struct AnalyzerOptions {
     /// limitation-4 fix). `false` reproduces plain Sequence behaviour where
     /// every typed token becomes a variable.
     pub quality_control: bool,
-    /// Keep up to eight distinct leading words apart instead of merging
-    /// them into a variable (the analysis trie's one departure from the
-    /// published analyser).
-    keep_leading_words: bool,
+    /// Drain's routing in the analysis trie, its two departures from the
+    /// published analyser: keep up to eight distinct leading words apart
+    /// instead of merging them into a variable, and key every digit-bearing
+    /// word at a position to one node.
+    drain_routing: bool,
 }
 
 impl Default for AnalyzerOptions {
     fn default() -> Self {
         AnalyzerOptions {
             quality_control: true,
-            keep_leading_words: true,
+            drain_routing: true,
         }
     }
 }
 
 impl AnalyzerOptions {
-    /// The Sequence-RTG analyser as published: quality control on, and
-    /// leading words merged like any other siblings.
+    /// The Sequence-RTG analyser as published: quality control on, leading
+    /// words merged like any other siblings, and one trie node per distinct
+    /// word.
     pub fn paper() -> Self {
         AnalyzerOptions {
-            keep_leading_words: false,
+            drain_routing: false,
             ..AnalyzerOptions::default()
         }
     }
@@ -62,7 +69,7 @@ impl AnalyzerOptions {
     pub fn seminal_sequence() -> Self {
         AnalyzerOptions {
             quality_control: false,
-            keep_leading_words: false,
+            drain_routing: false,
         }
     }
 }
@@ -77,7 +84,9 @@ pub struct DiscoveredPattern {
     /// Up to three unique example messages (the paper stores "up to three
     /// unique examples for each pattern which are used as test cases").
     pub examples: Vec<String>,
-    /// Indices (into the analysed slice) of all covered messages.
+    /// Indices of all covered messages, into the slice passed to
+    /// [`Analyzer::analyze`] or [`Analyzer::analyze_subset`] (so a subset's
+    /// members index the whole slice, not the subset).
     pub member_indices: Vec<u32>,
 }
 
@@ -109,8 +118,20 @@ impl Analyzer {
     /// Sequence-RTG extension, lives in the `sequence-rtg` crate and calls
     /// into this after partitioning.)
     pub fn analyze(&self, messages: &[TokenizedMessage]) -> Vec<DiscoveredPattern> {
+        self.analyze_subset(messages, 0..messages.len() as u32)
+    }
+
+    /// Mine patterns from the messages at `indices` of `messages`, as if
+    /// they alone had been passed to [`Analyzer::analyze`]; the result's
+    /// `member_indices` index `messages`. Lets a caller mine the residue of
+    /// a scanned batch without copying it.
+    pub fn analyze_subset(
+        &self,
+        messages: &[TokenizedMessage],
+        indices: impl IntoIterator<Item = u32>,
+    ) -> Vec<DiscoveredPattern> {
         let mut out = Vec::new();
-        for (_len, indices) in partition_by_token_count(messages) {
+        for (_len, indices) in partition_by_token_count(messages, indices) {
             out.extend(self.analyze_same_length(messages, &indices));
         }
         out
@@ -124,7 +145,7 @@ impl Analyzer {
     ) -> Vec<DiscoveredPattern> {
         let mut trie = AnalysisTrie::new();
         for &i in indices {
-            trie.insert(i, &messages[i as usize].tokens);
+            trie.insert(i, &messages[i as usize].tokens, &self.opts);
         }
         trie.merge(&self.opts);
         let mut out = Vec::new();
@@ -138,10 +159,10 @@ impl Analyzer {
     /// accounting experiments around Fig. 5.
     pub fn trie_node_count(&self, messages: &[TokenizedMessage]) -> usize {
         let mut total = 0usize;
-        for (_len, indices) in partition_by_token_count(messages) {
+        for (_len, indices) in partition_by_token_count(messages, 0..messages.len() as u32) {
             let mut trie = AnalysisTrie::new();
             for &i in &indices {
-                trie.insert(i, &messages[i as usize].tokens);
+                trie.insert(i, &messages[i as usize].tokens, &self.opts);
             }
             total += trie.node_count();
         }
@@ -158,13 +179,7 @@ impl Analyzer {
         let group_size = terminal.len();
         let mut elements = Vec::with_capacity(nodes.len());
         for node in nodes {
-            elements.push(element_for(
-                &self.opts,
-                &node.key,
-                &node.observed,
-                node.space_before,
-                group_size,
-            ));
+            elements.push(element_for(&self.opts, node, group_size));
         }
         // Multi-line messages: pattern covers the first line only; tell the
         // parser to ignore everything after it (limitation 6).
@@ -192,19 +207,20 @@ impl Analyzer {
 }
 
 /// Turn one trie position into a pattern element — the variable-induction
-/// semantics. A position is summarised by its key, the distinct
-/// values observed there (bounded sample), its spacing, and the size of the
-/// group the containing pattern covers (quality-control demotion is only
-/// confident on groups of `MIN_GROUP_FOR_DEMOTION` or more).
-fn element_for(
-    opts: &AnalyzerOptions,
-    key: &NodeKey,
-    observed: &std::collections::BTreeSet<String>,
-    space_before: bool,
-    group_size: usize,
-) -> PatternElement {
-    match key {
-        NodeKey::Lit(text) => {
+/// semantics. A position is summarised by its node (key, the distinct values
+/// observed there as a bounded sample, whether all of them were emails or
+/// host names, spacing) and the size of the group the containing pattern
+/// covers (quality-control demotion is only confident on groups of
+/// `MIN_GROUP_FOR_DEMOTION` or more).
+fn element_for(opts: &AnalyzerOptions, node: &Node, group_size: usize) -> PatternElement {
+    let (observed, space_before) = (&node.observed, node.space_before);
+    // The digit fold's node is its one value's literal when it saw only one.
+    let single_digits = match &node.key {
+        NodeKey::Digits if observed.len() == 1 => observed.first(),
+        _ => None,
+    };
+    match (&node.key, single_digits) {
+        (NodeKey::Lit(text), _) | (NodeKey::Digits, Some(text)) => {
             // Analysis-time special types: a constant email or host
             // name is still worth capturing as a typed variable.
             if is_email(text) {
@@ -226,7 +242,7 @@ fn element_for(
                 }
             }
         }
-        NodeKey::Typed(ty) => {
+        (NodeKey::Typed(ty), _) => {
             let constant = observed.len() == 1;
             if opts.quality_control && constant && group_size >= MIN_GROUP_FOR_DEMOTION {
                 // Limitation-4 fix: a typed token that never varies is
@@ -243,9 +259,9 @@ fn element_for(
                 }
             }
         }
-        NodeKey::Var(_) => PatternElement::Variable {
+        (NodeKey::Var(_) | NodeKey::Digits, _) => PatternElement::Variable {
             name: String::new(),
-            ty: refine_string_type(observed),
+            ty: refine_string_type(node),
             space_before,
         },
     }
@@ -265,31 +281,33 @@ fn finalize_pattern(mut elements: Vec<PatternElement>, multiline: bool) -> Patte
 /// Second-level partitioning — one analysis trie per token count ("only
 /// token sets of the same length are compared in the same analysis trie").
 /// Empty messages are skipped; groups come back in ascending length order so
-/// extraction is deterministic. Shared by [`Analyzer::analyze`] and
+/// extraction is deterministic. Shared by [`Analyzer::analyze_subset`] and
 /// [`Analyzer::trie_node_count`].
-fn partition_by_token_count(messages: &[TokenizedMessage]) -> Vec<(usize, Vec<u32>)> {
+fn partition_by_token_count(
+    messages: &[TokenizedMessage],
+    indices: impl IntoIterator<Item = u32>,
+) -> Vec<(usize, Vec<u32>)> {
     let mut by_len: HashMap<usize, Vec<u32>> = HashMap::new();
-    for (i, m) in messages.iter().enumerate() {
+    for i in indices {
+        let m = &messages[i as usize];
         if m.tokens.is_empty() {
             continue;
         }
-        by_len.entry(m.token_count()).or_default().push(i as u32);
+        by_len.entry(m.token_count()).or_default().push(i);
     }
     let mut groups: Vec<(usize, Vec<u32>)> = by_len.into_iter().collect();
     groups.sort_unstable_by_key(|&(len, _)| len);
     groups
 }
 
-/// Refine a merged string variable's type from its observed values: if every
-/// observed value is an email (or host name), the variable is typed
-/// accordingly.
-fn refine_string_type(observed: &std::collections::BTreeSet<String>) -> TokenType {
-    if observed.is_empty() {
-        return TokenType::Literal;
-    }
-    if observed.iter().all(|v| is_email(v)) {
+/// Refine a merged string variable's type from the values its node saw: if
+/// every one of them (not only the sampled ones) is an email (or host name),
+/// the variable is typed accordingly, so the pattern matches every line it
+/// was mined from.
+fn refine_string_type(node: &Node) -> TokenType {
+    if node.all_email {
         TokenType::Email
-    } else if observed.iter().all(|v| is_hostname(v)) {
+    } else if node.all_host {
         TokenType::Hostname
     } else {
         TokenType::Literal
@@ -299,6 +317,7 @@ fn refine_string_type(observed: &std::collections::BTreeSet<String>) -> TokenTyp
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parser::PatternSet;
     use crate::scanner::Scanner;
     use testkit::prop::{self, Config};
     use testkit::rng::Rng;
@@ -553,6 +572,166 @@ mod tests {
                 out[0].pattern.render()
             );
         }
+    }
+
+    /// A merged variable is typed host name only if every value it took is
+    /// one, not only the eight it sampled, so the pattern matches every line
+    /// it was credited with.
+    #[test]
+    fn refinement_reads_every_value_not_the_sample() {
+        let mut msgs: Vec<String> = ('a'..='h')
+            .map(|c| format!("query from ns{c}.example.com ok"))
+            .collect();
+        msgs.push("query from plainword ok".to_string());
+        msgs.push("query from otherword ok".to_string());
+        let scanner = Scanner::new();
+        let scanned: Vec<_> = msgs.iter().map(|m| scanner.scan(m)).collect();
+        for opts in [AnalyzerOptions::default(), AnalyzerOptions::paper()] {
+            let out = Analyzer::with_options(opts).analyze(&scanned);
+            assert_eq!(out.len(), 1, "{out:?}");
+            assert_eq!(out[0].match_count, 10);
+            let r = out[0].pattern.render();
+            assert!(!r.contains(":host%"), "{r}");
+            let mut set = PatternSet::new();
+            set.insert("p", out[0].pattern.clone());
+            let matched = scanned
+                .iter()
+                .filter(|m| set.match_message(m).is_some())
+                .count();
+            assert_eq!(matched, 10, "{r}");
+        }
+    }
+
+    /// HealthApp-style pairs of digit-bearing words drawn from small pools:
+    /// every value has a different set of successors, so no two literal
+    /// siblings would merge, but the digit fold keys each position to one
+    /// node.
+    #[test]
+    fn digit_bearing_fan_out_folds_into_one_pattern() {
+        let msgs: Vec<String> = (0..10)
+            .map(|i| {
+                format!(
+                    "onStandStepChanged onreceive{} buffer{} flushed",
+                    [97, 12, 5, 40][i % 4],
+                    [31, 7, 66, 2, 18][i % 5]
+                )
+            })
+            .collect();
+        let refs: Vec<&str> = msgs.iter().map(|s| s.as_str()).collect();
+        let out = analyze(&refs);
+        assert_eq!(out.len(), 1, "{out:?}");
+        let elements = out[0].pattern.elements();
+        assert!(elements[1].is_variable() && elements[2].is_variable());
+        assert!(
+            out[0].pattern.render().ends_with("% flushed"),
+            "{}",
+            out[0].pattern.render()
+        );
+    }
+
+    /// The digit fold's cost on raw lines: two events that differ only by a
+    /// digit-bearing constant at one position merge into one pattern, where
+    /// the published merge keeps them apart.
+    #[test]
+    fn digit_bearing_constants_of_two_events_merge() {
+        let msgs: Vec<String> = [
+            ("HTTP/1.1", "alice"),
+            ("HTTP/1.1", "bob"),
+            ("HTTP/2", "carol"),
+            ("HTTP/2", "dave"),
+        ]
+        .iter()
+        .map(|(proto, user)| format!("request via {proto} {user} served"))
+        .collect();
+        let scanner = Scanner::new();
+        let scanned: Vec<_> = msgs.iter().map(|m| scanner.scan(m)).collect();
+        let out = Analyzer::new().analyze(&scanned);
+        assert_eq!(out.len(), 1, "{out:?}");
+        assert!(out[0].pattern.elements()[2].is_variable());
+        let paper = Analyzer::with_options(AnalyzerOptions::paper()).analyze(&scanned);
+        let mut renders: Vec<String> = paper.iter().map(|d| d.pattern.render()).collect();
+        renders.sort();
+        assert_eq!(renders.len(), 2, "{renders:?}");
+        assert!(
+            renders[0].starts_with("request via HTTP/1.1 %"),
+            "{renders:?}"
+        );
+        assert!(
+            renders[1].starts_with("request via HTTP/2 %"),
+            "{renders:?}"
+        );
+    }
+
+    /// The Proxifier flip survives the fold: a digit-bearing literal seen
+    /// once is its literal again, and the typed integer stays apart.
+    #[test]
+    fn typed_flip_survives_the_digit_fold() {
+        let out = analyze(&["sent 64 bytes", "sent 64* bytes", "sent 128 bytes"]);
+        let mut renders: Vec<String> = out.iter().map(|d| d.pattern.render()).collect();
+        renders.sort();
+        assert_eq!(renders.len(), 2, "{renders:?}");
+        assert_eq!(renders[0], "sent %integer0:integer% bytes");
+        assert_eq!(renders[1], "sent 64* bytes");
+    }
+
+    /// One to three letters outside the hex digits.
+    fn letters(rng: &mut Rng) -> String {
+        (0..rng.gen_range(1..4usize))
+            .map(|_| (b'g' + rng.gen_range(0..20u8)) as char)
+            .collect()
+    }
+
+    /// N lines of 2 to 5 words, every word distinct and digit-bearing.
+    fn distinct_digit_words(rng: &mut Rng) -> Vec<Vec<String>> {
+        let mut seen = std::collections::HashSet::new();
+        let mut lines = Vec::new();
+        for _ in 0..rng.gen_range(1..40usize) {
+            let mut line = Vec::new();
+            while line.len() < rng.gen_range(2..6usize) {
+                let w = format!(
+                    "{}{}{}",
+                    letters(rng),
+                    rng.gen_range(0..1000u32),
+                    letters(rng)
+                );
+                if seen.insert(w.clone()) {
+                    line.push(w);
+                }
+            }
+            lines.push(line);
+        }
+        lines
+    }
+
+    /// The trie's bound (paper limitation 5): lines of distinct
+    /// digit-bearing words give one node per position per token count, and
+    /// one pattern per token count. The published merge mines one pattern
+    /// per line.
+    #[test]
+    fn distinct_digit_words_fold_to_one_node_per_position() {
+        prop::check(
+            &Config::cases(100),
+            &prop::from_fn(distinct_digit_words),
+            |lines| {
+                let scanner = Scanner::new();
+                let scanned: Vec<_> = lines.iter().map(|l| scanner.scan(&l.join(" "))).collect();
+                for (m, l) in scanned.iter().zip(lines) {
+                    prop_assert_eq!(m.token_count(), l.len());
+                    prop_assert!(m.tokens.iter().all(|t| !t.ty.is_typed()));
+                }
+                let lengths: std::collections::BTreeSet<usize> =
+                    lines.iter().map(|l| l.len()).collect();
+                let analyzer = Analyzer::new();
+                prop_assert_eq!(
+                    analyzer.trie_node_count(&scanned),
+                    lengths.iter().map(|k| 1 + k).sum::<usize>()
+                );
+                prop_assert_eq!(analyzer.analyze(&scanned).len(), lengths.len());
+                let paper = Analyzer::with_options(AnalyzerOptions::paper());
+                prop_assert_eq!(paper.analyze(&scanned).len(), lines.len());
+                Ok(())
+            },
+        );
     }
 
     /// One tail position: a fixed word or a typed token whose value varies

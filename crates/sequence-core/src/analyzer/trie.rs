@@ -20,15 +20,23 @@
 //! patterns for Proxifier's sometimes-numeric field, reproducing the paper's
 //! documented limitation.
 //!
-//! One departure from the published analyser, on by default and off under
-//! [`AnalyzerOptions::paper`]: at the first token position a group of at
-//! most `MAX_OBSERVED` literal siblings stays unmerged. A message's leading
-//! word is usually its event (`Accepted password for root` and `Failed
-//! password for root` are two events), while a leading user or host name
-//! takes many values and still becomes a variable. It is Drain's "leading
-//! tokens are tree keys", bounded as Drain bounds a node's children.
+//! Two departures from the published analyser, both on by default and off
+//! under [`AnalyzerOptions::paper`]. Both are Drain's routing heuristics:
+//!
+//! - *Leading words stay apart.* At the first token position a group of at
+//!   most `MAX_OBSERVED` literal siblings stays unmerged. A message's
+//!   leading word is usually its event (`Accepted password for root` and
+//!   `Failed password for root` are two events), while a leading user or
+//!   host name takes many values and still becomes a variable. It is
+//!   Drain's "leading tokens are tree keys", bounded as Drain bounds a
+//!   node's children.
+//! - *Digit-bearing words fold.* Every literal token that contains an ASCII
+//!   digit (`onreceive97`, `proc[4242]:`) is keyed [`NodeKey::Digits`], one
+//!   node per position, instead of one subtree per value. The node merges
+//!   with its siblings as a `Var` does; extraction turns it back into the
+//!   literal when it saw one value only. It is Drain's `has_digits` routing.
 
-use super::AnalyzerOptions;
+use super::{is_email, is_hostname, AnalyzerOptions};
 use crate::token::{Token, TokenType};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeSet, HashMap};
@@ -45,6 +53,9 @@ pub enum NodeKey {
     /// sibling variables produced by different merge groups (they represent
     /// different branches and must not collide in the children map).
     Var(u32),
+    /// Every literal token containing an ASCII digit, at one position (the
+    /// digit fold; only under options that enable it).
+    Digits,
 }
 
 impl NodeKey {
@@ -67,8 +78,13 @@ pub struct Node {
     /// node.
     pub terminal: Vec<u32>,
     /// Distinct literal texts observed at this position (bounded sample, used
-    /// to demote single-valued variables and refine email/hostname types).
+    /// to demote single-valued variables).
     pub observed: BTreeSet<String>,
+    /// Whether every value seen here, not only the sampled ones, is an email
+    /// address (refines a variable's type).
+    pub all_email: bool,
+    /// Whether every value seen here is a host name.
+    pub all_host: bool,
     /// Total number of tokens that passed through this node.
     pub count: u64,
 }
@@ -87,6 +103,8 @@ impl Node {
             children: HashMap::new(),
             terminal: Vec::new(),
             observed: BTreeSet::new(),
+            all_email: true,
+            all_host: true,
             count: 0,
         }
     }
@@ -96,6 +114,8 @@ impl Node {
         if self.observed.len() < MAX_OBSERVED {
             self.observed.insert(text.to_string());
         }
+        self.all_email = self.all_email && is_email(text);
+        self.all_host = self.all_host && is_hostname(text);
     }
 }
 
@@ -124,10 +144,10 @@ impl AnalysisTrie {
     }
 
     /// Insert message `idx` with the given tokens as one root-to-leaf path.
-    pub fn insert(&mut self, idx: u32, tokens: &[Token]) {
+    pub fn insert(&mut self, idx: u32, tokens: &[Token], opts: &AnalyzerOptions) {
         let mut at = ROOT;
         for tok in tokens {
-            let key = key_for(tok);
+            let key = key_for(tok, opts);
             let next = match self.nodes[at].children.get(&key) {
                 Some(&id) => id,
                 None => {
@@ -149,7 +169,7 @@ impl AnalysisTrie {
     pub fn merge(&mut self, opts: &AnalyzerOptions) {
         let mut queue = vec![ROOT];
         while let Some(at) = queue.pop() {
-            let min_group = if at == ROOT && opts.keep_leading_words {
+            let min_group = if at == ROOT && opts.drain_routing {
                 MAX_OBSERVED + 1
             } else {
                 2
@@ -159,18 +179,18 @@ impl AnalysisTrie {
         }
     }
 
-    /// Merge the literal children of `at` that share a child key set, in
-    /// groups of at least `min_group`; repeat until no merge applies (a
-    /// merged `Var` node can in turn share a child key set with a remaining
-    /// literal sibling).
+    /// Merge the literal, `Digits` and `Var` children of `at` that share a
+    /// child key set, in groups of at least `min_group`; repeat until no
+    /// merge applies (a merged `Var` node can in turn share a child key set
+    /// with a remaining literal sibling).
     fn merge_children_of(&mut self, at: usize, min_group: usize) {
         loop {
-            // Group mergeable children (literals and existing Var nodes) by
-            // the signature of their child key set.
+            // Group mergeable children (literals, the digit node and existing
+            // Var nodes) by the signature of their child key set.
             let mut groups: HashMap<u64, Vec<usize>> = HashMap::new();
             for (key, &id) in &self.nodes[at].children {
                 match key {
-                    NodeKey::Lit(_) | NodeKey::Var(_) => {
+                    NodeKey::Lit(_) | NodeKey::Digits | NodeKey::Var(_) => {
                         let sig = self.child_set_signature(id);
                         groups.entry(sig).or_default().push(id);
                     }
@@ -226,18 +246,22 @@ impl AnalysisTrie {
     /// are unioned key-by-key).
     fn union_into(&mut self, target: usize, other: usize) {
         // Move terminals, counts and observed values.
-        let (terminal, observed, count) = {
+        let (terminal, observed, count, all_email, all_host) = {
             let o = &mut self.nodes[other];
             (
                 std::mem::take(&mut o.terminal),
                 std::mem::take(&mut o.observed),
                 o.count,
+                o.all_email,
+                o.all_host,
             )
         };
         {
             let t = &mut self.nodes[target];
             t.terminal.extend(terminal);
             t.count += count;
+            t.all_email &= all_email;
+            t.all_host &= all_host;
             for v in observed {
                 if t.observed.len() >= MAX_OBSERVED {
                     break;
@@ -299,9 +323,11 @@ pub struct PathOut<'a> {
     pub terminal: &'a [u32],
 }
 
-fn key_for(tok: &Token) -> NodeKey {
+fn key_for(tok: &Token, opts: &AnalyzerOptions) -> NodeKey {
     if tok.ty.is_typed() {
         NodeKey::Typed(tok.ty)
+    } else if opts.drain_routing && tok.text.bytes().any(|b| b.is_ascii_digit()) {
+        NodeKey::Digits
     } else {
         NodeKey::Lit(tok.text.to_string())
     }
@@ -312,13 +338,14 @@ mod tests {
     use super::*;
     use crate::scanner::Scanner;
 
-    fn build(msgs: &[&str]) -> AnalysisTrie {
+    fn build(msgs: &[&str], opts: &AnalyzerOptions) -> AnalysisTrie {
         let scanner = Scanner::new();
         let mut trie = AnalysisTrie::new();
         for (i, m) in msgs.iter().enumerate() {
             let t = scanner.scan(m);
-            trie.insert(i as u32, &t.tokens);
+            trie.insert(i as u32, &t.tokens, opts);
         }
+        trie.merge(opts);
         trie
     }
 
@@ -331,7 +358,7 @@ mod tests {
                     .map(|n| match &n.key {
                         NodeKey::Lit(t) => t.clone(),
                         NodeKey::Typed(ty) => format!("<{ty}>"),
-                        NodeKey::Var(_) => "<*>".to_string(),
+                        NodeKey::Var(_) | NodeKey::Digits => "<*>".to_string(),
                     })
                     .collect::<Vec<_>>()
                     .join(" ")
@@ -341,8 +368,10 @@ mod tests {
 
     #[test]
     fn identical_messages_one_path() {
-        let mut trie = build(&["session closed", "session closed"]);
-        trie.merge(&AnalyzerOptions::default());
+        let trie = build(
+            &["session closed", "session closed"],
+            &AnalyzerOptions::default(),
+        );
         let pats = pattern_strings(&trie);
         assert_eq!(pats, vec!["session closed"]);
         assert_eq!(trie.paths()[0].terminal.len(), 2);
@@ -350,29 +379,37 @@ mod tests {
 
     #[test]
     fn typed_tokens_share_a_node() {
-        let mut trie = build(&["port 22 open", "port 8080 open"]);
-        trie.merge(&AnalyzerOptions::default());
+        let trie = build(
+            &["port 22 open", "port 8080 open"],
+            &AnalyzerOptions::default(),
+        );
         assert_eq!(pattern_strings(&trie), vec!["port <integer> open"]);
     }
 
     #[test]
     fn literal_siblings_with_same_children_merge() {
-        let mut trie = build(&["Accepted password for root", "Failed password for root"]);
-        trie.merge(&AnalyzerOptions::paper());
+        let trie = build(
+            &["Accepted password for root", "Failed password for root"],
+            &AnalyzerOptions::paper(),
+        );
         assert_eq!(pattern_strings(&trie), vec!["<*> password for root"]);
     }
 
     #[test]
     fn trailing_literal_variance_merges_at_leaf() {
-        let mut trie = build(&["job alpha done", "job beta done", "job gamma done"]);
-        trie.merge(&AnalyzerOptions::default());
+        let trie = build(
+            &["job alpha done", "job beta done", "job gamma done"],
+            &AnalyzerOptions::default(),
+        );
         assert_eq!(pattern_strings(&trie), vec!["job <*> done"]);
     }
 
     #[test]
     fn divergent_structure_stays_separate() {
-        let mut trie = build(&["start job now", "stop service gracefully"]);
-        trie.merge(&AnalyzerOptions::default());
+        let trie = build(
+            &["start job now", "stop service gracefully"],
+            &AnalyzerOptions::default(),
+        );
         let mut pats = pattern_strings(&trie);
         pats.sort();
         assert_eq!(pats, vec!["start job now", "stop service gracefully"]);
@@ -381,9 +418,13 @@ mod tests {
     #[test]
     fn typed_never_merges_with_literal() {
         // The Proxifier flip: `64` (integer) vs `64*` (literal) at the same
-        // position must yield two patterns.
-        let mut trie = build(&["sent 64 bytes", "sent 64* bytes", "sent 128 bytes"]);
-        trie.merge(&AnalyzerOptions::default());
+        // position must yield two patterns. This prints node keys, so it
+        // runs the published merge; `analyzer::tests::
+        // typed_flip_survives_the_digit_fold` pins the default options.
+        let trie = build(
+            &["sent 64 bytes", "sent 64* bytes", "sent 128 bytes"],
+            &AnalyzerOptions::paper(),
+        );
         let mut pats = pattern_strings(&trie);
         pats.sort();
         assert_eq!(pats, vec!["sent 64* bytes", "sent <integer> bytes"]);
@@ -391,12 +432,14 @@ mod tests {
 
     #[test]
     fn var_absorbs_later_compatible_literal() {
-        let mut trie = build(&[
-            "user alice logged in",
-            "user bob logged in",
-            "user carol logged in",
-        ]);
-        trie.merge(&AnalyzerOptions::default());
+        let trie = build(
+            &[
+                "user alice logged in",
+                "user bob logged in",
+                "user carol logged in",
+            ],
+            &AnalyzerOptions::default(),
+        );
         assert_eq!(pattern_strings(&trie), vec!["user <*> logged in"]);
         // observed values kept for quality control
         let paths = trie.paths();
@@ -406,8 +449,7 @@ mod tests {
 
     #[test]
     fn different_lengths_never_interfere() {
-        let mut trie = build(&["a b c", "a b"]);
-        trie.merge(&AnalyzerOptions::default());
+        let trie = build(&["a b c", "a b"], &AnalyzerOptions::default());
         let mut pats = pattern_strings(&trie);
         pats.sort();
         assert_eq!(pats, vec!["a b", "a b c"]);
@@ -415,7 +457,8 @@ mod tests {
 
     #[test]
     fn node_count_grows_with_distinct_paths() {
-        let trie = build(&["x a", "x b", "x c"]);
+        // Merging detaches nodes but never frees them.
+        let trie = build(&["x a", "x b", "x c"], &AnalyzerOptions::default());
         // root + x + {a,b,c}
         assert_eq!(trie.node_count(), 5);
     }

@@ -30,6 +30,13 @@
 //! * analysis-time quality control that demotes never-varying variables
 //!   (limitation 4).
 //!
+//! Two departures from the published analyser, on under
+//! [`AnalyzerOptions::default`] and off under [`AnalyzerOptions::paper`]:
+//! up to eight distinct leading words stay apart, and every digit-bearing
+//! word at a position shares one trie node (Drain's `has_digits` routing),
+//! so a template is one pattern rather than one per value of such a word,
+//! and the trie stays small on high-cardinality input (limitation 5).
+//!
 //! The stream ingester, the persistent pattern database, `AnalyzeByService`
 //! and the exporters live in the `sequence-rtg` and `patterndb` crates.
 //!

@@ -17,7 +17,8 @@ pub struct RtgConfig {
     /// time parts; [`ScannerOptions::paper`] is the published scanner.
     pub scanner: ScannerOptions,
     /// Analyser options. The default keeps a few distinct leading words
-    /// apart; [`AnalyzerOptions::paper`] is the published analyser.
+    /// apart and folds digit-bearing words into one trie node per position;
+    /// [`AnalyzerOptions::paper`] is the published analyser.
     pub analyzer: AnalyzerOptions,
 }
 
@@ -72,7 +73,7 @@ mod tests {
         assert_eq!(s.scanner, ScannerOptions::paper());
         let paper = AnalyzerOptions::paper();
         assert!(paper.quality_control, "the published RTG analyser");
-        assert_ne!(paper, AnalyzerOptions::default(), "leading-word rule off");
+        assert_ne!(paper, AnalyzerOptions::default(), "Drain routing off");
         assert_ne!(paper, AnalyzerOptions::seminal_sequence());
     }
 }

@@ -26,8 +26,10 @@
 //! Extensions implemented from the paper's future-work list: a path FSM and
 //! single-digit time parts, on in the default scanner
 //! (`ScannerOptions::paper()` is the published one). Beyond the paper, the
-//! default analyser keeps up to eight distinct leading words apart
-//! (`AnalyzerOptions::paper()` merges them as published). The §VI
+//! default analyser keeps up to eight distinct leading words apart and
+//! folds every digit-bearing word at a position into one trie node, so a
+//! template is not mined once per value of such a word
+//! (`AnalyzerOptions::paper()` does neither, as published). The §VI
 //! semi-constant splitting is not built: the leading-word rule fixes the
 //! over-merge it targeted without lowering any other family.
 //!

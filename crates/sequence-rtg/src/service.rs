@@ -40,7 +40,8 @@ pub struct ServicePlan {
     /// Matches against the known set, as `(pattern id, count)` sorted by id
     /// for a deterministic store write order.
     pub match_counts: Vec<(String, u64)>,
-    /// Patterns mined from the unmatched messages.
+    /// Patterns mined from the unmatched messages; their `member_indices`
+    /// index the planned `records`.
     pub discovered: Vec<DiscoveredPattern>,
     /// Records planned.
     pub received: u64,
@@ -136,11 +137,7 @@ pub fn plan_service(
         return plan;
     }
     plan.analyzed = unmatched.len() as u64;
-    let subset: Vec<TokenizedMessage> = unmatched
-        .iter()
-        .map(|&i| scanned[i as usize].clone())
-        .collect();
-    plan.discovered = analyzer.analyze(&subset);
+    plan.discovered = analyzer.analyze_subset(&scanned, unmatched);
     plan
 }
 

@@ -1,7 +1,10 @@
 //! Cross-crate property-based tests on the core invariants
 //! (testkit::prop; hermetic, seeded, shrinking).
 
-use sequence_rtg_repro::sequence_core::{Analyzer, Pattern, Scanner, ScannerOptions};
+use sequence_rtg_repro::loghub_synth::loghub2::{self, LOGHUB2_FAMILIES};
+use sequence_rtg_repro::sequence_core::{
+    Analyzer, AnalyzerOptions, Pattern, PatternSet, Scanner, ScannerOptions,
+};
 use testkit::prop::{self, Config, Strategy};
 use testkit::rng::Rng;
 use testkit::{prop_assert, prop_assert_eq, prop_assert_ne};
@@ -129,6 +132,76 @@ fn members_match_their_pattern() {
             Ok(())
         },
     );
+}
+
+/// A batch for the analyser: a small `loghub2` sample (pre-processed,
+/// content or raw lines), or messages built on a few shared skeletons with
+/// one slot each that mostly holds a host name, else an email, a
+/// digit-bearing word or a plain word, so merged variables see mixed values.
+/// Half the time the host names arrive first, as they did when a variable's
+/// type was refined from its first few values only.
+fn mining_batch(rng: &mut Rng) -> Vec<String> {
+    if rng.gen_bool(0.5) {
+        let family = rng.choose(&LOGHUB2_FAMILIES).unwrap();
+        let lines = rng.gen_range(20..300usize);
+        let dataset = loghub2::dataset(family, lines, rng.gen_range(0..1000u64));
+        let variant = rng.gen_range(0..3u32);
+        return dataset
+            .lines
+            .into_iter()
+            .map(|l| match variant {
+                0 => l.preprocessed,
+                1 => l.content,
+                _ => l.raw,
+            })
+            .collect();
+    }
+    let skeletons: Vec<Vec<String>> = (0..rng.gen_range(1..4usize))
+        .map(|_| MessageWords.generate(rng))
+        .collect();
+    let mut msgs: Vec<String> = (0..rng.gen_range(1..60usize))
+        .map(|_| {
+            let mut words = rng.choose(&skeletons).unwrap().clone();
+            let slot = rng.gen_range(0..words.len());
+            words[slot] = match rng.gen_range(0..10u32) {
+                0..=5 => format!("ns{}.example.com", rng.gen_range(0..20u32)),
+                6 => format!("user{}@example.org", rng.gen_range(0..20u32)),
+                7 => format!("buffer{}", rng.gen_range(0..20u32)),
+                8 => rng.choose(&["plainword", "otherword"]).unwrap().to_string(),
+                _ => return join(&words),
+            };
+            join(&words)
+        })
+        .collect();
+    if rng.gen_bool(0.5) {
+        msgs.sort_by_key(|m| !m.contains(".example.com"));
+    }
+    msgs
+}
+
+/// Every mined pattern, alone in a `PatternSet`, matches each message it
+/// was credited with, under the default and the published analyser.
+#[test]
+fn mined_patterns_match_their_members_through_a_set() {
+    prop::check(&Config::cases(100), &prop::from_fn(mining_batch), |msgs| {
+        let scanner = Scanner::new();
+        let scanned: Vec<_> = msgs.iter().map(|m| scanner.scan(m)).collect();
+        for opts in [AnalyzerOptions::default(), AnalyzerOptions::paper()] {
+            for d in Analyzer::with_options(opts).analyze(&scanned) {
+                let mut set = PatternSet::new();
+                set.insert("p", d.pattern.clone());
+                for &mi in &d.member_indices {
+                    prop_assert!(
+                        set.match_message(&scanned[mi as usize]).is_some(),
+                        "{:?} does not match its pattern {:?} ({opts:?})",
+                        msgs[mi as usize],
+                        d.pattern.render()
+                    );
+                }
+            }
+        }
+        Ok(())
+    });
 }
 
 /// Mined patterns survive a render → parse round trip structurally.
