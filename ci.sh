@@ -210,6 +210,14 @@ cargo test -q --release --offline --test pattern_set_memory
 stage_end
 fi
 
+if stage_begin "arrival-batch memory (release, counted at the allocator)"; then
+# Same reason: what an open batch holds (residue as bytes, matched records
+# as counts) and what an export holds while it streams, on the optimised
+# layout.
+cargo test -q --release --offline -p sequence-rtg --test arrival_memory
+stage_end
+fi
+
 if stage_begin "ingest-WAL memory (release, counted at the allocator)"; then
 # Same reason: what the WAL holds per acked-but-unreleased record, and that
 # release gives it back, on the optimised layout.

@@ -100,7 +100,7 @@ pub struct MineJob {
     pub shard_id: usize,
     /// The shard's arrival batch: unmatched records to re-mine and
     /// ingest-time match counts.
-    pub batch: OpenBatch<'static>,
+    pub batch: OpenBatch,
     /// Highest WAL sequence the shard has taken charge of; released after
     /// the job's fate is committed. Zero means nothing to release.
     pub release_up_to: u64,
@@ -543,7 +543,6 @@ mod tests {
     use super::*;
     use sequence_core::{PatternSet, Scanner};
     use sequence_rtg::{Arrival, LogRecord, RtgConfig};
-    use std::borrow::Cow;
     use std::collections::BTreeSet;
 
     fn record(service: &str, message: &str) -> LogRecord {
@@ -577,7 +576,7 @@ mod tests {
     fn job(shard_id: usize, residue: Vec<LogRecord>) -> MineJob {
         let mut batch = OpenBatch::default();
         for r in residue {
-            batch.take(Cow::Owned(r), Arrival::Residue);
+            batch.take(&r, Arrival::Residue);
         }
         MineJob {
             shard_id,
@@ -594,8 +593,7 @@ mod tests {
                 id,
                 multiline: false,
             };
-            job.batch
-                .take(Cow::Owned(record("sshd", "matched")), matched);
+            job.batch.take(&record("sshd", "matched"), matched);
         }
     }
 

@@ -25,8 +25,22 @@
 //!
 //! When the mining queue is full the worker keeps its residue and keeps
 //! draining — counted per record in `mine_overflow`, never dropped — up to
-//! a hard cap (`residue_cap`), where it blocks for queue space: the same
-//! backpressure-not-loss policy as the ingest queues.
+//! eight times either trigger (`ShardWorker::maybe_handoff`), where it
+//! blocks for queue space: the same backpressure-not-loss policy as the
+//! ingest queues. So the residue the daemon holds at once is at most
+//!
+//! * 8 × `batch_size` records in each worker's hand,
+//! * `batch_size × shards × 8` records in the miner queue (the bound
+//!   [`Miner::background`] is given; a job never exceeds it),
+//! * and the jobs in flight, one per miner thread and per shard at most,
+//!   each within the queue's bound.
+//!
+//! A residue record costs its message's bytes plus an 8-byte offset in its
+//! service's buffer, up to twice that while the buffer doubles; the service
+//! name is stored once per batch. Held as one record each, it cost a 48-byte
+//! slot plus two heap blocks, a copy of the service name and the message:
+//! about a hundred bytes beyond the message. A mining job frees each
+//! service's buffer as soon as that service is planned.
 
 use crate::metrics::{stages, Ops};
 use crate::miner::{MineJob, Miner};
@@ -35,7 +49,6 @@ use crate::swap::PatternBoard;
 use crate::wal::{Accepted, IngestWal};
 use sequence_core::{MatchScratch, TokenizedMessage};
 use sequence_rtg::{Arrival, LogRecord, Mining, OpenBatch};
-use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -183,7 +196,7 @@ pub struct ShardWorker {
 #[derive(Default)]
 struct InHand {
     /// The records processed since the last handoff the miner took.
-    batch: OpenBatch<'static>,
+    batch: OpenBatch,
     /// Highest WAL sequence this worker has fully taken charge of; a
     /// handoff releases the log up to here.
     max_seq: u64,
@@ -311,7 +324,7 @@ impl ShardWorker {
             Arrival::Matched { .. } => Ops::inc(&self.ops.matched),
             Arrival::Empty { .. } | Arrival::Residue => Ops::inc(&self.ops.unmatched),
         }
-        hand.batch.take(Cow::Owned(record), arrival);
+        hand.batch.take(&record, arrival);
         self.residue_len
             .store(hand.batch.residue_len(), Ordering::Relaxed);
     }
@@ -414,7 +427,7 @@ mod tests {
     fn residue_job(records: Vec<LogRecord>) -> MineJob {
         let mut batch = OpenBatch::default();
         for r in records {
-            batch.take(Cow::Owned(r), Arrival::Residue);
+            batch.take(&r, Arrival::Residue);
         }
         MineJob {
             shard_id: 0,

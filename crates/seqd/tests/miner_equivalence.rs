@@ -18,7 +18,6 @@ use seqd::shard::shard_for;
 use seqd::swap::PatternBoard;
 use seqd::OpsSnapshot;
 use sequence_rtg::{Arrival, LogRecord, Mining, OpenBatch, RtgConfig, SequenceRtg};
-use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -174,8 +173,10 @@ fn coalescing_preserves_per_service_record_order() {
             for _ in 0..per_batch {
                 let service = format!("svc-{}", rng.bounded(3));
                 let seq = next_seq.entry(service.clone()).or_insert(0);
-                let record = LogRecord::new(service, format!("seq {}", *seq));
-                job.batch.take(Cow::Owned(record), Arrival::Residue);
+                // The residue keeps messages only: the message names its
+                // service.
+                let record = LogRecord::new(&service, format!("{service} seq {}", *seq));
+                job.batch.take(&record, Arrival::Residue);
                 *seq += 1;
             }
             let id = format!("p{}", rng.bounded(2));
@@ -184,7 +185,7 @@ fn coalescing_preserves_per_service_record_order() {
                 multiline: false,
             };
             let record = LogRecord::new("svc-0", "matched");
-            job.batch.take(Cow::Owned(record), matched);
+            job.batch.take(&record, matched);
             *expected_counts.entry(id).or_insert(0) += 1;
 
             match pending.take() {
@@ -213,17 +214,14 @@ fn coalescing_preserves_per_service_record_order() {
         let mut seen: HashMap<&str, u64> = HashMap::new();
         let mut total = 0u64;
         for job in &mined {
-            for r in job.batch.residue() {
-                let expect = seen.entry(r.service.as_str()).or_insert(0);
-                let seq: u64 = r
-                    .message
-                    .strip_prefix("seq ")
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("unparseable seq")?;
+            for message in job.batch.residue() {
+                let (service, seq) = message.split_once(" seq ").ok_or("no seq")?;
+                let expect = seen.entry(service).or_insert(0);
+                let seq: u64 = seq.parse().map_err(|_| "unparseable seq")?;
                 prop_assert!(
                     seq == *expect,
                     "service {} saw seq {} after {} mined jobs, expected {}",
-                    r.service,
+                    service,
                     seq,
                     mined.len(),
                     *expect
@@ -269,7 +267,7 @@ fn forced_coalescing_matches_inline_mining() {
     fn job(i: u64) -> MineJob {
         let mut batch = OpenBatch::default();
         for r in wave(i) {
-            batch.take(Cow::Owned(r), Arrival::Residue);
+            batch.take(&r, Arrival::Residue);
         }
         MineJob {
             shard_id: 0,

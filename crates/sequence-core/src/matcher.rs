@@ -99,11 +99,31 @@ fn table_bytes<K, V>(map: &FxMap<K, V>) -> usize {
     map.capacity() * 8 / 7 * (size_of::<(K, V)>() + 1)
 }
 
-/// Room for `extra` more, growing by an eighth where `push` would double:
-/// the array is resident for a daemon's lifetime, full after every copy.
-pub(crate) fn reserve_tight<T>(v: &mut Vec<T>, extra: usize) {
-    if v.capacity() - v.len() < extra {
-        v.reserve_exact(extra.max(v.len() / 8));
+/// Room for `extra` more, growing by an eighth where `push` would double.
+/// A set's arrays are resident for a daemon's lifetime and exactly full
+/// after every copy-on-write clone, so doubling would double them on the
+/// first insert after every publish.
+pub(crate) trait ReserveTight {
+    fn reserve_tight(&mut self, extra: usize);
+}
+
+impl<T> ReserveTight for Vec<T> {
+    fn reserve_tight(&mut self, extra: usize) {
+        self.reserve_exact(tight_growth(self.len(), self.capacity(), extra));
+    }
+}
+
+impl ReserveTight for String {
+    fn reserve_tight(&mut self, extra: usize) {
+        self.reserve_exact(tight_growth(self.len(), self.capacity(), extra));
+    }
+}
+
+fn tight_growth(len: usize, capacity: usize, extra: usize) -> usize {
+    if capacity - len < extra {
+        extra.max(len / 8)
+    } else {
+        0
     }
 }
 
@@ -125,6 +145,7 @@ impl Interner {
         }
         let (symbol, text) = (self.texts.len() as u32, Arc::<str>::from(text));
         self.text_bytes += text.len();
+        self.texts.reserve_tight(1);
         self.texts.push(text.clone());
         self.symbols.insert(text, symbol);
         symbol
@@ -288,7 +309,7 @@ impl MatcherTrie {
     pub(crate) fn insert(&mut self, pattern: &[Packed]) {
         let entry_idx = self.prev.len() as u32;
         let mut at = ROOT;
-        reserve_tight(&mut self.nodes, pattern.len());
+        self.nodes.reserve_tight(pattern.len());
         for el in pattern {
             let symbol = match *el {
                 Packed::Literal(symbol, _) => FIRST_LITERAL + symbol,
@@ -317,6 +338,7 @@ impl MatcherTrie {
         let exact = !matches!(pattern.last(), Some(Packed::IgnoreRest));
         self.has_ignore |= !exact;
         let earlier = self.terminals.insert((at, exact), entry_idx);
+        self.prev.reserve_tight(1);
         self.prev.push(earlier.unwrap_or(NONE));
     }
 

@@ -21,7 +21,7 @@
 //! each, text named by interner symbol), so an insert allocates nothing per
 //! pattern and [`PatternSet::iter`] rebuilds the patterns, field for field.
 
-use crate::matcher::{reserve_tight, Interner, MatchScratch, MatcherTrie, Packed};
+use crate::matcher::{Interner, MatchScratch, MatcherTrie, Packed, ReserveTight};
 use crate::pattern::{Captures, Pattern};
 use crate::token::TokenizedMessage;
 use std::mem::size_of;
@@ -156,14 +156,17 @@ impl PatternSet {
     pub fn insert(&mut self, id: impl Into<String>, given: Pattern) {
         let inner = Arc::make_mut(&mut self.inner);
         let offset = |len: usize| u32::try_from(len).expect("a pattern set stays under 4 GiB");
+        inner.entries.reserve_tight(1);
         inner.entries.push(Entry {
             id: offset(inner.ids.len()),
             elements: offset(inner.elements.len()),
             literals: given.literal_count() as u32,
         });
-        inner.ids.push_str(&id.into());
+        let id = id.into();
+        inner.ids.reserve_tight(id.len());
+        inner.ids.push_str(&id);
         let first = inner.elements.len();
-        reserve_tight(&mut inner.elements, given.elements().len());
+        inner.elements.reserve_tight(given.elements().len());
         for el in given.elements() {
             let packed = Packed::pack(el, &mut inner.trie.literals, &mut inner.names);
             inner.elements.push(packed);

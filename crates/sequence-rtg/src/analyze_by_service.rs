@@ -18,7 +18,6 @@ use crate::service::commit_plans;
 use crate::swap::PatternBoard;
 use patterndb::{PatternStore, StoreError};
 use sequence_core::{MatchScratch, Pattern, TokenizedMessage};
-use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 /// Summary of one batch run, for operator visibility and the experiments.
@@ -136,13 +135,13 @@ impl SequenceRtg {
     ) -> Result<BatchReport, StoreError> {
         let mut open = OpenBatch::default();
         for record in batch {
-            self.arrive(&mut open, Cow::Borrowed(record));
+            self.arrive(&mut open, record);
         }
         self.run_batch(open, now)
     }
 
     /// Take one record into `batch`, matched against its service's set.
-    pub(crate) fn arrive<'a>(&mut self, batch: &mut OpenBatch<'a>, record: Cow<'a, LogRecord>) {
+    pub(crate) fn arrive(&mut self, batch: &mut OpenBatch, record: &LogRecord) {
         let set = self.board.load(&record.service);
         let arrival = self.mining.arrival(
             set.as_deref(),
@@ -158,7 +157,7 @@ impl SequenceRtg {
     /// then prune by the save threshold.
     pub(crate) fn run_batch(
         &mut self,
-        mut batch: OpenBatch<'_>,
+        mut batch: OpenBatch,
         now: u64,
     ) -> Result<BatchReport, StoreError> {
         let mut analyze_span = obs::span!("rtg.analyze");

@@ -8,23 +8,22 @@
 //! A record is matched when it arrives, not when its batch runs: "if a
 //! match is found [...] no further processing occurs for this message", so
 //! a matched record becomes one count against its pattern and is dropped.
-//! Only the unmatched residue waits, raw, for the batch to fill. The
-//! pipeline's memory is the pattern sets plus that residue, whatever the
-//! batch size. The match runs on the engine's compiled matcher index
-//! (`sequence_core::matcher`), so throughput stays flat as the pattern
-//! database grows.
+//! Only the unmatched residue waits for the batch to fill, as message bytes
+//! in one buffer per service. The pipeline's memory is the pattern sets
+//! plus that residue, whatever the batch size. The match runs on the
+//! engine's compiled matcher index (`sequence_core::matcher`), so
+//! throughput stays flat as the pattern database grows.
 
 use crate::analyze_by_service::{BatchReport, SequenceRtg};
 use crate::batch::OpenBatch;
 use crate::record::LogRecord;
 use patterndb::StoreError;
-use std::borrow::Cow;
 
 /// A batching wrapper around [`SequenceRtg`].
 #[derive(Debug)]
 pub struct Pipeline {
     rtg: SequenceRtg,
-    open: OpenBatch<'static>,
+    open: OpenBatch,
     batches_run: u64,
 }
 
@@ -51,7 +50,7 @@ impl Pipeline {
     /// Add one record, matching it on arrival; runs an analysis when the
     /// batch fills and returns its report.
     pub fn push(&mut self, record: LogRecord, now: u64) -> Result<Option<BatchReport>, StoreError> {
-        self.rtg.arrive(&mut self.open, Cow::Owned(record));
+        self.rtg.arrive(&mut self.open, &record);
         if self.open.received() >= self.rtg.config().batch_size as u64 {
             return Ok(Some(self.run_batch(now)?));
         }

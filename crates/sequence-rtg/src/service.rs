@@ -41,7 +41,7 @@ pub struct ServicePlan {
     /// for a deterministic store write order.
     pub match_counts: Vec<(String, u64)>,
     /// Patterns mined from the unmatched messages; their `member_indices`
-    /// index the planned `records`.
+    /// index the planned messages.
     pub discovered: Vec<DiscoveredPattern>,
     /// Records planned.
     pub received: u64,
@@ -92,16 +92,28 @@ pub fn plan_service(
     scratch: &mut MatchScratch,
     records: &[&LogRecord],
 ) -> ServicePlan {
+    let messages = records.iter().map(|r| r.message.as_str());
+    plan_messages(scanner, analyzer, set, scratch, messages)
+}
+
+/// [`plan_service`] over the messages alone: what a batch keeps of a
+/// service's residue. The plan's `member_indices` index `messages`.
+pub(crate) fn plan_messages<'m>(
+    scanner: &Scanner,
+    analyzer: &Analyzer,
+    set: Option<&PatternSet>,
+    scratch: &mut MatchScratch,
+    messages: impl ExactSizeIterator<Item = &'m str>,
+) -> ServicePlan {
     let mut plan = ServicePlan {
-        received: records.len() as u64,
+        received: messages.len() as u64,
         ..ServicePlan::default()
     };
     let scanned: Vec<TokenizedMessage> = {
         let _scan_span = obs::span!("rtg.scan");
-        records
-            .iter()
-            .map(|r| {
-                let t = scanner.scan(&r.message);
+        messages
+            .map(|message| {
+                let t = scanner.scan(message);
                 if t.truncated_multiline {
                     plan.multiline += 1;
                 }

@@ -5,6 +5,10 @@
 //!   a known pattern on arrival becomes a count and is dropped, so pushing
 //!   fifty thousand matched records into an open batch grows nothing but
 //!   the per-pattern counts.
+//! * The residue is held as bytes: each service's unmatched messages end
+//!   to end in one buffer, plus one offset a line. Both grow by doubling,
+//!   so a service's residue takes a few dozen allocations however many
+//!   lines it holds, not two a line.
 //! * An export streams: rows are read and written one at a time, so its
 //!   peak is the sort order of the rows (a few words each), not the rows.
 //!
@@ -16,7 +20,8 @@ use patterndb::export::{export_patterns, ExportFormat, ExportSelection};
 use patterndb::PatternStore;
 use sequence_core::analyzer::DiscoveredPattern;
 use sequence_core::Pattern;
-use sequence_rtg::{LogRecord, Pipeline, RtgConfig, SequenceRtg};
+use sequence_rtg::{Arrival, LogRecord, OpenBatch, Pipeline, RtgConfig, SequenceRtg};
+use std::collections::HashSet;
 use testkit::alloc;
 use testkit::rng::Rng;
 
@@ -26,6 +31,12 @@ static ALLOC: alloc::CountingAlloc = alloc::CountingAlloc;
 const BATCH: usize = 100_000;
 const MATCHED: usize = 50_000;
 const PATTERNS: usize = 20_000;
+const RESIDUE: usize = 20_000;
+/// What doubling allows one service's residue, however many lines it
+/// holds: a growth of its buffer or its offsets per doubling (≈ 16 and 12
+/// at 5 000 lines of ≈ 42 B), and one each for its key and map slot.
+const ALLOCS_PER_SERVICE: u64 = 32;
+const SERVICES: u64 = 4;
 const MIB: i64 = 1 << 20;
 
 /// A record of one of four services' event shapes, its variables drawn
@@ -98,6 +109,35 @@ fn open_batch_growth() -> i64 {
     grown
 }
 
+/// Allocations and live bytes added by taking `RESIDUE` unmatched records
+/// of four services into an open batch, and the bytes of their messages.
+fn residue_cost() -> (u64, i64, i64) {
+    let mut rng = Rng::seed_from_u64(11);
+    let records: Vec<LogRecord> = (0..RESIDUE).map(|_| record(&mut rng)).collect();
+    let message_bytes: usize = records.iter().map(|r| r.message.len()).sum();
+    let services: HashSet<&str> = records.iter().map(|r| r.service.as_str()).collect();
+    assert_eq!(services.len() as u64, SERVICES);
+    let before = alloc::live_bytes();
+    let (batch, allocs) = alloc::measure(|| {
+        let mut batch = OpenBatch::default();
+        for r in &records {
+            batch.take(r, Arrival::Residue);
+        }
+        batch
+    });
+    let grown = alloc::live_bytes() - before;
+    assert_eq!(batch.residue_len(), RESIDUE);
+    let kept: usize = batch.residue().map(str::len).sum();
+    assert_eq!(kept, message_bytes, "every message byte is kept once");
+    drop(batch);
+    assert_eq!(
+        alloc::live_bytes(),
+        before,
+        "dropping the batch frees it all"
+    );
+    (allocs, grown, message_bytes as i64)
+}
+
 fn discovered(i: usize) -> DiscoveredPattern {
     let text = format!("worker {i} finished job %integer% on %string% in %integer% ms");
     DiscoveredPattern {
@@ -148,6 +188,21 @@ fn a_batch_holds_its_residue_and_an_export_holds_no_rows() {
         grown < MIB,
         "{MATCHED} matched records grew the open batch by {grown} B; they were \
          to become counts, not records"
+    );
+    // A buffer per service grows by doubling: at most twice the bytes it
+    // holds, and its offsets at most twice eight bytes a line.
+    let (allocs, grown, message_bytes) = residue_cost();
+    eprintln!("{RESIDUE} residue lines: {allocs} allocations, {grown} B for {message_bytes} B of messages");
+    assert!(
+        allocs <= ALLOCS_PER_SERVICE * SERVICES,
+        "{RESIDUE} residue lines of {SERVICES} services took {allocs} allocations; \
+         they were to be bytes in a buffer per service, not a block each"
+    );
+    let bound = 2 * message_bytes + 16 * RESIDUE as i64;
+    assert!(
+        grown <= bound,
+        "{RESIDUE} residue lines ({message_bytes} B of messages) grew the batch \
+         by {grown} B, more than {bound}"
     );
     // Holding the rows, the parsed entries and the document would cost tens
     // of MB here. A streamed export holds the rows' sort order (≈ 120 B a

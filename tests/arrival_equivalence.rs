@@ -25,7 +25,6 @@ use sequence_rtg_repro::sequence_rtg::{
     commit_plans, plan_service, publish, BatchReport, LogRecord, Mining, OpenBatch, PatternBoard,
     Pipeline, RtgConfig, SequenceRtg, ServicePlan,
 };
-use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -207,11 +206,7 @@ fn arrival_matching_leaves_the_store_and_reports_of_the_whole_batch() {
 }
 
 /// Fill one batch with `records`, matched on arrival against `board`.
-fn fill<'a>(
-    mining: &Mining,
-    board: &PatternBoard,
-    records: impl IntoIterator<Item = Cow<'a, LogRecord>>,
-) -> OpenBatch<'a> {
+fn fill(mining: &Mining, board: &PatternBoard, records: &[LogRecord]) -> OpenBatch {
     let (mut tokens, mut scratch) = (TokenizedMessage::default(), MatchScratch::default());
     let mut batch = OpenBatch::default();
     for record in records {
@@ -261,8 +256,7 @@ fn seqd_commits_the_rows_the_pipeline_commits() {
         };
         let miner = Miner::inline(deps.clone());
         for chunk in records.chunks(config.batch_size) {
-            let owned = chunk.iter().cloned().map(Cow::Owned);
-            let batch = fill(&deps.mining, &deps.board, owned);
+            let batch = fill(&deps.mining, &deps.board, chunk);
             let enqueued = Instant::now();
             let job = MineJob {
                 shard_id: 0,
@@ -288,20 +282,16 @@ fn seqd_commits_the_rows_the_pipeline_commits() {
 /// Learn the first half of `records` as one batch, then mine the second
 /// half as one batch, or, with `split`, as two batches filled in turn and
 /// merged. Returns the store's dump.
-fn mine_second_half<'r>(
-    records: &'r [LogRecord],
-    config: RtgConfig,
-    split: Option<usize>,
-) -> String {
+fn mine_second_half(records: &[LogRecord], config: RtgConfig, split: Option<usize>) -> String {
     let (mining, board) = (Mining::new(config), PatternBoard::new());
     let (mut store, mut scratch) = (PatternStore::in_memory(), MatchScratch::default());
-    let mut mine = |mut batch: OpenBatch<'_>| {
+    let mut mine = |mut batch: OpenBatch| {
         let plans = mining.plan(&board, &mut batch, &mut scratch);
         let outcomes = commit_plans(&mut store, plans.iter().map(|(s, p)| (s.as_str(), p)), NOW);
         publish(&board, &plans, outcomes.unwrap());
     };
     let (learn, second) = records.split_at(records.len() / 2);
-    let borrowed = |rs: &'r [LogRecord]| fill(&mining, &board, rs.iter().map(Cow::Borrowed));
+    let borrowed = |rs: &[LogRecord]| fill(&mining, &board, rs);
     mine(borrowed(learn));
     let batch = match split {
         None => borrowed(second),

@@ -16,6 +16,10 @@ use testkit::alloc;
 static ALLOC: alloc::CountingAlloc = alloc::CountingAlloc;
 
 const PATTERNS: usize = 2_000;
+const PUBLISHES: usize = 100;
+/// Bytes a pattern may hold: measured 461 once built and at most 476 across
+/// the publishes below (doubling on every publish took 539), plus a margin.
+const PER_PATTERN: f64 = 500.0;
 
 /// Mine `n` distinct patterns from Thunderbird, the widest LogHub-2.0
 /// family, batch by batch as a service's residue would be, into one set.
@@ -63,8 +67,8 @@ fn a_set_is_cheap_to_hold_free_to_clone_and_gives_everything_back() {
         set.heap_bytes() as f64 / PATTERNS as f64,
     );
     assert!(
-        per_pattern <= 560.0,
-        "{per_pattern:.0} B per pattern held, more than 560"
+        per_pattern <= PER_PATTERN,
+        "{per_pattern:.0} B per pattern held, more than {PER_PATTERN}"
     );
     // The O(1) estimate behind `seqd_pattern_index_bytes` tracks the truth.
     let estimate = set.heap_bytes() as f64 / held as f64;
@@ -97,6 +101,33 @@ fn a_set_is_cheap_to_hold_free_to_clone_and_gives_everything_back() {
     set.insert("and-another", one_more());
     let grown = alloc::live_bytes() - before;
     assert!(grown < 1024, "an unshared insert allocated {grown} bytes");
+
+    // Publish-shaped growth, as `PatternBoard::grow` does it: clone the
+    // published set, insert a batch's patterns into the clone, drop the old
+    // set. Each clone's arrays are exactly full, so the first insert into
+    // it grows every one of them: by an eighth, not double.
+    let mut published = set;
+    let mut worst = 0.0f64;
+    for round in 0..PUBLISHES {
+        let mut next = published.clone();
+        for k in 0..3 {
+            let text = format!("published {round} kind {k} %n:integer%");
+            next.insert(
+                format!("{round:036x}{k:04x}"),
+                Pattern::parse(&text).unwrap(),
+            );
+        }
+        drop(published);
+        published = next;
+        let live = (alloc::live_bytes() - baseline) as f64;
+        worst = worst.max(live / published.len() as f64);
+    }
+    eprintln!("{PUBLISHES} publishes: at most {worst:.0} B/pattern live");
+    assert!(
+        worst <= PER_PATTERN,
+        "{worst:.0} B per pattern held after a publish, more than {PER_PATTERN}"
+    );
+    let set = published;
 
     drop(set);
     let left = alloc::live_bytes() - baseline;
