@@ -160,6 +160,13 @@ cargo fmt --all -- --check
 stage_end
 fi
 
+if stage_begin "cargo clippy -p obs -p seqd (-D warnings)"; then
+# The metrics writer and the daemon it serves are held to clippy's default
+# lints; the rest of the workspace is not gated yet.
+cargo clippy --offline -p obs -p seqd --no-deps --all-targets -- -D warnings
+stage_end
+fi
+
 # The root manifest's `default-members` covers every crate, so the plain
 # commands below (tier-1's, plus --offline) build and test the whole
 # workspace.

@@ -13,7 +13,8 @@
 //!   JSON on `seqd`'s `/debug/slow`;
 //! * [`registry`] — the process-global registry `seqd` and the library
 //!   crates it runs record into, rendered in Prometheus text format on
-//!   `/metrics`;
+//!   `/metrics` by the workspace's one text writer ([`write_header`],
+//!   [`write_sample`]);
 //! * [`promlint`] — a linter for the Prometheus text format, run by
 //!   `ci.sh` against a live scrape so the metrics contract (self-describing
 //!   series, monotone buckets ending in `+Inf`, `_sum`/`_count`
@@ -30,7 +31,7 @@ pub mod slow;
 pub mod span;
 
 pub use hist::{HistSnapshot, Histogram};
-pub use registry::{registry, Registry};
+pub use registry::{registry, write_header, write_sample, MetricType, Registry};
 pub use slow::{AttrValue, SlowOp, SlowRing};
 pub use span::Span;
 
@@ -56,7 +57,7 @@ macro_rules! span {
 /// Like [`span!`], but samples 1 in `2^rate_log2` calls — for paths so hot
 /// that even two relaxed atomic adds per call would show up in the benches
 /// (e.g. `sequence-core`'s per-message scan and trie match, which run at
-/// >1M ops/s). The unsampled cost is one thread-local increment and a
+/// over 1M ops/s). The unsampled cost is one thread-local increment and a
 /// branch. Sampled histograms undercount `_count` by the sampling factor;
 /// their quantiles remain representative. Returns `Option<Span>` — bind it
 /// (`let _s = ...`) so the sampled span lives to the end of the scope.

@@ -332,8 +332,11 @@ fn valid_label(name: &str) -> bool {
     chars.all(|c| c.is_ascii_alphanumeric() || c == '_')
 }
 
+/// A parsed sample line: name, labels in order, value.
+type ParsedSample = (String, Vec<(String, String)>, f64);
+
 /// Parse one sample line: `name{k="v",...} value [timestamp]`.
-fn parse_sample(line: &str) -> Result<(String, Vec<(String, String)>, f64), String> {
+fn parse_sample(line: &str) -> Result<ParsedSample, String> {
     let line = line.trim();
     let name_end = line
         .find(|c: char| c == '{' || c.is_whitespace())

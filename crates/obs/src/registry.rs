@@ -7,10 +7,15 @@
 //! can therefore pre-register the full contract up front (see
 //! `seqd::metrics::preregister`) so the exported name set does not depend
 //! on which code paths have run.
+//!
+//! The module also holds the workspace's one Prometheus text writer
+//! ([`write_header`], [`write_sample`]): the registry's histograms and
+//! `seqd`'s own counters and gauges are written through it.
 
-use crate::hist::{bucket_upper_ns, HistSnapshot, Histogram, BUCKETS};
+use crate::hist::{bucket_upper_ns, HistSnapshot, Histogram};
 use crate::slow::SlowRing;
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::sync::{Arc, OnceLock, RwLock};
 
 /// Default capacity of the process-wide slow-op ring.
@@ -145,16 +150,15 @@ impl Registry {
         let mut out = String::new();
         let hists = self.hists.read().unwrap_or_else(|e| e.into_inner());
         for (name, entry) in hists.iter() {
-            render_histogram_header(&mut out, name, entry.help);
-            render_histogram_series(&mut out, name, "", &entry.hist.snapshot());
+            write_header(&mut out, name, entry.help, MetricType::Histogram);
+            write_histogram(&mut out, name, None, &entry.hist.snapshot());
         }
         drop(hists);
         let fams = self.families.read().unwrap_or_else(|e| e.into_inner());
         for (name, fam) in fams.iter() {
-            render_histogram_header(&mut out, name, fam.help);
+            write_header(&mut out, name, fam.help, MetricType::Histogram);
             for (value, hist) in fam.series.iter() {
-                let labels = format!("{}=\"{}\"", fam.label, escape_label(value));
-                render_histogram_series(&mut out, name, &labels, &hist.snapshot());
+                write_histogram(&mut out, name, Some((fam.label, value)), &hist.snapshot());
             }
         }
         out
@@ -181,46 +185,85 @@ impl Registry {
     }
 }
 
-fn render_histogram_header(out: &mut String, name: &str, help: &'static str) {
-    out.push_str(&format!("# HELP {name} {help}\n"));
-    out.push_str(&format!("# TYPE {name} histogram\n"));
+/// The `# TYPE` of a metric family.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MetricType {
+    /// A monotonic count.
+    Counter,
+    /// A value that goes up and down.
+    Gauge,
+    /// Cumulative buckets plus `_sum` and `_count`.
+    Histogram,
 }
 
-fn render_histogram_series(out: &mut String, name: &str, labels: &str, snap: &HistSnapshot) {
-    let sep = if labels.is_empty() { "" } else { "," };
+/// Append a family's `# HELP` and `# TYPE` lines. Every series in the
+/// workspace's expositions is written through this function and
+/// [`write_sample`], so each one is self-describing by construction.
+pub fn write_header(out: &mut String, name: &str, help: &str, ty: MetricType) {
+    let ty = match ty {
+        MetricType::Counter => "counter",
+        MetricType::Gauge => "gauge",
+        MetricType::Histogram => "histogram",
+    };
+    let _ = writeln!(out, "# HELP {name} {help}\n# TYPE {name} {ty}");
+}
+
+/// Append one sample line, `name{label="value",...} value`: label values
+/// escaped, integral values without a fraction (`7`, not `7.0`), and
+/// infinities spelled `+Inf` / `-Inf`.
+pub fn write_sample(out: &mut String, name: &str, labels: &[(&str, &str)], value: f64) {
+    out.push_str(name);
+    for (i, (label, v)) in labels.iter().enumerate() {
+        out.push(if i == 0 { '{' } else { ',' });
+        let _ = write!(out, "{label}=\"");
+        for c in v.chars() {
+            match c {
+                '\\' => out.push_str("\\\\"),
+                '"' => out.push_str("\\\""),
+                '\n' => out.push_str("\\n"),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+    if !labels.is_empty() {
+        out.push('}');
+    }
+    let _ = if value.is_infinite() {
+        writeln!(out, " {}Inf", if value > 0.0 { '+' } else { '-' })
+    } else {
+        writeln!(out, " {value}")
+    };
+}
+
+/// Append one histogram series: its non-empty cumulative buckets, `+Inf`,
+/// `_sum` in seconds and `_count`.
+fn write_histogram(out: &mut String, name: &str, label: Option<(&str, &str)>, snap: &HistSnapshot) {
+    let bucket_name = format!("{name}_bucket");
+    let bucket = |out: &mut String, le: &str, n: u64| match label {
+        Some(l) => write_sample(out, &bucket_name, &[l, ("le", le)], n as f64),
+        None => write_sample(out, &bucket_name, &[("le", le)], n as f64),
+    };
     let mut cumulative = 0u64;
-    for i in 0..BUCKETS {
-        let n = snap.buckets[i];
+    for (i, &n) in snap.buckets.iter().enumerate() {
         if n == 0 {
             continue;
         }
         cumulative += n;
-        match bucket_upper_ns(i) {
-            Some(up) => out.push_str(&format!(
-                "{name}_bucket{{{labels}{sep}le=\"{}\"}} {cumulative}\n",
-                fmt_le(up as f64 / 1e9)
-            )),
-            None => {} // overflow: folded into +Inf below
+        // The overflow bucket has no upper edge: it is folded into +Inf.
+        if let Some(up) = bucket_upper_ns(i) {
+            bucket(out, &fmt_le(up as f64 / 1e9), cumulative);
         }
     }
-    out.push_str(&format!(
-        "{name}_bucket{{{labels}{sep}le=\"+Inf\"}} {}\n",
-        snap.count
-    ));
-    out.push_str(&format!(
-        "{name}_sum{}{}{} {}\n",
-        if labels.is_empty() { "" } else { "{" },
+    bucket(out, "+Inf", snap.count);
+    let labels = label.as_slice();
+    write_sample(
+        out,
+        &format!("{name}_sum"),
         labels,
-        if labels.is_empty() { "" } else { "}" },
-        fmt_f64(snap.sum_ns as f64 / 1e9)
-    ));
-    out.push_str(&format!(
-        "{name}_count{}{}{} {}\n",
-        if labels.is_empty() { "" } else { "{" },
-        labels,
-        if labels.is_empty() { "" } else { "}" },
-        snap.count
-    ));
+        snap.sum_ns as f64 / 1e9,
+    );
+    write_sample(out, &format!("{name}_count"), labels, snap.count as f64);
 }
 
 /// Format a bucket edge without trailing-zero noise (e.g. `0.000262144`).
@@ -232,20 +275,6 @@ fn fmt_le(v: f64) -> String {
     } else {
         s.to_string()
     }
-}
-
-fn fmt_f64(v: f64) -> String {
-    if v == v.trunc() && v.abs() < 1e15 {
-        format!("{v:.1}")
-    } else {
-        format!("{v}")
-    }
-}
-
-fn escape_label(v: &str) -> String {
-    v.replace('\\', "\\\\")
-        .replace('"', "\\\"")
-        .replace('\n', "\\n")
 }
 
 /// Whether `name` is a legal Prometheus metric name.
@@ -285,6 +314,28 @@ mod tests {
         }
         assert!(text.contains("a_seconds_bucket{le=\"+Inf\"} 1"));
         assert!(text.contains("svc_seconds_bucket{service=\"sshd\",le=\"+Inf\"} 1"));
+    }
+
+    #[test]
+    fn samples_escape_labels_and_format_values() {
+        let mut out = String::new();
+        write_header(&mut out, "x_total", "an x", MetricType::Counter);
+        write_sample(&mut out, "x_total", &[], 7.0);
+        write_sample(
+            &mut out,
+            "x_total",
+            &[("a", "q\"b\\c\nd"), ("le", "+Inf")],
+            0.25,
+        );
+        write_sample(&mut out, "x_total", &[("a", "e")], f64::INFINITY);
+        assert_eq!(
+            out,
+            "# HELP x_total an x\n# TYPE x_total counter\n\
+             x_total 7\n\
+             x_total{a=\"q\\\"b\\\\c\\nd\",le=\"+Inf\"} 0.25\n\
+             x_total{a=\"e\"} +Inf\n"
+        );
+        assert_eq!(crate::promlint::lint(&out), Vec::new());
     }
 
     #[test]

@@ -21,9 +21,13 @@
 //!   published `Arc<PatternSet>` snapshots; re-mining builds the next set off
 //!   to the side and swaps the pointer, so readers never block on mining.
 //! * **Observability** ([`metrics`]): one relaxed-atomic counter struct
-//!   ([`Ops`]) behind `/metrics` and `/stats`, on which the core invariant
+//!   per daemon ([`Ops`]), on which the core invariant
 //!   `ingested = matched + unmatched + rejected + malformed` is checked
-//!   after a drain.
+//!   after a drain. Each request reads one `metrics::Snapshot`;
+//!   `metrics::SERIES` declares every daemon series once (name, help,
+//!   type, per-shard label, `/stats` key), `/metrics` writes it through
+//!   `obs`'s Prometheus writer before the registry's stage histograms, and
+//!   `/stats` renders the same snapshot under the same keys.
 //! * **Durability** ([`wal`]): an optional per-shard ingest write-ahead log.
 //!   Accepted records are appended (fsync-batched) before the NDJSON
 //!   receipt is written, released after their residue flush commits, and

@@ -1,46 +1,25 @@
-//! The daemon's operation counters and the Prometheus-style text rendering
-//! behind `GET /metrics`.
+//! The daemon's operation counters, the one declaration of its own
+//! `/metrics` series (`SERIES`), and the two renderings of a per-request
+//! `Snapshot`: Prometheus text for `GET /metrics` and JSON for
+//! `GET /stats`.
 //!
 //! All counters are relaxed atomics: they are monotonic event counts with no
 //! ordering relationship to each other, and the hot ingest path must not pay
 //! for synchronisation it does not need. The one invariant that matters —
 //! `ingested = matched + unmatched + rejected + malformed` — holds exactly
 //! once the queues are drained, and is asserted that way by the tests.
+//!
+//! [`Ops`] is a struct per daemon, not a set of `obs` registry entries: the
+//! registry is process-global, and one process (a test binary) may run
+//! several daemons, each of whose counters must reconcile exactly. What the
+//! two share is the text writer: every series here goes through
+//! [`obs::write_header`] / [`obs::write_sample`], like the registry's
+//! histograms that `/metrics` appends after them.
 
-use obs::Histogram;
+use jsonlite::Value;
+use obs::{Histogram, MetricType};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
-
-/// Append one self-describing counter to a Prometheus text exposition.
-/// Every series rendered through these helpers carries `# HELP`/`# TYPE`
-/// by construction — the class of bug the `promlint` CI gate watches for.
-pub fn push_counter(out: &mut String, name: &str, help: &str, value: u64) {
-    out.push_str(&format!(
-        "# HELP {name} {help}\n# TYPE {name} counter\n{name} {value}\n"
-    ));
-}
-
-/// Append one self-describing gauge.
-pub fn push_gauge(out: &mut String, name: &str, help: &str, value: f64) {
-    out.push_str(&format!(
-        "# HELP {name} {help}\n# TYPE {name} gauge\n{name} {value}\n"
-    ));
-}
-
-/// Append a self-describing gauge family with one sample per
-/// `(label_value, value)` pair: one `HELP`/`TYPE` header, then the series.
-pub fn push_labeled_gauges(
-    out: &mut String,
-    name: &str,
-    help: &str,
-    label: &str,
-    series: impl IntoIterator<Item = (String, f64)>,
-) {
-    out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} gauge\n"));
-    for (value_label, value) in series {
-        out.push_str(&format!("{name}{{{label}=\"{value_label}\"}} {value}\n"));
-    }
-}
 
 /// The pipeline-stage latency histograms. Each accessor resolves its
 /// handle from the process-global [`obs::registry`] once and caches it, so
@@ -377,112 +356,267 @@ impl OpsSnapshot {
         (self.matched + self.unmatched + self.rejected + self.malformed)
             .saturating_sub(self.ingested)
     }
+}
 
-    /// Render the Prometheus text exposition format. `queue_depths` become
-    /// one `seqd_queue_depth{shard="i"}` gauge per shard; pass `&[]` from
-    /// contexts without queues.
-    pub fn render_prometheus(&self, queue_depths: &[usize]) -> String {
-        let mut out = String::with_capacity(1024);
-        for (name, help, value) in [
-            (
-                "seqd_ingested_total",
-                "Non-empty stream lines received",
-                self.ingested,
-            ),
-            (
-                "seqd_matched_total",
-                "Records matched to a known pattern",
-                self.matched,
-            ),
-            (
-                "seqd_unmatched_total",
-                "Records sent to the re-mining residue",
-                self.unmatched,
-            ),
-            (
-                "seqd_rejected_total",
-                "Records refused by backpressure",
-                self.rejected,
-            ),
-            (
-                "seqd_malformed_total",
-                "Lines that were not valid records",
-                self.malformed,
-            ),
-            (
-                "seqd_dropped_total",
-                "Residue records abandoned after flush retries",
-                self.dropped,
-            ),
-            (
-                "seqd_replayed_total",
-                "Records recovered from the ingest WAL at start",
-                self.replayed,
-            ),
-            (
-                "seqd_pattern_swaps_total",
-                "Pattern-set publications",
-                self.swaps,
-            ),
-            (
-                "seqd_mine_jobs_total",
-                "Mining jobs accepted by the background miner",
-                self.mine_jobs,
-            ),
-            (
-                "seqd_mine_coalesced_total",
-                "Mining submissions merged into an already-pending job",
-                self.mine_coalesced,
-            ),
-            (
-                "seqd_mine_overflow_total",
-                "Residue records held past the batch size while the mining queue was full",
-                self.mine_overflow,
-            ),
-            (
-                "seqd_remine_runs_total",
-                "Residue re-mining runs",
-                self.remines,
-            ),
-            (
-                "seqd_counter_drift_total",
-                "Fate counters running ahead of ingested (over-accounting; alert on nonzero)",
-                self.counter_drift(),
-            ),
-        ] {
-            push_counter(&mut out, name, help, value);
-        }
-        out.push_str(&format!(
-            "# HELP seqd_remine_seconds_total Total time spent re-mining\n\
-             # TYPE seqd_remine_seconds_total counter\n\
-             seqd_remine_seconds_total {:.6}\n",
-            self.remine_ns_total as f64 / 1e9
-        ));
-        push_gauge(
-            &mut out,
-            "seqd_remine_seconds_last",
-            "Duration of the most recent re-mine",
-            self.remine_ns_last as f64 / 1e9,
-        );
-        if !queue_depths.is_empty() {
-            push_labeled_gauges(
-                &mut out,
-                "seqd_queue_depth",
-                "Records waiting in each shard queue",
-                "shard",
-                queue_depths
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &d)| (i.to_string(), d as f64)),
-            );
+/// One shard's gauges, read for one request.
+#[derive(Debug, Default)]
+pub(crate) struct ShardSnapshot {
+    /// Records waiting in the shard queue.
+    pub queue_depth: u64,
+    /// Unmatched records awaiting re-mining.
+    pub residue: u64,
+    /// Unreleased ingest-WAL records and their bytes; `None` without a WAL.
+    pub wal_pending: Option<(u64, u64)>,
+}
+
+/// Everything `/metrics` and `/stats` report of the daemon, read once per
+/// request; both endpoints render it through [`SERIES`].
+#[derive(Debug, Default)]
+pub(crate) struct Snapshot {
+    /// The operation counters.
+    pub ops: OpsSnapshot,
+    /// One entry per shard, in shard order.
+    pub shards: Vec<ShardSnapshot>,
+    /// Mining jobs waiting in the miner queue.
+    pub mine_queue_depth: u64,
+    /// Mining jobs queued or being mined.
+    pub mine_backlog: u64,
+    /// Services with a published pattern set.
+    pub published_services: u64,
+    /// Patterns across the published sets.
+    pub published_patterns: u64,
+    /// Approximate heap bytes of the published sets.
+    pub pattern_index_bytes: u64,
+    /// Connections currently open.
+    pub open_connections: u64,
+    /// Seconds since the daemon started.
+    pub uptime_seconds: f64,
+    /// The store's own pattern count (read for `/stats` only; `None` when a
+    /// commit held the store lock).
+    pub store_patterns: Option<u64>,
+}
+
+/// How a series reads its samples from a [`Snapshot`].
+#[derive(Clone, Copy)]
+pub(crate) enum Reading {
+    /// One unlabelled sample.
+    One(fn(&Snapshot) -> f64),
+    /// One sample per shard, labelled `shard="<i>"`. `None` (no ingest WAL)
+    /// is written as 0 on `/metrics`, so the name set does not depend on the
+    /// configuration, and as `null` on `/stats`.
+    PerShard(fn(&ShardSnapshot) -> Option<u64>),
+}
+
+/// Where a series appears in `/stats`.
+#[derive(Clone, Copy)]
+pub(crate) enum StatsKey {
+    /// Not in `/stats`.
+    Omit,
+    /// Under this key: the value, or a per-shard series' sum over shards.
+    Total(&'static str),
+    /// Under this key, one array element per shard.
+    Each(&'static str),
+}
+
+/// One daemon series: its Prometheus name, help and type, how it is read,
+/// and its `/stats` key.
+pub(crate) struct Series {
+    /// Prometheus metric name.
+    pub name: &'static str,
+    /// `# HELP` text.
+    pub help: &'static str,
+    /// `# TYPE`.
+    pub ty: MetricType,
+    /// How its samples are read.
+    pub reading: Reading,
+    /// Its `/stats` key, if any.
+    pub stats: StatsKey,
+}
+
+use MetricType::{Counter, Gauge};
+use Reading::{One, PerShard};
+use StatsKey::{Each, Omit, Total};
+
+/// Every series the daemon itself exports, in `/metrics` order; the stage
+/// histograms of [`stages`] follow from the `obs` registry.
+#[rustfmt::skip]
+pub(crate) const SERIES: [Series; 23] = [
+    Series { name: "seqd_ingested_total", help: "Non-empty stream lines received",
+        ty: Counter, reading: One(|s| s.ops.ingested as f64), stats: Total("ingested") },
+    Series { name: "seqd_matched_total", help: "Records matched to a known pattern",
+        ty: Counter, reading: One(|s| s.ops.matched as f64), stats: Total("matched") },
+    Series { name: "seqd_unmatched_total", help: "Records sent to the re-mining residue",
+        ty: Counter, reading: One(|s| s.ops.unmatched as f64), stats: Total("unmatched") },
+    Series { name: "seqd_rejected_total", help: "Records refused by backpressure",
+        ty: Counter, reading: One(|s| s.ops.rejected as f64), stats: Total("rejected") },
+    Series { name: "seqd_malformed_total", help: "Lines that were not valid records",
+        ty: Counter, reading: One(|s| s.ops.malformed as f64), stats: Total("malformed") },
+    Series { name: "seqd_dropped_total", help: "Residue records abandoned after flush retries",
+        ty: Counter, reading: One(|s| s.ops.dropped as f64), stats: Total("dropped") },
+    Series { name: "seqd_replayed_total", help: "Records recovered from the ingest WAL at start",
+        ty: Counter, reading: One(|s| s.ops.replayed as f64), stats: Total("replayed") },
+    Series { name: "seqd_pattern_swaps_total", help: "Pattern-set publications",
+        ty: Counter, reading: One(|s| s.ops.swaps as f64), stats: Total("pattern_swaps") },
+    Series { name: "seqd_mine_jobs_total", help: "Mining jobs accepted by the background miner",
+        ty: Counter, reading: One(|s| s.ops.mine_jobs as f64), stats: Omit },
+    Series { name: "seqd_mine_coalesced_total",
+        help: "Mining submissions merged into an already-pending job",
+        ty: Counter, reading: One(|s| s.ops.mine_coalesced as f64), stats: Omit },
+    Series { name: "seqd_mine_overflow_total",
+        help: "Residue records held past the batch size while the mining queue was full",
+        ty: Counter, reading: One(|s| s.ops.mine_overflow as f64), stats: Omit },
+    Series { name: "seqd_remine_runs_total", help: "Residue re-mining runs",
+        ty: Counter, reading: One(|s| s.ops.remines as f64), stats: Total("remine_runs") },
+    Series { name: "seqd_counter_drift_total",
+        help: "Fate counters running ahead of ingested (over-accounting; alert on nonzero)",
+        ty: Counter, reading: One(|s| s.ops.counter_drift() as f64), stats: Total("counter_drift") },
+    Series { name: "seqd_remine_seconds_total", help: "Total time spent re-mining",
+        ty: Counter, reading: One(|s| s.ops.remine_ns_total as f64 / 1e9),
+        stats: Total("remine_seconds_total") },
+    Series { name: "seqd_remine_seconds_last", help: "Duration of the most recent re-mine",
+        ty: Gauge, reading: One(|s| s.ops.remine_ns_last as f64 / 1e9), stats: Omit },
+    Series { name: "seqd_queue_depth", help: "Records waiting in each shard queue",
+        ty: Gauge, reading: PerShard(|s| Some(s.queue_depth)), stats: Each("queue_depths") },
+    Series { name: "seqd_residue_len", help: "Unmatched records awaiting re-mining per shard",
+        ty: Gauge, reading: PerShard(|s| Some(s.residue)), stats: Total("residue") },
+    Series { name: "seqd_open_connections", help: "Connection threads currently live",
+        ty: Gauge, reading: One(|s| s.open_connections as f64), stats: Total("open_connections") },
+    Series { name: "seqd_wal_pending", help: "Unreleased records in each shard's ingest WAL",
+        ty: Gauge, reading: PerShard(|s| s.wal_pending.map(|(n, _)| n)),
+        stats: Total("wal_pending") },
+    Series { name: "seqd_wal_pending_bytes",
+        help: "Bytes of unreleased records in each shard's ingest WAL file",
+        ty: Gauge, reading: PerShard(|s| s.wal_pending.map(|(_, b)| b)),
+        stats: Total("wal_pending_bytes") },
+    Series { name: "seqd_mine_queue_depth", help: "Mining jobs waiting in the background miner queue",
+        ty: Gauge, reading: One(|s| s.mine_queue_depth as f64), stats: Omit },
+    Series { name: "seqd_pattern_index_bytes",
+        help: "Approximate heap bytes of the published pattern sets (entries and matcher index)",
+        ty: Gauge, reading: One(|s| s.pattern_index_bytes as f64),
+        stats: Total("pattern_index_bytes") },
+    Series { name: "seqd_uptime_seconds", help: "Seconds since daemon start",
+        ty: Gauge, reading: One(|s| s.uptime_seconds), stats: Total("uptime_seconds") },
+];
+
+impl Snapshot {
+    /// The daemon's own series in Prometheus text, in [`SERIES`] order.
+    pub(crate) fn render_prometheus(&self) -> String {
+        let mut out = String::with_capacity(4096);
+        for series in &SERIES {
+            obs::write_header(&mut out, series.name, series.help, series.ty);
+            match series.reading {
+                One(read) => obs::write_sample(&mut out, series.name, &[], read(self)),
+                PerShard(read) => {
+                    for (i, shard) in self.shards.iter().enumerate() {
+                        let value = read(shard).unwrap_or(0) as f64;
+                        obs::write_sample(
+                            &mut out,
+                            series.name,
+                            &[("shard", &i.to_string())],
+                            value,
+                        );
+                    }
+                }
+            }
         }
         out
     }
+
+    /// The `/stats` body: every series with a `/stats` key under it, then
+    /// the keys `/stats` alone reports, with per-stage and per-service
+    /// latency percentiles from the `obs` registry.
+    pub(crate) fn render_stats(&self) -> String {
+        let number = |n: Option<u64>| n.map_or(Value::Null, |n| Value::from(n as f64));
+        let mut stats = std::collections::BTreeMap::new();
+        for series in &SERIES {
+            let (key, value) = match (series.stats, series.reading) {
+                (Omit, _) => continue,
+                (Total(key) | Each(key), One(read)) => (key, Value::from(read(self))),
+                (Total(key), PerShard(read)) => (key, number(self.shards.iter().map(read).sum())),
+                (Each(key), PerShard(read)) => (
+                    key,
+                    Value::Array(self.shards.iter().map(|s| number(read(s))).collect()),
+                ),
+            };
+            stats.insert(key.to_string(), value);
+        }
+        for (key, value) in [
+            ("in_flight", number(Some(self.ops.in_flight()))),
+            ("mine_backlog", number(Some(self.mine_backlog))),
+            ("published_services", number(Some(self.published_services))),
+            ("published_patterns", number(Some(self.published_patterns))),
+            ("store_patterns", number(self.store_patterns)),
+            ("latency_ms", latency_json()),
+            ("service_latency_ms", service_latency_json()),
+        ] {
+            stats.insert(key.to_string(), value);
+        }
+        jsonlite::to_string(&Value::Object(stats))
+    }
+}
+
+/// p50/p95/p99 (milliseconds) of one histogram snapshot, or `null` when
+/// the stage has not recorded yet.
+fn quantiles_value(snap: Option<obs::HistSnapshot>) -> Value {
+    let Some(snap) = snap.filter(|s| s.count > 0) else {
+        return Value::Null;
+    };
+    let q = |p: f64| -> Value {
+        snap.quantile_secs(p)
+            .map_or(Value::Null, |s| Value::from(s * 1e3))
+    };
+    jsonlite::object::<&str, Value>([
+        ("count", (snap.count as i64).into()),
+        ("p50", q(0.50)),
+        ("p95", q(0.95)),
+        ("p99", q(0.99)),
+    ])
+}
+
+/// Pipeline-stage percentiles for `/stats`.
+fn latency_json() -> Value {
+    let stages = [
+        ("ingest_line", "seqd_ingest_line_seconds"),
+        ("queue_wait", "seqd_queue_wait_seconds"),
+        ("match", "seqd_match_seconds"),
+        ("analyze", "rtg_analyze_seconds"),
+        ("flush", "seqd_flush_seconds"),
+        ("mine", "seqd_mine_seconds"),
+        ("mine_stall", "seqd_mine_stall_seconds"),
+        ("wal_fsync", "seqd_wal_fsync_seconds"),
+    ];
+    let r = obs::registry();
+    jsonlite::object(stages.map(|(key, hist)| (key, quantiles_value(r.snapshot(hist)))))
+}
+
+/// Per-service match-latency percentiles for `/stats`.
+fn service_latency_json() -> Value {
+    let series = obs::registry().family_snapshots("seqd_service_match_seconds");
+    Value::Object(
+        series
+            .into_iter()
+            .filter(|(_, snap)| snap.count > 0)
+            .map(|(service, snap)| (service, quantiles_value(Some(snap))))
+            .collect(),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A snapshot of `ops` alone, with one shard per queue depth.
+    fn with_queues(ops: OpsSnapshot, depths: &[u64]) -> Snapshot {
+        let shard = |&queue_depth: &u64| ShardSnapshot {
+            queue_depth,
+            ..ShardSnapshot::default()
+        };
+        Snapshot {
+            ops,
+            shards: depths.iter().map(shard).collect(),
+            ..Snapshot::default()
+        }
+    }
 
     #[test]
     fn reconciliation_accounts_for_every_line() {
@@ -515,7 +649,7 @@ mod tests {
         assert!(!s.reconciles());
         assert_eq!(s.in_flight(), 0, "the saturating_sub hides the bug");
         assert_eq!(s.counter_drift(), 1, "the drift series exposes it");
-        let text = s.render_prometheus(&[]);
+        let text = with_queues(s, &[]).render_prometheus();
         assert!(text.contains("seqd_counter_drift_total 1"), "{text}");
     }
 
@@ -524,7 +658,7 @@ mod tests {
         let ops = Ops::new();
         Ops::add(&ops.ingested, 7);
         ops.record_remine(std::time::Duration::from_millis(5));
-        let text = ops.snapshot().render_prometheus(&[3, 0]);
+        let text = with_queues(ops.snapshot(), &[3, 0]).render_prometheus();
         for name in [
             "seqd_ingested_total 7",
             "seqd_matched_total 0",
@@ -560,8 +694,118 @@ mod tests {
         let ops = Ops::new();
         Ops::add(&ops.ingested, 7);
         ops.record_remine(std::time::Duration::from_millis(5));
-        let text = ops.snapshot().render_prometheus(&[3, 0]);
+        let text = with_queues(ops.snapshot(), &[3, 0]).render_prometheus();
         assert_eq!(obs::promlint::lint(&text), Vec::new(), "lint:\n{text}");
+    }
+
+    /// Every sample of one series in a Prometheus text, in order.
+    fn samples(text: &str, name: &str) -> Vec<f64> {
+        text.lines()
+            .filter(|l| !l.starts_with('#'))
+            .filter_map(|l| l.rsplit_once(' '))
+            .filter(|(series, _)| series.split('{').next() == Some(name))
+            .map(|(_, v)| v.parse().unwrap())
+            .collect()
+    }
+
+    /// A snapshot whose every reading is distinct, so a `/stats` key wired
+    /// to the wrong series cannot hold the right number by accident.
+    fn distinct_snapshot(wal: bool) -> Snapshot {
+        let ops = OpsSnapshot {
+            ingested: 1_000,
+            matched: 500,
+            unmatched: 300,
+            rejected: 20,
+            malformed: 10,
+            dropped: 3,
+            replayed: 4,
+            swaps: 5,
+            mine_jobs: 6,
+            mine_coalesced: 7,
+            mine_overflow: 8,
+            remines: 9,
+            remine_ns_total: 2_500_000_000,
+            remine_ns_last: 125_000_000,
+        };
+        let shard = |i: u64| ShardSnapshot {
+            queue_depth: 11 + i,
+            residue: 13 + i,
+            wal_pending: wal.then_some((17 + i, 1_900 + i)),
+        };
+        Snapshot {
+            ops,
+            shards: vec![shard(0), shard(1)],
+            mine_queue_depth: 23,
+            mine_backlog: 29,
+            published_services: 31,
+            published_patterns: 37,
+            pattern_index_bytes: 41_000,
+            open_connections: 43,
+            uptime_seconds: 47.5,
+            store_patterns: Some(53),
+        }
+    }
+
+    /// `/metrics` and `/stats` rendered from one snapshot agree: every
+    /// `/stats` key that has a Prometheus series holds that series' value
+    /// (a per-shard series' sum, or its samples as an array for
+    /// `queue_depths`), and the stats-only keys hold their readings.
+    #[test]
+    fn metrics_and_stats_render_one_snapshot_alike() {
+        for wal in [true, false] {
+            let snap = distinct_snapshot(wal);
+            let text = snap.render_prometheus();
+            assert_eq!(obs::promlint::lint(&text), Vec::new(), "lint:\n{text}");
+            assert_eq!(text.matches("# TYPE").count(), SERIES.len());
+            let stats = jsonlite::parse(&snap.render_stats()).unwrap();
+            let stat = |key: &str| stats.get(key).unwrap_or_else(|| panic!("no {key}"));
+            for (key, name) in [
+                ("ingested", "seqd_ingested_total"),
+                ("matched", "seqd_matched_total"),
+                ("unmatched", "seqd_unmatched_total"),
+                ("rejected", "seqd_rejected_total"),
+                ("malformed", "seqd_malformed_total"),
+                ("dropped", "seqd_dropped_total"),
+                ("replayed", "seqd_replayed_total"),
+                ("pattern_swaps", "seqd_pattern_swaps_total"),
+                ("remine_runs", "seqd_remine_runs_total"),
+                ("counter_drift", "seqd_counter_drift_total"),
+                ("remine_seconds_total", "seqd_remine_seconds_total"),
+                ("residue", "seqd_residue_len"),
+                ("open_connections", "seqd_open_connections"),
+                ("wal_pending", "seqd_wal_pending"),
+                ("wal_pending_bytes", "seqd_wal_pending_bytes"),
+                ("pattern_index_bytes", "seqd_pattern_index_bytes"),
+                ("uptime_seconds", "seqd_uptime_seconds"),
+            ] {
+                let values = samples(&text, name);
+                assert!(!values.is_empty(), "{name} not rendered:\n{text}");
+                if !wal && key.starts_with("wal_") {
+                    assert!(stat(key).is_null(), "{key} without a WAL");
+                    assert_eq!(values, [0.0, 0.0], "{name} without a WAL");
+                } else {
+                    let total: f64 = values.iter().sum();
+                    assert_eq!(stat(key).as_f64(), Some(total), "{key} vs {name}");
+                }
+            }
+            let depths: Vec<f64> = stat("queue_depths")
+                .as_array()
+                .unwrap()
+                .iter()
+                .map(|v| v.as_f64().unwrap())
+                .collect();
+            assert_eq!(depths, samples(&text, "seqd_queue_depth"));
+            assert_eq!(samples(&text, "seqd_remine_seconds_total"), [2.5]);
+            for (key, value) in [
+                ("in_flight", 170.0),
+                ("mine_backlog", 29.0),
+                ("published_services", 31.0),
+                ("published_patterns", 37.0),
+                ("store_patterns", 53.0),
+            ] {
+                assert_eq!(stat(key).as_f64(), Some(value), "{key}");
+            }
+        }
     }
 
     #[test]

@@ -467,22 +467,16 @@ impl Miner {
         Ok(())
     }
 
-    /// Pending jobs in the queue — the `seqd_mine_queue_depth` gauge.
-    pub fn queue_depth(&self) -> usize {
-        self.shared
-            .state
-            .lock()
-            .expect("miner state lock")
-            .pending
-            .len()
-    }
-
-    /// Queued *plus* in-flight jobs: the whole mining backlog. `0` means
+    /// Jobs pending in the queue, and the whole mining backlog: queued
+    /// *plus* in-flight jobs, read under one lock. A backlog of `0` means
     /// the pool is quiescent — every handed-off batch has been mined,
     /// committed and WAL-released.
-    pub fn backlog(&self) -> usize {
+    pub fn depths(&self) -> (usize, usize) {
         let state = self.shared.state.lock().expect("miner state lock");
-        state.pending.len() + state.mining.len()
+        (
+            state.pending.len(),
+            state.pending.len() + state.mining.len(),
+        )
     }
 
     /// Stop accepting queued submissions. Pending jobs still run; later
@@ -611,7 +605,7 @@ mod tests {
         let msg = Scanner::new().scan("session opened for user mallory");
         assert!(set.match_message(&msg).is_some());
         assert_eq!(deps.store.lock().unwrap().pattern_count().unwrap(), 1);
-        assert_eq!(miner.queue_depth(), 0);
+        assert_eq!(miner.depths().0, 0);
     }
 
     /// Mining and the board share one set: a job plans against the board's
@@ -679,7 +673,7 @@ mod tests {
         for shard in 0..SHARDS {
             miner.submit_blocking(round(0, shard));
         }
-        while miner.queue_depth() > 0 {
+        while miner.depths().0 > 0 {
             std::thread::yield_now();
         }
         for r in 1..ROUNDS {

@@ -135,6 +135,10 @@ impl<T> BoundedQueue<T> {
     /// Dequeue up to `max` items under one lock acquisition, blocking up to
     /// `timeout` for the first item. `Ok(empty)` on timeout; `Err(())` once
     /// the queue is closed *and* drained.
+    ///
+    /// The unit error stays: the benchmark's queue layer matches it
+    /// (`map_err(|()| ..)`), so a named error type would break that code.
+    #[allow(clippy::result_unit_err)]
     pub fn pop_batch(&self, max: usize, timeout: Duration) -> Result<Vec<T>, ()> {
         let deadline = Instant::now() + timeout;
         let mut st = self.state.lock().expect("queue lock");
@@ -161,7 +165,9 @@ impl<T> BoundedQueue<T> {
     /// periodic re-check tick. [`BoundedQueue::close`] notifies `not_empty`,
     /// so a drain wakes every blocked consumer immediately instead of
     /// costing up to one tick of idle latency per shard. `Err(())` once the
-    /// queue is closed *and* drained.
+    /// queue is closed *and* drained (a unit error for the same reason as
+    /// [`BoundedQueue::pop_batch`]).
+    #[allow(clippy::result_unit_err)]
     pub fn pop_batch_blocking(&self, max: usize) -> Result<Vec<T>, ()> {
         let mut st = self.state.lock().expect("queue lock");
         loop {

@@ -42,7 +42,7 @@
 
 use crate::eventloop::{self, EventLoop, EventLoopDeps};
 use crate::http::{respond, Request};
-use crate::metrics::{Ops, OpsSnapshot};
+use crate::metrics::{Ops, OpsSnapshot, ShardSnapshot, Snapshot};
 use crate::miner::{DrainSignal, Miner, MinerDeps};
 use crate::queue::BoundedQueue;
 use crate::shard::{Router, ShardWorker};
@@ -481,80 +481,18 @@ fn serve_control<R: io::BufRead, W: io::Write>(
     match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/healthz") => respond(writer, 200, "text/plain; charset=utf-8", "ok\n"),
         ("GET", "/stats") => {
-            let body = stats_json(shared);
-            respond(writer, 200, "application/json", &body)
+            let mut snap = snapshot(shared);
+            // The store's own pattern count needs the store lock; a commit
+            // may hold it briefly, so report `null` rather than stall.
+            snap.store_patterns = shared
+                .store
+                .try_lock()
+                .ok()
+                .and_then(|mut store| store.pattern_count().ok());
+            respond(writer, 200, "application/json", &snap.render_stats())
         }
         ("GET", "/metrics") => {
-            use crate::metrics::{push_gauge, push_labeled_gauges};
-            let mut body = shared
-                .ops
-                .snapshot()
-                .render_prometheus(&shared.router.depths());
-            push_labeled_gauges(
-                &mut body,
-                "seqd_residue_len",
-                "Unmatched records awaiting re-mining per shard",
-                "shard",
-                shared
-                    .residues
-                    .iter()
-                    .enumerate()
-                    .map(|(i, r)| (i.to_string(), r.load(Ordering::Relaxed) as f64)),
-            );
-            push_gauge(
-                &mut body,
-                "seqd_open_connections",
-                "Connection threads currently live",
-                shared.connections.load(Ordering::SeqCst) as f64,
-            );
-            {
-                // Rendered even without a WAL (as zeros) so the exported
-                // name set is configuration-independent — the metrics
-                // contract gate diffs it against a golden file.
-                let pending = shared
-                    .wal
-                    .as_ref()
-                    .map(|w| w.pending())
-                    .unwrap_or_else(|| vec![(0, 0); shared.residues.len()]);
-                push_labeled_gauges(
-                    &mut body,
-                    "seqd_wal_pending",
-                    "Unreleased records in each shard's ingest WAL",
-                    "shard",
-                    pending
-                        .iter()
-                        .enumerate()
-                        .map(|(i, &(records, _))| (i.to_string(), records as f64)),
-                );
-                push_labeled_gauges(
-                    &mut body,
-                    "seqd_wal_pending_bytes",
-                    "Bytes of unreleased records in each shard's ingest WAL file",
-                    "shard",
-                    pending
-                        .iter()
-                        .enumerate()
-                        .map(|(i, &(_, bytes))| (i.to_string(), bytes as f64)),
-                );
-            }
-            push_gauge(
-                &mut body,
-                "seqd_mine_queue_depth",
-                "Mining jobs waiting in the background miner queue",
-                shared.miner.queue_depth() as f64,
-            );
-            push_gauge(
-                &mut body,
-                "seqd_pattern_index_bytes",
-                "Approximate heap bytes of the published pattern sets (entries and matcher index)",
-                shared.board.index_bytes() as f64,
-            );
-            push_gauge(
-                &mut body,
-                "seqd_uptime_seconds",
-                "Seconds since daemon start",
-                shared.started.elapsed().as_secs_f64(),
-            );
+            let mut body = snapshot(shared).render_prometheus();
             // The pipeline-stage latency histograms (obs registry): scan,
             // match, analyse, flush, WAL — the "where does a millisecond
             // go" half of the exposition.
@@ -590,144 +528,35 @@ fn serve_control<R: io::BufRead, W: io::Write>(
     }
 }
 
-fn stats_json(shared: &Shared) -> String {
-    let s = shared.ops.snapshot();
+/// Read what `/metrics` and `/stats` report, once per request (all but
+/// the store's pattern count, which `/stats` adds).
+fn snapshot(shared: &Shared) -> Snapshot {
+    let ops = shared.ops.snapshot();
     let depths = shared.router.depths();
-    let residue_total: usize = shared
-        .residues
+    let wal = shared.wal.as_ref().map(|w| w.pending());
+    let shards = depths
         .iter()
-        .map(|r| r.load(Ordering::Relaxed))
-        .sum();
-    // The store's own pattern count needs the store lock; a commit may
-    // hold it briefly, so report `null` rather than stall the endpoint.
-    let store_patterns = shared
-        .store
-        .try_lock()
-        .ok()
-        .and_then(|mut s| s.pattern_count().ok());
-    let wal_pending: Option<(usize, u64)> = shared.wal.as_ref().map(|w| {
-        w.pending()
-            .iter()
-            .fold((0, 0), |(r, b), &(records, bytes)| (r + records, b + bytes))
-    });
-    let obj = jsonlite::object::<&str, Value>([
-        (
-            "uptime_seconds",
-            shared.started.elapsed().as_secs_f64().into(),
-        ),
-        ("ingested", (s.ingested as i64).into()),
-        ("matched", (s.matched as i64).into()),
-        ("unmatched", (s.unmatched as i64).into()),
-        ("rejected", (s.rejected as i64).into()),
-        ("malformed", (s.malformed as i64).into()),
-        ("dropped", (s.dropped as i64).into()),
-        ("replayed", (s.replayed as i64).into()),
-        ("in_flight", (s.in_flight() as i64).into()),
-        ("residue", (residue_total as i64).into()),
-        (
-            "open_connections",
-            (shared.connections.load(Ordering::SeqCst) as i64).into(),
-        ),
-        (
-            "wal_pending",
-            wal_pending.map_or(Value::Null, |(n, _)| Value::from(n as i64)),
-        ),
-        (
-            "wal_pending_bytes",
-            wal_pending.map_or(Value::Null, |(_, b)| Value::from(b as i64)),
-        ),
-        ("pattern_swaps", (s.swaps as i64).into()),
-        ("remine_runs", (s.remines as i64).into()),
-        ("counter_drift", (s.counter_drift() as i64).into()),
-        (
-            "remine_seconds_total",
-            (s.remine_ns_total as f64 / 1e9).into(),
-        ),
-        ("mine_backlog", (shared.miner.backlog() as i64).into()),
-        (
-            "queue_depths",
-            Value::Array(depths.iter().map(|&d| Value::from(d as i64)).collect()),
-        ),
-        (
-            "published_services",
-            (shared.board.services().len() as i64).into(),
-        ),
-        (
-            "published_patterns",
-            (shared.board.total_patterns() as i64).into(),
-        ),
-        (
-            "pattern_index_bytes",
-            (shared.board.index_bytes() as i64).into(),
-        ),
-        (
-            "store_patterns",
-            store_patterns.map_or(Value::Null, |n| Value::from(n as i64)),
-        ),
-        ("latency_ms", latency_json()),
-        ("service_latency_ms", service_latency_json()),
-    ]);
-    jsonlite::to_string(&obj)
-}
-
-/// p50/p95/p99 (milliseconds) of one histogram snapshot, or `null` when
-/// the stage has not recorded yet.
-fn quantiles_value(snap: Option<obs::HistSnapshot>) -> Value {
-    let Some(snap) = snap.filter(|s| s.count > 0) else {
-        return Value::Null;
-    };
-    let q = |p: f64| -> Value {
-        snap.quantile_secs(p)
-            .map_or(Value::Null, |s| Value::from(s * 1e3))
-    };
-    jsonlite::object::<&str, Value>([
-        ("count", (snap.count as i64).into()),
-        ("p50", q(0.50)),
-        ("p95", q(0.95)),
-        ("p99", q(0.99)),
-    ])
-}
-
-/// Pipeline-stage percentiles for `/stats`.
-fn latency_json() -> Value {
-    let r = obs::registry();
-    jsonlite::object::<&str, Value>([
-        (
-            "ingest_line",
-            quantiles_value(r.snapshot("seqd_ingest_line_seconds")),
-        ),
-        (
-            "queue_wait",
-            quantiles_value(r.snapshot("seqd_queue_wait_seconds")),
-        ),
-        ("match", quantiles_value(r.snapshot("seqd_match_seconds"))),
-        (
-            "analyze",
-            quantiles_value(r.snapshot("rtg_analyze_seconds")),
-        ),
-        ("flush", quantiles_value(r.snapshot("seqd_flush_seconds"))),
-        ("mine", quantiles_value(r.snapshot("seqd_mine_seconds"))),
-        (
-            "mine_stall",
-            quantiles_value(r.snapshot("seqd_mine_stall_seconds")),
-        ),
-        (
-            "wal_fsync",
-            quantiles_value(r.snapshot("seqd_wal_fsync_seconds")),
-        ),
-    ])
-}
-
-/// Per-service match-latency percentiles for `/stats`.
-fn service_latency_json() -> Value {
-    let series = obs::registry().family_snapshots("seqd_service_match_seconds");
-    Value::Object(
-        series
-            .into_iter()
-            .filter(|(_, snap)| snap.count > 0)
-            .map(|(service, snap)| (service, quantiles_value(Some(snap))))
-            .collect(),
-    )
+        .zip(&shared.residues)
+        .enumerate()
+        .map(|(i, (&depth, residue))| ShardSnapshot {
+            queue_depth: depth as u64,
+            residue: residue.load(Ordering::Relaxed) as u64,
+            wal_pending: wal.as_ref().map(|p| (p[i].0 as u64, p[i].1)),
+        })
+        .collect();
+    let (mine_queue_depth, mine_backlog) = shared.miner.depths();
+    Snapshot {
+        ops,
+        shards,
+        mine_queue_depth: mine_queue_depth as u64,
+        mine_backlog: mine_backlog as u64,
+        published_services: shared.board.service_count() as u64,
+        published_patterns: shared.board.total_patterns() as u64,
+        pattern_index_bytes: shared.board.index_bytes() as u64,
+        open_connections: shared.connections.load(Ordering::SeqCst) as u64,
+        uptime_seconds: shared.started.elapsed().as_secs_f64(),
+        store_patterns: None,
+    }
 }
 
 fn patterns_json(shared: &Shared, service: Option<&str>) -> String {

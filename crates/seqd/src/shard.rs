@@ -622,7 +622,7 @@ mod tests {
             .collect();
         miner.submit_blocking(residue_job(seed));
         let quiesce = || {
-            while miner.backlog() > 0 {
+            while miner.depths().1 > 0 {
                 std::thread::yield_now();
             }
         };

@@ -202,21 +202,21 @@ fn wal_replay_is_exact_across_crash_and_reshard() {
     });
 }
 
+/// A worker's queue, the miner, the worker and its counters.
+type MiningRig = (
+    Arc<BoundedQueue<Accepted>>,
+    Arc<Miner>,
+    ShardWorker,
+    Arc<Ops>,
+);
+
 /// Build a worker + miner pair over a fault-hooked store. `pool_threads`
 /// of 0 means the inline miner.
 fn faulty_mining_rig(
     schedule: &Arc<FaultSchedule>,
     retries: u32,
     pool_threads: usize,
-) -> Result<
-    (
-        Arc<BoundedQueue<Accepted>>,
-        Arc<Miner>,
-        ShardWorker,
-        Arc<Ops>,
-    ),
-    String,
-> {
+) -> Result<MiningRig, String> {
     let failing = FailingStore::new(Arc::clone(schedule));
     let mut store = patterndb::PatternStore::in_memory();
     store.set_fault_hook(Some(failing.hook()));

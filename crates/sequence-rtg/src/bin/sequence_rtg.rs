@@ -30,7 +30,7 @@ impl Default for Options {
     fn default() -> Self {
         Options {
             db: None,
-            batch_size: 100_000,
+            batch_size: RtgConfig::default().batch_size,
             save_threshold: 0,
             seminal: false,
             export: None,

@@ -5,10 +5,18 @@ use sequence_core::{AnalyzerOptions, ScannerOptions};
 /// Configuration shared by the library entry points and the CLI.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RtgConfig {
-    /// Records per analysis batch. "Ideally this number represents a good
-    /// balance between having enough data to perform the comparison steps of
-    /// the analysis and preventing a memory overload"; the paper settles on
-    /// 100,000 for production at CC-IN2P3.
+    /// The batch size. "Ideally this number represents a good balance
+    /// between having enough data to perform the comparison steps of the
+    /// analysis and preventing a memory overload"; the paper settles on
+    /// 100,000 for production at CC-IN2P3. Its two users count differently:
+    ///
+    /// * the CLI's [`crate::Pipeline`] cuts a batch once it has *received*
+    ///   this many records, matched or not (default 100 000, this
+    ///   struct's);
+    /// * `seqd`'s shard workers hand a batch to the miner once its
+    ///   *unmatched residue* holds this many records (default 5 000,
+    ///   `SeqdConfig::default()`), as in the Fig. 6 deployment, where only
+    ///   unmatched messages reach the analyser.
     pub batch_size: usize,
     /// Save threshold: patterns matched fewer times than this are pruned as
     /// "useless" (§IV Limitations).

@@ -109,6 +109,12 @@ impl PatternBoard {
         out
     }
 
+    /// Services with a published set, counted under the read lock (no
+    /// copy of their names).
+    pub fn service_count(&self) -> usize {
+        self.services.read().expect("board lock").len()
+    }
+
     /// Total published patterns across services.
     pub fn total_patterns(&self) -> usize {
         self.sum_over_sets(PatternSet::len)
@@ -150,6 +156,7 @@ mod tests {
         let msg = Scanner::new().scan("Accepted password for root");
         assert!(set.match_message(&msg).is_some());
         assert_eq!(board.services(), vec!["sshd".to_string()]);
+        assert_eq!(board.service_count(), 1);
         assert_eq!(board.total_patterns(), 1);
         assert_eq!(board.index_bytes(), set.heap_bytes());
     }

@@ -1,8 +1,8 @@
 //! End-to-end test of the observability plane: a known workload through a
 //! real `seqd` daemon, then every surface the `obs` crate feeds is checked —
 //! `/metrics` (lint-clean histograms that reconcile with the ingest
-//! counters), `/stats` (per-stage and per-service percentiles), and
-//! `/debug/slow` (the bounded slowest-operations ring).
+//! counters), `/stats` (its key set, per-stage and per-service
+//! percentiles), and `/debug/slow` (the bounded slowest-operations ring).
 //!
 //! One test function on purpose: the `obs` registry is process-global, so a
 //! single workload keeps every count assertion exact.
@@ -116,9 +116,27 @@ fn metrics_stats_and_slow_ring_reflect_a_known_workload() {
     // saturating subtraction used to silently swallow).
     assert_eq!(series(&metrics, "seqd_counter_drift_total"), 0);
 
-    // --- /stats: per-stage and per-service percentiles.
+    // --- /stats: the top-level key set equals the checked-in contract
+    // (seqbench parses 14 of these keys), then per-stage and per-service
+    // percentiles.
     let stats = loadgen::control_get(addr, "/stats").expect("/stats");
     let v = jsonlite::parse(&stats).expect("stats json");
+    let golden = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/golden/stats_keys.txt"
+    ))
+    .expect("golden stats keys");
+    let keys: Vec<&str> = v
+        .as_object()
+        .expect("stats object")
+        .keys()
+        .map(String::as_str)
+        .collect();
+    assert_eq!(
+        keys,
+        golden.lines().collect::<Vec<_>>(),
+        "/stats keys diverged from tests/golden/stats_keys.txt"
+    );
     let latency = v.get("latency_ms").expect("latency_ms");
     for stage in ["ingest_line", "queue_wait", "match", "analyze"] {
         let q = latency
