@@ -440,16 +440,18 @@ fi
 
 if stage_begin "old store migrates (fixture store -> every export and snapshot, twice)"; then
 # crates/patterndb/tests/fixtures/store keeps each example as a row of its
-# own; the first open folds them into their pattern's row. The YAML export
-# lists every example, and must be byte for byte what the build before the
-# fold exported from the same files (tests/golden/fixture_store.yaml). The
-# checkpointed snapshot must be byte for byte what the build before packed
-# rows wrote (tests/golden/fixture_store.snapshot.sql): how minisql holds a
-# row in memory does not change one byte on disk. The Grok and syslog-ng
-# exports must be byte for byte what the build before streamed exports
-# wrote (tests/golden/fixture_store.grok, fixture_store.syslog-ng.xml): the
+# own; the first open moves them into the examples log (examples.0.log) and
+# points each pattern's row at its bodies. The YAML export lists every
+# example, and must be byte for byte what the build before the fold
+# exported from the same files (tests/golden/fixture_store.yaml). The
+# checkpointed snapshot must be byte for byte
+# tests/golden/fixture_store.snapshot.sql, recorded once for the row that
+# keeps its examples' location. The Grok and syslog-ng exports must be byte
+# for byte what the build before streamed exports wrote
+# (tests/golden/fixture_store.grok, fixture_store.syslog-ng.xml): the
 # syslog-ng document opens a ruleset per service as the rows go by. The
-# second open must change nothing: same exports, same snapshot.
+# second open must change nothing: same exports, same snapshot, same
+# examples log.
 cp -r crates/patterndb/tests/fixtures/store "${seqd_store}/fixture"
 for open in first second; do
   ./target/release/sequence-rtg --db "${seqd_store}/fixture" --export yaml --quiet \
@@ -457,6 +459,7 @@ for open in first second; do
   diff -u tests/golden/fixture_store.yaml "${seqd_log}.fixture.yaml" \
     || { echo "the ${open} open's export diverged from tests/golden/fixture_store.yaml" >&2; exit 1; }
   cp "${seqd_store}/fixture/snapshot.sql" "${seqd_log}.fixture.${open}"
+  cp "${seqd_store}/fixture/examples.0.log" "${seqd_log}.fixture.${open}.examples"
   cmp tests/golden/fixture_store.snapshot.sql "${seqd_log}.fixture.${open}" \
     || { echo "the ${open} open's snapshot diverged from tests/golden/fixture_store.snapshot.sql" >&2; exit 1; }
   for golden in fixture_store.grok:grok fixture_store.syslog-ng.xml:syslog-ng; do
@@ -468,6 +471,8 @@ for open in first second; do
 done
 cmp "${seqd_log}.fixture.first" "${seqd_log}.fixture.second" \
   || { echo "the second open of the migrated store changed it" >&2; exit 1; }
+cmp "${seqd_log}.fixture.first.examples" "${seqd_log}.fixture.second.examples" \
+  || { echo "the second open of the migrated store changed its examples log" >&2; exit 1; }
 echo "    old store migrates OK"
 stage_end
 fi

@@ -1,6 +1,7 @@
 //! JSON serialisation.
 
 use crate::value::Value;
+use std::fmt::Write as _;
 
 /// Serialise a value to compact JSON.
 pub fn to_string(v: &Value) -> String {
@@ -93,9 +94,9 @@ fn write_number(n: f64, out: &mut String) {
         // JSON has no NaN/Inf; emit null like most tolerant encoders.
         out.push_str("null");
     } else if n.fract() == 0.0 && n.abs() < 9.007_199_254_740_992e15 {
-        out.push_str(&format!("{}", n as i64));
+        let _ = write!(out, "{}", n as i64);
     } else {
-        out.push_str(&format!("{n}"));
+        let _ = write!(out, "{n}");
     }
 }
 

@@ -96,11 +96,21 @@ impl Histogram {
         }
     }
 
+    /// An empty histogram with one stripe, for a series one thread writes:
+    /// nothing contends for its cache lines, and a scrape merges one stripe
+    /// instead of [`STRIPES`]. Other threads may still record into it.
+    pub fn single_writer() -> Histogram {
+        Histogram {
+            stripes: vec![Stripe::new()],
+        }
+    }
+
     /// Record one duration. Lock-free: two relaxed atomic adds on this
     /// thread's stripe.
     #[inline]
     pub fn record_ns(&self, ns: u64) {
-        let s = MY_STRIPE.with(|s| *s);
+        // The stripe count is 1 or `STRIPES`, both powers of two.
+        let s = MY_STRIPE.with(|s| *s) & (self.stripes.len() - 1);
         let stripe = &self.stripes[s];
         stripe.buckets[bucket_index(ns)].fetch_add(1, Ordering::Relaxed);
         stripe.sum_ns.fetch_add(ns, Ordering::Relaxed);
@@ -147,23 +157,29 @@ impl HistSnapshot {
     /// quantile falls in — a conservative estimate whose error is bounded
     /// by the bucket width. Returns `None` for an empty histogram.
     pub fn quantile_ns(&self, q: f64) -> Option<u64> {
-        if self.count == 0 {
-            return None;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (i, b) in self.buckets.iter().enumerate() {
-            seen += b;
-            if seen >= rank {
-                return Some(bucket_upper_ns(i).unwrap_or(1 << (MAX_EXP + 1)));
-            }
-        }
-        None
+        self.quantiles_ns([q])[0]
     }
 
-    /// Shorthand seconds-valued quantile for human-facing stats.
-    pub fn quantile_secs(&self, q: f64) -> Option<f64> {
-        self.quantile_ns(q).map(|ns| ns as f64 / 1e9)
+    /// [`HistSnapshot::quantile_ns`] of each of `qs`, given in ascending
+    /// order, in one walk over the buckets.
+    pub fn quantiles_ns<const N: usize>(&self, qs: [f64; N]) -> [Option<u64>; N] {
+        let mut out = [None; N];
+        if self.count == 0 {
+            return out;
+        }
+        let rank = |q: f64| ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
+        let (mut next, mut seen) = (0, 0u64);
+        for (i, b) in self.buckets.iter().enumerate() {
+            seen += b;
+            while next < N && seen >= rank(qs[next]) {
+                out[next] = Some(bucket_upper_ns(i).unwrap_or(1 << (MAX_EXP + 1)));
+                next += 1;
+            }
+            if next == N {
+                break;
+            }
+        }
+        out
     }
 }
 
@@ -231,6 +247,26 @@ mod tests {
         assert!((1_000..=1_280).contains(&p50), "p50 = {p50}");
         let p99 = snap.quantile_ns(0.99).unwrap();
         assert!((1_000_000..=1_310_720).contains(&p99), "p99 = {p99}");
+        let p90 = snap.quantile_ns(0.90).unwrap();
+        assert_eq!(
+            snap.quantiles_ns([0.50, 0.90, 0.95, 0.99]),
+            [Some(p50), Some(p90), snap.quantile_ns(0.95), Some(p99)]
+        );
+    }
+
+    /// One stripe loses nothing, whichever threads record into it.
+    #[test]
+    fn a_single_writer_histogram_counts_every_thread() {
+        let h = Histogram::single_writer();
+        std::thread::scope(|s| {
+            for t in 0..4u64 {
+                let h = &h;
+                s.spawn(move || (0..1000).for_each(|_| h.record_ns(1_000 * (t + 1))));
+            }
+        });
+        let snap = h.snapshot();
+        assert_eq!(snap.count, 4000);
+        assert_eq!(snap.sum_ns, 1000 * (1_000 + 2_000 + 3_000 + 4_000));
     }
 
     #[test]

@@ -87,7 +87,10 @@ impl Registry {
     }
 
     /// Get or create one series of a labelled histogram family, e.g.
-    /// `seqd_service_match_seconds{service="sshd"}`.
+    /// `seqd_service_match_seconds{service="sshd"}`. A series has one
+    /// stripe ([`Histogram::single_writer`]): a family has a series per
+    /// label value, each written by one thread (seqd's per-service series,
+    /// by the service's shard worker), and a scrape merges every one.
     pub fn family_histogram(
         &self,
         name: &str,
@@ -113,7 +116,7 @@ impl Registry {
         Arc::clone(
             fam.series
                 .entry(value.to_string())
-                .or_insert_with(|| Arc::new(Histogram::new())),
+                .or_insert_with(|| Arc::new(Histogram::single_writer())),
         )
     }
 

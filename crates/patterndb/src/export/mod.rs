@@ -83,25 +83,23 @@ pub struct ExportEntry {
 
 /// Hand each stored pattern that passes `selection` to `f`, parsed, one row
 /// at a time in [`PatternStore::patterns`]' order (by service, then count
-/// descending, then id). Rows that no longer parse are skipped and
-/// returned.
+/// descending, then id), with its examples read from the log only
+/// `with_examples`. Rows that no longer parse are skipped and returned.
 pub fn each_selected(
     store: &mut PatternStore,
     selection: ExportSelection,
+    with_examples: bool,
     mut f: impl FnMut(ExportEntry),
 ) -> Result<Vec<StoreError>, StoreError> {
     let mut skipped = Vec::new();
-    store.each_pattern(None, |stored| {
-        if stored.count < selection.min_count
+    let keep = |stored: &StoredPattern| {
+        !(stored.count < selection.min_count
             || stored.complexity > selection.max_complexity
-            || (selection.promoted_only && !stored.promoted)
-        {
-            return;
-        }
-        match stored.pattern() {
-            Ok(pattern) => f(ExportEntry { stored, pattern }),
-            Err(e) => skipped.push(e),
-        }
+            || (selection.promoted_only && !stored.promoted))
+    };
+    store.each_row(None, keep, with_examples, |stored| match stored.pattern() {
+        Ok(pattern) => f(ExportEntry { stored, pattern }),
+        Err(e) => skipped.push(e),
     })?;
     Ok(skipped)
 }
@@ -117,7 +115,9 @@ pub fn export_patterns(
 ) -> Result<Vec<StoreError>, StoreError> {
     let mut doc = ExportWriter::new(format, out)?;
     let mut written = Ok(());
-    let skipped = each_selected(store, selection, |e| {
+    // A Grok filter prints no examples.
+    let with_examples = format != ExportFormat::Grok;
+    let skipped = each_selected(store, selection, with_examples, |e| {
         if written.is_ok() {
             written = doc.entry(&e);
         }
@@ -227,7 +227,7 @@ mod tests {
 
     fn select(store: &mut PatternStore, selection: ExportSelection) -> (Vec<ExportEntry>, usize) {
         let mut entries = Vec::new();
-        let skipped = each_selected(store, selection, |e| entries.push(e)).unwrap();
+        let skipped = each_selected(store, selection, true, |e| entries.push(e)).unwrap();
         (entries, skipped.len())
     }
 

@@ -9,6 +9,8 @@
 //!   one-to-many with their services, with up to three unique examples each
 //!   and per-pattern statistics: match count, last-matched date, and a
 //!   complexity score.
+//! * [`examples_log`] — the append-only file beside the database that holds
+//!   the examples; a row keeps only where its own are.
 //! * [`sha1`] — reproducible pattern ids: `SHA1(pattern ‖ service)`.
 //! * [`export`] — `ExportPatterns` to syslog-ng patterndb XML (Fig. 3), YAML,
 //!   and Logstash Grok (Fig. 4), streamed to a writer one row at a time.
@@ -35,6 +37,7 @@
 
 #![warn(missing_docs)]
 
+pub mod examples_log;
 pub mod export;
 pub mod review;
 pub mod sha1;

@@ -9,11 +9,13 @@
 //! pattern has been matched since first discovered (count), how recently it
 //! was last matched (last matched date) and a calculated complexity score."
 
+use crate::examples_log::ExamplesLog;
 use crate::sha1::pattern_id;
 use minisql::{Database, SqlValue};
 use sequence_core::analyzer::DiscoveredPattern;
 use sequence_core::{Pattern, PatternSet};
 use std::collections::HashMap;
+use std::io;
 use std::path::Path;
 
 /// Errors from the pattern store.
@@ -34,6 +36,9 @@ pub enum StoreError {
     Injected(&'static str),
     /// Writing an export failed.
     Io(std::io::Error),
+    /// Reading or writing the examples log failed, or it is shorter than
+    /// its rows say (see [`crate::examples_log`]).
+    Examples(std::io::Error),
 }
 
 impl std::fmt::Display for StoreError {
@@ -45,6 +50,7 @@ impl std::fmt::Display for StoreError {
             }
             StoreError::Injected(op) => write!(f, "injected fault in store operation {op}"),
             StoreError::Io(e) => write!(f, "writing the export failed: {e}"),
+            StoreError::Examples(e) => write!(f, "pattern store examples log: {e}"),
         }
     }
 }
@@ -101,26 +107,31 @@ impl StoredPattern {
 /// path; returning `true` injects [`StoreError::Injected`].
 pub type FaultHook = std::sync::Arc<dyn Fn(&str) -> bool + Send + Sync>;
 
-/// The store: a thin typed layer over the [`minisql`] database.
+/// The store: a thin typed layer over the [`minisql`] database, plus the
+/// [`crate::examples_log`] that holds every pattern's example bodies.
 pub struct PatternStore {
     db: Database,
+    examples: ExamplesLog,
     fault_hook: Option<FaultHook>,
-    /// Set by [`PatternStore::begin`]; its elapsed time is recorded into the
-    /// `patterndb_txn_seconds` histogram at commit (cleared on rollback).
-    txn_started: Option<std::time::Instant>,
+    /// Set by [`PatternStore::begin`]: when it began, recorded into the
+    /// `patterndb_txn_seconds` histogram at commit, and the examples log's
+    /// length then, what a rollback cuts it back to.
+    txn: Option<(std::time::Instant, u64)>,
 }
 
 impl std::fmt::Debug for PatternStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PatternStore")
             .field("db", &self.db)
+            .field("examples", &self.examples)
             .field("fault_hook", &self.fault_hook.as_ref().map(|_| "…"))
             .finish()
     }
 }
 
-/// One row per pattern. `examples` holds its up to three example bodies in
-/// one cell (see [`encode_examples`]).
+/// One row per pattern. Its up to three example bodies are
+/// `examples_len` bytes of the examples log at offset `examples_at`, in
+/// [`encode_examples`]' form; a pattern without examples has length 0.
 const SCHEMA: &str = "CREATE TABLE IF NOT EXISTS patterns (
     id TEXT PRIMARY KEY,
     service TEXT NOT NULL,
@@ -130,12 +141,16 @@ const SCHEMA: &str = "CREATE TABLE IF NOT EXISTS patterns (
     last_matched INTEGER DEFAULT 0,
     complexity REAL DEFAULT 0.0,
     promoted INTEGER DEFAULT 0,
-    examples TEXT DEFAULT ''
+    examples_at INTEGER DEFAULT 0,
+    examples_len INTEGER DEFAULT 0
 )";
 
-/// The `examples` cell: each body in order, prefixed by its byte length
-/// (`<len>:<body>…`), so a body may hold any character, `:` and newlines
-/// included.
+/// One row: the generation of the examples log the rows point into.
+const LOG_SCHEMA: &str = "CREATE TABLE IF NOT EXISTS examples_log (generation INTEGER NOT NULL)";
+
+/// A pattern's examples as stored: each body in order, prefixed by its byte
+/// length (`<len>:<body>…`), so a body may hold any character, `:` and
+/// newlines included.
 fn encode_examples<S: AsRef<str>>(bodies: &[S]) -> String {
     let mut cell = String::new();
     for body in bodies {
@@ -147,7 +162,7 @@ fn encode_examples<S: AsRef<str>>(bodies: &[S]) -> String {
     cell
 }
 
-/// The bodies of an `examples` cell, in order.
+/// The bodies of an [`encode_examples`] string, in order.
 fn decode_examples(mut cell: &str) -> Vec<String> {
     let mut bodies = Vec::new();
     while let Some((len, rest)) = cell.split_once(':') {
@@ -160,32 +175,58 @@ fn decode_examples(mut cell: &str) -> Vec<String> {
     bodies
 }
 
-/// Stores written before examples became a cell of their pattern's row
-/// kept each example as a row of an `examples (pattern_id, seq, body)`
-/// table. A store whose `patterns` lacks the cell gets it in one
-/// transaction with [`fold_example_rows`]; a store that has it is left
-/// untouched.
-fn migrate(db: &mut Database) -> Result<(), minisql::Error> {
-    match db.query("SELECT examples FROM patterns WHERE id = ''") {
-        Err(minisql::Error::NoSuchColumn(_)) => {}
-        other => return other.map(drop),
-    }
-    db.execute("BEGIN")?;
-    match fold_example_rows(db) {
-        Ok(()) => db.execute("COMMIT").map(drop),
-        Err(e) => {
-            db.execute("ROLLBACK")?;
-            Err(e)
-        }
+/// An offset or length cell; what no write of this store produces reads 0.
+fn offset(v: &SqlValue) -> u64 {
+    v.as_integer()
+        .and_then(|v| u64::try_from(v).ok())
+        .unwrap_or(0)
+}
+
+/// Take a text cell out of a row buffer.
+fn take_text(v: &mut SqlValue) -> String {
+    match std::mem::replace(v, SqlValue::Null) {
+        SqlValue::Text(s) => s,
+        _ => String::new(),
     }
 }
 
-/// Add the cell, fold each pattern's example rows into it in `seq` order,
-/// and delete the rows. The `examples` table itself stays, empty.
-fn fold_example_rows(db: &mut Database) -> Result<(), minisql::Error> {
-    db.execute("ALTER TABLE patterns ADD COLUMN examples TEXT DEFAULT ''")?;
+/// Where the examples log must end: the last byte a committed row points
+/// at. A store written before the log (no `examples_at` column) points at
+/// none.
+fn referenced_end(db: &Database) -> Result<u64, minisql::Error> {
+    let mut end = 0u64;
+    let read = db.query_each("SELECT examples_at, examples_len FROM patterns", &[], |r| {
+        end = end.max(offset(&r[0]).saturating_add(offset(&r[1])))
+    });
+    match read {
+        Err(minisql::Error::NoSuchColumn(_)) => Ok(0),
+        read => read.map(|()| end),
+    }
+}
+
+/// Examples that older layouts keep in the database, by pattern id: the
+/// non-empty cells of a `patterns.examples` column (the layout before the
+/// log), then the rows of an `examples (pattern_id, seq, body)` table (the
+/// layout before the cell), grouped in `seq` order. Also returns whether
+/// the `examples` column exists.
+fn examples_in_db(db: &mut Database) -> Result<(Vec<(SqlValue, String)>, bool), minisql::Error> {
+    let mut found = Vec::new();
+    let cells = db.query_each(
+        "SELECT id, examples FROM patterns WHERE examples != ''",
+        &[],
+        |r| {
+            found.push((
+                std::mem::replace(&mut r[0], SqlValue::Null),
+                take_text(&mut r[1]),
+            ))
+        },
+    );
+    let has_cell = match cells {
+        Err(minisql::Error::NoSuchColumn(_)) => false,
+        cells => cells.map(|()| true)?,
+    };
     let rows = match db.query("SELECT pattern_id, body FROM examples ORDER BY pattern_id, seq") {
-        Err(minisql::Error::NoSuchTable(_)) => return Ok(()),
+        Err(minisql::Error::NoSuchTable(_)) => Vec::new(),
         rows => rows?,
     };
     for group in rows.chunk_by(|a, b| a[0] == b[0]) {
@@ -193,46 +234,137 @@ fn fold_example_rows(db: &mut Database) -> Result<(), minisql::Error> {
             .iter()
             .map(|r| r[1].as_text().unwrap_or_default())
             .collect();
-        db.execute_with(
-            "UPDATE patterns SET examples = ? WHERE id = ?",
-            &[encode_examples(&bodies).into(), group[0][0].clone()],
-        )?;
+        found.push((group[0][0].clone(), encode_examples(&bodies)));
     }
-    db.execute("DELETE FROM examples").map(drop)
+    Ok((found, has_cell))
 }
 
 impl PatternStore {
-    /// A volatile in-memory store.
+    /// A volatile in-memory store; its examples log is a buffer.
     pub fn in_memory() -> PatternStore {
-        let mut db = Database::in_memory();
-        db.execute(SCHEMA).expect("schema DDL is valid");
-        PatternStore {
-            db,
-            fault_hook: None,
-            txn_started: None,
-        }
+        PatternStore::with_log(Database::in_memory(), |_| Ok(ExamplesLog::memory()))
+            .expect("a fresh in-memory store opens")
     }
 
-    /// Open (or create) a persistent store rooted at the directory `path`.
-    /// A store written before examples became one cell is migrated once,
-    /// here (see [`migrate`]).
+    /// Open (or create) a persistent store rooted at the directory `path`:
+    /// minisql's `snapshot.sql` and `wal.sql`, and the examples log. Bytes
+    /// of the log no committed row points at (a crash between the log's
+    /// sync and the WAL's `COMMIT`) are cut. A store that keeps its
+    /// examples in the database, as earlier builds wrote it, moves them into
+    /// the log once, here (see [`PatternStore::migrate`]).
     pub fn open(path: impl AsRef<Path>) -> Result<PatternStore, StoreError> {
-        let mut db = Database::open(path)?;
-        db.execute(SCHEMA)?;
-        migrate(&mut db)?;
-        Ok(PatternStore {
-            db,
-            fault_hook: None,
-            txn_started: None,
+        let dir = path.as_ref();
+        PatternStore::with_log(Database::open(dir)?, |generation| {
+            ExamplesLog::open(dir, generation)
         })
     }
 
+    /// The store over `db`, with the examples log `open_log` opens for the
+    /// generation the database names.
+    fn with_log(
+        mut db: Database,
+        open_log: impl FnOnce(i64) -> io::Result<ExamplesLog>,
+    ) -> Result<PatternStore, StoreError> {
+        db.execute(SCHEMA)?;
+        db.execute(LOG_SCHEMA)?;
+        let generation = match db.query("SELECT generation FROM examples_log")?.first() {
+            Some(row) => row[0].as_integer().unwrap_or(0),
+            None => {
+                db.execute("INSERT INTO examples_log VALUES (0)")?;
+                0
+            }
+        };
+        let mut examples = open_log(generation).map_err(StoreError::Examples)?;
+        let end = referenced_end(&db)?;
+        if examples.len() > end {
+            examples.cut(end).map_err(StoreError::Examples)?;
+        } else if examples.len() < end {
+            return Err(StoreError::Examples(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                format!(
+                    "the log holds {} bytes but its rows point up to byte {end}",
+                    examples.len()
+                ),
+            )));
+        }
+        let mut store = PatternStore {
+            db,
+            examples,
+            fault_hook: None,
+            txn: None,
+        };
+        store.migrate()?;
+        Ok(store)
+    }
+
+    /// Move examples kept in the database into the log, in one transaction:
+    /// add the location columns if they are missing, append each pattern's
+    /// bodies, point its row at them and empty its `examples` cell, and
+    /// delete the rows of an `examples` table. Bodies of no stored pattern
+    /// are dropped. A store with nothing left in the database is untouched.
+    fn migrate(&mut self) -> Result<(), StoreError> {
+        let located = match self
+            .db
+            .query("SELECT examples_at FROM patterns WHERE id = ''")
+        {
+            Err(minisql::Error::NoSuchColumn(_)) => false,
+            other => other.map(|_| true)?,
+        };
+        let (found, has_cell) = examples_in_db(&mut self.db)?;
+        if located && found.is_empty() {
+            return Ok(());
+        }
+        self.begin()?;
+        match self.move_into_log(located, found, has_cell) {
+            Ok(()) => self.commit(),
+            Err(e) => {
+                self.rollback()?;
+                Err(e)
+            }
+        }
+    }
+
+    fn move_into_log(
+        &mut self,
+        located: bool,
+        found: Vec<(SqlValue, String)>,
+        has_cell: bool,
+    ) -> Result<(), StoreError> {
+        if !located {
+            self.db
+                .execute("ALTER TABLE patterns ADD COLUMN examples_at INTEGER DEFAULT 0")?;
+            self.db
+                .execute("ALTER TABLE patterns ADD COLUMN examples_len INTEGER DEFAULT 0")?;
+        }
+        let update = match has_cell {
+            true => {
+                "UPDATE patterns SET examples_at = ?, examples_len = ?, examples = '' WHERE id = ?"
+            }
+            false => "UPDATE patterns SET examples_at = ?, examples_len = ? WHERE id = ?",
+        };
+        for (id, cell) in found {
+            let at = self.append_examples(&cell)?;
+            let params = [(at as i64).into(), (cell.len() as i64).into(), id];
+            if self.db.execute_with(update, &params)?.affected() == 0 {
+                self.examples.cut(at).map_err(StoreError::Examples)?;
+            }
+        }
+        match self.db.execute("DELETE FROM examples") {
+            Err(minisql::Error::NoSuchTable(_)) => Ok(()),
+            deleted => deleted.map(drop).map_err(StoreError::Db),
+        }
+    }
+
     /// Install (or clear) a fault-injection hook for tests. The hook runs
-    /// before each write-path operation with its name (`"begin"`,
-    /// `"commit"`, `"upsert"`, `"record_matches"`, `"checkpoint"`);
-    /// returning `true` makes that call fail with [`StoreError::Injected`]
-    /// instead of touching the database. Read paths are never hooked, so an
-    /// injected store stays inspectable.
+    /// before each write-path operation with its name — `"begin"`,
+    /// `"upsert"`, `"examples_append"` (a new pattern's bodies are about to
+    /// be appended to the log), `"examples_sync"` (appended bodies are about
+    /// to be synced: at commit, or at once outside a transaction),
+    /// `"commit"` (the log is synced and the WAL's `COMMIT` is next),
+    /// `"record_matches"`, `"checkpoint"`; returning `true` makes that call
+    /// fail with [`StoreError::Injected`] instead of going on, and a failed
+    /// commit rolls back. Read paths are never hooked, so an injected store
+    /// stays inspectable.
     pub fn set_fault_hook(&mut self, hook: Option<FaultHook>) {
         self.fault_hook = hook;
     }
@@ -243,12 +375,84 @@ impl PatternStore {
     }
 
     /// Checkpoint the underlying database (compact snapshot + truncate WAL).
+    /// When the bodies of deleted patterns outnumber the live ones, the
+    /// examples log is first rewritten into its next generation (see
+    /// [`crate::examples_log`]).
     pub fn checkpoint(&mut self) -> Result<(), StoreError> {
         if self.fault_fires("checkpoint") {
             return Err(StoreError::Injected("checkpoint"));
         }
         let _span = obs::span!("patterndb.checkpoint");
+        let live = self.db.query("SELECT SUM(examples_len) FROM patterns")?[0][0]
+            .as_integer()
+            .unwrap_or(0) as u64;
+        if self.examples.len().saturating_sub(live) > live {
+            self.rewrite_examples()?;
+        }
         self.db.checkpoint()?;
+        Ok(())
+    }
+
+    /// Copy every live body into the log's next generation, then, in one
+    /// transaction, point each row at its copy and name the new generation;
+    /// the old file goes once that commits.
+    fn rewrite_examples(&mut self) -> Result<(), StoreError> {
+        let mut spans = Vec::new();
+        self.db.query_each(
+            "SELECT id, examples_at, examples_len FROM patterns WHERE examples_len > 0",
+            &[],
+            |r| {
+                spans.push((
+                    std::mem::replace(&mut r[0], SqlValue::Null),
+                    offset(&r[1]),
+                    offset(&r[2]),
+                ))
+            },
+        )?;
+        let mut next = self
+            .examples
+            .next_generation()
+            .map_err(StoreError::Examples)?;
+        self.begin()?;
+        let moved = self.point_at(&mut next, spans).and_then(|()| self.commit());
+        match moved {
+            Ok(()) => {
+                let old = std::mem::replace(&mut self.examples, next);
+                // A file left behind is removed by the next open.
+                let _ = old.remove();
+                Ok(())
+            }
+            Err(e) => {
+                if self.db.in_transaction() {
+                    self.rollback()?;
+                }
+                let _ = next.remove();
+                Err(e)
+            }
+        }
+    }
+
+    /// Inside [`PatternStore::rewrite_examples`]' transaction: copy each
+    /// span into `next`, sync it, and point the rows and the generation at
+    /// it.
+    fn point_at(
+        &mut self,
+        next: &mut ExamplesLog,
+        spans: Vec<(SqlValue, u64, u64)>,
+    ) -> Result<(), StoreError> {
+        for (id, at, len) in spans {
+            let bytes = self.examples.read(at, len).map_err(StoreError::Examples)?;
+            let moved = next.append(&bytes).map_err(StoreError::Examples)?;
+            self.db.execute_with(
+                "UPDATE patterns SET examples_at = ? WHERE id = ?",
+                &[(moved as i64).into(), id],
+            )?;
+        }
+        next.sync().map_err(StoreError::Examples)?;
+        self.db.execute_with(
+            "UPDATE examples_log SET generation = ?",
+            &[next.generation().into()],
+        )?;
         Ok(())
     }
 
@@ -259,22 +463,23 @@ impl PatternStore {
             return Err(StoreError::Injected("begin"));
         }
         self.db.execute("BEGIN")?;
-        self.txn_started = Some(std::time::Instant::now());
+        self.txn = Some((std::time::Instant::now(), self.examples.len()));
         Ok(())
     }
 
-    /// Commit the open batch transaction. On failure the transaction is
-    /// torn down (rolled back), so the store stays usable for a retry.
+    /// Commit the open batch transaction: sync the bodies it appended to the
+    /// examples log, then `COMMIT` to the WAL. On failure the transaction is
+    /// torn down (rolled back, the log cut back), so the store stays usable
+    /// for a retry.
     pub fn commit(&mut self) -> Result<(), StoreError> {
-        if self.fault_fires("commit") {
-            self.txn_started = None;
+        if let Err(e) = self.sync_and_commit() {
             if self.db.in_transaction() {
                 let _ = self.db.execute("ROLLBACK");
             }
-            return Err(StoreError::Injected("commit"));
+            self.cut_examples_back()?;
+            return Err(e);
         }
-        self.db.execute("COMMIT")?;
-        if let Some(started) = self.txn_started.take() {
+        if let Some((started, _)) = self.txn.take() {
             obs::histogram!(
                 "patterndb_txn_seconds",
                 "Pattern store transaction time, begin to commit"
@@ -284,18 +489,67 @@ impl PatternStore {
         Ok(())
     }
 
+    fn sync_and_commit(&mut self) -> Result<(), StoreError> {
+        if self.txn.is_some_and(|(_, len)| self.examples.len() > len) {
+            self.sync_examples()?;
+        }
+        if self.fault_fires("commit") {
+            return Err(StoreError::Injected("commit"));
+        }
+        self.db.execute("COMMIT")?;
+        Ok(())
+    }
+
     /// Abandon the open batch transaction.
     pub fn rollback(&mut self) -> Result<(), StoreError> {
-        self.txn_started = None;
         self.db.execute("ROLLBACK")?;
-        Ok(())
+        self.cut_examples_back()
+    }
+
+    /// Close the transaction on the store's side: cut the examples log back
+    /// to its length at `BEGIN`.
+    fn cut_examples_back(&mut self) -> Result<(), StoreError> {
+        match self.txn.take() {
+            Some((_, len)) if len < self.examples.len() => {
+                self.examples.cut(len).map_err(StoreError::Examples)
+            }
+            _ => Ok(()),
+        }
+    }
+
+    /// Append a new pattern's encoded bodies to the examples log and return
+    /// their offset. Outside a transaction they are synced at once, before
+    /// the row that points at them is written.
+    fn append_examples(&mut self, cell: &str) -> Result<u64, StoreError> {
+        if self.fault_fires("examples_append") {
+            return Err(StoreError::Injected("examples_append"));
+        }
+        let at = self
+            .examples
+            .append(cell.as_bytes())
+            .map_err(StoreError::Examples)?;
+        if !self.db.in_transaction() {
+            if let Err(e) = self.sync_examples() {
+                self.examples.cut(at).map_err(StoreError::Examples)?;
+                return Err(e);
+            }
+        }
+        Ok(at)
+    }
+
+    fn sync_examples(&mut self) -> Result<(), StoreError> {
+        if self.fault_fires("examples_sync") {
+            return Err(StoreError::Injected("examples_sync"));
+        }
+        self.examples.sync().map_err(StoreError::Examples)
     }
 
     /// Record a pattern discovered by an analysis run. Returns the pattern's
     /// reproducible id and whether a new row was created. If the pattern is
     /// already known for this service only its statistics are updated (the
     /// first discovery already stored up to three unique examples);
-    /// otherwise a new row plus its examples are inserted.
+    /// otherwise its examples are appended to the log and a new row points
+    /// at them.
     pub fn upsert_discovered(
         &mut self,
         service: &str,
@@ -312,10 +566,14 @@ impl PatternStore {
             &[id.as_str().into()],
         )?;
         if existing.is_empty() {
-            let examples = &discovered.examples[..discovered.examples.len().min(3)];
-            self.db.execute_with(
-                "INSERT INTO patterns (id, service, pattern, cnt, first_seen, last_matched, complexity, examples)
-                 VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
+            let cell = encode_examples(&discovered.examples[..discovered.examples.len().min(3)]);
+            let at = match cell.is_empty() {
+                true => 0,
+                false => self.append_examples(&cell)?,
+            };
+            let inserted = self.db.execute_with(
+                "INSERT INTO patterns (id, service, pattern, cnt, first_seen, last_matched, complexity, examples_at, examples_len)
+                 VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
                 &[
                     id.as_str().into(),
                     service.into(),
@@ -324,9 +582,16 @@ impl PatternStore {
                     (now as i64).into(),
                     (now as i64).into(),
                     discovered.pattern.complexity_score().into(),
-                    encode_examples(examples).into(),
+                    (at as i64).into(),
+                    (cell.len() as i64).into(),
                 ],
-            )?;
+            );
+            if let Err(e) = inserted {
+                if !cell.is_empty() {
+                    self.examples.cut(at).map_err(StoreError::Examples)?;
+                }
+                return Err(e.into());
+            }
             Ok((id, true))
         } else {
             self.db.execute_with(
@@ -385,45 +650,76 @@ impl PatternStore {
     }
 
     /// Hand each stored pattern to `f` in [`PatternStore::patterns`]' order,
-    /// one row at a time: a reader that keeps nothing, like an export, never
-    /// holds the store a second time.
+    /// one row at a time, its examples read from the log as it goes: a
+    /// reader that keeps nothing, like an export, never holds the store a
+    /// second time.
     pub fn each_pattern(
         &mut self,
         service: Option<&str>,
+        f: impl FnMut(StoredPattern),
+    ) -> Result<(), StoreError> {
+        self.each_row(service, |_| true, true, f)
+    }
+
+    /// [`PatternStore::each_pattern`] over the rows `keep` admits, reading
+    /// their examples from the log only `with_examples`.
+    pub(crate) fn each_row(
+        &mut self,
+        service: Option<&str>,
+        keep: impl Fn(&StoredPattern) -> bool,
+        with_examples: bool,
         mut f: impl FnMut(StoredPattern),
     ) -> Result<(), StoreError> {
-        let text = |v: &mut SqlValue| match std::mem::replace(v, SqlValue::Null) {
-            SqlValue::Text(s) => s,
-            _ => String::new(),
-        };
+        let log = &self.examples;
+        let mut failed = None;
         let row = |r: &mut [SqlValue]| {
-            f(StoredPattern {
-                id: text(&mut r[0]),
-                service: text(&mut r[1]),
-                pattern_text: text(&mut r[2]),
+            if failed.is_some() {
+                return;
+            }
+            let mut p = StoredPattern {
+                id: take_text(&mut r[0]),
+                service: take_text(&mut r[1]),
+                pattern_text: take_text(&mut r[2]),
                 count: r[3].as_integer().unwrap_or(0) as u64,
                 first_seen: r[4].as_integer().unwrap_or(0) as u64,
                 last_matched: r[5].as_integer().unwrap_or(0) as u64,
                 complexity: r[6].as_real().unwrap_or(0.0),
                 promoted: r[7].as_integer().unwrap_or(0) != 0,
-                examples: decode_examples(r[8].as_text().unwrap_or_default()),
-            })
+                examples: Vec::new(),
+            };
+            if !keep(&p) {
+                return;
+            }
+            let len = offset(&r[9]);
+            if with_examples && len > 0 {
+                let cell = log.read(offset(&r[8]), len).and_then(|bytes| {
+                    String::from_utf8(bytes)
+                        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+                });
+                match cell {
+                    Ok(cell) => p.examples = decode_examples(&cell),
+                    Err(e) => {
+                        failed = Some(StoreError::Examples(e));
+                        return;
+                    }
+                }
+            }
+            f(p)
         };
+        const COLUMNS: &str = "SELECT id, service, pattern, cnt, first_seen, last_matched, complexity, promoted, examples_at, examples_len FROM patterns";
         match service {
             Some(s) => self.db.query_each(
-                "SELECT id, service, pattern, cnt, first_seen, last_matched, complexity, promoted, examples
-                 FROM patterns WHERE service = ? ORDER BY cnt DESC, id",
+                &format!("{COLUMNS} WHERE service = ? ORDER BY cnt DESC, id"),
                 &[s.into()],
                 row,
             )?,
             None => self.db.query_each(
-                "SELECT id, service, pattern, cnt, first_seen, last_matched, complexity, promoted, examples
-                 FROM patterns ORDER BY service, cnt DESC, id",
+                &format!("{COLUMNS} ORDER BY service, cnt DESC, id"),
                 &[],
                 row,
             )?,
         }
-        Ok(())
+        failed.map_or(Ok(()), Err)
     }
 
     /// Parse each stored pattern and hand it to `f` as `(service, id,
@@ -477,7 +773,8 @@ impl PatternStore {
     }
 
     /// Discard a pattern outright (the losing side of a multi-match
-    /// conflict, or an administrator rejection), examples and all.
+    /// conflict, or an administrator rejection), examples and all: its
+    /// bodies stay in the log, orphaned, until a checkpoint rewrites it.
     pub fn discard(&mut self, id: &str) -> Result<(), StoreError> {
         self.db
             .execute_with("DELETE FROM patterns WHERE id = ?", &[id.into()])?;
@@ -487,6 +784,8 @@ impl PatternStore {
     /// Delete patterns whose match count is below the save threshold. "Any
     /// pattern whose count of matches is less than the threshold is
     /// considered useless and thus not saved." Returns how many were removed.
+    /// Their bodies stay in the log, orphaned, as with
+    /// [`PatternStore::discard`].
     pub fn prune_below_threshold(&mut self, threshold: u64) -> Result<usize, StoreError> {
         let n = self
             .db
@@ -719,10 +1018,16 @@ mod tests {
         assert_eq!(encode_examples(&["", "a:b", "é"]), "0:3:a:b2:é");
     }
 
+    /// What a reopened store holds: its database and every pattern with
+    /// its examples.
+    fn contents(store: &mut PatternStore) -> (String, Vec<StoredPattern>) {
+        (store.db().dump(), store.patterns(None).unwrap())
+    }
+
     /// An old store keeps each example as a row of its own: opening it
-    /// folds them into the cell once, and a second open changes nothing.
+    /// moves them into the log once, and a second open changes nothing.
     #[test]
-    fn open_folds_example_rows_into_the_cell_once() {
+    fn open_moves_example_rows_into_the_log_once() {
         let dir = std::env::temp_dir().join(format!("patterndb-fold-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         {
@@ -758,9 +1063,64 @@ mod tests {
         );
         let rows = store.db().query("SELECT COUNT(*) FROM examples").unwrap();
         assert_eq!(rows[0][0], SqlValue::Integer(0));
-        let migrated = store.db().dump();
+        let log = std::fs::read(dir.join("examples.0.log")).unwrap();
+        assert_eq!(log, b"5:two 114:two 2: it's\nso", "the orphan is not kept");
+        let migrated = contents(&mut store);
         drop(store);
-        assert_eq!(PatternStore::open(&dir).unwrap().db().dump(), migrated);
+        assert_eq!(contents(&mut PatternStore::open(&dir).unwrap()), migrated);
+        assert_eq!(std::fs::read(dir.join("examples.0.log")).unwrap(), log);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A store that keeps each pattern's examples in an `examples` cell of
+    /// its row moves them into the log on its first open, in one
+    /// transaction, and empties the cells.
+    #[test]
+    fn open_moves_example_cells_into_the_log_once() {
+        let dir = std::env::temp_dir().join(format!("patterndb-cells-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cell = encode_examples(&["panic: a\n at 1", "panic: b"]);
+        {
+            let mut db = Database::open(&dir).unwrap();
+            db.execute("CREATE TABLE patterns (id TEXT PRIMARY KEY, service TEXT NOT NULL, pattern TEXT NOT NULL, cnt INTEGER DEFAULT 0, first_seen INTEGER DEFAULT 0, last_matched INTEGER DEFAULT 0, complexity REAL DEFAULT 0.0, promoted INTEGER DEFAULT 0, examples TEXT DEFAULT '')").unwrap();
+            db.execute(
+                "INSERT INTO patterns (id, service, pattern, cnt) VALUES ('a', 'svc', 'quiet', 4)",
+            )
+            .unwrap();
+            db.execute_with(
+                "INSERT INTO patterns (id, service, pattern, cnt, examples) VALUES ('p', 'app', 'panic: %string%', 2, ?)",
+                &[cell.as_str().into()],
+            )
+            .unwrap();
+            db.checkpoint().unwrap();
+        }
+        let mut store = PatternStore::open(&dir).unwrap();
+        let p = &store.patterns(Some("app")).unwrap()[0];
+        assert_eq!(p.examples, ["panic: a\n at 1", "panic: b"]);
+        assert_eq!(
+            store.patterns(Some("svc")).unwrap()[0].examples,
+            Vec::<String>::new()
+        );
+        let cells = store
+            .db()
+            .query("SELECT COUNT(*) FROM patterns WHERE examples != ''")
+            .unwrap();
+        assert_eq!(cells[0][0], SqlValue::Integer(0));
+        assert_eq!(
+            std::fs::read(dir.join("examples.0.log")).unwrap(),
+            cell.as_bytes()
+        );
+        // New patterns land after the moved bodies, and every one survives
+        // a checkpoint and two more opens.
+        store
+            .upsert_discovered("sshd", &sshd_patterns()[0], 7)
+            .unwrap();
+        store.checkpoint().unwrap();
+        let migrated = contents(&mut store);
+        drop(store);
+        for _ in 0..2 {
+            assert_eq!(contents(&mut PatternStore::open(&dir).unwrap()), migrated);
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

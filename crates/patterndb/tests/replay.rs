@@ -1,10 +1,10 @@
 //! The SQL the store writes is the SQL its database replays. Every write
 //! path runs on an on-disk store, which is then reopened twice — once
 //! replaying `wal.sql`, once from the `snapshot.sql` of a checkpoint — and
-//! must come back exactly as it was closed. A store directory written by an
-//! earlier build still opens.
+//! must come back exactly as it was closed, examples included. A store
+//! directory written by an earlier build still opens.
 
-use patterndb::PatternStore;
+use patterndb::{PatternStore, StoredPattern};
 use sequence_core::analyzer::DiscoveredPattern;
 use sequence_core::{Analyzer, Scanner};
 use std::fs;
@@ -22,8 +22,13 @@ fn tmpdir(tag: &str) -> PathBuf {
     dir
 }
 
-fn reopened_dump(dir: &Path) -> String {
-    PatternStore::open(dir).unwrap().db().dump()
+/// The database and every pattern with its examples.
+fn contents(store: &mut PatternStore) -> (String, Vec<StoredPattern>) {
+    (store.db().dump(), store.patterns(None).unwrap())
+}
+
+fn reopened(dir: &Path) -> (String, Vec<StoredPattern>) {
+    contents(&mut PatternStore::open(dir).unwrap())
 }
 
 #[test]
@@ -65,25 +70,26 @@ fn every_write_path_survives_wal_replay_and_checkpoint() {
 
         assert_eq!(store.prune_below_threshold(3).unwrap(), 1);
         assert_eq!(store.pattern_count().unwrap(), 2);
-        store.db().dump()
+        contents(&mut store)
     };
+    assert!(closed.1.iter().all(|p| !p.examples.is_empty()));
     assert!(
         !dir.join("snapshot.sql").exists(),
         "nothing checkpointed yet"
     );
-    assert_eq!(reopened_dump(&dir), closed, "replayed from wal.sql");
+    assert_eq!(reopened(&dir), closed, "replayed from wal.sql");
 
     PatternStore::open(&dir).unwrap().checkpoint().unwrap();
     assert_eq!(fs::metadata(dir.join("wal.sql")).unwrap().len(), 0);
-    assert_eq!(reopened_dump(&dir), closed, "loaded from snapshot.sql");
+    assert_eq!(reopened(&dir), closed, "loaded from snapshot.sql");
     fs::remove_dir_all(&dir).unwrap();
 }
 
 /// `tests/fixtures/store` was written by the engine at commit 7208539, whose
 /// SQL subset was wider: a checkpointed `snapshot.sql`, then a `wal.sql`
 /// holding two transaction groups and two plain frames. It keeps each
-/// example as a row of an `examples` table, which the first open folds into
-/// the pattern rows; the second open finds nothing left to do.
+/// example as a row of an `examples` table, which the first open moves into
+/// the examples log; the second open finds nothing left to do.
 #[test]
 fn a_store_written_by_an_earlier_build_still_opens() {
     let dir = tmpdir("fixture");
@@ -122,12 +128,10 @@ fn a_store_written_by_an_earlier_build_still_opens() {
     let line = Scanner::new().scan("Accepted password for eve from 203.0.113.9 port 4022 ssh2");
     assert!(sets["sshd"].match_message(&line).is_some());
 
-    let migrated = store.db().dump();
+    let migrated = contents(&mut store);
+    let log = fs::read(dir.join("examples.0.log")).unwrap();
     drop(store);
-    assert_eq!(
-        reopened_dump(&dir),
-        migrated,
-        "the second open migrates nothing"
-    );
+    assert_eq!(reopened(&dir), migrated, "the second open migrates nothing");
+    assert_eq!(fs::read(dir.join("examples.0.log")).unwrap(), log);
     fs::remove_dir_all(&dir).unwrap();
 }

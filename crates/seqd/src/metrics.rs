@@ -561,15 +561,14 @@ fn quantiles_value(snap: Option<obs::HistSnapshot>) -> Value {
     let Some(snap) = snap.filter(|s| s.count > 0) else {
         return Value::Null;
     };
-    let q = |p: f64| -> Value {
-        snap.quantile_secs(p)
-            .map_or(Value::Null, |s| Value::from(s * 1e3))
-    };
+    let [p50, p95, p99] = snap
+        .quantiles_ns([0.50, 0.95, 0.99])
+        .map(|ns| ns.map_or(Value::Null, |ns| Value::from(ns as f64 / 1e9 * 1e3)));
     jsonlite::object::<&str, Value>([
         ("count", (snap.count as i64).into()),
-        ("p50", q(0.50)),
-        ("p95", q(0.95)),
-        ("p99", q(0.99)),
+        ("p50", p50),
+        ("p95", p95),
+        ("p99", p99),
     ])
 }
 

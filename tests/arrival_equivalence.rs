@@ -150,7 +150,17 @@ fn reference(records: &[LogRecord], config: RtgConfig) -> (String, BatchReport) 
             sets = store.load_pattern_sets().unwrap().0;
         }
     }
-    (store.db().dump(), total)
+    (contents(&mut store), total)
+}
+
+/// The store's dump, then each pattern's examples: the dump holds only
+/// where they are in the examples log.
+fn contents(store: &mut PatternStore) -> String {
+    let mut text = store.db().dump();
+    for p in store.patterns(None).unwrap() {
+        text.push_str(&format!("{} {:?}\n", p.id, p.examples));
+    }
+    text
 }
 
 /// The pipeline, record by record, flushed at the end.
@@ -165,7 +175,7 @@ fn pipeline(records: &[LogRecord], config: RtgConfig) -> (String, BatchReport) {
     if let Some(report) = pipeline.flush(NOW).unwrap() {
         total.merge(&report);
     }
-    (pipeline.engine_mut().store_mut().db().dump(), total)
+    (contents(pipeline.engine_mut().store_mut()), total)
 }
 
 /// `analyze_by_service` over each batch slice.
@@ -175,7 +185,7 @@ fn engine(records: &[LogRecord], config: RtgConfig) -> (String, BatchReport) {
     for batch in records.chunks(config.batch_size) {
         total.merge(&rtg.analyze_by_service(batch, NOW).unwrap());
     }
-    (rtg.store_mut().db().dump(), total)
+    (contents(rtg.store_mut()), total)
 }
 
 #[test]
@@ -302,7 +312,7 @@ fn mine_second_half(records: &[LogRecord], config: RtgConfig, split: Option<usiz
         }
     };
     mine(batch);
-    store.db().dump()
+    contents(&mut store)
 }
 
 /// Coalescing is concatenation: two handoffs merged into one job mine
