@@ -160,10 +160,10 @@ cargo fmt --all -- --check
 stage_end
 fi
 
-if stage_begin "cargo clippy -p obs -p seqd (-D warnings)"; then
-# The metrics writer and the daemon it serves are held to clippy's default
-# lints; the rest of the workspace is not gated yet.
-cargo clippy --offline -p obs -p seqd --no-deps --all-targets -- -D warnings
+if stage_begin "cargo clippy -p obs -p seqd -p minisql -p patterndb (-D warnings)"; then
+# The metrics writer, the daemon it serves and the store under both are
+# held to clippy's default lints; the rest of the workspace is not gated yet.
+cargo clippy --offline -p obs -p seqd -p minisql -p patterndb --no-deps --all-targets -- -D warnings
 stage_end
 fi
 

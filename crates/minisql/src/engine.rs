@@ -131,10 +131,9 @@ impl Database {
     /// statements since.
     pub fn open(path: impl AsRef<Path>) -> Result<Database, Error> {
         let mut db = Database::in_memory();
-        let mut wal = Wal::open(path.as_ref())?;
         // Replay without re-logging.
-        wal.recover(|stmt| db.execute_internal(stmt, &[], false).map(drop))?;
-        db.wal = Some(wal);
+        let replay = |stmt: &str| db.execute_internal(stmt, &[], false).map(drop);
+        db.wal = Some(Wal::open(path.as_ref(), replay)?);
         Ok(db)
     }
 
@@ -1368,7 +1367,7 @@ mod tests {
         let wal_len = std::fs::metadata(dir.join("wal.sql")).unwrap().len();
         db.execute("BEGIN").unwrap();
         db.execute("INSERT INTO t VALUES (2, 'unsynced')").unwrap();
-        db.wal.as_mut().unwrap().fail_next_sync = true;
+        crate::log::inject(Some(crate::log::Fault::Sync));
         assert!(matches!(db.execute("COMMIT"), Err(Error::Io(_))));
         assert_eq!(db.dump(), before, "a commit that is not durable is undone");
         assert_eq!(
@@ -1403,13 +1402,13 @@ mod tests {
         for torn in [0, 3, 20] {
             db.execute("BEGIN").unwrap();
             db.execute("INSERT INTO t VALUES (2, 'torn')").unwrap();
-            db.wal.as_mut().unwrap().tear_next_write = Some(torn);
+            crate::log::inject(Some(crate::log::Fault::TornWrite(torn)));
             assert!(matches!(db.execute("COMMIT"), Err(Error::Io(_))));
             assert_eq!(db.dump(), before, "a commit that is not durable is undone");
         }
         // A plain frame is cut back out the same way (the statement itself
         // stays applied in memory: only a COMMIT is undone).
-        db.wal.as_mut().unwrap().tear_next_write = Some(5);
+        crate::log::inject(Some(crate::log::Fault::TornWrite(5)));
         assert!(db.execute("INSERT INTO t VALUES (4, 'plain')").is_err());
         db.execute("BEGIN").unwrap();
         db.execute("INSERT INTO t VALUES (3, 'retried')").unwrap();

@@ -53,6 +53,7 @@ pub mod ast;
 pub mod engine;
 pub mod error;
 pub mod lexer;
+pub mod log;
 pub mod parser;
 mod table;
 pub mod value;
@@ -287,6 +288,29 @@ mod persistence_tests {
         db.execute("COMMIT").unwrap();
         drop(db);
         assert_eq!(Database::open(&dir).unwrap().dump(), before);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A checkpoint syncs the directory after renaming the snapshot: a
+    /// failure there is reported, and the WAL the new snapshot covers is
+    /// cut all the same, so a reopen applies each statement once.
+    #[test]
+    fn a_failed_directory_sync_fails_the_checkpoint_and_replays_nothing_twice() {
+        let dir = tmpdir("dir-sync");
+        let mut db = Database::open(&dir).unwrap();
+        db.execute("CREATE TABLE t (id TEXT PRIMARY KEY, n INTEGER)")
+            .unwrap();
+        db.execute("INSERT INTO t VALUES ('a', 1)").unwrap();
+        db.execute("UPDATE t SET n = n + 1").unwrap();
+        let live = db.dump();
+        log::inject(Some(log::Fault::DirSync));
+        assert!(matches!(db.checkpoint(), Err(Error::Io(_))));
+        assert_eq!(fs::metadata(dir.join("wal.sql")).unwrap().len(), 0);
+        db.execute("UPDATE t SET n = n + 1").unwrap();
+        let after = db.dump();
+        drop(db);
+        assert_ne!(after, live);
+        assert_eq!(Database::open(&dir).unwrap().dump(), after);
         fs::remove_dir_all(&dir).unwrap();
     }
 

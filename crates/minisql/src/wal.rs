@@ -28,17 +28,16 @@
 //! statement as soon as its frame is read, and drops what a crash tore at
 //! the end of a file: a header cut before its newline, a frame shorter than its length,
 //! or a group whose payload is incomplete (every statement of it, including
-//! the whole frames that did arrive). Every append is synced to disk
-//! (`sync_data`) before it returns, so a `COMMIT` that succeeded survives a
-//! power loss. An append whose write or sync fails is cut back out of the
-//! file at once, so the next one never lands behind a torn frame.
-//! [`Wal::checkpoint`] atomically replaces the snapshot (write-to-temp +
-//! rename) and truncates the WAL.
+//! the whole frames that did arrive).
+//!
+//! `wal.sql` is a [`crate::log::AppendFile`], each append synced before it
+//! returns, so a `COMMIT` that succeeded survives a power loss.
 
 use crate::error::Error;
 use crate::lexer::{lex, Tok};
+use crate::log::{self, AppendFile};
 use crate::value::SqlValue;
-use std::fs::{self, File, OpenOptions};
+use std::fs::File;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 
@@ -46,63 +45,41 @@ use std::path::{Path, PathBuf};
 #[derive(Debug)]
 pub struct Wal {
     dir: PathBuf,
-    /// `wal.sql`, opened for appending.
-    wal: File,
-    /// Length of `wal.sql` up to its last whole append.
-    len: u64,
-    /// Test seam: the next append stops after this many bytes and fails.
-    #[cfg(test)]
-    pub(crate) tear_next_write: Option<usize>,
-    /// Test seam: the next append's sync fails.
-    #[cfg(test)]
-    pub(crate) fail_next_sync: bool,
+    /// `wal.sql`.
+    file: AppendFile,
 }
 
 impl Wal {
-    /// Open (creating if needed) the durability files under `dir`.
-    pub fn open(dir: &Path) -> Result<Wal, Error> {
-        fs::create_dir_all(dir)?;
-        let wal = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(dir.join("wal.sql"))?;
-        Ok(Wal {
-            dir: dir.to_path_buf(),
-            len: wal.metadata()?.len(),
-            wal,
-            #[cfg(test)]
-            tear_next_write: None,
-            #[cfg(test)]
-            fail_next_sync: false,
-        })
-    }
-
-    /// Replay every statement, snapshot first, handing each to `replay`
-    /// as soon as its frame is read; a group's statements run once its
-    /// whole payload is read, so a torn group runs none of them. A tail of
+    /// Open (creating if needed) the durability files under `dir` and
+    /// replay every statement, snapshot first, handing each to `replay` as
+    /// soon as its frame is read; a group's statements run once its whole
+    /// payload is read, so a torn group runs none of them. A tail of
     /// `wal.sql` torn by a crash mid-append is cut off, so that the appends
     /// that follow land after the last whole frame.
-    pub fn recover(
-        &mut self,
+    pub fn open(
+        dir: &Path,
         mut replay: impl FnMut(&str) -> Result<(), Error>,
-    ) -> Result<(), Error> {
-        let snapshot = self.dir.join("snapshot.sql");
+    ) -> Result<Wal, Error> {
+        std::fs::create_dir_all(dir)?;
+        let snapshot = dir.join("snapshot.sql");
         if snapshot.exists() {
-            replay_frames(&snapshot, &mut replay)?;
+            replay_frames(File::open(&snapshot)?, &snapshot, &mut replay)?;
         }
-        let whole = replay_frames(&self.dir.join("wal.sql"), &mut replay)?;
-        if whole < self.len {
-            self.wal.set_len(whole)?;
-            self.len = whole;
+        let mut file = AppendFile::open(dir.join("wal.sql"))?;
+        let whole = replay_frames(file.read_from(0)?, file.path(), &mut replay)?;
+        if whole < file.len() {
+            file.cut(whole)?;
         }
-        Ok(())
+        let dir = dir.to_path_buf();
+        Ok(Wal { dir, file })
     }
 
     /// Append one mutation statement, rendered by [`render_statement`].
     pub fn log(&mut self, stmt: &str) -> Result<(), Error> {
         let mut frame = Vec::new();
         write_frame(&mut frame, stmt)?;
-        self.append(&frame)
+        self.file.append_synced(&frame)?;
+        Ok(())
     }
 
     /// Append a committed transaction — `frames` is its statements, each
@@ -113,55 +90,23 @@ impl Wal {
         }
         let mut group = format!("!{}\n", frames.len()).into_bytes();
         group.extend_from_slice(frames);
-        self.append(&group)
-    }
-
-    /// Append `bytes` with one write and sync them to disk. A failed write
-    /// may have landed in part, and a failed sync leaves unknown what is
-    /// durable: either way the file is cut back to its length before the
-    /// append, so what the next append writes follows the last whole frame.
-    fn append(&mut self, bytes: &[u8]) -> Result<(), Error> {
-        if let Err(e) = self.write(bytes).and_then(|()| self.sync()) {
-            self.wal.set_len(self.len)?;
-            return Err(e.into());
-        }
-        self.len += bytes.len() as u64;
+        self.file.append_synced(&group)?;
         Ok(())
     }
 
-    fn write(&mut self, bytes: &[u8]) -> io::Result<()> {
-        #[cfg(test)]
-        if let Some(torn) = self.tear_next_write.take() {
-            self.wal.write_all(&bytes[..torn.min(bytes.len())])?;
-            return Err(io::Error::other("injected short write"));
-        }
-        self.wal.write_all(bytes)
-    }
-
-    fn sync(&mut self) -> io::Result<()> {
-        #[cfg(test)]
-        if std::mem::take(&mut self.fail_next_sync) {
-            return Err(io::Error::other("injected sync failure"));
-        }
-        self.wal.sync_data()
-    }
-
-    /// Atomically replace the snapshot with the frames `write_frames` emits
-    /// and truncate the WAL.
+    /// Replace the snapshot with the frames `write_frames` emits, sync the
+    /// directory so its new entry is durable before the WAL is cut, and
+    /// truncate the WAL. A failed directory sync still cuts the WAL, which
+    /// the new snapshot covers: left whole, a reopen would replay it twice.
     pub fn checkpoint(
         &mut self,
         write_frames: impl FnOnce(&mut BufWriter<File>) -> Result<(), Error>,
     ) -> Result<(), Error> {
-        let tmp = self.dir.join("snapshot.sql.tmp");
-        let mut out = BufWriter::new(File::create(&tmp)?);
-        write_frames(&mut out)?;
-        let file = out.into_inner().map_err(|e| e.into_error())?;
-        file.sync_all()?;
-        drop(file);
-        fs::rename(&tmp, self.dir.join("snapshot.sql"))?;
-        self.wal.set_len(0)?;
-        self.len = 0;
-        Ok(())
+        let snapshot = self.dir.join("snapshot.sql");
+        log::replace(&snapshot, &self.dir.join("snapshot.sql.tmp"), write_frames)?;
+        let synced = log::sync_dir(&self.dir);
+        self.file.cut(0)?;
+        Ok(synced?)
     }
 }
 
@@ -229,18 +174,19 @@ fn statement(body: &[u8], at: u64) -> Result<&str, String> {
         .map_err(|_| format!("frame at byte {at} splits a character"))
 }
 
-/// Replay the statements framed in the file at `path`, reading it through a
+/// Replay the statements framed in `file` (at `path`), reading it through a
 /// buffer; returns the length of the file without its torn tail, if it has
 /// one. A tail torn by a crash mid-append — a header without its newline,
 /// a frame or group shorter than its length — ends the replay quietly
 /// (standard WAL recovery semantics); inside a group whose payload is
 /// whole, the same is corruption.
 fn replay_frames(
+    file: impl Read,
     path: &Path,
     replay: &mut impl FnMut(&str) -> Result<(), Error>,
 ) -> Result<u64, Error> {
     let corrupt = |what: String| Error::Corrupt(format!("{what} in {path:?}"));
-    let mut file = BufReader::with_capacity(1 << 16, File::open(path)?);
+    let mut file = BufReader::with_capacity(1 << 16, file);
     let (mut body, mut frame, mut group) = (Vec::new(), Vec::new(), Vec::new());
     let mut at = 0u64;
     loop {
@@ -311,11 +257,12 @@ pub fn render_statement(sql: &str, params: &[SqlValue]) -> Result<String, Error>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fs::{self, OpenOptions};
 
     /// Every statement recovery replays, in order.
-    fn recovered(wal: &mut Wal) -> Result<Vec<String>, Error> {
+    fn recovered(dir: &Path) -> Result<Vec<String>, Error> {
         let mut stmts = Vec::new();
-        wal.recover(|stmt| {
+        Wal::open(dir, |stmt| {
             stmts.push(stmt.to_string());
             Ok(())
         })?;
@@ -342,13 +289,12 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("minisql-wal-test-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         {
-            let mut wal = Wal::open(&dir).unwrap();
+            let mut wal = Wal::open(&dir, |_| Ok(())).unwrap();
             let stmt = render_statement("INSERT INTO t VALUES (?)", &["line1\nline2".into()]);
             wal.log(&stmt.unwrap()).unwrap();
             wal.log("DELETE FROM t").unwrap();
         }
-        let mut wal = Wal::open(&dir).unwrap();
-        let stmts = recovered(&mut wal).unwrap();
+        let stmts = recovered(&dir).unwrap();
         assert_eq!(stmts.len(), 2);
         assert!(stmts[0].contains("line1\nline2"));
         fs::remove_dir_all(&dir).unwrap();
@@ -359,7 +305,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("minisql-torn-test-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         {
-            let mut wal = Wal::open(&dir).unwrap();
+            let mut wal = Wal::open(&dir, |_| Ok(())).unwrap();
             wal.log("DELETE FROM a").unwrap();
         }
         // Simulate a crash mid-append.
@@ -369,8 +315,7 @@ mod tests {
             .unwrap();
         f.write_all(b"#100\nDELETE FROM").unwrap();
         drop(f);
-        let mut wal = Wal::open(&dir).unwrap();
-        assert_eq!(recovered(&mut wal).unwrap().len(), 1);
+        assert_eq!(recovered(&dir).unwrap().len(), 1);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -402,7 +347,7 @@ mod tests {
             fs::create_dir_all(&dir).unwrap();
             fs::write(dir.join("snapshot.sql"), ok).unwrap();
             fs::write(dir.join("wal.sql"), file).unwrap();
-            let got = recovered(&mut Wal::open(&dir).unwrap());
+            let got = recovered(&dir);
             let shown = String::from_utf8_lossy(file);
             match (expect, got) {
                 (Ok(n), Ok(stmts)) => assert_eq!(stmts.len(), 1 + n, "{shown:?}"),

@@ -18,19 +18,22 @@
 //! that `COMMIT` a crash lands on, the generation the table names holds
 //! every body its rows point at; open removes the other files.
 //!
-//! [`PatternStore::in_memory`] runs the same code over a `Vec<u8>`.
+//! A generation is a [`minisql::log::AppendFile`], its directory entry
+//! synced as it is created, before a `COMMIT` can name it;
+//! [`PatternStore::in_memory`] keeps the bytes in a `Vec<u8>` instead.
 //!
 //! [`PatternStore::open`]: crate::PatternStore::open
 //! [`PatternStore::in_memory`]: crate::PatternStore::in_memory
 
-use std::fs::{self, File, OpenOptions};
-use std::io::{self, Read, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use minisql::log::{self, AppendFile};
+use std::fs;
+use std::io::{self, Read};
+use std::path::Path;
 
 /// The bytes of one generation: a file in the store directory, or a buffer.
 #[derive(Debug)]
 enum Medium {
-    File { dir: PathBuf, file: File },
+    File(AppendFile),
     Memory(Vec<u8>),
 }
 
@@ -39,8 +42,6 @@ enum Medium {
 pub(crate) struct ExamplesLog {
     medium: Medium,
     generation: i64,
-    /// Length of the log up to its last whole append.
-    len: u64,
 }
 
 /// The file name of generation `generation`.
@@ -62,7 +63,6 @@ impl ExamplesLog {
         ExamplesLog {
             medium: Medium::Memory(Vec::new()),
             generation: 0,
-            len: 0,
         }
     }
 
@@ -77,44 +77,26 @@ impl ExamplesLog {
                 fs::remove_file(dir.join(&name))?;
             }
         }
-        let file = OpenOptions::new()
-            .create(true)
-            .read(true)
-            .append(true)
-            .open(dir.join(file_name(generation)))?;
         Ok(ExamplesLog {
-            len: file.metadata()?.len(),
-            medium: Medium::File {
-                dir: dir.to_path_buf(),
-                file,
-            },
+            medium: Medium::File(AppendFile::open(dir.join(file_name(generation)))?),
             generation,
         })
     }
 
-    /// An empty next generation, in the same medium.
+    /// An empty next generation, in the same medium; a file's directory
+    /// entry is synced before a `COMMIT` can name it.
     pub(crate) fn next_generation(&self) -> io::Result<ExamplesLog> {
         let generation = self.generation + 1;
         let medium = match &self.medium {
             Medium::Memory(_) => Medium::Memory(Vec::new()),
-            Medium::File { dir, .. } => {
-                let file = OpenOptions::new()
-                    .create(true)
-                    .read(true)
-                    .append(true)
-                    .open(dir.join(file_name(generation)))?;
-                file.set_len(0)?;
-                Medium::File {
-                    dir: dir.clone(),
-                    file,
-                }
+            Medium::File(file) => {
+                let dir = file.path().parent().unwrap_or(Path::new("."));
+                let next = AppendFile::create(dir.join(file_name(generation)))?;
+                log::sync_dir(dir)?;
+                Medium::File(next)
             }
         };
-        Ok(ExamplesLog {
-            medium,
-            generation,
-            len: 0,
-        })
+        Ok(ExamplesLog { medium, generation })
     }
 
     /// This log's generation.
@@ -124,15 +106,18 @@ impl ExamplesLog {
 
     /// Length of the log in bytes.
     pub(crate) fn len(&self) -> u64 {
-        self.len
+        match &self.medium {
+            Medium::File(file) => file.len(),
+            Medium::Memory(buf) => buf.len() as u64,
+        }
     }
 
     /// Append `bytes` and return the offset they start at. A write that
     /// fails is cut back out, so the next append follows the last whole
     /// one.
     pub(crate) fn append(&mut self, bytes: &[u8]) -> io::Result<u64> {
-        let at = self.len;
-        let written = match &mut self.medium {
+        match &mut self.medium {
+            Medium::File(file) => file.append(bytes),
             Medium::Memory(buf) => {
                 // Grow by an eighth, not double: the buffer is the bulk of
                 // an in-memory store, and half of it could sit unused.
@@ -140,68 +125,50 @@ impl ExamplesLog {
                     buf.reserve_exact(bytes.len().max(buf.len() / 8));
                 }
                 buf.extend_from_slice(bytes);
-                Ok(())
+                Ok((buf.len() - bytes.len()) as u64)
             }
-            Medium::File { file, .. } => file.write_all(bytes),
-        };
-        if let Err(e) = written {
-            self.cut(at)?;
-            return Err(e);
         }
-        self.len += bytes.len() as u64;
-        Ok(at)
     }
 
-    /// Make every append so far durable.
+    /// Make every append so far durable; nothing to do when none is new.
     pub(crate) fn sync(&mut self) -> io::Result<()> {
-        match &self.medium {
+        match &mut self.medium {
+            Medium::File(file) => file.sync().map(drop),
             Medium::Memory(_) => Ok(()),
-            Medium::File { file, .. } => file.sync_data(),
         }
     }
 
     /// Cut the log back to its first `len` bytes.
     pub(crate) fn cut(&mut self, len: u64) -> io::Result<()> {
         match &mut self.medium {
-            Medium::Memory(buf) => buf.truncate(len as usize),
-            Medium::File { file, .. } => file.set_len(len)?,
+            Medium::File(file) => file.cut(len),
+            Medium::Memory(buf) => {
+                buf.truncate(len as usize);
+                Ok(())
+            }
         }
-        self.len = len;
-        Ok(())
     }
 
     /// The `len` bytes at offset `at`.
     pub(crate) fn read(&self, at: u64, len: u64) -> io::Result<Vec<u8>> {
-        let end = at.checked_add(len).filter(|&end| end <= self.len);
-        let Some(end) = end else {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                format!(
-                    "bytes {at}..+{len} lie past the end of the log ({})",
-                    self.len
-                ),
-            ));
-        };
-        match &self.medium {
-            Medium::Memory(buf) => Ok(buf[at as usize..end as usize].to_vec()),
-            Medium::File { file, .. } => {
-                let mut file: &File = file;
-                let mut bytes = vec![0; len as usize];
-                file.seek(SeekFrom::Start(at))?;
-                file.read_exact(&mut bytes)?;
-                Ok(bytes)
-            }
+        let end = self.len();
+        if at.checked_add(len).is_none_or(|last| last > end) {
+            let past = format!("bytes {at}..+{len} lie past the end of the log ({end})");
+            return Err(io::Error::new(io::ErrorKind::UnexpectedEof, past));
         }
+        let mut bytes = vec![0; len as usize];
+        match &self.medium {
+            Medium::File(file) => file.read_from(at)?.read_exact(&mut bytes)?,
+            Medium::Memory(buf) => bytes.copy_from_slice(&buf[at as usize..][..len as usize]),
+        }
+        Ok(bytes)
     }
 
     /// Delete this generation's file, once another generation replaced it.
     pub(crate) fn remove(self) -> io::Result<()> {
         match self.medium {
             Medium::Memory(_) => Ok(()),
-            Medium::File { dir, file } => {
-                drop(file);
-                fs::remove_file(dir.join(file_name(self.generation)))
-            }
+            Medium::File(file) => fs::remove_file(file.path()),
         }
     }
 }

@@ -11,6 +11,7 @@
 //!   complexity score.
 //! * [`examples_log`] — the append-only file beside the database that holds
 //!   the examples; a row keeps only where its own are.
+//! * [`log`] — minisql's append-only file, re-exported for seqd's logs.
 //! * [`sha1`] — reproducible pattern ids: `SHA1(pattern ‖ service)`.
 //! * [`export`] — `ExportPatterns` to syslog-ng patterndb XML (Fig. 3), YAML,
 //!   and Logstash Grok (Fig. 4), streamed to a writer one row at a time.
@@ -42,6 +43,10 @@ pub mod export;
 pub mod review;
 pub mod sha1;
 pub mod store;
+
+/// The append-only file under the store's logs, for the crates built on
+/// the store (seqd's ingest logs).
+pub use minisql::log;
 
 pub use review::{find_conflicts, resolve_conflict, Conflict, ReviewItem, ReviewQueue};
 pub use sha1::{pattern_id, sha1_hex};

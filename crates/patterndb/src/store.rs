@@ -358,8 +358,9 @@ impl PatternStore {
     /// Install (or clear) a fault-injection hook for tests. The hook runs
     /// before each write-path operation with its name — `"begin"`,
     /// `"upsert"`, `"examples_append"` (a new pattern's bodies are about to
-    /// be appended to the log), `"examples_sync"` (appended bodies are about
-    /// to be synced: at commit, or at once outside a transaction),
+    /// be appended to the log), `"examples_sync"` (the log is about to be
+    /// synced: at every commit, or at once after an append outside a
+    /// transaction),
     /// `"commit"` (the log is synced and the WAL's `COMMIT` is next),
     /// `"record_matches"`, `"checkpoint"`; returning `true` makes that call
     /// fail with [`StoreError::Injected`] instead of going on, and a failed
@@ -490,9 +491,7 @@ impl PatternStore {
     }
 
     fn sync_and_commit(&mut self) -> Result<(), StoreError> {
-        if self.txn.is_some_and(|(_, len)| self.examples.len() > len) {
-            self.sync_examples()?;
-        }
+        self.sync_examples()?;
         if self.fault_fires("commit") {
             return Err(StoreError::Injected("commit"));
         }

@@ -211,6 +211,46 @@ fn a_checkpoint_rewrites_a_mostly_orphaned_log_into_the_next_generation() {
     }
 }
 
+/// The next generation's directory entry is synced before the `COMMIT`
+/// that names it. A failure injected at that sync fails the checkpoint
+/// before the switch: the store still names generation 0, `wal.sql` is not
+/// truncated, and a reopen returns every committed row and example.
+#[test]
+fn a_failed_directory_sync_keeps_the_old_generation_and_the_wal() {
+    use patterndb::log::{inject, Fault};
+    let dir = tmpdir("dir-sync");
+    let mut store = PatternStore::open(&dir).unwrap();
+    let ids: Vec<String> = (0..4)
+        .map(|k| store.upsert_discovered("svc", &worker(k), 1).unwrap().0)
+        .collect();
+    for id in &ids[1..] {
+        store.discard(id).unwrap();
+    }
+    let kept = store.patterns(None).unwrap();
+    let wal = fs::read(dir.join("wal.sql")).unwrap();
+    let generation = |store: &mut PatternStore| {
+        let rows = store.db().query("SELECT generation FROM examples_log");
+        rows.unwrap()[0][0].as_integer()
+    };
+    inject(Some(Fault::DirSync));
+    assert!(matches!(store.checkpoint(), Err(StoreError::Examples(_))));
+    assert_eq!(fs::read(dir.join("wal.sql")).unwrap(), wal);
+    assert_eq!(generation(&mut store), Some(0));
+    assert_eq!(store.patterns(None).unwrap(), kept);
+    drop(store);
+    let mut store = PatternStore::open(&dir).unwrap();
+    assert_eq!(store.patterns(None).unwrap(), kept);
+    assert!(!dir.join("examples.1.log").exists(), "open removes it");
+    store.checkpoint().unwrap();
+    assert_eq!(fs::metadata(dir.join("wal.sql")).unwrap().len(), 0);
+    drop(store);
+    assert_eq!(
+        PatternStore::open(&dir).unwrap().patterns(None).unwrap(),
+        kept
+    );
+    fs::remove_dir_all(&dir).unwrap();
+}
+
 /// One step inside a transaction.
 #[derive(Clone, Debug)]
 enum Step {

@@ -3,7 +3,7 @@
 //! ```text
 //! seqd [--addr HOST:PORT] [--store PATH] [--shards N] [--batch-size N]
 //!      [--queue-capacity N] [--io-timeout-ms N] [--max-line-len N]
-//!      [--wal-dir PATH] [--wal-sync-every N] [--no-wal]
+//!      [--wal-dir PATH] [--wal-sync-every N]
 //!      [--pollers N] [--miners N] [--evolve batch]
 //!      [--wire event-loop]
 //! ```
@@ -20,10 +20,10 @@
 //! With `--store` the pattern database is loaded from (and checkpointed back
 //! to) the given path, and the ingest WAL defaults to `<store>/ingest-wal`
 //! alongside it — so a killed daemon restarted on the same paths replays
-//! every receipted-but-unflushed record (`--no-wal` opts out, `--wal-dir`
-//! relocates it). Otherwise the daemon runs on an in-memory store with no
-//! WAL and mined patterns live only for the process lifetime. The process
-//! exits after a `POST /shutdown` completes the drain.
+//! every receipted-but-unflushed record (`--wal-dir` relocates it).
+//! Otherwise the daemon runs on an in-memory store with no WAL and mined
+//! patterns live only for the process lifetime. The process exits after a
+//! `POST /shutdown` completes the drain.
 
 use patterndb::PatternStore;
 use seqd::server::{start, SeqdConfig};
@@ -34,7 +34,6 @@ fn main() -> ExitCode {
     let mut addr = "127.0.0.1:7464".to_string();
     let mut store_path: Option<String> = None;
     let mut wal_dir: Option<String> = None;
-    let mut no_wal = false;
     let mut config = SeqdConfig::default();
 
     let mut args = std::env::args().skip(1);
@@ -66,7 +65,6 @@ fn main() -> ExitCode {
             "--wal-sync-every" => {
                 config.wal_sync_every = parse(&value("--wal-sync-every"), "--wal-sync-every")
             }
-            "--no-wal" => no_wal = true,
             "--wire" => {
                 let wire = value("--wire");
                 if wire != "event-loop" {
@@ -91,7 +89,7 @@ fn main() -> ExitCode {
                 println!(
                     "usage: seqd [--addr HOST:PORT] [--store PATH] [--shards N] \
                      [--batch-size N] [--queue-capacity N] [--io-timeout-ms N] \
-                     [--max-line-len N] [--wal-dir PATH] [--wal-sync-every N] [--no-wal] \
+                     [--max-line-len N] [--wal-dir PATH] [--wal-sync-every N] \
                      [--pollers N] [--miners N] [--evolve batch] \
                      [--wire event-loop]\n\
                      --wire event-loop and --evolve batch are no-ops kept for the \
@@ -113,15 +111,11 @@ fn main() -> ExitCode {
     };
 
     // Durability follows the store: a persistent store gets a WAL next to
-    // it unless opted out; an in-memory store has nothing to recover into.
-    config.wal_dir = if no_wal {
-        None
-    } else {
-        match (&wal_dir, &store_path) {
-            (Some(dir), _) => Some(dir.into()),
-            (None, Some(store)) => Some(std::path::Path::new(store).join("ingest-wal")),
-            (None, None) => None,
-        }
+    // it; an in-memory store has nothing to recover into.
+    config.wal_dir = match (&wal_dir, &store_path) {
+        (Some(dir), _) => Some(dir.into()),
+        (None, Some(store)) => Some(std::path::Path::new(store).join("ingest-wal")),
+        (None, None) => None,
     };
 
     let shards = config.shards;

@@ -28,7 +28,8 @@
 //!   type, per-shard label, `/stats` key), `/metrics` writes it through
 //!   `obs`'s Prometheus writer before the registry's stage histograms, and
 //!   `/stats` renders the same snapshot under the same keys.
-//! * **Durability** ([`wal`]): an optional per-shard ingest write-ahead log.
+//! * **Durability** ([`wal`]): a per-shard ingest write-ahead log, on
+//!   whenever the store is persistent.
 //!   Accepted records are appended (fsync-batched) before the NDJSON
 //!   receipt is written, released after their residue flush commits, and
 //!   replayed into the shard workers on start — so a `kill -9` between

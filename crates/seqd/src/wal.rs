@@ -30,16 +30,21 @@
 //! so what the daemon holds per acked-but-unreleased record does not grow
 //! with the record (`seqd_wal_pending_bytes` reports what the file holds).
 //!
+//! The file handling is [`patterndb::log`]'s, shared with the pattern
+//! store's logs; this module keeps the line grammar, the length index and
+//! the staged recovery.
+//!
 //! Guarantee grade: **at-least-once**. A crash between the store commit and
 //! the log release replays records that were already mined; re-mining them
 //! bumps pattern match counts but converges to the same pattern *sets*.
 
 use crate::queue::BoundedQueue;
 use crate::shard::shard_for;
+use patterndb::log::{self, AppendFile};
 use sequence_rtg::LogRecord;
 use std::collections::VecDeque;
-use std::fs::{self, File, OpenOptions};
-use std::io::{self, Seek, SeekFrom, Write};
+use std::fs;
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 use std::time::Duration;
@@ -67,9 +72,8 @@ impl Accepted {
 /// never race ahead of its queue entry.
 #[derive(Debug)]
 struct ShardWal {
-    path: PathBuf,
-    /// Opened read+write, cursor at the end: `release` reads the tail back.
-    file: File,
+    /// `shard-N.wal`; its length is the sum of `lens`.
+    file: AppendFile,
     next_seq: u64,
     /// Byte length (newline included) of every line in the file, oldest
     /// first; the lines themselves are held nowhere else. They are labelled
@@ -77,15 +81,9 @@ struct ShardWal {
     /// succeed; a failed one (sequences queued, lines not logged) moves the
     /// older lines' labels up, so they are released late, never early.
     lens: VecDeque<u32>,
-    /// Sum of `lens`: the file's length and write position.
-    bytes: u64,
     /// Serialisation buffer, reused across batches.
     buf: String,
     appends_since_sync: usize,
-    dirty: bool,
-    /// Test seam: the next log write stops after this many bytes and fails.
-    #[cfg(test)]
-    tear_next_write: Option<usize>,
 }
 
 impl ShardWal {
@@ -106,10 +104,9 @@ impl ShardWal {
     }
 
     /// Write the first `accepted` staged lines — those after the `pending`
-    /// already in the file — with a single `write_all`, one syscall per
-    /// batch, and drop the rest from the index. A failed write may have
-    /// been a partial one: the file is cut back to its last good length and
-    /// none of the batch stays indexed, so lengths and file agree again.
+    /// already in the file — with one append, one syscall per batch, and
+    /// drop the rest from the index. A failed append is cut back out of the
+    /// file and none of the batch stays indexed, so lengths and file agree.
     fn append(&mut self, pending: usize, accepted: usize, sync_every: usize) -> io::Result<()> {
         self.lens.truncate(pending + accepted);
         if accepted == 0 {
@@ -117,15 +114,11 @@ impl ShardWal {
         }
         let started = std::time::Instant::now();
         let len: usize = self.lens.range(pending..).map(|&l| l as usize).sum();
-        if let Err(e) = self.write_log(len) {
+        if let Err(e) = self.file.append(&self.buf.as_bytes()[..len]) {
             self.lens.truncate(pending);
-            self.file.set_len(self.bytes)?;
-            self.file.seek(SeekFrom::Start(self.bytes))?;
             return Err(e);
         }
         crate::metrics::stages::wal_append().record(started.elapsed());
-        self.bytes += len as u64;
-        self.dirty = true;
         self.appends_since_sync += accepted;
         if self.appends_since_sync >= sync_every {
             self.sync()?;
@@ -133,32 +126,22 @@ impl ShardWal {
         Ok(())
     }
 
-    fn write_log(&mut self, len: usize) -> io::Result<()> {
-        #[cfg(test)]
-        if let Some(torn) = self.tear_next_write.take() {
-            self.file.write_all(&self.buf.as_bytes()[..torn.min(len)])?;
-            return Err(io::Error::other("injected short write"));
-        }
-        self.file.write_all(&self.buf.as_bytes()[..len])
-    }
-
     fn sync(&mut self) -> io::Result<()> {
-        if self.dirty {
-            let started = std::time::Instant::now();
-            self.file.sync_data()?;
+        let started = std::time::Instant::now();
+        if self.file.sync()? {
             crate::metrics::stages::wal_fsync().record(started.elapsed());
-            self.dirty = false;
-            self.appends_since_sync = 0;
         }
+        self.appends_since_sync = 0;
         Ok(())
     }
 
     /// Drop the lines labelled `up_to` and below from the front of the log.
-    /// With no survivors the file is truncated in place — a truncation lost
-    /// to a crash only replays released records, which at-least-once
-    /// allows. Otherwise the file's tail is copied to a temp that is
-    /// fsynced and renamed over it; the temp name matches no recovery glob,
-    /// so a crash mid-rewrite is recovered from the untouched original.
+    /// With no survivors the file is truncated in place. Otherwise the
+    /// file's tail is copied to `shard-N.rewrite`, synced and renamed over
+    /// it; the temp name matches no recovery glob, so a crash mid-rewrite
+    /// is recovered from the untouched original. Neither step syncs the
+    /// directory: a truncation or a rename the disk loses only replays
+    /// released records, which at-least-once allows.
     fn release(&mut self, up_to: u64) -> io::Result<()> {
         let before_first = self.next_seq - 1 - self.lens.len() as u64;
         let released = (up_to.saturating_sub(before_first)).min(self.lens.len() as u64) as usize;
@@ -167,39 +150,20 @@ impl ShardWal {
         }
         let offset: u64 = self.lens.range(..released).map(|&l| l as u64).sum();
         if released == self.lens.len() {
-            self.file.set_len(0)?;
-            self.file.rewind()?;
+            self.file.cut(0)?;
         } else {
-            let tmp = self.path.with_extension("rewrite");
-            let mut file = open_log(&tmp)?;
-            self.file.seek(SeekFrom::Start(offset))?;
-            let copied = io::copy(&mut self.file, &mut file);
-            // Appends go to the end of the live log, whichever it is.
-            self.file.seek(SeekFrom::End(0))?;
-            copied?;
-            file.sync_data()?;
-            fs::rename(&tmp, &self.path)?;
-            // The renamed handle *is* the live log now; keep appending to it.
-            self.file = file;
+            let live = &self.file;
+            let tmp = live.path().with_extension("rewrite");
+            self.file = log::replace(live.path(), &tmp, |out| {
+                io::copy(&mut live.read_from(offset)?, out).map(drop)
+            })?;
         }
         self.lens.drain(..released);
         // Hold memory for what is pending, not for the largest backlog seen.
         self.lens.shrink_to(2 * self.lens.len());
-        self.bytes -= offset;
-        self.dirty = false;
         self.appends_since_sync = 0;
         Ok(())
     }
-}
-
-/// Create (or empty) a log file, readable so `release` can copy its tail.
-fn open_log(path: &Path) -> io::Result<File> {
-    OpenOptions::new()
-        .create(true)
-        .read(true)
-        .write(true)
-        .truncate(true)
-        .open(path)
 }
 
 /// The per-shard ingest write-ahead log. One instance serves the whole
@@ -269,46 +233,35 @@ impl IngestWal {
         // 3. Re-route the survivors into fresh per-shard logs and pending
         // queues. Per-service order is preserved: a service's records sit
         // in one leftover file in arrival order and hash to one new shard.
-        let mut shard_wals = Vec::with_capacity(shards);
         let mut replay: Vec<Vec<Accepted>> = (0..shards).map(|_| Vec::new()).collect();
-        for shard in 0..shards {
-            let path = dir.join(format!("shard-{shard}.wal"));
-            let file = open_log(&path)?;
-            shard_wals.push(Mutex::new(ShardWal {
-                path,
-                file,
-                next_seq: 1,
+        for record in recovered {
+            let survivors = &mut replay[shard_for(&record.service, shards)];
+            // Sequences restart at 1 in the fresh logs.
+            let seq = survivors.len() as u64 + 1;
+            survivors.push(Accepted { seq, record });
+        }
+        let mut shard_wals = Vec::with_capacity(shards);
+        for (shard, survivors) in replay.iter().enumerate() {
+            let mut sw = ShardWal {
+                file: AppendFile::create(dir.join(format!("shard-{shard}.wal")))?,
+                next_seq: survivors.len() as u64 + 1,
                 lens: VecDeque::new(),
-                bytes: 0,
                 buf: String::new(),
                 appends_since_sync: 0,
-                dirty: false,
-                #[cfg(test)]
-                tear_next_write: None,
-            }));
+            };
+            let pending = sw.stage(survivors.iter().map(|a| &a.record));
+            sw.append(pending, survivors.len(), usize::MAX)?;
+            sw.sync()?;
+            shard_wals.push(Mutex::new(sw));
         }
         let wal = IngestWal {
             shards: shard_wals,
             sync_every,
         };
-        for record in recovered {
-            let shard = shard_for(&record.service, shards);
-            // Sequences restart at 1 in the fresh logs.
-            let seq = replay[shard].len() as u64 + 1;
-            replay[shard].push(Accepted { seq, record });
-        }
-        for (sw, survivors) in wal.shards.iter().zip(&replay) {
-            if survivors.is_empty() {
-                continue;
-            }
-            let mut sw = sw.lock().expect("wal lock");
-            let pending = sw.stage(survivors.iter().map(|a| &a.record));
-            sw.next_seq += survivors.len() as u64; // from 1, as assigned above
-            sw.append(pending, survivors.len(), usize::MAX)?;
-            sw.sync()?;
-        }
 
-        // 4. Only now, with the fresh logs durable, drop the staged copies.
+        // 4. Only now, with the fresh logs and their directory entries
+        // durable, drop the staged copies.
+        log::sync_dir(dir)?;
         for entry in fs::read_dir(dir)? {
             let path = entry?.path();
             if path.extension().and_then(|e| e.to_str()) == Some("staged") {
@@ -395,7 +348,7 @@ impl IngestWal {
             .iter()
             .map(|sw| {
                 let sw = sw.lock().expect("wal lock");
-                (sw.lens.len(), sw.bytes)
+                (sw.lens.len(), sw.file.len())
             })
             .collect()
     }
@@ -404,11 +357,9 @@ impl IngestWal {
 /// The newline-terminated lines of `bytes`; a torn final line (no
 /// terminator — a crash mid-append) is dropped, like minisql's WAL tail.
 fn complete_lines(bytes: &[u8]) -> impl Iterator<Item = &str> {
-    let end = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
-    bytes[..end]
-        .split(|&b| b == b'\n')
-        .filter(|l| !l.is_empty())
-        .filter_map(|l| std::str::from_utf8(l).ok())
+    bytes
+        .split_inclusive(|&b| b == b'\n')
+        .filter_map(|l| std::str::from_utf8(l.strip_suffix(b"\n")?).ok())
 }
 
 #[cfg(test)]
@@ -536,7 +487,7 @@ mod tests {
 
         // The queue takes both records (sequences 3 and 4); the log write
         // stops seven bytes in.
-        wal.shards[0].lock().unwrap().tear_next_write = Some(7);
+        log::inject(Some(log::Fault::TornWrite(7)));
         let lost = vec![record("svc", "lost 0"), record("svc", "lost 1")];
         assert_eq!(
             wal.append_route_batch(0, lost, &queue, Duration::ZERO),
@@ -599,8 +550,8 @@ mod tests {
                             .collect();
                         let torn = op == 4;
                         if torn {
-                            wal.shards[0].lock().unwrap().tear_next_write =
-                                Some((arg >> 12) as usize % 64);
+                            let torn_at = (arg >> 12) as usize % 64;
+                            log::inject(Some(log::Fault::TornWrite(torn_at)));
                         }
                         let accepted =
                             wal.append_route_batch(0, records.clone(), &queue, Duration::ZERO);
@@ -611,7 +562,7 @@ mod tests {
                                 .iter_mut()
                                 .for_each(|(label, _)| *label += accepted as u64);
                         } else {
-                            wal.shards[0].lock().unwrap().tear_next_write = None;
+                            log::inject(None);
                             for (i, r) in records.into_iter().take(accepted).enumerate() {
                                 model.push_back((next_seq + i as u64, r));
                             }
@@ -674,6 +625,61 @@ mod tests {
         let (_, replay) = IngestWal::open(&dir, 1, 1).unwrap();
         assert_eq!(replay[0].len(), 1);
         assert_eq!(replay[0][0].record.message, "complete");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A crash may cut the log at any byte: replay holds exactly the
+    /// records wholly before the cut.
+    #[test]
+    fn a_log_cut_at_any_byte_replays_exactly_its_whole_records() {
+        let dir = scratch_dir("cut");
+        let (wal, _) = IngestWal::open(&dir, 1, 1).unwrap();
+        let queue = Arc::new(BoundedQueue::new(8));
+        let records: Vec<LogRecord> = ["first", "two\nlinés", "a \"quoted\" one", "last"]
+            .iter()
+            .map(|m| record("svc", m))
+            .collect();
+        for r in &records {
+            append_one(&wal, 0, r.clone(), &queue);
+        }
+        drop(wal);
+        let log = fs::read(dir.join("shard-0.wal")).unwrap();
+        let ends: Vec<usize> = (0..log.len()).filter(|&i| log[i] == b'\n').collect();
+        assert_eq!(ends.len(), records.len());
+        for cut in 0..=log.len() {
+            fs::write(dir.join("shard-0.wal"), &log[..cut]).unwrap();
+            let (_, replay) = IngestWal::open(&dir, 1, 1).unwrap();
+            let whole = ends.iter().filter(|&&end| end < cut).count();
+            let replayed: Vec<&LogRecord> = replay[0].iter().map(|a| &a.record).collect();
+            let expected: Vec<&LogRecord> = records[..whole].iter().collect();
+            assert_eq!(replayed, expected, "shard-0.wal cut at byte {cut}");
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Recovery syncs the directory — the fresh logs' entries — before it
+    /// deletes the staged copies. A failure injected there fails the open
+    /// with the staged copy kept, and the next open replays every record
+    /// twice: staged and re-logged (at-least-once).
+    #[test]
+    fn a_failed_directory_sync_keeps_the_staged_copies() {
+        let dir = scratch_dir("dir-sync");
+        let (wal, _) = IngestWal::open(&dir, 1, 1).unwrap();
+        let queue = Arc::new(BoundedQueue::new(8));
+        append_one(&wal, 0, record("svc", "a"), &queue);
+        append_one(&wal, 0, record("svc", "b"), &queue);
+        drop(wal);
+        log::inject(Some(log::Fault::DirSync));
+        assert!(IngestWal::open(&dir, 1, 1).is_err());
+        assert!(dir.join("recover-0.staged").exists());
+        let (_, replay) = IngestWal::open(&dir, 1, 1).unwrap();
+        let mut messages: Vec<&str> = replay[0]
+            .iter()
+            .map(|a| a.record.message.as_str())
+            .collect();
+        messages.sort_unstable();
+        assert_eq!(messages, vec!["a", "a", "b", "b"]);
+        assert!(!dir.join("recover-0.staged").exists());
         fs::remove_dir_all(&dir).unwrap();
     }
 
