@@ -382,6 +382,38 @@ echo "    metrics contract OK"
 stage_end
 fi
 
+if stage_begin "memory attribution (/debug/memory owners + allocator-free vs RSS)"; then
+# What the daemon's resident set grew by under a 176-service load must be
+# named in /debug/memory: the owners plus the allocator's free bytes cover
+# at least 80 % of VmRSS net of the idle daemon's.
+./target/release/seqd --addr 127.0.0.1:0 --shards 1 --pollers 1 --miners 1 \
+  --store "${seqd_store}/memory" 2> "${seqd_log}.memory" &
+seqd_pid=$!
+port=$(wait_seqd_port "${seqd_log}.memory")
+# One number of the /debug/memory body.
+memory_field() { sed -n 's/.*"'"$2"'":\(-\{0,1\}[0-9.]*\).*/\1/p' "$1"; }
+seqd_http_body "${port}" /debug/memory > "${seqd_log}.memory.idle"
+./target/release/seqd-loadgen --addr "127.0.0.1:${port}" --records 200000 --services 176 \
+  > /dev/null
+seqd_http_body "${port}" /debug/memory > "${seqd_log}.memory.end"
+idle=$(memory_field "${seqd_log}.memory.idle" resident_bytes)
+rss=$(memory_field "${seqd_log}.memory.end" resident_bytes)
+owned=$(memory_field "${seqd_log}.memory.end" owned_bytes)
+free=$(memory_field "${seqd_log}.memory.end" allocator_free_bytes)
+awk -v idle="${idle}" -v rss="${rss}" -v owned="${owned}" -v free="${free}" 'BEGIN {
+  grown = rss - idle
+  share = grown > 0 ? (owned + free) / grown : 1
+  printf "    RSS %.1f MiB (idle %.1f): owners %.1f + allocator-free %.1f MiB = %.0f%% of the growth\n",
+    rss / 1048576, idle / 1048576, owned / 1048576, free / 1048576, 100 * share
+  if (share < 0.80) { print "    /debug/memory names less than 80% of the RSS growth" > "/dev/stderr"; exit 1 }
+}'
+seqd_http "${port}" POST /shutdown
+wait "${seqd_pid}"
+seqd_pid=""
+echo "    memory attribution OK"
+stage_end
+fi
+
 if stage_begin "seqd crash-recovery smoke (kill -9 mid-batch -> restart -> WAL replay)"; then
 # Reference: the same fixed-seed corpus through a daemon that drains cleanly.
 # --batch-size far above the corpus keeps all 500 records in residue, so the

@@ -17,7 +17,9 @@ pub fn to_string_pretty(v: &Value) -> String {
     out
 }
 
-fn write_value(v: &Value, out: &mut String) {
+/// Append a value as compact JSON: what [`to_string`] writes, for callers
+/// that write a document piece by piece without building its tree.
+pub fn write_value(v: &Value, out: &mut String) {
     match v {
         Value::Null => out.push_str("null"),
         Value::Bool(true) => out.push_str("true"),
@@ -89,7 +91,9 @@ fn push_indent(n: usize, out: &mut String) {
     }
 }
 
-fn write_number(n: f64, out: &mut String) {
+/// Append a number as [`to_string`] writes it: integral values without a
+/// fraction, non-finite ones as `null`.
+pub fn write_number(n: f64, out: &mut String) {
     if n.is_nan() || n.is_infinite() {
         // JSON has no NaN/Inf; emit null like most tolerant encoders.
         out.push_str("null");

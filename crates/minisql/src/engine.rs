@@ -121,6 +121,12 @@ impl Database {
         }
     }
 
+    /// Heap bytes of every table's rows and unique indexes (not what an
+    /// open transaction's undo log holds).
+    pub fn heap_bytes(&self) -> usize {
+        self.tables.values().map(Table::heap_bytes).sum()
+    }
+
     /// `true` while a transaction is open.
     pub fn in_transaction(&self) -> bool {
         self.txn.is_some()
@@ -903,6 +909,24 @@ mod tests {
     fn refused(db: &mut Database, sql: &str) -> bool {
         let before = db.dump();
         matches!(db.execute(sql), Err(Error::Parse(_) | Error::Lex(_))) && db.dump() == before
+    }
+
+    #[test]
+    fn heap_bytes_follow_the_rows() {
+        let mut db = db_with_data();
+        let four = db.heap_bytes();
+        // Four records of four tags, id, service and two numbers each, and
+        // at least eight index slots.
+        assert!(four >= 4 * (4 + 4 + 2 + 4 + 4 + 16) + 8 * 4, "{four}");
+        let long = "x".repeat(1_000);
+        db.execute_with(
+            "INSERT INTO p (id, service) VALUES (?, ?)",
+            &[text("p5"), text(&long)],
+        )
+        .unwrap();
+        assert!(db.heap_bytes() >= four + long.len(), "{}", db.heap_bytes());
+        db.execute("DELETE FROM p WHERE id = 'p5'").unwrap();
+        assert!(db.heap_bytes() < four + long.len());
     }
 
     #[test]

@@ -353,6 +353,15 @@ impl Table {
         self.rows.records.len()
     }
 
+    /// Heap bytes of the rows and unique indexes: each record's bytes, the
+    /// record array's and the index slots' capacities.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        let records = &self.rows.records;
+        let row_bytes: usize = records.iter().map(|r| r.len()).sum();
+        let slots: usize = self.unique.iter().map(|u| u.slots.capacity() * 4).sum();
+        row_bytes + records.capacity() * std::mem::size_of::<Box<[u8]>>() + slots
+    }
+
     /// Column `col` of row `row`.
     pub(crate) fn cell(&self, row: usize, col: usize) -> CellRef<'_> {
         self.rows.cell(row, col)

@@ -129,19 +129,16 @@ impl Registry {
             .map(|e| e.hist.snapshot())
     }
 
-    /// Snapshot every series of a labelled family: `(label_value, snapshot)`.
-    pub fn family_snapshots(&self, name: &str) -> Vec<(String, HistSnapshot)> {
-        self.families
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(name)
-            .map(|f| {
-                f.series
-                    .iter()
-                    .map(|(v, h)| (v.clone(), h.snapshot()))
-                    .collect()
-            })
-            .unwrap_or_default()
+    /// Snapshot every series of a labelled family, in label order, handing
+    /// each to `visit` as `(label_value, snapshot)` under the registry's
+    /// read lock: no label is copied.
+    pub fn visit_family(&self, name: &str, mut visit: impl FnMut(&str, HistSnapshot)) {
+        let families = self.families.read().unwrap_or_else(|e| e.into_inner());
+        if let Some(f) = families.get(name) {
+            for (v, h) in &f.series {
+                visit(v, h.snapshot());
+            }
+        }
     }
 
     /// Render every histogram in Prometheus text exposition format.
@@ -348,9 +345,9 @@ mod tests {
             .record_ns(100);
         r.family_histogram("m_seconds", "h", "service", "b")
             .record_ns(200);
-        let snaps = r.family_snapshots("m_seconds");
-        assert_eq!(snaps.len(), 2);
-        assert!(snaps.iter().all(|(_, s)| s.count == 1));
+        let mut snaps = Vec::new();
+        r.visit_family("m_seconds", |v, s| snaps.push((v.to_string(), s.count)));
+        assert_eq!(snaps, [("a".to_string(), 1), ("b".to_string(), 1)]);
     }
 
     #[test]

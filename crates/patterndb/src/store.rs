@@ -819,6 +819,12 @@ impl PatternStore {
         Ok(rows[0][0].as_integer().unwrap_or(0) as u64)
     }
 
+    /// Heap bytes of the stored rows and their indexes; the examples live
+    /// in the log file, not here.
+    pub fn heap_bytes(&self) -> usize {
+        self.db.heap_bytes()
+    }
+
     /// Direct access to the underlying database, for ad-hoc administrator
     /// queries. They get minisql's grammar, which is the store's own: a
     /// `SELECT` of columns, `COUNT(*)` and `SUM(…)` from one table with a

@@ -31,6 +31,10 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 fn main() -> ExitCode {
+    // Before any thread or large block exists: freed job memory must go
+    // back to the kernel, not stay in a thread's arena (DESIGN.md, "Memory
+    // policy").
+    seqd::memory::pin_allocator_policy();
     let mut addr = "127.0.0.1:7464".to_string();
     let mut store_path: Option<String> = None;
     let mut wal_dir: Option<String> = None;

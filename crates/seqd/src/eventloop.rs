@@ -153,6 +153,11 @@ impl Session {
         self.state == State::Sniffing
     }
 
+    /// Heap bytes of the session's ring and line scratch.
+    pub fn buffer_bytes(&self) -> usize {
+        self.ring.capacity() + self.scratch.capacity()
+    }
+
     /// Drain the accumulated I/O accounting.
     pub fn take_stats(&mut self) -> PumpStats {
         std::mem::take(&mut self.stats)
@@ -337,6 +342,9 @@ pub struct EventLoopDeps {
     pub ops: Arc<Ops>,
     /// Live-connection gauge (incremented by the acceptor).
     pub connections: Arc<AtomicUsize>,
+    /// Heap bytes of the open connections' buffers and the pollers'
+    /// routing vectors, across pollers (`/debug/memory`).
+    pub buffer_bytes: Arc<AtomicUsize>,
     /// Drain flag; pollers receipt everything and exit when set.
     pub shutdown: Arc<AtomicBool>,
     /// Longest accepted ingest line, terminator included.
@@ -502,6 +510,8 @@ fn run_poller(deps: &EventLoopDeps, intake: &Receiver<TcpStream>, wake: &UnixStr
     // reused across iterations.
     let mut batches: Vec<Vec<LogRecord>> = (0..shards).map(|_| Vec::new()).collect();
     let mut tags: Vec<Vec<usize>> = (0..shards).map(|_| Vec::new()).collect();
+    // This poller's share of `deps.buffer_bytes`.
+    let mut buffers_published = 0usize;
 
     loop {
         fds.clear();
@@ -625,9 +635,8 @@ fn run_poller(deps: &EventLoopDeps, intake: &Receiver<TcpStream>, wake: &UnixStr
             if batches[shard].is_empty() {
                 continue;
             }
-            let batch = std::mem::take(&mut batches[shard]);
-            let total = batch.len();
-            let accepted = deps.router.route_batch(shard, batch);
+            let total = batches[shard].len();
+            let accepted = deps.router.route_batch(shard, &mut batches[shard]);
             for (k, &conn_idx) in tags[shard].iter().enumerate().take(total) {
                 if k < accepted {
                     conns[conn_idx].session.summary.accepted += 1;
@@ -703,6 +712,16 @@ fn run_poller(deps: &EventLoopDeps, intake: &Receiver<TcpStream>, wake: &UnixStr
                 }
                 _ => i += 1,
             }
+        }
+        // The sessions' rings and this poller's reused routing vectors.
+        let routing: usize = batches.iter().chain([&records]).map(Vec::capacity).sum();
+        let sessions: usize = conns.iter().map(|c| c.session.buffer_bytes()).sum();
+        let buffers = sessions + routing * std::mem::size_of::<LogRecord>();
+        if buffers != buffers_published {
+            deps.buffer_bytes.fetch_add(buffers, Ordering::Relaxed);
+            deps.buffer_bytes
+                .fetch_sub(buffers_published, Ordering::Relaxed);
+            buffers_published = buffers;
         }
 
         if shutting_down {

@@ -1,5 +1,6 @@
 //! A minimal in-tree HTTP/1.1 server side: just enough for the control
-//! plane (`/healthz`, `/stats`, `/metrics`, `/patterns`, `/shutdown`).
+//! plane (`/healthz`, `/stats`, `/metrics`, `/patterns`, `/debug/*`,
+//! `/shutdown`).
 //!
 //! One request per connection, `Connection: close` semantics: parse the
 //! request line and headers, ignore any body, write one response with a

@@ -12,8 +12,11 @@
 //!   framing reference the tests compare the event loop against.
 //! * **Control plane** ([`http`], [`server`]): a minimal HTTP/1.1 server
 //!   exposing `/healthz`, `/stats`, `/metrics` (Prometheus text),
-//!   `/patterns` and `POST /shutdown`, sharing the ingest port via
-//!   first-bytes protocol sniffing.
+//!   `/patterns`, `/debug/slow`, `/debug/memory` and `POST /shutdown`,
+//!   sharing the ingest port via first-bytes protocol sniffing.
+//! * **Memory** ([`memory`]): the binary's one allocator setting (glibc's
+//!   mmap threshold, pinned) and the `/debug/memory` report of who holds
+//!   the heap.
 //! * **Sharded matching** ([`shard`], [`queue`]): an acceptor routes records
 //!   to per-service-shard workers through bounded queues; backpressure is
 //!   block-with-timeout then *reject and count*, never unbounded buffering.
@@ -53,6 +56,7 @@
 pub mod eventloop;
 pub mod http;
 pub mod loadgen;
+pub mod memory;
 pub mod metrics;
 pub mod miner;
 pub mod poll;

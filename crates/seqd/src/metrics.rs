@@ -16,8 +16,10 @@
 //! [`obs::write_header`] / [`obs::write_sample`], like the registry's
 //! histograms that `/metrics` appends after them.
 
+use jsonlite::ser::{write_number, write_string};
 use jsonlite::Value;
 use obs::{Histogram, MetricType};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 
@@ -394,6 +396,11 @@ pub(crate) struct Snapshot {
     /// The store's own pattern count (read for `/stats` only; `None` when a
     /// commit held the store lock).
     pub store_patterns: Option<u64>,
+    /// `VmRSS` in bytes (read for `/metrics` only).
+    pub resident_bytes: u64,
+    /// The allocator's totals (read for `/metrics` only: `mallinfo2` takes
+    /// every arena's lock).
+    pub heap: crate::memory::HeapInfo,
 }
 
 /// How a series reads its samples from a [`Snapshot`].
@@ -440,7 +447,7 @@ use StatsKey::{Each, Omit, Total};
 /// Every series the daemon itself exports, in `/metrics` order; the stage
 /// histograms of [`stages`] follow from the `obs` registry.
 #[rustfmt::skip]
-pub(crate) const SERIES: [Series; 23] = [
+pub(crate) const SERIES: [Series; 26] = [
     Series { name: "seqd_ingested_total", help: "Non-empty stream lines received",
         ty: Counter, reading: One(|s| s.ops.ingested as f64), stats: Total("ingested") },
     Series { name: "seqd_matched_total", help: "Records matched to a known pattern",
@@ -496,6 +503,14 @@ pub(crate) const SERIES: [Series; 23] = [
         stats: Total("pattern_index_bytes") },
     Series { name: "seqd_uptime_seconds", help: "Seconds since daemon start",
         ty: Gauge, reading: One(|s| s.uptime_seconds), stats: Total("uptime_seconds") },
+    Series { name: "seqd_resident_bytes", help: "Resident set size (VmRSS)",
+        ty: Gauge, reading: One(|s| s.resident_bytes as f64), stats: Omit },
+    Series { name: "seqd_heap_in_use_bytes",
+        help: "Heap bytes in use: allocator chunks handed out plus separately mapped blocks",
+        ty: Gauge, reading: One(|s| s.heap.in_use as f64), stats: Omit },
+    Series { name: "seqd_allocator_free_bytes",
+        help: "Free bytes the allocator holds in its arenas instead of returning them",
+        ty: Gauge, reading: One(|s| s.heap.free as f64), stats: Omit },
 ];
 
 impl Snapshot {
@@ -524,10 +539,12 @@ impl Snapshot {
 
     /// The `/stats` body: every series with a `/stats` key under it, then
     /// the keys `/stats` alone reports, with per-stage and per-service
-    /// latency percentiles from the `obs` registry.
+    /// latency percentiles from the `obs` registry. Keys are in sorted
+    /// order; the two latency blocks are written straight from the
+    /// histogram snapshots, with no value tree.
     pub(crate) fn render_stats(&self) -> String {
         let number = |n: Option<u64>| n.map_or(Value::Null, |n| Value::from(n as f64));
-        let mut stats = std::collections::BTreeMap::new();
+        let mut stats = BTreeMap::new();
         for series in &SERIES {
             let (key, value) = match (series.stats, series.reading) {
                 (Omit, _) => continue,
@@ -538,7 +555,7 @@ impl Snapshot {
                     Value::Array(self.shards.iter().map(|s| number(read(s))).collect()),
                 ),
             };
-            stats.insert(key.to_string(), value);
+            stats.insert(key, Field::Value(value));
         }
         for (key, value) in [
             ("in_flight", number(Some(self.ops.in_flight()))),
@@ -546,58 +563,104 @@ impl Snapshot {
             ("published_services", number(Some(self.published_services))),
             ("published_patterns", number(Some(self.published_patterns))),
             ("store_patterns", number(self.store_patterns)),
-            ("latency_ms", latency_json()),
-            ("service_latency_ms", service_latency_json()),
         ] {
-            stats.insert(key.to_string(), value);
+            stats.insert(key, Field::Value(value));
         }
-        jsonlite::to_string(&Value::Object(stats))
+        stats.insert("latency_ms", Field::StageLatency);
+        stats.insert("service_latency_ms", Field::ServiceLatency);
+
+        let mut out = String::with_capacity(4096);
+        out.push('{');
+        for (i, (key, field)) in stats.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            write_string(key, &mut out);
+            out.push(':');
+            match field {
+                Field::Value(value) => jsonlite::ser::write_value(value, &mut out),
+                Field::StageLatency => write_stage_latency(&mut out),
+                Field::ServiceLatency => write_service_latency(&mut out),
+            }
+        }
+        out.push('}');
+        out
     }
 }
 
-/// p50/p95/p99 (milliseconds) of one histogram snapshot, or `null` when
-/// the stage has not recorded yet.
-fn quantiles_value(snap: Option<obs::HistSnapshot>) -> Value {
+/// One top-level `/stats` field: a value, or a latency block written
+/// from the registry as the body is written.
+enum Field {
+    Value(Value),
+    StageLatency,
+    ServiceLatency,
+}
+
+/// Write `{"count":…,"p50":…,"p95":…,"p99":…}` (milliseconds) for one
+/// histogram snapshot, or `null` when the stage has not recorded yet.
+fn write_quantiles(snap: Option<obs::HistSnapshot>, out: &mut String) {
     let Some(snap) = snap.filter(|s| s.count > 0) else {
-        return Value::Null;
+        out.push_str("null");
+        return;
     };
-    let [p50, p95, p99] = snap
-        .quantiles_ns([0.50, 0.95, 0.99])
-        .map(|ns| ns.map_or(Value::Null, |ns| Value::from(ns as f64 / 1e9 * 1e3)));
-    jsonlite::object::<&str, Value>([
-        ("count", (snap.count as i64).into()),
-        ("p50", p50),
-        ("p95", p95),
-        ("p99", p99),
-    ])
+    out.push_str("{\"count\":");
+    write_number(snap.count as f64, out);
+    let quantiles = snap.quantiles_ns([0.50, 0.95, 0.99]);
+    for (key, ns) in ["p50", "p95", "p99"].into_iter().zip(quantiles) {
+        out.push_str(",\"");
+        out.push_str(key);
+        out.push_str("\":");
+        match ns {
+            Some(ns) => write_number(ns as f64 / 1e9 * 1e3, out),
+            None => out.push_str("null"),
+        }
+    }
+    out.push('}');
 }
 
 /// Pipeline-stage percentiles for `/stats`.
-fn latency_json() -> Value {
+fn write_stage_latency(out: &mut String) {
+    // In key order, as the sorted object this block used to be.
     let stages = [
-        ("ingest_line", "seqd_ingest_line_seconds"),
-        ("queue_wait", "seqd_queue_wait_seconds"),
-        ("match", "seqd_match_seconds"),
         ("analyze", "rtg_analyze_seconds"),
         ("flush", "seqd_flush_seconds"),
+        ("ingest_line", "seqd_ingest_line_seconds"),
+        ("match", "seqd_match_seconds"),
         ("mine", "seqd_mine_seconds"),
         ("mine_stall", "seqd_mine_stall_seconds"),
+        ("queue_wait", "seqd_queue_wait_seconds"),
         ("wal_fsync", "seqd_wal_fsync_seconds"),
     ];
     let r = obs::registry();
-    jsonlite::object(stages.map(|(key, hist)| (key, quantiles_value(r.snapshot(hist)))))
+    out.push('{');
+    for (i, (key, hist)) in stages.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write_string(key, out);
+        out.push(':');
+        write_quantiles(r.snapshot(hist), out);
+    }
+    out.push('}');
 }
 
-/// Per-service match-latency percentiles for `/stats`.
-fn service_latency_json() -> Value {
-    let series = obs::registry().family_snapshots("seqd_service_match_seconds");
-    Value::Object(
-        series
-            .into_iter()
-            .filter(|(_, snap)| snap.count > 0)
-            .map(|(service, snap)| (service, quantiles_value(Some(snap))))
-            .collect(),
-    )
+/// Per-service match-latency percentiles for `/stats`, services that have
+/// recorded only, in name order.
+fn write_service_latency(out: &mut String) {
+    out.push('{');
+    let mut first = true;
+    obs::registry().visit_family("seqd_service_match_seconds", |service, snap| {
+        if snap.count == 0 {
+            return;
+        }
+        if !std::mem::take(&mut first) {
+            out.push(',');
+        }
+        write_string(service, out);
+        out.push(':');
+        write_quantiles(Some(snap), out);
+    });
+    out.push('}');
 }
 
 #[cfg(test)]
@@ -742,6 +805,12 @@ mod tests {
             open_connections: 43,
             uptime_seconds: 47.5,
             store_patterns: Some(53),
+            resident_bytes: 59 << 20,
+            heap: crate::memory::HeapInfo {
+                in_use: 61 << 20,
+                free: 67 << 10,
+                mapped: 71 << 10,
+            },
         }
     }
 
@@ -795,6 +864,16 @@ mod tests {
                 .collect();
             assert_eq!(depths, samples(&text, "seqd_queue_depth"));
             assert_eq!(samples(&text, "seqd_remine_seconds_total"), [2.5]);
+            // The allocator gauges are on `/metrics` only.
+            for (name, value) in [
+                ("seqd_resident_bytes", (59u64 << 20) as f64),
+                ("seqd_heap_in_use_bytes", (61u64 << 20) as f64),
+                ("seqd_allocator_free_bytes", (67u64 << 10) as f64),
+            ] {
+                assert_eq!(samples(&text, name), [value], "{name}");
+            }
+            let mut keys = stats.as_object().unwrap().keys();
+            assert!(!keys.any(|k| k.contains("heap") || k.contains("resident")));
             for (key, value) in [
                 ("in_flight", 170.0),
                 ("mine_backlog", 29.0),
@@ -805,6 +884,34 @@ mod tests {
                 assert_eq!(stat(key).as_f64(), Some(value), "{key}");
             }
         }
+    }
+
+    /// The `/stats` body written piece by piece is what serialising its
+    /// value tree writes: sorted keys, the same numbers, byte for byte.
+    #[test]
+    fn stats_are_written_in_canonical_form() {
+        stages::preregister();
+        stages::match_record().record_ns(3_000);
+        for (i, service) in ["svc-b", "svc-a", "svc \"quoted\""].into_iter().enumerate() {
+            stages::service_match(service).record_ns(1_000 * (i as u64 + 1));
+        }
+        // A series that never recorded stays out of the block.
+        stages::service_match("svc-idle");
+        let body = distinct_snapshot(true).render_stats();
+        let tree = jsonlite::parse(&body).unwrap();
+        assert_eq!(body, jsonlite::to_string(&tree));
+        let services = tree
+            .get("service_latency_ms")
+            .and_then(Value::as_object)
+            .unwrap();
+        assert!(services.contains_key("svc \"quoted\""), "{body}");
+        assert!(!services.contains_key("svc-idle"), "{body}");
+        let one = &services["svc-a"];
+        assert!(one.get("count").and_then(Value::as_f64).unwrap() >= 1.0);
+        assert!(one.get("p99").and_then(Value::as_f64).unwrap() > 0.0);
+        let stages = tree.get("latency_ms").and_then(Value::as_object).unwrap();
+        assert_eq!(stages.len(), 8);
+        assert!(stages["match"].get("p50").is_some(), "{body}");
     }
 
     #[test]

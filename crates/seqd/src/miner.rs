@@ -42,7 +42,7 @@ use patterndb::PatternStore;
 use sequence_core::MatchScratch;
 use sequence_rtg::{commit_plans, publish, Mining, OpenBatch};
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -328,9 +328,22 @@ struct PoolShared {
     /// — on a shard finishing, for a submitter waiting to mine inline.
     space: Condvar,
     capacity_records: usize,
+    /// Residue bytes of the jobs being mined, as each stood at pickup (a
+    /// job frees its buffers service by service as it plans).
+    in_flight_bytes: AtomicUsize,
 }
 
 impl PoolShared {
+    /// Mine `job`, whose shard the caller marked as mining, then mark it
+    /// done.
+    fn run(&self, scratch: &mut MatchScratch, job: MineJob) {
+        let (shard, bytes) = (job.shard_id, job.batch.residue_bytes());
+        self.in_flight_bytes.fetch_add(bytes, Ordering::Relaxed);
+        mine_job(&self.deps, scratch, job);
+        self.in_flight_bytes.fetch_sub(bytes, Ordering::Relaxed);
+        self.finish(shard);
+    }
+
     /// Mark `shard`'s in-flight job done and wake whoever waits on it.
     fn finish(&self, shard: usize) {
         let mut state = self.state.lock().expect("miner state lock");
@@ -377,6 +390,7 @@ impl Miner {
             job_ready: Condvar::new(),
             space: Condvar::new(),
             capacity_records: capacity_records.max(1),
+            in_flight_bytes: AtomicUsize::new(0),
         });
         let handles = (0..threads)
             .map(|i| {
@@ -461,9 +475,8 @@ impl Miner {
         state.mining.insert(shard);
         drop(state);
         Ops::inc(&shared.deps.ops.mine_jobs);
-        mine_job(&shared.deps, &mut MatchScratch::default(), job);
+        shared.run(&mut MatchScratch::default(), job);
         stages::mine_stall().record_ns(elapsed_ns(stall));
-        shared.finish(shard);
         Ok(())
     }
 
@@ -477,6 +490,18 @@ impl Miner {
             state.pending.len(),
             state.pending.len() + state.mining.len(),
         )
+    }
+
+    /// Heap bytes of the residue the pool holds: the queued jobs' and the
+    /// in-flight jobs' (`/debug/memory`).
+    pub fn residue_bytes(&self) -> usize {
+        let state = self.shared.state.lock().expect("miner state lock");
+        let queued: usize = state
+            .pending
+            .values()
+            .map(|j| j.batch.residue_bytes())
+            .sum();
+        queued + self.shared.in_flight_bytes.load(Ordering::Relaxed)
     }
 
     /// Stop accepting queued submissions. Pending jobs still run; later
@@ -526,9 +551,7 @@ fn miner_thread(shared: Arc<PoolShared>) {
                 state = shared.job_ready.wait(state).expect("miner state lock");
             }
         };
-        let shard = job.shard_id;
-        mine_job(&shared.deps, &mut scratch, job);
-        shared.finish(shard);
+        shared.run(&mut scratch, job);
     }
 }
 

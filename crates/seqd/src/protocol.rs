@@ -232,7 +232,7 @@ pub fn serve_ingest<R: BufRead, W: Write>(
         match LogRecord::from_json_line(trimmed) {
             Ok(record) => {
                 let shard = router.shard_of(&record.service);
-                if router.route_batch(shard, vec![record]) == 1 {
+                if router.route_batch(shard, &mut vec![record]) == 1 {
                     summary.accepted += 1;
                 } else {
                     summary.rejected += 1; // router already counted ops.rejected

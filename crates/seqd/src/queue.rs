@@ -61,18 +61,36 @@ impl<T> BoundedQueue<T> {
         self.state.lock().expect("queue lock").items.len()
     }
 
+    /// Heap bytes the queue holds: its slot array plus `item_bytes` of
+    /// every queued item. Walks the queue under its lock.
+    pub fn heap_bytes(&self, item_bytes: impl Fn(&T) -> usize) -> usize {
+        let st = self.state.lock().expect("queue lock");
+        let slots = st.items.capacity() * std::mem::size_of::<(Instant, T)>();
+        slots
+            + st.items
+                .iter()
+                .map(|(_, item)| item_bytes(item))
+                .sum::<usize>()
+    }
+
     /// Enqueue a batch under one lock acquisition, blocking up to `timeout`
     /// total for space. Returns how many items from the *front* of `items`
     /// were accepted; the rest were rejected (queue full past the deadline,
-    /// or closed). One condvar wake covers the whole batch — this is the
-    /// event-loop wire path's answer to per-item futex traffic.
-    pub fn push_batch(&self, items: Vec<T>, timeout: Duration) -> usize {
-        let total = items.len();
+    /// or closed) and dropped. One condvar wake covers the whole batch —
+    /// this is the event-loop wire path's answer to per-item futex traffic.
+    /// A `Vec`'s `drain(..)` passes its items while the caller keeps the
+    /// vector's buffer for the next batch.
+    pub fn push_batch<I>(&self, items: I, timeout: Duration) -> usize
+    where
+        I: IntoIterator<Item = T>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let mut it = items.into_iter();
+        let total = it.len();
         if total == 0 {
             return 0;
         }
         let deadline = Instant::now() + timeout;
-        let mut it = items.into_iter();
         let mut accepted = 0usize;
         let mut st = self.state.lock().expect("queue lock");
         loop {
@@ -288,7 +306,7 @@ mod tests {
     #[test]
     fn pop_batch_caps_drains_and_signals_closure() {
         let q = BoundedQueue::new(8);
-        assert_eq!(q.push_batch((0..6).collect(), TICK), 6);
+        assert_eq!(q.push_batch(0..6, TICK), 6);
         assert_eq!(q.pop_batch(4, TICK).unwrap(), vec![0, 1, 2, 3]);
         q.close();
         assert_eq!(q.pop_batch(4, TICK).unwrap(), vec![4, 5]);
@@ -306,7 +324,7 @@ mod tests {
             }
             got
         });
-        assert_eq!(q.push_batch((0..5).collect(), Duration::from_secs(5)), 5);
+        assert_eq!(q.push_batch(0..5, Duration::from_secs(5)), 5);
         assert_eq!(t.join().unwrap(), vec![0, 1, 2, 3, 4]);
     }
 
@@ -342,5 +360,16 @@ mod tests {
         let q = BoundedQueue::new(0);
         assert_eq!(q.capacity(), 1);
         assert_eq!(q.push_batch(vec![1, 2], TICK), 1);
+    }
+
+    #[test]
+    fn heap_bytes_counts_slots_and_queued_items() {
+        let q: BoundedQueue<String> = BoundedQueue::new(4);
+        let slots = q.heap_bytes(String::capacity);
+        assert!(slots >= 4 * std::mem::size_of::<(Instant, String)>());
+        q.push_batch(vec!["a".repeat(100), "b".repeat(50)], TICK);
+        assert_eq!(q.heap_bytes(String::capacity), slots + 150);
+        q.pop_batch(1, TICK).unwrap();
+        assert_eq!(q.heap_bytes(String::capacity), slots + 50);
     }
 }

@@ -42,6 +42,7 @@
 
 use crate::eventloop::{self, EventLoop, EventLoopDeps};
 use crate::http::{respond, Request};
+use crate::memory::{self, HeapInfo};
 use crate::metrics::{Ops, OpsSnapshot, ShardSnapshot, Snapshot};
 use crate::miner::{DrainSignal, Miner, MinerDeps};
 use crate::queue::BoundedQueue;
@@ -142,6 +143,10 @@ struct Shared {
     miner: Arc<Miner>,
     router: Arc<Router>,
     residues: Vec<Arc<AtomicUsize>>,
+    /// Heap bytes of each shard's residue in hand.
+    residue_bytes: Vec<Arc<AtomicUsize>>,
+    /// Heap bytes of the open connections' buffers.
+    buffer_bytes: Arc<AtomicUsize>,
     wal: Option<Arc<IngestWal>>,
     /// Interrupts mining-retry backoffs once the drain begins.
     drain: Arc<DrainSignal>,
@@ -242,6 +247,7 @@ pub fn start(mut store: PatternStore, config: SeqdConfig, addr: &str) -> io::Res
         Router::new(queues.clone(), Arc::clone(&ops), ENQUEUE_TIMEOUT).with_wal(wal.clone()),
     );
     let residues: Vec<_> = (0..shards).map(|_| Arc::new(AtomicUsize::new(0))).collect();
+    let residue_bytes: Vec<_> = (0..shards).map(|_| Arc::new(AtomicUsize::new(0))).collect();
 
     // The mining pool. Its queue is bounded by residue records — several
     // batches of headroom per shard, so a miner that falls one job behind
@@ -276,6 +282,8 @@ pub fn start(mut store: PatternStore, config: SeqdConfig, addr: &str) -> io::Res
         miner: Arc::clone(&miner),
         router: Arc::clone(&router),
         residues: residues.clone(),
+        residue_bytes: residue_bytes.clone(),
+        buffer_bytes: Arc::new(AtomicUsize::new(0)),
         wal: wal.clone(),
         drain,
         connections: Arc::new(AtomicUsize::new(0)),
@@ -296,6 +304,7 @@ pub fn start(mut store: PatternStore, config: SeqdConfig, addr: &str) -> io::Res
                 board: Arc::clone(&board),
                 ops: Arc::clone(&ops),
                 residue_len: Arc::clone(&residues[shard_id]),
+                residue_bytes: Arc::clone(&residue_bytes[shard_id]),
                 replay: std::mem::take(&mut replays[shard_id]),
                 mining: Arc::clone(&mining),
             };
@@ -348,6 +357,7 @@ pub fn start(mut store: PatternStore, config: SeqdConfig, addr: &str) -> io::Res
         router: Arc::clone(&router),
         ops: Arc::clone(&ops),
         connections: Arc::clone(&shared.connections),
+        buffer_bytes: Arc::clone(&shared.buffer_bytes),
         shutdown: Arc::clone(&shared.shutdown),
         max_line_len: shared.max_line_len,
         io_timeout: shared.io_timeout,
@@ -492,7 +502,12 @@ fn serve_control<R: io::BufRead, W: io::Write>(
             respond(writer, 200, "application/json", &snap.render_stats())
         }
         ("GET", "/metrics") => {
-            let mut body = snapshot(shared).render_prometheus();
+            let mut snap = snapshot(shared);
+            // The allocator's totals take every arena's lock, so they are
+            // read here and for `/debug/memory`, not for `/stats`.
+            snap.resident_bytes = memory::resident().0;
+            snap.heap = HeapInfo::read();
+            let mut body = snap.render_prometheus();
             // The pipeline-stage latency histograms (obs registry): scan,
             // match, analyse, flush, WAL — the "where does a millisecond
             // go" half of the exposition.
@@ -504,6 +519,12 @@ fn serve_control<R: io::BufRead, W: io::Write>(
                 &body,
             )
         }
+        ("GET", "/debug/memory") => respond(
+            writer,
+            200,
+            "application/json",
+            &memory_report(shared).to_json(),
+        ),
         ("GET", "/debug/slow") => {
             let body = format!("{}\n", obs::registry().slow().to_json());
             respond(writer, 200, "application/json", &body)
@@ -555,7 +576,37 @@ fn snapshot(shared: &Shared) -> Snapshot {
         pattern_index_bytes: shared.board.index_bytes() as u64,
         open_connections: shared.connections.load(Ordering::SeqCst) as u64,
         uptime_seconds: shared.started.elapsed().as_secs_f64(),
-        store_patterns: None,
+        ..Snapshot::default()
+    }
+}
+
+/// Where the resident set goes: the allocator's totals beside what each
+/// named owner holds. The owners are read first and the allocator last, so
+/// an owner that shrinks in between reads as unattributed, not as a
+/// negative remainder.
+fn memory_report(shared: &Shared) -> memory::MemoryReport {
+    let sum = |gauges: &[Arc<AtomicUsize>]| -> u64 {
+        gauges
+            .iter()
+            .map(|g| g.load(Ordering::Relaxed) as u64)
+            .sum()
+    };
+    let owners = memory::Owners {
+        pattern_sets: shared.board.index_bytes() as u64,
+        store_rows: shared.store.lock().map_or(0, |s| s.heap_bytes() as u64),
+        shard_residue: sum(&shared.residue_bytes),
+        mining_jobs: shared.miner.residue_bytes() as u64,
+        shard_queues: shared.router.queue_bytes() as u64,
+        ingest_wal: shared.wal.as_ref().map_or(0, |w| w.heap_bytes() as u64),
+        connection_buffers: shared.buffer_bytes.load(Ordering::Relaxed) as u64,
+    };
+    let heap = HeapInfo::read();
+    let (resident, resident_peak) = memory::resident();
+    memory::MemoryReport {
+        resident,
+        resident_peak,
+        heap,
+        owners,
     }
 }
 
@@ -665,6 +716,34 @@ mod tests {
         assert!(metrics.contains("seqd_ingested_total 20"), "{metrics}");
         assert!(metrics.contains("seqd_uptime_seconds"), "{metrics}");
         assert!(metrics.contains("seqd_open_connections"), "{metrics}");
+
+        for name in [
+            "seqd_resident_bytes",
+            "seqd_heap_in_use_bytes",
+            "seqd_allocator_free_bytes",
+        ] {
+            assert!(metrics.contains(name), "{name} in {metrics}");
+        }
+
+        // /debug/memory: the owners, the allocator's free bytes and the
+        // remainder add up to the heap.
+        let (status, body) = get(addr, "/debug/memory");
+        assert_eq!(status, 200);
+        let memory = jsonlite::parse(&body).unwrap();
+        let n = |k: &str| memory.get(k).and_then(Value::as_f64).unwrap();
+        assert_eq!(
+            n("owned_bytes") + n("allocator_free_bytes") + n("unattributed_bytes"),
+            n("heap_bytes"),
+            "{body}"
+        );
+        assert!(n("resident_bytes") > 0.0, "{body}");
+        // The library does not pin the allocator policy; only the binary does.
+        assert!(
+            memory.get("mmap_threshold_bytes").unwrap().is_null(),
+            "{body}"
+        );
+        let owners = memory.get("owners").and_then(Value::as_object).unwrap();
+        assert!(owners["shard_queues"].as_f64().unwrap() > 0.0, "{body}");
 
         let (status, _) = get(addr, "/nope");
         assert_eq!(status, 404);

@@ -130,17 +130,18 @@ impl Router {
     /// the *front* were accepted; the rest — the shard queue stayed full
     /// past the timeout, or the daemon is draining — are counted `rejected`.
     /// Accepted records are appended to the WAL (when one is attached);
-    /// rejected ones never are.
-    pub fn route_batch(&self, shard: usize, records: Vec<LogRecord>) -> usize {
+    /// rejected ones never are. `records` is left empty, its buffer kept
+    /// for the caller's next batch.
+    pub fn route_batch(&self, shard: usize, records: &mut Vec<LogRecord>) -> usize {
         let total = records.len();
         if total == 0 {
             return 0;
         }
         let queue = &self.queues[shard];
         let accepted = match &self.wal {
-            Some(wal) => wal.append_route_batch(shard, records, queue, self.enqueue_timeout),
+            Some(wal) => wal.append_route(shard, records, queue, self.enqueue_timeout),
             None => {
-                let batch: Vec<Accepted> = records.into_iter().map(Accepted::untracked).collect();
+                let batch = records.drain(..).map(Accepted::untracked);
                 queue.push_batch(batch, self.enqueue_timeout)
             }
         };
@@ -165,6 +166,13 @@ impl Router {
         }
     }
 
+    /// Heap bytes of the shard queues, slots and queued records
+    /// (`/debug/memory`).
+    pub fn queue_bytes(&self) -> usize {
+        let bytes = |q: &Arc<BoundedQueue<Accepted>>| q.heap_bytes(Accepted::heap_bytes);
+        self.queues.iter().map(bytes).sum()
+    }
+
     /// Per-shard queue depths, for `/metrics`.
     pub fn depths(&self) -> Vec<usize> {
         self.queues.iter().map(|q| q.depth()).collect()
@@ -185,6 +193,8 @@ pub struct ShardWorker {
     pub ops: Arc<Ops>,
     /// Gauge of this shard's current residue length.
     pub residue_len: Arc<AtomicUsize>,
+    /// Gauge of the heap bytes that residue holds (`/debug/memory`).
+    pub residue_bytes: Arc<AtomicUsize>,
     /// Records recovered from the WAL, processed before the live queue.
     pub replay: Vec<Accepted>,
     /// The mining configuration, scanner and analyser. Its `batch_size` is
@@ -327,6 +337,8 @@ impl ShardWorker {
         hand.batch.take(&record, arrival);
         self.residue_len
             .store(hand.batch.residue_len(), Ordering::Relaxed);
+        self.residue_bytes
+            .store(hand.batch.residue_bytes(), Ordering::Relaxed);
     }
 
     /// Called once per processed record: hand off when the residue has
@@ -368,6 +380,7 @@ impl ShardWorker {
             return;
         }
         self.residue_len.store(0, Ordering::Relaxed);
+        self.residue_bytes.store(0, Ordering::Relaxed);
     }
 }
 
@@ -414,6 +427,7 @@ mod tests {
             board: Arc::clone(board),
             ops: Arc::clone(ops),
             residue_len: Arc::new(AtomicUsize::new(0)),
+            residue_bytes: Arc::new(AtomicUsize::new(0)),
             replay: Vec::new(),
             // Batches of 1 000: only the drain handoff fires.
             mining: Arc::new(Mining::new(RtgConfig {
@@ -445,7 +459,7 @@ mod tests {
 
     /// Route one record to the shard its service hashes to.
     fn route_one(router: &Router, record: LogRecord) -> bool {
-        router.route_batch(router.shard_of(&record.service), vec![record]) == 1
+        router.route_batch(router.shard_of(&record.service), &mut vec![record]) == 1
     }
 
     fn test_setup(
@@ -484,13 +498,17 @@ mod tests {
     #[test]
     fn route_batch_counts_the_rejected_suffix() {
         let (router, queues, ops) = test_setup(2, 1);
-        let records: Vec<LogRecord> = (0..5)
+        let mut records: Vec<LogRecord> = (0..5)
             .map(|i| record("svc", &format!("event {i}")))
             .collect();
-        assert_eq!(router.route_batch(0, records), 2);
+        let buffer = records.as_ptr();
+        assert_eq!(router.route_batch(0, &mut records), 2);
         assert_eq!(ops.snapshot().rejected, 3);
         assert_eq!(queues[0].depth(), 2);
-        assert_eq!(router.route_batch(0, Vec::new()), 0);
+        // Emptied, with its buffer kept for the next batch.
+        assert!(records.is_empty() && records.capacity() >= 5);
+        assert_eq!(records.as_ptr(), buffer);
+        assert_eq!(router.route_batch(0, &mut records), 0);
     }
 
     #[test]

@@ -65,6 +65,11 @@ impl Accepted {
     pub fn untracked(record: LogRecord) -> Accepted {
         Accepted { seq: 0, record }
     }
+
+    /// Heap bytes of the record's service name and message.
+    pub fn heap_bytes(&self) -> usize {
+        self.record.service.capacity() + self.record.message.capacity()
+    }
 }
 
 /// One shard's log state, guarded by a mutex so the append+enqueue pair is
@@ -289,7 +294,20 @@ impl IngestWal {
     pub fn append_route_batch(
         &self,
         shard: usize,
-        records: Vec<LogRecord>,
+        mut records: Vec<LogRecord>,
+        queue: &BoundedQueue<Accepted>,
+        timeout: Duration,
+    ) -> usize {
+        self.append_route(shard, &mut records, queue, timeout)
+    }
+
+    /// [`IngestWal::append_route_batch`] that empties `records` and leaves
+    /// the caller its buffer: a poller reuses one vector per shard instead
+    /// of allocating, and mapping, a fresh one every iteration.
+    pub fn append_route(
+        &self,
+        shard: usize,
+        records: &mut Vec<LogRecord>,
         queue: &BoundedQueue<Accepted>,
         timeout: Duration,
     ) -> usize {
@@ -299,14 +317,10 @@ impl IngestWal {
         let mut sw = self.shards[shard].lock().expect("wal lock");
         let pending = sw.stage(records.iter());
         let base = sw.next_seq;
-        let batch: Vec<Accepted> = records
-            .into_iter()
-            .enumerate()
-            .map(|(i, record)| Accepted {
-                seq: base + i as u64,
-                record,
-            })
-            .collect();
+        let batch = records.drain(..).enumerate().map(|(i, record)| Accepted {
+            seq: base + i as u64,
+            record,
+        });
         let accepted = queue.push_batch(batch, timeout);
         sw.next_seq += accepted as u64;
         if let Err(e) = sw.append(pending, accepted, self.sync_every) {
@@ -340,6 +354,16 @@ impl IngestWal {
             .into_iter()
             .map(|(records, _)| records)
             .collect()
+    }
+
+    /// Heap bytes of every shard's length index and reused serialisation
+    /// buffer (`/debug/memory`).
+    pub fn heap_bytes(&self) -> usize {
+        let shard = |sw: &Mutex<ShardWal>| {
+            let sw = sw.lock().expect("wal lock");
+            sw.lens.capacity() * std::mem::size_of::<u32>() + sw.buf.capacity()
+        };
+        self.shards.iter().map(shard).sum()
     }
 
     /// Per-shard `(records, bytes)` still covered by the log.

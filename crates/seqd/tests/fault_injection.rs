@@ -249,6 +249,7 @@ fn faulty_mining_rig(
         board,
         ops: Arc::clone(&ops),
         residue_len: Arc::new(AtomicUsize::new(0)),
+        residue_bytes: Arc::new(AtomicUsize::new(0)),
         replay: Vec::new(),
         mining,
     };

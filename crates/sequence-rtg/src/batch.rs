@@ -46,7 +46,8 @@ struct ServiceArrivals {
 }
 
 impl ServiceArrivals {
-    fn take(&mut self, arrival: Arrival<'_>, message: &str) {
+    /// Take one record in; returns how many bytes the residue buffers grew.
+    fn take(&mut self, arrival: Arrival<'_>, message: &str) -> usize {
         match arrival {
             Arrival::Matched { id, multiline } => {
                 count_match(&mut self.match_counts, id);
@@ -57,10 +58,19 @@ impl ServiceArrivals {
                 self.multiline += multiline as u64;
             }
             Arrival::Residue => {
+                let before = self.residue_bytes();
                 self.residue.push_str(message);
                 self.ends.push(self.residue.len());
+                return self.residue_bytes() - before;
             }
         }
+        0
+    }
+
+    /// Heap bytes of the residue buffers: their capacities, not their
+    /// lengths.
+    fn residue_bytes(&self) -> usize {
+        self.residue.capacity() + self.ends.capacity() * std::mem::size_of::<usize>()
     }
 
     /// Append a later share of the same service: residue in order, counts
@@ -96,6 +106,8 @@ impl ServiceArrivals {
 pub struct OpenBatch {
     received: u64,
     residue: usize,
+    /// [`ServiceArrivals::residue_bytes`] summed over services.
+    residue_bytes: usize,
     services: HashMap<String, ServiceArrivals>,
 }
 
@@ -109,6 +121,12 @@ impl OpenBatch {
     /// messages but not this count.
     pub fn residue_len(&self) -> usize {
         self.residue
+    }
+
+    /// Heap bytes the residue's buffers hold, across services: what the
+    /// batch costs beyond its match counts. Zero once [`Mining::plan`] ran.
+    pub fn residue_bytes(&self) -> usize {
+        self.residue_bytes
     }
 
     /// Whether no record arrived.
@@ -134,14 +152,15 @@ impl OpenBatch {
         self.received += 1;
         self.residue += (arrival == Arrival::Residue) as usize;
         // The service key is copied the first time the batch sees it only.
-        match self.services.get_mut(record.service.as_str()) {
+        self.residue_bytes += match self.services.get_mut(record.service.as_str()) {
             Some(arrivals) => arrivals.take(arrival, &record.message),
             None => {
                 let mut arrivals = ServiceArrivals::default();
-                arrivals.take(arrival, &record.message);
+                let grown = arrivals.take(arrival, &record.message);
                 self.services.insert(record.service.clone(), arrivals);
+                grown
             }
-        }
+        };
     }
 
     /// Append a batch filled after this one: per service, its residue
@@ -151,7 +170,10 @@ impl OpenBatch {
         self.received += later.received;
         self.residue += later.residue;
         for (service, arrivals) in later.services {
-            self.services.entry(service).or_default().merge(arrivals);
+            let mine = self.services.entry(service).or_default();
+            self.residue_bytes -= mine.residue_bytes();
+            mine.merge(arrivals);
+            self.residue_bytes += mine.residue_bytes();
         }
     }
 }
@@ -228,6 +250,7 @@ impl Mining {
                     scratch,
                     arrivals.messages(),
                 );
+                batch.residue_bytes -= arrivals.residue_bytes();
                 (arrivals.residue, arrivals.ends) = (String::new(), Vec::new());
                 let matched: u64 = arrivals.match_counts.values().sum();
                 plan.received += matched + arrivals.empty_messages;
@@ -400,6 +423,10 @@ mod tests {
             for s in services {
                 assert_eq!(got[s], want[s], "{s}");
             }
+            // The running byte count is what the buffers hold.
+            let held: usize = batch.services.values().map(|s| s.residue_bytes()).sum();
+            assert_eq!(batch.residue_bytes(), held);
+            assert!(held >= got.values().flatten().map(|m| m.len() + 8).sum());
         }
         let counts: Vec<_> = merged.match_counts().collect();
         assert_eq!(counts.iter().map(|(_, n)| n).sum::<u64>(), 15);
@@ -411,5 +438,6 @@ mod tests {
         let a = mining.plan(&board, &mut whole, &mut scratch);
         let b = mining.plan(&board, &mut merged, &mut scratch);
         assert_eq!(format!("{a:?}"), format!("{b:?}"));
+        assert_eq!((whole.residue_bytes(), merged.residue_bytes()), (0, 0));
     }
 }
