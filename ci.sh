@@ -385,7 +385,10 @@ fi
 if stage_begin "memory attribution (/debug/memory owners + allocator-free vs RSS)"; then
 # What the daemon's resident set grew by under a 176-service load must be
 # named in /debug/memory: the owners plus the allocator's free bytes cover
-# at least 80 % of VmRSS net of the idle daemon's.
+# at least 80 % of VmRSS net of the idle daemon's. And the wire path is
+# bounded by constants, not by the flood: the ingest WAL's index and buffer
+# plus the connection and routing buffers stay within 2 MiB (1.3 MiB here;
+# 40.3 MiB before rings grew on demand and routed batches had a byte budget).
 ./target/release/seqd --addr 127.0.0.1:0 --shards 1 --pollers 1 --miners 1 \
   --store "${seqd_store}/memory" 2> "${seqd_log}.memory" &
 seqd_pid=$!
@@ -400,12 +403,16 @@ idle=$(memory_field "${seqd_log}.memory.idle" resident_bytes)
 rss=$(memory_field "${seqd_log}.memory.end" resident_bytes)
 owned=$(memory_field "${seqd_log}.memory.end" owned_bytes)
 free=$(memory_field "${seqd_log}.memory.end" allocator_free_bytes)
-awk -v idle="${idle}" -v rss="${rss}" -v owned="${owned}" -v free="${free}" 'BEGIN {
+wire=$(( $(memory_field "${seqd_log}.memory.end" ingest_wal) \
+  + $(memory_field "${seqd_log}.memory.end" connection_buffers) ))
+awk -v idle="${idle}" -v rss="${rss}" -v owned="${owned}" -v free="${free}" -v wire="${wire}" 'BEGIN {
   grown = rss - idle
   share = grown > 0 ? (owned + free) / grown : 1
   printf "    RSS %.1f MiB (idle %.1f): owners %.1f + allocator-free %.1f MiB = %.0f%% of the growth\n",
     rss / 1048576, idle / 1048576, owned / 1048576, free / 1048576, 100 * share
+  printf "    ingest_wal + connection_buffers %.2f MiB\n", wire / 1048576
   if (share < 0.80) { print "    /debug/memory names less than 80% of the RSS growth" > "/dev/stderr"; exit 1 }
+  if (wire > 2 * 1048576) { print "    the wire path holds more than 2 MiB" > "/dev/stderr"; exit 1 }
 }'
 seqd_http "${port}" POST /shutdown
 wait "${seqd_pid}"

@@ -5,10 +5,16 @@
 //! connection. Bytes land in a per-connection [`RingBuf`] via vectored
 //! reads, NDJSON frames are split in place and parsed through `jsonlite`'s
 //! borrow mode (two `String`s per record — the fields that outlive the
-//! buffer — and nothing else), and all records collected in one poll
-//! iteration are routed in per-shard batches with one queue lock and one
-//! WAL append each, followed by a single group-commit `fsync` covering
-//! every connection that finished this iteration.
+//! buffer — and nothing else), and the records are routed in per-shard
+//! batches with one queue lock and one WAL append each, followed by a
+//! single group-commit `fsync` covering every connection that finished
+//! this iteration.
+//!
+//! What the wire path holds is set by constants, not by how much a peer
+//! sends at once: a connection's ring grows past its initial size only for
+//! a line that needs it, a pump reads at most [`BATCH_BYTES`] per
+//! iteration, and a shard's routing batch is routed as soon as it holds
+//! that much, so the WAL serialises at most one such batch at a time.
 //!
 //! The protocol is *observationally identical* to the framing reference
 //! [`crate::protocol::serve_ingest`] — same counting, same receipt, same
@@ -34,10 +40,12 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Fills per connection per poll iteration, so one firehose peer cannot
-/// starve its poller's other connections (level-triggered polling re-flags
-/// the socket immediately if it still has data).
-const FILL_ROUNDS: usize = 16;
+/// The poller's byte budget. A pump reads at most this much per poll
+/// iteration, so one firehose peer cannot starve its poller's other
+/// connections (level-triggered polling re-flags the socket immediately if
+/// it still has data), and a shard's routing batch is routed once its
+/// records hold this much.
+pub const BATCH_BYTES: usize = 512 << 10;
 
 /// Upper bound on one poll sleep: bounds shutdown latency and keeps idle
 /// eviction timely even when `io_timeout` is long.
@@ -48,7 +56,7 @@ const MAX_POLL: Duration = Duration::from_millis(250);
 pub enum Pump {
     /// The socket has no more bytes right now (`WouldBlock`).
     Drained,
-    /// The per-iteration fill cap was reached; the socket may hold more.
+    /// The per-iteration byte budget was read; the socket may hold more.
     CapReached,
     /// Clean EOF: the final fragment (if any) has been processed and the
     /// connection should be receipted once its records are routed.
@@ -130,7 +138,7 @@ impl Session {
     /// A fresh session enforcing `max_line_len` (terminator included), at
     /// least [`MIN_LINE_LEN`].
     ///
-    /// The ring is one byte larger than the cap so an EOF-terminated
+    /// The ring may grow to one byte more than the cap so an EOF-terminated
     /// fragment of exactly `max_line_len` bytes — which the reference
     /// accepts — is still distinguishable from an oversized line.
     pub fn new(max_line_len: usize) -> Session {
@@ -190,8 +198,8 @@ impl Session {
         }
     }
 
-    /// Read as much as is available (bounded by the fairness cap), splitting
-    /// and parsing complete frames after every fill. `Interrupted` reads are
+    /// Read as much as is available, at most [`BATCH_BYTES`], splitting and
+    /// parsing complete frames after every fill. `Interrupted` reads are
     /// retried; `WouldBlock` returns [`Pump::Drained`]; any other error
     /// propagates (the connection is dropped without a receipt).
     pub fn pump(
@@ -200,7 +208,7 @@ impl Session {
         ops: &Ops,
         out: &mut Vec<LogRecord>,
     ) -> io::Result<Pump> {
-        let mut rounds = 0;
+        let mut read = 0;
         loop {
             // Split first: a previous cap-limited pump may have left
             // complete lines buffered, and splitting guarantees free ring
@@ -208,16 +216,18 @@ impl Session {
             if let Some(prefix) = self.split(ops, out) {
                 return Ok(Pump::Http(prefix));
             }
-            if rounds == FILL_ROUNDS {
+            if read == BATCH_BYTES {
                 return Ok(Pump::CapReached);
             }
-            rounds += 1;
             let started = Instant::now();
-            let filled = self.ring.fill(stream);
+            let filled = self.ring.fill_at_most(stream, BATCH_BYTES - read);
             self.stats.read_ns += started.elapsed().as_nanos() as u64;
             match filled {
                 Ok(0) => return self.finish_eof(ops, out),
-                Ok(n) => self.stats.bytes += n as u64,
+                Ok(n) => {
+                    read += n;
+                    self.stats.bytes += n as u64;
+                }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(Pump::Drained),
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                 Err(e) => return Err(e),
@@ -376,6 +386,53 @@ struct Conn {
     phase: Phase,
 }
 
+/// One shard's records awaiting routing, each tagged with the index of the
+/// connection it came from; reused across iterations.
+#[derive(Default)]
+struct RouteBatch {
+    records: Vec<LogRecord>,
+    conns: Vec<usize>,
+    /// What the records hold: their structs and their text.
+    bytes: usize,
+}
+
+impl RouteBatch {
+    /// Add `record` from connection `conn`; `true` once the batch holds
+    /// [`BATCH_BYTES`] and should be routed.
+    fn push(&mut self, record: LogRecord, conn: usize) -> bool {
+        self.bytes +=
+            std::mem::size_of::<LogRecord>() + record.service.len() + record.message.len();
+        self.records.push(record);
+        self.conns.push(conn);
+        self.bytes >= BATCH_BYTES
+    }
+
+    /// Route the batch to shard `shard` and credit each record's connection
+    /// with an accepted or a rejected line.
+    fn route(&mut self, router: &Router, shard: usize, conns: &mut [Conn]) {
+        if self.records.is_empty() {
+            return;
+        }
+        let accepted = router.route_batch(shard, &mut self.records);
+        for (k, &conn) in self.conns.iter().enumerate() {
+            let summary = &mut conns[conn].session.summary;
+            if k < accepted {
+                summary.accepted += 1;
+            } else {
+                summary.rejected += 1;
+            }
+        }
+        self.conns.clear();
+        self.bytes = 0;
+    }
+
+    /// Heap bytes of the two vectors.
+    fn heap_bytes(&self) -> usize {
+        self.records.capacity() * std::mem::size_of::<LogRecord>()
+            + self.conns.capacity() * std::mem::size_of::<usize>()
+    }
+}
+
 /// Round-robin connection dispatch for the acceptor thread.
 pub struct Dispatcher {
     senders: Vec<Sender<TcpStream>>,
@@ -506,10 +563,7 @@ fn run_poller(deps: &EventLoopDeps, intake: &Receiver<TcpStream>, wake: &UnixStr
     let mut conns: Vec<Conn> = Vec::new();
     let mut fds: Vec<PollFd> = Vec::new();
     let mut records: Vec<LogRecord> = Vec::new();
-    // Per-shard routing batches and their (conn-index) attribution tags,
-    // reused across iterations.
-    let mut batches: Vec<Vec<LogRecord>> = (0..shards).map(|_| Vec::new()).collect();
-    let mut tags: Vec<Vec<usize>> = (0..shards).map(|_| Vec::new()).collect();
+    let mut batches: Vec<RouteBatch> = (0..shards).map(|_| RouteBatch::default()).collect();
     // This poller's share of `deps.buffer_bytes`.
     let mut buffers_published = 0usize;
 
@@ -572,11 +626,6 @@ fn run_poller(deps: &EventLoopDeps, intake: &Receiver<TcpStream>, wake: &UnixStr
                         // Peer reset or hard error: no receipt.
                         Err(_) => conn.phase = Phase::Dead,
                     }
-                    for record in records.drain(..) {
-                        let shard = deps.router.shard_of(&record.service);
-                        batches[shard].push(record);
-                        tags[shard].push(i);
-                    }
                 }
                 Phase::Write(..) if ready => {
                     let (buf, off) = match std::mem::replace(&mut conn.phase, Phase::Dead) {
@@ -621,6 +670,13 @@ fn run_poller(deps: &EventLoopDeps, intake: &Receiver<TcpStream>, wake: &UnixStr
                     };
                 }
             }
+            // A batch that reaches the budget is routed at once.
+            for record in records.drain(..) {
+                let shard = deps.router.shard_of(&record.service);
+                if batches[shard].push(record, i) {
+                    batches[shard].route(&deps.router, shard, &mut conns);
+                }
+            }
         }
         if read_ns > 0 {
             read_hist.record_ns(read_ns);
@@ -629,22 +685,10 @@ fn run_poller(deps: &EventLoopDeps, intake: &Receiver<TcpStream>, wake: &UnixStr
             split_hist.record_ns(split_ns);
         }
 
-        // Route every record collected this iteration, one batch per shard,
-        // and attribute the accepted prefix back to each connection.
-        for shard in 0..shards {
-            if batches[shard].is_empty() {
-                continue;
-            }
-            let total = batches[shard].len();
-            let accepted = deps.router.route_batch(shard, &mut batches[shard]);
-            for (k, &conn_idx) in tags[shard].iter().enumerate().take(total) {
-                if k < accepted {
-                    conns[conn_idx].session.summary.accepted += 1;
-                } else {
-                    conns[conn_idx].session.summary.rejected += 1;
-                }
-            }
-            tags[shard].clear();
+        // Route what is left of this iteration's records, one batch per
+        // shard, before the group commit below.
+        for (shard, batch) in batches.iter_mut().enumerate() {
+            batch.route(&deps.router, shard, &mut conns);
         }
 
         // Group commit: one fsync covers every connection finishing this
@@ -714,9 +758,9 @@ fn run_poller(deps: &EventLoopDeps, intake: &Receiver<TcpStream>, wake: &UnixStr
             }
         }
         // The sessions' rings and this poller's reused routing vectors.
-        let routing: usize = batches.iter().chain([&records]).map(Vec::capacity).sum();
+        let routing: usize = batches.iter().map(RouteBatch::heap_bytes).sum();
         let sessions: usize = conns.iter().map(|c| c.session.buffer_bytes()).sum();
-        let buffers = sessions + routing * std::mem::size_of::<LogRecord>();
+        let buffers = sessions + routing + records.capacity() * std::mem::size_of::<LogRecord>();
         if buffers != buffers_published {
             deps.buffer_bytes.fetch_add(buffers, Ordering::Relaxed);
             deps.buffer_bytes

@@ -141,10 +141,10 @@ pub struct Owners {
     pub mining_jobs: u64,
     /// Records waiting in the shard queues, slots included.
     pub shard_queues: u64,
-    /// The ingest WAL's length index and serialisation buffers.
+    /// The ingest WAL's extent index and serialisation buffers.
     pub ingest_wal: u64,
-    /// The ingest connections' ring buffers and the pollers' routing
-    /// vectors.
+    /// The ingest connections' ring buffers at their current size and the
+    /// pollers' routing vectors, connection tags included.
     pub connection_buffers: u64,
 }
 
@@ -271,7 +271,9 @@ mod tests {
     #[cfg(all(target_os = "linux", target_env = "gnu"))]
     #[test]
     fn the_allocator_and_the_kernel_are_read() {
-        let held = vec![1u8; 4 << 20];
+        // Opaque to the optimiser: a release build would otherwise drop an
+        // allocation that is only ever measured.
+        let held = std::hint::black_box(vec![1u8; 4 << 20]);
         let heap = HeapInfo::read();
         assert!(heap.in_use >= held.len() as u64, "{heap:?}");
         assert!(heap.in_use >= heap.mapped, "{heap:?}");

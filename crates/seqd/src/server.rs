@@ -744,6 +744,13 @@ mod tests {
         );
         let owners = memory.get("owners").and_then(Value::as_object).unwrap();
         assert!(owners["shard_queues"].as_f64().unwrap() > 0.0, "{body}");
+        // The 20 records passed through the poller's reused vectors: the
+        // pump's, the shard batch's and the batch's connection tags.
+        let routed = 20 * (2 * std::mem::size_of::<sequence_rtg::LogRecord>() + 8);
+        assert!(
+            owners["connection_buffers"].as_f64().unwrap() >= routed as f64,
+            "{body}"
+        );
 
         let (status, _) = get(addr, "/nope");
         assert_eq!(status, 404);
@@ -758,6 +765,42 @@ mod tests {
         // All 20 were unmatched (empty store) and mined at drain.
         assert_eq!(final_ops.unmatched, 20);
         assert!(final_ops.remines >= 1);
+    }
+
+    /// An open connection's ring is counted at the size it holds now, the
+    /// initial size while no long line is in flight, not at its cap.
+    #[test]
+    fn debug_memory_counts_a_ring_at_its_current_size() {
+        let config = SeqdConfig::default();
+        let cap = config.max_line_len;
+        let handle = start(PatternStore::in_memory(), config, "127.0.0.1:0").unwrap();
+        let addr = handle.addr();
+        let mut open = TcpStream::connect(addr).unwrap();
+        open.write_all(br#"{"service":"svc","message":"half a li"#)
+            .unwrap();
+        let buffers = || {
+            let (_, body) = get(addr, "/debug/memory");
+            let memory = jsonlite::parse(&body).unwrap();
+            let owners = memory.get("owners").and_then(Value::as_object).unwrap();
+            owners["connection_buffers"].as_f64().unwrap() as usize
+        };
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let mut held = buffers();
+        while held < crate::ringbuf::INITIAL_CAPACITY && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+            held = buffers();
+        }
+        assert!(
+            (crate::ringbuf::INITIAL_CAPACITY..cap).contains(&held),
+            "{held} B of connection buffers with one connection open"
+        );
+        open.write_all(b"ne\"}\n").unwrap();
+        open.shutdown(std::net::Shutdown::Write).unwrap();
+        let mut receipt = String::new();
+        open.read_to_string(&mut receipt).unwrap();
+        assert!(receipt.contains(r#""accepted":1"#), "{receipt}");
+        handle.initiate_shutdown();
+        handle.join().unwrap();
     }
 
     #[test]

@@ -24,27 +24,32 @@
 //! torn *final* line, which replay drops — exactly the semantics of the
 //! receipt (an unreceipted record may be lost; a receipted one may not).
 //!
-//! The file *is* the pending set. In memory a shard holds four bytes per
-//! pending record — the line's length, from which `release` derives the
-//! byte offset its survivors start at — and never the lines themselves,
-//! so what the daemon holds per acked-but-unreleased record does not grow
-//! with the record (`seqd_wal_pending_bytes` reports what the file holds).
+//! The file *is* the pending set. In memory a shard holds one extent per
+//! append — its line count and byte length, from which `release` derives
+//! the byte offset its survivors start at — and never the lines
+//! themselves, so what the daemon holds per acked-but-unreleased record
+//! does not grow with the record, nor with the record count beyond eight
+//! bytes per append (`seqd_wal_pending_bytes` reports what the file holds).
+//! An extent is at most [`BATCH_BYTES`] plus one line long: a release that
+//! cuts inside one reads that extent back from the file and counts its
+//! newlines, which no WAL line holds raw.
 //!
 //! The file handling is [`patterndb::log`]'s, shared with the pattern
-//! store's logs; this module keeps the line grammar, the length index and
+//! store's logs; this module keeps the line grammar, the extent index and
 //! the staged recovery.
 //!
 //! Guarantee grade: **at-least-once**. A crash between the store commit and
 //! the log release replays records that were already mined; re-mining them
 //! bumps pattern match counts but converges to the same pattern *sets*.
 
+use crate::eventloop::BATCH_BYTES;
 use crate::queue::BoundedQueue;
 use crate::shard::shard_for;
 use patterndb::log::{self, AppendFile};
 use sequence_rtg::LogRecord;
 use std::collections::VecDeque;
 use std::fs;
-use std::io;
+use std::io::{self, BufRead, Read};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 use std::time::Duration;
@@ -72,60 +77,71 @@ impl Accepted {
     }
 }
 
+/// A run of whole lines written by one append: the index keeps one per
+/// append, not one per line.
+#[derive(Debug, Clone, Copy)]
+struct Extent {
+    lines: u32,
+    bytes: u32,
+}
+
 /// One shard's log state, guarded by a mutex so the append+enqueue pair is
 /// atomic with respect to [`IngestWal::release`] — a released sequence can
 /// never race ahead of its queue entry.
 #[derive(Debug)]
 struct ShardWal {
-    /// `shard-N.wal`; its length is the sum of `lens`.
+    /// `shard-N.wal`; its length is the sum of the extents' bytes.
     file: AppendFile,
     next_seq: u64,
-    /// Byte length (newline included) of every line in the file, oldest
-    /// first; the lines themselves are held nowhere else. They are labelled
-    /// with the `lens.len()` sequences below `next_seq`: exact while appends
-    /// succeed; a failed one (sequences queued, lines not logged) moves the
-    /// older lines' labels up, so they are released late, never early.
-    lens: VecDeque<u32>,
+    /// The file's lines, oldest first, as the extents of the appends that
+    /// wrote them; the lines themselves are held nowhere else. They are
+    /// labelled with the `lines` sequences below `next_seq`: exact while
+    /// appends succeed; a failed one (sequences queued, lines not logged)
+    /// moves the older lines' labels up, so they are released late, never
+    /// early.
+    extents: VecDeque<Extent>,
+    /// Lines in the file: the sum of the extents' lines.
+    lines: usize,
     /// Serialisation buffer, reused across batches.
     buf: String,
     appends_since_sync: usize,
 }
 
 impl ShardWal {
-    /// Serialise `records` into the reused buffer and index their lengths,
-    /// ahead of the queue push that decides how many of them are logged.
-    /// Returns how many lines were pending before them, for `append`.
-    fn stage<'a>(&mut self, records: impl Iterator<Item = &'a LogRecord>) -> usize {
-        let pending = self.lens.len();
+    /// Serialise `records` into the reused buffer, ahead of the queue push
+    /// that decides how many of them are logged.
+    fn stage<'a>(&mut self, records: impl Iterator<Item = &'a LogRecord>) {
         self.buf.clear();
         for record in records {
-            let at = self.buf.len();
             record.write_json_line(&mut self.buf);
             self.buf.push('\n');
-            let len = u32::try_from(self.buf.len() - at).expect("a WAL line is under 4 GiB");
-            self.lens.push_back(len);
         }
-        pending
     }
 
-    /// Write the first `accepted` staged lines — those after the `pending`
-    /// already in the file — with one append, one syscall per batch, and
-    /// drop the rest from the index. A failed append is cut back out of the
-    /// file and none of the batch stays indexed, so lengths and file agree.
-    fn append(&mut self, pending: usize, accepted: usize, sync_every: usize) -> io::Result<()> {
-        self.lens.truncate(pending + accepted);
-        if accepted == 0 {
-            return Ok(());
+    /// Write the first `accepted` of the `staged` lines in the buffer with
+    /// one append, one syscall per batch, and index them as extents of at
+    /// most [`BATCH_BYTES`] plus one line. A failed append is cut back out
+    /// of the file and indexes nothing, so extents and file agree.
+    fn append(&mut self, staged: usize, accepted: usize, sync_every: usize) -> io::Result<()> {
+        if accepted > 0 {
+            let started = std::time::Instant::now();
+            let len = if accepted == staged {
+                self.buf.len()
+            } else {
+                line_end(self.buf.as_bytes(), accepted)
+            };
+            let bytes = &self.buf.as_bytes()[..len];
+            self.file.append(bytes)?;
+            crate::metrics::stages::wal_append().record(started.elapsed());
+            push_extents(&mut self.extents, bytes, accepted);
+            self.lines += accepted;
+            self.appends_since_sync += accepted;
         }
-        let started = std::time::Instant::now();
-        let len: usize = self.lens.range(pending..).map(|&l| l as usize).sum();
-        if let Err(e) = self.file.append(&self.buf.as_bytes()[..len]) {
-            self.lens.truncate(pending);
-            return Err(e);
+        // Hold a batch's worth, not the largest batch seen.
+        if self.buf.capacity() > 2 * BATCH_BYTES {
+            self.buf = String::new();
         }
-        crate::metrics::stages::wal_append().record(started.elapsed());
-        self.appends_since_sync += accepted;
-        if self.appends_since_sync >= sync_every {
+        if accepted > 0 && self.appends_since_sync >= sync_every {
             self.sync()?;
         }
         Ok(())
@@ -148,27 +164,78 @@ impl ShardWal {
     /// directory: a truncation or a rename the disk loses only replays
     /// released records, which at-least-once allows.
     fn release(&mut self, up_to: u64) -> io::Result<()> {
-        let before_first = self.next_seq - 1 - self.lens.len() as u64;
-        let released = (up_to.saturating_sub(before_first)).min(self.lens.len() as u64) as usize;
+        let before_first = self.next_seq - 1 - self.lines as u64;
+        let released = (up_to.saturating_sub(before_first)).min(self.lines as u64) as usize;
         if released == 0 {
             return Ok(());
         }
-        let offset: u64 = self.lens.range(..released).map(|&l| l as u64).sum();
-        if released == self.lens.len() {
+        if released == self.lines {
             self.file.cut(0)?;
+            self.extents.clear();
         } else {
+            // Whole extents first, then the released lines of the one the
+            // cut falls inside, counted in its bytes read back.
+            let (mut whole, mut offset, mut left) = (0, 0u64, released);
+            while left >= self.extents[whole].lines as usize {
+                left -= self.extents[whole].lines as usize;
+                offset += u64::from(self.extents[whole].bytes);
+                whole += 1;
+            }
+            let within = self.file.read_from(offset)?;
+            let mut within = io::BufReader::new(within.take(self.extents[whole].bytes.into()));
+            let mut partial = 0;
+            for _ in 0..left {
+                partial += within.skip_until(b'\n')? as u64;
+            }
+            offset += partial;
             let live = &self.file;
             let tmp = live.path().with_extension("rewrite");
             self.file = log::replace(live.path(), &tmp, |out| {
                 io::copy(&mut live.read_from(offset)?, out).map(drop)
             })?;
+            self.extents.drain(..whole);
+            let cut = &mut self.extents[0];
+            cut.lines -= u32::try_from(left).expect("fewer than the extent's lines");
+            cut.bytes -= u32::try_from(partial).expect("fewer than the extent's bytes");
         }
-        self.lens.drain(..released);
+        self.lines -= released;
         // Hold memory for what is pending, not for the largest backlog seen.
-        self.lens.shrink_to(2 * self.lens.len());
+        self.extents.shrink_to(2 * self.extents.len());
         self.appends_since_sync = 0;
         Ok(())
     }
+}
+
+/// Index the `lines` whole lines of `bytes`, just appended, as extents of
+/// at most [`BATCH_BYTES`] plus one line.
+fn push_extents(extents: &mut VecDeque<Extent>, mut bytes: &[u8], mut lines: usize) {
+    while !bytes.is_empty() {
+        let (len, n) = if bytes.len() <= BATCH_BYTES {
+            (bytes.len(), lines)
+        } else {
+            // Cut after the line that crosses the budget.
+            let len = BATCH_BYTES + line_end(&bytes[BATCH_BYTES..], 1);
+            (len, bytes[..len].iter().filter(|&&b| b == b'\n').count())
+        };
+        extents.push_back(Extent {
+            lines: u32::try_from(n).expect("an extent holds under 4 Gi lines"),
+            bytes: u32::try_from(len).expect("an extent is under 4 GiB"),
+        });
+        bytes = &bytes[len..];
+        lines -= n;
+    }
+}
+
+/// Byte length of the first `lines` lines of `bytes`, which holds at least
+/// that many.
+fn line_end(bytes: &[u8], lines: usize) -> usize {
+    let (at, _) = bytes
+        .iter()
+        .enumerate()
+        .filter(|&(_, &b)| b == b'\n')
+        .nth(lines - 1)
+        .expect("the bytes hold the lines");
+    at + 1
 }
 
 /// The per-shard ingest write-ahead log. One instance serves the whole
@@ -250,12 +317,13 @@ impl IngestWal {
             let mut sw = ShardWal {
                 file: AppendFile::create(dir.join(format!("shard-{shard}.wal")))?,
                 next_seq: survivors.len() as u64 + 1,
-                lens: VecDeque::new(),
+                extents: VecDeque::new(),
+                lines: 0,
                 buf: String::new(),
                 appends_since_sync: 0,
             };
-            let pending = sw.stage(survivors.iter().map(|a| &a.record));
-            sw.append(pending, survivors.len(), usize::MAX)?;
+            sw.stage(survivors.iter().map(|a| &a.record));
+            sw.append(survivors.len(), survivors.len(), usize::MAX)?;
             sw.sync()?;
             shard_wals.push(Mutex::new(sw));
         }
@@ -315,7 +383,8 @@ impl IngestWal {
             return 0;
         }
         let mut sw = self.shards[shard].lock().expect("wal lock");
-        let pending = sw.stage(records.iter());
+        sw.stage(records.iter());
+        let staged = records.len();
         let base = sw.next_seq;
         let batch = records.drain(..).enumerate().map(|(i, record)| Accepted {
             seq: base + i as u64,
@@ -323,7 +392,7 @@ impl IngestWal {
         });
         let accepted = queue.push_batch(batch, timeout);
         sw.next_seq += accepted as u64;
-        if let Err(e) = sw.append(pending, accepted, self.sync_every) {
+        if let Err(e) = sw.append(staged, accepted, self.sync_every) {
             // The records are queued and will be processed; only their
             // durability copy is gone. Degrade loudly rather than reject
             // records the queue already owns.
@@ -356,12 +425,12 @@ impl IngestWal {
             .collect()
     }
 
-    /// Heap bytes of every shard's length index and reused serialisation
+    /// Heap bytes of every shard's extent index and reused serialisation
     /// buffer (`/debug/memory`).
     pub fn heap_bytes(&self) -> usize {
         let shard = |sw: &Mutex<ShardWal>| {
             let sw = sw.lock().expect("wal lock");
-            sw.lens.capacity() * std::mem::size_of::<u32>() + sw.buf.capacity()
+            sw.extents.capacity() * std::mem::size_of::<Extent>() + sw.buf.capacity()
         };
         self.shards.iter().map(shard).sum()
     }
@@ -372,7 +441,7 @@ impl IngestWal {
             .iter()
             .map(|sw| {
                 let sw = sw.lock().expect("wal lock");
-                (sw.lens.len(), sw.file.len())
+                (sw.lines, sw.file.len())
             })
             .collect()
     }
@@ -637,6 +706,50 @@ mod tests {
             fs::remove_dir_all(&dir).unwrap();
             Ok(())
         });
+    }
+
+    /// A log of several appends, one of them over the byte budget (so it
+    /// is indexed as more than one extent), released one sequence at a
+    /// time: after every release the file holds exactly the lines the
+    /// queue model still holds, whether the cut falls on an extent's edge
+    /// or inside it.
+    #[test]
+    fn releasing_at_every_sequence_of_a_multi_extent_log_cuts_exactly() {
+        let dir = scratch_dir("extents");
+        let log = dir.join("shard-0.wal");
+        let (wal, _) = IngestWal::open(&dir, 1, 64).unwrap();
+        let queue = BoundedQueue::new(1 << 12);
+        let mut model: VecDeque<LogRecord> = VecDeque::new();
+        let long = "\u{e9}\n\"".repeat(BATCH_BYTES / 800);
+        for (batch, size) in [1usize, 3, 40, 300, 2, 17].into_iter().enumerate() {
+            let records: Vec<LogRecord> = (0..size)
+                .map(|i| {
+                    let tail = if size == 300 { long.as_str() } else { "" };
+                    record("svc", &format!("batch {batch} record {i} {tail}"))
+                })
+                .collect();
+            model.extend(records.iter().cloned());
+            let accepted = wal.append_route_batch(0, records, &queue, Duration::ZERO);
+            assert_eq!(accepted, size);
+        }
+        let extents = wal.shards[0].lock().unwrap().extents.len();
+        assert!(
+            extents > 6,
+            "{extents} extents: the 300-line append was not split"
+        );
+        let total = model.len() as u64;
+        for up_to in 1..=total {
+            wal.release(0, up_to).unwrap();
+            model.pop_front();
+            let expected: String = model.iter().map(|r| r.to_json_line() + "\n").collect();
+            assert_eq!(wal.pending(), vec![(model.len(), expected.len() as u64)]);
+            assert!(
+                fs::read_to_string(&log).unwrap() == expected,
+                "file and model differ after release({up_to})"
+            );
+        }
+        assert_eq!(fs::metadata(&log).unwrap().len(), 0);
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -11,7 +11,9 @@
 //!    [`Session`] through a [`FaultyStream`] (short reads, `Interrupted`,
 //!    `WouldBlock`, resets) and compare against the reference over the
 //!    same bytes: same counters, same records. A reset mid-stream must
-//!    leave a clean *prefix*, never corruption.
+//!    leave a clean *prefix*, never corruption. A second property does
+//!    the same with a 256 KiB line cap and lines long enough to make the
+//!    session's ring grow, shrink back and meet its cap.
 //! 2. **Exhaustive split points** — a crafted payload holding multi-byte
 //!    UTF-8, JSON escapes, CRLF, blanks, an oversized line and an EOF
 //!    fragment is replayed once per possible split position.
@@ -22,7 +24,9 @@
 //! 4. **Live daemon vs reference + hostile peers** — a live daemon's
 //!    receipts and drained counters equal the reference's over the same
 //!    client payloads, with stalled / byte-at-a-time / fast peers
-//!    interleaved on the same poller.
+//!    interleaved on the same poller, and peers sending more than the
+//!    poller's byte budget each into one shard have each line credited
+//!    to its own receipt.
 
 use seqd::eventloop::{Pump, Session};
 use seqd::loadgen;
@@ -171,6 +175,87 @@ fn framing_is_identical_under_adversarial_segmentation() {
                 );
             }
         }
+        Ok(())
+    });
+}
+
+/// A reader that hands out at most `sizes[i]` bytes on its `i`-th read,
+/// cycling through `sizes`.
+struct Chunked {
+    inner: Cursor<Vec<u8>>,
+    sizes: Vec<usize>,
+    reads: usize,
+}
+
+impl Read for Chunked {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let size = self.sizes[self.reads % self.sizes.len()];
+        self.reads += 1;
+        let n = buf.len().min(size);
+        self.inner.read(&mut buf[..n])
+    }
+}
+
+/// Layer 1b: the same comparison across ring growth. With a 256 KiB line
+/// cap, lines from a few bytes to past the cap make the session's ring
+/// grow from its initial size, shrink back and meet the cap, under random
+/// read sizes and injected faults.
+#[test]
+fn framing_is_identical_while_the_ring_grows() {
+    const CAP: usize = 256 << 10;
+    let initial = seqd::ringbuf::INITIAL_CAPACITY;
+    let config = Config::cases(24).with_regressions(regressions());
+    let record = |s: &str, m: &str| format!("{{\"service\":\"{s}\",\"message\":\"{m}\"}}\n");
+    let line = prop::one_of::<String>(vec![
+        Box::new((prop::word(1..8), prop::word(1..40)).map(move |(s, m)| record(&s, &m))),
+        // From just under the initial ring size to just past the cap.
+        Box::new(
+            (prop::word(1..8), prop::range(initial - 64..CAP + 64))
+                .map(move |(s, n)| record(&s, &"m".repeat(n))),
+        ),
+        // Exactly the cap, terminator included, and one byte over it.
+        Box::new(prop::range(0usize..2).map(|over| format!("{}\n", "x".repeat(CAP - 1 + over)))),
+        Box::new(prop::just("\n".to_string())),
+    ]);
+    let strategy = (
+        (
+            prop::vec(line, 0..8),
+            prop::vec(prop::range(1usize..3 * initial), 1..8),
+        ),
+        prop::range(0u64..u64::MAX), // fault seed; low bit strips the last terminator
+        prop::range(0u64..20),       // fault probability, percent
+    );
+    prop::check(&config, &strategy, |((lines, sizes), seed, prob_pct)| {
+        let mut payload = lines.concat().into_bytes();
+        if seed % 2 == 1 && payload.last() == Some(&b'\n') {
+            payload.pop();
+        }
+        let (ref_summary, ref_records) = blocking_reference(&payload, CAP);
+
+        let schedule =
+            Arc::new(FaultSchedule::new(*seed, *prob_pct as f64 / 100.0).with_budget(64));
+        let chunked = Chunked {
+            inner: Cursor::new(payload),
+            sizes: sizes.clone(),
+            reads: 0,
+        };
+        let mut stream = FaultyStream::new(chunked, schedule);
+        let ops = Ops::new();
+        let mut session = Session::new(CAP);
+        match pump_to_end(&mut session, &mut stream, &ops) {
+            Ok(records) => {
+                prop_assert_eq!(session.summary.received, ref_summary.received);
+                prop_assert_eq!(session.summary.malformed, ref_summary.malformed);
+                prop_assert_eq!(records.len() as u64, ref_summary.accepted);
+                prop_assert!(records == ref_records, "records differ from the reference");
+            }
+            Err(e) => {
+                prop_assert_eq!(e.kind(), io::ErrorKind::ConnectionReset, "{}", e);
+                prop_assert!(session.summary.received <= ref_summary.received);
+                prop_assert!(session.summary.malformed <= ref_summary.malformed);
+            }
+        }
+        prop_assert!(session.buffer_bytes() <= CAP + 1 + CAP, "ring past its cap");
         Ok(())
     });
 }
@@ -455,4 +540,49 @@ fn stalled_slow_and_fast_peers_coexist_on_the_event_loop() {
     let finals = handle.join().unwrap();
     assert!(finals.reconciles(), "{finals:?}");
     assert_eq!(finals.ingested, 102, "{finals:?}");
+}
+
+/// Layer 4c: two peers on one poller and one shard, each sending several
+/// byte budgets' worth, so their records share routing batches that are
+/// routed as they fill: every receipt counts exactly its own lines.
+#[test]
+fn batches_routed_at_the_budget_credit_each_peer_its_own_lines() {
+    let handle = start(
+        patterndb::PatternStore::in_memory(),
+        SeqdConfig {
+            shards: 1,
+            pollers: 1,
+            ..SeqdConfig::default()
+        },
+        "127.0.0.1:0",
+    )
+    .expect("start daemon");
+    let addr = handle.addr();
+    let peer = |name: &'static str, n: usize| {
+        std::thread::spawn(move || {
+            let lines: Vec<String> = (0..n)
+                .map(|i| {
+                    format!("{{\"service\":\"{name}\",\"message\":\"event {i} from {name} padded {}\"}}", "p".repeat(200))
+                })
+                .collect();
+            loadgen::replay_lines(addr, lines.iter().map(|s| s.as_str())).unwrap()
+        })
+    };
+    // A line holds ≈ 250 B of record, so a budget is ≈ BATCH_BYTES / 250 lines.
+    let budget = seqd::eventloop::BATCH_BYTES / 250;
+    let (n_a, n_b) = (3 * budget + 17, 5 * budget + 3);
+    let (a, b) = (peer("alpha", n_a), peer("beta", n_b));
+    let (a, b) = (a.join().unwrap(), b.join().unwrap());
+    for (receipt, n) in [(&a, n_a as u64), (&b, n_b as u64)] {
+        assert_eq!(
+            (receipt.received, receipt.accepted + receipt.rejected),
+            (n, n),
+            "{receipt:?}"
+        );
+    }
+    loadgen::wait_until_processed(addr, a.accepted + b.accepted, Duration::from_secs(10)).unwrap();
+    handle.initiate_shutdown();
+    let finals = handle.join().unwrap();
+    assert!(finals.reconciles(), "{finals:?}");
+    assert_eq!(finals.ingested, (n_a + n_b) as u64, "{finals:?}");
 }

@@ -1,9 +1,10 @@
 //! What the ingest WAL costs to hold per acked-but-unreleased record —
 //! counted at the allocator.
 //!
-//! The log file is the pending set; in memory a shard keeps one `u32`
-//! length per pending line. A daemon whose stream never pauses must not
-//! grow by a copy of every line it has acknowledged. This binary installs
+//! The log file is the pending set; in memory a shard keeps one eight-byte
+//! extent per append, not per line. A daemon whose stream never pauses
+//! must not grow by a copy of every line it has acknowledged, nor by an
+//! index entry for each. This binary installs
 //! `testkit::alloc::CountingAlloc` as the global allocator and must
 //! therefore contain exactly one `#[test]`: the counters are process-wide.
 
@@ -46,7 +47,7 @@ fn append(wal: &IngestWal, queue: &BoundedQueue<Accepted>, n: usize) -> u64 {
 }
 
 #[test]
-fn pending_records_cost_a_length_each_and_release_gives_it_back() {
+fn pending_records_cost_an_extent_per_append_and_release_gives_it_back() {
     let dir = std::env::temp_dir().join(format!("seqd-wal-memory-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let (wal, _) = IngestWal::open(&dir, 1, 4096).unwrap();
@@ -68,8 +69,8 @@ fn pending_records_cost_a_length_each_and_release_gives_it_back() {
         log_bytes / RECORDS as u64
     );
     assert!(
-        per_record <= 8.0,
-        "{per_record:.1} B of heap per pending record, more than two lengths"
+        per_record <= 0.5,
+        "{per_record:.2} B of heap per pending record, more than one extent per append"
     );
 
     // Everything released: the file is empty and the index gives its
